@@ -20,6 +20,7 @@ from .assignment import (
     collapse,
     satisfies_mixed,
     satisfies_pure,
+    tally_rule,
     time_reverse,
     weak_value,
 )
@@ -66,7 +67,6 @@ from .sampling import (
     HaarPure,
     RngStream,
     UniformOverlap,
-    backward_uniform_overlap,
     basis_mc,
     born_mc,
     born_oracle,

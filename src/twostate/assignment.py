@@ -5,6 +5,9 @@ exactly when the two squared overlaps with ``a`` sum to more than 1; the
 mixed-state form replaces the overlaps with Tr[(rho_fwd + rho_bwd) P_a].
 At most one element of an orthonormal basis can satisfy the rule, so the
 assignment is deterministic; it may also be empty.
+
+Every evaluation of the rule goes through one comparison (``_fires``) and
+every tally over outcomes through one batch kernel (``tally_rule``).
 """
 
 from __future__ import annotations
@@ -32,6 +35,7 @@ __all__ = [
     "OrthogonalPostSelectionError",
     "satisfies_pure",
     "satisfies_mixed",
+    "tally_rule",
     "assign_over_basis",
     "collapse",
     "time_reverse",
@@ -104,28 +108,48 @@ class WeakValueResult:
     event_probability: float
 
 
-def _check_tie_tol(tie_tol: float) -> None:
+# An exact tie, a sum of exactly 1, comes out of floating point up to 9 eps
+# above 1 for d <= 32; sums must clear the threshold by more than this.
+RULE_ROUNDING_BOUND = 128 * np.finfo(float).eps
+
+
+def _fires(sums, tie_tol: float):
+    """The rule's comparison: sum > 1 + tie_tol, beyond rounding."""
     if tie_tol < 0.0:
         raise ValueError(f"tie tolerance must be >= 0, got {tie_tol!r}")
+    return sums > 1.0 + tie_tol + RULE_ROUNDING_BOUND
 
 
 def satisfies_pure(pair: TwoStatePairPure, a: StateVector, tie_tol: float = 0.0) -> bool:
     """True iff |<fwd|a>|^2 + |<bwd|a>|^2 > 1 + tie_tol."""
-    _check_tie_tol(tie_tol)
     if pair.dim != a.dim:
         raise ValueError(f"dimension mismatch: {pair.dim} vs {a.dim}")
     p = abs(inner(pair.forward, a)) ** 2
     q = abs(inner(pair.backward, a)) ** 2
-    return p + q > 1.0 + tie_tol
+    return bool(_fires(p + q, tie_tol))
 
 
 def satisfies_mixed(pair: TwoStatePairMixed, p: Projector, tie_tol: float = 0.0) -> bool:
     """True iff Tr[(rho_fwd + rho_bwd) P] > 1 + tie_tol."""
-    _check_tie_tol(tie_tol)
     if pair.dim != p.dim:
         raise ValueError(f"dimension mismatch: {pair.dim} vs {p.dim}")
     total = trace_product(pair.forward.entries + pair.backward.entries, p)
-    return total > 1.0 + tie_tol
+    return bool(_fires(total, tie_tol))
+
+
+def tally_rule(sums: np.ndarray, tie_tol: float = 0.0) -> np.ndarray:
+    """Tally the rule over a batch of rule sums, one row per sample.
+
+    ``sums[i, k]`` is the rule's left-hand side for sample ``i`` and outcome
+    ``k``. Returns k + 2 int64 counts: the samples that fired only outcome
+    0, ..., only outcome k-1, then the samples that fired no outcome, then
+    the samples that fired more than one (an exclusivity violation).
+    """
+    fired = _fires(sums, tie_tol)
+    per_sample = fired.sum(axis=1)
+    multiple = np.count_nonzero(per_sample > 1)
+    alone = (fired[per_sample == 1] if multiple else fired).sum(axis=0, dtype=np.int64)
+    return np.concatenate([alone, (np.count_nonzero(per_sample == 0), multiple)])
 
 
 def _rule_sums(pair, basis: OrthonormalBasis) -> np.ndarray:
@@ -141,28 +165,22 @@ def _rule_sums(pair, basis: OrthonormalBasis) -> np.ndarray:
     return vals.real
 
 
-def _pick_unique(flags: np.ndarray) -> AssignmentResult:
-    hits = np.flatnonzero(flags)
-    if hits.size == 0:
-        return AssignmentResult.no_outcome()
-    if hits.size > 1:
-        raise MultipleOutcomesError(
-            f"outcomes {hits.tolist()} all satisfied the rule; the inputs violate orthonormality"
-        )
-    return AssignmentResult(int(hits[0]))
-
-
 def assign_over_basis(pair, basis: OrthonormalBasis, tie_tol: float = 0.0) -> AssignmentResult:
     """Assign the unique satisfying basis index, or NoOutcome.
 
     Evaluates the rule for every basis element so that exclusivity is checked
     on every call; a second satisfying index raises MultipleOutcomesError.
     """
-    _check_tie_tol(tie_tol)
     if pair.dim != basis.dim:
         raise ValueError(f"dimension mismatch: {pair.dim} vs {basis.dim}")
     sums = _rule_sums(pair, basis)
-    return _pick_unique(sums > 1.0 + tie_tol)
+    tally = tally_rule(sums[None, :], tie_tol)
+    if tally[-1]:
+        raise MultipleOutcomesError(
+            f"rule sums {sums.tolist()} fire more than one outcome; the inputs violate orthonormality"
+        )
+    hits = np.flatnonzero(tally[:-2])
+    return AssignmentResult(int(hits[0])) if hits.size else AssignmentResult.no_outcome()
 
 
 def collapse(pair, a: StateVector) -> TwoStatePairPure:

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import importlib.resources
 import io
 import json
 import sys
@@ -23,8 +22,8 @@ from .assignment import (
     MultipleOutcomesError,
     TwoStatePairMixed,
     TwoStatePairPure,
-    assign_over_basis,
     satisfies_pure,
+    tally_rule,
     weak_value,
 )
 from .blochpbr import (
@@ -54,11 +53,13 @@ from .sampling import (
     HaarPure,
     RngStream,
     UniformOverlap,
+    _haar_unitary_block,
+    _map_reduce,
     basis_mc,
     born_mc,
     born_oracle,
     haar_state,
-    haar_unitary,
+    haar_states,
 )
 from .sic import (
     builtin_fiducial,
@@ -99,6 +100,7 @@ EXPERIMENTS = (
     "pbr-geometric",
     "weak-value",
 )
+DISTRIBUTIONS = ("uniform-overlap", "haar", "fixed")
 
 
 class ConfigError(ValueError):
@@ -131,7 +133,7 @@ class ExperimentConfig:
             raise ConfigError(f"tie-tol must be >= 0, got {self.tie_tol}")
         if self.workers < 1:
             raise ConfigError(f"workers must be >= 1, got {self.workers}")
-        if self.dist not in ("uniform-overlap", "haar", "fixed"):
+        if self.dist not in DISTRIBUTIONS:
             raise ConfigError(f"unknown distribution {self.dist!r}")
 
 
@@ -161,22 +163,49 @@ def _parse_float_list(text: str, what: str) -> list[float]:
         raise ConfigError(f"could not parse {what} list {text!r}: {err}") from None
 
 
+def _from_config(cfg: ExperimentConfig, build, *keys):
+    """``build`` applied to the values of config ``keys``; a missing or rejected value is a ConfigError."""
+    for key in keys:
+        if key not in cfg.params:
+            raise ConfigError(f"{cfg.experiment} requires {key!r} in the config file")
+    try:
+        return build(*(cfg.params[key] for key in keys))
+    except (TypeError, ValueError) as err:
+        raise ConfigError(f"invalid {'/'.join(keys)}: {err}") from None
+
+
+def _state(data, dim: int | None = None) -> StateVector:
+    state = StateVector(vector_from_json(data))
+    if dim is not None and state.dim != dim:
+        raise ValueError(f"expected a state of dimension {dim}, got {state.dim}")
+    return state
+
+
+def _hermitian(data) -> HermitianOperator:
+    return HermitianOperator(matrix_from_json(data))
+
+
+def _numbers(data) -> list:
+    if not isinstance(data, list) or any(isinstance(x, bool) or not isinstance(x, (int, float)) for x in data):
+        raise ValueError(f"expected a list of numbers, got {data!r}")
+    return data
+
+
 def _dist_for(cfg: ExperimentConfig, target: StateVector):
     if cfg.dist == "haar":
         return HaarPure()
     if cfg.dist == "uniform-overlap":
         return UniformOverlap(target)
-    state_json = cfg.params.get("dist_state")
-    if state_json is None:
-        raise ConfigError("dist 'fixed' requires a 'dist_state' vector in the config file")
-    return Fixed(StateVector(vector_from_json(state_json)))
+    return Fixed(_from_config(cfg, lambda data: _state(data, target.dim), "dist_state"))
 
 
 # --- experiment implementations --------------------------------------------
 
 
 def _run_born_mc(cfg: ExperimentConfig) -> list[dict]:
-    grid = cfg.params.get("p_grid", [round(0.1 * k, 10) for k in range(1, 10)])
+    grid = [round(0.1 * k, 10) for k in range(1, 10)]
+    if "p_grid" in cfg.params:
+        grid = _from_config(cfg, _numbers, "p_grid")
     records = []
     target = StateVector.basis_state(cfg.dim, 0)
     for point, p in enumerate(grid):
@@ -212,17 +241,16 @@ def _tilted_qubit_basis(theta_rad: float) -> OrthonormalBasis:
 
 def _run_basis_mc(cfg: ExperimentConfig) -> list[dict]:
     records = []
-    explicit_basis = cfg.params.get("basis")
-    thetas = cfg.params.get("theta_deg", [30.0, 60.0, 90.0, 120.0, 150.0])
-    if explicit_basis is not None:
-        basis = OrthonormalBasis(tuple(StateVector(vector_from_json(v)) for v in explicit_basis))
-        if "forward" not in cfg.params:
-            raise ConfigError("an explicit basis requires a 'forward' state in the config file")
-        forward = StateVector(vector_from_json(cfg.params["forward"]))
+    if "basis" in cfg.params:
+        basis = _from_config(cfg, lambda rows: OrthonormalBasis(tuple(_state(v) for v in rows)), "basis")
+        forward = _from_config(cfg, lambda data: _state(data, basis.dim), "forward")
         cases = [(None, forward, basis)]
     else:
         if cfg.dim != 2:
             raise ConfigError("the tilted-basis parameterization requires dim 2; pass a 'basis' instead")
+        thetas = [30.0, 60.0, 90.0, 120.0, 150.0]
+        if "theta_deg" in cfg.params:
+            thetas = _from_config(cfg, _numbers, "theta_deg")
         forward = StateVector.basis_state(2, 0)
         cases = [(theta, forward, _tilted_qubit_basis(np.deg2rad(theta))) for theta in thetas]
 
@@ -244,53 +272,39 @@ def _run_basis_mc(cfg: ExperimentConfig) -> list[dict]:
     return records
 
 
-class _ViolationDetected(Exception):
-    """Carries the records of a run that observed a model-invariant violation."""
-
-    def __init__(self, records):
-        self.records = records
-        super().__init__("model-invariant violation observed")
+# Unitary entries per exclusivity-scan block: keeps its memory flat in dim.
+_SCAN_BLOCK_ENTRIES = 2**18
 
 
 def _run_exclusivity_scan(cfg: ExperimentConfig) -> list[dict]:
-    fwd_stream = RngStream(cfg.seed, 1)
-    bwd_stream = RngStream(cfg.seed, 2)
-    basis_stream = RngStream(cfg.seed, 3)
-    violations = 0
-    assigned = 0
-    for i in range(cfg.samples):
-        pair = TwoStatePairPure(haar_state(cfg.dim, fwd_stream, i), haar_state(cfg.dim, bwd_stream, i))
-        basis = OrthonormalBasis.from_unitary_matrix(haar_unitary(cfg.dim, basis_stream, i))
-        try:
-            result = assign_over_basis(pair, basis, cfg.tie_tol)
-        except MultipleOutcomesError:
-            violations += 1
-            continue
-        if result.assigned:
-            assigned += 1
-    no_outcome_rate = (cfg.samples - assigned - violations) / cfg.samples
-    record = _record(
-        cfg, frequency=assigned / cfg.samples, no_assign_rate=no_outcome_rate, oracle=0.0,
-        extra={"violations": violations},
-    )
-    if violations:
-        raise _ViolationDetected([record])
-    return [record]
+    fwd_stream, bwd_stream, basis_stream = (RngStream(cfg.seed, k) for k in (1, 2, 3))
+
+    def chunk_tallies(lo: int, hi: int) -> np.ndarray:
+        # row k of each matrix is <a_k|, for the basis in the unitary's columns
+        rows = _haar_unitary_block(cfg.dim, basis_stream, lo, hi - lo).conj().transpose(0, 2, 1)
+        p = np.abs(rows @ haar_states(cfg.dim, fwd_stream, lo, hi - lo)[:, :, None]) ** 2
+        q = np.abs(rows @ haar_states(cfg.dim, bwd_stream, lo, hi - lo)[:, :, None]) ** 2
+        return tally_rule((p + q)[:, :, 0], cfg.tie_tol)
+
+    chunk_size = max(1, _SCAN_BLOCK_ENTRIES // cfg.dim**2)
+    zero = np.zeros(cfg.dim + 2, dtype=np.int64)
+    tallies = _map_reduce(chunk_tallies, cfg.samples, cfg.workers, chunk_size, zero)
+    assigned = int(tallies[:-2].sum())
+    return [_record(
+        cfg, frequency=assigned / cfg.samples, no_assign_rate=int(tallies[-2]) / cfg.samples, oracle=0.0,
+        extra={"violations": int(tallies[-1])},
+    )]
 
 
-def _fiducial_for(cfg: ExperimentConfig) -> StateVector:
-    fid_json = cfg.params.get("fiducial")
-    if fid_json is not None:
-        return StateVector(vector_from_json(fid_json))
-    return builtin_fiducial(cfg.dim)
+def _sic_for(cfg: ExperimentConfig):
+    if "fiducial" not in cfg.params and cfg.dim in (2, 3):
+        return sic_from_fiducial(builtin_fiducial(cfg.dim))
+    return sic_from_fiducial(_from_config(cfg, _state, "fiducial"))
 
 
 def _run_sic_validate(cfg: ExperimentConfig) -> list[dict]:
-    tol = float(cfg.params.get("tol", 1e-10))
-    try:
-        povm = sic_from_fiducial(_fiducial_for(cfg))
-    except ValueError as err:
-        raise ConfigError(str(err)) from None
+    tol = _from_config(cfg, float, "tol") if "tol" in cfg.params else 1e-10
+    povm = _sic_for(cfg)
     report = validate_sic(povm, tol)
     return [_record(cfg, oracle=1.0 / (cfg.dim + 1), extra={
         "tol": tol,
@@ -301,8 +315,8 @@ def _run_sic_validate(cfg: ExperimentConfig) -> list[dict]:
 
 
 def _run_sic_search(cfg: ExperimentConfig) -> list[dict]:
-    restarts = int(cfg.params.get("restarts", 20))
-    max_iters = int(cfg.params.get("max_iters", 2000))
+    restarts = _from_config(cfg, int, "restarts") if "restarts" in cfg.params else 20
+    max_iters = _from_config(cfg, int, "max_iters") if "max_iters" in cfg.params else 2000
     report = search_fiducial(cfg.dim, restarts, max_iters, cfg.seed)
     orbit_check = validate_sic(sic_from_fiducial(report.fiducial), 1e-5)
     return [_record(cfg, oracle=report.lower_bound, extra={
@@ -315,10 +329,7 @@ def _run_sic_search(cfg: ExperimentConfig) -> list[dict]:
 
 
 def _run_sic_distinguish(cfg: ExperimentConfig) -> list[dict]:
-    try:
-        povm = sic_from_fiducial(_fiducial_for(cfg))
-    except ValueError as err:
-        raise ConfigError(str(err)) from None
+    povm = _sic_for(cfg)
     streams = [RngStream(cfg.seed, 10 + k) for k in range(4)]
     separated = 0
     for i in range(cfg.samples):
@@ -334,16 +345,13 @@ def _run_sic_distinguish(cfg: ExperimentConfig) -> list[dict]:
 
 
 def _run_stationary_solve(cfg: ExperimentConfig) -> list[dict]:
-    for key in ("hamiltonian", "target_k", "diagonal"):
-        if key not in cfg.params:
-            raise ConfigError(f"stationary-solve requires {key!r} in the config file")
-    try:
-        h = HermitianOperator(matrix_from_json(cfg.params["hamiltonian"]))
-        k = CommutatorTarget(matrix_from_json(cfg.params["target_k"]))
-        diagonal = np.asarray(cfg.params["diagonal"], dtype=float)
-        solve_input = StationarySolveInput(h, k, diagonal)
-    except ValueError as err:
-        raise ConfigError(str(err)) from None
+    solve_input = _from_config(
+        cfg,
+        lambda h, k, diagonal: StationarySolveInput(
+            _hermitian(h), CommutatorTarget(matrix_from_json(k)), diagonal),
+        "hamiltonian", "target_k", "diagonal",
+    )
+    h, k = solve_input.hamiltonian, solve_input.target
     rho = commutator_solve(solve_input, require_psd=bool(cfg.params.get("require_psd", False)))
     residual = float(np.linalg.norm(commutator(rho, h.entries) - k.entries))
     return [_record(cfg, oracle=0.0, extra={
@@ -400,11 +408,9 @@ def _run_pbr_geometric(cfg: ExperimentConfig) -> list[dict]:
 
 def _run_weak_value(cfg: ExperimentConfig) -> list[dict]:
     if "observable" in cfg.params:
-        observable = HermitianOperator(matrix_from_json(cfg.params["observable"]))
-        if "forward" not in cfg.params or "final" not in cfg.params:
-            raise ConfigError("weak-value with an explicit observable needs 'forward' and 'final' states")
-        forward = StateVector(vector_from_json(cfg.params["forward"]))
-        final = StateVector(vector_from_json(cfg.params["final"]))
+        observable = _from_config(cfg, _hermitian, "observable")
+        forward = _from_config(cfg, lambda data: _state(data, observable.dim), "forward")
+        final = _from_config(cfg, lambda data: _state(data, observable.dim), "final")
     else:
         observable = HermitianOperator(np.diag([1.0, -1.0]).astype(complex))
         forward = StateVector(np.array([1.0, 1.0]) / np.sqrt(2.0))
@@ -487,8 +493,35 @@ def emit_results(records: list[dict], fmt: str, path: str | None, include_timing
 
 def result_schema() -> dict:
     """The JSON Schema that record arrays emitted by this harness satisfy."""
-    text = importlib.resources.files("twostate").joinpath("result_schema.json").read_text()
-    return json.loads(text)
+    number_or_null = {"type": ["number", "null"]}
+    probability = {"type": ["number", "null"], "minimum": 0, "maximum": 1}
+    properties = {
+        "schema_version": {"const": SCHEMA_VERSION},
+        "experiment": {"enum": list(EXPERIMENTS)},
+        "dim": {"type": "integer", "minimum": 2},
+        "samples": {"type": "integer", "minimum": 1},
+        "seed": {"type": "integer", "minimum": 0},
+        "tie_tol": {"type": "number", "minimum": 0},
+        "dist": {"enum": list(DISTRIBUTIONS)},
+        "p_or_theta": number_or_null,
+        "frequency": probability,
+        "std_err": {"type": ["number", "null"], "minimum": 0},
+        "no_assign_rate": probability,
+        "oracle": number_or_null,
+        "extra": {"type": "object"},
+        "wall_time_s": {"type": "number", "minimum": 0},
+    }
+    return {
+        "$schema": "https://json-schema.org/draft/2020-12/schema",
+        "title": "twostate experiment result records",
+        "type": "array",
+        "items": {
+            "type": "object",
+            "required": [col for col in CSV_COLUMNS if col != "wall_time_s"],
+            "properties": {col: properties[col] for col in CSV_COLUMNS},
+            "additionalProperties": False,
+        },
+    }
 
 
 # --- argument parsing --------------------------------------------------------
@@ -553,7 +586,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--samples", type=int, default=None, help="number of Monte Carlo samples")
         p.add_argument("--seed", type=int, default=None, help="RNG seed (mandatory; no entropy default)")
         p.add_argument("--tie-tol", type=float, default=None, help="strictness margin added to the rule threshold")
-        p.add_argument("--dist", choices=["uniform-overlap", "haar", "fixed"], default=None,
+        p.add_argument("--dist", choices=DISTRIBUTIONS, default=None,
                        help="backward-state distribution")
         p.add_argument("--workers", type=int, default=None, help="parallel workers (must not change results)")
         p.add_argument("--config", default=None, help="JSON config file; flags override its fields")
@@ -621,26 +654,19 @@ def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        cfg = _config_from_args(args)
-        records = run_experiment(cfg)
+        records = run_experiment(_config_from_args(args))
+        emit_results(records, args.format, args.out, include_timing=not args.no_timing)
+        violations = sum(rec["extra"].get("violations", 0) for rec in records)
+        if violations:
+            raise MultipleOutcomesError(f"{violations} samples fired more than one outcome")
     except ConfigError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
-    except _ViolationDetected as err:
-        emit_results(err.records, args.format, args.out, include_timing=not args.no_timing)
-        print("error: model-invariant violation observed (multiple outcomes fired)", file=sys.stderr)
-        return 4
     except MultipleOutcomesError as err:
         print(f"error: model-invariant violation: {err}", file=sys.stderr)
         return 4
     except Exception as err:  # runtime failures -> exit 3 with context
-        print(f"error: {err}", file=sys.stderr)
-        return 3
-
-    try:
-        emit_results(records, args.format, args.out, include_timing=not args.no_timing)
-    except RuntimeError as err:
-        print(f"error: {err}", file=sys.stderr)
+        print(f"error: {type(err).__name__}: {err}", file=sys.stderr)
         return 3
     return 0
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.random import Philox
 
-from .assignment import MultipleOutcomesError
+from .assignment import MultipleOutcomesError, tally_rule
 from .qcore import OrthonormalBasis, StateVector
 
 __all__ = [
@@ -30,7 +30,6 @@ __all__ = [
     "haar_state",
     "haar_states",
     "haar_unitary",
-    "backward_uniform_overlap",
     "uniform_overlap_states",
     "born_mc",
     "basis_mc",
@@ -162,6 +161,15 @@ def _uniform_overlap_block(
     return amp_target[:, None] * target[None, :] + amp_perp[:, None] * perp
 
 
+def _haar_unitary_block(dim: int, stream: RngStream, first_sample: int, count: int) -> np.ndarray:
+    """Haar unitaries, shape (count, dim, dim); matrix i depends only on (stream, first_sample + i)."""
+    gauss = _complex_normals(_raw_words(stream, first_sample, count, 2 * dim * dim)).reshape(count, dim, dim)
+    q, r = np.linalg.qr(gauss)
+    diag = np.diagonal(r, axis1=1, axis2=2).copy()
+    diag[diag == 0.0] = 1.0
+    return q * (diag / np.abs(diag))[:, None, :]
+
+
 def _backward_block(dist: BackwardDistribution, dim: int, stream: RngStream, first_sample: int, count: int):
     if isinstance(dist, HaarPure):
         return _haar_block(dim, stream, first_sample, count)
@@ -169,10 +177,6 @@ def _backward_block(dist: BackwardDistribution, dim: int, stream: RngStream, fir
         if dist.target.dim != dim:
             raise ValueError(f"dimension mismatch: target {dist.target.dim} vs {dim}")
         return _uniform_overlap_block(dist.target.entries, stream, first_sample, count)
-    if isinstance(dist, Fixed):
-        if dist.state.dim != dim:
-            raise ValueError(f"dimension mismatch: fixed state {dist.state.dim} vs {dim}")
-        return None  # deterministic; handled by callers without consuming the stream
     raise TypeError(f"unknown backward distribution: {type(dist).__name__}")
 
 
@@ -193,12 +197,8 @@ def haar_states(dim: int, rng: RngStream, start: int, count: int) -> np.ndarray:
     return _haar_block(dim, rng, start, count)
 
 
-def backward_uniform_overlap(a: StateVector, rng: RngStream, index: int = 0) -> StateVector:
-    """Draw a state whose squared overlap with ``a`` is uniform on [0, 1)."""
-    return StateVector(_uniform_overlap_block(a.entries, rng, index, 1)[0])
-
-
 def uniform_overlap_states(a: StateVector, rng: RngStream, start: int, count: int) -> np.ndarray:
+    """Rows are states whose squared overlap with ``a`` is uniform on [0, 1)."""
     return _uniform_overlap_block(a.entries, rng, start, count)
 
 
@@ -206,11 +206,7 @@ def haar_unitary(dim: int, rng: RngStream, index: int = 0) -> np.ndarray:
     """Haar-distributed unitary; sample ``index`` of the stream."""
     if dim < 2:
         raise ValueError(f"dimension must be >= 2, got {dim}")
-    gauss = _complex_normals(_raw_words(rng, index, 1, 2 * dim * dim))[0].reshape(dim, dim)
-    q, r = np.linalg.qr(gauss)
-    diag = np.diagonal(r).copy()
-    diag[diag == 0.0] = 1.0
-    return q * (diag / np.abs(diag))
+    return _haar_unitary_block(dim, rng, index, 1)[0]
 
 
 # --- Monte Carlo estimators ------------------------------------------------
@@ -240,6 +236,43 @@ def _binomial_estimate(count: int, n_samples: int, no_assign_rate: float | None 
     return BornEstimate(freq, std_err, n_samples, no_assign_rate)
 
 
+def _rule_tallies(
+    forward: StateVector,
+    targets: np.ndarray,
+    dist: BackwardDistribution,
+    n_samples: int,
+    seed: int,
+    tie_tol: float,
+    stream_index: int,
+    workers: int,
+    chunk_size: int,
+) -> np.ndarray:
+    """``tally_rule`` summed over sampled backward states; ``targets`` rows are the outcomes."""
+    dim = forward.dim
+    if targets.shape[1] != dim:
+        raise ValueError(f"dimension mismatch: {dim} vs {targets.shape[1]}")
+    if n_samples < 1:
+        raise ValueError(f"sample count must be >= 1, got {n_samples}")
+    conj_targets = targets.conj()
+    p = np.abs(conj_targets @ forward.entries) ** 2
+
+    if isinstance(dist, Fixed):  # deterministic: one evaluation stands for every sample
+        if dist.state.dim != dim:
+            raise ValueError(f"dimension mismatch: fixed state {dist.state.dim} vs {dim}")
+        q = np.abs(conj_targets @ dist.state.entries) ** 2
+        return tally_rule((p + q)[None, :], tie_tol) * n_samples
+
+    stream = RngStream(seed, stream_index)
+
+    def chunk_tallies(lo: int, hi: int) -> np.ndarray:
+        states = _backward_block(dist, dim, stream, lo, hi - lo)
+        q = np.abs(states.conj() @ targets.T) ** 2
+        return tally_rule(p + q, tie_tol)
+
+    zero = np.zeros(targets.shape[0] + 2, dtype=np.int64)
+    return _map_reduce(chunk_tallies, n_samples, workers, chunk_size, zero)
+
+
 def born_mc(
     forward: StateVector,
     a: StateVector,
@@ -253,34 +286,10 @@ def born_mc(
     chunk_size: int = DEFAULT_CHUNK_SIZE,
 ) -> BornEstimate:
     """Frequency with which sampled backward states make the rule fire for ``a``."""
-    if forward.dim != a.dim:
-        raise ValueError(f"dimension mismatch: {forward.dim} vs {a.dim}")
-    if n_samples < 1:
-        raise ValueError(f"sample count must be >= 1, got {n_samples}")
-    if tie_tol < 0.0:
-        raise ValueError(f"tie tolerance must be >= 0, got {tie_tol!r}")
-
-    dim = forward.dim
-    p = abs(complex(np.vdot(forward.entries, a.entries))) ** 2
-    threshold = 1.0 + tie_tol
-
-    if isinstance(dist, Fixed):
-        if dist.state.dim != dim:
-            raise ValueError(f"dimension mismatch: fixed state {dist.state.dim} vs {dim}")
-        q = abs(complex(np.vdot(dist.state.entries, a.entries))) ** 2
-        count = n_samples if p + q > threshold else 0
-        return _binomial_estimate(count, n_samples)
-
-    stream = RngStream(seed, stream_index)
-    target = a.entries
-
-    def chunk_count(lo: int, hi: int) -> int:
-        states = _backward_block(dist, dim, stream, lo, hi - lo)
-        q = np.abs(states.conj() @ target) ** 2
-        return int(np.count_nonzero(p + q > threshold))
-
-    count = _map_reduce(chunk_count, n_samples, workers, chunk_size, 0)
-    return _binomial_estimate(count, n_samples)
+    tallies = _rule_tallies(
+        forward, a.entries[None, :], dist, n_samples, seed, tie_tol, stream_index, workers, chunk_size
+    )
+    return _binomial_estimate(int(tallies[0]), n_samples)
 
 
 def basis_mc(
@@ -300,46 +309,16 @@ def basis_mc(
     Raises MultipleOutcomesError if any sample satisfies the rule for two
     outcomes; for an orthonormal basis this must never happen.
     """
-    if forward.dim != basis.dim:
-        raise ValueError(f"dimension mismatch: {forward.dim} vs {basis.dim}")
-    if n_samples < 1:
-        raise ValueError(f"sample count must be >= 1, got {n_samples}")
-    if tie_tol < 0.0:
-        raise ValueError(f"tie tolerance must be >= 0, got {tie_tol!r}")
-
-    dim = forward.dim
-    bmat = basis.as_matrix()
-    p_vec = np.abs(bmat.conj() @ forward.entries) ** 2
-    threshold = 1.0 + tie_tol
-
-    def classify(states: np.ndarray) -> np.ndarray:
-        """Counts per outcome plus a trailing no-assignment count."""
-        q = np.abs(states.conj() @ bmat.T) ** 2
-        fired = p_vec[None, :] + q > threshold
-        per_sample = fired.sum(axis=1)
-        if np.any(per_sample > 1):
-            bad = int(np.flatnonzero(per_sample > 1)[0])
-            raise MultipleOutcomesError(
-                f"sample fired outcomes {np.flatnonzero(fired[bad]).tolist()}; basis is not orthonormal"
-            )
-        counts = fired.sum(axis=0, dtype=np.int64)
-        return np.append(counts, np.int64(np.count_nonzero(per_sample == 0)))
-
-    if isinstance(dist, Fixed):
-        if dist.state.dim != dim:
-            raise ValueError(f"dimension mismatch: fixed state {dist.state.dim} vs {dim}")
-        counts = classify(dist.state.entries[None, :]) * n_samples
-    else:
-        stream = RngStream(seed, stream_index)
-
-        def chunk_counts(lo: int, hi: int) -> np.ndarray:
-            return classify(_backward_block(dist, dim, stream, lo, hi - lo))
-
-        counts = _map_reduce(chunk_counts, n_samples, workers, chunk_size, np.zeros(dim + 1, dtype=np.int64))
-
-    no_assign_rate = int(counts[-1]) / n_samples
+    tallies = _rule_tallies(
+        forward, basis.as_matrix(), dist, n_samples, seed, tie_tol, stream_index, workers, chunk_size
+    )
+    if tallies[-1]:
+        raise MultipleOutcomesError(
+            f"{int(tallies[-1])} samples fired more than one outcome; the basis is not orthonormal"
+        )
+    no_assign_rate = int(tallies[-2]) / n_samples
     estimates = tuple(
-        _binomial_estimate(int(c), n_samples, no_assign_rate) for c in counts[:-1]
+        _binomial_estimate(int(c), n_samples, no_assign_rate) for c in tallies[:-2]
     )
     return BasisMcResult(estimates, no_assign_rate, n_samples)
 

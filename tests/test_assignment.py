@@ -15,10 +15,10 @@ from twostate import (
     projector_of,
     satisfies_mixed,
     satisfies_pure,
+    tally_rule,
     time_reverse,
     weak_value,
 )
-from twostate.assignment import _pick_unique
 
 from helpers import random_basis, random_state
 
@@ -27,6 +27,7 @@ E1 = StateVector.basis_state(2, 1)
 PLUS = StateVector(np.array([1, 1]) / np.sqrt(2))
 MINUS = StateVector(np.array([1, -1]) / np.sqrt(2))
 QUBIT_BASIS = OrthonormalBasis.computational(2)
+EPS = np.finfo(float).eps
 
 
 def tilted_state(theta_rad: float) -> StateVector:
@@ -117,10 +118,31 @@ class TestAssignOverBasis:
                 TwoStatePairMixed.from_pure(pure), basis
             )
 
-    def test_multiple_outcomes_is_loud(self):
-        # unreachable through validated bases; exercised on the raw decision step
+    def test_multiple_outcomes_is_loud(self, monkeypatch):
+        # unreachable through validated bases; forced through the rule sums
+        monkeypatch.setattr("twostate.assignment._rule_sums", lambda pair, basis: np.array([1.5, 1.7]))
         with pytest.raises(MultipleOutcomesError):
-            _pick_unique(np.array([True, False, True]))
+            assign_over_basis(TwoStatePairPure(E0, E0), QUBIT_BASIS)
+
+    def test_exact_ties_fire_nothing(self):
+        # fwd = bwd = (|a_i> + |a_j>)/sqrt(2): the sums for a_i and a_j are
+        # exactly 1, which rounding used to push over the threshold together
+        rng = np.random.default_rng(27)
+        errors = 0
+        for d in (2, 3, 4, 5, 8):
+            for _ in range(2000):
+                basis = random_basis(rng, d)
+                i, j = rng.choice(d, size=2, replace=False)
+                tie = StateVector((basis[i].entries + basis[j].entries) / np.sqrt(2))
+                pair = TwoStatePairPure(tie, tie)
+                try:
+                    result = assign_over_basis(pair, basis)
+                except MultipleOutcomesError:
+                    errors += 1
+                    continue
+                assert not result.assigned
+                assert not satisfies_pure(pair, basis[i]) and not satisfies_pure(pair, basis[j])
+        assert errors == 0
 
     def test_tie_tol_monotonicity(self):
         rng = np.random.default_rng(23)
@@ -131,6 +153,26 @@ class TestAssignOverBasis:
             tight = assign_over_basis(pair, basis, tie_tol=0.05)
             if not loose.assigned:
                 assert not tight.assigned
+
+
+class TestTallyRule:
+    def test_counts_single_none_and_multiple(self):
+        sums = np.array([
+            [1.5, 0.2, 0.3],  # outcome 0 alone
+            [0.1, 0.2, 1.9],  # outcome 2 alone
+            [1.0 + 9 * EPS, 1.0 + 9 * EPS, 0.0],  # rounded ties: nothing fires
+            [0.5, 0.5, 0.5],  # nothing fires
+            [1.8, 0.0, 1.7],  # far above 1 on two outcomes: a multiple fire
+        ])
+        assert tally_rule(sums).tolist() == [1, 0, 1, 2, 1]
+
+    def test_tie_tol_raises_the_threshold(self):
+        sums = np.array([[1.04, 0.0], [1.06, 0.0]])
+        assert tally_rule(sums, tie_tol=0.05).tolist() == [1, 0, 1, 0]
+
+    def test_rejects_negative_tie_tol(self):
+        with pytest.raises(ValueError, match="tie tolerance"):
+            tally_rule(np.ones((1, 2)), tie_tol=-0.1)
 
 
 class TestTimeReverse:

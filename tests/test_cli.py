@@ -5,9 +5,19 @@ import jsonschema
 import numpy as np
 import pytest
 
-from twostate import commutator
-from twostate.cli import CSV_COLUMNS, emit_results, main, result_schema
-from twostate.qcore import matrix_from_json, matrix_to_json
+from twostate import (
+    OrthonormalBasis,
+    RngStream,
+    TwoStatePairPure,
+    assign_over_basis,
+    commutator,
+    haar_state,
+    haar_unitary,
+)
+from twostate.cli import _RUNNERS, CSV_COLUMNS, emit_results, main, result_schema
+from twostate.qcore import matrix_from_json, matrix_to_json, vector_to_json
+
+from helpers import random_unitary
 
 
 def run_cli(args, tmp_path, name="out.csv"):
@@ -56,6 +66,27 @@ class TestConfigHandling:
         code, _ = run_cli(["born-mc", "--seed", "1", "--dim", "1"], tmp_path)
         assert code == 2
         assert "dim" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("args, config", [
+        (["basis-mc", "--dim", "2"],
+         {"basis": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]], "forward": [[1, 0], [1, 0]]}),
+        (["basis-mc", "--dim", "2"],
+         {"basis": [[[1, 0], [0, 0]], [[0.6, 0], [0.8, 0]]], "forward": [[1, 0], [0, 0]]}),
+        (["basis-mc", "--dim", "3"],
+         {"basis": [[[1, 0], [0, 0], [0, 0]], [[0, 0], [1, 0], [0, 0]], [[0, 0], [0, 0], [1, 0]]],
+          "forward": [[1, 0], [0, 0]]}),
+        (["born-mc", "--dim", "2", "--dist", "fixed"], {"dist_state": [[1, 0], [1, 0]], "p_grid": [0.5]}),
+        (["weak-value"], {"observable": [[[0, 0], [1, 0]], [[0, 0], [0, 0]]],
+                          "forward": [[1, 0], [0, 0]], "final": [[1, 0], [0, 0]]}),
+        (["born-mc", "--dim", "2"], {"p_grid": [0.5, "high"]}),
+    ], ids=["unnormalized-forward", "non-orthonormal-basis", "basis-forward-dims",
+            "bad-dist-state", "non-hermitian-observable", "string-in-p-grid"])
+    def test_malformed_config_value_exits_two(self, args, config, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        code, _ = run_cli(args + ["--samples", "10", "--seed", "1", "--config", str(cfg)], tmp_path)
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: invalid ")
 
     def test_help_exits_zero(self, capsys):
         with pytest.raises(SystemExit) as info:
@@ -116,12 +147,26 @@ class TestRecords:
 
     def test_json_output_validates_against_schema(self, tmp_path):
         schema = result_schema()
-        for args, name in [
-            (["born-mc", "--dim", "2", "--samples", "1000", "--seed", "4", "--p-grid", "0.5"], "a.json"),
-            (["sic-search", "--dim", "2", "--seed", "11", "--restarts", "2", "--max-iters", "200"], "b.json"),
-            (["exclusivity-scan", "--dim", "2", "--samples", "200", "--seed", "5"], "c.json"),
-        ]:
-            code, out = run_cli(args + ["--format", "json"], tmp_path, name)
+        solve_cfg = tmp_path / "solve.json"
+        solve_cfg.write_text(json.dumps({
+            "hamiltonian": matrix_to_json(np.diag([1.0, 3.0])),
+            "target_k": matrix_to_json(np.array([[0.0, 2.0j], [2.0j, 0.0]])),
+            "diagonal": [0.5, 0.5],
+        }))
+        runs = [
+            ["born-mc", "--dim", "2", "--samples", "1000", "--seed", "4", "--p-grid", "0.5"],
+            ["basis-mc", "--dim", "2", "--samples", "1000", "--seed", "4", "--theta-deg", "60"],
+            ["exclusivity-scan", "--dim", "2", "--samples", "200", "--seed", "5"],
+            ["sic-validate", "--dim", "3", "--seed", "1"],
+            ["sic-search", "--dim", "2", "--seed", "11", "--restarts", "2", "--max-iters", "200"],
+            ["sic-distinguish", "--dim", "2", "--samples", "50", "--seed", "2"],
+            ["stationary-solve", "--seed", "1", "--config", str(solve_cfg)],
+            ["pbr-geometric", "--samples", "50", "--seed", "3"],
+            ["weak-value", "--seed", "1"],
+        ]
+        assert sorted(args[0] for args in runs) == sorted(schema["items"]["properties"]["experiment"]["enum"])
+        for args in runs:
+            code, out = run_cli(args + ["--format", "json"], tmp_path, f"{args[0]}.json")
             assert code == 0
             jsonschema.validate(json.loads(out.read_text()), schema)
 
@@ -162,6 +207,28 @@ class TestExperiments:
         assert json.loads(row["extra"])["violations"] == 0
         # at d=5 a Haar backward state rarely overlaps any outcome strongly
         assert float(row["no_assign_rate"]) > 0.8
+
+    @pytest.mark.parametrize("tie_tol", ["0.0", "0.05"])
+    def test_exclusivity_scan_matches_per_sample_reference(self, tie_tol, tmp_path):
+        # the batched scan against one assign_over_basis call per sample, drawn
+        # from the same streams
+        dim, samples, seed = 4, 300, 11
+        fwd, bwd, bases = (RngStream(seed, k) for k in (1, 2, 3))
+        assigned = 0
+        for i in range(samples):
+            pair = TwoStatePairPure(haar_state(dim, fwd, i), haar_state(dim, bwd, i))
+            basis = OrthonormalBasis.from_unitary_matrix(haar_unitary(dim, bases, i))
+            assigned += assign_over_basis(pair, basis, float(tie_tol)).assigned
+        code, out = run_cli(
+            ["exclusivity-scan", "--dim", str(dim), "--samples", str(samples), "--seed", str(seed),
+             "--tie-tol", tie_tol, "--format", "json"],
+            tmp_path, name="scan.json",
+        )
+        assert code == 0
+        record = json.loads(out.read_text())[0]
+        assert record["frequency"] == assigned / samples
+        assert record["no_assign_rate"] == (samples - assigned) / samples
+        assert record["extra"]["violations"] == 0
 
     def test_sic_validate_builtin(self, tmp_path):
         for dim in ("2", "3"):
@@ -229,6 +296,27 @@ class TestExperiments:
         assert extra["separators_found"] == 200
         assert extra["min_margin"] >= 1e-9
 
+    @pytest.mark.parametrize("seed", range(20))
+    def test_basis_mc_fixed_exact_tie_exits_zero(self, seed, tmp_path):
+        # forward = backward = (|a_0> + |a_1>)/sqrt(2): both sums are exactly 1
+        # and nothing fires; rounding once made both fire and exit 4
+        basis = random_unitary(np.random.default_rng(seed), 3).T
+        tie = (basis[0] + basis[1]) / np.sqrt(2)
+        cfg = tmp_path / "tie.json"
+        cfg.write_text(json.dumps({
+            "basis": [vector_to_json(b) for b in basis],
+            "forward": vector_to_json(tie),
+            "dist_state": vector_to_json(tie),
+        }))
+        code, out = run_cli(
+            ["basis-mc", "--dim", "3", "--samples", "100", "--seed", "1", "--dist", "fixed",
+             "--config", str(cfg), "--no-timing"],
+            tmp_path,
+        )
+        assert code == 0
+        rows = list(csv.DictReader(out.read_text().splitlines()))
+        assert [float(row["no_assign_rate"]) for row in rows] == [1.0, 1.0, 1.0]
+
     def test_weak_value_default(self, tmp_path):
         code, out = run_cli(["weak-value", "--seed", "1", "--no-timing"], tmp_path)
         assert code == 0
@@ -242,6 +330,8 @@ class TestDeterminism:
         ["born-mc", "--dim", "2", "--samples", "20000", "--seed", "42", "--p-grid", "0.3,0.7"],
         ["basis-mc", "--dim", "2", "--samples", "20000", "--seed", "42", "--dist", "haar",
          "--theta-deg", "60"],
+        # three blocks at d=5, so the workers run the scan in parallel
+        ["exclusivity-scan", "--dim", "5", "--samples", "25000", "--seed", "7"],
     ])
     def test_worker_count_leaves_bytes_unchanged(self, args, tmp_path):
         _, single = run_cli(args + ["--workers", "1", "--no-timing"], tmp_path, "w1.csv")
@@ -258,13 +348,13 @@ class TestDeterminism:
 class TestViolationExitCode:
     def test_forced_violation_exits_four(self, tmp_path, monkeypatch):
         # a multiple-outcome event cannot occur with valid bases, so force one
-        # to check the reporting path and exit code
-        from twostate import MultipleOutcomesError
+        # through the rule kernel to check the reporting path and exit code
+        from twostate import tally_rule
 
-        def always_fires_twice(pair, basis, tie_tol=0.0):
-            raise MultipleOutcomesError("forced for the exit-code test")
+        def every_outcome_fires(sums, tie_tol=0.0):
+            return tally_rule(sums + 2.0, tie_tol)
 
-        monkeypatch.setattr("twostate.cli.assign_over_basis", always_fires_twice)
+        monkeypatch.setattr("twostate.cli.tally_rule", every_outcome_fires)
         code, out = run_cli(
             ["exclusivity-scan", "--dim", "2", "--samples", "10", "--seed", "1", "--no-timing"],
             tmp_path,
@@ -272,3 +362,19 @@ class TestViolationExitCode:
         assert code == 4
         row = next(csv.DictReader(out.read_text().splitlines()))
         assert json.loads(row["extra"])["violations"] == 10
+
+
+class TestRuntimeErrorExitCode:
+    def test_unwritable_out_exits_three(self, tmp_path, capsys):
+        code, _ = run_cli(["weak-value", "--seed", "1"], tmp_path, name="missing-dir/out.csv")
+        assert code == 3
+        assert "could not write results" in capsys.readouterr().err
+
+    def test_runtime_error_names_its_type(self, tmp_path, monkeypatch, capsys):
+        def broken(cfg):
+            raise RuntimeError("solver diverged")
+
+        monkeypatch.setitem(_RUNNERS, "weak-value", broken)
+        code, _ = run_cli(["weak-value", "--seed", "1"], tmp_path)
+        assert code == 3
+        assert capsys.readouterr().err == "error: RuntimeError: solver diverged\n"

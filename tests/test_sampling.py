@@ -9,7 +9,6 @@ from twostate import (
     RngStream,
     StateVector,
     UniformOverlap,
-    backward_uniform_overlap,
     basis_mc,
     born_mc,
     born_oracle,
@@ -113,8 +112,9 @@ class TestBackwardUniformOverlap:
         assert ks_stat(u, "uniform") < KS_CRIT_1PC / np.sqrt(10_000)
 
     def test_outputs_are_states(self):
-        sample = backward_uniform_overlap(E0, RngStream(3, 0), 5)
-        assert sample.dim == 2  # StateVector construction enforces the norm
+        states = uniform_overlap_states(E0, RngStream(3, 0), 0, 100)
+        assert states.shape == (100, 2)
+        assert np.allclose(np.linalg.norm(states, axis=1), 1.0, rtol=0.0, atol=1e-12)
 
 
 class TestBornMc:
