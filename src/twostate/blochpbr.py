@@ -40,7 +40,7 @@ class BlochVector:
 
     def __post_init__(self):
         nrm = float(np.sqrt(self.x**2 + self.y**2 + self.z**2))
-        if abs(nrm - 1.0) > 1e-12:
+        if not abs(nrm - 1.0) <= 1e-12:  # also rejects NaN
             raise ValueError(f"Bloch vector norm {nrm!r} deviates from 1")
 
     def as_array(self) -> np.ndarray:
@@ -67,26 +67,48 @@ class PbrGeometricInstance:
             raise ValueError("each pair must contain exactly two Bloch vectors")
 
 
+def _bloch_vectors(states: np.ndarray) -> np.ndarray:
+    """Pauli expectation values of qubit states: rows (..., 2) to rows (..., 3)."""
+    c0, c1 = states[..., 0], states[..., 1]
+    cross = c0.conj() * c1
+    return np.stack([2.0 * cross.real, 2.0 * cross.imag, np.abs(c0) ** 2 - np.abs(c1) ** 2], axis=-1)
+
+
+def _bloch_states(vectors: np.ndarray) -> np.ndarray:
+    """Qubit states with a real non-negative amplitude on |0>: rows (..., 3) to rows (..., 2)."""
+    theta = np.arccos(np.clip(vectors[..., 2], -1.0, 1.0))
+    phi = np.arctan2(vectors[..., 1], vectors[..., 0])
+    return np.stack([np.cos(theta / 2.0), np.exp(1j * phi) * np.sin(theta / 2.0)], axis=-1)
+
+
+def _bisectors(u: np.ndarray, v: np.ndarray):
+    """Maximum-margin bisectors for rows of pair sums ``u`` and ``v``.
+
+    Returns the unit vectors (u/|u| - v/|v|) normalized, the mask of rows
+    whose sums vanish or are parallel within PARALLEL_ANGLE_TOL (their
+    vectors are meaningless), and each margin min(a.u/|u|, -a.v/|v|).
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        uhat = u / np.linalg.norm(u, axis=-1, keepdims=True)
+        vhat = v / np.linalg.norm(v, axis=-1, keepdims=True)
+        angle = np.arccos(np.clip(np.sum(uhat * vhat, axis=-1), -1.0, 1.0))
+        diff = uhat - vhat
+        a = diff / np.linalg.norm(diff, axis=-1, keepdims=True)
+    degenerate = ~(angle > PARALLEL_ANGLE_TOL)  # NaN angles, from vanishing sums, count as degenerate
+    margin = np.minimum(np.sum(a * uhat, axis=-1), -np.sum(a * vhat, axis=-1))
+    return a, degenerate, margin
+
+
 def bloch_from_state(s: StateVector) -> BlochVector:
     """Pauli expectation values of a qubit state."""
     if s.dim != 2:
         raise ValueError(f"Bloch conversion requires dimension 2, got {s.dim}")
-    c0, c1 = s.entries
-    cross = np.conj(c0) * c1
-    return BlochVector(
-        float(2.0 * cross.real),
-        float(2.0 * cross.imag),
-        float(abs(c0) ** 2 - abs(c1) ** 2),
-    )
+    return BlochVector.from_array(_bloch_vectors(s.entries))
 
 
 def state_from_bloch(v: BlochVector) -> StateVector:
     """Qubit state with a real non-negative amplitude on |0>."""
-    theta = float(np.arccos(np.clip(v.z, -1.0, 1.0)))
-    phi = float(np.arctan2(v.y, v.x))
-    return StateVector(
-        np.array([np.cos(theta / 2.0), np.exp(1j * phi) * np.sin(theta / 2.0)], dtype=complex)
-    )
+    return StateVector(_bloch_states(v.as_array()))
 
 
 def bell_condition(m: BlochVector, n: BlochVector, a: BlochVector) -> bool:
@@ -103,17 +125,9 @@ def pbr_distinguishing_vector(inst: PbrGeometricInstance) -> BlochVector:
     """
     u = inst.pair_a[0].as_array() + inst.pair_a[1].as_array()
     v = inst.pair_b[0].as_array() + inst.pair_b[1].as_array()
-    nu = float(np.linalg.norm(u))
-    nv = float(np.linalg.norm(v))
-    if nu == 0.0 or nv == 0.0:
-        raise DegenerateInstanceError("a pair sum vanishes; no separating direction exists")
-    uhat = u / nu
-    vhat = v / nv
-    cosang = float(np.clip(uhat @ vhat, -1.0, 1.0))
-    if np.arccos(cosang) <= PARALLEL_ANGLE_TOL:
+    a, degenerate, _ = _bisectors(u, v)
+    if degenerate:
         raise DegenerateInstanceError(
-            f"pair sums are parallel within {PARALLEL_ANGLE_TOL:.1e} rad; no separator exists"
+            f"pair sums vanish or are parallel within {PARALLEL_ANGLE_TOL:.1e} rad; no separator exists"
         )
-    diff = uhat - vhat
-    a = diff / float(np.linalg.norm(diff))
     return BlochVector.from_array(a)

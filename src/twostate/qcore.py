@@ -201,10 +201,6 @@ class Projector:
     def dim(self) -> int:
         return self.entries.shape[0]
 
-    @property
-    def rank(self) -> int:
-        return 1
-
 
 @dataclass(frozen=True, eq=False)
 class OrthonormalBasis:

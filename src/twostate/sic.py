@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import minimize
 
-from .assignment import TwoStatePairMixed
+from .assignment import TwoStatePairMixed, _fires
 from .qcore import StateVector, UnitaryOperator
 from .sampling import RngStream, haar_states
 
@@ -223,13 +223,25 @@ def sic_rule_check(c: SicCoefficients, k: int, d: int) -> bool:
     """Outcome rule for a projector-set element: lambda_k > 1 - 1/d.
 
     Applies to the expansion of a summed forward+backward pair, so the
-    coefficients must total 2.
+    coefficients must total 2. The comparison is the rule's own, on
+    Tr[rho P_k] = (d lambda_k + Tr rho) / (d + 1), so exact ties do not fire.
     """
     if abs(c.trace_of_rho - 2.0) > 1e-8:
         raise ValueError(f"rule applies to trace-2 sums; got trace {c.trace_of_rho!r}")
     if not 0 <= k < len(c.lambdas):
         raise ValueError(f"index {k} out of range for {len(c.lambdas)} coefficients")
-    return float(c.lambdas[k]) > 1.0 - 1.0 / d
+    return bool(_fires((d * c.lambdas[k] + c.trace_of_rho) / (d + 1), 0.0))
+
+
+def _sic_fires(sums: np.ndarray, s: SicPovm) -> np.ndarray:
+    """The rule Tr[sum P_k] > 1 for each set element, over summed pair matrices.
+
+    On a trace-2 sum this is lambda_k > 1 - 1/d. ``sums`` has shape
+    (..., d, d); the result has shape (..., d^2). The set is validated once
+    per call.
+    """
+    _require_valid(s)
+    return _fires(np.einsum("...ij,kji->...k", sums, s.projectors).real, 0.0)
 
 
 def sic_distinguish(pair0: TwoStatePairMixed, pair1: TwoStatePairMixed, s: SicPovm):
@@ -240,15 +252,9 @@ def sic_distinguish(pair0: TwoStatePairMixed, pair1: TwoStatePairMixed, s: SicPo
     """
     if pair0.dim != pair1.dim or pair0.dim != s.dim:
         raise ValueError(f"dimension mismatch: pairs {pair0.dim}/{pair1.dim} vs set {s.dim}")
-    d = s.dim
-    sum0 = pair0.forward.entries + pair0.backward.entries
-    sum1 = pair1.forward.entries + pair1.backward.entries
-    lam0 = sic_expand(sum0, s)
-    lam1 = sic_expand(sum1, s)
-    for k in range(d * d):
-        if sic_rule_check(lam0, k, d) != sic_rule_check(lam1, k, d):
-            return k
-    return None
+    fired = _sic_fires(np.array([pair.forward.entries + pair.backward.entries for pair in (pair0, pair1)]), s)
+    differs = np.flatnonzero(fired[0] != fired[1])
+    return int(differs[0]) if differs.size else None
 
 
 def frame_potential(states) -> float:

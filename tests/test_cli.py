@@ -6,13 +6,23 @@ import numpy as np
 import pytest
 
 from twostate import (
+    DegenerateInstanceError,
     OrthonormalBasis,
+    PbrGeometricInstance,
     RngStream,
+    TwoStatePairMixed,
     TwoStatePairPure,
     assign_over_basis,
+    bloch_from_state,
+    builtin_fiducial,
+    builtin_sic,
     commutator,
     haar_state,
     haar_unitary,
+    pbr_distinguishing_vector,
+    satisfies_pure,
+    sic_distinguish,
+    state_from_bloch,
 )
 from twostate.cli import _RUNNERS, CSV_COLUMNS, emit_results, main, result_schema
 from twostate.qcore import matrix_from_json, matrix_to_json, vector_to_json
@@ -87,6 +97,35 @@ class TestConfigHandling:
         code, _ = run_cli(args + ["--samples", "10", "--seed", "1", "--config", str(cfg)], tmp_path)
         assert code == 2
         assert capsys.readouterr().err.startswith("error: invalid ")
+
+    @pytest.mark.parametrize("args, config", [
+        (["basis-mc"], {"basis": [vector_to_json(row) for row in np.eye(3)], "forward": [[1, 0], [0, 0], [0, 0]]}),
+        (["sic-validate", "--dim", "2"], {"fiducial": vector_to_json(builtin_fiducial(3).entries)}),
+        (["sic-distinguish", "--dim", "2"], {"fiducial": vector_to_json(builtin_fiducial(3).entries)}),
+    ], ids=["basis-mc-basis", "sic-validate-fiducial", "sic-distinguish-fiducial"])
+    def test_config_state_of_another_dimension_exits_two(self, args, config, tmp_path, capsys):
+        # the run's dim is 2 (the default or --dim); a 3-dim config state must
+        # not run under records that echo dim 2
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        code, out = run_cli(args + ["--samples", "10", "--seed", "1", "--config", str(cfg)], tmp_path)
+        assert code == 2
+        assert "expected a state of dimension 2, got 3" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("instance", [
+        [[2, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]],
+        [["x", 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]],
+        [[1, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]],
+        [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
+        [[None, 0, 1], [1, 0, 0], [0, 1, 0], [0, 0, 1]],
+    ], ids=["non-unit", "non-numeric", "two-components", "three-vectors", "null-entry"])
+    def test_malformed_pbr_instance_exits_two(self, instance, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"instance": instance}))
+        code, _ = run_cli(["pbr-geometric", "--seed", "1", "--config", str(cfg)], tmp_path)
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: invalid instance: ")
 
     def test_help_exits_zero(self, capsys):
         with pytest.raises(SystemExit) as info:
@@ -263,6 +302,54 @@ class TestExperiments:
         extra = json.loads(row["extra"])
         assert extra["separated"] + extra["no_separator"] == 100
 
+    def test_sic_distinguish_matches_per_instance_reference(self, tmp_path):
+        # the batched experiment against one sic_distinguish call per pair,
+        # drawn from the same streams
+        dim, samples, seed = 3, 300, 12
+        povm = builtin_sic(dim)
+        streams = [RngStream(seed, 10 + k) for k in range(4)]
+        separated = 0
+        for i in range(samples):
+            s0f, s0b, s1f, s1b = (haar_state(dim, st, i) for st in streams)
+            pair0 = TwoStatePairMixed.from_pure(TwoStatePairPure(s0f, s0b))
+            pair1 = TwoStatePairMixed.from_pure(TwoStatePairPure(s1f, s1b))
+            separated += sic_distinguish(pair0, pair1, povm) is not None
+        code, out = run_cli(
+            ["sic-distinguish", "--dim", str(dim), "--samples", str(samples), "--seed", str(seed),
+             "--format", "json"],
+            tmp_path, name="sic.json",
+        )
+        assert code == 0
+        extra = json.loads(out.read_text())[0]["extra"]
+        assert extra == {"separated": separated, "no_separator": samples - separated}
+
+    def test_pbr_geometric_matches_per_instance_reference(self, tmp_path):
+        # the batched experiment against pbr_distinguishing_vector and
+        # satisfies_pure per instance, drawn from the same streams
+        samples, seed = 300, 13
+        streams = [RngStream(seed, 20 + k) for k in range(4)]
+        found, degenerate, margins = 0, 0, []
+        for i in range(samples):
+            m, mp, x, xp = (bloch_from_state(haar_state(2, st, i)) for st in streams)
+            try:
+                a = pbr_distinguishing_vector(PbrGeometricInstance((m, mp), (x, xp)))
+            except DegenerateInstanceError:
+                degenerate += 1
+                continue
+            u, v = m.as_array() + mp.as_array(), x.as_array() + xp.as_array()
+            margins.append(min(a.as_array() @ u / np.linalg.norm(u), -a.as_array() @ v / np.linalg.norm(v)))
+            state_a = state_from_bloch(a)
+            found += (satisfies_pure(TwoStatePairPure(state_from_bloch(m), state_from_bloch(mp)), state_a)
+                      and not satisfies_pure(TwoStatePairPure(state_from_bloch(x), state_from_bloch(xp)), state_a))
+        code, out = run_cli(
+            ["pbr-geometric", "--samples", str(samples), "--seed", str(seed), "--format", "json"],
+            tmp_path, name="pbr.json",
+        )
+        assert code == 0
+        extra = json.loads(out.read_text())[0]["extra"]
+        assert (extra["separators_found"], extra["degenerate"]) == (found, degenerate)
+        assert extra["min_margin"] == pytest.approx(min(margins), rel=1e-11)
+
     def test_stationary_solve_round_trip(self, tmp_path):
         h = np.diag([1.0, 3.0]).astype(complex)
         k = np.array([[0.0, 2.0j], [2.0j, 0.0]])
@@ -332,6 +419,9 @@ class TestDeterminism:
          "--theta-deg", "60"],
         # three blocks at d=5, so the workers run the scan in parallel
         ["exclusivity-scan", "--dim", "5", "--samples", "25000", "--seed", "7"],
+        # three blocks at d=3
+        ["sic-distinguish", "--dim", "3", "--samples", "60000", "--seed", "7"],
+        ["pbr-geometric", "--samples", "5000", "--seed", "7"],
     ])
     def test_worker_count_leaves_bytes_unchanged(self, args, tmp_path):
         _, single = run_cli(args + ["--workers", "1", "--no-timing"], tmp_path, "w1.csv")

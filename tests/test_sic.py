@@ -26,6 +26,7 @@ from twostate import (
     wh_displacements,
 )
 from twostate.sampling import RngStream, haar_states
+from twostate.sic import _sic_fires
 
 from helpers import random_density, random_hermitian, random_state, random_unitary
 
@@ -175,6 +176,26 @@ class TestRuleCheck:
             for k in range(d * d):
                 direct = trace_product(total, povm.projectors[k]) > 1.0
                 assert sic_rule_check(coeffs, k, d) == direct
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_exact_ties_do_not_fire(self, d):
+        # forward = orbit state k, backward orthogonal to it: Tr[(rho_f + rho_b) P_k]
+        # is exactly 1, so lambda_k = 1 - 1/d; rounding once fired some of these
+        rng = np.random.default_rng(49)
+        povm = builtin_sic(d)
+        orbit = orbit_states(d, builtin_fiducial(d))
+        totals, elements = [], []
+        for k, state in enumerate(orbit):
+            for _ in range(500):
+                b = rng.normal(size=d) + 1j * rng.normal(size=d)
+                b -= np.vdot(state, b) * state
+                b /= np.linalg.norm(b)
+                totals.append(np.outer(state, state.conj()) + np.outer(b, b.conj()))
+                elements.append(k)
+        fired = [sic_rule_check(sic_expand(total, povm), k, d) for total, k in zip(totals, elements)]
+        assert sum(fired) == 0
+        batched = _sic_fires(np.array(totals), povm)
+        assert not batched[np.arange(len(elements)), elements].any()
 
 
 class TestDistinguish:
