@@ -17,7 +17,6 @@ from .assignment import (
     TwoStatePairPure,
     WeakValueResult,
     assign_over_basis,
-    collapse,
     satisfies_mixed,
     satisfies_pure,
     tally_rule,
@@ -45,14 +44,12 @@ from .dynamics import (
     stationary_partner,
 )
 from .qcore import (
-    DEFAULT_TOLERANCES,
     DensityMatrix,
     HermitianOperator,
     OrthonormalBasis,
     Projector,
     SpectralDecomposition,
     StateVector,
-    Tolerances,
     UnitaryOperator,
     commutator,
     inner,

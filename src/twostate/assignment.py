@@ -37,7 +37,6 @@ __all__ = [
     "satisfies_mixed",
     "tally_rule",
     "assign_over_basis",
-    "collapse",
     "time_reverse",
     "weak_value",
 ]
@@ -181,11 +180,6 @@ def assign_over_basis(pair, basis: OrthonormalBasis, tie_tol: float = 0.0) -> As
         )
     hits = np.flatnonzero(tally[:-2])
     return AssignmentResult(int(hits[0])) if hits.size else AssignmentResult.no_outcome()
-
-
-def collapse(pair, a: StateVector) -> TwoStatePairPure:
-    """Post-measurement pair: both components equal the observed outcome state."""
-    return TwoStatePairPure(a, a)
 
 
 def time_reverse(pair):

@@ -14,7 +14,8 @@ import io
 import json
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -70,17 +71,6 @@ CSV_COLUMNS = [
     "wall_time_s",
 ]
 
-EXPERIMENTS = (
-    "born-mc",
-    "basis-mc",
-    "exclusivity-scan",
-    "sic-validate",
-    "sic-search",
-    "sic-distinguish",
-    "stationary-solve",
-    "pbr-geometric",
-    "weak-value",
-)
 DISTRIBUTIONS = ("uniform-overlap", "haar", "fixed")
 
 
@@ -137,13 +127,6 @@ def _record(cfg: ExperimentConfig, p_or_theta=None, frequency=None, std_err=None
     }
 
 
-def _parse_float_list(text: str, what: str) -> list[float]:
-    try:
-        return [float(tok) for tok in text.split(",") if tok.strip()]
-    except ValueError as err:
-        raise ConfigError(f"could not parse {what} list {text!r}: {err}") from None
-
-
 def _from_config(cfg: ExperimentConfig, build, *keys):
     """``build`` applied to the values of config ``keys``; a missing or rejected value is a ConfigError."""
     for key in keys:
@@ -155,18 +138,24 @@ def _from_config(cfg: ExperimentConfig, build, *keys):
         raise ConfigError(f"invalid {'/'.join(keys)}: {err}") from None
 
 
-def _state(data, dim: int | None = None) -> StateVector:
-    state = StateVector(vector_from_json(data))
-    if dim is not None and state.dim != dim:
-        raise ValueError(f"expected a state of dimension {dim}, got {state.dim}")
-    return state
+def _of_dim(value, dim: int, what: str):
+    if value.dim != dim:
+        raise ValueError(f"expected {what} of dimension {dim}, got {value.dim}")
+    return value
 
 
-def _hermitian(data) -> HermitianOperator:
-    return HermitianOperator(matrix_from_json(data))
+def _state(data, dim: int) -> StateVector:
+    return _of_dim(StateVector(vector_from_json(data)), dim, "a state")
+
+
+def _hermitian(data, dim: int) -> HermitianOperator:
+    return _of_dim(HermitianOperator(matrix_from_json(data)), dim, "an operator")
 
 
 def _numbers(data) -> list:
+    """A config list of numbers, or the comma-separated text of a flag."""
+    if isinstance(data, str):
+        data = [float(tok) for tok in data.split(",") if tok.strip()]
     if not isinstance(data, list) or any(isinstance(x, bool) or not isinstance(x, (int, float)) for x in data):
         raise ValueError(f"expected a list of numbers, got {data!r}")
     return data
@@ -184,12 +173,9 @@ def _dist_for(cfg: ExperimentConfig, target: StateVector):
 
 
 def _run_born_mc(cfg: ExperimentConfig) -> list[dict]:
-    grid = [round(0.1 * k, 10) for k in range(1, 10)]
-    if "p_grid" in cfg.params:
-        grid = _from_config(cfg, _numbers, "p_grid")
     records = []
     target = StateVector.basis_state(cfg.dim, 0)
-    for point, p in enumerate(grid):
+    for point, p in enumerate(cfg.params["p_grid"]):
         if not 0.0 <= p <= 1.0:
             raise ConfigError(f"p values must lie in [0, 1], got {p}")
         amps = np.zeros(cfg.dim, dtype=complex)
@@ -229,11 +215,8 @@ def _run_basis_mc(cfg: ExperimentConfig) -> list[dict]:
     else:
         if cfg.dim != 2:
             raise ConfigError("the tilted-basis parameterization requires dim 2; pass a 'basis' instead")
-        thetas = [30.0, 60.0, 90.0, 120.0, 150.0]
-        if "theta_deg" in cfg.params:
-            thetas = _from_config(cfg, _numbers, "theta_deg")
         forward = StateVector.basis_state(2, 0)
-        cases = [(theta, forward, _tilted_qubit_basis(np.deg2rad(theta))) for theta in thetas]
+        cases = [(theta, forward, _tilted_qubit_basis(np.deg2rad(theta))) for theta in cfg.params["theta_deg"]]
 
     for point, (theta, fwd, basis) in enumerate(cases):
         dist = _dist_for(cfg, basis[0])
@@ -288,7 +271,7 @@ def _sic_for(cfg: ExperimentConfig):
 
 
 def _run_sic_validate(cfg: ExperimentConfig) -> list[dict]:
-    tol = _from_config(cfg, float, "tol") if "tol" in cfg.params else 1e-10
+    tol = cfg.params["tol"]
     povm = _sic_for(cfg)
     report = validate_sic(povm, tol)
     return [_record(cfg, oracle=1.0 / (cfg.dim + 1), extra={
@@ -300,9 +283,7 @@ def _run_sic_validate(cfg: ExperimentConfig) -> list[dict]:
 
 
 def _run_sic_search(cfg: ExperimentConfig) -> list[dict]:
-    restarts = _from_config(cfg, int, "restarts") if "restarts" in cfg.params else 20
-    max_iters = _from_config(cfg, int, "max_iters") if "max_iters" in cfg.params else 2000
-    report = search_fiducial(cfg.dim, restarts, max_iters, cfg.seed)
+    report = search_fiducial(cfg.dim, cfg.params["restarts"], cfg.params["max_iters"], cfg.seed)
     orbit_check = validate_sic(sic_from_fiducial(report.fiducial), 1e-5)
     return [_record(cfg, oracle=report.lower_bound, extra={
         "frame_potential": report.frame_potential,
@@ -321,7 +302,7 @@ def _run_sic_distinguish(cfg: ExperimentConfig) -> list[dict]:
         # forward and backward states of pair 0, then of pair 1
         states = np.stack([haar_states(cfg.dim, st, lo, hi - lo) for st in streams])
         rho = states[..., :, None] * states[..., None, :].conj()
-        fired = _sic_fires(rho[0::2] + rho[1::2], povm)
+        fired = _sic_fires(rho[0::2] + rho[1::2], povm, cfg.tie_tol)
         return np.count_nonzero((fired[0] != fired[1]).any(axis=-1))
 
     separated = int(_map_reduce(chunk_separated, cfg.samples, cfg.workers, _block_size(cfg.dim), 0))
@@ -335,7 +316,7 @@ def _run_stationary_solve(cfg: ExperimentConfig) -> list[dict]:
     solve_input = _from_config(
         cfg,
         lambda h, k, diagonal: StationarySolveInput(
-            _hermitian(h), CommutatorTarget(matrix_from_json(k)), diagonal),
+            _hermitian(h, cfg.dim), CommutatorTarget(matrix_from_json(k)), diagonal),
         "hamiltonian", "target_k", "diagonal",
     )
     h, k = solve_input.hamiltonian, solve_input.target
@@ -379,7 +360,8 @@ def _run_pbr_geometric(cfg: ExperimentConfig) -> list[dict]:
         # columns [pair a, pair b] of the rule sums; a separator fires pair a alone
         states = _bloch_states(np.stack([m, mp, x, xp, a])[:, keep])
         overlaps = np.abs(np.sum(states[:4].conj() * states[4], axis=-1)) ** 2
-        found += int(tally_rule(np.stack([overlaps[0] + overlaps[1], overlaps[2] + overlaps[3]], axis=1))[0])
+        sums = np.stack([overlaps[0] + overlaps[1], overlaps[2] + overlaps[3]], axis=1)
+        found += int(tally_rule(sums, cfg.tie_tol)[0])
     return [_record(cfg, frequency=found / instances, extra={
         "separators_found": found,
         "degenerate": degenerate,
@@ -389,10 +371,12 @@ def _run_pbr_geometric(cfg: ExperimentConfig) -> list[dict]:
 
 def _run_weak_value(cfg: ExperimentConfig) -> list[dict]:
     if "observable" in cfg.params:
-        observable = _from_config(cfg, _hermitian, "observable")
-        forward = _from_config(cfg, lambda data: _state(data, observable.dim), "forward")
-        final = _from_config(cfg, lambda data: _state(data, observable.dim), "final")
+        observable = _from_config(cfg, lambda data: _hermitian(data, cfg.dim), "observable")
+        forward = _from_config(cfg, lambda data: _state(data, cfg.dim), "forward")
+        final = _from_config(cfg, lambda data: _state(data, cfg.dim), "final")
     else:
+        if cfg.dim != 2:
+            raise ConfigError("the built-in weak-value example requires dim 2; pass an 'observable' instead")
         observable = HermitianOperator(np.diag([1.0, -1.0]).astype(complex))
         forward = StateVector(np.array([1.0, 1.0]) / np.sqrt(2.0))
         final = StateVector.basis_state(2, 0)
@@ -404,24 +388,92 @@ def _run_weak_value(cfg: ExperimentConfig) -> list[dict]:
     })]
 
 
-_RUNNERS = {
-    "born-mc": _run_born_mc,
-    "basis-mc": _run_basis_mc,
-    "exclusivity-scan": _run_exclusivity_scan,
-    "sic-validate": _run_sic_validate,
-    "sic-search": _run_sic_search,
-    "sic-distinguish": _run_sic_distinguish,
-    "stationary-solve": _run_stationary_solve,
-    "pbr-geometric": _run_pbr_geometric,
-    "weak-value": _run_weak_value,
+class _Param(NamedTuple):
+    """An extra parameter of an experiment; its flag is the key spelled with dashes."""
+
+    key: str  # config key
+    convert: Callable  # config value or flag text -> the value the runner reads
+    default: object
+    help: str
+
+
+class _Experiment(NamedTuple):
+    run: Callable[[ExperimentConfig], list[dict]]
+    help: str  # the first sentence is the one-line summary
+    params: tuple = ()
+
+
+_EXPERIMENTS = {
+    "born-mc": _Experiment(_run_born_mc, (
+        "Estimate how often the outcome rule |<fwd|a>|^2 + |<bwd|a>|^2 > 1 fires for a "
+        "target state a over sampled backward states, across a grid of forward overlaps p. "
+        "With the uniform-overlap backward distribution the frequency reproduces p itself "
+        "(the Born value); with Haar sampling it reproduces p^(d-1)."
+    ), (
+        _Param("p_grid", _numbers, tuple(round(0.1 * k, 10) for k in range(1, 10)),
+               "comma-separated forward overlaps"),
+    )),
+    "basis-mc": _Experiment(_run_basis_mc, (
+        "Run the assignment rule against every element of an orthonormal basis per sample, "
+        "tallying per-outcome frequencies and the rate of samples that assign no outcome. "
+        "For a qubit basis tilted by theta the conditional assigned frequency of the near "
+        "outcome is cos^2(theta/2)."
+    ), (
+        _Param("theta_deg", _numbers, (30.0, 60.0, 90.0, 120.0, 150.0),
+               "comma-separated basis tilt angles in degrees"),
+    )),
+    "exclusivity-scan": _Experiment(_run_exclusivity_scan, (
+        "Draw random state pairs and random orthonormal bases and verify that the rule "
+        "|<fwd|a>|^2 + |<bwd|a>|^2 > 1 never fires for two basis elements at once; summed "
+        "overlaps over orthogonal states cannot exceed 2. Any violation exits with code 4."
+    )),
+    "sic-validate": _Experiment(_run_sic_validate, (
+        "Check that the displacement orbit of a fiducial state yields d^2 projectors with "
+        "pairwise trace overlap 1/(d+1) summing to d times the identity."
+    ), (
+        _Param("tol", float, 1e-10, "validation tolerance"),
+    )),
+    "sic-search": _Experiment(_run_sic_search, (
+        "Search for a fiducial state whose displacement orbit is equiangular by minimizing "
+        "the frame potential to its Welch bound 2d^3/(d+1), with seeded random restarts."
+    ), (
+        _Param("restarts", int, 20, "number of random restarts"),
+        _Param("max_iters", int, 2000, "optimizer iterations per restart"),
+    )),
+    "sic-distinguish": _Experiment(_run_sic_distinguish, (
+        "For random pairs of two-state assignments, find a projector-set element whose "
+        "rule value lambda_k > 1 - 1/d differs between them, and tally how often a single "
+        "separating element exists."
+    )),
+    "stationary-solve": _Experiment(_run_stationary_solve, (
+        "Solve [rho, H] = K for a Hermitian rho given the free diagonal in H's eigenbasis: "
+        "rho_ij = K_ij/(E_j - E_i) off the diagonal; K must vanish on the diagonal and "
+        "inside degenerate blocks."
+    )),
+    "pbr-geometric": _Experiment(_run_pbr_geometric, (
+        "For qubit pair-vs-pair instances, construct the Bloch vector with positive "
+        "projection on one pair sum and negative on the other (maximum-margin bisector), "
+        "and verify it separates the pairs at the rule level."
+    )),
+    "weak-value": _Experiment(_run_weak_value, (
+        "Evaluate <final|A|forward>/<final|forward> together with the post-selection "
+        "probability |<forward|final>|^2."
+    )),
 }
+EXPERIMENTS = tuple(_EXPERIMENTS)
 
 
 def run_experiment(cfg: ExperimentConfig) -> list[dict]:
-    """Dispatch to the experiment implementation and stamp wall time."""
+    """Convert the experiment's parameters, run it and stamp wall time."""
     cfg.validate()
+    experiment = _EXPERIMENTS[cfg.experiment]
+    params = {
+        param.key: _from_config(cfg, param.convert, param.key) if param.key in cfg.params else param.default
+        for param in experiment.params
+    }
+    cfg = replace(cfg, params={**cfg.params, **params})
     start = time.perf_counter()
-    records = _RUNNERS[cfg.experiment](cfg)
+    records = experiment.run(cfg)
     elapsed = time.perf_counter() - start
     for rec in records:
         rec["wall_time_s"] = elapsed
@@ -507,53 +559,6 @@ def result_schema() -> dict:
 
 # --- argument parsing --------------------------------------------------------
 
-_HELP = {
-    "born-mc": (
-        "Estimate how often the outcome rule |<fwd|a>|^2 + |<bwd|a>|^2 > 1 fires for a "
-        "target state a over sampled backward states, across a grid of forward overlaps p. "
-        "With the uniform-overlap backward distribution the frequency reproduces p itself "
-        "(the Born value); with Haar sampling it reproduces p^(d-1)."
-    ),
-    "basis-mc": (
-        "Run the assignment rule against every element of an orthonormal basis per sample, "
-        "tallying per-outcome frequencies and the rate of samples that assign no outcome. "
-        "For a qubit basis tilted by theta the conditional assigned frequency of the near "
-        "outcome is cos^2(theta/2)."
-    ),
-    "exclusivity-scan": (
-        "Draw random state pairs and random orthonormal bases and verify that the rule "
-        "|<fwd|a>|^2 + |<bwd|a>|^2 > 1 never fires for two basis elements at once; summed "
-        "overlaps over orthogonal states cannot exceed 2. Any violation exits with code 4."
-    ),
-    "sic-validate": (
-        "Check that the displacement orbit of a fiducial state yields d^2 projectors with "
-        "pairwise trace overlap 1/(d+1) summing to d times the identity."
-    ),
-    "sic-search": (
-        "Search for a fiducial state whose displacement orbit is equiangular by minimizing "
-        "the frame potential to its Welch bound 2d^3/(d+1), with seeded random restarts."
-    ),
-    "sic-distinguish": (
-        "For random pairs of two-state assignments, find a projector-set element whose "
-        "rule value lambda_k > 1 - 1/d differs between them, and tally how often a single "
-        "separating element exists."
-    ),
-    "stationary-solve": (
-        "Solve [rho, H] = K for a Hermitian rho given the free diagonal in H's eigenbasis: "
-        "rho_ij = K_ij/(E_j - E_i) off the diagonal; K must vanish on the diagonal and "
-        "inside degenerate blocks."
-    ),
-    "pbr-geometric": (
-        "For qubit pair-vs-pair instances, construct the Bloch vector with positive "
-        "projection on one pair sum and negative on the other (maximum-margin bisector), "
-        "and verify it separates the pairs at the rule level."
-    ),
-    "weak-value": (
-        "Evaluate <final|A|forward>/<final|forward> together with the post-selection "
-        "probability |<forward|final>|^2."
-    ),
-}
-
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -561,8 +566,8 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Deterministic experiment harness for the two-state outcome-assignment model.",
     )
     sub = parser.add_subparsers(dest="experiment", required=True)
-    for name in EXPERIMENTS:
-        p = sub.add_parser(name, help=_HELP[name].split(".")[0], description=_HELP[name])
+    for name, experiment in _EXPERIMENTS.items():
+        p = sub.add_parser(name, help=experiment.help.split(".")[0], description=experiment.help)
         p.add_argument("--dim", type=int, default=None, help="Hilbert-space dimension")
         p.add_argument("--samples", type=int, default=None, help="number of Monte Carlo samples")
         p.add_argument("--seed", type=int, default=None, help="RNG seed (mandatory; no entropy default)")
@@ -574,15 +579,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=None, help="output path (default: stdout)")
         p.add_argument("--format", choices=["csv", "json"], default="csv")
         p.add_argument("--no-timing", action="store_true", help="omit the wall-time column (byte-comparison mode)")
-        if name == "born-mc":
-            p.add_argument("--p-grid", default=None, help="comma-separated forward overlaps")
-        if name == "basis-mc":
-            p.add_argument("--theta-deg", default=None, help="comma-separated basis tilt angles in degrees")
-        if name == "sic-search":
-            p.add_argument("--restarts", type=int, default=None)
-            p.add_argument("--max-iters", type=int, default=None)
-        if name == "sic-validate":
-            p.add_argument("--tol", type=float, default=None, help="validation tolerance")
+        for param in experiment.params:
+            p.add_argument("--" + param.key.replace("_", "-"), help=param.help)
     return parser
 
 
@@ -622,13 +620,9 @@ def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
             setattr(cfg, name, flag_value)
 
     cfg.params = {k: v for k, v in data.items() if k not in _CONFIG_FIELDS and k != "experiment"}
-    if getattr(args, "p_grid", None) is not None:
-        cfg.params["p_grid"] = _parse_float_list(args.p_grid, "p-grid")
-    if getattr(args, "theta_deg", None) is not None:
-        cfg.params["theta_deg"] = _parse_float_list(args.theta_deg, "theta-deg")
-    for flag in ("restarts", "max_iters", "tol"):
-        if getattr(args, flag, None) is not None:
-            cfg.params[flag] = getattr(args, flag)
+    for param in _EXPERIMENTS[args.experiment].params:
+        if getattr(args, param.key) is not None:
+            cfg.params[param.key] = getattr(args, param.key)
     return cfg
 
 

@@ -15,6 +15,7 @@ import numpy as np
 
 from .assignment import TwoStatePairMixed
 from .qcore import (
+    PSD_FLOOR,
     DensityMatrix,
     HermitianOperator,
     UnitaryOperator,
@@ -35,7 +36,6 @@ __all__ = [
 ]
 
 FEASIBILITY_TOL = 1e-10  # max |K| allowed on the diagonal / inside degenerate blocks
-PSD_FLOOR = 1e-10
 
 
 class InfeasibleKError(ValueError):

@@ -7,13 +7,11 @@ across threads without coordination.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
-    "Tolerances",
-    "DEFAULT_TOLERANCES",
     "StateVector",
     "DensityMatrix",
     "HermitianOperator",
@@ -33,23 +31,18 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Tolerances:
-    """Central numerical tolerances used by all value-type validators."""
-
-    norm: float = 1e-12
-    hermitian: float = 1e-12
-    trace: float = 1e-12
-    psd_floor: float = 1e-10
-    unitary: float = 1e-10
-    idempotent: float = 1e-10
-    orthonormal: float = 1e-10
-    reconstruction: float = 1e-10
-    imag_residue: float = 1e-10
-    degeneracy_rel: float = 1e-9
-
-
-DEFAULT_TOLERANCES = Tolerances()
+# Validator tolerances. Every check is written ``not dev <= TOL`` so that a
+# NaN deviation fails it.
+NORM_TOL = 1e-12  # |norm - 1| of a state vector
+HERMITIAN_TOL = 1e-12  # max |M - M^H|
+TRACE_TOL = 1e-12  # |Tr rho - 1| of a density matrix
+PSD_FLOOR = 1e-10  # lowest eigenvalue a density matrix may have is -PSD_FLOOR
+UNITARY_TOL = 1e-10  # ||U^H U - I||_F
+IDEMPOTENT_TOL = 1e-10  # max |P^2 - P| and |Tr P - 1| of a projector
+ORTHONORMAL_TOL = 1e-10  # max Gram deviation of a basis
+RECONSTRUCTION_TOL = 1e-10  # ||V diag(E) V^H - H||_F of a spectral decomposition
+IMAG_RESIDUE_TOL = 1e-10  # imaginary part a trace of Hermitian products may carry
+DEGENERACY_REL = 1e-9  # eigenvalue gap, relative to the spectral range, that splits blocks
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
@@ -67,10 +60,10 @@ def _as_matrix(value) -> np.ndarray:
     return mat
 
 
-def _check_hermitian(mat: np.ndarray, tol: float, what: str) -> None:
+def _check_hermitian(mat: np.ndarray, what: str) -> None:
     dev = float(np.max(np.abs(mat - mat.conj().T)))
-    if dev > tol:
-        raise ValueError(f"{what} is not Hermitian: max deviation {dev:.3e} > {tol:.1e}")
+    if not dev <= HERMITIAN_TOL:
+        raise ValueError(f"{what} is not Hermitian: max deviation {dev:.3e} > {HERMITIAN_TOL:.1e}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -78,7 +71,6 @@ class StateVector:
     """A normalized pure state: d complex amplitudes, d >= 2."""
 
     entries: np.ndarray
-    tolerances: Tolerances = field(default=DEFAULT_TOLERANCES, repr=False)
 
     def __post_init__(self):
         arr = np.asarray(self.entries, dtype=complex)
@@ -87,8 +79,8 @@ class StateVector:
         if arr.shape[0] < 2:
             raise ValueError(f"dimension must be >= 2, got {arr.shape[0]}")
         nrm = float(np.linalg.norm(arr))
-        if abs(nrm - 1.0) > self.tolerances.norm:
-            raise ValueError(f"state vector norm {nrm!r} deviates from 1 beyond {self.tolerances.norm:.1e}")
+        if not abs(nrm - 1.0) <= NORM_TOL:
+            raise ValueError(f"state vector norm {nrm!r} deviates from 1 beyond {NORM_TOL:.1e}")
         object.__setattr__(self, "entries", _freeze(arr))
 
     @property
@@ -96,13 +88,13 @@ class StateVector:
         return self.entries.shape[0]
 
     @classmethod
-    def normalized(cls, entries, tolerances: Tolerances = DEFAULT_TOLERANCES) -> "StateVector":
+    def normalized(cls, entries) -> "StateVector":
         """Build from an arbitrary nonzero vector by normalizing it."""
         arr = np.asarray(entries, dtype=complex)
         nrm = float(np.linalg.norm(arr))
         if nrm == 0.0:
             raise ValueError("cannot normalize the zero vector")
-        return cls(arr / nrm, tolerances)
+        return cls(arr / nrm)
 
     @classmethod
     def basis_state(cls, dim: int, index: int) -> "StateVector":
@@ -118,18 +110,16 @@ class DensityMatrix:
     """Hermitian, unit-trace, positive-semidefinite d x d matrix."""
 
     entries: np.ndarray
-    tolerances: Tolerances = field(default=DEFAULT_TOLERANCES, repr=False)
 
     def __post_init__(self):
         mat = _as_matrix(self.entries)
-        tol = self.tolerances
-        _check_hermitian(mat, tol.hermitian, "density matrix")
+        _check_hermitian(mat, "density matrix")
         tr = complex(np.trace(mat))
-        if abs(tr - 1.0) > tol.trace:
-            raise ValueError(f"density matrix trace {tr!r} deviates from 1 beyond {tol.trace:.1e}")
+        if not abs(tr - 1.0) <= TRACE_TOL:
+            raise ValueError(f"density matrix trace {tr!r} deviates from 1 beyond {TRACE_TOL:.1e}")
         evals = np.linalg.eigvalsh((mat + mat.conj().T) / 2)
-        if float(evals.min()) < -tol.psd_floor:
-            raise ValueError(f"density matrix has eigenvalue {float(evals.min()):.3e} below -{tol.psd_floor:.1e}")
+        if not float(evals.min()) >= -PSD_FLOOR:
+            raise ValueError(f"density matrix has eigenvalue {float(evals.min()):.3e} below -{PSD_FLOOR:.1e}")
         object.__setattr__(self, "entries", _freeze(mat))
 
     @property
@@ -138,7 +128,7 @@ class DensityMatrix:
 
     @classmethod
     def pure(cls, state: StateVector) -> "DensityMatrix":
-        return cls(np.outer(state.entries, state.entries.conj()), state.tolerances)
+        return cls(np.outer(state.entries, state.entries.conj()))
 
     @classmethod
     def maximally_mixed(cls, dim: int) -> "DensityMatrix":
@@ -148,11 +138,10 @@ class DensityMatrix:
 @dataclass(frozen=True, eq=False)
 class HermitianOperator:
     entries: np.ndarray
-    tolerances: Tolerances = field(default=DEFAULT_TOLERANCES, repr=False)
 
     def __post_init__(self):
         mat = _as_matrix(self.entries)
-        _check_hermitian(mat, self.tolerances.hermitian, "operator")
+        _check_hermitian(mat, "operator")
         object.__setattr__(self, "entries", _freeze(mat))
 
     @property
@@ -163,13 +152,12 @@ class HermitianOperator:
 @dataclass(frozen=True, eq=False)
 class UnitaryOperator:
     entries: np.ndarray
-    tolerances: Tolerances = field(default=DEFAULT_TOLERANCES, repr=False)
 
     def __post_init__(self):
         mat = _as_matrix(self.entries)
         d = mat.shape[0]
         dev = float(np.linalg.norm(mat.conj().T @ mat - np.eye(d)))
-        if dev > self.tolerances.unitary:
+        if not dev <= UNITARY_TOL:
             raise ValueError(f"matrix is not unitary: ||U^H U - I||_F = {dev:.3e}")
         object.__setattr__(self, "entries", _freeze(mat))
 
@@ -183,17 +171,15 @@ class Projector:
     """Rank-1 orthogonal projector: Hermitian, idempotent, trace 1."""
 
     entries: np.ndarray
-    tolerances: Tolerances = field(default=DEFAULT_TOLERANCES, repr=False)
 
     def __post_init__(self):
         mat = _as_matrix(self.entries)
-        tol = self.tolerances
-        _check_hermitian(mat, tol.hermitian, "projector")
+        _check_hermitian(mat, "projector")
         dev = float(np.max(np.abs(mat @ mat - mat)))
-        if dev > tol.idempotent:
+        if not dev <= IDEMPOTENT_TOL:
             raise ValueError(f"projector is not idempotent: max |P^2 - P| = {dev:.3e}")
         tr = complex(np.trace(mat))
-        if abs(tr - 1.0) > tol.idempotent:
+        if not abs(tr - 1.0) <= IDEMPOTENT_TOL:
             raise ValueError(f"projector trace {tr!r} deviates from 1 (rank must be 1)")
         object.__setattr__(self, "entries", _freeze(mat))
 
@@ -220,9 +206,8 @@ class OrthonormalBasis:
         mat = np.array([v.entries for v in vecs])
         gram = mat.conj() @ mat.T
         dev = float(np.max(np.abs(gram - np.eye(d))))
-        tol = vecs[0].tolerances.orthonormal
-        if dev > tol:
-            raise ValueError(f"vectors are not orthonormal: max Gram deviation {dev:.3e} > {tol:.1e}")
+        if not dev <= ORTHONORMAL_TOL:
+            raise ValueError(f"vectors are not orthonormal: max Gram deviation {dev:.3e} > {ORTHONORMAL_TOL:.1e}")
         object.__setattr__(self, "vectors", vecs)
 
     @property
@@ -236,12 +221,12 @@ class OrthonormalBasis:
     @classmethod
     def from_unitary(cls, u: UnitaryOperator) -> "OrthonormalBasis":
         """Columns of the unitary become the basis vectors."""
-        return cls.from_unitary_matrix(u.entries, u.tolerances)
+        return cls.from_unitary_matrix(u.entries)
 
     @classmethod
-    def from_unitary_matrix(cls, mat, tolerances: Tolerances = DEFAULT_TOLERANCES) -> "OrthonormalBasis":
+    def from_unitary_matrix(cls, mat) -> "OrthonormalBasis":
         cols = _as_matrix(mat).T
-        return cls(tuple(StateVector(c, tolerances) for c in cols))
+        return cls(tuple(StateVector(c) for c in cols))
 
     @classmethod
     def computational(cls, dim: int) -> "OrthonormalBasis":
@@ -296,10 +281,10 @@ def inner(x: StateVector, y: StateVector) -> complex:
 
 def projector_of(x: StateVector) -> Projector:
     """|x><x|; invariant under a global phase of x."""
-    return Projector(np.outer(x.entries, x.entries.conj()), x.tolerances)
+    return Projector(np.outer(x.entries, x.entries.conj()))
 
 
-def trace_product(r, p: Projector, tolerances: Tolerances = DEFAULT_TOLERANCES) -> float:
+def trace_product(r, p: Projector) -> float:
     """Tr(r P) for Hermitian r, returned as a real number.
 
     An imaginary residue above the tolerance signals a corrupted input and
@@ -310,7 +295,7 @@ def trace_product(r, p: Projector, tolerances: Tolerances = DEFAULT_TOLERANCES) 
     if mat.shape != pm.shape:
         raise ValueError(f"dimension mismatch: {mat.shape} vs {pm.shape}")
     val = complex(np.sum(mat * pm.T))
-    if abs(val.imag) > tolerances.imag_residue:
+    if not abs(val.imag) <= IMAG_RESIDUE_TOL:
         raise ValueError(f"trace product has imaginary residue {val.imag:.3e}; inputs are not Hermitian")
     return val.real
 
@@ -324,21 +309,17 @@ def commutator(a, b) -> np.ndarray:
     return am @ bm - bm @ am
 
 
-def spectral(
-    h: HermitianOperator,
-    gap_tol: float | None = None,
-    tolerances: Tolerances = DEFAULT_TOLERANCES,
-) -> SpectralDecomposition:
+def spectral(h: HermitianOperator, gap_tol: float | None = None) -> SpectralDecomposition:
     """Eigendecomposition of a Hermitian operator with degeneracy detection.
 
-    ``gap_tol`` defaults to ``degeneracy_rel`` times the spectral range;
+    ``gap_tol`` defaults to ``DEGENERACY_REL`` times the spectral range;
     consecutive eigenvalues closer than that are grouped into one block.
     """
     hm = h.entries if isinstance(h, HermitianOperator) else _as_matrix(h)
-    _check_hermitian(hm, tolerances.hermitian, "spectral input")
+    _check_hermitian(hm, "spectral input")
     evals, evecs = np.linalg.eigh(hm)
     if gap_tol is None:
-        gap_tol = tolerances.degeneracy_rel * float(evals[-1] - evals[0])
+        gap_tol = DEGENERACY_REL * float(evals[-1] - evals[0])
 
     blocks: list[list[int]] = [[0]]
     for i in range(1, len(evals)):
@@ -347,11 +328,11 @@ def spectral(
         else:
             blocks.append([i])
 
-    basis = OrthonormalBasis(tuple(StateVector(evecs[:, k], tolerances) for k in range(len(evals))))
+    basis = OrthonormalBasis.from_unitary_matrix(evecs)
     dec = SpectralDecomposition(tuple(evals), basis, tuple(tuple(b) for b in blocks), float(gap_tol))
     residual = float(np.linalg.norm(dec.reconstruct() - hm))
-    if residual > tolerances.reconstruction:
-        raise ValueError(f"spectral reconstruction residual {residual:.3e} exceeds {tolerances.reconstruction:.1e}")
+    if not residual <= RECONSTRUCTION_TOL:
+        raise ValueError(f"spectral reconstruction residual {residual:.3e} exceeds {RECONSTRUCTION_TOL:.1e}")
     return dec
 
 

@@ -17,7 +17,7 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .assignment import TwoStatePairMixed, _fires
-from .qcore import StateVector, UnitaryOperator
+from .qcore import IMAG_RESIDUE_TOL, StateVector, UnitaryOperator
 from .sampling import RngStream, haar_states
 
 __all__ = [
@@ -201,10 +201,10 @@ def sic_expand(r, s: SicPovm) -> SicCoefficients:
     if mat.shape != (d, d):
         raise ValueError(f"dimension mismatch: matrix {mat.shape} vs projectors ({d},{d})")
     traces = np.einsum("ij,kji->k", mat, s.projectors)
-    if float(np.max(np.abs(traces.imag))) > 1e-10:
+    if not float(np.max(np.abs(traces.imag))) <= IMAG_RESIDUE_TOL:
         raise ValueError("projector traces have imaginary residue; input is not Hermitian")
     total = complex(np.trace(mat))
-    if abs(total.imag) > 1e-10:
+    if not abs(total.imag) <= IMAG_RESIDUE_TOL:
         raise ValueError(f"input trace {total!r} is not real")
     lambdas = ((d + 1) * traces.real - total.real) / d
     return SicCoefficients(lambdas, float(lambdas.sum()))
@@ -233,15 +233,15 @@ def sic_rule_check(c: SicCoefficients, k: int, d: int) -> bool:
     return bool(_fires((d * c.lambdas[k] + c.trace_of_rho) / (d + 1), 0.0))
 
 
-def _sic_fires(sums: np.ndarray, s: SicPovm) -> np.ndarray:
-    """The rule Tr[sum P_k] > 1 for each set element, over summed pair matrices.
+def _sic_fires(sums: np.ndarray, s: SicPovm, tie_tol: float = 0.0) -> np.ndarray:
+    """The rule Tr[sum P_k] > 1 + tie_tol for each set element, over summed pair matrices.
 
-    On a trace-2 sum this is lambda_k > 1 - 1/d. ``sums`` has shape
+    On a trace-2 sum at tie_tol 0 this is lambda_k > 1 - 1/d. ``sums`` has shape
     (..., d, d); the result has shape (..., d^2). The set is validated once
     per call.
     """
     _require_valid(s)
-    return _fires(np.einsum("...ij,kji->...k", sums, s.projectors).real, 0.0)
+    return _fires(np.einsum("...ij,kji->...k", sums, s.projectors).real, tie_tol)
 
 
 def sic_distinguish(pair0: TwoStatePairMixed, pair1: TwoStatePairMixed, s: SicPovm):

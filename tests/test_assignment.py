@@ -11,7 +11,6 @@ from twostate import (
     TwoStatePairMixed,
     TwoStatePairPure,
     assign_over_basis,
-    collapse,
     projector_of,
     satisfies_mixed,
     satisfies_pure,
@@ -199,18 +198,6 @@ class TestTimeReverse:
         pair = TwoStatePairMixed.from_pure(TwoStatePairPure(E0, PLUS))
         swapped = time_reverse(pair)
         assert np.array_equal(swapped.forward.entries, pair.backward.entries)
-
-
-class TestCollapse:
-    def test_both_components_equal_outcome(self):
-        result = collapse(TwoStatePairPure(E0, PLUS), E1)
-        assert np.array_equal(result.forward.entries, E1.entries)
-        assert np.array_equal(result.backward.entries, E1.entries)
-
-    def test_idempotent(self):
-        once = collapse(TwoStatePairPure(E0, PLUS), E0)
-        twice = collapse(once, E0)
-        assert np.array_equal(once.forward.entries, twice.forward.entries)
 
 
 class TestWeakValue:

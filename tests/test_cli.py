@@ -24,7 +24,7 @@ from twostate import (
     sic_distinguish,
     state_from_bloch,
 )
-from twostate.cli import _RUNNERS, CSV_COLUMNS, emit_results, main, result_schema
+from twostate.cli import _EXPERIMENTS, CSV_COLUMNS, EXPERIMENTS, emit_results, main, result_schema
 from twostate.qcore import matrix_from_json, matrix_to_json, vector_to_json
 
 from helpers import random_unitary
@@ -89,8 +89,13 @@ class TestConfigHandling:
         (["weak-value"], {"observable": [[[0, 0], [1, 0]], [[0, 0], [0, 0]]],
                           "forward": [[1, 0], [0, 0]], "final": [[1, 0], [0, 0]]}),
         (["born-mc", "--dim", "2"], {"p_grid": [0.5, "high"]}),
+        (["basis-mc", "--dim", "2"],
+         {"basis": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]], "forward": [[float("nan"), 0], [0, 0]]}),
+        (["weak-value"], {"observable": [[[float("nan"), 0], [0, 0]], [[0, 0], [1, 0]]],
+                          "forward": [[1, 0], [0, 0]], "final": [[1, 0], [0, 0]]}),
     ], ids=["unnormalized-forward", "non-orthonormal-basis", "basis-forward-dims",
-            "bad-dist-state", "non-hermitian-observable", "string-in-p-grid"])
+            "bad-dist-state", "non-hermitian-observable", "string-in-p-grid",
+            "nan-forward", "nan-observable"])
     def test_malformed_config_value_exits_two(self, args, config, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(config))
@@ -98,19 +103,31 @@ class TestConfigHandling:
         assert code == 2
         assert capsys.readouterr().err.startswith("error: invalid ")
 
-    @pytest.mark.parametrize("args, config", [
-        (["basis-mc"], {"basis": [vector_to_json(row) for row in np.eye(3)], "forward": [[1, 0], [0, 0], [0, 0]]}),
-        (["sic-validate", "--dim", "2"], {"fiducial": vector_to_json(builtin_fiducial(3).entries)}),
-        (["sic-distinguish", "--dim", "2"], {"fiducial": vector_to_json(builtin_fiducial(3).entries)}),
-    ], ids=["basis-mc-basis", "sic-validate-fiducial", "sic-distinguish-fiducial"])
-    def test_config_state_of_another_dimension_exits_two(self, args, config, tmp_path, capsys):
+    @pytest.mark.parametrize("args, config, message", [
+        (["basis-mc"], {"basis": [vector_to_json(row) for row in np.eye(3)], "forward": [[1, 0], [0, 0], [0, 0]]},
+         "expected a state of dimension 2, got 3"),
+        (["sic-validate", "--dim", "2"], {"fiducial": vector_to_json(builtin_fiducial(3).entries)},
+         "expected a state of dimension 2, got 3"),
+        (["sic-distinguish", "--dim", "2"], {"fiducial": vector_to_json(builtin_fiducial(3).entries)},
+         "expected a state of dimension 2, got 3"),
+        (["weak-value"], {"observable": matrix_to_json(np.diag([1.0, 0.0, -1.0])),
+                          "forward": vector_to_json(np.eye(3)[0]), "final": vector_to_json(np.eye(3)[0])},
+         "expected an operator of dimension 2, got 3"),
+        (["stationary-solve"], {"hamiltonian": matrix_to_json(np.diag([1.0, 2.0, 3.0])),
+                                "target_k": matrix_to_json(np.zeros((3, 3))), "diagonal": [1.0, 0.0, 0.0]},
+         "expected an operator of dimension 2, got 3"),
+        # the other way round: the built-in example is a qubit, the run's dim is 3
+        (["weak-value", "--dim", "3"], {}, "the built-in weak-value example requires dim 2"),
+    ], ids=["basis-mc-basis", "sic-validate-fiducial", "sic-distinguish-fiducial",
+            "weak-value-observable", "stationary-solve-hamiltonian", "weak-value-builtin"])
+    def test_config_state_of_another_dimension_exits_two(self, args, config, message, tmp_path, capsys):
         # the run's dim is 2 (the default or --dim); a 3-dim config state must
         # not run under records that echo dim 2
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(config))
         code, out = run_cli(args + ["--samples", "10", "--seed", "1", "--config", str(cfg)], tmp_path)
         assert code == 2
-        assert "expected a state of dimension 2, got 3" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("instance", [
@@ -132,6 +149,47 @@ class TestConfigHandling:
             main(["born-mc", "--help"])
         assert info.value.code == 0
         assert "backward" in capsys.readouterr().out
+
+
+# each table-driven parameter: base arguments, flag, flag text, the same value as a config entry
+TABLE_PARAMS = [
+    (["born-mc", "--samples", "500"], "--p-grid", "0.3,0.7", [0.3, 0.7]),
+    (["basis-mc", "--samples", "500"], "--theta-deg", "45,60", [45.0, 60.0]),
+    (["sic-validate"], "--tol", "1e-6", 1e-6),
+    (["sic-search", "--max-iters", "100"], "--restarts", "2", 2),
+    (["sic-search", "--restarts", "1"], "--max-iters", "100", 100),
+]
+TABLE_IDS = ["p_grid", "theta_deg", "tol", "restarts", "max_iters"]
+
+
+class TestExperimentTable:
+    @pytest.mark.parametrize("args, flag, text, value", TABLE_PARAMS, ids=TABLE_IDS)
+    def test_flag_and_config_key_give_the_same_payload(self, args, flag, text, value, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({flag[2:].replace("-", "_"): value}))
+        base = args + ["--seed", "5", "--no-timing"]
+        _, from_flag = run_cli(base + [flag, text], tmp_path, "flag.csv")
+        _, from_config = run_cli(base + ["--config", str(cfg)], tmp_path, "config.csv")
+        assert from_flag.read_bytes() == from_config.read_bytes()
+
+    @pytest.mark.parametrize("args, flag, text, value", TABLE_PARAMS, ids=TABLE_IDS)
+    def test_non_numeric_value_exits_two(self, args, flag, text, value, tmp_path, capsys):
+        key = flag[2:].replace("-", "_")
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: "x"}))
+        base = args + ["--seed", "5"]
+        for route in ([flag, "x"], ["--config", str(cfg)]):
+            code, out = run_cli(base + route, tmp_path)
+            assert code == 2
+            assert capsys.readouterr().err.startswith(f"error: invalid {key}: ")
+            assert not out.exists()
+
+    @pytest.mark.parametrize("experiment", EXPERIMENTS)
+    def test_help_prints_the_description(self, experiment, capsys):
+        with pytest.raises(SystemExit) as info:
+            main([experiment, "--help"])
+        assert info.value.code == 0
+        assert " ".join(_EXPERIMENTS[experiment].help.split()) in " ".join(capsys.readouterr().out.split())
 
 
 class TestRecords:
@@ -404,6 +462,19 @@ class TestExperiments:
         rows = list(csv.DictReader(out.read_text().splitlines()))
         assert [float(row["no_assign_rate"]) for row in rows] == [1.0, 1.0, 1.0]
 
+    @pytest.mark.parametrize("args, key", [
+        (["sic-distinguish", "--dim", "2"], "separated"),
+        (["pbr-geometric"], "separators_found"),
+    ], ids=["sic-distinguish", "pbr-geometric"])
+    def test_tie_tol_raises_the_rule_threshold(self, args, key, tmp_path):
+        def count(tie_tol):
+            code, out = run_cli(args + ["--samples", "300", "--seed", "3", "--tie-tol", tie_tol, "--format", "json"],
+                                tmp_path, name=f"tie-{tie_tol}.json")
+            assert code == 0
+            return json.loads(out.read_text())[0]["extra"][key]
+
+        assert count("0.5") < count("0")
+
     def test_weak_value_default(self, tmp_path):
         code, out = run_cli(["weak-value", "--seed", "1", "--no-timing"], tmp_path)
         assert code == 0
@@ -464,7 +535,7 @@ class TestRuntimeErrorExitCode:
         def broken(cfg):
             raise RuntimeError("solver diverged")
 
-        monkeypatch.setitem(_RUNNERS, "weak-value", broken)
+        monkeypatch.setitem(_EXPERIMENTS, "weak-value", _EXPERIMENTS["weak-value"]._replace(run=broken))
         code, _ = run_cli(["weak-value", "--seed", "1"], tmp_path)
         assert code == 3
         assert capsys.readouterr().err == "error: RuntimeError: solver diverged\n"

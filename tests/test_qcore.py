@@ -76,6 +76,19 @@ class TestTypeInvariants:
         with pytest.raises(ValueError, match="exactly"):
             OrthonormalBasis((E0,))
 
+    @pytest.mark.parametrize("build, message", [
+        (lambda: StateVector(np.array([np.nan, 0.0])), "norm"),
+        (lambda: DensityMatrix(np.diag([np.nan, 0.0])), "Hermitian"),
+        (lambda: HermitianOperator(np.diag([np.nan, 1.0])), "Hermitian"),
+        (lambda: UnitaryOperator(np.diag([np.nan, 1.0])), "unitary"),
+        (lambda: Projector(np.diag([np.nan, 0.0])), "Hermitian"),
+        (lambda: OrthonormalBasis.from_unitary_matrix(np.diag([np.nan, 1.0])), "norm"),
+    ], ids=["state", "density", "hermitian", "unitary", "projector", "basis"])
+    def test_rejects_nan_entries(self, build, message):
+        # every check fails on a NaN deviation instead of comparing false
+        with pytest.raises(ValueError, match=message):
+            build()
+
     def test_values_are_frozen(self):
         with pytest.raises(ValueError):
             E0.entries[0] = 0.0
