@@ -161,6 +161,15 @@ def _numbers(data) -> list:
     return data
 
 
+def _probabilities(data) -> list:
+    """``_numbers``, each in [0, 1]."""
+    values = _numbers(data)
+    for p in values:
+        if not 0.0 <= p <= 1.0:
+            raise ValueError(f"p values must lie in [0, 1], got {p}")
+    return values
+
+
 def _dist_for(cfg: ExperimentConfig, target: StateVector):
     if cfg.dist == "haar":
         return HaarPure()
@@ -176,8 +185,6 @@ def _run_born_mc(cfg: ExperimentConfig) -> list[dict]:
     records = []
     target = StateVector.basis_state(cfg.dim, 0)
     for point, p in enumerate(cfg.params["p_grid"]):
-        if not 0.0 <= p <= 1.0:
-            raise ConfigError(f"p values must lie in [0, 1], got {p}")
         amps = np.zeros(cfg.dim, dtype=complex)
         amps[0] = np.sqrt(p)
         amps[1] = np.sqrt(1.0 - p)
@@ -338,6 +345,8 @@ def _bloch_instance(rows) -> np.ndarray:
 
 
 def _run_pbr_geometric(cfg: ExperimentConfig) -> list[dict]:
+    if cfg.dim != 2:
+        raise ConfigError("pbr-geometric instances are qubit instances and require dim 2")
     if "instance" in cfg.params:
         blocks = [_from_config(cfg, _bloch_instance, "instance")[:, None, :]]
         instances = 1
@@ -410,7 +419,7 @@ _EXPERIMENTS = {
         "With the uniform-overlap backward distribution the frequency reproduces p itself "
         "(the Born value); with Haar sampling it reproduces p^(d-1)."
     ), (
-        _Param("p_grid", _numbers, tuple(round(0.1 * k, 10) for k in range(1, 10)),
+        _Param("p_grid", _probabilities, tuple(round(0.1 * k, 10) for k in range(1, 10)),
                "comma-separated forward overlaps"),
     )),
     "basis-mc": _Experiment(_run_basis_mc, (

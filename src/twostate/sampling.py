@@ -3,9 +3,15 @@
 Randomness is counter-based: sample ``i`` of a stream ``(seed, stream_index)``
 is a pure function of ``(seed, stream_index, i)``. Each sample owns a fixed
 block of Philox counter ticks and every variate is produced with a fixed
-word consumption (Box-Muller, no rejection), so estimates are bitwise
-reproducible no matter how the index range is chunked or how many workers
-run the chunks. Reduction across chunks is exact integer addition.
+word consumption (no rejection), so estimates are bitwise reproducible no
+matter how the index range is chunked or how many workers run the chunks.
+Reduction across chunks is exact integer addition.
+
+The state samplers (``haar_states``, ``uniform_overlap_states``,
+``haar_unitary``) build complex vectors from Box-Muller normals. The
+estimators never build a backward state: the rule sees one only through its
+overlaps ``|<b|a_k>|^2`` with the outcomes, and those are drawn from their
+closed-form laws (``_overlap_block``).
 """
 
 from __future__ import annotations
@@ -18,7 +24,7 @@ import numpy as np
 from numpy.random import Philox
 
 from .assignment import MultipleOutcomesError, tally_rule
-from .qcore import OrthonormalBasis, StateVector
+from .qcore import ORTHONORMAL_TOL, OrthonormalBasis, StateVector
 
 __all__ = [
     "RngStream",
@@ -60,7 +66,11 @@ class RngStream:
 
 @dataclass(frozen=True, eq=False)
 class UniformOverlap:
-    """Backward states whose squared overlap with the target is U(0,1)."""
+    """Backward states whose squared overlap with the target is U(0,1).
+
+    The estimators accept it only with the target as the first outcome, up
+    to a phase: that is the frame in which they draw its overlaps.
+    """
 
     target: StateVector
 
@@ -125,12 +135,29 @@ def _u01(words: np.ndarray) -> np.ndarray:
     return (words >> np.uint64(11)) * _U53
 
 
+def _u01_positive(words: np.ndarray) -> np.ndarray:
+    """Uniform (0, 1] from the top 53 bits of each word."""
+    return ((words >> np.uint64(11)) + np.uint64(1)) * _U53
+
+
 def _complex_normals(words: np.ndarray) -> np.ndarray:
     """One standard complex normal per pair of words (Box-Muller, fixed cost)."""
-    u1 = ((words[..., 0::2] >> np.uint64(11)) + np.uint64(1)) * _U53  # (0, 1]
-    u2 = _u01(words[..., 1::2])
-    radius = np.sqrt(-2.0 * np.log(u1))
-    return radius * np.exp(2j * np.pi * u2)
+    radius = np.sqrt(-2.0 * np.log(_u01_positive(words[..., 0::2])))
+    return radius * np.exp(2j * np.pi * _u01(words[..., 1::2]))
+
+
+def _flat_dirichlet(words: np.ndarray, k: int) -> np.ndarray:
+    """First ``k`` coordinates of one flat Dirichlet point per row of words.
+
+    The point is the row's standard exponentials ``-log u`` (u in (0, 1])
+    over their sum, computed as ``log u`` over the sum of the logs. A zero
+    sum needs every word at its top value; that row gives zeros, which never
+    fire.
+    """
+    logs = np.log(_u01_positive(words))
+    total = np.einsum("ij->i", logs)  # row sums; about 3x faster than sum(axis=1) on short rows
+    total[total == 0.0] = 1.0
+    return logs[:, :k] / total[:, None]
 
 
 def _haar_block(dim: int, stream: RngStream, first_sample: int, count: int) -> np.ndarray:
@@ -170,13 +197,26 @@ def _haar_unitary_block(dim: int, stream: RngStream, first_sample: int, count: i
     return q * (diag / np.abs(diag))[:, None, :]
 
 
-def _backward_block(dist: BackwardDistribution, dim: int, stream: RngStream, first_sample: int, count: int):
+def _overlap_block(
+    dist: BackwardDistribution, dim: int, k: int, stream: RngStream, first_sample: int, count: int
+) -> np.ndarray:
+    """Overlaps ``|<b|a_j>|^2``, shape (count, k), of sampled backward states b
+    with the first ``k`` vectors of an orthonormal set; row i depends only on
+    (stream, first_sample + i).
+
+    Haar: the d overlaps are flat Dirichlet (d words per sample), whatever the
+    set. Uniform overlap, with the target as a_0: q_0 ~ U(0, 1) (one word),
+    and for k > 1 the rest is (1 - q_0) times a flat Dirichlet over the
+    target's complement (d - 1 more words).
+    """
     if isinstance(dist, HaarPure):
-        return _haar_block(dim, stream, first_sample, count)
+        return _flat_dirichlet(_raw_words(stream, first_sample, count, dim), k)
     if isinstance(dist, UniformOverlap):
-        if dist.target.dim != dim:
-            raise ValueError(f"dimension mismatch: target {dist.target.dim} vs {dim}")
-        return _uniform_overlap_block(dist.target.entries, stream, first_sample, count)
+        words = _raw_words(stream, first_sample, count, 1 if k == 1 else dim)
+        q0 = _u01(words[:, :1])
+        if k == 1:
+            return q0
+        return np.concatenate([q0, (1.0 - q0) * _flat_dirichlet(words[:, 1:], k - 1)], axis=1)
     raise TypeError(f"unknown backward distribution: {type(dist).__name__}")
 
 
@@ -253,6 +293,11 @@ def _rule_tallies(
         raise ValueError(f"dimension mismatch: {dim} vs {targets.shape[1]}")
     if n_samples < 1:
         raise ValueError(f"sample count must be >= 1, got {n_samples}")
+    if isinstance(dist, UniformOverlap):  # the overlap law holds only for the target as first outcome
+        if dist.target.dim != dim:
+            raise ValueError(f"dimension mismatch: target {dist.target.dim} vs {dim}")
+        if not abs(abs(np.vdot(dist.target.entries, targets[0])) - 1.0) <= ORTHONORMAL_TOL:
+            raise ValueError("the uniform-overlap target must be the first outcome, up to a phase")
     conj_targets = targets.conj()
     p = np.abs(conj_targets @ forward.entries) ** 2
 
@@ -263,13 +308,12 @@ def _rule_tallies(
         return tally_rule((p + q)[None, :], tie_tol) * n_samples
 
     stream = RngStream(seed, stream_index)
+    k = targets.shape[0]
 
     def chunk_tallies(lo: int, hi: int) -> np.ndarray:
-        states = _backward_block(dist, dim, stream, lo, hi - lo)
-        q = np.abs(states.conj() @ targets.T) ** 2
-        return tally_rule(p + q, tie_tol)
+        return tally_rule(p + _overlap_block(dist, dim, k, stream, lo, hi - lo), tie_tol)
 
-    zero = np.zeros(targets.shape[0] + 2, dtype=np.int64)
+    zero = np.zeros(k + 2, dtype=np.int64)
     return _map_reduce(chunk_tallies, n_samples, workers, chunk_size, zero)
 
 

@@ -118,8 +118,10 @@ class TestConfigHandling:
          "expected an operator of dimension 2, got 3"),
         # the other way round: the built-in example is a qubit, the run's dim is 3
         (["weak-value", "--dim", "3"], {}, "the built-in weak-value example requires dim 2"),
+        (["pbr-geometric", "--dim", "3"], {}, "pbr-geometric instances are qubit instances and require dim 2"),
     ], ids=["basis-mc-basis", "sic-validate-fiducial", "sic-distinguish-fiducial",
-            "weak-value-observable", "stationary-solve-hamiltonian", "weak-value-builtin"])
+            "weak-value-observable", "stationary-solve-hamiltonian", "weak-value-builtin",
+            "pbr-geometric-qubits"])
     def test_config_state_of_another_dimension_exits_two(self, args, config, message, tmp_path, capsys):
         # the run's dim is 2 (the default or --dim); a 3-dim config state must
         # not run under records that echo dim 2
@@ -128,6 +130,19 @@ class TestConfigHandling:
         code, out = run_cli(args + ["--samples", "10", "--seed", "1", "--config", str(cfg)], tmp_path)
         assert code == 2
         assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("route", ["flag", "config"])
+    def test_out_of_range_p_exits_two_before_any_sampling(self, route, tmp_path, monkeypatch, capsys):
+        calls = []
+        monkeypatch.setattr("twostate.cli.born_mc", lambda *args, **kwargs: calls.append(args))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"p_grid": [0.5, 1.5]}))
+        grid = ["--p-grid", "0.5,1.5"] if route == "flag" else ["--config", str(cfg)]
+        code, out = run_cli(["born-mc", "--samples", "10", "--seed", "1"] + grid, tmp_path)
+        assert code == 2
+        assert capsys.readouterr().err == "error: invalid p_grid: p values must lie in [0, 1], got 1.5\n"
+        assert calls == []
         assert not out.exists()
 
     @pytest.mark.parametrize("instance", [

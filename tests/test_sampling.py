@@ -17,6 +17,10 @@ from twostate import (
     haar_unitary,
     uniform_overlap_states,
 )
+from twostate.assignment import RULE_ROUNDING_BOUND
+from twostate.sampling import _overlap_block
+
+from helpers import random_unitary
 
 E0 = StateVector.basis_state(2, 0)
 
@@ -115,6 +119,58 @@ class TestBackwardUniformOverlap:
         states = uniform_overlap_states(E0, RngStream(3, 0), 0, 100)
         assert states.shape == (100, 2)
         assert np.allclose(np.linalg.norm(states, axis=1), 1.0, rtol=0.0, atol=1e-12)
+
+
+class TestOverlapLaw:
+    """The estimators' overlap draws against overlaps of the public state samplers."""
+
+    @pytest.mark.parametrize("law", ["haar", "uniform-overlap"])
+    @pytest.mark.parametrize("dim", [2, 3, 5, 16])
+    @pytest.mark.parametrize("full_basis", [False, True], ids=["k=1", "k=d"])
+    def test_matches_state_space_overlaps(self, law, dim, full_basis):
+        n = 20_000
+        # rows: an orthonormal set whose first vector is the uniform-overlap target up to a phase
+        outcomes = random_unitary(np.random.default_rng(dim), dim).T
+        target = StateVector(np.exp(0.4j) * outcomes[0])
+        if law == "haar":
+            dist, states = HaarPure(), haar_states(dim, RngStream(90, 0), 0, n)
+        else:
+            dist, states = UniformOverlap(target), uniform_overlap_states(target, RngStream(90, 0), 0, n)
+        k = dim if full_basis else 1
+        drawn = _overlap_block(dist, dim, k, RngStream(91, 0), 0, n)
+        reference = np.abs(states.conj() @ outcomes[:k].T) ** 2
+        assert drawn.shape == (n, k)
+        # each marginal, and for k = d the largest overlap as one joint statistic
+        columns = [(drawn[:, j], reference[:, j]) for j in range(k)]
+        if full_basis:
+            columns.append((drawn.max(axis=1), reference.max(axis=1)))
+            assert np.max(np.abs(drawn.sum(axis=1) - 1.0)) <= RULE_ROUNDING_BOUND
+        for j, (x, y) in enumerate(columns):
+            assert stats.ks_2samp(x, y).pvalue > 1e-3 / len(columns), j
+
+    def test_block_is_pure_function_of_index(self):
+        dist = UniformOverlap(StateVector.basis_state(5, 0))
+        block = _overlap_block(dist, 5, 5, RngStream(5, 3), 0, 10)
+        assert np.array_equal(block[6:], _overlap_block(dist, 5, 5, RngStream(5, 3), 6, 4))
+
+
+class TestUniformOverlapContract:
+    @pytest.mark.parametrize("target", [
+        StateVector.basis_state(2, 1),
+        StateVector(np.array([1.0, 1.0]) / np.sqrt(2.0)),
+    ], ids=["orthogonal", "overlapping"])
+    def test_target_other_than_the_first_outcome_is_rejected(self, target):
+        dist = UniformOverlap(target)
+        with pytest.raises(ValueError, match="first outcome"):
+            born_mc(E0, E0, dist, 10, seed=1)
+        with pytest.raises(ValueError, match="first outcome"):
+            basis_mc(E0, OrthonormalBasis.computational(2), dist, 10, seed=1)
+
+    def test_phase_rotated_target_is_accepted(self):
+        basis = OrthonormalBasis.computational(3)
+        rotated = UniformOverlap(StateVector(np.exp(2.1j) * basis[0].entries))
+        fwd = StateVector.basis_state(3, 1)
+        assert basis_mc(fwd, basis, rotated, 1000, seed=4) == basis_mc(fwd, basis, UniformOverlap(basis[0]), 1000, seed=4)
 
 
 class TestBornMc:
