@@ -167,27 +167,6 @@ def _haar_block(dim: int, stream: RngStream, first_sample: int, count: int) -> n
     return gauss / norms
 
 
-def _uniform_overlap_block(
-    target: np.ndarray, stream: RngStream, first_sample: int, count: int
-) -> np.ndarray:
-    dim = target.shape[0]
-    words = _raw_words(stream, first_sample, count, 2 * dim + 2)
-    gauss = _complex_normals(words[:, : 2 * dim])
-    overlap_sq = _u01(words[:, 2 * dim])
-    phase = np.exp(2j * np.pi * _u01(words[:, 2 * dim + 1]))
-
-    # Haar direction in the orthogonal complement of the target.
-    coeff = gauss @ target.conj()
-    perp = gauss - coeff[:, None] * target[None, :]
-    norms = np.linalg.norm(perp, axis=1)
-    norms[norms == 0.0] = 1.0
-    perp /= norms[:, None]
-
-    amp_target = np.sqrt(overlap_sq)
-    amp_perp = np.sqrt(1.0 - overlap_sq) * phase
-    return amp_target[:, None] * target[None, :] + amp_perp[:, None] * perp
-
-
 def _haar_unitary_block(dim: int, stream: RngStream, first_sample: int, count: int) -> np.ndarray:
     """Haar unitaries, shape (count, dim, dim); matrix i depends only on (stream, first_sample + i)."""
     gauss = _complex_normals(_raw_words(stream, first_sample, count, 2 * dim * dim)).reshape(count, dim, dim)
@@ -239,7 +218,23 @@ def haar_states(dim: int, rng: RngStream, start: int, count: int) -> np.ndarray:
 
 def uniform_overlap_states(a: StateVector, rng: RngStream, start: int, count: int) -> np.ndarray:
     """Rows are states whose squared overlap with ``a`` is uniform on [0, 1)."""
-    return _uniform_overlap_block(a.entries, rng, start, count)
+    target = a.entries
+    dim = target.shape[0]
+    words = _raw_words(rng, start, count, 2 * dim + 2)
+    gauss = _complex_normals(words[:, : 2 * dim])
+    overlap_sq = _u01(words[:, 2 * dim])
+    phase = np.exp(2j * np.pi * _u01(words[:, 2 * dim + 1]))
+
+    # Haar direction in the orthogonal complement of the target.
+    coeff = gauss @ target.conj()
+    perp = gauss - coeff[:, None] * target[None, :]
+    norms = np.linalg.norm(perp, axis=1)
+    norms[norms == 0.0] = 1.0
+    perp /= norms[:, None]
+
+    amp_target = np.sqrt(overlap_sq)
+    amp_perp = np.sqrt(1.0 - overlap_sq) * phase
+    return amp_target[:, None] * target[None, :] + amp_perp[:, None] * perp
 
 
 def haar_unitary(dim: int, rng: RngStream, index: int = 0) -> np.ndarray:
