@@ -184,12 +184,12 @@ def _dist_for(cfg: ExperimentConfig, target: StateVector):
 def _run_born_mc(cfg: ExperimentConfig) -> list[dict]:
     records = []
     target = StateVector.basis_state(cfg.dim, 0)
+    dist = _dist_for(cfg, target)
     for point, p in enumerate(cfg.params["p_grid"]):
         amps = np.zeros(cfg.dim, dtype=complex)
         amps[0] = np.sqrt(p)
         amps[1] = np.sqrt(1.0 - p)
         forward = StateVector(amps)
-        dist = _dist_for(cfg, target)
         estimate = born_mc(
             forward, target, dist, cfg.samples, cfg.seed, cfg.tie_tol,
             stream_index=point, workers=cfg.workers,
@@ -569,13 +569,22 @@ def result_schema() -> dict:
 # --- argument parsing --------------------------------------------------------
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser(argv=()) -> argparse.ArgumentParser:
+    """The parser of ``argv``: when it starts with an experiment name, only that subparser is built.
+
+    Any other ``argv`` (help, no arguments, an unknown name, an option first) gets all
+    of them, so that every message argparse prints is the same either way.
+    """
+    names = [argv[0]] if argv and argv[0] in _EXPERIMENTS else EXPERIMENTS
     parser = argparse.ArgumentParser(
         prog="twostate",
         description="Deterministic experiment harness for the two-state outcome-assignment model.",
     )
-    sub = parser.add_subparsers(dest="experiment", required=True)
-    for name, experiment in _EXPERIMENTS.items():
+    # one subparser would shrink the top-level usage line to {name}; keep the full choice list
+    metavar = "{" + ",".join(EXPERIMENTS) + "}" if len(names) == 1 else None
+    sub = parser.add_subparsers(dest="experiment", required=True, metavar=metavar)
+    for name in names:
+        experiment = _EXPERIMENTS[name]
         p = sub.add_parser(name, help=experiment.help.split(".")[0], description=experiment.help)
         p.add_argument("--dim", type=int, default=None, help="Hilbert-space dimension")
         p.add_argument("--samples", type=int, default=None, help="number of Monte Carlo samples")
@@ -636,7 +645,8 @@ def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = _build_parser(argv).parse_args(argv)
     try:
         records = run_experiment(_config_from_args(args))
         emit_results(records, args.format, args.out, include_timing=not args.no_timing)

@@ -14,7 +14,6 @@ import sys
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .assignment import TwoStatePairMixed, _fires
 from .qcore import IMAG_RESIDUE_TOL, StateVector, UnitaryOperator
@@ -309,6 +308,8 @@ def search_fiducial(d: int, restarts: int, max_iters: int, seed: int) -> Fiducia
         raise ValueError(f"supported dimensions are 2..8, got {d}")
     if restarts < 1:
         raise ValueError(f"restarts must be >= 1, got {restarts}")
+    # imported here: scipy.optimize costs about 0.5 s, and only the search uses it
+    from scipy.optimize import minimize
 
     disp = _displacement_stack(d)
     disp_h = disp.conj().transpose(0, 2, 1)

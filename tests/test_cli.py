@@ -1,5 +1,12 @@
+import argparse
 import csv
+import io
 import json
+import os
+import subprocess
+import sys
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import jsonschema
 import numpy as np
@@ -24,10 +31,12 @@ from twostate import (
     sic_distinguish,
     state_from_bloch,
 )
-from twostate.cli import _EXPERIMENTS, CSV_COLUMNS, EXPERIMENTS, emit_results, main, result_schema
+from twostate.cli import _EXPERIMENTS, CSV_COLUMNS, EXPERIMENTS, _build_parser, emit_results, main, result_schema
 from twostate.qcore import matrix_from_json, matrix_to_json, vector_to_json
 
 from helpers import random_unitary
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run_cli(args, tmp_path, name="out.csv"):
@@ -205,6 +214,56 @@ class TestExperimentTable:
             main([experiment, "--help"])
         assert info.value.code == 0
         assert " ".join(_EXPERIMENTS[experiment].help.split()) in " ".join(capsys.readouterr().out.split())
+
+
+# argv that argparse answers itself: help, usage errors and bad values, for every experiment
+PARSER_ARGVS = [
+    [name, *rest]
+    for name in EXPERIMENTS
+    for rest in (["--help"], ["-h"], ["--bogus"], ["--dim", "x"], ["--dist", "nope"])
+] + [["--help"], [], ["bogus"], ["--seed", "1", "born-mc"]]
+
+
+def parse_outcome(parse, argv):
+    """Standard output, standard error and exit code of ``parse(argv)``, which must exit."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err), pytest.raises(SystemExit) as info:
+        parse(argv)
+    return out.getvalue(), err.getvalue(), info.value.code
+
+
+def python(*args):
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, timeout=120)
+
+
+class TestParser:
+    @pytest.mark.parametrize("argv", PARSER_ARGVS, ids=" ".join)
+    def test_output_matches_the_full_parser(self, argv):
+        reference = parse_outcome(lambda a: _build_parser().parse_args(a), argv)
+        assert len(reference[0]) + len(reference[1]) > 0
+        assert parse_outcome(main, argv) == reference
+
+    @pytest.mark.parametrize("experiment", EXPERIMENTS)
+    def test_an_experiment_name_builds_only_its_subparser(self, experiment):
+        parser = _build_parser([experiment, "--seed", "1"])
+        (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        assert list(sub.choices) == [experiment]
+
+    def test_argv_none_reads_the_process_arguments(self, capsys):
+        argv = ["born-mc", "--seed", "5", "--samples", "500", "--no-timing", "--format", "json"]
+        assert main(argv) == 0
+        proc = python("-m", "twostate.cli", *argv)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == capsys.readouterr().out.encode()
+
+    def test_import_leaves_scipy_unloaded(self):
+        proc = python("-c", (
+            "import sys, twostate, twostate.cli\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        ))
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == b"[]\n"
 
 
 class TestRecords:
