@@ -12,6 +12,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 import time
 from dataclasses import dataclass, field, replace
@@ -100,7 +101,7 @@ class ExperimentConfig:
             raise ConfigError(f"dim must be >= 2, got {self.dim}")
         if self.samples < 1:
             raise ConfigError(f"samples must be >= 1, got {self.samples}")
-        if self.tie_tol < 0.0:
+        if not self.tie_tol >= 0.0:
             raise ConfigError(f"tie-tol must be >= 0, got {self.tie_tol}")
         if self.workers < 1:
             raise ConfigError(f"workers must be >= 1, got {self.workers}")
@@ -153,11 +154,15 @@ def _hermitian(data, dim: int) -> HermitianOperator:
 
 
 def _numbers(data) -> list:
-    """A config list of numbers, or the comma-separated text of a flag."""
+    """A non-empty config list of finite numbers, or the comma-separated text of a flag."""
     if isinstance(data, str):
         data = [float(tok) for tok in data.split(",") if tok.strip()]
     if not isinstance(data, list) or any(isinstance(x, bool) or not isinstance(x, (int, float)) for x in data):
         raise ValueError(f"expected a list of numbers, got {data!r}")
+    if not data:
+        raise ValueError("expected at least one number")
+    if not all(abs(x) < math.inf for x in data):  # false for NaN and +-inf; math.isfinite raises on huge ints
+        raise ValueError(f"expected finite numbers, got {data!r}")
     return data
 
 

@@ -1,11 +1,12 @@
 """Backward-state distributions and the seeded Monte Carlo estimator.
 
 Randomness is counter-based: sample ``i`` of a stream ``(seed, stream_index)``
-is a pure function of ``(seed, stream_index, i)``. Each sample owns a fixed
-block of Philox counter ticks and every variate is produced with a fixed
-word consumption (no rejection), so estimates are bitwise reproducible no
-matter how the index range is chunked or how many workers run the chunks.
-Reduction across chunks is exact integer addition.
+is a pure function of ``(seed, stream_index, i)``. A stream is one sequence
+of Philox words; a sample that uses ``w`` words owns words
+``[i*w, (i+1)*w)`` of it (sample-stream version 3), and every variate is
+produced with a fixed word consumption (no rejection), so estimates are
+bitwise reproducible no matter how the index range is chunked or how many
+workers run the chunks. Reduction across chunks is exact integer addition.
 
 The state samplers (``haar_states``, ``uniform_overlap_states``,
 ``haar_unitary``) build complex vectors from Box-Muller normals. The
@@ -123,11 +124,18 @@ class BasisMcResult:
 
 
 def _raw_words(stream: RngStream, first_sample: int, count: int, words_per_sample: int) -> np.ndarray:
-    """uint64 words, one row per sample; row i depends only on (stream, first_sample + i)."""
-    ticks = (words_per_sample + 3) // 4
-    bit_gen = Philox(key=stream.key(), counter=(first_sample * ticks))
-    raw = bit_gen.random_raw(count * ticks * 4)
-    return raw.reshape(count, ticks * 4)[:, :words_per_sample]
+    """uint64 words, one contiguous row per sample.
+
+    With ``w = words_per_sample``, sample ``j`` owns words ``[j*w, (j+1)*w)``
+    of the stream's one word sequence, so row i depends only on
+    (stream, first_sample + i). A Philox counter tick yields four words:
+    the draw starts at the tick holding the first word and drops the words
+    before it.
+    """
+    first_word = first_sample * words_per_sample
+    skip = first_word % 4
+    bit_gen = Philox(key=stream.key(), counter=first_word // 4)
+    return bit_gen.random_raw(skip + count * words_per_sample)[skip:].reshape(count, words_per_sample)
 
 
 def _u01(words: np.ndarray) -> np.ndarray:

@@ -154,6 +154,40 @@ class TestConfigHandling:
         assert calls == []
         assert not out.exists()
 
+    @pytest.mark.parametrize("route", ["flag", "config"])
+    @pytest.mark.parametrize("experiment, key, text, value", [
+        ("born-mc", "p_grid", "", []),
+        ("born-mc", "p_grid", " , ", []),
+        ("born-mc", "p_grid", "nan", [float("nan")]),
+        ("basis-mc", "theta_deg", "", []),
+        ("basis-mc", "theta_deg", "nan", [float("nan")]),
+        ("basis-mc", "theta_deg", "inf", [float("inf")]),
+        ("basis-mc", "theta_deg", "30,-inf", [30.0, float("-inf")]),
+    ], ids=["p-empty", "p-blank", "p-nan", "theta-empty", "theta-nan", "theta-inf", "theta-minus-inf"])
+    def test_empty_or_non_finite_number_list_exits_two_before_any_sampling(
+            self, experiment, key, text, value, route, tmp_path, monkeypatch, capsys):
+        calls = []
+        for estimator in ("born_mc", "basis_mc"):
+            monkeypatch.setattr(f"twostate.cli.{estimator}", lambda *args, **kwargs: calls.append(args))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: value}))
+        source = ["--" + key.replace("_", "-"), text] if route == "flag" else ["--config", str(cfg)]
+        code, out = run_cli([experiment, "--samples", "10", "--seed", "1"] + source, tmp_path)
+        assert code == 2
+        assert capsys.readouterr().err.startswith(f"error: invalid {key}: expected ")
+        assert calls == []
+        assert not out.exists()
+
+    @pytest.mark.parametrize("route", ["flag", "config"])
+    def test_nan_tie_tol_exits_two(self, route, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"tie_tol": float("nan")}))
+        source = ["--tie-tol", "nan"] if route == "flag" else ["--config", str(cfg)]
+        code, out = run_cli(["born-mc", "--samples", "10", "--seed", "1", "--format", "json"] + source, tmp_path)
+        assert code == 2
+        assert capsys.readouterr().err == "error: tie-tol must be >= 0, got nan\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("instance", [
         [[2, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]],
         [["x", 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]],

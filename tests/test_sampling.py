@@ -18,7 +18,7 @@ from twostate import (
     uniform_overlap_states,
 )
 from twostate.assignment import RULE_ROUNDING_BOUND
-from twostate.sampling import _overlap_block
+from twostate.sampling import _haar_unitary_block, _overlap_block, _raw_words
 
 from helpers import random_unitary
 
@@ -64,6 +64,53 @@ class TestRngStream:
         a = haar_states(3, RngStream(5, 0), 0, 4)
         b = haar_states(3, RngStream(5, 1), 0, 4)
         assert not np.allclose(a, b)
+
+
+class TestWordExactAddressing:
+    """A sample that uses w words owns words [i*w, (i+1)*w) of its stream's one word sequence."""
+
+    @pytest.mark.parametrize("words", [1, 2, 3, 5, 6, 7, 16, 50])
+    @pytest.mark.parametrize("lo", [0, 1, 3, 333])
+    def test_samples_are_consecutive_slices_of_one_word_stream(self, words, lo):
+        stream = RngStream(11, 2)
+        n = 9
+        block = _raw_words(stream, lo, n, words)
+        assert block.shape == (n, words)
+        assert block.flags.c_contiguous
+        flat = _raw_words(stream, 0, (lo + n) * words, 1).ravel()
+        assert np.array_equal(block.ravel(), flat[lo * words:])
+
+    @pytest.mark.parametrize("dim", [2, 3, 5])
+    @pytest.mark.parametrize("sampler", ["haar_states", "haar_unitary", "uniform_overlap_states"])
+    def test_split_is_bit_identical_to_one_call(self, sampler, dim):
+        # boundaries at samples 1 and 3 fall mid-tick whenever the words per
+        # sample are not a multiple of 4 (haar_states at odd d, haar_unitary
+        # at odd d, uniform_overlap_states at d=2)
+        stream = RngStream(13, 4)
+        draw = {
+            "haar_states": lambda lo, n: haar_states(dim, stream, lo, n),
+            "haar_unitary": lambda lo, n: _haar_unitary_block(dim, stream, lo, n),
+            "uniform_overlap_states": lambda lo, n: uniform_overlap_states(
+                StateVector.basis_state(dim, 0), stream, lo, n),
+        }[sampler]
+        whole = draw(0, 8)
+        split = np.concatenate([draw(0, 1), draw(1, 2), draw(3, 5)])
+        assert np.array_equal(whole, split)
+        if sampler == "haar_unitary":
+            singles = np.stack([haar_unitary(dim, stream, i) for i in range(8)])
+            assert np.array_equal(whole, singles)
+
+    @pytest.mark.parametrize("words, expected", [
+        (4, [[0xc5fcb19f3348699d, 0x8333bde819728965, 0xb93fbcb38e0edb6d, 0x0e061fe183c3f693],
+             [0xd41b1957f40df0e9, 0xc9b622e9af14dfbd, 0x2b5d2164f29dd78d, 0x6d55372a505f74f9]]),
+        (16, [[0x47a2b1d8f5789225, 0xa3e8c89196bed3d2, 0xa09d0dcd099d30c3, 0xdb10e348ad0f0925],
+              [0xbacfd1fe7e2caf99, 0x6308f9a9d2bfcffb, 0x33639c7198150cf0, 0x8e1bdcd3e77b7b25]]),
+    ])
+    def test_whole_tick_layouts_keep_their_words(self, words, expected):
+        # samples of a multiple of 4 words keep the words they had when every
+        # sample started on a fresh counter tick: pbr-geometric's qubit states
+        # (4 words) and d=16 Haar overlaps (16 words)
+        assert _raw_words(RngStream(7, 3), 5, 2, words)[:, :4].tolist() == expected
 
 
 class TestHaarState:
