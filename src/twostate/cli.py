@@ -41,6 +41,7 @@ from .sampling import (
     HaarPure,
     RngStream,
     UniformOverlap,
+    _chunk_samples,
     _haar_unitary_block,
     _iter_chunks,
     _map_reduce,
@@ -135,7 +136,7 @@ def _from_config(cfg: ExperimentConfig, build, *keys):
             raise ConfigError(f"{cfg.experiment} requires {key!r} in the config file")
     try:
         return build(*(cfg.params[key] for key in keys))
-    except (TypeError, ValueError) as err:
+    except (TypeError, ValueError, OverflowError) as err:  # OverflowError: float() of a huge config integer
         raise ConfigError(f"invalid {'/'.join(keys)}: {err}") from None
 
 
@@ -173,6 +174,22 @@ def _probabilities(data) -> list:
         if not 0.0 <= p <= 1.0:
             raise ValueError(f"p values must lie in [0, 1], got {p}")
     return values
+
+
+def _tolerance(data) -> float:
+    """A finite number >= 0."""
+    value = float(data)
+    if not 0.0 <= value < math.inf:  # false for NaN
+        raise ValueError(f"expected a finite number >= 0, got {data!r}")
+    return value
+
+
+def _count(data) -> int:
+    """An integer >= 1."""
+    value = int(data)
+    if value < 1:
+        raise ValueError(f"expected an integer >= 1, got {data!r}")
+    return value
 
 
 def _dist_for(cfg: ExperimentConfig, target: StateVector):
@@ -248,15 +265,6 @@ def _run_basis_mc(cfg: ExperimentConfig) -> list[dict]:
     return records
 
 
-# Matrix entries per block of a sampled experiment: keeps memory flat in dim and samples.
-_SCAN_BLOCK_ENTRIES = 2**18
-
-
-def _block_size(dim: int) -> int:
-    """Samples per block when each sample carries d x d matrices."""
-    return max(1, _SCAN_BLOCK_ENTRIES // dim**2)
-
-
 def _run_exclusivity_scan(cfg: ExperimentConfig) -> list[dict]:
     fwd_stream, bwd_stream, basis_stream = (RngStream(cfg.seed, k) for k in (1, 2, 3))
 
@@ -268,7 +276,8 @@ def _run_exclusivity_scan(cfg: ExperimentConfig) -> list[dict]:
         return tally_rule((p + q)[:, :, 0], cfg.tie_tol)
 
     zero = np.zeros(cfg.dim + 2, dtype=np.int64)
-    tallies = _map_reduce(chunk_tallies, cfg.samples, cfg.workers, _block_size(cfg.dim), zero)
+    words = 2 * cfg.dim**2 + 4 * cfg.dim  # per sample: a Haar unitary and two Haar states
+    tallies = _map_reduce(chunk_tallies, cfg.samples, cfg.workers, _chunk_samples(words), zero)
     assigned = int(tallies[:-2].sum())
     return [_record(
         cfg, frequency=assigned / cfg.samples, no_assign_rate=int(tallies[-2]) / cfg.samples, oracle=0.0,
@@ -306,6 +315,16 @@ def _run_sic_search(cfg: ExperimentConfig) -> list[dict]:
     })]
 
 
+# sic-distinguish keeps blocks of this many matrix entries rather than the
+# word-sized chunks of the other sampled experiments: at d=3 those ran slower.
+_SIC_BLOCK_ENTRIES = 2**18
+
+
+def _sic_block_size(dim: int) -> int:
+    """Samples per sic-distinguish block; each sample carries d x d matrices."""
+    return max(1, _SIC_BLOCK_ENTRIES // dim**2)
+
+
 def _run_sic_distinguish(cfg: ExperimentConfig) -> list[dict]:
     povm = _sic_for(cfg)
     streams = [RngStream(cfg.seed, 10 + k) for k in range(4)]
@@ -317,7 +336,7 @@ def _run_sic_distinguish(cfg: ExperimentConfig) -> list[dict]:
         fired = _sic_fires(rho[0::2] + rho[1::2], povm, cfg.tie_tol)
         return np.count_nonzero((fired[0] != fired[1]).any(axis=-1))
 
-    separated = int(_map_reduce(chunk_separated, cfg.samples, cfg.workers, _block_size(cfg.dim), 0))
+    separated = int(_map_reduce(chunk_separated, cfg.samples, cfg.workers, _sic_block_size(cfg.dim), 0))
     return [_record(cfg, frequency=separated / cfg.samples, extra={
         "separated": separated,
         "no_separator": cfg.samples - separated,
@@ -357,9 +376,10 @@ def _run_pbr_geometric(cfg: ExperimentConfig) -> list[dict]:
         instances = 1
     else:
         streams = [RngStream(cfg.seed, 20 + k) for k in range(4)]
+        words = 4 * 2 * 2  # per instance: four qubit states
         blocks = (
             _bloch_vectors(np.stack([haar_states(2, st, lo, hi - lo) for st in streams]))
-            for lo, hi in _iter_chunks(cfg.samples, _block_size(2))
+            for lo, hi in _iter_chunks(cfg.samples, _chunk_samples(words))
         )
         instances = cfg.samples
 
@@ -445,14 +465,14 @@ _EXPERIMENTS = {
         "Check that the displacement orbit of a fiducial state yields d^2 projectors with "
         "pairwise trace overlap 1/(d+1) summing to d times the identity."
     ), (
-        _Param("tol", float, 1e-10, "validation tolerance"),
+        _Param("tol", _tolerance, 1e-10, "validation tolerance"),
     )),
     "sic-search": _Experiment(_run_sic_search, (
         "Search for a fiducial state whose displacement orbit is equiangular by minimizing "
         "the frame potential to its Welch bound 2d^3/(d+1), with seeded random restarts."
     ), (
-        _Param("restarts", int, 20, "number of random restarts"),
-        _Param("max_iters", int, 2000, "optimizer iterations per restart"),
+        _Param("restarts", _count, 20, "number of random restarts"),
+        _Param("max_iters", _count, 2000, "optimizer iterations per restart"),
     )),
     "sic-distinguish": _Experiment(_run_sic_distinguish, (
         "For random pairs of two-state assignments, find a projector-set element whose "

@@ -7,6 +7,10 @@ of Philox words; a sample that uses ``w`` words owns words
 produced with a fixed word consumption (no rejection), so estimates are
 bitwise reproducible no matter how the index range is chunked or how many
 workers run the chunks. Reduction across chunks is exact integer addition.
+Chunks are sized by Philox words, not by samples (``_chunk_samples``): a
+chunk holds at most ``_CHUNK_WORDS`` words, which keeps each of its arrays at
+256 KiB or less, small enough for the allocator to reuse them from chunk to
+chunk rather than return them to the operating system and fault them back in.
 
 The state samplers (``haar_states``, ``uniform_overlap_states``,
 ``haar_unitary``) build complex vectors from Box-Muller normals. The
@@ -45,7 +49,13 @@ __all__ = [
 
 _MASK64 = (1 << 64) - 1
 _U53 = 2.0**-53
-DEFAULT_CHUNK_SIZE = 16384
+_MAX_CHUNK_SAMPLES = 16384
+_CHUNK_WORDS = 2**15  # 256 KiB of words per chunk, and per float array built from them
+
+
+def _chunk_samples(words_per_sample: int) -> int:
+    """Samples per chunk when each sample uses ``words_per_sample`` Philox words."""
+    return max(1, min(_MAX_CHUNK_SAMPLES, _CHUNK_WORDS // words_per_sample))
 
 
 @dataclass(frozen=True)
@@ -154,18 +164,27 @@ def _complex_normals(words: np.ndarray) -> np.ndarray:
     return radius * np.exp(2j * np.pi * _u01(words[..., 1::2]))
 
 
-def _flat_dirichlet(words: np.ndarray, k: int) -> np.ndarray:
-    """First ``k`` coordinates of one flat Dirichlet point per row of words.
+def _flat_dirichlet(words: np.ndarray, k: int, first: int = 0) -> np.ndarray:
+    """First ``k`` coordinates of one flat Dirichlet point per row, over the
+    row's words from column ``first`` on.
 
-    The point is the row's standard exponentials ``-log u`` (u in (0, 1])
+    The point is the words' standard exponentials ``-log u`` (u in (0, 1])
     over their sum, computed as ``log u`` over the sum of the logs. A zero
     sum needs every word at its top value; that row gives zeros, which never
-    fire.
+    fire. Returns columns ``[0, first + k)`` of one float array shaped like
+    ``words``; the point is in columns ``first`` on, and the columns before
+    them are for the caller to overwrite. The words are overwritten: the
+    chunk allocates one array, not one per step of the arithmetic.
     """
-    logs = np.log(_u01_positive(words))
-    total = np.einsum("ij->i", logs)  # row sums; about 3x faster than sum(axis=1) on short rows
+    np.right_shift(words, np.uint64(11), out=words)
+    words += np.uint64(1)
+    # not out=words.view(float): numpy copies an aliased input of another dtype
+    logs = np.multiply(words, _U53)
+    np.log(logs, out=logs)
+    total = np.einsum("ij->i", logs[:, first:])  # row sums; about 3x faster than sum(axis=1) on short rows
     total[total == 0.0] = 1.0
-    return logs[:, :k] / total[:, None]
+    head = logs[:, : first + k]
+    return np.divide(head, total[:, None], out=head)
 
 
 def _haar_block(dim: int, stream: RngStream, first_sample: int, count: int) -> np.ndarray:
@@ -184,6 +203,15 @@ def _haar_unitary_block(dim: int, stream: RngStream, first_sample: int, count: i
     return q * (diag / np.abs(diag))[:, None, :]
 
 
+def _overlap_words(dist: BackwardDistribution, dim: int, k: int) -> int:
+    """Philox words per sample of ``_overlap_block``."""
+    if isinstance(dist, HaarPure):
+        return dim
+    if isinstance(dist, UniformOverlap):
+        return 1 if k == 1 else dim
+    raise TypeError(f"unknown backward distribution: {type(dist).__name__}")
+
+
 def _overlap_block(
     dist: BackwardDistribution, dim: int, k: int, stream: RngStream, first_sample: int, count: int
 ) -> np.ndarray:
@@ -196,15 +224,16 @@ def _overlap_block(
     and for k > 1 the rest is (1 - q_0) times a flat Dirichlet over the
     target's complement (d - 1 more words).
     """
+    words = _raw_words(stream, first_sample, count, _overlap_words(dist, dim, k))
     if isinstance(dist, HaarPure):
-        return _flat_dirichlet(_raw_words(stream, first_sample, count, dim), k)
-    if isinstance(dist, UniformOverlap):
-        words = _raw_words(stream, first_sample, count, 1 if k == 1 else dim)
-        q0 = _u01(words[:, :1])
-        if k == 1:
-            return q0
-        return np.concatenate([q0, (1.0 - q0) * _flat_dirichlet(words[:, 1:], k - 1)], axis=1)
-    raise TypeError(f"unknown backward distribution: {type(dist).__name__}")
+        return _flat_dirichlet(words, k)
+    q0 = _u01(words[:, :1])
+    if k == 1:
+        return q0
+    block = _flat_dirichlet(words, k - 1, first=1)  # whole rows: strided in-place steps read slower
+    block *= 1.0 - q0
+    block[:, :1] = q0
+    return block
 
 
 # --- public single-draw and batch samplers --------------------------------
@@ -288,7 +317,7 @@ def _rule_tallies(
     tie_tol: float,
     stream_index: int,
     workers: int,
-    chunk_size: int,
+    chunk_size: int | None,
 ) -> np.ndarray:
     """``tally_rule`` summed over sampled backward states; ``targets`` rows are the outcomes."""
     dim = forward.dim
@@ -312,9 +341,13 @@ def _rule_tallies(
 
     stream = RngStream(seed, stream_index)
     k = targets.shape[0]
+    if chunk_size is None:
+        chunk_size = _chunk_samples(_overlap_words(dist, dim, k))
 
     def chunk_tallies(lo: int, hi: int) -> np.ndarray:
-        return tally_rule(p + _overlap_block(dist, dim, k, stream, lo, hi - lo), tie_tol)
+        sums = _overlap_block(dist, dim, k, stream, lo, hi - lo)
+        sums += p
+        return tally_rule(sums, tie_tol)
 
     zero = np.zeros(k + 2, dtype=np.int64)
     return _map_reduce(chunk_tallies, n_samples, workers, chunk_size, zero)
@@ -330,9 +363,13 @@ def born_mc(
     *,
     stream_index: int = 0,
     workers: int = 1,
-    chunk_size: int = DEFAULT_CHUNK_SIZE,
+    chunk_size: int | None = None,
 ) -> BornEstimate:
-    """Frequency with which sampled backward states make the rule fire for ``a``."""
+    """Frequency with which sampled backward states make the rule fire for ``a``.
+
+    ``chunk_size`` fixes the samples per chunk; by default ``_chunk_samples``
+    sizes chunks by the Philox words a sample uses. Neither changes the result.
+    """
     tallies = _rule_tallies(
         forward, a.entries[None, :], dist, n_samples, seed, tie_tol, stream_index, workers, chunk_size
     )
@@ -349,7 +386,7 @@ def basis_mc(
     *,
     stream_index: int = 0,
     workers: int = 1,
-    chunk_size: int = DEFAULT_CHUNK_SIZE,
+    chunk_size: int | None = None,
 ) -> BasisMcResult:
     """Per-outcome rule frequencies over a full basis, plus the no-assignment rate.
 

@@ -19,6 +19,8 @@ from twostate import (
     weak_value,
 )
 
+from twostate.assignment import RULE_ROUNDING_BOUND
+
 from helpers import random_basis, random_state
 
 E0 = StateVector.basis_state(2, 0)
@@ -172,6 +174,27 @@ class TestTallyRule:
     def test_rejects_negative_tie_tol(self):
         with pytest.raises(ValueError, match="tie tolerance"):
             tally_rule(np.ones((1, 2)), tie_tol=-0.1)
+
+    @pytest.mark.parametrize("k", [1, 2, 16, 300])
+    @pytest.mark.parametrize("n", [0, 1, 5000])
+    @pytest.mark.parametrize("tie_tol", [0.0, 0.05])
+    def test_matches_a_per_row_reference(self, k, n, tie_tol):
+        threshold = 1.0 + tie_tol + RULE_ROUNDING_BOUND
+        rng = np.random.default_rng([k, n])
+        sums = rng.uniform(0.0, 1.0, (n, k))
+        for row in sums:  # each row fires none, one or several outcomes, next to exact ties
+            fire = rng.choice(k, size=rng.integers(0, min(k, 3) + 1), replace=False)
+            row[fire] = rng.uniform(threshold, 2.0, fire.size)
+            row[rng.integers(k)] = threshold  # a tie never fires, unless it is overwritten below
+            if rng.random() < 0.5:
+                row[rng.integers(k)] = np.nextafter(threshold, 2.0)
+        expected = [0] * (k + 2)
+        for row in sums.tolist():
+            fired = [j for j, s in enumerate(row) if s > threshold]
+            expected[fired[0] if len(fired) == 1 else k if not fired else k + 1] += 1
+        tally = tally_rule(sums, tie_tol)
+        assert tally.dtype == np.int64
+        assert tally.tolist() == expected
 
 
 class TestTimeReverse:

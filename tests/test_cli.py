@@ -188,6 +188,37 @@ class TestConfigHandling:
         assert capsys.readouterr().err == "error: tie-tol must be >= 0, got nan\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("route", ["flag", "config"])
+    @pytest.mark.parametrize("text, value", [
+        ("nan", float("nan")), ("-1", -1), ("inf", float("inf")), ("1e400", 10**400),
+    ], ids=["nan", "negative", "inf", "huge"])
+    def test_non_finite_or_negative_tol_exits_two(self, text, value, route, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"tol": value}))
+        source = ["--tol", text] if route == "flag" else ["--config", str(cfg)]
+        code, out = run_cli(["sic-validate", "--dim", "3", "--seed", "1", "--format", "json"] + source, tmp_path)
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: invalid tol: ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("route", ["flag", "config"])
+    @pytest.mark.parametrize("key, value", [
+        ("restarts", 0), ("restarts", -2), ("max_iters", 0), ("max_iters", -1),
+    ])
+    def test_search_counts_below_one_exit_two_before_the_search(
+            self, key, value, route, tmp_path, monkeypatch, capsys):
+        calls = []
+        monkeypatch.setattr("twostate.cli.search_fiducial", lambda *args: calls.append(args))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: value}))
+        source = ["--" + key.replace("_", "-"), str(value)] if route == "flag" else ["--config", str(cfg)]
+        code, out = run_cli(["sic-search", "--dim", "2", "--seed", "1"] + source, tmp_path)
+        shown = str(value) if route == "flag" else value  # flag values arrive as text
+        assert code == 2
+        assert capsys.readouterr().err == f"error: invalid {key}: expected an integer >= 1, got {shown!r}\n"
+        assert calls == []
+        assert not out.exists()
+
     @pytest.mark.parametrize("instance", [
         [[2, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]],
         [["x", 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]],

@@ -18,7 +18,15 @@ from twostate import (
     uniform_overlap_states,
 )
 from twostate.assignment import RULE_ROUNDING_BOUND
-from twostate.sampling import _haar_unitary_block, _overlap_block, _raw_words
+from twostate.sampling import (
+    _chunk_samples,
+    _flat_dirichlet,
+    _haar_unitary_block,
+    _overlap_block,
+    _raw_words,
+    _u01,
+    _u01_positive,
+)
 
 from helpers import random_unitary
 
@@ -199,6 +207,51 @@ class TestOverlapLaw:
         dist = UniformOverlap(StateVector.basis_state(5, 0))
         block = _overlap_block(dist, 5, 5, RngStream(5, 3), 0, 10)
         assert np.array_equal(block[6:], _overlap_block(dist, 5, 5, RngStream(5, 3), 6, 4))
+
+
+def _dirichlet_reference(words: np.ndarray, k: int) -> np.ndarray:
+    """The flat Dirichlet coordinates as fresh arrays: log u over the row sum of the logs."""
+    logs = np.log(_u01_positive(words))
+    total = np.einsum("ij->i", logs)
+    total[total == 0.0] = 1.0
+    return logs[:, :k] / total[:, None]
+
+
+class TestOverlapBlockArithmetic:
+    """The in-place overlap kernel computes bit for bit what fresh arrays compute."""
+
+    @pytest.mark.parametrize("dim", [2, 3, 16])
+    @pytest.mark.parametrize("law, full_basis", [("haar", False), ("haar", True), ("uniform-overlap", True)],
+                             ids=["haar-k=1", "haar-k=d", "uniform-overlap-k=d"])
+    def test_matches_the_fresh_array_formula(self, law, full_basis, dim):
+        stream, lo, n = RngStream(17, 2), 5, 3000
+        k = dim if full_basis else 1
+        words = _raw_words(stream, lo, n, dim)
+        if law == "haar":
+            dist, expected = HaarPure(), _dirichlet_reference(words, k)
+        else:
+            dist = UniformOverlap(StateVector.basis_state(dim, 0))
+            q0 = _u01(words[:, :1])
+            expected = np.concatenate([q0, (1.0 - q0) * _dirichlet_reference(words[:, 1:], k - 1)], axis=1)
+        drawn = _overlap_block(dist, dim, k, stream, lo, n)
+        assert drawn.shape == (n, k)
+        assert np.array_equal(drawn.view(np.uint64), expected.view(np.uint64))
+
+    def test_a_row_of_top_words_gives_zeros(self):
+        words = _raw_words(RngStream(3), 0, 4, 5)
+        words[2] = np.iinfo(np.uint64).max  # every u is 1: the logs sum to zero
+        expected = _dirichlet_reference(words, 5)
+        drawn = _flat_dirichlet(words.copy(), 5)
+        assert np.array_equal(drawn.view(np.uint64), expected.view(np.uint64))
+        assert not drawn[2].any()
+
+
+class TestDefaultChunks:
+    def test_chunks_are_sized_by_words(self):
+        assert _chunk_samples(1) == 16384  # the sample cap, not the word budget
+        assert _chunk_samples(4) == 8192
+        assert _chunk_samples(16) == 2048
+        assert _chunk_samples(2**16) == 1  # a sample above the budget still gets a chunk
 
 
 class TestUniformOverlapContract:
