@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -176,9 +177,23 @@ def _probabilities(data) -> list:
     return values
 
 
+def _integer(data) -> int:
+    """A JSON integer or the integer text a flag takes; a boolean or a float is no integer."""
+    if isinstance(data, bool) or not isinstance(data, (int, str)):
+        raise ValueError(f"expected an integer, got {data!r}")
+    return int(data)
+
+
+def _real(data) -> float:
+    """A JSON number or the number text a flag takes; a boolean is no number."""
+    if isinstance(data, bool):
+        raise ValueError(f"expected a number, got {data!r}")
+    return float(data)
+
+
 def _tolerance(data) -> float:
     """A finite number >= 0."""
-    value = float(data)
+    value = _real(data)
     if not 0.0 <= value < math.inf:  # false for NaN
         raise ValueError(f"expected a finite number >= 0, got {data!r}")
     return value
@@ -186,7 +201,7 @@ def _tolerance(data) -> float:
 
 def _count(data) -> int:
     """An integer >= 1."""
-    value = int(data)
+    value = _integer(data)
     if value < 1:
         raise ValueError(f"expected an integer >= 1, got {data!r}")
     return value
@@ -595,12 +610,22 @@ def result_schema() -> dict:
 
 
 def _build_parser(argv=()) -> argparse.ArgumentParser:
-    """The parser of ``argv``: when it starts with an experiment name, only that subparser is built.
+    """The parser of ``argv``: when it starts with an experiment name, the one with only that subparser.
 
-    Any other ``argv`` (help, no arguments, an unknown name, an option first) gets all
-    of them, so that every message argparse prints is the same either way.
+    Any other ``argv`` (help, no arguments, an unknown name, an option first) gets the one with
+    all of them, so that every message argparse prints is the same either way.
     """
-    names = [argv[0]] if argv and argv[0] in _EXPERIMENTS else EXPERIMENTS
+    return _parser(argv[0] if argv and argv[0] in _EXPERIMENTS else None)
+
+
+@functools.cache
+def _parser(only: str | None) -> argparse.ArgumentParser:
+    """The parser with ``only``'s subparser, or with every experiment's for None; built once per process.
+
+    Parsing leaves a parser unchanged, and argparse reads the terminal width when it formats
+    help, not here, so one parser serves every call.
+    """
+    names = [only] if only is not None else EXPERIMENTS
     parser = argparse.ArgumentParser(
         prog="twostate",
         description="Deterministic experiment harness for the two-state outcome-assignment model.",
@@ -627,7 +652,8 @@ def _build_parser(argv=()) -> argparse.ArgumentParser:
     return parser
 
 
-_CONFIG_FIELDS = {"dim": int, "samples": int, "seed": int, "tie_tol": float, "dist": str, "workers": int}
+_CONFIG_FIELDS = {"dim": _integer, "samples": _integer, "seed": _integer, "tie_tol": _real, "dist": str,
+                  "workers": _integer}
 
 
 def _load_config(path: str | None, experiment: str) -> dict:
@@ -656,7 +682,7 @@ def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
         if name in data and data[name] is not None:
             try:
                 setattr(cfg, name, cast(data[name]))
-            except (TypeError, ValueError):
+            except (TypeError, ValueError, OverflowError):  # OverflowError: float() of a huge config integer
                 raise ConfigError(f"config field {name!r} has invalid value {data[name]!r}") from None
         flag_value = getattr(args, name, None)
         if flag_value is not None:

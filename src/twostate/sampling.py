@@ -7,10 +7,13 @@ of Philox words; a sample that uses ``w`` words owns words
 produced with a fixed word consumption (no rejection), so estimates are
 bitwise reproducible no matter how the index range is chunked or how many
 workers run the chunks. Reduction across chunks is exact integer addition.
-Chunks are sized by Philox words, not by samples (``_chunk_samples``): a
-chunk holds at most ``_CHUNK_WORDS`` words, which keeps each of its arrays at
-256 KiB or less, small enough for the allocator to reuse them from chunk to
-chunk rather than return them to the operating system and fault them back in.
+Each word becomes one uniform on [0, 1) (``_uniforms``), written straight
+into a float array with no array of words in between. Chunks are sized by
+Philox words, not by samples (``_chunk_samples``): a chunk holds at most
+``_CHUNK_WORDS`` words, 256 KiB of uniforms. Each thread that runs
+estimator chunks keeps one such buffer (``_chunk_buffer``) and builds every
+chunk's overlaps in it, so a chunk allocates no large array, and whether its
+pages stay mapped does not depend on the heap's history.
 
 The state samplers (``haar_states``, ``uniform_overlap_states``,
 ``haar_unitary``) build complex vectors from Box-Muller normals. The
@@ -22,11 +25,12 @@ closed-form laws (``_overlap_block``).
 from __future__ import annotations
 
 import math
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.random import Philox
+from numpy.random import Generator, Philox
 
 from .assignment import MultipleOutcomesError, tally_rule
 from .qcore import ORTHONORMAL_TOL, OrthonormalBasis, StateVector
@@ -50,12 +54,31 @@ __all__ = [
 _MASK64 = (1 << 64) - 1
 _U53 = 2.0**-53
 _MAX_CHUNK_SAMPLES = 16384
-_CHUNK_WORDS = 2**15  # 256 KiB of words per chunk, and per float array built from them
+_CHUNK_WORDS = 2**15  # 256 KiB of uniforms per chunk buffer
 
 
 def _chunk_samples(words_per_sample: int) -> int:
     """Samples per chunk when each sample uses ``words_per_sample`` Philox words."""
     return max(1, min(_MAX_CHUNK_SAMPLES, _CHUNK_WORDS // words_per_sample))
+
+
+_THREAD = threading.local()  # each thread's chunk buffer, kept for the thread's life
+
+
+def _chunk_buffer(count: int, words_per_sample: int) -> np.ndarray:
+    """A (count, words_per_sample) float array for one estimator chunk's uniforms.
+
+    A chunk of at most ``_CHUNK_WORDS`` words gets a view of the calling
+    thread's one buffer, so chunk after chunk and call after call write the
+    same pages, and no two threads share one. Only an explicit ``chunk_size``
+    beyond that gets an array of its own.
+    """
+    size = count * words_per_sample
+    if size > _CHUNK_WORDS:
+        return np.empty((count, words_per_sample))
+    if not hasattr(_THREAD, "buffer"):
+        _THREAD.buffer = np.empty(_CHUNK_WORDS)
+    return _THREAD.buffer[:size].reshape(count, words_per_sample)
 
 
 @dataclass(frozen=True)
@@ -130,65 +153,58 @@ class BasisMcResult:
         return self.frequencies() / assigned
 
 
-# --- raw counter-based draws ----------------------------------------------
+# --- counter-based uniforms -----------------------------------------------
 
 
-def _raw_words(stream: RngStream, first_sample: int, count: int, words_per_sample: int) -> np.ndarray:
-    """uint64 words, one contiguous row per sample.
+def _uniforms(
+    stream: RngStream, first_sample: int, count: int, words_per_sample: int, out: np.ndarray | None = None
+) -> np.ndarray:
+    """Uniforms on [0, 1), one per Philox word, one contiguous row per sample.
 
     With ``w = words_per_sample``, sample ``j`` owns words ``[j*w, (j+1)*w)``
     of the stream's one word sequence, so row i depends only on
     (stream, first_sample + i). A Philox counter tick yields four words:
     the draw starts at the tick holding the first word and drops the words
-    before it.
+    before it. Each word becomes ``(word >> 11) * 2**-53``, numpy's Philox
+    double, so ``u + 2**-53`` is the same word's uniform on (0, 1], exactly.
+    The rows are written into ``out`` (C-contiguous, shape ``(count, w)``)
+    when it is given: the estimators pass their thread's chunk buffer.
     """
     first_word = first_sample * words_per_sample
-    skip = first_word % 4
     bit_gen = Philox(key=stream.key(), counter=first_word // 4)
-    return bit_gen.random_raw(skip + count * words_per_sample)[skip:].reshape(count, words_per_sample)
+    bit_gen.random_raw(first_word % 4)
+    if out is None:
+        out = np.empty((count, words_per_sample))
+    return Generator(bit_gen).random(out=out)
 
 
-def _u01(words: np.ndarray) -> np.ndarray:
-    """Uniform [0, 1) from the top 53 bits of each word."""
-    return (words >> np.uint64(11)) * _U53
+def _complex_normals(u: np.ndarray) -> np.ndarray:
+    """One standard complex normal per pair of uniforms (Box-Muller, fixed cost)."""
+    radius = np.sqrt(-2.0 * np.log(u[..., 0::2] + _U53))
+    return radius * np.exp(2j * np.pi * u[..., 1::2])
 
 
-def _u01_positive(words: np.ndarray) -> np.ndarray:
-    """Uniform (0, 1] from the top 53 bits of each word."""
-    return ((words >> np.uint64(11)) + np.uint64(1)) * _U53
-
-
-def _complex_normals(words: np.ndarray) -> np.ndarray:
-    """One standard complex normal per pair of words (Box-Muller, fixed cost)."""
-    radius = np.sqrt(-2.0 * np.log(_u01_positive(words[..., 0::2])))
-    return radius * np.exp(2j * np.pi * _u01(words[..., 1::2]))
-
-
-def _flat_dirichlet(words: np.ndarray, k: int, first: int = 0) -> np.ndarray:
+def _flat_dirichlet(u: np.ndarray, k: int, first: int = 0) -> np.ndarray:
     """First ``k`` coordinates of one flat Dirichlet point per row, over the
-    row's words from column ``first`` on.
+    row's uniforms from column ``first`` on.
 
-    The point is the words' standard exponentials ``-log u`` (u in (0, 1])
-    over their sum, computed as ``log u`` over the sum of the logs. A zero
-    sum needs every word at its top value; that row gives zeros, which never
-    fire. Returns columns ``[0, first + k)`` of one float array shaped like
-    ``words``; the point is in columns ``first`` on, and the columns before
-    them are for the caller to overwrite. The words are overwritten: the
-    chunk allocates one array, not one per step of the arithmetic.
+    The point is the standard exponentials ``-log v`` (v = u + 2**-53, in
+    (0, 1]) over their sum, computed as ``log v`` over the sum of the logs. A
+    zero sum needs every uniform at its top value; that row gives zeros,
+    which never fire. Returns columns ``[0, first + k)`` of ``u`` itself,
+    overwritten in place; the point is in columns ``first`` on, and the
+    columns before them are for the caller to overwrite.
     """
-    np.right_shift(words, np.uint64(11), out=words)
-    words += np.uint64(1)
-    # not out=words.view(float): numpy copies an aliased input of another dtype
-    logs = np.multiply(words, _U53)
-    np.log(logs, out=logs)
-    total = np.einsum("ij->i", logs[:, first:])  # row sums; about 3x faster than sum(axis=1) on short rows
+    u += _U53
+    np.log(u, out=u)
+    total = np.einsum("ij->i", u[:, first:])  # row sums; about 3x faster than sum(axis=1) on short rows
     total[total == 0.0] = 1.0
-    head = logs[:, : first + k]
+    head = u[:, : first + k]
     return np.divide(head, total[:, None], out=head)
 
 
 def _haar_block(dim: int, stream: RngStream, first_sample: int, count: int) -> np.ndarray:
-    gauss = _complex_normals(_raw_words(stream, first_sample, count, 2 * dim))
+    gauss = _complex_normals(_uniforms(stream, first_sample, count, 2 * dim))
     norms = np.linalg.norm(gauss, axis=1, keepdims=True)
     norms[norms == 0.0] = 1.0
     return gauss / norms
@@ -196,7 +212,7 @@ def _haar_block(dim: int, stream: RngStream, first_sample: int, count: int) -> n
 
 def _haar_unitary_block(dim: int, stream: RngStream, first_sample: int, count: int) -> np.ndarray:
     """Haar unitaries, shape (count, dim, dim); matrix i depends only on (stream, first_sample + i)."""
-    gauss = _complex_normals(_raw_words(stream, first_sample, count, 2 * dim * dim)).reshape(count, dim, dim)
+    gauss = _complex_normals(_uniforms(stream, first_sample, count, 2 * dim * dim)).reshape(count, dim, dim)
     q, r = np.linalg.qr(gauss)
     diag = np.diagonal(r, axis1=1, axis2=2).copy()
     diag[diag == 0.0] = 1.0
@@ -213,7 +229,8 @@ def _overlap_words(dist: BackwardDistribution, dim: int, k: int) -> int:
 
 
 def _overlap_block(
-    dist: BackwardDistribution, dim: int, k: int, stream: RngStream, first_sample: int, count: int
+    dist: BackwardDistribution, dim: int, k: int, stream: RngStream, first_sample: int, count: int,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Overlaps ``|<b|a_j>|^2``, shape (count, k), of sampled backward states b
     with the first ``k`` vectors of an orthonormal set; row i depends only on
@@ -222,17 +239,19 @@ def _overlap_block(
     Haar: the d overlaps are flat Dirichlet (d words per sample), whatever the
     set. Uniform overlap, with the target as a_0: q_0 ~ U(0, 1) (one word),
     and for k > 1 the rest is (1 - q_0) times a flat Dirichlet over the
-    target's complement (d - 1 more words).
+    target's complement (d - 1 more words). The block is built in ``out``,
+    shape ``(count, _overlap_words(dist, dim, k))``, when it is given, and
+    the result is a view of it.
     """
-    words = _raw_words(stream, first_sample, count, _overlap_words(dist, dim, k))
+    u = _uniforms(stream, first_sample, count, _overlap_words(dist, dim, k), out)
     if isinstance(dist, HaarPure):
-        return _flat_dirichlet(words, k)
-    q0 = _u01(words[:, :1])
+        return _flat_dirichlet(u, k)
     if k == 1:
-        return q0
-    block = _flat_dirichlet(words, k - 1, first=1)  # whole rows: strided in-place steps read slower
-    block *= 1.0 - q0
-    block[:, :1] = q0
+        return u
+    scale = 1.0 - u[:, :1]  # exact, as is 1 - scale: q_0 is a multiple of 2**-53 in [0, 1)
+    block = _flat_dirichlet(u, k - 1, first=1)  # whole rows: strided in-place steps read slower
+    block *= scale
+    np.subtract(1.0, scale, out=block[:, :1])
     return block
 
 
@@ -257,10 +276,10 @@ def uniform_overlap_states(a: StateVector, rng: RngStream, start: int, count: in
     """Rows are states whose squared overlap with ``a`` is uniform on [0, 1)."""
     target = a.entries
     dim = target.shape[0]
-    words = _raw_words(rng, start, count, 2 * dim + 2)
-    gauss = _complex_normals(words[:, : 2 * dim])
-    overlap_sq = _u01(words[:, 2 * dim])
-    phase = np.exp(2j * np.pi * _u01(words[:, 2 * dim + 1]))
+    u = _uniforms(rng, start, count, 2 * dim + 2)
+    gauss = _complex_normals(u[:, : 2 * dim])
+    overlap_sq = u[:, 2 * dim]
+    phase = np.exp(2j * np.pi * u[:, 2 * dim + 1])
 
     # Haar direction in the orthogonal complement of the target.
     coeff = gauss @ target.conj()
@@ -341,11 +360,12 @@ def _rule_tallies(
 
     stream = RngStream(seed, stream_index)
     k = targets.shape[0]
+    words = _overlap_words(dist, dim, k)
     if chunk_size is None:
-        chunk_size = _chunk_samples(_overlap_words(dist, dim, k))
+        chunk_size = _chunk_samples(words)
 
     def chunk_tallies(lo: int, hi: int) -> np.ndarray:
-        sums = _overlap_block(dist, dim, k, stream, lo, hi - lo)
+        sums = _overlap_block(dist, dim, k, stream, lo, hi - lo, _chunk_buffer(hi - lo, words))
         sums += p
         return tally_rule(sums, tie_tol)
 

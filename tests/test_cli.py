@@ -31,7 +31,16 @@ from twostate import (
     sic_distinguish,
     state_from_bloch,
 )
-from twostate.cli import _EXPERIMENTS, CSV_COLUMNS, EXPERIMENTS, _build_parser, emit_results, main, result_schema
+from twostate.cli import (
+    _EXPERIMENTS,
+    CSV_COLUMNS,
+    EXPERIMENTS,
+    _build_parser,
+    _parser,
+    emit_results,
+    main,
+    result_schema,
+)
 from twostate.qcore import matrix_from_json, matrix_to_json, vector_to_json
 
 from helpers import random_unitary
@@ -219,6 +228,83 @@ class TestConfigHandling:
         assert calls == []
         assert not out.exists()
 
+    @pytest.mark.parametrize("field, args", [
+        ("dim", ["born-mc"]), ("samples", ["born-mc"]), ("seed", ["born-mc"]), ("workers", ["born-mc"]),
+        ("restarts", ["sic-search", "--dim", "2", "--max-iters", "5"]),
+        ("max_iters", ["sic-search", "--dim", "2", "--restarts", "1"]),
+    ])
+    @pytest.mark.parametrize("value", [True, False, 2.7, 3.0, 1000.9, "2.7", [3]],
+                             ids=["true", "false", "fraction", "integral-float", "large-fraction", "text-fraction",
+                                  "list"])
+    def test_integer_field_rejects_booleans_and_fractions(self, field, args, value, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr("twostate.cli.search_fiducial", lambda *a: pytest.fail("the search ran"))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"seed": 1, "samples": 10, "p_grid": [0.5], field: value}))
+        code, out = run_cli(args + ["--config", str(cfg)], tmp_path)
+        assert code == 2
+        err = capsys.readouterr().err
+        if field in ("restarts", "max_iters"):
+            assert err.startswith(f"error: invalid {field}: ")
+        else:
+            assert err == f"error: config field {field!r} has invalid value {value!r}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("field, args", [
+        ("dim", ["born-mc", "--seed", "1", "--samples", "10"]),
+        ("samples", ["born-mc", "--seed", "1"]),
+        ("seed", ["born-mc", "--samples", "10"]),
+        ("workers", ["born-mc", "--seed", "1", "--samples", "10"]),
+        ("restarts", ["sic-search", "--dim", "2", "--seed", "1", "--max-iters", "5"]),
+        ("max_iters", ["sic-search", "--dim", "2", "--seed", "1", "--restarts", "1"]),
+    ])
+    @pytest.mark.parametrize("text", ["true", "2.7", "3.0"])
+    def test_integer_flag_rejects_booleans_and_fractions(self, field, args, text, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr("twostate.cli.search_fiducial", lambda *a: pytest.fail("the search ran"))
+        argv = args + ["--" + field.replace("_", "-"), text, "--out", str(tmp_path / "out.csv")]
+        if field in ("restarts", "max_iters"):  # converted by the experiment table
+            assert main(argv) == 2
+            assert capsys.readouterr().err.startswith(f"error: invalid {field}: ")
+        else:  # converted by argparse
+            assert parse_outcome(main, argv)[2] == 2
+        assert not (tmp_path / "out.csv").exists()
+
+    @pytest.mark.parametrize("field, args, flag_value", [
+        ("dim", ["born-mc", "--seed", "1", "--samples", "300"], 3),
+        ("samples", ["born-mc", "--seed", "1"], 300),
+        ("seed", ["born-mc", "--samples", "300"], 4),
+        ("workers", ["born-mc", "--seed", "1", "--samples", "300"], 2),
+        ("restarts", ["sic-search", "--dim", "2", "--seed", "1", "--max-iters", "20"], 2),
+        ("max_iters", ["sic-search", "--dim", "2", "--seed", "1", "--restarts", "1"], 20),
+    ])
+    def test_integer_field_takes_an_integer_or_its_text(self, field, args, flag_value, tmp_path):
+        argv = args + ["--no-timing"]
+        _, from_flag = run_cli(argv + ["--" + field.replace("_", "-"), str(flag_value)], tmp_path, "flag.csv")
+        for value in (flag_value, str(flag_value)):
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({field: value}))
+            code, from_config = run_cli(argv + ["--config", str(cfg)], tmp_path, "config.csv")
+            assert code == 0
+            assert from_config.read_bytes() == from_flag.read_bytes()
+
+    @pytest.mark.parametrize("field, args", [
+        ("tie_tol", ["born-mc", "--samples", "10"]),
+        ("tol", ["sic-validate", "--dim", "3"]),
+    ])
+    @pytest.mark.parametrize("route", ["flag", "config"])
+    def test_real_field_rejects_booleans(self, field, args, route, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({field: True}))
+        source = ["--" + field.replace("_", "-"), "true"] if route == "flag" else ["--config", str(cfg)]
+        argv = args + ["--seed", "1", "--out", str(tmp_path / "out.csv")] + source
+        if field == "tie_tol" and route == "flag":  # converted by argparse
+            assert parse_outcome(main, argv)[2] == 2
+        else:
+            assert main(argv) == 2
+            expected = ("error: config field 'tie_tol' has invalid value True" if field == "tie_tol"
+                        else "error: invalid tol: ")
+            assert capsys.readouterr().err.startswith(expected)
+        assert not (tmp_path / "out.csv").exists()
+
     @pytest.mark.parametrize("instance", [
         [[2, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]],
         [["x", 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]],
@@ -305,7 +391,7 @@ def python(*args):
 class TestParser:
     @pytest.mark.parametrize("argv", PARSER_ARGVS, ids=" ".join)
     def test_output_matches_the_full_parser(self, argv):
-        reference = parse_outcome(lambda a: _build_parser().parse_args(a), argv)
+        reference = parse_outcome(lambda a: _parser.__wrapped__(None).parse_args(a), argv)  # built afresh
         assert len(reference[0]) + len(reference[1]) > 0
         assert parse_outcome(main, argv) == reference
 
@@ -314,6 +400,32 @@ class TestParser:
         parser = _build_parser([experiment, "--seed", "1"])
         (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
         assert list(sub.choices) == [experiment]
+
+    @pytest.mark.parametrize("argv", [["born-mc", "--seed", "1"], ["basis-mc"], ["--help"], [], ["bogus"]],
+                             ids=" ".join)
+    def test_each_parser_is_built_once(self, argv):
+        assert _build_parser(argv) is _build_parser(list(argv))
+        assert (_build_parser(argv) is _build_parser()) == (not argv or argv[0] not in EXPERIMENTS)
+
+    def test_a_call_leaves_nothing_for_the_next(self, tmp_path, capsys):
+        assert main(["born-mc", "--dim", "4", "--tie-tol", "0.05", "--p-grid", "0.3", "--seed", "1",
+                     "--samples", "100", "--out", str(tmp_path / "first.csv")]) == 0
+        argv = ["born-mc", "--seed", "5", "--samples", "500", "--no-timing", "--format", "json"]
+        assert main(argv) == 0
+        proc = python("-m", "twostate.cli", *argv)
+        assert proc.returncode == 0, proc.stderr
+        assert capsys.readouterr().out.encode() == proc.stdout
+
+    @pytest.mark.parametrize("argv", [["born-mc", "--help"], ["sic-search", "--help"], ["--help"]], ids=" ".join)
+    def test_help_follows_the_width_at_the_time_it_is_printed(self, argv, monkeypatch):
+        only = argv[0] if argv[0] in EXPERIMENTS else None
+        _build_parser(argv)  # built at the default width
+        printed = {}
+        for columns in ("60", "200"):
+            monkeypatch.setenv("COLUMNS", columns)
+            printed[columns] = parse_outcome(main, argv)
+            assert printed[columns] == parse_outcome(lambda a: _parser.__wrapped__(only).parse_args(a), argv)
+        assert printed["60"] != printed["200"]
 
     def test_argv_none_reads_the_process_arguments(self, capsys):
         argv = ["born-mc", "--seed", "5", "--samples", "500", "--no-timing", "--format", "json"]

@@ -1,3 +1,5 @@
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -19,13 +21,14 @@ from twostate import (
 )
 from twostate.assignment import RULE_ROUNDING_BOUND
 from twostate.sampling import (
+    _CHUNK_WORDS,
+    _chunk_buffer,
     _chunk_samples,
     _flat_dirichlet,
     _haar_unitary_block,
     _overlap_block,
-    _raw_words,
-    _u01,
-    _u01_positive,
+    _overlap_words,
+    _uniforms,
 )
 
 from helpers import random_unitary
@@ -82,10 +85,10 @@ class TestWordExactAddressing:
     def test_samples_are_consecutive_slices_of_one_word_stream(self, words, lo):
         stream = RngStream(11, 2)
         n = 9
-        block = _raw_words(stream, lo, n, words)
+        block = _uniforms(stream, lo, n, words)
         assert block.shape == (n, words)
         assert block.flags.c_contiguous
-        flat = _raw_words(stream, 0, (lo + n) * words, 1).ravel()
+        flat = _uniforms(stream, 0, (lo + n) * words, 1).ravel()
         assert np.array_equal(block.ravel(), flat[lo * words:])
 
     @pytest.mark.parametrize("dim", [2, 3, 5])
@@ -117,8 +120,9 @@ class TestWordExactAddressing:
     def test_whole_tick_layouts_keep_their_words(self, words, expected):
         # samples of a multiple of 4 words keep the words they had when every
         # sample started on a fresh counter tick: pbr-geometric's qubit states
-        # (4 words) and d=16 Haar overlaps (16 words)
-        assert _raw_words(RngStream(7, 3), 5, 2, words)[:, :4].tolist() == expected
+        # (4 words) and d=16 Haar overlaps (16 words); each word's uniform is its top 53 bits
+        uniforms = [[(word >> 11) * 2.0**-53 for word in row] for row in expected]
+        assert _uniforms(RngStream(7, 3), 5, 2, words)[:, :4].tolist() == uniforms
 
 
 class TestHaarState:
@@ -209,9 +213,9 @@ class TestOverlapLaw:
         assert np.array_equal(block[6:], _overlap_block(dist, 5, 5, RngStream(5, 3), 6, 4))
 
 
-def _dirichlet_reference(words: np.ndarray, k: int) -> np.ndarray:
-    """The flat Dirichlet coordinates as fresh arrays: log u over the row sum of the logs."""
-    logs = np.log(_u01_positive(words))
+def _dirichlet_reference(u: np.ndarray, k: int) -> np.ndarray:
+    """The flat Dirichlet coordinates as fresh arrays: log(u + 2**-53) over the row sum of the logs."""
+    logs = np.log(u + 2.0**-53)
     total = np.einsum("ij->i", logs)
     total[total == 0.0] = 1.0
     return logs[:, :k] / total[:, None]
@@ -226,22 +230,31 @@ class TestOverlapBlockArithmetic:
     def test_matches_the_fresh_array_formula(self, law, full_basis, dim):
         stream, lo, n = RngStream(17, 2), 5, 3000
         k = dim if full_basis else 1
-        words = _raw_words(stream, lo, n, dim)
+        u = _uniforms(stream, lo, n, dim)
         if law == "haar":
-            dist, expected = HaarPure(), _dirichlet_reference(words, k)
+            dist, expected = HaarPure(), _dirichlet_reference(u, k)
         else:
             dist = UniformOverlap(StateVector.basis_state(dim, 0))
-            q0 = _u01(words[:, :1])
-            expected = np.concatenate([q0, (1.0 - q0) * _dirichlet_reference(words[:, 1:], k - 1)], axis=1)
+            q0 = u[:, :1]
+            expected = np.concatenate([q0, (1.0 - q0) * _dirichlet_reference(u[:, 1:], k - 1)], axis=1)
         drawn = _overlap_block(dist, dim, k, stream, lo, n)
         assert drawn.shape == (n, k)
         assert np.array_equal(drawn.view(np.uint64), expected.view(np.uint64))
 
+    @pytest.mark.parametrize("law, k", [("haar", 1), ("haar", 3), ("uniform-overlap", 1), ("uniform-overlap", 3)])
+    def test_fills_the_buffer_it_is_given(self, law, k):
+        dim, stream = 3, RngStream(19, 1)
+        dist = HaarPure() if law == "haar" else UniformOverlap(StateVector.basis_state(dim, 0))
+        buffer = np.full((200, _overlap_words(dist, dim, k)), np.nan)
+        drawn = _overlap_block(dist, dim, k, stream, 7, 200, buffer)
+        assert np.shares_memory(drawn, buffer)
+        assert np.array_equal(drawn, _overlap_block(dist, dim, k, stream, 7, 200))
+
     def test_a_row_of_top_words_gives_zeros(self):
-        words = _raw_words(RngStream(3), 0, 4, 5)
-        words[2] = np.iinfo(np.uint64).max  # every u is 1: the logs sum to zero
-        expected = _dirichlet_reference(words, 5)
-        drawn = _flat_dirichlet(words.copy(), 5)
+        u = _uniforms(RngStream(3), 0, 4, 5)
+        u[2] = (2**64 - 1 >> 11) * 2.0**-53  # the top word's uniform: every log is 0, and so is their sum
+        expected = _dirichlet_reference(u, 5)
+        drawn = _flat_dirichlet(u.copy(), 5)
         assert np.array_equal(drawn.view(np.uint64), expected.view(np.uint64))
         assert not drawn[2].any()
 
@@ -252,6 +265,48 @@ class TestDefaultChunks:
         assert _chunk_samples(4) == 8192
         assert _chunk_samples(16) == 2048
         assert _chunk_samples(2**16) == 1  # a sample above the budget still gets a chunk
+
+
+class TestChunkBuffers:
+    """Each thread keeps one chunk buffer for the estimators; the public samplers return fresh arrays."""
+
+    def test_public_sampler_results_never_alias(self):
+        stream, target = RngStream(23, 0), StateVector.basis_state(3, 0)
+        draws = [
+            haar_states(3, stream, 0, 50), haar_states(3, stream, 0, 50),
+            uniform_overlap_states(target, stream, 0, 50), uniform_overlap_states(target, stream, 0, 50),
+            haar_unitary(3, stream, 0), haar_unitary(3, stream, 0),
+        ]
+        for i, a in enumerate(draws):
+            for b in draws[i + 1:]:
+                assert not np.shares_memory(a, b)
+
+    def test_each_thread_reuses_its_own_buffer(self):
+        first, again = _chunk_buffer(100, 5), _chunk_buffer(7, 16)
+        assert first.shape == (100, 5) and again.shape == (7, 16) and again.flags.c_contiguous
+        assert np.shares_memory(first, again)
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            other = pool.submit(_chunk_buffer, 100, 5).result()
+        assert not np.shares_memory(first, other)
+        # only an explicit chunk size beyond the buffer gets an array of its own
+        assert not np.shares_memory(first, _chunk_buffer(_CHUNK_WORDS // 4 + 1, 4))
+
+    @pytest.mark.parametrize("law", ["haar", "uniform-overlap"])
+    @pytest.mark.parametrize("dim", [2, 5])
+    def test_tallies_do_not_depend_on_workers_or_chunks(self, law, dim):
+        n = 7001
+        basis = OrthonormalBasis.computational(dim)
+        fwd = StateVector(np.sqrt(np.linspace(1.0, 2.0, dim) / np.linspace(1.0, 2.0, dim).sum()).astype(complex))
+        dist = HaarPure() if law == "haar" else UniformOverlap(basis[0])
+        runs = {
+            (workers, chunk): (
+                born_mc(fwd, basis[0], dist, n, seed=31, workers=workers, chunk_size=chunk),
+                basis_mc(fwd, basis, dist, n, seed=31, workers=workers, chunk_size=chunk),
+            )
+            for workers in (1, 3)
+            for chunk in (None, 7, 997, 4096, 10**5)
+        }
+        assert len(set(runs.values())) == 1
 
 
 class TestUniformOverlapContract:
