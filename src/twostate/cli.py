@@ -21,7 +21,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .assignment import MultipleOutcomesError, tally_rule, weak_value
+from .assignment import MultipleOutcomesError, _fires, tally_rule, weak_value
 from .blochpbr import BlochVector, _bisectors, _bloch_states, _bloch_vectors
 from .dynamics import (
     CommutatorTarget,
@@ -42,17 +42,17 @@ from .sampling import (
     HaarPure,
     RngStream,
     UniformOverlap,
-    _chunk_samples,
     _haar_unitary_block,
-    _iter_chunks,
-    _map_reduce,
+    _haar_unitary_words,
+    _haar_words,
+    _sampled,
     basis_mc,
     born_mc,
     born_oracle,
     haar_state,  # unused here; the benchmark's tracer test reads it as cli.haar_state
     haar_states,
 )
-from .sic import _sic_fires, builtin_fiducial, search_fiducial, sic_from_fiducial, validate_sic
+from .sic import _orbit, _require_valid, builtin_fiducial, search_fiducial, sic_from_fiducial, validate_sic
 
 __all__ = ["ExperimentConfig", "ConfigError", "run_experiment", "emit_results", "result_schema", "main"]
 
@@ -105,6 +105,8 @@ class ExperimentConfig:
             raise ConfigError(f"samples must be >= 1, got {self.samples}")
         if not self.tie_tol >= 0.0:
             raise ConfigError(f"tie-tol must be >= 0, got {self.tie_tol}")
+        if self.tie_tol == math.inf:  # no sum clears an infinite threshold
+            raise ConfigError(f"tie-tol must be finite, got {self.tie_tol}")
         if self.workers < 1:
             raise ConfigError(f"workers must be >= 1, got {self.workers}")
         if self.dist not in DISTRIBUTIONS:
@@ -290,9 +292,8 @@ def _run_exclusivity_scan(cfg: ExperimentConfig) -> list[dict]:
         q = np.abs(rows @ haar_states(cfg.dim, bwd_stream, lo, hi - lo)[:, :, None]) ** 2
         return tally_rule((p + q)[:, :, 0], cfg.tie_tol)
 
-    zero = np.zeros(cfg.dim + 2, dtype=np.int64)
-    words = 2 * cfg.dim**2 + 4 * cfg.dim  # per sample: a Haar unitary and two Haar states
-    tallies = _map_reduce(chunk_tallies, cfg.samples, cfg.workers, _chunk_samples(words), zero)
+    words = (_haar_unitary_words(cfg.dim), _haar_words(cfg.dim), _haar_words(cfg.dim))
+    tallies = _sampled(chunk_tallies, cfg.samples, words, cfg.workers)
     assigned = int(tallies[:-2].sum())
     return [_record(
         cfg, frequency=assigned / cfg.samples, no_assign_rate=int(tallies[-2]) / cfg.samples, oracle=0.0,
@@ -300,10 +301,11 @@ def _run_exclusivity_scan(cfg: ExperimentConfig) -> list[dict]:
     )]
 
 
-def _sic_for(cfg: ExperimentConfig):
+def _sic_for(cfg: ExperimentConfig, check=lambda povm: povm):
+    """The built-in set at d = 2 and 3 unless the config has a fiducial; ``check`` vets a config set."""
     if "fiducial" not in cfg.params and cfg.dim in (2, 3):
         return sic_from_fiducial(builtin_fiducial(cfg.dim))
-    return sic_from_fiducial(_from_config(cfg, lambda data: _state(data, cfg.dim), "fiducial"))
+    return _from_config(cfg, lambda data: check(sic_from_fiducial(_state(data, cfg.dim))), "fiducial")
 
 
 def _run_sic_validate(cfg: ExperimentConfig) -> list[dict]:
@@ -330,28 +332,20 @@ def _run_sic_search(cfg: ExperimentConfig) -> list[dict]:
     })]
 
 
-# sic-distinguish keeps blocks of this many matrix entries rather than the
-# word-sized chunks of the other sampled experiments: at d=3 those ran slower.
-_SIC_BLOCK_ENTRIES = 2**18
-
-
-def _sic_block_size(dim: int) -> int:
-    """Samples per sic-distinguish block; each sample carries d x d matrices."""
-    return max(1, _SIC_BLOCK_ENTRIES // dim**2)
-
-
 def _run_sic_distinguish(cfg: ExperimentConfig) -> list[dict]:
-    povm = _sic_for(cfg)
+    povm = _sic_for(cfg, check=_require_valid)  # validated once, here: the rule below reads only orbit states
+    # for pure states Tr[(|f><f| + |b><b|) P_k] = |<phi_k|f>|^2 + |<phi_k|b>|^2, phi_k the orbit states
+    orbit_bras = _orbit(povm.fiducial.entries, cfg.dim).conj().T
     streams = [RngStream(cfg.seed, 10 + k) for k in range(4)]
 
     def chunk_separated(lo: int, hi: int) -> int:
         # forward and backward states of pair 0, then of pair 1
         states = np.stack([haar_states(cfg.dim, st, lo, hi - lo) for st in streams])
-        rho = states[..., :, None] * states[..., None, :].conj()
-        fired = _sic_fires(rho[0::2] + rho[1::2], povm, cfg.tie_tol)
+        overlaps = np.abs(states @ orbit_bras) ** 2
+        fired = _fires(overlaps[0::2] + overlaps[1::2], cfg.tie_tol)
         return np.count_nonzero((fired[0] != fired[1]).any(axis=-1))
 
-    separated = int(_map_reduce(chunk_separated, cfg.samples, cfg.workers, _sic_block_size(cfg.dim), 0))
+    separated = int(_sampled(chunk_separated, cfg.samples, (_haar_words(cfg.dim),) * len(streams), cfg.workers))
     return [_record(cfg, frequency=separated / cfg.samples, extra={
         "separated": separated,
         "no_separator": cfg.samples - separated,
@@ -386,31 +380,31 @@ def _bloch_instance(rows) -> np.ndarray:
 def _run_pbr_geometric(cfg: ExperimentConfig) -> list[dict]:
     if cfg.dim != 2:
         raise ConfigError("pbr-geometric instances are qubit instances and require dim 2")
-    if "instance" in cfg.params:
-        blocks = [_from_config(cfg, _bloch_instance, "instance")[:, None, :]]
-        instances = 1
+    if "instance" in cfg.params:  # one instance: a single chunk of one sample
+        instance = _from_config(cfg, _bloch_instance, "instance")[:, None, :]
+        instances, bloch_vectors = 1, lambda lo, hi: instance
     else:
         streams = [RngStream(cfg.seed, 20 + k) for k in range(4)]
-        words = 4 * 2 * 2  # per instance: four qubit states
-        blocks = (
-            _bloch_vectors(np.stack([haar_states(2, st, lo, hi - lo) for st in streams]))
-            for lo, hi in _iter_chunks(cfg.samples, _chunk_samples(words))
-        )
         instances = cfg.samples
 
-    found = 0
-    degenerate = 0
-    min_margin = np.inf
-    for m, mp, x, xp in blocks:
+        def bloch_vectors(lo: int, hi: int) -> np.ndarray:
+            return _bloch_vectors(np.stack([haar_states(2, st, lo, hi - lo) for st in streams]))
+
+    def chunk_counts(lo: int, hi: int) -> tuple:
+        """Separators found, degenerate instances, and the least margin of the rest."""
+        m, mp, x, xp = bloch_vectors(lo, hi)
         a, skip, margin = _bisectors(m + mp, x + xp)
         keep = ~skip
-        degenerate += int(np.count_nonzero(skip))
-        min_margin = min(min_margin, float(np.min(margin[keep], initial=np.inf)))
         # columns [pair a, pair b] of the rule sums; a separator fires pair a alone
         states = _bloch_states(np.stack([m, mp, x, xp, a])[:, keep])
         overlaps = np.abs(np.sum(states[:4].conj() * states[4], axis=-1)) ** 2
         sums = np.stack([overlaps[0] + overlaps[1], overlaps[2] + overlaps[3]], axis=1)
-        found += int(tally_rule(sums, cfg.tie_tol)[0])
+        found = int(tally_rule(sums, cfg.tie_tol)[0])
+        return found, int(np.count_nonzero(skip)), float(np.min(margin[keep], initial=np.inf))
+
+    words = (_haar_words(2),) * 4  # per instance: four qubit states
+    found, degenerate, min_margin = _sampled(chunk_counts, instances, words, cfg.workers,
+                                             reduce=lambda a, b: (a[0] + b[0], a[1] + b[1], min(a[2], b[2])))
     return [_record(cfg, frequency=found / instances, extra={
         "separators_found": found,
         "degenerate": degenerate,

@@ -6,7 +6,7 @@ of Philox words; a sample that uses ``w`` words owns words
 ``[i*w, (i+1)*w)`` of it (sample-stream version 3), and every variate is
 produced with a fixed word consumption (no rejection), so estimates are
 bitwise reproducible no matter how the index range is chunked or how many
-workers run the chunks. Reduction across chunks is exact integer addition.
+workers run them: one driver, ``_sampled``, runs every chunk and folds exactly.
 Each word becomes one uniform on [0, 1) (``_uniforms``), written straight
 into a float array with no array of words in between. Chunks are sized by
 Philox words, not by samples (``_chunk_samples``): a chunk holds at most
@@ -24,6 +24,7 @@ closed-form laws (``_overlap_block``).
 
 from __future__ import annotations
 
+import functools
 import math
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -203,17 +204,15 @@ def _flat_dirichlet(u: np.ndarray, k: int, first: int = 0) -> np.ndarray:
     return np.divide(head, total[:, None], out=head)
 
 
-def _haar_block(dim: int, stream: RngStream, first_sample: int, count: int) -> np.ndarray:
-    gauss = _complex_normals(_uniforms(stream, first_sample, count, 2 * dim))
-    norms = np.linalg.norm(gauss, axis=1, keepdims=True)
-    norms[norms == 0.0] = 1.0
-    return gauss / norms
+def _haar_unitary_words(dim: int) -> int:
+    """Philox words per sample of ``_haar_unitary_block``: two per complex normal entry."""
+    return 2 * dim * dim
 
 
 def _haar_unitary_block(dim: int, stream: RngStream, first_sample: int, count: int) -> np.ndarray:
     """Haar unitaries, shape (count, dim, dim); matrix i depends only on (stream, first_sample + i)."""
-    gauss = _complex_normals(_uniforms(stream, first_sample, count, 2 * dim * dim)).reshape(count, dim, dim)
-    q, r = np.linalg.qr(gauss)
+    gauss = _complex_normals(_uniforms(stream, first_sample, count, _haar_unitary_words(dim)))
+    q, r = np.linalg.qr(gauss.reshape(count, dim, dim))
     diag = np.diagonal(r, axis1=1, axis2=2).copy()
     diag[diag == 0.0] = 1.0
     return q * (diag / np.abs(diag))[:, None, :]
@@ -260,16 +259,22 @@ def _overlap_block(
 
 def haar_state(dim: int, rng: RngStream, index: int = 0) -> StateVector:
     """Draw sample ``index`` of the Haar pure-state stream."""
-    if dim < 2:
-        raise ValueError(f"dimension must be >= 2, got {dim}")
-    return StateVector(_haar_block(dim, rng, index, 1)[0])
+    return StateVector(haar_states(dim, rng, index, 1)[0])
+
+
+def _haar_words(dim: int) -> int:
+    """Philox words per sample of ``haar_states``: two per complex normal."""
+    return 2 * dim
 
 
 def haar_states(dim: int, rng: RngStream, start: int, count: int) -> np.ndarray:
     """Rows are Haar states for sample indices start..start+count-1."""
     if dim < 2:
         raise ValueError(f"dimension must be >= 2, got {dim}")
-    return _haar_block(dim, rng, start, count)
+    gauss = _complex_normals(_uniforms(rng, start, count, _haar_words(dim)))
+    norms = np.linalg.norm(gauss, axis=1, keepdims=True)
+    norms[norms == 0.0] = 1.0
+    return gauss / norms
 
 
 def uniform_overlap_states(a: StateVector, rng: RngStream, start: int, count: int) -> np.ndarray:
@@ -303,22 +308,22 @@ def haar_unitary(dim: int, rng: RngStream, index: int = 0) -> np.ndarray:
 # --- Monte Carlo estimators ------------------------------------------------
 
 
-def _iter_chunks(n_samples: int, chunk_size: int):
-    for lo in range(0, n_samples, chunk_size):
-        yield lo, min(lo + chunk_size, n_samples)
+def _sampled(block, n_samples: int, words: tuple, workers: int, chunk_size: int | None = None,
+             reduce=np.add):
+    """``block(lo, hi)`` over the chunks of samples ``[0, n_samples)``, folded with ``reduce`` in chunk order.
 
-
-def _map_reduce(fn, n_samples: int, workers: int, chunk_size: int, zero):
-    """Sum ``fn(lo, hi)`` over fixed chunk boundaries; integer-exact reduction."""
-    total = zero
+    ``words`` holds the Philox words of each draw one sample makes; ``_chunk_samples`` sizes the
+    chunks by their sum unless ``chunk_size`` is given. With an exact ``reduce`` (integer addition,
+    or that and a minimum) neither the chunk size nor ``workers`` changes the result.
+    """
+    if chunk_size is None:
+        chunk_size = _chunk_samples(sum(words))
+    los = range(0, n_samples, chunk_size)
+    his = [min(lo + chunk_size, n_samples) for lo in los]
     if workers <= 1:
-        for lo, hi in _iter_chunks(n_samples, chunk_size):
-            total = total + fn(lo, hi)
-        return total
+        return functools.reduce(reduce, map(block, los, his))
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        for part in pool.map(lambda bounds: fn(*bounds), _iter_chunks(n_samples, chunk_size)):
-            total = total + part
-    return total
+        return functools.reduce(reduce, pool.map(block, los, his))
 
 
 def _binomial_estimate(count: int, n_samples: int, no_assign_rate: float | None = None) -> BornEstimate:
@@ -361,16 +366,13 @@ def _rule_tallies(
     stream = RngStream(seed, stream_index)
     k = targets.shape[0]
     words = _overlap_words(dist, dim, k)
-    if chunk_size is None:
-        chunk_size = _chunk_samples(words)
 
     def chunk_tallies(lo: int, hi: int) -> np.ndarray:
         sums = _overlap_block(dist, dim, k, stream, lo, hi - lo, _chunk_buffer(hi - lo, words))
         sums += p
         return tally_rule(sums, tie_tol)
 
-    zero = np.zeros(k + 2, dtype=np.int64)
-    return _map_reduce(chunk_tallies, n_samples, workers, chunk_size, zero)
+    return _sampled(chunk_tallies, n_samples, (words,), workers, chunk_size)
 
 
 def born_mc(

@@ -179,13 +179,14 @@ def validate_sic(s: SicPovm, tol: float) -> SicValidationReport:
     return SicValidationReport(max_pair, identity_dev, max_pair <= tol and identity_dev <= tol)
 
 
-def _require_valid(s: SicPovm, tol: float = 1e-8) -> None:
+def _require_valid(s: SicPovm, tol: float = 1e-8) -> SicPovm:
     report = validate_sic(s, tol)
     if not report.passed:
         raise InvalidSicError(
             f"projector set fails validation at {tol:.1e}: pair deviation {report.max_pair_deviation:.3e}, "
             f"identity deviation {report.identity_deviation:.3e}"
         )
+    return s
 
 
 def sic_expand(r, s: SicPovm) -> SicCoefficients:

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -12,6 +13,7 @@ import jsonschema
 import numpy as np
 import pytest
 
+import twostate.sampling as sampling
 from twostate import (
     DegenerateInstanceError,
     OrthonormalBasis,
@@ -188,13 +190,19 @@ class TestConfigHandling:
         assert not out.exists()
 
     @pytest.mark.parametrize("route", ["flag", "config"])
-    def test_nan_tie_tol_exits_two(self, route, tmp_path, capsys):
+    @pytest.mark.parametrize("text, config_text, message", [
+        ("nan", "NaN", "error: tie-tol must be >= 0, got nan\n"),
+        # no sum clears an infinite threshold, and JSON output has no token for it
+        ("inf", "Infinity", "error: tie-tol must be finite, got inf\n"),
+        ("1e999", "1e999", "error: tie-tol must be finite, got inf\n"),
+    ], ids=["nan", "inf", "1e999"])
+    def test_nan_tie_tol_exits_two(self, text, config_text, message, route, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"tie_tol": float("nan")}))
-        source = ["--tie-tol", "nan"] if route == "flag" else ["--config", str(cfg)]
+        cfg.write_text('{"tie_tol": %s}' % config_text)
+        source = ["--tie-tol", text] if route == "flag" else ["--config", str(cfg)]
         code, out = run_cli(["born-mc", "--samples", "10", "--seed", "1", "--format", "json"] + source, tmp_path)
         assert code == 2
-        assert capsys.readouterr().err == "error: tie-tol must be >= 0, got nan\n"
+        assert capsys.readouterr().err == message
         assert not out.exists()
 
     @pytest.mark.parametrize("route", ["flag", "config"])
@@ -590,6 +598,23 @@ class TestExperiments:
         code, _ = run_cli(["sic-validate", "--dim", "5", "--seed", "1"], tmp_path)
         assert code == 2
 
+    def test_sic_validate_reports_a_bad_fiducial(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"fiducial": vector_to_json(np.eye(4)[0])}))  # |0> has no equiangular orbit
+        code, out = run_cli(["sic-validate", "--dim", "4", "--seed", "1", "--config", str(cfg), "--no-timing"],
+                            tmp_path)
+        assert code == 0
+        assert json.loads(next(csv.DictReader(out.read_text().splitlines()))["extra"])["passed"] is False
+
+    def test_sic_distinguish_rejects_a_bad_fiducial(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"fiducial": vector_to_json(np.eye(4)[0])}))  # |0> has no equiangular orbit
+        code, out = run_cli(["sic-distinguish", "--dim", "4", "--samples", "10", "--seed", "1",
+                             "--config", str(cfg)], tmp_path)
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: invalid fiducial: projector set fails validation at ")
+        assert not out.exists()
+
     def test_sic_search(self, tmp_path):
         code, out = run_cli(
             ["sic-search", "--dim", "2", "--seed", "11", "--restarts", "4",
@@ -734,21 +759,118 @@ class TestExperiments:
         assert extra["event_probability"] == pytest.approx(0.5)
 
 
+# A d=5 SIC fiducial found by search_fiducial (pair deviation below 1e-13).
+FIDUCIAL_D5 = [
+    [-0.48210607036987824, 0.05783862030839433], [-0.08247204080664565, -0.18213432239286537],
+    [0.19546777904492033, -0.14213058650282356], [0.6603324980387913, -0.23804564846712076],
+    [0.4159869023829873, -0.009761355753587254],
+]
+PAYLOAD_HEADER = "schema_version,experiment,dim,samples,seed,tie_tol,dist,p_or_theta,frequency,std_err," \
+                 "no_assign_rate,oracle,extra\n"
+# The --no-timing CSV rows of two configs of each sampled experiment, as sample-stream
+# version 3 produces them; a change of these bytes is a change of sample streams.
+PINNED_PAYLOADS = {
+    "born-mc-uniform-d4": (
+        ["born-mc", "--dim", "4", "--samples", "5000", "--seed", "11", "--p-grid", "0.2,0.5,0.9"], None, [
+            "1,born-mc,4,5000,11,0.0,uniform-overlap,0.2,0.2082,0.005741998955067826,,0.2,{}",
+            "1,born-mc,4,5000,11,0.0,uniform-overlap,0.5,0.4904,0.007069764352508505,,0.5,{}",
+            "1,born-mc,4,5000,11,0.0,uniform-overlap,0.9,0.8996,0.0042501727023734,,0.9,{}",
+        ]),
+    "born-mc-haar-d3": (
+        ["born-mc", "--dim", "3", "--samples", "3000", "--seed", "5", "--dist", "haar", "--p-grid", "0.4,0.8",
+         "--tie-tol", "0.001"], None, [
+            "1,born-mc,3,3000,5,0.001,haar,0.4,0.16766666666666666,0.006820424120623672,,0.16000000000000003,{}",
+            "1,born-mc,3,3000,5,0.001,haar,0.8,0.649,0.008713954326251659,,0.6400000000000001,{}",
+        ]),
+    "basis-mc-haar": (
+        ["basis-mc", "--samples", "4000", "--seed", "13", "--dist", "haar", "--theta-deg", "45,120"], None, [
+            '1,basis-mc,2,4000,13,0.0,haar,45.0,0.85375,0.005587059546398266,0.0,0.8535533905932737,'
+            '"{""outcome"":0,""conditional_frequency"":0.85375}"',
+            '1,basis-mc,2,4000,13,0.0,haar,45.0,0.14625,0.005587059546398266,0.0,0.14644660940672624,'
+            '"{""outcome"":1,""conditional_frequency"":0.14625}"',
+            '1,basis-mc,2,4000,13,0.0,haar,120.0,0.239,0.00674312612962267,0.0,0.2500000000000001,'
+            '"{""outcome"":0,""conditional_frequency"":0.239}"',
+            '1,basis-mc,2,4000,13,0.0,haar,120.0,0.761,0.00674312612962267,0.0,0.7499999999999999,'
+            '"{""outcome"":1,""conditional_frequency"":0.761}"',
+        ]),
+    "basis-mc-uniform": (
+        ["basis-mc", "--samples", "3000", "--seed", "17", "--theta-deg", "30,90"], None, [
+            '1,basis-mc,2,3000,17,0.0,uniform-overlap,30.0,0.9313333333333333,0.004617053734275266,0.0,'
+            '0.9330127018922194,"{""outcome"":0,""conditional_frequency"":0.9313333333333333}"',
+            '1,basis-mc,2,3000,17,0.0,uniform-overlap,30.0,0.06866666666666667,0.004617053734275267,0.0,'
+            '0.06698729810778066,"{""outcome"":1,""conditional_frequency"":0.06866666666666667}"',
+            '1,basis-mc,2,3000,17,0.0,uniform-overlap,90.0,0.5073333333333333,0.009127727395546353,0.0,'
+            '0.5000000000000001,"{""outcome"":0,""conditional_frequency"":0.5073333333333333}"',
+            '1,basis-mc,2,3000,17,0.0,uniform-overlap,90.0,0.49266666666666664,0.009127727395546353,0.0,'
+            '0.4999999999999999,"{""outcome"":1,""conditional_frequency"":0.49266666666666664}"',
+        ]),
+    "exclusivity-scan-d3": (
+        ["exclusivity-scan", "--dim", "3", "--samples", "3000", "--seed", "19"], None, [
+            '1,exclusivity-scan,3,3000,19,0.0,uniform-overlap,,0.5156666666666667,,0.48433333333333334,0.0,'
+            '"{""violations"":0}"',
+        ]),
+    "exclusivity-scan-d5": (
+        ["exclusivity-scan", "--dim", "5", "--samples", "2000", "--seed", "23", "--tie-tol", "0.01"], None, [
+            '1,exclusivity-scan,5,2000,23,0.01,uniform-overlap,,0.0695,,0.9305,0.0,"{""violations"":0}"',
+        ]),
+    "sic-distinguish-d3": (
+        ["sic-distinguish", "--dim", "3", "--samples", "4000", "--seed", "29"], None, [
+            '1,sic-distinguish,3,4000,29,0.0,uniform-overlap,,0.96925,,,,"{""separated"":3877,""no_separator"":123}"',
+        ]),
+    "sic-distinguish-d5": (
+        ["sic-distinguish", "--dim", "5", "--samples", "1500", "--seed", "31"], {"fiducial": FIDUCIAL_D5}, [
+            '1,sic-distinguish,5,1500,31,0.0,uniform-overlap,,0.5593333333333333,,,,'
+            '"{""separated"":839,""no_separator"":661}"',
+        ]),
+    "pbr-geometric": (
+        ["pbr-geometric", "--samples", "3000", "--seed", "37"], None, [
+            '1,pbr-geometric,2,3000,37,0.0,uniform-overlap,,1.0,,,,'
+            '"{""separators_found"":3000,""degenerate"":0,""min_margin"":0.04237858676694009}"',
+        ]),
+    "pbr-geometric-tie-tol": (
+        ["pbr-geometric", "--samples", "2000", "--seed", "41", "--tie-tol", "0.05"], None, [
+            '1,pbr-geometric,2,2000,41,0.05,uniform-overlap,,0.988,,,,'
+            '"{""separators_found"":1976,""degenerate"":0,""min_margin"":0.02411964721706855}"',
+        ]),
+}
+
+
 class TestDeterminism:
+    @pytest.mark.parametrize("workers", ["1", "8"])
+    @pytest.mark.parametrize("name", PINNED_PAYLOADS)
+    def test_sampled_payload_is_pinned(self, name, workers, tmp_path):
+        args, config, rows = PINNED_PAYLOADS[name]
+        if config is not None:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps(config))
+            args = args + ["--config", str(cfg)]
+        code, out = run_cli(args + ["--workers", workers, "--no-timing"], tmp_path)
+        assert code == 0
+        assert out.read_text() == PAYLOAD_HEADER + "".join(row + "\n" for row in rows)
+
     @pytest.mark.parametrize("args", [
         ["born-mc", "--dim", "2", "--samples", "20000", "--seed", "42", "--p-grid", "0.3,0.7"],
         ["basis-mc", "--dim", "2", "--samples", "20000", "--seed", "42", "--dist", "haar",
          "--theta-deg", "60"],
-        # three blocks at d=5, so the workers run the scan in parallel
         ["exclusivity-scan", "--dim", "5", "--samples", "25000", "--seed", "7"],
-        # three blocks at d=3
         ["sic-distinguish", "--dim", "3", "--samples", "60000", "--seed", "7"],
         ["pbr-geometric", "--samples", "5000", "--seed", "7"],
-    ])
-    def test_worker_count_leaves_bytes_unchanged(self, args, tmp_path):
+    ], ids=["born-mc", "basis-mc", "exclusivity-scan", "sic-distinguish", "pbr-geometric"])
+    @pytest.mark.parametrize("chunk_words, workers", [
+        (None, "8"),
+        # 2048-word chunks: 10 born-mc, 20 basis-mc, 863 exclusivity-scan, 706 sic-distinguish
+        # and 40 pbr-geometric chunks
+        (2048, "3"),
+    ], ids=["default-chunks", "small-chunks"])
+    def test_worker_count_leaves_bytes_unchanged(self, args, chunk_words, workers, tmp_path, monkeypatch):
         _, single = run_cli(args + ["--workers", "1", "--no-timing"], tmp_path, "w1.csv")
-        _, pooled = run_cli(args + ["--workers", "8", "--no-timing"], tmp_path, "w8.csv")
-        assert single.read_bytes() == pooled.read_bytes()
+        if chunk_words is not None:
+            monkeypatch.setattr(sampling, "_CHUNK_WORDS", chunk_words)
+            monkeypatch.setattr(sampling, "_THREAD", threading.local())  # chunk buffers of the new size
+            _, small = run_cli(args + ["--workers", "1", "--no-timing"], tmp_path, "small-w1.csv")
+            assert small.read_bytes() == single.read_bytes()
+        _, pooled = run_cli(args + ["--workers", workers, "--no-timing"], tmp_path, "pooled.csv")
+        assert pooled.read_bytes() == single.read_bytes()
 
     def test_rerun_is_byte_identical(self, tmp_path):
         args = ["exclusivity-scan", "--dim", "2", "--samples", "500", "--seed", "9", "--no-timing"]

@@ -25,6 +25,7 @@ from twostate import (
     welch_bound,
     wh_displacements,
 )
+from twostate.assignment import _fires
 from twostate.sampling import RngStream, haar_states
 from twostate.sic import _sic_fires
 
@@ -184,18 +185,23 @@ class TestRuleCheck:
         rng = np.random.default_rng(49)
         povm = builtin_sic(d)
         orbit = orbit_states(d, builtin_fiducial(d))
-        totals, elements = [], []
+        totals, pairs, elements = [], [], []
         for k, state in enumerate(orbit):
             for _ in range(500):
                 b = rng.normal(size=d) + 1j * rng.normal(size=d)
                 b -= np.vdot(state, b) * state
                 b /= np.linalg.norm(b)
                 totals.append(np.outer(state, state.conj()) + np.outer(b, b.conj()))
+                pairs.append((state, b))
                 elements.append(k)
         fired = [sic_rule_check(sic_expand(total, povm), k, d) for total, k in zip(totals, elements)]
         assert sum(fired) == 0
         batched = _sic_fires(np.array(totals), povm)
         assert not batched[np.arange(len(elements)), elements].any()
+        # the overlap form sic-distinguish evaluates: |<phi_k|f>|^2 + |<phi_k|b>|^2
+        overlaps = np.abs(np.array(pairs) @ orbit.conj().T) ** 2
+        in_overlaps = _fires(overlaps[:, 0] + overlaps[:, 1], 0.0)
+        assert not in_overlaps[np.arange(len(elements)), elements].any()
 
 
 class TestDistinguish:
