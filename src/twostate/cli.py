@@ -42,10 +42,10 @@ from .sampling import (
     HaarPure,
     RngStream,
     UniformOverlap,
-    _haar_unitary_block,
-    _haar_unitary_words,
+    _flat_dirichlet,
     _haar_words,
     _sampled,
+    _uniforms,
     basis_mc,
     born_mc,
     born_oracle,
@@ -283,17 +283,16 @@ def _run_basis_mc(cfg: ExperimentConfig) -> list[dict]:
 
 
 def _run_exclusivity_scan(cfg: ExperimentConfig) -> list[dict]:
-    fwd_stream, bwd_stream, basis_stream = (RngStream(cfg.seed, k) for k in (1, 2, 3))
+    # for Haar states f, b and a Haar basis U, U^dagger f and U^dagger b are independent Haar
+    # states, so the basis overlaps p and q are two independent flat Dirichlet vectors
+    fwd_stream, bwd_stream = RngStream(cfg.seed, 1), RngStream(cfg.seed, 2)
 
     def chunk_tallies(lo: int, hi: int) -> np.ndarray:
-        # row k of each matrix is <a_k|, for the basis in the unitary's columns
-        rows = _haar_unitary_block(cfg.dim, basis_stream, lo, hi - lo).conj().transpose(0, 2, 1)
-        p = np.abs(rows @ haar_states(cfg.dim, fwd_stream, lo, hi - lo)[:, :, None]) ** 2
-        q = np.abs(rows @ haar_states(cfg.dim, bwd_stream, lo, hi - lo)[:, :, None]) ** 2
-        return tally_rule((p + q)[:, :, 0], cfg.tie_tol)
+        p = _flat_dirichlet(_uniforms(fwd_stream, lo, hi - lo, cfg.dim), cfg.dim)
+        p += _flat_dirichlet(_uniforms(bwd_stream, lo, hi - lo, cfg.dim), cfg.dim)
+        return tally_rule(p, cfg.tie_tol)
 
-    words = (_haar_unitary_words(cfg.dim), _haar_words(cfg.dim), _haar_words(cfg.dim))
-    tallies = _sampled(chunk_tallies, cfg.samples, words, cfg.workers)
+    tallies = _sampled(chunk_tallies, cfg.samples, (cfg.dim, cfg.dim), cfg.workers)
     assigned = int(tallies[:-2].sum())
     return [_record(
         cfg, frequency=assigned / cfg.samples, no_assign_rate=int(tallies[-2]) / cfg.samples, oracle=0.0,
@@ -466,7 +465,7 @@ _EXPERIMENTS = {
                "comma-separated basis tilt angles in degrees"),
     )),
     "exclusivity-scan": _Experiment(_run_exclusivity_scan, (
-        "Draw random state pairs and random orthonormal bases and verify that the rule "
+        "Draw two independent Haar overlap vectors over a basis and verify that the rule "
         "|<fwd|a>|^2 + |<bwd|a>|^2 > 1 never fires for two basis elements at once; summed "
         "overlaps over orthogonal states cannot exceed 2. Any violation exits with code 4."
     )),

@@ -204,25 +204,9 @@ def _flat_dirichlet(u: np.ndarray, k: int, first: int = 0) -> np.ndarray:
     return np.divide(head, total[:, None], out=head)
 
 
-def _haar_unitary_words(dim: int) -> int:
-    """Philox words per sample of ``_haar_unitary_block``: two per complex normal entry."""
-    return 2 * dim * dim
-
-
-def _haar_unitary_block(dim: int, stream: RngStream, first_sample: int, count: int) -> np.ndarray:
-    """Haar unitaries, shape (count, dim, dim); matrix i depends only on (stream, first_sample + i)."""
-    gauss = _complex_normals(_uniforms(stream, first_sample, count, _haar_unitary_words(dim)))
-    q, r = np.linalg.qr(gauss.reshape(count, dim, dim))
-    diag = np.diagonal(r, axis1=1, axis2=2).copy()
-    diag[diag == 0.0] = 1.0
-    return q * (diag / np.abs(diag))[:, None, :]
-
-
 def _overlap_words(dist: BackwardDistribution, dim: int, k: int) -> int:
     """Philox words per sample of ``_overlap_block``."""
-    if isinstance(dist, HaarPure):
-        return dim
-    if isinstance(dist, UniformOverlap):
+    if isinstance(dist, (HaarPure, UniformOverlap)):
         return 1 if k == 1 else dim
     raise TypeError(f"unknown backward distribution: {type(dist).__name__}")
 
@@ -235,16 +219,22 @@ def _overlap_block(
     with the first ``k`` vectors of an orthonormal set; row i depends only on
     (stream, first_sample + i).
 
-    Haar: the d overlaps are flat Dirichlet (d words per sample), whatever the
-    set. Uniform overlap, with the target as a_0: q_0 ~ U(0, 1) (one word),
-    and for k > 1 the rest is (1 - q_0) times a flat Dirichlet over the
-    target's complement (d - 1 more words). The block is built in ``out``,
+    Haar, whatever the set: for k = 1 the overlap is Beta(1, d - 1), drawn
+    by inverse CDF as q_0 = 1 - v**(1/(d - 1)) with v = u + 2**-53 (one
+    word); for k > 1 the d overlaps are flat Dirichlet (d words per sample).
+    Uniform overlap, with the target as a_0: q_0 ~ U(0, 1) (one word), and
+    for k > 1 the rest is (1 - q_0) times a flat Dirichlet over the target's
+    complement (d - 1 more words). The block is built in ``out``,
     shape ``(count, _overlap_words(dist, dim, k))``, when it is given, and
     the result is a view of it.
     """
     u = _uniforms(stream, first_sample, count, _overlap_words(dist, dim, k), out)
     if isinstance(dist, HaarPure):
-        return _flat_dirichlet(u, k)
+        if k > 1:
+            return _flat_dirichlet(u, k)
+        u += _U53
+        u **= 1.0 / (dim - 1)
+        return np.subtract(1.0, u, out=u)
     if k == 1:
         return u
     scale = 1.0 - u[:, :1]  # exact, as is 1 - scale: q_0 is a multiple of 2**-53 in [0, 1)
@@ -302,7 +292,11 @@ def haar_unitary(dim: int, rng: RngStream, index: int = 0) -> np.ndarray:
     """Haar-distributed unitary; sample ``index`` of the stream."""
     if dim < 2:
         raise ValueError(f"dimension must be >= 2, got {dim}")
-    return _haar_unitary_block(dim, rng, index, 1)[0]
+    gauss = _complex_normals(_uniforms(rng, index, 1, 2 * dim * dim))
+    q, r = np.linalg.qr(gauss.reshape(dim, dim))
+    diag = np.diagonal(r).copy()
+    diag[diag == 0.0] = 1.0
+    return q * (diag / np.abs(diag))[None, :]
 
 
 # --- Monte Carlo estimators ------------------------------------------------
@@ -320,6 +314,7 @@ def _sampled(block, n_samples: int, words: tuple, workers: int, chunk_size: int 
         chunk_size = _chunk_samples(sum(words))
     los = range(0, n_samples, chunk_size)
     his = [min(lo + chunk_size, n_samples) for lo in los]
+    workers = min(workers, len(los))  # one chunk runs in the calling thread
     if workers <= 1:
         return functools.reduce(reduce, map(block, los, his))
     with ThreadPoolExecutor(max_workers=workers) as pool:

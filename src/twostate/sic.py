@@ -10,6 +10,7 @@ potential down to its Welch bound 2 d^3 / (d+1).
 
 from __future__ import annotations
 
+import functools
 import sys
 from dataclasses import dataclass
 
@@ -133,8 +134,12 @@ def wh_displacements(d: int) -> list[UnitaryOperator]:
     return out
 
 
+@functools.cache
 def _displacement_stack(d: int) -> np.ndarray:
-    return np.array([u.entries for u in wh_displacements(d)])
+    """The d^2 displacement matrices as one read-only (d^2, d, d) array, built once per dimension."""
+    stack = np.array([u.entries for u in wh_displacements(d)])
+    stack.setflags(write=False)
+    return stack
 
 
 def _orbit(fiducial: np.ndarray, d: int) -> np.ndarray:

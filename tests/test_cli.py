@@ -2,6 +2,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -19,6 +20,7 @@ from twostate import (
     OrthonormalBasis,
     PbrGeometricInstance,
     RngStream,
+    StateVector,
     TwoStatePairMixed,
     TwoStatePairPure,
     assign_over_basis,
@@ -27,7 +29,6 @@ from twostate import (
     builtin_sic,
     commutator,
     haar_state,
-    haar_unitary,
     pbr_distinguishing_vector,
     satisfies_pure,
     sic_distinguish,
@@ -44,6 +45,7 @@ from twostate.cli import (
     result_schema,
 )
 from twostate.qcore import matrix_from_json, matrix_to_json, vector_to_json
+from twostate.sampling import _uniforms
 
 from helpers import random_unitary
 
@@ -566,14 +568,20 @@ class TestExperiments:
 
     @pytest.mark.parametrize("tie_tol", ["0.0", "0.05"])
     def test_exclusivity_scan_matches_per_sample_reference(self, tie_tol, tmp_path):
-        # the batched scan against one assign_over_basis call per sample, drawn
-        # from the same streams
+        # the batched scan against one assign_over_basis call per sample: real
+        # states whose computational-basis overlaps are the flat Dirichlet
+        # points of the same uniforms
         dim, samples, seed = 4, 300, 11
-        fwd, bwd, bases = (RngStream(seed, k) for k in (1, 2, 3))
+        basis = OrthonormalBasis.computational(dim)
+
+        def overlap_state(stream, i):
+            logs = np.log(_uniforms(stream, i, 1, dim)[0] + 2.0**-53)
+            return StateVector(np.sqrt(logs / logs.sum()))
+
+        fwd, bwd = RngStream(seed, 1), RngStream(seed, 2)
         assigned = 0
         for i in range(samples):
-            pair = TwoStatePairPure(haar_state(dim, fwd, i), haar_state(dim, bwd, i))
-            basis = OrthonormalBasis.from_unitary_matrix(haar_unitary(dim, bases, i))
+            pair = TwoStatePairPure(overlap_state(fwd, i), overlap_state(bwd, i))
             assigned += assign_over_basis(pair, basis, float(tie_tol)).assigned
         code, out = run_cli(
             ["exclusivity-scan", "--dim", str(dim), "--samples", str(samples), "--seed", str(seed),
@@ -585,6 +593,29 @@ class TestExperiments:
         assert record["frequency"] == assigned / samples
         assert record["no_assign_rate"] == (samples - assigned) / samples
         assert record["extra"]["violations"] == 0
+
+    @pytest.mark.parametrize("dim", [2, 3, 5])
+    @pytest.mark.parametrize("experiment", ["exclusivity-scan", "born-mc-haar"])
+    def test_rates_match_the_closed_form_laws(self, experiment, dim, tmp_path):
+        # scan: P(some outcome fires) = d(d-1) B(d, d-1) = d / C(2d-2, d-1), exactly;
+        # Haar born-mc: P(fires) = p^(d-1), the tail of the Beta(1, d-1) overlap
+        samples = 200_000
+        if experiment == "exclusivity-scan":
+            args = ["exclusivity-scan"]
+            expected = [(None, dim / math.comb(2 * dim - 2, dim - 1))]
+        else:
+            args = ["born-mc", "--dist", "haar"]
+            expected = [(p, p ** (dim - 1)) for p in (0.1, 0.3, 0.5, 0.7, 0.9)]
+            args += ["--p-grid", ",".join(str(p) for p, _ in expected)]
+        code, out = run_cli(args + ["--dim", str(dim), "--samples", str(samples), "--seed", "43",
+                                    "--format", "json"], tmp_path, name="rates.json")
+        assert code == 0
+        records = json.loads(out.read_text())
+        assert len(records) == len(expected)
+        for record, (p, rate) in zip(records, expected):
+            assert record["p_or_theta"] == p
+            sigma = math.sqrt(rate * (1.0 - rate) / samples)
+            assert abs(record["frequency"] - rate) <= 5.0 * sigma, (p, record["frequency"], rate)
 
     def test_sic_validate_builtin(self, tmp_path):
         for dim in ("2", "3"):
@@ -768,7 +799,7 @@ FIDUCIAL_D5 = [
 PAYLOAD_HEADER = "schema_version,experiment,dim,samples,seed,tie_tol,dist,p_or_theta,frequency,std_err," \
                  "no_assign_rate,oracle,extra\n"
 # The --no-timing CSV rows of two configs of each sampled experiment, as sample-stream
-# version 3 produces them; a change of these bytes is a change of sample streams.
+# version 4 produces them; a change of these bytes is a change of sample streams.
 PINNED_PAYLOADS = {
     "born-mc-uniform-d4": (
         ["born-mc", "--dim", "4", "--samples", "5000", "--seed", "11", "--p-grid", "0.2,0.5,0.9"], None, [
@@ -779,8 +810,8 @@ PINNED_PAYLOADS = {
     "born-mc-haar-d3": (
         ["born-mc", "--dim", "3", "--samples", "3000", "--seed", "5", "--dist", "haar", "--p-grid", "0.4,0.8",
          "--tie-tol", "0.001"], None, [
-            "1,born-mc,3,3000,5,0.001,haar,0.4,0.16766666666666666,0.006820424120623672,,0.16000000000000003,{}",
-            "1,born-mc,3,3000,5,0.001,haar,0.8,0.649,0.008713954326251659,,0.6400000000000001,{}",
+            "1,born-mc,3,3000,5,0.001,haar,0.4,0.18033333333333335,0.007019335728833184,,0.16000000000000003,{}",
+            "1,born-mc,3,3000,5,0.001,haar,0.8,0.6406666666666667,0.008760001691188742,,0.6400000000000001,{}",
         ]),
     "basis-mc-haar": (
         ["basis-mc", "--samples", "4000", "--seed", "13", "--dist", "haar", "--theta-deg", "45,120"], None, [
@@ -806,12 +837,12 @@ PINNED_PAYLOADS = {
         ]),
     "exclusivity-scan-d3": (
         ["exclusivity-scan", "--dim", "3", "--samples", "3000", "--seed", "19"], None, [
-            '1,exclusivity-scan,3,3000,19,0.0,uniform-overlap,,0.5156666666666667,,0.48433333333333334,0.0,'
+            '1,exclusivity-scan,3,3000,19,0.0,uniform-overlap,,0.5173333333333333,,0.4826666666666667,0.0,'
             '"{""violations"":0}"',
         ]),
     "exclusivity-scan-d5": (
         ["exclusivity-scan", "--dim", "5", "--samples", "2000", "--seed", "23", "--tie-tol", "0.01"], None, [
-            '1,exclusivity-scan,5,2000,23,0.01,uniform-overlap,,0.0695,,0.9305,0.0,"{""violations"":0}"',
+            '1,exclusivity-scan,5,2000,23,0.01,uniform-overlap,,0.0715,,0.9285,0.0,"{""violations"":0}"',
         ]),
     "sic-distinguish-d3": (
         ["sic-distinguish", "--dim", "3", "--samples", "4000", "--seed", "29"], None, [
@@ -858,7 +889,7 @@ class TestDeterminism:
     ], ids=["born-mc", "basis-mc", "exclusivity-scan", "sic-distinguish", "pbr-geometric"])
     @pytest.mark.parametrize("chunk_words, workers", [
         (None, "8"),
-        # 2048-word chunks: 10 born-mc, 20 basis-mc, 863 exclusivity-scan, 706 sic-distinguish
+        # 2048-word chunks: 10 born-mc, 20 basis-mc, 123 exclusivity-scan, 706 sic-distinguish
         # and 40 pbr-geometric chunks
         (2048, "3"),
     ], ids=["default-chunks", "small-chunks"])

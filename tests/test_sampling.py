@@ -25,7 +25,6 @@ from twostate.sampling import (
     _chunk_buffer,
     _chunk_samples,
     _flat_dirichlet,
-    _haar_unitary_block,
     _overlap_block,
     _overlap_words,
     _uniforms,
@@ -100,16 +99,13 @@ class TestWordExactAddressing:
         stream = RngStream(13, 4)
         draw = {
             "haar_states": lambda lo, n: haar_states(dim, stream, lo, n),
-            "haar_unitary": lambda lo, n: _haar_unitary_block(dim, stream, lo, n),
+            "haar_unitary": lambda lo, n: np.stack([haar_unitary(dim, stream, i) for i in range(lo, lo + n)]),
             "uniform_overlap_states": lambda lo, n: uniform_overlap_states(
                 StateVector.basis_state(dim, 0), stream, lo, n),
         }[sampler]
         whole = draw(0, 8)
         split = np.concatenate([draw(0, 1), draw(1, 2), draw(3, 5)])
         assert np.array_equal(whole, split)
-        if sampler == "haar_unitary":
-            singles = np.stack([haar_unitary(dim, stream, i) for i in range(8)])
-            assert np.array_equal(whole, singles)
 
     @pytest.mark.parametrize("words, expected", [
         (4, [[0xc5fcb19f3348699d, 0x8333bde819728965, 0xb93fbcb38e0edb6d, 0x0e061fe183c3f693],
@@ -207,6 +203,14 @@ class TestOverlapLaw:
         for j, (x, y) in enumerate(columns):
             assert stats.ks_2samp(x, y).pvalue > 1e-3 / len(columns), j
 
+    @pytest.mark.parametrize("dim", [2, 3, 5])
+    def test_scan_overlaps_have_beta_marginals(self, dim):
+        # exclusivity-scan's p (and q): every basis overlap of a Haar state is Beta(1, d - 1)
+        n = 10_000
+        p = _overlap_block(HaarPure(), dim, dim, RngStream(92, 1), 0, n)
+        for j in range(dim):
+            assert ks_stat(p[:, j], lambda x: 1 - (1 - x) ** (dim - 1)) < KS_CRIT_1PC / np.sqrt(n), j
+
     def test_block_is_pure_function_of_index(self):
         dist = UniformOverlap(StateVector.basis_state(5, 0))
         block = _overlap_block(dist, 5, 5, RngStream(5, 3), 0, 10)
@@ -231,7 +235,9 @@ class TestOverlapBlockArithmetic:
         stream, lo, n = RngStream(17, 2), 5, 3000
         k = dim if full_basis else 1
         u = _uniforms(stream, lo, n, dim)
-        if law == "haar":
+        if law == "haar" and k == 1:  # inverse CDF of Beta(1, d - 1) on one word
+            dist, expected = HaarPure(), 1 - (_uniforms(stream, lo, n, 1) + 2**-53) ** (1 / (dim - 1))
+        elif law == "haar":
             dist, expected = HaarPure(), _dirichlet_reference(u, k)
         else:
             dist = UniformOverlap(StateVector.basis_state(dim, 0))
