@@ -16,7 +16,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -81,36 +81,22 @@ class ConfigError(ValueError):
     """Invalid or incomplete experiment configuration."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentConfig:
-    experiment: str
-    dim: int = 2
-    samples: int = 1
-    seed: int | None = None
-    tie_tol: float = 0.0
-    dist: str = "uniform-overlap"
-    workers: int = 1
-    params: dict = field(default_factory=dict)
+    """A run's converted configuration: one value per ``_FIELDS`` row, the rest in ``params``.
 
-    def validate(self) -> None:
-        if self.experiment not in EXPERIMENTS:
-            raise ConfigError(f"unknown experiment {self.experiment!r}")
-        if self.seed is None:
-            raise ConfigError("a seed is mandatory; pass --seed or set it in the config file")
-        if not 0 <= self.seed < 2**64:
-            raise ConfigError(f"seed must be a 64-bit unsigned integer, got {self.seed}")
-        if self.dim < 2:
-            raise ConfigError(f"dim must be >= 2, got {self.dim}")
-        if self.samples < 1:
-            raise ConfigError(f"samples must be >= 1, got {self.samples}")
-        if not self.tie_tol >= 0.0:
-            raise ConfigError(f"tie-tol must be >= 0, got {self.tie_tol}")
-        if self.tie_tol == math.inf:  # no sum clears an infinite threshold
-            raise ConfigError(f"tie-tol must be finite, got {self.tie_tol}")
-        if self.workers < 1:
-            raise ConfigError(f"workers must be >= 1, got {self.workers}")
-        if self.dist not in DISTRIBUTIONS:
-            raise ConfigError(f"unknown distribution {self.dist!r}")
+    ``params`` holds the experiment's own rows, converted, and the structured config keys it
+    reads (states, matrices), which its runner converts where it reads them.
+    """
+
+    experiment: str
+    dim: int
+    samples: int
+    seed: int
+    tie_tol: float
+    dist: str
+    workers: int
+    params: dict
 
 
 def _record(cfg: ExperimentConfig, p_or_theta=None, frequency=None, std_err=None,
@@ -132,15 +118,20 @@ def _record(cfg: ExperimentConfig, p_or_theta=None, frequency=None, std_err=None
     }
 
 
+def _converted(key: str, build, *values):
+    """``build(*values)``; a rejected value is a ConfigError that names ``key``."""
+    try:
+        return build(*values)
+    except (TypeError, ValueError, OverflowError) as err:  # OverflowError: float() of a huge config integer
+        raise ConfigError(f"invalid {key}: {err}") from None
+
+
 def _from_config(cfg: ExperimentConfig, build, *keys):
     """``build`` applied to the values of config ``keys``; a missing or rejected value is a ConfigError."""
     for key in keys:
         if key not in cfg.params:
             raise ConfigError(f"{cfg.experiment} requires {key!r} in the config file")
-    try:
-        return build(*(cfg.params[key] for key in keys))
-    except (TypeError, ValueError, OverflowError) as err:  # OverflowError: float() of a huge config integer
-        raise ConfigError(f"invalid {'/'.join(keys)}: {err}") from None
+    return _converted("/".join(keys), build, *(cfg.params[key] for key in keys))
 
 
 def _of_dim(value, dim: int, what: str):
@@ -179,34 +170,48 @@ def _probabilities(data) -> list:
     return values
 
 
-def _integer(data) -> int:
-    """A JSON integer or the integer text a flag takes; a boolean or a float is no integer."""
+def _integer(data, least: int, below: int | None = None) -> int:
+    """A JSON integer or the integer text a flag takes, >= ``least`` and < ``below``.
+
+    A boolean or a float is no integer.
+    """
     if isinstance(data, bool) or not isinstance(data, (int, str)):
         raise ValueError(f"expected an integer, got {data!r}")
-    return int(data)
+    value = int(data)
+    if value < least:
+        raise ValueError(f"expected an integer >= {least}, got {data!r}")
+    if below is not None and value >= below:
+        raise ValueError(f"expected an integer < {below}, got {data!r}")
+    return value
 
 
-def _real(data) -> float:
-    """A JSON number or the number text a flag takes; a boolean is no number."""
-    if isinstance(data, bool):
-        raise ValueError(f"expected a number, got {data!r}")
-    return float(data)
+_count = functools.partial(_integer, least=1)
 
 
 def _tolerance(data) -> float:
-    """A finite number >= 0."""
-    value = _real(data)
+    """A finite number >= 0, or the number text a flag takes; a boolean is no number."""
+    if isinstance(data, bool):
+        raise ValueError(f"expected a number, got {data!r}")
+    value = float(data)
     if not 0.0 <= value < math.inf:  # false for NaN
         raise ValueError(f"expected a finite number >= 0, got {data!r}")
     return value
 
 
-def _count(data) -> int:
-    """An integer >= 1."""
-    value = _integer(data)
-    if value < 1:
-        raise ValueError(f"expected an integer >= 1, got {data!r}")
-    return value
+def _distribution(data) -> str:
+    """One of DISTRIBUTIONS."""
+    if data not in DISTRIBUTIONS:
+        raise ValueError(f"expected one of {', '.join(DISTRIBUTIONS)}, got {data!r}")
+    return data
+
+
+def _boolean(data) -> bool:
+    """A JSON boolean or the flag text true or false."""
+    if isinstance(data, bool):
+        return data
+    if data not in ("true", "false"):
+        raise ValueError(f"expected true or false, got {data!r}")
+    return data == "true"
 
 
 def _dist_for(cfg: ExperimentConfig, target: StateVector):
@@ -359,7 +364,7 @@ def _run_stationary_solve(cfg: ExperimentConfig) -> list[dict]:
         "hamiltonian", "target_k", "diagonal",
     )
     h, k = solve_input.hamiltonian, solve_input.target
-    rho = commutator_solve(solve_input, require_psd=bool(cfg.params.get("require_psd", False)))
+    rho = commutator_solve(solve_input, require_psd=cfg.params["require_psd"])
     residual = float(np.linalg.norm(commutator(rho, h.entries) - k.entries))
     return [_record(cfg, oracle=0.0, extra={
         "residual": residual,
@@ -431,7 +436,7 @@ def _run_weak_value(cfg: ExperimentConfig) -> list[dict]:
 
 
 class _Param(NamedTuple):
-    """An extra parameter of an experiment; its flag is the key spelled with dashes."""
+    """A row of the field table; its flag is the key spelled with dashes."""
 
     key: str  # config key
     convert: Callable  # config value or flag text -> the value the runner reads
@@ -439,10 +444,22 @@ class _Param(NamedTuple):
     help: str
 
 
+# the fields every experiment has; each value is echoed into every record
+_FIELDS = (
+    _Param("dim", functools.partial(_integer, least=2), 2, "Hilbert-space dimension"),
+    _Param("samples", _count, 1, "number of Monte Carlo samples"),
+    _Param("seed", functools.partial(_integer, least=0, below=2**64), None, "RNG seed (mandatory; no entropy default)"),
+    _Param("tie_tol", _tolerance, 0.0, "strictness margin added to the rule threshold"),
+    _Param("dist", _distribution, "uniform-overlap", "backward-state distribution: uniform-overlap, haar or fixed"),
+    _Param("workers", _count, 1, "parallel workers (must not change results)"),
+)
+
+
 class _Experiment(NamedTuple):
     run: Callable[[ExperimentConfig], list[dict]]
     help: str  # the first sentence is the one-line summary
-    params: tuple = ()
+    params: tuple = ()  # the experiment's own rows
+    keys: tuple = ()  # the structured config keys its runner reads
 
 
 _EXPERIMENTS = {
@@ -454,7 +471,7 @@ _EXPERIMENTS = {
     ), (
         _Param("p_grid", _probabilities, tuple(round(0.1 * k, 10) for k in range(1, 10)),
                "comma-separated forward overlaps"),
-    )),
+    ), keys=("dist_state",)),
     "basis-mc": _Experiment(_run_basis_mc, (
         "Run the assignment rule against every element of an orthonormal basis per sample, "
         "tallying per-outcome frequencies and the rate of samples that assign no outcome. "
@@ -463,7 +480,7 @@ _EXPERIMENTS = {
     ), (
         _Param("theta_deg", _numbers, (30.0, 60.0, 90.0, 120.0, 150.0),
                "comma-separated basis tilt angles in degrees"),
-    )),
+    ), keys=("basis", "forward", "dist_state")),
     "exclusivity-scan": _Experiment(_run_exclusivity_scan, (
         "Draw two independent Haar overlap vectors over a basis and verify that the rule "
         "|<fwd|a>|^2 + |<bwd|a>|^2 > 1 never fires for two basis elements at once; summed "
@@ -474,7 +491,7 @@ _EXPERIMENTS = {
         "pairwise trace overlap 1/(d+1) summing to d times the identity."
     ), (
         _Param("tol", _tolerance, 1e-10, "validation tolerance"),
-    )),
+    ), keys=("fiducial",)),
     "sic-search": _Experiment(_run_sic_search, (
         "Search for a fiducial state whose displacement orbit is equiangular by minimizing "
         "the frame potential to its Welch bound 2d^3/(d+1), with seeded random restarts."
@@ -486,34 +503,45 @@ _EXPERIMENTS = {
         "For random pairs of two-state assignments, find a projector-set element whose "
         "rule value lambda_k > 1 - 1/d differs between them, and tally how often a single "
         "separating element exists."
-    )),
+    ), keys=("fiducial",)),
     "stationary-solve": _Experiment(_run_stationary_solve, (
         "Solve [rho, H] = K for a Hermitian rho given the free diagonal in H's eigenbasis: "
         "rho_ij = K_ij/(E_j - E_i) off the diagonal; K must vanish on the diagonal and "
         "inside degenerate blocks."
-    )),
+    ), (
+        _Param("require_psd", _boolean, False, "reject a solution that is not positive semidefinite: true or false"),
+    ), keys=("hamiltonian", "target_k", "diagonal")),
     "pbr-geometric": _Experiment(_run_pbr_geometric, (
         "For qubit pair-vs-pair instances, construct the Bloch vector with positive "
         "projection on one pair sum and negative on the other (maximum-margin bisector), "
         "and verify it separates the pairs at the rule level."
-    )),
+    ), keys=("instance",)),
     "weak-value": _Experiment(_run_weak_value, (
         "Evaluate <final|A|forward>/<final|forward> together with the post-selection "
         "probability |<forward|final>|^2."
-    )),
+    ), keys=("observable", "forward", "final")),
 }
 EXPERIMENTS = tuple(_EXPERIMENTS)
 
 
-def run_experiment(cfg: ExperimentConfig) -> list[dict]:
-    """Convert the experiment's parameters, run it and stamp wall time."""
-    cfg.validate()
-    experiment = _EXPERIMENTS[cfg.experiment]
-    params = {
-        param.key: _from_config(cfg, param.convert, param.key) if param.key in cfg.params else param.default
-        for param in experiment.params
-    }
-    cfg = replace(cfg, params={**cfg.params, **params})
+def run_experiment(name: str, values: dict) -> list[dict]:
+    """Convert every value once, by its row, then run experiment ``name`` and stamp wall time.
+
+    ``values`` maps config keys to config values or flag text. A row whose key is absent takes
+    its default; a key that is neither a row nor a structured key the experiment reads is an error.
+    """
+    experiment = _EXPERIMENTS[name]
+    rows = _FIELDS + experiment.params
+    for key in values:
+        if key not in experiment.keys and all(row.key != key for row in rows):
+            raise ConfigError(f"{name} has no config key {key!r}")
+    converted = {row.key: _converted(row.key, row.convert, values[row.key]) if row.key in values else row.default
+                 for row in rows}
+    if converted["seed"] is None:
+        raise ConfigError("a seed is mandatory; pass --seed or set it in the config file")
+    fields = [converted.pop(row.key) for row in _FIELDS]
+    params = {key: values[key] for key in experiment.keys if key in values}
+    cfg = ExperimentConfig(name, *fields, params={**params, **converted})
     start = time.perf_counter()
     records = experiment.run(cfg)
     elapsed = time.perf_counter() - start
@@ -629,24 +657,13 @@ def _parser(only: str | None) -> argparse.ArgumentParser:
     for name in names:
         experiment = _EXPERIMENTS[name]
         p = sub.add_parser(name, help=experiment.help.split(".")[0], description=experiment.help)
-        p.add_argument("--dim", type=int, default=None, help="Hilbert-space dimension")
-        p.add_argument("--samples", type=int, default=None, help="number of Monte Carlo samples")
-        p.add_argument("--seed", type=int, default=None, help="RNG seed (mandatory; no entropy default)")
-        p.add_argument("--tie-tol", type=float, default=None, help="strictness margin added to the rule threshold")
-        p.add_argument("--dist", choices=DISTRIBUTIONS, default=None,
-                       help="backward-state distribution")
-        p.add_argument("--workers", type=int, default=None, help="parallel workers (must not change results)")
+        for row in _FIELDS + experiment.params:
+            p.add_argument("--" + row.key.replace("_", "-"), help=row.help)
         p.add_argument("--config", default=None, help="JSON config file; flags override its fields")
         p.add_argument("--out", default=None, help="output path (default: stdout)")
         p.add_argument("--format", choices=["csv", "json"], default="csv")
         p.add_argument("--no-timing", action="store_true", help="omit the wall-time column (byte-comparison mode)")
-        for param in experiment.params:
-            p.add_argument("--" + param.key.replace("_", "-"), help=param.help)
     return parser
-
-
-_CONFIG_FIELDS = {"dim": _integer, "samples": _integer, "seed": _integer, "tie_tol": _real, "dist": str,
-                  "workers": _integer}
 
 
 def _load_config(path: str | None, experiment: str) -> dict:
@@ -661,38 +678,20 @@ def _load_config(path: str | None, experiment: str) -> dict:
         raise ConfigError(f"config {path!r} is not valid JSON: {err}") from None
     if not isinstance(data, dict):
         raise ConfigError(f"config {path!r} must contain a JSON object")
-    declared = data.get("experiment")
+    declared = data.pop("experiment", None)
     if declared is not None and declared != experiment:
         raise ConfigError(f"config declares experiment {declared!r} but {experiment!r} was requested")
     return data
 
 
-def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
-    data = _load_config(args.config, args.experiment)
-    cfg = ExperimentConfig(experiment=args.experiment)
-
-    for name, cast in _CONFIG_FIELDS.items():
-        if name in data and data[name] is not None:
-            try:
-                setattr(cfg, name, cast(data[name]))
-            except (TypeError, ValueError, OverflowError):  # OverflowError: float() of a huge config integer
-                raise ConfigError(f"config field {name!r} has invalid value {data[name]!r}") from None
-        flag_value = getattr(args, name, None)
-        if flag_value is not None:
-            setattr(cfg, name, flag_value)
-
-    cfg.params = {k: v for k, v in data.items() if k not in _CONFIG_FIELDS and k != "experiment"}
-    for param in _EXPERIMENTS[args.experiment].params:
-        if getattr(args, param.key) is not None:
-            cfg.params[param.key] = getattr(args, param.key)
-    return cfg
-
-
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     args = _build_parser(argv).parse_args(argv)
+    flags = {row.key: getattr(args, row.key) for row in _FIELDS + _EXPERIMENTS[args.experiment].params}
     try:
-        records = run_experiment(_config_from_args(args))
+        values = _load_config(args.config, args.experiment)
+        values.update((key, text) for key, text in flags.items() if text is not None)
+        records = run_experiment(args.experiment, values)
         emit_results(records, args.format, args.out, include_timing=not args.no_timing)
         violations = sum(rec["extra"].get("violations", 0) for rec in records)
         if violations:

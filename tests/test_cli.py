@@ -191,129 +191,20 @@ class TestConfigHandling:
         assert calls == []
         assert not out.exists()
 
-    @pytest.mark.parametrize("route", ["flag", "config"])
-    @pytest.mark.parametrize("text, config_text, message", [
-        ("nan", "NaN", "error: tie-tol must be >= 0, got nan\n"),
-        # no sum clears an infinite threshold, and JSON output has no token for it
-        ("inf", "Infinity", "error: tie-tol must be finite, got inf\n"),
-        ("1e999", "1e999", "error: tie-tol must be finite, got inf\n"),
-    ], ids=["nan", "inf", "1e999"])
-    def test_nan_tie_tol_exits_two(self, text, config_text, message, route, tmp_path, capsys):
+    @pytest.mark.parametrize("args, config, key", [
+        (["born-mc"], {"samples": 10, "p-grid": [0.9]}, "p-grid"),
+        (["born-mc"], {"tie-tol": 5.0}, "tie-tol"),
+        (["born-mc"], {"fiducial": [[1, 0], [0, 0]]}, "fiducial"),  # a key of the SIC experiments
+        (["sic-search", "--dim", "2"], {"samples": 10, "p_grid": [0.5]}, "p_grid"),
+        (["weak-value"], {"instance": [[0, 0, 1]] * 4}, "instance"),
+    ], ids=["dashed-key", "dashed-field", "fiducial", "p-grid-of-another-experiment", "instance"])
+    def test_unknown_config_key_exits_two(self, args, config, key, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
-        cfg.write_text('{"tie_tol": %s}' % config_text)
-        source = ["--tie-tol", text] if route == "flag" else ["--config", str(cfg)]
-        code, out = run_cli(["born-mc", "--samples", "10", "--seed", "1", "--format", "json"] + source, tmp_path)
+        cfg.write_text(json.dumps(config))
+        code, out = run_cli(args + ["--seed", "1", "--config", str(cfg)], tmp_path)
         assert code == 2
-        assert capsys.readouterr().err == message
+        assert capsys.readouterr().err == f"error: {args[0]} has no config key {key!r}\n"
         assert not out.exists()
-
-    @pytest.mark.parametrize("route", ["flag", "config"])
-    @pytest.mark.parametrize("text, value", [
-        ("nan", float("nan")), ("-1", -1), ("inf", float("inf")), ("1e400", 10**400),
-    ], ids=["nan", "negative", "inf", "huge"])
-    def test_non_finite_or_negative_tol_exits_two(self, text, value, route, tmp_path, capsys):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"tol": value}))
-        source = ["--tol", text] if route == "flag" else ["--config", str(cfg)]
-        code, out = run_cli(["sic-validate", "--dim", "3", "--seed", "1", "--format", "json"] + source, tmp_path)
-        assert code == 2
-        assert capsys.readouterr().err.startswith("error: invalid tol: ")
-        assert not out.exists()
-
-    @pytest.mark.parametrize("route", ["flag", "config"])
-    @pytest.mark.parametrize("key, value", [
-        ("restarts", 0), ("restarts", -2), ("max_iters", 0), ("max_iters", -1),
-    ])
-    def test_search_counts_below_one_exit_two_before_the_search(
-            self, key, value, route, tmp_path, monkeypatch, capsys):
-        calls = []
-        monkeypatch.setattr("twostate.cli.search_fiducial", lambda *args: calls.append(args))
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({key: value}))
-        source = ["--" + key.replace("_", "-"), str(value)] if route == "flag" else ["--config", str(cfg)]
-        code, out = run_cli(["sic-search", "--dim", "2", "--seed", "1"] + source, tmp_path)
-        shown = str(value) if route == "flag" else value  # flag values arrive as text
-        assert code == 2
-        assert capsys.readouterr().err == f"error: invalid {key}: expected an integer >= 1, got {shown!r}\n"
-        assert calls == []
-        assert not out.exists()
-
-    @pytest.mark.parametrize("field, args", [
-        ("dim", ["born-mc"]), ("samples", ["born-mc"]), ("seed", ["born-mc"]), ("workers", ["born-mc"]),
-        ("restarts", ["sic-search", "--dim", "2", "--max-iters", "5"]),
-        ("max_iters", ["sic-search", "--dim", "2", "--restarts", "1"]),
-    ])
-    @pytest.mark.parametrize("value", [True, False, 2.7, 3.0, 1000.9, "2.7", [3]],
-                             ids=["true", "false", "fraction", "integral-float", "large-fraction", "text-fraction",
-                                  "list"])
-    def test_integer_field_rejects_booleans_and_fractions(self, field, args, value, tmp_path, monkeypatch, capsys):
-        monkeypatch.setattr("twostate.cli.search_fiducial", lambda *a: pytest.fail("the search ran"))
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"seed": 1, "samples": 10, "p_grid": [0.5], field: value}))
-        code, out = run_cli(args + ["--config", str(cfg)], tmp_path)
-        assert code == 2
-        err = capsys.readouterr().err
-        if field in ("restarts", "max_iters"):
-            assert err.startswith(f"error: invalid {field}: ")
-        else:
-            assert err == f"error: config field {field!r} has invalid value {value!r}\n"
-        assert not out.exists()
-
-    @pytest.mark.parametrize("field, args", [
-        ("dim", ["born-mc", "--seed", "1", "--samples", "10"]),
-        ("samples", ["born-mc", "--seed", "1"]),
-        ("seed", ["born-mc", "--samples", "10"]),
-        ("workers", ["born-mc", "--seed", "1", "--samples", "10"]),
-        ("restarts", ["sic-search", "--dim", "2", "--seed", "1", "--max-iters", "5"]),
-        ("max_iters", ["sic-search", "--dim", "2", "--seed", "1", "--restarts", "1"]),
-    ])
-    @pytest.mark.parametrize("text", ["true", "2.7", "3.0"])
-    def test_integer_flag_rejects_booleans_and_fractions(self, field, args, text, tmp_path, monkeypatch, capsys):
-        monkeypatch.setattr("twostate.cli.search_fiducial", lambda *a: pytest.fail("the search ran"))
-        argv = args + ["--" + field.replace("_", "-"), text, "--out", str(tmp_path / "out.csv")]
-        if field in ("restarts", "max_iters"):  # converted by the experiment table
-            assert main(argv) == 2
-            assert capsys.readouterr().err.startswith(f"error: invalid {field}: ")
-        else:  # converted by argparse
-            assert parse_outcome(main, argv)[2] == 2
-        assert not (tmp_path / "out.csv").exists()
-
-    @pytest.mark.parametrize("field, args, flag_value", [
-        ("dim", ["born-mc", "--seed", "1", "--samples", "300"], 3),
-        ("samples", ["born-mc", "--seed", "1"], 300),
-        ("seed", ["born-mc", "--samples", "300"], 4),
-        ("workers", ["born-mc", "--seed", "1", "--samples", "300"], 2),
-        ("restarts", ["sic-search", "--dim", "2", "--seed", "1", "--max-iters", "20"], 2),
-        ("max_iters", ["sic-search", "--dim", "2", "--seed", "1", "--restarts", "1"], 20),
-    ])
-    def test_integer_field_takes_an_integer_or_its_text(self, field, args, flag_value, tmp_path):
-        argv = args + ["--no-timing"]
-        _, from_flag = run_cli(argv + ["--" + field.replace("_", "-"), str(flag_value)], tmp_path, "flag.csv")
-        for value in (flag_value, str(flag_value)):
-            cfg = tmp_path / "cfg.json"
-            cfg.write_text(json.dumps({field: value}))
-            code, from_config = run_cli(argv + ["--config", str(cfg)], tmp_path, "config.csv")
-            assert code == 0
-            assert from_config.read_bytes() == from_flag.read_bytes()
-
-    @pytest.mark.parametrize("field, args", [
-        ("tie_tol", ["born-mc", "--samples", "10"]),
-        ("tol", ["sic-validate", "--dim", "3"]),
-    ])
-    @pytest.mark.parametrize("route", ["flag", "config"])
-    def test_real_field_rejects_booleans(self, field, args, route, tmp_path, capsys):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({field: True}))
-        source = ["--" + field.replace("_", "-"), "true"] if route == "flag" else ["--config", str(cfg)]
-        argv = args + ["--seed", "1", "--out", str(tmp_path / "out.csv")] + source
-        if field == "tie_tol" and route == "flag":  # converted by argparse
-            assert parse_outcome(main, argv)[2] == 2
-        else:
-            assert main(argv) == 2
-            expected = ("error: config field 'tie_tol' has invalid value True" if field == "tie_tol"
-                        else "error: invalid tol: ")
-            assert capsys.readouterr().err.startswith(expected)
-        assert not (tmp_path / "out.csv").exists()
 
     @pytest.mark.parametrize("instance", [
         [[2, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]],
@@ -334,6 +225,75 @@ class TestConfigHandling:
             main(["born-mc", "--help"])
         assert info.value.code == 0
         assert "backward" in capsys.readouterr().out
+
+
+NAN, INF = float("nan"), float("inf")
+# every row of the field table: the experiment that reads it and, per value class, a config
+# value and what it converts to (None: exit 2); the flag takes the value's flag_text. A class
+# a row does not list takes the value of REJECTED.
+REJECTED = {"boolean": True, "fraction": 2.5, "integral-float": 3.0, "nan": NAN, "inf": INF, "non-numeric": "x"}
+FIELD_ROWS = {
+    "dim": ("born-mc", {"valid": (3, 3), "text": ("3", 3), "out-of-range": (1, None)}),
+    "samples": ("born-mc", {"valid": (300, 300), "text": ("300", 300), "out-of-range": (0, None)}),
+    "seed": ("born-mc", {"valid": (4, 4), "text": ("4", 4), "out-of-range": (2**64, None)}),
+    "workers": ("born-mc", {"valid": (2, 2), "text": ("2", 2), "out-of-range": (0, None)}),
+    "restarts": ("sic-search", {"valid": (2, 2), "text": ("2", 2), "out-of-range": (0, None)}),
+    "max_iters": ("sic-search", {"valid": (20, 20), "text": ("20", 20), "out-of-range": (-1, None)}),
+    "tie_tol": ("born-mc", {"valid": (0.05, 0.05), "text": ("0.05", 0.05), "fraction": (2.5, 2.5),
+                            "integral-float": (3.0, 3.0), "out-of-range": (-1, None)}),
+    "tol": ("sic-validate", {"valid": (1e-6, 1e-6), "text": ("1e-6", 1e-6), "fraction": (2.5, 2.5),
+                             "integral-float": (3.0, 3.0), "out-of-range": (10**400, None)}),  # no float holds it
+    "dist": ("born-mc", {"valid": ("haar", "haar"), "text": ("fixed", "fixed"), "out-of-range": ("nope", None)}),
+    "require_psd": ("stationary-solve", {"valid": (True, True), "text": ("false", False),
+                                         "boolean": (False, False), "out-of-range": (1, None)}),
+    "p_grid": ("born-mc", {"valid": ([0.3, 0.7], [0.3, 0.7]), "text": ("0.3,0.7", [0.3, 0.7]),
+                           "boolean": ([True], None), "fraction": ([0.25], [0.25]),
+                           "integral-float": ([1.0], [1.0]), "nan": ([NAN], None),
+                           "inf": ([INF], None), "out-of-range": ([0.5, 1.5], None), "non-numeric": (["x"], None)}),
+    # no angle is out of range; an empty grid is
+    "theta_deg": ("basis-mc", {"valid": ([45, 60.5], [45, 60.5]), "text": ("45,60.5", [45.0, 60.5]),
+                               "boolean": ([True], None), "fraction": ([2.5], [2.5]),
+                               "integral-float": ([3.0], [3.0]), "nan": ([NAN], None),
+                               "inf": ([INF], None), "out-of-range": ([], None), "non-numeric": (["x"], None)}),
+}
+FIELD_CASES = [
+    pytest.param(experiment, key, *{**{c: (v, None) for c, v in REJECTED.items()}, **classes}[value_class],
+                 id=f"{key}-{value_class}")
+    for key, (experiment, classes) in FIELD_ROWS.items()
+    for value_class in ("valid", "text", "boolean", "fraction", "integral-float", "nan", "inf", "out-of-range",
+                        "non-numeric")
+]
+
+
+def flag_text(value) -> str:
+    """The text of a flag that gives config value ``value``: a string itself, a list comma-separated."""
+    if isinstance(value, list):
+        return ",".join(map(flag_text, value))
+    return value if isinstance(value, str) else json.dumps(value)
+
+
+class TestFieldTable:
+    @pytest.mark.parametrize("experiment, key, value, expected", FIELD_CASES)
+    def test_flag_and_config_convert_a_value_alike(self, experiment, key, value, expected, tmp_path, monkeypatch,
+                                                   capsys):
+        runs = []  # the configs the experiment ran with: a rejected value stops before any sampling or search
+        monkeypatch.setitem(_EXPERIMENTS, experiment,
+                            _EXPERIMENTS[experiment]._replace(run=lambda cfg: runs.append(cfg) or []))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: value}))
+        base = [experiment] + (["--seed", "1"] if key != "seed" else [])
+        for route in (["--" + key.replace("_", "-"), flag_text(value)], ["--config", str(cfg)]):
+            code, out = run_cli(base + route, tmp_path)
+            err = capsys.readouterr().err
+            if expected is None:
+                assert (code, runs) == (2, [])
+                assert err.startswith(f"error: invalid {key}: ") and err.count("\n") == 1
+                assert not out.exists()
+            else:
+                assert (code, err) == (0, "")
+                ran = runs.pop()
+                converted = ran.params[key] if key in ran.params else getattr(ran, key)
+                assert converted == expected and type(converted) is type(expected)
 
 
 # each table-driven parameter: base arguments, flag, flag text, the same value as a config entry
@@ -381,7 +341,7 @@ class TestExperimentTable:
 PARSER_ARGVS = [
     [name, *rest]
     for name in EXPERIMENTS
-    for rest in (["--help"], ["-h"], ["--bogus"], ["--dim", "x"], ["--dist", "nope"])
+    for rest in (["--help"], ["-h"], ["--bogus"], ["--format", "xml"], ["--dim"])
 ] + [["--help"], [], ["bogus"], ["--seed", "1", "born-mc"]]
 
 
@@ -443,6 +403,11 @@ class TestParser:
         proc = python("-m", "twostate.cli", *argv)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == capsys.readouterr().out.encode()
+
+    def test_a_bad_field_flag_prints_one_error_line(self):
+        proc = python("-m", "twostate.cli", "born-mc", "--seed", "1", "--dim", "x")
+        assert (proc.returncode, proc.stdout) == (2, b"")
+        assert proc.stderr.startswith(b"error: invalid dim: ") and proc.stderr.count(b"\n") == 1
 
     def test_import_leaves_scipy_unloaded(self):
         proc = python("-c", (
