@@ -11,6 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .assignment import _fires
 from .qcore import StateVector
 
 __all__ = [
@@ -112,8 +113,12 @@ def state_from_bloch(v: BlochVector) -> StateVector:
 
 
 def bell_condition(m: BlochVector, n: BlochVector, a: BlochVector) -> bool:
-    """Dot-product form of the outcome rule: m.a + n.a > 0."""
-    return m.dot(a) + n.dot(a) > 0.0
+    """Dot-product form of the outcome rule, m.a + n.a > 0, judged by the rule's one comparison.
+
+    By the overlap identity the overlap sum is 1 + (m.a + n.a)/2, so a tie
+    does not fire, as in ``satisfies_pure``.
+    """
+    return bool(_fires(1.0 + (m.dot(a) + n.dot(a)) / 2.0, 0.0))
 
 
 def pbr_distinguishing_vector(inst: PbrGeometricInstance) -> BlochVector:

@@ -42,15 +42,13 @@ from .sampling import (
     HaarPure,
     RngStream,
     UniformOverlap,
-    _flat_dirichlet,
-    _haar_words,
+    _haar_rows,
+    _overlaps,
     _sampled,
-    _uniforms,
     basis_mc,
     born_mc,
     born_oracle,
     haar_state,  # unused here; the benchmark's tracer test reads it as cli.haar_state
-    haar_states,
 )
 from .sic import _orbit, _require_valid, builtin_fiducial, search_fiducial, sic_from_fiducial, validate_sic
 
@@ -158,7 +156,7 @@ def _numbers(data) -> list:
         raise ValueError("expected at least one number")
     if not all(abs(x) < math.inf for x in data):  # false for NaN and +-inf; math.isfinite raises on huge ints
         raise ValueError(f"expected finite numbers, got {data!r}")
-    return data
+    return [float(x) for x in data]  # a config integer echoes as the flag's float; float() of a huge one overflows
 
 
 def _probabilities(data) -> list:
@@ -290,14 +288,13 @@ def _run_basis_mc(cfg: ExperimentConfig) -> list[dict]:
 def _run_exclusivity_scan(cfg: ExperimentConfig) -> list[dict]:
     # for Haar states f, b and a Haar basis U, U^dagger f and U^dagger b are independent Haar
     # states, so the basis overlaps p and q are two independent flat Dirichlet vectors
-    fwd_stream, bwd_stream = RngStream(cfg.seed, 1), RngStream(cfg.seed, 2)
-
-    def chunk_tallies(lo: int, hi: int) -> np.ndarray:
-        p = _flat_dirichlet(_uniforms(fwd_stream, lo, hi - lo, cfg.dim), cfg.dim)
-        p += _flat_dirichlet(_uniforms(bwd_stream, lo, hi - lo, cfg.dim), cfg.dim)
+    def chunk_tallies(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+        p = _overlaps(HaarPure(), cfg.dim, cfg.dim, u)
+        p += _overlaps(HaarPure(), cfg.dim, cfg.dim, v)
         return tally_rule(p, cfg.tie_tol)
 
-    tallies = _sampled(chunk_tallies, cfg.samples, (cfg.dim, cfg.dim), cfg.workers)
+    draws = [(RngStream(cfg.seed, 1), cfg.dim), (RngStream(cfg.seed, 2), cfg.dim)]  # p, then q
+    tallies = _sampled(chunk_tallies, cfg.samples, draws, cfg.workers)
     assigned = int(tallies[:-2].sum())
     return [_record(
         cfg, frequency=assigned / cfg.samples, no_assign_rate=int(tallies[-2]) / cfg.samples, oracle=0.0,
@@ -340,16 +337,16 @@ def _run_sic_distinguish(cfg: ExperimentConfig) -> list[dict]:
     povm = _sic_for(cfg, check=_require_valid)  # validated once, here: the rule below reads only orbit states
     # for pure states Tr[(|f><f| + |b><b|) P_k] = |<phi_k|f>|^2 + |<phi_k|b>|^2, phi_k the orbit states
     orbit_bras = _orbit(povm.fiducial.entries, cfg.dim).conj().T
-    streams = [RngStream(cfg.seed, 10 + k) for k in range(4)]
 
-    def chunk_separated(lo: int, hi: int) -> int:
+    def chunk_separated(*uniforms: np.ndarray) -> int:
         # forward and backward states of pair 0, then of pair 1
-        states = np.stack([haar_states(cfg.dim, st, lo, hi - lo) for st in streams])
+        states = np.stack([_haar_rows(u) for u in uniforms])
         overlaps = np.abs(states @ orbit_bras) ** 2
         fired = _fires(overlaps[0::2] + overlaps[1::2], cfg.tie_tol)
         return np.count_nonzero((fired[0] != fired[1]).any(axis=-1))
 
-    separated = int(_sampled(chunk_separated, cfg.samples, (_haar_words(cfg.dim),) * len(streams), cfg.workers))
+    draws = [(RngStream(cfg.seed, 10 + k), 2 * cfg.dim) for k in range(4)]  # 2d words per Haar state
+    separated = int(_sampled(chunk_separated, cfg.samples, draws, cfg.workers))
     return [_record(cfg, frequency=separated / cfg.samples, extra={
         "separated": separated,
         "no_separator": cfg.samples - separated,
@@ -384,19 +381,9 @@ def _bloch_instance(rows) -> np.ndarray:
 def _run_pbr_geometric(cfg: ExperimentConfig) -> list[dict]:
     if cfg.dim != 2:
         raise ConfigError("pbr-geometric instances are qubit instances and require dim 2")
-    if "instance" in cfg.params:  # one instance: a single chunk of one sample
-        instance = _from_config(cfg, _bloch_instance, "instance")[:, None, :]
-        instances, bloch_vectors = 1, lambda lo, hi: instance
-    else:
-        streams = [RngStream(cfg.seed, 20 + k) for k in range(4)]
-        instances = cfg.samples
 
-        def bloch_vectors(lo: int, hi: int) -> np.ndarray:
-            return _bloch_vectors(np.stack([haar_states(2, st, lo, hi - lo) for st in streams]))
-
-    def chunk_counts(lo: int, hi: int) -> tuple:
+    def counts(m: np.ndarray, mp: np.ndarray, x: np.ndarray, xp: np.ndarray) -> tuple:
         """Separators found, degenerate instances, and the least margin of the rest."""
-        m, mp, x, xp = bloch_vectors(lo, hi)
         a, skip, margin = _bisectors(m + mp, x + xp)
         keep = ~skip
         # columns [pair a, pair b] of the rule sums; a separator fires pair a alone
@@ -406,9 +393,15 @@ def _run_pbr_geometric(cfg: ExperimentConfig) -> list[dict]:
         found = int(tally_rule(sums, cfg.tie_tol)[0])
         return found, int(np.count_nonzero(skip)), float(np.min(margin[keep], initial=np.inf))
 
-    words = (_haar_words(2),) * 4  # per instance: four qubit states
-    found, degenerate, min_margin = _sampled(chunk_counts, instances, words, cfg.workers,
-                                             reduce=lambda a, b: (a[0] + b[0], a[1] + b[1], min(a[2], b[2])))
+    if "instance" in cfg.params:
+        instances = 1
+        found, degenerate, min_margin = counts(*_from_config(cfg, _bloch_instance, "instance")[:, None, :])
+    else:
+        instances = cfg.samples
+        draws = [(RngStream(cfg.seed, 20 + k), 4) for k in range(4)]  # m, m', x, x': 2 * 2 words per qubit state
+        found, degenerate, min_margin = _sampled(
+            lambda *uniforms: counts(*_bloch_vectors(np.stack([_haar_rows(u) for u in uniforms]))),
+            instances, draws, cfg.workers, reduce=lambda a, b: (a[0] + b[0], a[1] + b[1], min(a[2], b[2])))
     return [_record(cfg, frequency=found / instances, extra={
         "separators_found": found,
         "degenerate": degenerate,

@@ -157,15 +157,9 @@ def commutator_solve(inp: StationarySolveInput, require_psd: bool = False) -> np
             f"K has magnitude {worst:.3e} inside a degenerate block (must vanish)"
         )
 
-    rho_eig = np.zeros((d, d), dtype=complex)
-    for i in range(d):
-        rho_eig[i, i] = inp.diagonal[i]
-        for j in range(i + 1, d):
-            if same_block[i, j]:
-                continue
-            val = k_eig[i, j] / (energies[j] - energies[i])
-            rho_eig[i, j] = val
-            rho_eig[j, i] = val.conjugate()
+    with np.errstate(divide="ignore", invalid="ignore"):  # the masked entries divide by zero gaps
+        upper = np.triu(np.where(same_block, 0.0, k_eig / (energies[None, :] - energies[:, None])), 1)
+    rho_eig = upper + upper.conj().T + np.diag(inp.diagonal)
 
     mixed = v @ rho_eig @ v.conj().T
     rho = (mixed + mixed.conj().T) / 2.0

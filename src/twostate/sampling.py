@@ -6,20 +6,23 @@ of Philox words; a sample that uses ``w`` words owns words
 ``[i*w, (i+1)*w)`` of it (sample-stream version 3), and every variate is
 produced with a fixed word consumption (no rejection), so estimates are
 bitwise reproducible no matter how the index range is chunked or how many
-workers run them: one driver, ``_sampled``, runs every chunk and folds exactly.
-Each word becomes one uniform on [0, 1) (``_uniforms``), written straight
-into a float array with no array of words in between. Chunks are sized by
-Philox words, not by samples (``_chunk_samples``): a chunk holds at most
-``_CHUNK_WORDS`` words, 256 KiB of uniforms. Each thread that runs
-estimator chunks keeps one such buffer (``_chunk_buffer``) and builds every
-chunk's overlaps in it, so a chunk allocates no large array, and whether its
-pages stay mapped does not depend on the heap's history.
+workers run them. Each word becomes one uniform on [0, 1) (``_uniforms``),
+written straight into a float array with no array of words in between.
+
+One driver, ``_sampled``, runs every sampled experiment: it takes the
+``(stream, words)`` pair of each draw a sample makes, sizes chunks by
+Philox words, not by samples (``_chunk_samples``: at most ``_CHUNK_WORDS``
+words, 256 KiB of uniforms), draws each chunk's uniforms into the calling
+thread's one buffer of that size, hands them to a kernel, and folds the
+kernels' results exactly. A chunk thus allocates no large array for its
+uniforms, and whether their pages stay mapped does not depend on the heap's
+history.
 
 The state samplers (``haar_states``, ``uniform_overlap_states``,
 ``haar_unitary``) build complex vectors from Box-Muller normals. The
 estimators never build a backward state: the rule sees one only through its
 overlaps ``|<b|a_k>|^2`` with the outcomes, and those are drawn from their
-closed-form laws (``_overlap_block``).
+closed-form laws (``_overlaps``).
 """
 
 from __future__ import annotations
@@ -64,22 +67,6 @@ def _chunk_samples(words_per_sample: int) -> int:
 
 
 _THREAD = threading.local()  # each thread's chunk buffer, kept for the thread's life
-
-
-def _chunk_buffer(count: int, words_per_sample: int) -> np.ndarray:
-    """A (count, words_per_sample) float array for one estimator chunk's uniforms.
-
-    A chunk of at most ``_CHUNK_WORDS`` words gets a view of the calling
-    thread's one buffer, so chunk after chunk and call after call write the
-    same pages, and no two threads share one. Only an explicit ``chunk_size``
-    beyond that gets an array of its own.
-    """
-    size = count * words_per_sample
-    if size > _CHUNK_WORDS:
-        return np.empty((count, words_per_sample))
-    if not hasattr(_THREAD, "buffer"):
-        _THREAD.buffer = np.empty(_CHUNK_WORDS)
-    return _THREAD.buffer[:size].reshape(count, words_per_sample)
 
 
 @dataclass(frozen=True)
@@ -169,7 +156,7 @@ def _uniforms(
     before it. Each word becomes ``(word >> 11) * 2**-53``, numpy's Philox
     double, so ``u + 2**-53`` is the same word's uniform on (0, 1], exactly.
     The rows are written into ``out`` (C-contiguous, shape ``(count, w)``)
-    when it is given: the estimators pass their thread's chunk buffer.
+    when it is given: ``_sampled`` passes views of its thread's chunk buffer.
     """
     first_word = first_sample * words_per_sample
     bit_gen = Philox(key=stream.key(), counter=first_word // 4)
@@ -205,30 +192,25 @@ def _flat_dirichlet(u: np.ndarray, k: int, first: int = 0) -> np.ndarray:
 
 
 def _overlap_words(dist: BackwardDistribution, dim: int, k: int) -> int:
-    """Philox words per sample of ``_overlap_block``."""
+    """Philox words per sample of ``_overlaps``."""
     if isinstance(dist, (HaarPure, UniformOverlap)):
         return 1 if k == 1 else dim
     raise TypeError(f"unknown backward distribution: {type(dist).__name__}")
 
 
-def _overlap_block(
-    dist: BackwardDistribution, dim: int, k: int, stream: RngStream, first_sample: int, count: int,
-    out: np.ndarray | None = None,
-) -> np.ndarray:
+def _overlaps(dist: BackwardDistribution, dim: int, k: int, u: np.ndarray) -> np.ndarray:
     """Overlaps ``|<b|a_j>|^2``, shape (count, k), of sampled backward states b
-    with the first ``k`` vectors of an orthonormal set; row i depends only on
-    (stream, first_sample + i).
+    with the first ``k`` vectors of an orthonormal set, from uniforms ``u`` of
+    shape ``(count, _overlap_words(dist, dim, k))``, one row per sample.
 
     Haar, whatever the set: for k = 1 the overlap is Beta(1, d - 1), drawn
     by inverse CDF as q_0 = 1 - v**(1/(d - 1)) with v = u + 2**-53 (one
     word); for k > 1 the d overlaps are flat Dirichlet (d words per sample).
     Uniform overlap, with the target as a_0: q_0 ~ U(0, 1) (one word), and
     for k > 1 the rest is (1 - q_0) times a flat Dirichlet over the target's
-    complement (d - 1 more words). The block is built in ``out``,
-    shape ``(count, _overlap_words(dist, dim, k))``, when it is given, and
-    the result is a view of it.
+    complement (d - 1 more words). The overlaps are built in ``u`` itself,
+    and the result is a view of it.
     """
-    u = _uniforms(stream, first_sample, count, _overlap_words(dist, dim, k), out)
     if isinstance(dist, HaarPure):
         if k > 1:
             return _flat_dirichlet(u, k)
@@ -252,19 +234,19 @@ def haar_state(dim: int, rng: RngStream, index: int = 0) -> StateVector:
     return StateVector(haar_states(dim, rng, index, 1)[0])
 
 
-def _haar_words(dim: int) -> int:
-    """Philox words per sample of ``haar_states``: two per complex normal."""
-    return 2 * dim
+def _haar_rows(u: np.ndarray) -> np.ndarray:
+    """One Haar state per row of ``2 * dim`` uniforms: ``dim`` complex normals, normalized."""
+    gauss = _complex_normals(u)
+    norms = np.linalg.norm(gauss, axis=1, keepdims=True)
+    norms[norms == 0.0] = 1.0
+    return gauss / norms
 
 
 def haar_states(dim: int, rng: RngStream, start: int, count: int) -> np.ndarray:
     """Rows are Haar states for sample indices start..start+count-1."""
     if dim < 2:
         raise ValueError(f"dimension must be >= 2, got {dim}")
-    gauss = _complex_normals(_uniforms(rng, start, count, _haar_words(dim)))
-    norms = np.linalg.norm(gauss, axis=1, keepdims=True)
-    norms[norms == 0.0] = 1.0
-    return gauss / norms
+    return _haar_rows(_uniforms(rng, start, count, 2 * dim))
 
 
 def uniform_overlap_states(a: StateVector, rng: RngStream, start: int, count: int) -> np.ndarray:
@@ -302,23 +284,45 @@ def haar_unitary(dim: int, rng: RngStream, index: int = 0) -> np.ndarray:
 # --- Monte Carlo estimators ------------------------------------------------
 
 
-def _sampled(block, n_samples: int, words: tuple, workers: int, chunk_size: int | None = None,
-             reduce=np.add):
-    """``block(lo, hi)`` over the chunks of samples ``[0, n_samples)``, folded with ``reduce`` in chunk order.
+def _sampled(block, n_samples: int, draws, workers: int, chunk_size: int | None = None, reduce=np.add):
+    """``block(*uniforms)`` over the chunks of samples ``[0, n_samples)``, folded with ``reduce`` in chunk order.
 
-    ``words`` holds the Philox words of each draw one sample makes; ``_chunk_samples`` sizes the
-    chunks by their sum unless ``chunk_size`` is given. With an exact ``reduce`` (integer addition,
-    or that and a minimum) neither the chunk size nor ``workers`` changes the result.
+    ``draws`` holds one ``(stream, words)`` pair per draw a sample makes; for the chunk of samples
+    ``[lo, hi)`` the block gets, per draw, the ``(hi - lo, words)`` array
+    ``_uniforms(stream, lo, hi - lo, words)``. The arrays are consecutive views of the calling
+    thread's one buffer of ``_CHUNK_WORDS`` uniforms, so chunk after chunk and call after call write
+    the same pages, and no two threads share one; only an explicit ``chunk_size`` beyond the buffer
+    gets arrays of its own. The next chunk overwrites the uniforms, so a block must not return a
+    view of them. ``_chunk_samples`` sizes the chunks by the words of all draws unless
+    ``chunk_size`` is given. With an exact ``reduce`` (integer addition, or that and a minimum)
+    neither the chunk size nor ``workers`` changes the result.
     """
+    words = sum(w for _, w in draws)
     if chunk_size is None:
-        chunk_size = _chunk_samples(sum(words))
+        chunk_size = _chunk_samples(words)
+
+    def run(lo: int, hi: int):
+        count = hi - lo
+        if count * words > _CHUNK_WORDS:
+            buffer = np.empty(count * words)
+        else:
+            if not hasattr(_THREAD, "buffer"):
+                _THREAD.buffer = np.empty(_CHUNK_WORDS)
+            buffer = _THREAD.buffer
+        uniforms, start = [], 0
+        for stream, w in draws:
+            view = buffer[start:start + count * w].reshape(count, w)
+            uniforms.append(_uniforms(stream, lo, count, w, view))
+            start += count * w
+        return block(*uniforms)
+
     los = range(0, n_samples, chunk_size)
     his = [min(lo + chunk_size, n_samples) for lo in los]
     workers = min(workers, len(los))  # one chunk runs in the calling thread
     if workers <= 1:
-        return functools.reduce(reduce, map(block, los, his))
+        return functools.reduce(reduce, map(run, los, his))
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        return functools.reduce(reduce, pool.map(block, los, his))
+        return functools.reduce(reduce, pool.map(run, los, his))
 
 
 def _binomial_estimate(count: int, n_samples: int, no_assign_rate: float | None = None) -> BornEstimate:
@@ -358,16 +362,15 @@ def _rule_tallies(
         q = np.abs(conj_targets @ dist.state.entries) ** 2
         return tally_rule((p + q)[None, :], tie_tol) * n_samples
 
-    stream = RngStream(seed, stream_index)
     k = targets.shape[0]
-    words = _overlap_words(dist, dim, k)
 
-    def chunk_tallies(lo: int, hi: int) -> np.ndarray:
-        sums = _overlap_block(dist, dim, k, stream, lo, hi - lo, _chunk_buffer(hi - lo, words))
+    def chunk_tallies(u: np.ndarray) -> np.ndarray:
+        sums = _overlaps(dist, dim, k, u)
         sums += p
         return tally_rule(sums, tie_tol)
 
-    return _sampled(chunk_tallies, n_samples, (words,), workers, chunk_size)
+    draws = [(RngStream(seed, stream_index), _overlap_words(dist, dim, k))]
+    return _sampled(chunk_tallies, n_samples, draws, workers, chunk_size)
 
 
 def born_mc(

@@ -37,6 +37,7 @@ from twostate import (
     commutator_solve,
     first_order_invariance_check,
     haar_state,
+    haar_states,
     haar_unitary,
     pbr_distinguishing_vector,
     satisfies_pure,
@@ -124,11 +125,12 @@ def assignment_corpus():
     """10^4 random (pair, basis) draws per d in {2,3,5}, assigned two ways."""
     stats = {"draws": 0, "violations": 0, "swap_mismatches": 0, "assigned": 0}
     for d in (2, 3, 5):
-        fwd = RngStream(45, 100 + d)
-        bwd = RngStream(45, 200 + d)
+        # one batch per stream: row i is haar_state(d, stream, i), bit for bit
+        fwd = haar_states(d, RngStream(45, 100 + d), 0, 10_000)
+        bwd = haar_states(d, RngStream(45, 200 + d), 0, 10_000)
         bas = RngStream(45, 300 + d)
         for i in range(10_000):
-            pair = TwoStatePairPure(haar_state(d, fwd, i), haar_state(d, bwd, i))
+            pair = TwoStatePairPure(StateVector(fwd[i]), StateVector(bwd[i]))
             basis = OrthonormalBasis.from_unitary_matrix(haar_unitary(d, bas, i))
             try:
                 result = assign_over_basis(pair, basis)

@@ -95,6 +95,15 @@ class TestBellCondition:
             assert bell_condition(m, n, a) == satisfies_pure(pair, state_from_bloch(a))
             checked += 1
 
+    def test_reflected_ties_match_state_overlap_form(self):
+        # n is m reflected in the plane normal to a, so n.a = -m.a: an exact tie, up to rounding
+        rng = np.random.default_rng(37)
+        for _ in range(2000):
+            m, a = random_bloch(rng), random_bloch(rng)
+            n = BlochVector.from_array(m.as_array() - 2.0 * m.dot(a) * a.as_array())
+            pair = TwoStatePairPure(state_from_bloch(m), state_from_bloch(n))
+            assert bell_condition(m, n, a) == satisfies_pure(pair, state_from_bloch(a))
+
 
 class TestDistinguishingVector:
     def test_canonical_instance(self):

@@ -251,7 +251,7 @@ FIELD_ROWS = {
                            "integral-float": ([1.0], [1.0]), "nan": ([NAN], None),
                            "inf": ([INF], None), "out-of-range": ([0.5, 1.5], None), "non-numeric": (["x"], None)}),
     # no angle is out of range; an empty grid is
-    "theta_deg": ("basis-mc", {"valid": ([45, 60.5], [45, 60.5]), "text": ("45,60.5", [45.0, 60.5]),
+    "theta_deg": ("basis-mc", {"valid": ([45, 60.5], [45.0, 60.5]), "text": ("45,60.5", [45.0, 60.5]),
                                "boolean": ([True], None), "fraction": ([2.5], [2.5]),
                                "integral-float": ([3.0], [3.0]), "nan": ([NAN], None),
                                "inf": ([INF], None), "out-of-range": ([], None), "non-numeric": (["x"], None)}),
@@ -305,10 +305,16 @@ TABLE_PARAMS = [
     (["sic-search", "--restarts", "1"], "--max-iters", "100", 100),
 ]
 TABLE_IDS = ["p_grid", "theta_deg", "tol", "restarts", "max_iters"]
+# a config grid of integers echoes in p_or_theta as the flag's floats do
+INTEGER_GRIDS = [
+    (["born-mc", "--samples", "500"], "--p-grid", "0,1", [0, 1]),
+    (["basis-mc", "--samples", "500"], "--theta-deg", "45", [45]),
+]
 
 
 class TestExperimentTable:
-    @pytest.mark.parametrize("args, flag, text, value", TABLE_PARAMS, ids=TABLE_IDS)
+    @pytest.mark.parametrize("args, flag, text, value", TABLE_PARAMS + INTEGER_GRIDS,
+                             ids=TABLE_IDS + ["p_grid-integers", "theta_deg-integers"])
     def test_flag_and_config_key_give_the_same_payload(self, args, flag, text, value, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({flag[2:].replace("-", "_"): value}))

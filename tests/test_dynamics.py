@@ -171,6 +171,32 @@ class TestCommutatorSolve:
                 @ spectral(inp.hamiltonian).eigenvectors.as_matrix().T
             ).real, inp.diagonal, atol=1e-10)
 
+    def test_matches_the_per_entry_formula(self):
+        rng = np.random.default_rng(52)
+        for trial in range(300):
+            inp = feasible_instance(rng, int(rng.integers(2, 9)), duplicate=(trial % 3 == 0))
+            assert np.array_equal(commutator_solve(inp), per_entry_solve(inp))
+
+
+def per_entry_solve(inp: StationarySolveInput) -> np.ndarray:
+    """``commutator_solve`` one entry at a time: rho_ij = K_ij / (E_j - E_i) in H's eigenbasis,
+    zero inside degenerate blocks, the given diagonal, and the conjugate below it."""
+    dec = spectral(inp.hamiltonian)
+    d = dec.dim
+    v = dec.eigenvectors.as_matrix().T
+    energies = np.asarray(dec.eigenvalues)
+    k_eig = v.conj().T @ inp.target.entries @ v
+    block_of = {i: b for b, block in enumerate(dec.degeneracy_blocks) for i in block}
+    rho_eig = np.zeros((d, d), dtype=complex)
+    for i in range(d):
+        rho_eig[i, i] = inp.diagonal[i]
+        for j in range(i + 1, d):
+            if block_of[i] != block_of[j]:
+                val = k_eig[i, j] / (energies[j] - energies[i])
+                rho_eig[i, j], rho_eig[j, i] = val, val.conjugate()
+    mixed = v @ rho_eig @ v.conj().T
+    return (mixed + mixed.conj().T) / 2.0
+
 
 class TestStationaryPartner:
     def test_diagonal_input_reproduces_itself(self):

@@ -1,4 +1,4 @@
-from concurrent.futures import ThreadPoolExecutor
+import threading
 
 import numpy as np
 import pytest
@@ -19,14 +19,15 @@ from twostate import (
     haar_unitary,
     uniform_overlap_states,
 )
+from twostate import sampling
 from twostate.assignment import RULE_ROUNDING_BOUND
 from twostate.sampling import (
     _CHUNK_WORDS,
-    _chunk_buffer,
     _chunk_samples,
     _flat_dirichlet,
-    _overlap_block,
     _overlap_words,
+    _overlaps,
+    _sampled,
     _uniforms,
 )
 
@@ -40,6 +41,11 @@ KS_CRIT_1PC = 1.628
 
 def ks_stat(samples, cdf):
     return stats.kstest(samples, cdf).statistic
+
+
+def drawn_overlaps(dist, dim: int, k: int, stream: RngStream, lo: int, n: int) -> np.ndarray:
+    """The estimators' overlaps of samples ``[lo, lo + n)``: ``_overlaps`` of the stream's uniforms."""
+    return _overlaps(dist, dim, k, _uniforms(stream, lo, n, _overlap_words(dist, dim, k)))
 
 
 def forward_with_overlap(p: float, dim: int) -> StateVector:
@@ -192,7 +198,7 @@ class TestOverlapLaw:
         else:
             dist, states = UniformOverlap(target), uniform_overlap_states(target, RngStream(90, 0), 0, n)
         k = dim if full_basis else 1
-        drawn = _overlap_block(dist, dim, k, RngStream(91, 0), 0, n)
+        drawn = drawn_overlaps(dist, dim, k, RngStream(91, 0), 0, n)
         reference = np.abs(states.conj() @ outcomes[:k].T) ** 2
         assert drawn.shape == (n, k)
         # each marginal, and for k = d the largest overlap as one joint statistic
@@ -207,14 +213,14 @@ class TestOverlapLaw:
     def test_scan_overlaps_have_beta_marginals(self, dim):
         # exclusivity-scan's p (and q): every basis overlap of a Haar state is Beta(1, d - 1)
         n = 10_000
-        p = _overlap_block(HaarPure(), dim, dim, RngStream(92, 1), 0, n)
+        p = drawn_overlaps(HaarPure(), dim, dim, RngStream(92, 1), 0, n)
         for j in range(dim):
             assert ks_stat(p[:, j], lambda x: 1 - (1 - x) ** (dim - 1)) < KS_CRIT_1PC / np.sqrt(n), j
 
     def test_block_is_pure_function_of_index(self):
         dist = UniformOverlap(StateVector.basis_state(5, 0))
-        block = _overlap_block(dist, 5, 5, RngStream(5, 3), 0, 10)
-        assert np.array_equal(block[6:], _overlap_block(dist, 5, 5, RngStream(5, 3), 6, 4))
+        block = drawn_overlaps(dist, 5, 5, RngStream(5, 3), 0, 10)
+        assert np.array_equal(block[6:], drawn_overlaps(dist, 5, 5, RngStream(5, 3), 6, 4))
 
 
 def _dirichlet_reference(u: np.ndarray, k: int) -> np.ndarray:
@@ -243,18 +249,18 @@ class TestOverlapBlockArithmetic:
             dist = UniformOverlap(StateVector.basis_state(dim, 0))
             q0 = u[:, :1]
             expected = np.concatenate([q0, (1.0 - q0) * _dirichlet_reference(u[:, 1:], k - 1)], axis=1)
-        drawn = _overlap_block(dist, dim, k, stream, lo, n)
+        drawn = drawn_overlaps(dist, dim, k, stream, lo, n)
         assert drawn.shape == (n, k)
         assert np.array_equal(drawn.view(np.uint64), expected.view(np.uint64))
 
     @pytest.mark.parametrize("law, k", [("haar", 1), ("haar", 3), ("uniform-overlap", 1), ("uniform-overlap", 3)])
-    def test_fills_the_buffer_it_is_given(self, law, k):
+    def test_builds_the_overlaps_in_their_uniforms(self, law, k):
         dim, stream = 3, RngStream(19, 1)
         dist = HaarPure() if law == "haar" else UniformOverlap(StateVector.basis_state(dim, 0))
-        buffer = np.full((200, _overlap_words(dist, dim, k)), np.nan)
-        drawn = _overlap_block(dist, dim, k, stream, 7, 200, buffer)
-        assert np.shares_memory(drawn, buffer)
-        assert np.array_equal(drawn, _overlap_block(dist, dim, k, stream, 7, 200))
+        u = _uniforms(stream, 7, 200, _overlap_words(dist, dim, k))
+        drawn = _overlaps(dist, dim, k, u)
+        assert drawn.shape == (200, k)
+        assert np.shares_memory(drawn, u)
 
     def test_a_row_of_top_words_gives_zeros(self):
         u = _uniforms(RngStream(3), 0, 4, 5)
@@ -273,8 +279,20 @@ class TestDefaultChunks:
         assert _chunk_samples(2**16) == 1  # a sample above the budget still gets a chunk
 
 
+def run_recorded(draws, n_samples: int, workers: int = 1, chunk_size: int | None = None) -> list:
+    """``_sampled`` with a block that keeps, per chunk, its thread, its uniform arrays and copies of them."""
+    calls = []
+
+    def block(*uniforms):
+        calls.append((threading.get_ident(), uniforms, [u.copy() for u in uniforms]))
+        return 1
+
+    assert _sampled(block, n_samples, draws, workers, chunk_size) == len(calls)
+    return calls
+
+
 class TestChunkBuffers:
-    """Each thread keeps one chunk buffer for the estimators; the public samplers return fresh arrays."""
+    """The driver draws each chunk into its thread's one buffer; the public samplers return fresh arrays."""
 
     def test_public_sampler_results_never_alias(self):
         stream, target = RngStream(23, 0), StateVector.basis_state(3, 0)
@@ -287,15 +305,51 @@ class TestChunkBuffers:
             for b in draws[i + 1:]:
                 assert not np.shares_memory(a, b)
 
-    def test_each_thread_reuses_its_own_buffer(self):
-        first, again = _chunk_buffer(100, 5), _chunk_buffer(7, 16)
-        assert first.shape == (100, 5) and again.shape == (7, 16) and again.flags.c_contiguous
-        assert np.shares_memory(first, again)
-        with ThreadPoolExecutor(max_workers=1) as pool:
-            other = pool.submit(_chunk_buffer, 100, 5).result()
-        assert not np.shares_memory(first, other)
-        # only an explicit chunk size beyond the buffer gets an array of its own
-        assert not np.shares_memory(first, _chunk_buffer(_CHUNK_WORDS // 4 + 1, 4))
+    @pytest.mark.parametrize("n_draws", [1, 2, 4])
+    def test_each_draw_is_a_view_of_the_calling_threads_buffer(self, n_draws):
+        draws = [(RngStream(43, k), 2 * k + 1) for k in range(n_draws)]  # 1, 3, 5 and 7 words
+        n = 3 * _chunk_samples(sum(words for _, words in draws)) + 5
+        calls = run_recorded(draws, n) + run_recorded(draws, n)  # chunk after chunk, call after call
+        buffer = sampling._THREAD.buffer
+        lo = 0
+        for ident, uniforms, copies in calls:
+            assert ident == threading.get_ident()
+            count, start = len(uniforms[0]), 0
+            for (stream, words), u, copy in zip(draws, uniforms, copies):
+                assert u.shape == (count, words) and u.flags.c_contiguous
+                assert u.base is buffer
+                # consecutive: each draw starts where the one before it ends
+                assert u.ctypes.data - buffer.ctypes.data == start
+                start += u.nbytes
+                assert np.array_equal(copy.view(np.uint64), _uniforms(stream, lo, count, words).view(np.uint64))
+            for i, u in enumerate(uniforms):
+                assert not any(np.shares_memory(u, v) for v in uniforms[i + 1:])
+            lo = (lo + count) % n
+        assert len(calls) == 8 and lo == 0
+
+    def test_pool_threads_draw_into_buffers_of_their_own(self):
+        draws = [(RngStream(47, 0), 4), (RngStream(47, 1), 4)]
+        run_recorded(draws, 10)
+        buffer = sampling._THREAD.buffer
+        calls = run_recorded(draws, 6 * _chunk_samples(8), workers=2)
+        bases = {}
+        for ident, uniforms, _ in calls:
+            assert ident != threading.get_ident()
+            for u in uniforms:
+                assert bases.setdefault(ident, u.base) is u.base  # one buffer per pool thread
+        assert not any(np.shares_memory(base, buffer) for base in bases.values())
+        assert len({id(base) for base in bases.values()}) == len(bases)
+
+    def test_a_chunk_beyond_the_buffer_gets_arrays_of_its_own(self):
+        draws = [(RngStream(53, 0), 4), (RngStream(53, 1), 4)]
+        run_recorded(draws, 10)
+        buffer = sampling._THREAD.buffer
+        n = _CHUNK_WORDS // 8 + 1
+        ((_, uniforms, copies),) = run_recorded(draws, n, chunk_size=n)
+        assert not np.shares_memory(uniforms[0], uniforms[1])
+        for (stream, words), u, copy in zip(draws, uniforms, copies):
+            assert not np.shares_memory(u, buffer)
+            assert np.array_equal(copy.view(np.uint64), _uniforms(stream, 0, n, words).view(np.uint64))
 
     @pytest.mark.parametrize("law", ["haar", "uniform-overlap"])
     @pytest.mark.parametrize("dim", [2, 5])
