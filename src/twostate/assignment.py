@@ -54,32 +54,28 @@ class OrthogonalPostSelectionError(ValueError):
     """Weak value requested for a (numerically) orthogonal post-selection."""
 
 
+class _Pair:
+    """A forward and a backward component of one dimension."""
+
+    def __post_init__(self):
+        if self.forward.dim != self.backward.dim:
+            raise ValueError(f"dimension mismatch: {self.forward.dim} vs {self.backward.dim}")
+
+    @property
+    def dim(self) -> int:
+        return self.forward.dim
+
+
 @dataclass(frozen=True, eq=False)
-class TwoStatePairPure:
+class TwoStatePairPure(_Pair):
     forward: StateVector
     backward: StateVector
 
-    def __post_init__(self):
-        if self.forward.dim != self.backward.dim:
-            raise ValueError(f"dimension mismatch: {self.forward.dim} vs {self.backward.dim}")
-
-    @property
-    def dim(self) -> int:
-        return self.forward.dim
-
 
 @dataclass(frozen=True, eq=False)
-class TwoStatePairMixed:
+class TwoStatePairMixed(_Pair):
     forward: DensityMatrix
     backward: DensityMatrix
-
-    def __post_init__(self):
-        if self.forward.dim != self.backward.dim:
-            raise ValueError(f"dimension mismatch: {self.forward.dim} vs {self.backward.dim}")
-
-    @property
-    def dim(self) -> int:
-        return self.forward.dim
 
     @classmethod
     def from_pure(cls, pair: TwoStatePairPure) -> "TwoStatePairMixed":
@@ -110,6 +106,7 @@ class WeakValueResult:
 # An exact tie, a sum of exactly 1, comes out of floating point up to 9 eps
 # above 1 for d <= 32; sums must clear the threshold by more than this.
 RULE_ROUNDING_BOUND = 128 * np.finfo(float).eps
+SINGULAR_TOL = 1e-12  # |<final|forward>| below which a weak value is singular
 
 
 def _fires(sums, tie_tol: float):
@@ -192,23 +189,18 @@ def time_reverse(pair):
     raise TypeError(f"not a two-state pair: {type(pair).__name__}")
 
 
-def weak_value(
-    a: HermitianOperator,
-    forward: StateVector,
-    final: StateVector,
-    singular_tol: float = 1e-12,
-) -> WeakValueResult:
+def weak_value(a: HermitianOperator, forward: StateVector, final: StateVector) -> WeakValueResult:
     """<final|A|forward> / <final|forward>, plus the post-selection probability.
 
     Raises OrthogonalPostSelectionError when the post-selection amplitude is
-    below ``singular_tol`` in magnitude, where the quotient is singular.
+    below ``SINGULAR_TOL`` in magnitude, where the quotient is singular.
     """
     if a.dim != forward.dim or forward.dim != final.dim:
         raise ValueError("dimension mismatch between observable and states")
     amplitude = complex(np.vdot(final.entries, forward.entries))
-    if abs(amplitude) < singular_tol:
+    if abs(amplitude) < SINGULAR_TOL:
         raise OrthogonalPostSelectionError(
-            f"post-selection amplitude {abs(amplitude):.3e} below {singular_tol:.1e}"
+            f"post-selection amplitude {abs(amplitude):.3e} below {SINGULAR_TOL:.1e}"
         )
     numerator = complex(np.vdot(final.entries, a.entries @ forward.entries))
     probability = abs(complex(np.vdot(forward.entries, final.entries))) ** 2

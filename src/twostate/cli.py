@@ -21,10 +21,12 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .assignment import MultipleOutcomesError, _fires, tally_rule, weak_value
+from .assignment import MultipleOutcomesError, OrthogonalPostSelectionError, _fires, tally_rule, weak_value
 from .blochpbr import BlochVector, _bisectors, _bloch_states, _bloch_vectors
 from .dynamics import (
     CommutatorTarget,
+    InfeasibleKError,
+    NotPsdError,
     StationarySolveInput,
     commutator_solve,
 )
@@ -50,7 +52,15 @@ from .sampling import (
     born_oracle,
     haar_state,  # unused here; the benchmark's tracer test reads it as cli.haar_state
 )
-from .sic import _orbit, _require_valid, builtin_fiducial, search_fiducial, sic_from_fiducial, validate_sic
+from .sic import (
+    SEARCH_MAX_DIM,
+    _orbit,
+    _require_valid,
+    builtin_fiducial,
+    search_fiducial,
+    sic_from_fiducial,
+    validate_sic,
+)
 
 __all__ = ["ExperimentConfig", "ConfigError", "run_experiment", "emit_results", "result_schema", "main"]
 
@@ -116,11 +126,14 @@ def _record(cfg: ExperimentConfig, p_or_theta=None, frequency=None, std_err=None
     }
 
 
-def _converted(key: str, build, *values):
-    """``build(*values)``; a rejected value is a ConfigError that names ``key``."""
+def _converted(key: str, build, *values, rejects=(TypeError, ValueError, OverflowError)):
+    """``build(*values)``; an exception of a ``rejects`` class is a ConfigError that names ``key``.
+
+    The default classes are those a rejected value raises (OverflowError: float() of a huge config integer).
+    """
     try:
         return build(*values)
-    except (TypeError, ValueError, OverflowError) as err:  # OverflowError: float() of a huge config integer
+    except rejects as err:
         raise ConfigError(f"invalid {key}: {err}") from None
 
 
@@ -273,14 +286,15 @@ def _run_basis_mc(cfg: ExperimentConfig) -> list[dict]:
             fwd, basis, dist, cfg.samples, cfg.seed, cfg.tie_tol,
             stream_index=point, workers=cfg.workers,
         )
-        conditional = result.conditional_frequencies()
+        # 0/0, when no sample assigned an outcome, is written as null
+        conditional = [None if math.isnan(c) else float(c) for c in result.conditional_frequencies()]
         bmat = basis.as_matrix()
         born = np.abs(bmat.conj() @ fwd.entries) ** 2
         for k, estimate in enumerate(result.estimates):
             records.append(_record(
                 cfg, p_or_theta=theta, frequency=estimate.frequency, std_err=estimate.std_err,
                 no_assign_rate=result.no_assign_rate, oracle=float(born[k]),
-                extra={"outcome": k, "conditional_frequency": float(conditional[k])},
+                extra={"outcome": k, "conditional_frequency": conditional[k]},
             ))
     return records
 
@@ -322,6 +336,8 @@ def _run_sic_validate(cfg: ExperimentConfig) -> list[dict]:
 
 
 def _run_sic_search(cfg: ExperimentConfig) -> list[dict]:
+    if cfg.dim > SEARCH_MAX_DIM:
+        raise ConfigError(f"invalid dim: supported dimensions are 2..{SEARCH_MAX_DIM}, got {cfg.dim}")
     report = search_fiducial(cfg.dim, cfg.params["restarts"], cfg.params["max_iters"], cfg.seed)
     orbit_check = validate_sic(sic_from_fiducial(report.fiducial), 1e-5)
     return [_record(cfg, oracle=report.lower_bound, extra={
@@ -361,7 +377,8 @@ def _run_stationary_solve(cfg: ExperimentConfig) -> list[dict]:
         "hamiltonian", "target_k", "diagonal",
     )
     h, k = solve_input.hamiltonian, solve_input.target
-    rho = commutator_solve(solve_input, require_psd=cfg.params["require_psd"])
+    rho = _converted("target_k/diagonal", commutator_solve, solve_input, cfg.params["require_psd"],
+                     rejects=(InfeasibleKError, NotPsdError))
     residual = float(np.linalg.norm(commutator(rho, h.entries) - k.entries))
     return [_record(cfg, oracle=0.0, extra={
         "residual": residual,
@@ -420,7 +437,7 @@ def _run_weak_value(cfg: ExperimentConfig) -> list[dict]:
         observable = HermitianOperator(np.diag([1.0, -1.0]).astype(complex))
         forward = StateVector(np.array([1.0, 1.0]) / np.sqrt(2.0))
         final = StateVector.basis_state(2, 0)
-    result = weak_value(observable, forward, final)
+    result = _converted("forward/final", weak_value, observable, forward, final, rejects=OrthogonalPostSelectionError)
     return [_record(cfg, frequency=result.event_probability, extra={
         "value_re": result.value.real,
         "value_im": result.value.imag,
@@ -554,7 +571,7 @@ def _format_cell(value) -> str:
     if isinstance(value, float):
         return repr(value)
     if isinstance(value, dict):
-        return json.dumps(value, separators=(",", ":"))
+        return json.dumps(value, separators=(",", ":"), allow_nan=False)
     return str(value)
 
 
@@ -573,7 +590,7 @@ def emit_results(records: list[dict], fmt: str, path: str | None, include_timing
         payload = buf.getvalue()
     elif fmt == "json":
         trimmed = [{col: rec.get(col) for col in columns} for rec in records]
-        payload = json.dumps(trimmed, indent=2) + "\n"
+        payload = json.dumps(trimmed, indent=2, allow_nan=False) + "\n"
     else:
         raise ConfigError(f"unknown output format {fmt!r}")
 

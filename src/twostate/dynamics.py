@@ -19,6 +19,8 @@ from .qcore import (
     DensityMatrix,
     HermitianOperator,
     UnitaryOperator,
+    _Checked,
+    _as_matrix,
     commutator,
     spectral,
 )
@@ -51,25 +53,16 @@ class NotPsdError(ValueError):
 
 
 @dataclass(frozen=True, eq=False)
-class CommutatorTarget:
+class CommutatorTarget(_Checked):
     """Target commutator K; anti-Hermitian, as any [rho, H] must be."""
 
-    entries: np.ndarray
-
-    def __post_init__(self):
-        mat = np.asarray(self.entries, dtype=complex)
-        if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-            raise ValueError(f"expected a square matrix, got shape {mat.shape}")
+    @staticmethod
+    def _check(entries) -> np.ndarray:
+        mat = _as_matrix(entries)
         dev = float(np.max(np.abs(mat + mat.conj().T)))
         if dev > 1e-12:
             raise ValueError(f"target is not anti-Hermitian: max |K + K^H| = {dev:.3e}")
-        mat = mat.copy()
-        mat.setflags(write=False)
-        object.__setattr__(self, "entries", mat)
-
-    @property
-    def dim(self) -> int:
-        return self.entries.shape[0]
+        return mat
 
 
 @dataclass(frozen=True, eq=False)

@@ -67,13 +67,34 @@ def _check_hermitian(mat: np.ndarray, what: str) -> None:
 
 
 @dataclass(frozen=True, eq=False)
-class StateVector:
-    """A normalized pure state: d complex amplitudes, d >= 2."""
+class _Checked:
+    """A checked, immutable array: ``_check`` converts and checks ``entries``, which are stored frozen.
+
+    Each subclass is declared a frozen dataclass itself, so that it has an ``__init__`` of its
+    own: ``bench/tracer.py`` times a construction by wrapping the class's own ``__init__``.
+    """
 
     entries: np.ndarray
 
     def __post_init__(self):
-        arr = np.asarray(self.entries, dtype=complex)
+        object.__setattr__(self, "entries", _freeze(self._check(self.entries)))
+
+    @staticmethod
+    def _check(entries) -> np.ndarray:
+        raise NotImplementedError
+
+    @property
+    def dim(self) -> int:
+        return self.entries.shape[0]
+
+
+@dataclass(frozen=True, eq=False)
+class StateVector(_Checked):
+    """A normalized pure state: d complex amplitudes, d >= 2."""
+
+    @staticmethod
+    def _check(entries) -> np.ndarray:
+        arr = np.asarray(entries, dtype=complex)
         if arr.ndim != 1:
             raise ValueError(f"state vector must be 1-D, got shape {arr.shape}")
         if arr.shape[0] < 2:
@@ -81,11 +102,7 @@ class StateVector:
         nrm = float(np.linalg.norm(arr))
         if not abs(nrm - 1.0) <= NORM_TOL:
             raise ValueError(f"state vector norm {nrm!r} deviates from 1 beyond {NORM_TOL:.1e}")
-        object.__setattr__(self, "entries", _freeze(arr))
-
-    @property
-    def dim(self) -> int:
-        return self.entries.shape[0]
+        return arr
 
     @classmethod
     def normalized(cls, entries) -> "StateVector":
@@ -106,13 +123,12 @@ class StateVector:
 
 
 @dataclass(frozen=True, eq=False)
-class DensityMatrix:
+class DensityMatrix(_Checked):
     """Hermitian, unit-trace, positive-semidefinite d x d matrix."""
 
-    entries: np.ndarray
-
-    def __post_init__(self):
-        mat = _as_matrix(self.entries)
+    @staticmethod
+    def _check(entries) -> np.ndarray:
+        mat = _as_matrix(entries)
         _check_hermitian(mat, "density matrix")
         tr = complex(np.trace(mat))
         if not abs(tr - 1.0) <= TRACE_TOL:
@@ -120,11 +136,7 @@ class DensityMatrix:
         evals = np.linalg.eigvalsh((mat + mat.conj().T) / 2)
         if not float(evals.min()) >= -PSD_FLOOR:
             raise ValueError(f"density matrix has eigenvalue {float(evals.min()):.3e} below -{PSD_FLOOR:.1e}")
-        object.__setattr__(self, "entries", _freeze(mat))
-
-    @property
-    def dim(self) -> int:
-        return self.entries.shape[0]
+        return mat
 
     @classmethod
     def pure(cls, state: StateVector) -> "DensityMatrix":
@@ -136,44 +148,32 @@ class DensityMatrix:
 
 
 @dataclass(frozen=True, eq=False)
-class HermitianOperator:
-    entries: np.ndarray
-
-    def __post_init__(self):
-        mat = _as_matrix(self.entries)
+class HermitianOperator(_Checked):
+    @staticmethod
+    def _check(entries) -> np.ndarray:
+        mat = _as_matrix(entries)
         _check_hermitian(mat, "operator")
-        object.__setattr__(self, "entries", _freeze(mat))
-
-    @property
-    def dim(self) -> int:
-        return self.entries.shape[0]
+        return mat
 
 
 @dataclass(frozen=True, eq=False)
-class UnitaryOperator:
-    entries: np.ndarray
-
-    def __post_init__(self):
-        mat = _as_matrix(self.entries)
-        d = mat.shape[0]
-        dev = float(np.linalg.norm(mat.conj().T @ mat - np.eye(d)))
+class UnitaryOperator(_Checked):
+    @staticmethod
+    def _check(entries) -> np.ndarray:
+        mat = _as_matrix(entries)
+        dev = float(np.linalg.norm(mat.conj().T @ mat - np.eye(mat.shape[0])))
         if not dev <= UNITARY_TOL:
             raise ValueError(f"matrix is not unitary: ||U^H U - I||_F = {dev:.3e}")
-        object.__setattr__(self, "entries", _freeze(mat))
-
-    @property
-    def dim(self) -> int:
-        return self.entries.shape[0]
+        return mat
 
 
 @dataclass(frozen=True, eq=False)
-class Projector:
+class Projector(_Checked):
     """Rank-1 orthogonal projector: Hermitian, idempotent, trace 1."""
 
-    entries: np.ndarray
-
-    def __post_init__(self):
-        mat = _as_matrix(self.entries)
+    @staticmethod
+    def _check(entries) -> np.ndarray:
+        mat = _as_matrix(entries)
         _check_hermitian(mat, "projector")
         dev = float(np.max(np.abs(mat @ mat - mat)))
         if not dev <= IDEMPOTENT_TOL:
@@ -181,11 +181,7 @@ class Projector:
         tr = complex(np.trace(mat))
         if not abs(tr - 1.0) <= IDEMPOTENT_TOL:
             raise ValueError(f"projector trace {tr!r} deviates from 1 (rank must be 1)")
-        object.__setattr__(self, "entries", _freeze(mat))
-
-    @property
-    def dim(self) -> int:
-        return self.entries.shape[0]
+        return mat
 
 
 @dataclass(frozen=True, eq=False)
@@ -217,11 +213,6 @@ class OrthonormalBasis:
     def as_matrix(self) -> np.ndarray:
         """Row i is basis vector i."""
         return np.array([v.entries for v in self.vectors])
-
-    @classmethod
-    def from_unitary(cls, u: UnitaryOperator) -> "OrthonormalBasis":
-        """Columns of the unitary become the basis vectors."""
-        return cls.from_unitary_matrix(u.entries)
 
     @classmethod
     def from_unitary_matrix(cls, mat) -> "OrthonormalBasis":
@@ -291,7 +282,7 @@ def trace_product(r, p: Projector) -> float:
     raises; below it, the residue is discarded.
     """
     mat = _as_matrix(r)
-    pm = p.entries if isinstance(p, Projector) else _as_matrix(p)
+    pm = _as_matrix(p)
     if mat.shape != pm.shape:
         raise ValueError(f"dimension mismatch: {mat.shape} vs {pm.shape}")
     val = complex(np.sum(mat * pm.T))
@@ -309,17 +300,16 @@ def commutator(a, b) -> np.ndarray:
     return am @ bm - bm @ am
 
 
-def spectral(h: HermitianOperator, gap_tol: float | None = None) -> SpectralDecomposition:
+def spectral(h: HermitianOperator) -> SpectralDecomposition:
     """Eigendecomposition of a Hermitian operator with degeneracy detection.
 
-    ``gap_tol`` defaults to ``DEGENERACY_REL`` times the spectral range;
-    consecutive eigenvalues closer than that are grouped into one block.
+    Consecutive eigenvalues closer than ``DEGENERACY_REL`` times the spectral
+    range are grouped into one block.
     """
-    hm = h.entries if isinstance(h, HermitianOperator) else _as_matrix(h)
+    hm = _as_matrix(h)
     _check_hermitian(hm, "spectral input")
     evals, evecs = np.linalg.eigh(hm)
-    if gap_tol is None:
-        gap_tol = DEGENERACY_REL * float(evals[-1] - evals[0])
+    gap_tol = DEGENERACY_REL * float(evals[-1] - evals[0])
 
     blocks: list[list[int]] = [[0]]
     for i in range(1, len(evals)):
@@ -329,7 +319,7 @@ def spectral(h: HermitianOperator, gap_tol: float | None = None) -> SpectralDeco
             blocks.append([i])
 
     basis = OrthonormalBasis.from_unitary_matrix(evecs)
-    dec = SpectralDecomposition(tuple(evals), basis, tuple(tuple(b) for b in blocks), float(gap_tol))
+    dec = SpectralDecomposition(tuple(evals), basis, tuple(tuple(b) for b in blocks), gap_tol)
     residual = float(np.linalg.norm(dec.reconstruct() - hm))
     if not residual <= RECONSTRUCTION_TOL:
         raise ValueError(f"spectral reconstruction residual {residual:.3e} exceeds {RECONSTRUCTION_TOL:.1e}")

@@ -284,22 +284,21 @@ def haar_unitary(dim: int, rng: RngStream, index: int = 0) -> np.ndarray:
 # --- Monte Carlo estimators ------------------------------------------------
 
 
-def _sampled(block, n_samples: int, draws, workers: int, chunk_size: int | None = None, reduce=np.add):
+def _sampled(block, n_samples: int, draws, workers: int, reduce=np.add):
     """``block(*uniforms)`` over the chunks of samples ``[0, n_samples)``, folded with ``reduce`` in chunk order.
 
     ``draws`` holds one ``(stream, words)`` pair per draw a sample makes; for the chunk of samples
     ``[lo, hi)`` the block gets, per draw, the ``(hi - lo, words)`` array
-    ``_uniforms(stream, lo, hi - lo, words)``. The arrays are consecutive views of the calling
-    thread's one buffer of ``_CHUNK_WORDS`` uniforms, so chunk after chunk and call after call write
-    the same pages, and no two threads share one; only an explicit ``chunk_size`` beyond the buffer
-    gets arrays of its own. The next chunk overwrites the uniforms, so a block must not return a
-    view of them. ``_chunk_samples`` sizes the chunks by the words of all draws unless
-    ``chunk_size`` is given. With an exact ``reduce`` (integer addition, or that and a minimum)
-    neither the chunk size nor ``workers`` changes the result.
+    ``_uniforms(stream, lo, hi - lo, words)``. ``_chunk_samples`` sizes the chunks by the words of
+    all draws. The arrays are consecutive views of the calling thread's one buffer of
+    ``_CHUNK_WORDS`` uniforms, so chunk after chunk and call after call write the same pages, and
+    no two threads share one; only a sample wider than the buffer (a one-sample chunk) gets arrays
+    of its own. The next chunk overwrites the uniforms, so a block must not return a view of them.
+    With an exact ``reduce`` (integer addition, or that and a minimum) neither the chunk size nor
+    ``workers`` changes the result.
     """
     words = sum(w for _, w in draws)
-    if chunk_size is None:
-        chunk_size = _chunk_samples(words)
+    chunk_size = _chunk_samples(words)
 
     def run(lo: int, hi: int):
         count = hi - lo
@@ -340,7 +339,6 @@ def _rule_tallies(
     tie_tol: float,
     stream_index: int,
     workers: int,
-    chunk_size: int | None,
 ) -> np.ndarray:
     """``tally_rule`` summed over sampled backward states; ``targets`` rows are the outcomes."""
     dim = forward.dim
@@ -370,7 +368,7 @@ def _rule_tallies(
         return tally_rule(sums, tie_tol)
 
     draws = [(RngStream(seed, stream_index), _overlap_words(dist, dim, k))]
-    return _sampled(chunk_tallies, n_samples, draws, workers, chunk_size)
+    return _sampled(chunk_tallies, n_samples, draws, workers)
 
 
 def born_mc(
@@ -383,16 +381,9 @@ def born_mc(
     *,
     stream_index: int = 0,
     workers: int = 1,
-    chunk_size: int | None = None,
 ) -> BornEstimate:
-    """Frequency with which sampled backward states make the rule fire for ``a``.
-
-    ``chunk_size`` fixes the samples per chunk; by default ``_chunk_samples``
-    sizes chunks by the Philox words a sample uses. Neither changes the result.
-    """
-    tallies = _rule_tallies(
-        forward, a.entries[None, :], dist, n_samples, seed, tie_tol, stream_index, workers, chunk_size
-    )
+    """Frequency with which sampled backward states make the rule fire for ``a``."""
+    tallies = _rule_tallies(forward, a.entries[None, :], dist, n_samples, seed, tie_tol, stream_index, workers)
     return _binomial_estimate(int(tallies[0]), n_samples)
 
 
@@ -406,16 +397,13 @@ def basis_mc(
     *,
     stream_index: int = 0,
     workers: int = 1,
-    chunk_size: int | None = None,
 ) -> BasisMcResult:
     """Per-outcome rule frequencies over a full basis, plus the no-assignment rate.
 
     Raises MultipleOutcomesError if any sample satisfies the rule for two
     outcomes; for an orthonormal basis this must never happen.
     """
-    tallies = _rule_tallies(
-        forward, basis.as_matrix(), dist, n_samples, seed, tie_tol, stream_index, workers, chunk_size
-    )
+    tallies = _rule_tallies(forward, basis.as_matrix(), dist, n_samples, seed, tie_tol, stream_index, workers)
     if tallies[-1]:
         raise MultipleOutcomesError(
             f"{int(tallies[-1])} samples fired more than one outcome; the basis is not orthonormal"

@@ -11,6 +11,7 @@ potential down to its Welch bound 2 d^3 / (d+1).
 from __future__ import annotations
 
 import functools
+import math
 import sys
 from dataclasses import dataclass
 
@@ -38,6 +39,10 @@ __all__ = [
     "welch_bound",
     "search_fiducial",
 ]
+
+
+SEARCH_MAX_DIM = 8  # the largest dimension search_fiducial runs at
+VALID_TOL = 1e-8  # pair and identity deviation a set must pass before it is expanded or distinguished
 
 
 class InvalidSicError(ValueError):
@@ -184,11 +189,11 @@ def validate_sic(s: SicPovm, tol: float) -> SicValidationReport:
     return SicValidationReport(max_pair, identity_dev, max_pair <= tol and identity_dev <= tol)
 
 
-def _require_valid(s: SicPovm, tol: float = 1e-8) -> SicPovm:
-    report = validate_sic(s, tol)
+def _require_valid(s: SicPovm) -> SicPovm:
+    report = validate_sic(s, VALID_TOL)
     if not report.passed:
         raise InvalidSicError(
-            f"projector set fails validation at {tol:.1e}: pair deviation {report.max_pair_deviation:.3e}, "
+            f"projector set fails validation at {VALID_TOL:.1e}: pair deviation {report.max_pair_deviation:.3e}, "
             f"identity deviation {report.identity_deviation:.3e}"
         )
     return s
@@ -224,13 +229,17 @@ def sic_reconstruct(c: SicCoefficients, s: SicPovm) -> np.ndarray:
     return np.tensordot(c.lambdas, s.projectors, axes=1)
 
 
-def sic_rule_check(c: SicCoefficients, k: int, d: int) -> bool:
+def sic_rule_check(c: SicCoefficients, k: int) -> bool:
     """Outcome rule for a projector-set element: lambda_k > 1 - 1/d.
 
     Applies to the expansion of a summed forward+backward pair, so the
-    coefficients must total 2. The comparison is the rule's own, on
-    Tr[rho P_k] = (d lambda_k + Tr rho) / (d + 1), so exact ties do not fire.
+    coefficients must total 2; d is the square root of their count. The
+    comparison is the rule's own, on Tr[rho P_k] = (d lambda_k + Tr rho) / (d + 1),
+    so exact ties do not fire.
     """
+    d = math.isqrt(len(c.lambdas))
+    if d < 2 or d * d != len(c.lambdas):
+        raise ValueError(f"expected d^2 coefficients with d >= 2, got {len(c.lambdas)}")
     if abs(c.trace_of_rho - 2.0) > 1e-8:
         raise ValueError(f"rule applies to trace-2 sums; got trace {c.trace_of_rho!r}")
     if not 0 <= k < len(c.lambdas):
@@ -238,15 +247,15 @@ def sic_rule_check(c: SicCoefficients, k: int, d: int) -> bool:
     return bool(_fires((d * c.lambdas[k] + c.trace_of_rho) / (d + 1), 0.0))
 
 
-def _sic_fires(sums: np.ndarray, s: SicPovm, tie_tol: float = 0.0) -> np.ndarray:
-    """The rule Tr[sum P_k] > 1 + tie_tol for each set element, over summed pair matrices.
+def _sic_fires(sums: np.ndarray, s: SicPovm) -> np.ndarray:
+    """The rule Tr[sum P_k] > 1 for each set element, over summed pair matrices.
 
-    On a trace-2 sum at tie_tol 0 this is lambda_k > 1 - 1/d. ``sums`` has shape
+    On a trace-2 sum this is lambda_k > 1 - 1/d. ``sums`` has shape
     (..., d, d); the result has shape (..., d^2). The set is validated once
     per call.
     """
     _require_valid(s)
-    return _fires(np.einsum("...ij,kji->...k", sums, s.projectors).real, tie_tol)
+    return _fires(np.einsum("...ij,kji->...k", sums, s.projectors).real, 0.0)
 
 
 def sic_distinguish(pair0: TwoStatePairMixed, pair1: TwoStatePairMixed, s: SicPovm):
@@ -262,16 +271,9 @@ def sic_distinguish(pair0: TwoStatePairMixed, pair1: TwoStatePairMixed, s: SicPo
     return int(differs[0]) if differs.size else None
 
 
-def frame_potential(states) -> float:
-    """sum_{k,l} |<psi_k|psi_l>|^4 over all ordered pairs, diagonal included."""
-    if isinstance(states, np.ndarray):
-        mat = np.asarray(states, dtype=complex)
-    else:
-        rows = [np.asarray(getattr(v, "entries", v), dtype=complex) for v in states]
-        dims = {r.shape for r in rows}
-        if len(dims) != 1:
-            raise ValueError(f"states have mixed dimensions: {sorted(dims)}")
-        mat = np.array(rows)
+def frame_potential(states: np.ndarray) -> float:
+    """sum_{k,l} |<psi_k|psi_l>|^4 over all ordered pairs of rows, diagonal included."""
+    mat = np.asarray(states, dtype=complex)
     norms = np.linalg.norm(mat, axis=1)
     if float(np.max(np.abs(norms - 1.0))) > 1e-9:
         raise ValueError("states must be normalized")
@@ -310,8 +312,8 @@ def search_fiducial(d: int, restarts: int, max_iters: int, seed: int) -> Fiducia
     the lowest restart index), and reports convergence against the Welch
     bound plus 1e-6. One progress line per restart goes to stderr.
     """
-    if not 2 <= d <= 8:
-        raise ValueError(f"supported dimensions are 2..8, got {d}")
+    if not 2 <= d <= SEARCH_MAX_DIM:
+        raise ValueError(f"supported dimensions are 2..{SEARCH_MAX_DIM}, got {d}")
     if restarts < 1:
         raise ValueError(f"restarts must be >= 1, got {restarts}")
     # imported here: scipy.optimize costs about 0.5 s, and only the search uses it

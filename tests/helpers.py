@@ -7,9 +7,11 @@ under test.
 
 from __future__ import annotations
 
+from unittest import mock
+
 import numpy as np
 
-from twostate import DensityMatrix, OrthonormalBasis, StateVector
+from twostate import DensityMatrix, OrthonormalBasis, StateVector, sampling
 
 
 def random_state(rng: np.random.Generator, dim: int) -> StateVector:
@@ -46,3 +48,8 @@ def random_rotation(rng: np.random.Generator) -> np.ndarray:
     if np.linalg.det(q) < 0:
         q[:, 0] = -q[:, 0]
     return q
+
+
+def chunk_samples(count: int):
+    """A context in which the sampling driver runs ``count`` samples per chunk, whatever a sample's words."""
+    return mock.patch.object(sampling, "_chunk_samples", lambda words_per_sample: count)

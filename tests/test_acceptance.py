@@ -179,10 +179,10 @@ def test_criterion_06_sic_suite():
                 coeffs = sic_expand(total, povm)
                 for k in range(d * d):
                     direct = trace_product(total, povm.projectors[k]) > 1.0
-                    assert sic_rule_check(coeffs, k, d) == direct
+                    assert sic_rule_check(coeffs, k) == direct
 
         example = SicCoefficients(np.array([0.75, 0.75, 0.25, 0.25]), 2.0)
-        passing = [k for k in range(4) if sic_rule_check(example, k, 2)]
+        passing = [k for k in range(4) if sic_rule_check(example, k)]
         assert passing == [0, 1]
 
 

@@ -126,6 +126,27 @@ class TestConfigHandling:
         assert capsys.readouterr().err.startswith("error: invalid ")
 
     @pytest.mark.parametrize("args, config, message", [
+        (["sic-search", "--dim", "9"], {}, "invalid dim: supported dimensions are 2..8"),
+        (["weak-value"], {"observable": matrix_to_json(np.diag([1.0, -1.0])),
+                          "forward": vector_to_json(np.eye(2)[0]), "final": vector_to_json(np.eye(2)[1])},
+         "invalid forward/final: post-selection amplitude"),
+        (["stationary-solve"], {"hamiltonian": matrix_to_json(np.diag([1.0, 3.0])),
+                                "target_k": matrix_to_json(np.diag([1j, -1j])), "diagonal": [0.5, 0.5]},
+         "invalid target_k/diagonal: K has diagonal magnitude"),
+        (["stationary-solve", "--require-psd", "true"], {"hamiltonian": matrix_to_json(np.diag([1.0, 3.0])),
+                                                         "target_k": matrix_to_json(np.zeros((2, 2))),
+                                                         "diagonal": [2.0, -1.0]},
+         "invalid target_k/diagonal: solution has eigenvalue"),
+    ], ids=["sic-search-dim", "orthogonal-post-selection", "infeasible-target-k", "diagonal-without-psd-solution"])
+    def test_a_value_a_solver_rejects_exits_two(self, args, config, message, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        code, out = run_cli(args + ["--seed", "1", "--config", str(cfg)], tmp_path)
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: " + message)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("args, config, message", [
         (["basis-mc"], {"basis": [vector_to_json(row) for row in np.eye(3)], "forward": [[1, 0], [0, 0], [0, 0]]},
          "expected a state of dimension 2, got 3"),
         (["sic-validate", "--dim", "2"], {"fiducial": vector_to_json(builtin_fiducial(3).entries)},
@@ -473,6 +494,27 @@ class TestRecords:
         out = tmp_path / "empty.csv"
         emit_results([], "csv", str(out))
         assert out.read_text() == ",".join(CSV_COLUMNS) + "\n"
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_an_undefined_conditional_frequency_is_null(self, fmt, tmp_path):
+        # forward = backward = |+> over the computational basis: every rule sum is 1, nothing is assigned
+        plus = vector_to_json(np.array([1.0, 1.0]) / np.sqrt(2.0))
+        cfg = tmp_path / "plus.json"
+        cfg.write_text(json.dumps({"basis": [vector_to_json(row) for row in np.eye(2)], "forward": plus,
+                                   "dist_state": plus}))
+        code, out = run_cli(["basis-mc", "--samples", "10", "--seed", "1", "--dist", "fixed", "--config", str(cfg),
+                             "--format", fmt, "--no-timing"], tmp_path)
+        assert code == 0
+
+        def strict(token):
+            raise ValueError(f"{token} is not JSON")
+
+        if fmt == "json":
+            extras = [rec["extra"] for rec in json.loads(out.read_text(), parse_constant=strict)]
+        else:
+            extras = [json.loads(row["extra"], parse_constant=strict)
+                      for row in csv.DictReader(out.read_text().splitlines())]
+        assert [extra["conditional_frequency"] for extra in extras] == [None, None]
 
     def test_json_output_validates_against_schema(self, tmp_path):
         schema = result_schema()

@@ -27,7 +27,7 @@ from twostate import (
     time_reverse,
 )
 
-from helpers import random_basis, random_state
+from helpers import chunk_samples, random_basis, random_state
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=150)
 
@@ -129,7 +129,8 @@ class TestChunkingInvariance:
         forward = random_state(np.random.default_rng(seed), d)
         target = StateVector.basis_state(d, 0)
         whole = born_mc(forward, target, _dist(dist, target), n, seed)
-        split = born_mc(forward, target, _dist(dist, target), n, seed, chunk_size=chunk_size, workers=workers)
+        with chunk_samples(chunk_size):
+            split = born_mc(forward, target, _dist(dist, target), n, seed, workers=workers)
         assert split == whole
 
     @settings(PROPERTY, max_examples=50)
@@ -139,5 +140,6 @@ class TestChunkingInvariance:
         rng = np.random.default_rng(seed)
         forward, basis = random_state(rng, d), random_basis(rng, d)
         whole = basis_mc(forward, basis, _dist(dist, basis[0]), n, seed)
-        split = basis_mc(forward, basis, _dist(dist, basis[0]), n, seed, chunk_size=chunk_size, workers=workers)
+        with chunk_samples(chunk_size):
+            split = basis_mc(forward, basis, _dist(dist, basis[0]), n, seed, workers=workers)
         assert split == whole

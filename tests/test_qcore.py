@@ -208,11 +208,6 @@ class TestSpectral:
         dec = spectral(h)
         assert dec.degeneracy_blocks == ((0, 1), (2,))
 
-    def test_explicit_gap_tolerance(self):
-        h = HermitianOperator(np.diag([1.0, 1.5, 5.0]).astype(complex))
-        dec = spectral(h, gap_tol=1.0)
-        assert dec.degeneracy_blocks == ((0, 1), (2,))
-
     def test_reconstruction_residual(self):
         rng = np.random.default_rng(9)
         for _ in range(100):

@@ -1,4 +1,5 @@
 import threading
+from contextlib import nullcontext
 
 import numpy as np
 import pytest
@@ -31,7 +32,7 @@ from twostate.sampling import (
     _uniforms,
 )
 
-from helpers import random_unitary
+from helpers import chunk_samples, random_unitary
 
 E0 = StateVector.basis_state(2, 0)
 
@@ -279,7 +280,7 @@ class TestDefaultChunks:
         assert _chunk_samples(2**16) == 1  # a sample above the budget still gets a chunk
 
 
-def run_recorded(draws, n_samples: int, workers: int = 1, chunk_size: int | None = None) -> list:
+def run_recorded(draws, n_samples: int, workers: int = 1) -> list:
     """``_sampled`` with a block that keeps, per chunk, its thread, its uniform arrays and copies of them."""
     calls = []
 
@@ -287,7 +288,7 @@ def run_recorded(draws, n_samples: int, workers: int = 1, chunk_size: int | None
         calls.append((threading.get_ident(), uniforms, [u.copy() for u in uniforms]))
         return 1
 
-    assert _sampled(block, n_samples, draws, workers, chunk_size) == len(calls)
+    assert _sampled(block, n_samples, draws, workers) == len(calls)
     return calls
 
 
@@ -345,11 +346,23 @@ class TestChunkBuffers:
         run_recorded(draws, 10)
         buffer = sampling._THREAD.buffer
         n = _CHUNK_WORDS // 8 + 1
-        ((_, uniforms, copies),) = run_recorded(draws, n, chunk_size=n)
+        with chunk_samples(n):
+            ((_, uniforms, copies),) = run_recorded(draws, n)
         assert not np.shares_memory(uniforms[0], uniforms[1])
         for (stream, words), u, copy in zip(draws, uniforms, copies):
             assert not np.shares_memory(u, buffer)
             assert np.array_equal(copy.view(np.uint64), _uniforms(stream, 0, n, words).view(np.uint64))
+
+    def test_a_sample_wider_than_the_buffer_gets_arrays_of_its_own(self):
+        # the default chunks reach this: exclusivity-scan at dim 16385 draws 2 * 16385 words per sample
+        stream = RngStream(59, 0)
+        run_recorded([(stream, 4)], 10)
+        buffer = sampling._THREAD.buffer
+        calls = run_recorded([(stream, _CHUNK_WORDS + 1)], 3)
+        assert len(calls) == 3  # one sample per chunk
+        for lo, (_, (u,), (copy,)) in enumerate(calls):
+            assert u.shape == (1, _CHUNK_WORDS + 1) and not np.shares_memory(u, buffer)
+            assert np.array_equal(copy.view(np.uint64), _uniforms(stream, lo, 1, _CHUNK_WORDS + 1).view(np.uint64))
 
     @pytest.mark.parametrize("law", ["haar", "uniform-overlap"])
     @pytest.mark.parametrize("dim", [2, 5])
@@ -358,15 +371,15 @@ class TestChunkBuffers:
         basis = OrthonormalBasis.computational(dim)
         fwd = StateVector(np.sqrt(np.linspace(1.0, 2.0, dim) / np.linspace(1.0, 2.0, dim).sum()).astype(complex))
         dist = HaarPure() if law == "haar" else UniformOverlap(basis[0])
-        runs = {
-            (workers, chunk): (
-                born_mc(fwd, basis[0], dist, n, seed=31, workers=workers, chunk_size=chunk),
-                basis_mc(fwd, basis, dist, n, seed=31, workers=workers, chunk_size=chunk),
-            )
-            for workers in (1, 3)
-            for chunk in (None, 7, 997, 4096, 10**5)
-        }
-        assert len(set(runs.values())) == 1
+        runs = set()
+        for workers in (1, 3):
+            for chunk in (None, 7, 997, 4096, 10**5):
+                with chunk_samples(chunk) if chunk else nullcontext():
+                    runs.add((
+                        born_mc(fwd, basis[0], dist, n, seed=31, workers=workers),
+                        basis_mc(fwd, basis, dist, n, seed=31, workers=workers),
+                    ))
+        assert len(runs) == 1
 
 
 class TestUniformOverlapContract:
@@ -424,8 +437,10 @@ class TestBornMc:
 
     def test_chunk_size_does_not_change_result(self):
         args = (forward_with_overlap(0.4, 2), E0, HaarPure(), 30_000)
-        a = born_mc(*args, seed=9, chunk_size=997)
-        b = born_mc(*args, seed=9, chunk_size=16384)
+        with chunk_samples(997):
+            a = born_mc(*args, seed=9)
+        with chunk_samples(16384):
+            b = born_mc(*args, seed=9)
         assert a == b
 
     def test_global_phase_invariance(self):

@@ -154,17 +154,28 @@ class TestExpansion:
 class TestRuleCheck:
     def test_two_passing_indices(self):
         coeffs = SicCoefficients(np.array([0.75, 0.75, 0.25, 0.25]), 2.0)
-        results = [sic_rule_check(coeffs, k, 2) for k in range(4)]
+        results = [sic_rule_check(coeffs, k) for k in range(4)]
         assert results == [True, True, False, False]
 
     def test_identity_sum_is_all_boundary(self):
         coeffs = SicCoefficients(np.full(4, 0.5), 2.0)
-        assert not any(sic_rule_check(coeffs, k, 2) for k in range(4))
+        assert not any(sic_rule_check(coeffs, k) for k in range(4))
+
+    def test_dimension_is_the_root_of_the_coefficient_count(self):
+        # the threshold is 1 - 1/2 here; at d = 3 it would be 2/3, and outcome 3 would fire alone
+        coeffs = SicCoefficients(np.array([0.456, 0.131, 0.543, 0.870]), 2.0)
+        assert [k for k in range(4) if sic_rule_check(coeffs, k)] == [2, 3]
+
+    @pytest.mark.parametrize("count", [1, 2, 3, 5, 8])
+    def test_rejects_a_count_that_is_no_square_of_at_least_four(self, count):
+        coeffs = SicCoefficients(np.full(count, 2.0 / count), 2.0)
+        with pytest.raises(ValueError, match=r"d\^2 coefficients"):
+            sic_rule_check(coeffs, 0)
 
     def test_requires_trace_two(self):
         coeffs = SicCoefficients(np.full(4, 0.25), 1.0)
         with pytest.raises(ValueError, match="trace-2"):
-            sic_rule_check(coeffs, 0, 2)
+            sic_rule_check(coeffs, 0)
 
     @pytest.mark.parametrize("d", [2, 3])
     def test_equivalent_to_trace_form(self, d):
@@ -176,7 +187,7 @@ class TestRuleCheck:
             coeffs = sic_expand(total, povm)
             for k in range(d * d):
                 direct = trace_product(total, povm.projectors[k]) > 1.0
-                assert sic_rule_check(coeffs, k, d) == direct
+                assert sic_rule_check(coeffs, k) == direct
 
     @pytest.mark.parametrize("d", [2, 3])
     def test_exact_ties_do_not_fire(self, d):
@@ -194,7 +205,7 @@ class TestRuleCheck:
                 totals.append(np.outer(state, state.conj()) + np.outer(b, b.conj()))
                 pairs.append((state, b))
                 elements.append(k)
-        fired = [sic_rule_check(sic_expand(total, povm), k, d) for total, k in zip(totals, elements)]
+        fired = [sic_rule_check(sic_expand(total, povm), k) for total, k in zip(totals, elements)]
         assert sum(fired) == 0
         batched = _sic_fires(np.array(totals), povm)
         assert not batched[np.arange(len(elements)), elements].any()
@@ -213,7 +224,7 @@ class TestDistinguish:
         assert k is not None
         lam0 = sic_expand(2 * projector_of(E0).entries, povm)
         lam1 = sic_expand(2 * projector_of(PLUS).entries, povm)
-        assert sic_rule_check(lam0, k, 2) != sic_rule_check(lam1, k, 2)
+        assert sic_rule_check(lam0, k) != sic_rule_check(lam1, k)
 
     def test_identical_pairs_are_inseparable(self):
         povm = builtin_sic(2)
