@@ -60,7 +60,7 @@ class CommutatorTarget(_Checked):
     def _check(entries) -> np.ndarray:
         mat = _as_matrix(entries)
         dev = float(np.max(np.abs(mat + mat.conj().T)))
-        if dev > 1e-12:
+        if not dev <= 1e-12:
             raise ValueError(f"target is not anti-Hermitian: max |K + K^H| = {dev:.3e}")
         return mat
 
@@ -77,6 +77,8 @@ class StationarySolveInput:
         diag = np.asarray(self.diagonal, dtype=float)
         if diag.shape != (self.hamiltonian.dim,):
             raise ValueError(f"diagonal must have {self.hamiltonian.dim} real entries, got shape {diag.shape}")
+        if not np.isfinite(diag).all():
+            raise ValueError(f"diagonal entries must be finite, got {diag.tolist()}")
         if self.hamiltonian.dim != self.target.dim:
             raise ValueError(f"dimension mismatch: H {self.hamiltonian.dim} vs K {self.target.dim}")
         diag = diag.copy()

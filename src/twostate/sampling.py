@@ -2,21 +2,22 @@
 
 Randomness is counter-based: sample ``i`` of a stream ``(seed, stream_index)``
 is a pure function of ``(seed, stream_index, i)``. A stream is one sequence
-of Philox words; a sample that uses ``w`` words owns words
-``[i*w, (i+1)*w)`` of it (sample-stream version 3), and every variate is
-produced with a fixed word consumption (no rejection), so estimates are
-bitwise reproducible no matter how the index range is chunked or how many
-workers run them. Each word becomes one uniform on [0, 1) (``_uniforms``),
-written straight into a float array with no array of words in between.
+of 32-bit words, the halves of its 64-bit Philox outputs, low half first; a
+sample that uses ``w`` words owns words ``[i*w, (i+1)*w)`` of it
+(sample-stream version 5), and every variate is produced with a fixed word
+consumption (no rejection), so estimates are bitwise reproducible no matter
+how the index range is chunked or how many workers run them. Each word
+``h`` becomes one uniform ``(h + 0.5) * 2**-32``, strictly inside (0, 1)
+(``_uniforms``), so no variate transform needs a guard against 0 or 1.
 
 One driver, ``_sampled``, runs every sampled experiment: it takes the
 ``(stream, words)`` pair of each draw a sample makes, sizes chunks by
-Philox words, not by samples (``_chunk_samples``: at most ``_CHUNK_WORDS``
-words, 256 KiB of uniforms), draws each chunk's uniforms into the calling
-thread's one buffer of that size, hands them to a kernel, and folds the
-kernels' results exactly. A chunk thus allocates no large array for its
-uniforms, and whether their pages stay mapped does not depend on the heap's
-history.
+words, not by samples (``_chunk_samples``: at most ``_CHUNK_WORDS`` words,
+256 KiB of uniforms), draws each chunk's uniforms into the calling thread's
+one buffer of that size, hands them to a kernel, and folds the kernels'
+results exactly. A chunk thus allocates no float array for its uniforms;
+only its Philox outputs (half the buffer's size) are drawn into a fresh
+array, since ``random_raw`` takes no ``out``.
 
 The state samplers (``haar_states``, ``uniform_overlap_states``,
 ``haar_unitary``) build complex vectors from Box-Muller normals. The
@@ -34,7 +35,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.random import Generator, Philox
+from numpy.random import Philox
 
 from .assignment import MultipleOutcomesError, tally_rule
 from .qcore import ORTHONORMAL_TOL, OrthonormalBasis, StateVector
@@ -56,13 +57,12 @@ __all__ = [
 ]
 
 _MASK64 = (1 << 64) - 1
-_U53 = 2.0**-53
 _MAX_CHUNK_SAMPLES = 16384
 _CHUNK_WORDS = 2**15  # 256 KiB of uniforms per chunk buffer
 
 
 def _chunk_samples(words_per_sample: int) -> int:
-    """Samples per chunk when each sample uses ``words_per_sample`` Philox words."""
+    """Samples per chunk when each sample uses ``words_per_sample`` words (uniforms)."""
     return max(1, min(_MAX_CHUNK_SAMPLES, _CHUNK_WORDS // words_per_sample))
 
 
@@ -147,28 +147,31 @@ class BasisMcResult:
 def _uniforms(
     stream: RngStream, first_sample: int, count: int, words_per_sample: int, out: np.ndarray | None = None
 ) -> np.ndarray:
-    """Uniforms on [0, 1), one per Philox word, one contiguous row per sample.
+    """Uniforms on (0, 1), one per 32-bit word, one contiguous row per sample.
 
     With ``w = words_per_sample``, sample ``j`` owns words ``[j*w, (j+1)*w)``
     of the stream's one word sequence, so row i depends only on
-    (stream, first_sample + i). A Philox counter tick yields four words:
-    the draw starts at the tick holding the first word and drops the words
-    before it. Each word becomes ``(word >> 11) * 2**-53``, numpy's Philox
-    double, so ``u + 2**-53`` is the same word's uniform on (0, 1], exactly.
-    The rows are written into ``out`` (C-contiguous, shape ``(count, w)``)
-    when it is given: ``_sampled`` passes views of its thread's chunk buffer.
+    (stream, first_sample + i). A Philox counter tick yields four 64-bit
+    outputs, eight words, each output's low half first: the draw starts at
+    the tick holding the first word and drops the words before it, so a
+    draw may start on an output's high half. Each word ``h`` becomes
+    ``(h + 0.5) * 2**-32``, exactly, from 2**-33 to 1 - 2**-33. The rows are
+    written into ``out`` (C-contiguous, shape ``(count, w)``) when it is
+    given: ``_sampled`` passes views of its thread's chunk buffer.
     """
-    first_word = first_sample * words_per_sample
-    bit_gen = Philox(key=stream.key(), counter=first_word // 4)
-    bit_gen.random_raw(first_word % 4)
-    if out is None:
-        out = np.empty((count, words_per_sample))
-    return Generator(bit_gen).random(out=out)
+    first_word, n_words = first_sample * words_per_sample, count * words_per_sample
+    bit_gen = Philox(key=stream.key(), counter=first_word // 8)
+    bit_gen.random_raw(first_word % 8 // 2)
+    skip = first_word % 2
+    halves = bit_gen.random_raw((skip + n_words + 1) // 2).astype("<u8", copy=False).view("<u4")
+    out = np.add(halves[skip:skip + n_words].reshape(count, words_per_sample), 0.5, out=out)
+    out *= 2.0**-32
+    return out
 
 
 def _complex_normals(u: np.ndarray) -> np.ndarray:
     """One standard complex normal per pair of uniforms (Box-Muller, fixed cost)."""
-    radius = np.sqrt(-2.0 * np.log(u[..., 0::2] + _U53))
+    radius = np.sqrt(-2.0 * np.log(u[..., 0::2]))
     return radius * np.exp(2j * np.pi * u[..., 1::2])
 
 
@@ -176,23 +179,20 @@ def _flat_dirichlet(u: np.ndarray, k: int, first: int = 0) -> np.ndarray:
     """First ``k`` coordinates of one flat Dirichlet point per row, over the
     row's uniforms from column ``first`` on.
 
-    The point is the standard exponentials ``-log v`` (v = u + 2**-53, in
-    (0, 1]) over their sum, computed as ``log v`` over the sum of the logs. A
-    zero sum needs every uniform at its top value; that row gives zeros,
-    which never fire. Returns columns ``[0, first + k)`` of ``u`` itself,
-    overwritten in place; the point is in columns ``first`` on, and the
-    columns before them are for the caller to overwrite.
+    The point is the standard exponentials ``-log u`` over their sum,
+    computed as ``log u`` over the sum of the logs; every uniform is below 1,
+    so every log, and the sum, is negative. Returns columns ``[0, first + k)``
+    of ``u`` itself, overwritten in place; the point is in columns ``first``
+    on, and the columns before them are for the caller to overwrite.
     """
-    u += _U53
     np.log(u, out=u)
     total = np.einsum("ij->i", u[:, first:])  # row sums; about 3x faster than sum(axis=1) on short rows
-    total[total == 0.0] = 1.0
     head = u[:, : first + k]
     return np.divide(head, total[:, None], out=head)
 
 
 def _overlap_words(dist: BackwardDistribution, dim: int, k: int) -> int:
-    """Philox words per sample of ``_overlaps``."""
+    """Words (uniforms) per sample of ``_overlaps``."""
     if isinstance(dist, (HaarPure, UniformOverlap)):
         return 1 if k == 1 else dim
     raise TypeError(f"unknown backward distribution: {type(dist).__name__}")
@@ -204,8 +204,8 @@ def _overlaps(dist: BackwardDistribution, dim: int, k: int, u: np.ndarray) -> np
     shape ``(count, _overlap_words(dist, dim, k))``, one row per sample.
 
     Haar, whatever the set: for k = 1 the overlap is Beta(1, d - 1), drawn
-    by inverse CDF as q_0 = 1 - v**(1/(d - 1)) with v = u + 2**-53 (one
-    word); for k > 1 the d overlaps are flat Dirichlet (d words per sample).
+    by inverse CDF as q_0 = 1 - u**(1/(d - 1)) (one word); for k > 1 the d
+    overlaps are flat Dirichlet (d words per sample).
     Uniform overlap, with the target as a_0: q_0 ~ U(0, 1) (one word), and
     for k > 1 the rest is (1 - q_0) times a flat Dirichlet over the target's
     complement (d - 1 more words). The overlaps are built in ``u`` itself,
@@ -214,12 +214,11 @@ def _overlaps(dist: BackwardDistribution, dim: int, k: int, u: np.ndarray) -> np
     if isinstance(dist, HaarPure):
         if k > 1:
             return _flat_dirichlet(u, k)
-        u += _U53
         u **= 1.0 / (dim - 1)
         return np.subtract(1.0, u, out=u)
     if k == 1:
         return u
-    scale = 1.0 - u[:, :1]  # exact, as is 1 - scale: q_0 is a multiple of 2**-53 in [0, 1)
+    scale = 1.0 - u[:, :1]  # exact, as is 1 - scale: q_0 is a multiple of 2**-33 in (0, 1)
     block = _flat_dirichlet(u, k - 1, first=1)  # whole rows: strided in-place steps read slower
     block *= scale
     np.subtract(1.0, scale, out=block[:, :1])
@@ -236,10 +235,8 @@ def haar_state(dim: int, rng: RngStream, index: int = 0) -> StateVector:
 
 def _haar_rows(u: np.ndarray) -> np.ndarray:
     """One Haar state per row of ``2 * dim`` uniforms: ``dim`` complex normals, normalized."""
-    gauss = _complex_normals(u)
-    norms = np.linalg.norm(gauss, axis=1, keepdims=True)
-    norms[norms == 0.0] = 1.0
-    return gauss / norms
+    gauss = _complex_normals(u)  # each normal's modulus is at least 2**-16: no row is zero
+    return gauss / np.linalg.norm(gauss, axis=1, keepdims=True)
 
 
 def haar_states(dim: int, rng: RngStream, start: int, count: int) -> np.ndarray:
@@ -250,7 +247,7 @@ def haar_states(dim: int, rng: RngStream, start: int, count: int) -> np.ndarray:
 
 
 def uniform_overlap_states(a: StateVector, rng: RngStream, start: int, count: int) -> np.ndarray:
-    """Rows are states whose squared overlap with ``a`` is uniform on [0, 1)."""
+    """Rows are states whose squared overlap with ``a`` is uniform on (0, 1)."""
     target = a.entries
     dim = target.shape[0]
     u = _uniforms(rng, start, count, 2 * dim + 2)

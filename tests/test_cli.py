@@ -115,9 +115,13 @@ class TestConfigHandling:
          {"basis": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]], "forward": [[float("nan"), 0], [0, 0]]}),
         (["weak-value"], {"observable": [[[float("nan"), 0], [0, 0]], [[0, 0], [1, 0]]],
                           "forward": [[1, 0], [0, 0]], "final": [[1, 0], [0, 0]]}),
+        (["stationary-solve"], {"hamiltonian": matrix_to_json(np.diag([1.0, 3.0])),
+                                "target_k": [[[float("nan"), 0], [0, 2]], [[0, 2], [0, 0]]], "diagonal": [0.5, 0.5]}),
+        (["stationary-solve"], {"hamiltonian": matrix_to_json(np.diag([1.0, 3.0])),
+                                "target_k": [[[0, 0], [0, 2]], [[0, 2], [0, 0]]], "diagonal": [float("nan"), 0.5]}),
     ], ids=["unnormalized-forward", "non-orthonormal-basis", "basis-forward-dims",
             "bad-dist-state", "non-hermitian-observable", "string-in-p-grid",
-            "nan-forward", "nan-observable"])
+            "nan-forward", "nan-observable", "nan-target-k", "nan-diagonal"])
     def test_malformed_config_value_exits_two(self, args, config, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(config))
@@ -588,7 +592,7 @@ class TestExperiments:
         basis = OrthonormalBasis.computational(dim)
 
         def overlap_state(stream, i):
-            logs = np.log(_uniforms(stream, i, 1, dim)[0] + 2.0**-53)
+            logs = np.log(_uniforms(stream, i, 1, dim)[0])
             return StateVector(np.sqrt(logs / logs.sum()))
 
         fwd, bwd = RngStream(seed, 1), RngStream(seed, 2)
@@ -812,69 +816,69 @@ FIDUCIAL_D5 = [
 PAYLOAD_HEADER = "schema_version,experiment,dim,samples,seed,tie_tol,dist,p_or_theta,frequency,std_err," \
                  "no_assign_rate,oracle,extra\n"
 # The --no-timing CSV rows of two configs of each sampled experiment, as sample-stream
-# version 4 produces them; a change of these bytes is a change of sample streams.
+# version 5 produces them; a change of these bytes is a change of sample streams.
 PINNED_PAYLOADS = {
     "born-mc-uniform-d4": (
         ["born-mc", "--dim", "4", "--samples", "5000", "--seed", "11", "--p-grid", "0.2,0.5,0.9"], None, [
-            "1,born-mc,4,5000,11,0.0,uniform-overlap,0.2,0.2082,0.005741998955067826,,0.2,{}",
-            "1,born-mc,4,5000,11,0.0,uniform-overlap,0.5,0.4904,0.007069764352508505,,0.5,{}",
-            "1,born-mc,4,5000,11,0.0,uniform-overlap,0.9,0.8996,0.0042501727023734,,0.9,{}",
+            "1,born-mc,4,5000,11,0.0,uniform-overlap,0.2,0.2092,0.0057521362988023845,,0.2,{}",
+            "1,born-mc,4,5000,11,0.0,uniform-overlap,0.5,0.4906,0.007069818102327669,,0.5,{}",
+            "1,born-mc,4,5000,11,0.0,uniform-overlap,0.9,0.9002,0.004238866829708148,,0.9,{}",
         ]),
     "born-mc-haar-d3": (
         ["born-mc", "--dim", "3", "--samples", "3000", "--seed", "5", "--dist", "haar", "--p-grid", "0.4,0.8",
          "--tie-tol", "0.001"], None, [
-            "1,born-mc,3,3000,5,0.001,haar,0.4,0.18033333333333335,0.007019335728833184,,0.16000000000000003,{}",
-            "1,born-mc,3,3000,5,0.001,haar,0.8,0.6406666666666667,0.008760001691188742,,0.6400000000000001,{}",
+            "1,born-mc,3,3000,5,0.001,haar,0.4,0.172,0.006889992743102129,,0.16000000000000003,{}",
+            "1,born-mc,3,3000,5,0.001,haar,0.8,0.6416666666666667,0.008754628405507484,,0.6400000000000001,{}",
         ]),
     "basis-mc-haar": (
         ["basis-mc", "--samples", "4000", "--seed", "13", "--dist", "haar", "--theta-deg", "45,120"], None, [
-            '1,basis-mc,2,4000,13,0.0,haar,45.0,0.85375,0.005587059546398266,0.0,0.8535533905932737,'
-            '"{""outcome"":0,""conditional_frequency"":0.85375}"',
-            '1,basis-mc,2,4000,13,0.0,haar,45.0,0.14625,0.005587059546398266,0.0,0.14644660940672624,'
-            '"{""outcome"":1,""conditional_frequency"":0.14625}"',
-            '1,basis-mc,2,4000,13,0.0,haar,120.0,0.239,0.00674312612962267,0.0,0.2500000000000001,'
-            '"{""outcome"":0,""conditional_frequency"":0.239}"',
-            '1,basis-mc,2,4000,13,0.0,haar,120.0,0.761,0.00674312612962267,0.0,0.7499999999999999,'
-            '"{""outcome"":1,""conditional_frequency"":0.761}"',
+            '1,basis-mc,2,4000,13,0.0,haar,45.0,0.85675,0.0055391659457900335,0.0,0.8535533905932737,'
+            '"{""outcome"":0,""conditional_frequency"":0.85675}"',
+            '1,basis-mc,2,4000,13,0.0,haar,45.0,0.14325,0.0055391659457900335,0.0,0.14644660940672624,'
+            '"{""outcome"":1,""conditional_frequency"":0.14325}"',
+            '1,basis-mc,2,4000,13,0.0,haar,120.0,0.247,0.0068189258684927785,0.0,0.2500000000000001,'
+            '"{""outcome"":0,""conditional_frequency"":0.247}"',
+            '1,basis-mc,2,4000,13,0.0,haar,120.0,0.753,0.0068189258684927785,0.0,0.7499999999999999,'
+            '"{""outcome"":1,""conditional_frequency"":0.753}"',
         ]),
     "basis-mc-uniform": (
         ["basis-mc", "--samples", "3000", "--seed", "17", "--theta-deg", "30,90"], None, [
-            '1,basis-mc,2,3000,17,0.0,uniform-overlap,30.0,0.9313333333333333,0.004617053734275266,0.0,'
-            '0.9330127018922194,"{""outcome"":0,""conditional_frequency"":0.9313333333333333}"',
-            '1,basis-mc,2,3000,17,0.0,uniform-overlap,30.0,0.06866666666666667,0.004617053734275267,0.0,'
-            '0.06698729810778066,"{""outcome"":1,""conditional_frequency"":0.06866666666666667}"',
-            '1,basis-mc,2,3000,17,0.0,uniform-overlap,90.0,0.5073333333333333,0.009127727395546353,0.0,'
-            '0.5000000000000001,"{""outcome"":0,""conditional_frequency"":0.5073333333333333}"',
-            '1,basis-mc,2,3000,17,0.0,uniform-overlap,90.0,0.49266666666666664,0.009127727395546353,0.0,'
-            '0.4999999999999999,"{""outcome"":1,""conditional_frequency"":0.49266666666666664}"',
+            '1,basis-mc,2,3000,17,0.0,uniform-overlap,30.0,0.9323333333333333,0.0045857710688930265,0.0,'
+            '0.9330127018922194,"{""outcome"":0,""conditional_frequency"":0.9323333333333333}"',
+            '1,basis-mc,2,3000,17,0.0,uniform-overlap,30.0,0.06766666666666667,0.004585771068893027,0.0,'
+            '0.06698729810778066,"{""outcome"":1,""conditional_frequency"":0.06766666666666667}"',
+            '1,basis-mc,2,3000,17,0.0,uniform-overlap,90.0,0.483,0.009123431372022262,0.0,'
+            '0.5000000000000001,"{""outcome"":0,""conditional_frequency"":0.483}"',
+            '1,basis-mc,2,3000,17,0.0,uniform-overlap,90.0,0.517,0.009123431372022262,0.0,'
+            '0.4999999999999999,"{""outcome"":1,""conditional_frequency"":0.517}"',
         ]),
     "exclusivity-scan-d3": (
         ["exclusivity-scan", "--dim", "3", "--samples", "3000", "--seed", "19"], None, [
-            '1,exclusivity-scan,3,3000,19,0.0,uniform-overlap,,0.5173333333333333,,0.4826666666666667,0.0,'
+            '1,exclusivity-scan,3,3000,19,0.0,uniform-overlap,,0.5123333333333333,,0.4876666666666667,0.0,'
             '"{""violations"":0}"',
         ]),
     "exclusivity-scan-d5": (
         ["exclusivity-scan", "--dim", "5", "--samples", "2000", "--seed", "23", "--tie-tol", "0.01"], None, [
-            '1,exclusivity-scan,5,2000,23,0.01,uniform-overlap,,0.0715,,0.9285,0.0,"{""violations"":0}"',
+            '1,exclusivity-scan,5,2000,23,0.01,uniform-overlap,,0.0705,,0.9295,0.0,"{""violations"":0}"',
         ]),
     "sic-distinguish-d3": (
         ["sic-distinguish", "--dim", "3", "--samples", "4000", "--seed", "29"], None, [
-            '1,sic-distinguish,3,4000,29,0.0,uniform-overlap,,0.96925,,,,"{""separated"":3877,""no_separator"":123}"',
+            '1,sic-distinguish,3,4000,29,0.0,uniform-overlap,,0.97,,,,"{""separated"":3880,""no_separator"":120}"',
         ]),
     "sic-distinguish-d5": (
         ["sic-distinguish", "--dim", "5", "--samples", "1500", "--seed", "31"], {"fiducial": FIDUCIAL_D5}, [
-            '1,sic-distinguish,5,1500,31,0.0,uniform-overlap,,0.5593333333333333,,,,'
-            '"{""separated"":839,""no_separator"":661}"',
+            '1,sic-distinguish,5,1500,31,0.0,uniform-overlap,,0.548,,,,'
+            '"{""separated"":822,""no_separator"":678}"',
         ]),
     "pbr-geometric": (
         ["pbr-geometric", "--samples", "3000", "--seed", "37"], None, [
             '1,pbr-geometric,2,3000,37,0.0,uniform-overlap,,1.0,,,,'
-            '"{""separators_found"":3000,""degenerate"":0,""min_margin"":0.04237858676694009}"',
+            '"{""separators_found"":3000,""degenerate"":0,""min_margin"":0.010471852079761867}"',
         ]),
     "pbr-geometric-tie-tol": (
         ["pbr-geometric", "--samples", "2000", "--seed", "41", "--tie-tol", "0.05"], None, [
-            '1,pbr-geometric,2,2000,41,0.05,uniform-overlap,,0.988,,,,'
-            '"{""separators_found"":1976,""degenerate"":0,""min_margin"":0.02411964721706855}"',
+            '1,pbr-geometric,2,2000,41,0.05,uniform-overlap,,0.979,,,,'
+            '"{""separators_found"":1958,""degenerate"":0,""min_margin"":0.0029614829744687154}"',
         ]),
 }
 

@@ -26,6 +26,7 @@ from twostate import (
     tally_rule,
     time_reverse,
 )
+from twostate.assignment import RULE_ROUNDING_BOUND
 
 from helpers import chunk_samples, random_basis, random_state
 
@@ -74,6 +75,30 @@ class TestExclusivity:
         tally = tally_rule(np.array(rows), tie_tol)
         assert tally[-1] == 0
         assert tally.sum() == n
+
+
+@st.composite
+def wide_tie_cases(draw):
+    d = draw(st.sampled_from([64, 512]))
+    i, j = draw(st.lists(st.integers(0, d - 1), min_size=2, max_size=2, unique=True))
+    return d, i, j, draw(seeds)
+
+
+class TestRoundingBoundAtHighDimension:
+    """``RULE_ROUNDING_BOUND`` holds beyond d = 32, at the dimensions its comment names."""
+
+    @settings(PROPERTY, max_examples=20)
+    @given(wide_tie_cases())
+    def test_exact_ties_fire_nothing(self, case):
+        # forward (a_i + a_j)/sqrt(2) and backward (a_i - a_j)/sqrt(2): the sums at a_i and a_j are exactly 1
+        d, i, j, seed = case
+        basis = random_basis(np.random.default_rng(seed), d)
+        bmat = basis.as_matrix()
+        fwd, bwd = (bmat[i] + bmat[j]) / np.sqrt(2.0), (bmat[i] - bmat[j]) / np.sqrt(2.0)
+        sums = np.abs(bmat.conj() @ fwd) ** 2 + np.abs(bmat.conj() @ bwd) ** 2
+        assert np.max(np.abs(sums[[i, j]] - 1.0)) <= RULE_ROUNDING_BOUND
+        # no outcome fires; two firing would raise MultipleOutcomesError
+        assert not assign_over_basis(TwoStatePairPure(StateVector(fwd), StateVector(bwd)), basis).assigned
 
 
 class TestTimeReversal:

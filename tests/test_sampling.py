@@ -3,6 +3,7 @@ from contextlib import nullcontext
 
 import numpy as np
 import pytest
+from numpy.random import Philox
 from scipy import stats
 
 from twostate import (
@@ -25,6 +26,7 @@ from twostate.assignment import RULE_ROUNDING_BOUND
 from twostate.sampling import (
     _CHUNK_WORDS,
     _chunk_samples,
+    _complex_normals,
     _flat_dirichlet,
     _overlap_words,
     _overlaps,
@@ -47,6 +49,13 @@ def ks_stat(samples, cdf):
 def drawn_overlaps(dist, dim: int, k: int, stream: RngStream, lo: int, n: int) -> np.ndarray:
     """The estimators' overlaps of samples ``[lo, lo + n)``: ``_overlaps`` of the stream's uniforms."""
     return _overlaps(dist, dim, k, _uniforms(stream, lo, n, _overlap_words(dist, dim, k)))
+
+
+def philox_uniforms(stream: RngStream, n: int) -> list:
+    """The first ``n`` uniforms of a stream, from its raw Philox outputs: 32-bit halves, low half first."""
+    outputs = Philox(key=stream.key()).random_raw((n + 1) // 2).tolist()
+    halves = [(word >> shift) & 0xFFFFFFFF for word in outputs for shift in (0, 32)]
+    return [(h + 0.5) * 2.0**-32 for h in halves[:n]]
 
 
 def forward_with_overlap(p: float, dim: int) -> StateVector:
@@ -84,10 +93,12 @@ class TestRngStream:
 
 
 class TestWordExactAddressing:
-    """A sample that uses w words owns words [i*w, (i+1)*w) of its stream's one word sequence."""
+    """A sample that uses w words owns words [i*w, (i+1)*w) of its stream's one sequence of 32-bit words."""
 
+    # first words lo * w: odd (lo 1, 3, 5, 7 or 333 with odd w), even but not a multiple of 8
+    # (e.g. lo 5 with w 2 or 6), and multiples of 8 (lo 0, or w 16)
     @pytest.mark.parametrize("words", [1, 2, 3, 5, 6, 7, 16, 50])
-    @pytest.mark.parametrize("lo", [0, 1, 3, 333])
+    @pytest.mark.parametrize("lo", [0, 1, 3, 5, 7, 333])
     def test_samples_are_consecutive_slices_of_one_word_stream(self, words, lo):
         stream = RngStream(11, 2)
         n = 9
@@ -96,6 +107,7 @@ class TestWordExactAddressing:
         assert block.flags.c_contiguous
         flat = _uniforms(stream, 0, (lo + n) * words, 1).ravel()
         assert np.array_equal(block.ravel(), flat[lo * words:])
+        assert block.ravel().tolist() == philox_uniforms(stream, (lo + n) * words)[lo * words:]
 
     @pytest.mark.parametrize("dim", [2, 3, 5])
     @pytest.mark.parametrize("sampler", ["haar_states", "haar_unitary", "uniform_overlap_states"])
@@ -115,17 +127,21 @@ class TestWordExactAddressing:
         assert np.array_equal(whole, split)
 
     @pytest.mark.parametrize("words, expected", [
-        (4, [[0xc5fcb19f3348699d, 0x8333bde819728965, 0xb93fbcb38e0edb6d, 0x0e061fe183c3f693],
+        (8, [[0xc5fcb19f3348699d, 0x8333bde819728965, 0xb93fbcb38e0edb6d, 0x0e061fe183c3f693],
              [0xd41b1957f40df0e9, 0xc9b622e9af14dfbd, 0x2b5d2164f29dd78d, 0x6d55372a505f74f9]]),
-        (16, [[0x47a2b1d8f5789225, 0xa3e8c89196bed3d2, 0xa09d0dcd099d30c3, 0xdb10e348ad0f0925],
+        (32, [[0x47a2b1d8f5789225, 0xa3e8c89196bed3d2, 0xa09d0dcd099d30c3, 0xdb10e348ad0f0925],
               [0xbacfd1fe7e2caf99, 0x6308f9a9d2bfcffb, 0x33639c7198150cf0, 0x8e1bdcd3e77b7b25]]),
     ])
     def test_whole_tick_layouts_keep_their_words(self, words, expected):
-        # samples of a multiple of 4 words keep the words they had when every
-        # sample started on a fresh counter tick: pbr-geometric's qubit states
-        # (4 words) and d=16 Haar overlaps (16 words); each word's uniform is its top 53 bits
-        uniforms = [[(word >> 11) * 2.0**-53 for word in row] for row in expected]
-        assert _uniforms(RngStream(7, 3), 5, 2, words)[:, :4].tolist() == uniforms
+        # a sample of a multiple of 8 words starts on a counter tick of four Philox outputs:
+        # samples 5 and 6 of haar_states at d=4 (8 words) and d=16 (32 words) begin with the
+        # outputs of ticks 5 and 6, and 20 and 24; each output gives two words, low half first
+        stream = RngStream(7, 3)
+        for sample, row in zip((5, 6), expected):
+            assert Philox(key=stream.key(), counter=sample * words // 8).random_raw(4).tolist() == row
+        halves = [[(word >> shift) & 0xFFFFFFFF for word in row for shift in (0, 32)] for row in expected]
+        uniforms = [[(h + 0.5) * 2.0**-32 for h in row] for row in halves]
+        assert _uniforms(stream, 5, 2, words)[:, :8].tolist() == uniforms
 
 
 class TestHaarState:
@@ -225,11 +241,9 @@ class TestOverlapLaw:
 
 
 def _dirichlet_reference(u: np.ndarray, k: int) -> np.ndarray:
-    """The flat Dirichlet coordinates as fresh arrays: log(u + 2**-53) over the row sum of the logs."""
-    logs = np.log(u + 2.0**-53)
-    total = np.einsum("ij->i", logs)
-    total[total == 0.0] = 1.0
-    return logs[:, :k] / total[:, None]
+    """The flat Dirichlet coordinates as fresh arrays: log u over the row sum of the logs."""
+    logs = np.log(u)
+    return logs[:, :k] / np.einsum("ij->i", logs)[:, None]
 
 
 class TestOverlapBlockArithmetic:
@@ -243,7 +257,7 @@ class TestOverlapBlockArithmetic:
         k = dim if full_basis else 1
         u = _uniforms(stream, lo, n, dim)
         if law == "haar" and k == 1:  # inverse CDF of Beta(1, d - 1) on one word
-            dist, expected = HaarPure(), 1 - (_uniforms(stream, lo, n, 1) + 2**-53) ** (1 / (dim - 1))
+            dist, expected = HaarPure(), 1 - _uniforms(stream, lo, n, 1) ** (1 / (dim - 1))
         elif law == "haar":
             dist, expected = HaarPure(), _dirichlet_reference(u, k)
         else:
@@ -263,13 +277,48 @@ class TestOverlapBlockArithmetic:
         assert drawn.shape == (200, k)
         assert np.shares_memory(drawn, u)
 
-    def test_a_row_of_top_words_gives_zeros(self):
-        u = _uniforms(RngStream(3), 0, 4, 5)
-        u[2] = (2**64 - 1 >> 11) * 2.0**-53  # the top word's uniform: every log is 0, and so is their sum
-        expected = _dirichlet_reference(u, 5)
-        drawn = _flat_dirichlet(u.copy(), 5)
-        assert np.array_equal(drawn.view(np.uint64), expected.view(np.uint64))
-        assert not drawn[2].any()
+
+class TestExtremeWords:
+    """Words 0 and 2**32 - 1 give uniforms strictly inside (0, 1), so every transform stays finite."""
+
+    @staticmethod
+    def constant_philox(monkeypatch, output: int):
+        """Make every Philox output of ``_uniforms`` equal ``output``."""
+        class Constant:
+            def __init__(self, key, counter):
+                pass
+
+            def random_raw(self, size):
+                return np.full(size, output, dtype=np.uint64)
+
+        monkeypatch.setattr(sampling, "Philox", Constant)
+
+    def test_words_map_to_the_extreme_uniforms(self, monkeypatch):
+        self.constant_philox(monkeypatch, 0xFFFFFFFF_00000000)  # words 0 and 2**32 - 1, low half first
+        bottom, top = 2.0**-33, 1.0 - 2.0**-33
+        assert _uniforms(RngStream(3), 0, 1, 4).tolist() == [[bottom, top, bottom, top]]
+        # sample 1 of 3 words starts at word 3, on a high half
+        assert _uniforms(RngStream(3), 1, 2, 3).tolist() == [[top, bottom, top], [bottom, top, bottom]]
+
+    @pytest.mark.parametrize("dim", [2, 5, 16])
+    def test_a_row_of_top_words_gives_a_finite_dirichlet_point(self, monkeypatch, dim):
+        self.constant_philox(monkeypatch, 2**64 - 1)
+        point = _flat_dirichlet(_uniforms(RngStream(3), 0, 4, dim), dim)
+        assert np.isfinite(point).all() and (point > 0.0).all()
+        assert np.max(np.abs(point.sum(axis=1) - 1.0)) <= RULE_ROUNDING_BOUND
+
+    @pytest.mark.parametrize("dim", [2, 3, 16, 512])
+    def test_haar_overlap_and_box_muller_radius_stay_in_range(self, monkeypatch, dim):
+        self.constant_philox(monkeypatch, 0xFFFFFFFF_00000000)
+        q = _overlaps(HaarPure(), dim, 1, _uniforms(RngStream(3), 0, 2, 1))  # words 0, then 2**32 - 1
+        assert np.isfinite(q).all() and 0.0 <= q.min() and q[0, 0] < 1.0 and q.max() <= 1.0
+        radius = np.abs(_complex_normals(_uniforms(RngStream(3), 0, 1, 4)))  # both radius words are 0
+        assert np.all(radius < 6.77)  # sqrt(-2 log 2**-33) = 6.7637
+        self.constant_philox(monkeypatch, 2**64 - 1)
+        radius = np.abs(_complex_normals(_uniforms(RngStream(3), 0, 1, 4)))  # both radius words are 2**32 - 1
+        assert np.all(radius >= 2.0**-16)
+        states = haar_states(dim, RngStream(3), 0, 2)
+        assert np.max(np.abs(np.linalg.norm(states, axis=1) - 1.0)) < 1e-12
 
 
 class TestDefaultChunks:
