@@ -30,6 +30,8 @@ from .blochpbr import (
     bell_condition,
     bloch_from_state,
     pbr_distinguishing_vector,
+    pbr_geometric,
+    pbr_separators,
     state_from_bloch,
 )
 from .dynamics import (
@@ -67,10 +69,9 @@ from .sampling import (
     basis_mc,
     born_mc,
     born_oracle,
+    exclusivity_scan,
     haar_state,
     haar_states,
-    haar_unitary,
-    uniform_overlap_states,
 )
 from .sic import (
     FiducialSearchReport,

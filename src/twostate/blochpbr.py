@@ -2,7 +2,9 @@
 
 Conventions: |0> maps to +z, and the overlap identity
 |<m|a>|^2 = (1 + m.a)/2 ties the dot-product form of the outcome rule to the
-state-vector form.
+state-vector form. The pbr-geometric experiment is one counting kernel
+(``pbr_separators``) over rows of Bloch vectors, given explicitly or drawn
+as Haar qubit states (``pbr_geometric``).
 """
 
 from __future__ import annotations
@@ -11,8 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .assignment import _fires
+from .assignment import _fires, tally_rule
 from .qcore import StateVector
+from .sampling import RngStream, _haar_rows, _sampled
 
 __all__ = [
     "BlochVector",
@@ -22,6 +25,8 @@ __all__ = [
     "state_from_bloch",
     "bell_condition",
     "pbr_distinguishing_vector",
+    "pbr_separators",
+    "pbr_geometric",
 ]
 
 PARALLEL_ANGLE_TOL = 1e-9  # radians; below this the two target sums are degenerate
@@ -136,3 +141,34 @@ def pbr_distinguishing_vector(inst: PbrGeometricInstance) -> BlochVector:
             f"pair sums vanish or are parallel within {PARALLEL_ANGLE_TOL:.1e} rad; no separator exists"
         )
     return BlochVector.from_array(a)
+
+
+def pbr_separators(vectors: np.ndarray, tie_tol: float = 0.0) -> tuple:
+    """Separators found, degenerate instances, and the least margin of the rest.
+
+    ``vectors`` has shape (4, n, 3): the unit Bloch vectors m, m', x, x' of n instances, pair
+    (m, m') against pair (x, x'). An instance whose pair sums are not degenerate gets its
+    maximum-margin bisector a, and a is a separator when the rule fires for it on the first
+    pair and not on the second. The margin is inf when every instance is degenerate.
+    """
+    m, mp, x, xp = vectors
+    a, skip, margin = _bisectors(m + mp, x + xp)
+    keep = ~skip
+    # columns [pair a, pair b] of the rule sums; a separator fires pair a alone
+    states = _bloch_states(np.stack([m, mp, x, xp, a])[:, keep])
+    overlaps = np.abs(np.sum(states[:4].conj() * states[4], axis=-1)) ** 2
+    sums = np.stack([overlaps[0] + overlaps[1], overlaps[2] + overlaps[3]], axis=1)
+    found = int(tally_rule(sums, tie_tol)[0])
+    return found, int(np.count_nonzero(skip)), float(np.min(margin[keep], initial=np.inf))
+
+
+def pbr_geometric(n_samples: int, seed: int, tie_tol: float = 0.0, *, workers: int = 1) -> tuple:
+    """``pbr_separators`` over ``n_samples`` instances of Haar qubit states, folded exactly.
+
+    Instance i draws m, m', x, x' from streams 20-23 of ``seed``, 4 words (two complex
+    normals) each.
+    """
+    draws = [(RngStream(seed, 20 + k), 4) for k in range(4)]
+    return _sampled(
+        lambda *uniforms: pbr_separators(_bloch_vectors(np.stack([_haar_rows(u) for u in uniforms])), tie_tol),
+        n_samples, draws, workers, reduce=lambda a, b: (a[0] + b[0], a[1] + b[1], min(a[2], b[2])))

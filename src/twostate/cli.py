@@ -21,8 +21,8 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .assignment import MultipleOutcomesError, OrthogonalPostSelectionError, _fires, tally_rule, weak_value
-from .blochpbr import BlochVector, _bisectors, _bloch_states, _bloch_vectors
+from .assignment import MultipleOutcomesError, OrthogonalPostSelectionError, weak_value
+from .blochpbr import BlochVector, pbr_geometric, pbr_separators
 from .dynamics import (
     CommutatorTarget,
     InfeasibleKError,
@@ -42,22 +42,19 @@ from .qcore import (
 from .sampling import (
     Fixed,
     HaarPure,
-    RngStream,
     UniformOverlap,
-    _haar_rows,
-    _overlaps,
-    _sampled,
     basis_mc,
     born_mc,
     born_oracle,
+    exclusivity_scan,
     haar_state,  # unused here; the benchmark's tracer test reads it as cli.haar_state
 )
 from .sic import (
     SEARCH_MAX_DIM,
-    _orbit,
-    _require_valid,
+    InvalidSicError,
     builtin_fiducial,
     search_fiducial,
+    sic_distinguish,
     sic_from_fiducial,
     validate_sic,
 )
@@ -225,12 +222,18 @@ def _boolean(data) -> bool:
     return data == "true"
 
 
+def _unread(cfg: ExperimentConfig, keys, condition: str) -> None:
+    """A ConfigError for the first of config ``keys`` present: the run reads them only under ``condition``."""
+    for key in keys:
+        if key in cfg.params:
+            raise ConfigError(f"{cfg.experiment} reads {key!r} only {condition}")
+
+
 def _dist_for(cfg: ExperimentConfig, target: StateVector):
-    if cfg.dist == "haar":
-        return HaarPure()
-    if cfg.dist == "uniform-overlap":
-        return UniformOverlap(target)
-    return Fixed(_from_config(cfg, lambda data: _state(data, target.dim), "dist_state"))
+    if cfg.dist == "fixed":
+        return Fixed(_from_config(cfg, lambda data: _state(data, target.dim), "dist_state"))
+    _unread(cfg, ["dist_state"], "under --dist fixed")
+    return HaarPure() if cfg.dist == "haar" else UniformOverlap(target)
 
 
 # --- experiment implementations --------------------------------------------
@@ -277,6 +280,7 @@ def _run_basis_mc(cfg: ExperimentConfig) -> list[dict]:
     else:
         if cfg.dim != 2:
             raise ConfigError("the tilted-basis parameterization requires dim 2; pass a 'basis' instead")
+        _unread(cfg, ["forward"], "with a 'basis'")
         forward = StateVector.basis_state(2, 0)
         cases = [(theta, forward, _tilted_qubit_basis(np.deg2rad(theta))) for theta in cfg.params["theta_deg"]]
 
@@ -300,27 +304,18 @@ def _run_basis_mc(cfg: ExperimentConfig) -> list[dict]:
 
 
 def _run_exclusivity_scan(cfg: ExperimentConfig) -> list[dict]:
-    # for Haar states f, b and a Haar basis U, U^dagger f and U^dagger b are independent Haar
-    # states, so the basis overlaps p and q are two independent flat Dirichlet vectors
-    def chunk_tallies(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-        p = _overlaps(HaarPure(), cfg.dim, cfg.dim, u)
-        p += _overlaps(HaarPure(), cfg.dim, cfg.dim, v)
-        return tally_rule(p, cfg.tie_tol)
-
-    draws = [(RngStream(cfg.seed, 1), cfg.dim), (RngStream(cfg.seed, 2), cfg.dim)]  # p, then q
-    tallies = _sampled(chunk_tallies, cfg.samples, draws, cfg.workers)
-    assigned = int(tallies[:-2].sum())
+    tallies = exclusivity_scan(cfg.dim, cfg.samples, cfg.seed, cfg.tie_tol, workers=cfg.workers)
     return [_record(
-        cfg, frequency=assigned / cfg.samples, no_assign_rate=int(tallies[-2]) / cfg.samples, oracle=0.0,
-        extra={"violations": int(tallies[-1])},
+        cfg, frequency=int(tallies[:-2].sum()) / cfg.samples, no_assign_rate=int(tallies[-2]) / cfg.samples,
+        oracle=0.0, extra={"violations": int(tallies[-1])},
     )]
 
 
-def _sic_for(cfg: ExperimentConfig, check=lambda povm: povm):
-    """The built-in set at d = 2 and 3 unless the config has a fiducial; ``check`` vets a config set."""
+def _sic_for(cfg: ExperimentConfig):
+    """The built-in set at d = 2 and 3 unless the config has a fiducial."""
     if "fiducial" not in cfg.params and cfg.dim in (2, 3):
         return sic_from_fiducial(builtin_fiducial(cfg.dim))
-    return _from_config(cfg, lambda data: check(sic_from_fiducial(_state(data, cfg.dim))), "fiducial")
+    return _from_config(cfg, lambda data: sic_from_fiducial(_state(data, cfg.dim)), "fiducial")
 
 
 def _run_sic_validate(cfg: ExperimentConfig) -> list[dict]:
@@ -350,19 +345,9 @@ def _run_sic_search(cfg: ExperimentConfig) -> list[dict]:
 
 
 def _run_sic_distinguish(cfg: ExperimentConfig) -> list[dict]:
-    povm = _sic_for(cfg, check=_require_valid)  # validated once, here: the rule below reads only orbit states
-    # for pure states Tr[(|f><f| + |b><b|) P_k] = |<phi_k|f>|^2 + |<phi_k|b>|^2, phi_k the orbit states
-    orbit_bras = _orbit(povm.fiducial.entries, cfg.dim).conj().T
-
-    def chunk_separated(*uniforms: np.ndarray) -> int:
-        # forward and backward states of pair 0, then of pair 1
-        states = np.stack([_haar_rows(u) for u in uniforms])
-        overlaps = np.abs(states @ orbit_bras) ** 2
-        fired = _fires(overlaps[0::2] + overlaps[1::2], cfg.tie_tol)
-        return np.count_nonzero((fired[0] != fired[1]).any(axis=-1))
-
-    draws = [(RngStream(cfg.seed, 10 + k), 2 * cfg.dim) for k in range(4)]  # 2d words per Haar state
-    separated = int(_sampled(chunk_separated, cfg.samples, draws, cfg.workers))
+    separated = _converted(
+        "fiducial", lambda povm: sic_distinguish(povm, cfg.samples, cfg.seed, cfg.tie_tol, workers=cfg.workers),
+        _sic_for(cfg), rejects=InvalidSicError)
     return [_record(cfg, frequency=separated / cfg.samples, extra={
         "separated": separated,
         "no_separator": cfg.samples - separated,
@@ -398,28 +383,14 @@ def _bloch_instance(rows) -> np.ndarray:
 def _run_pbr_geometric(cfg: ExperimentConfig) -> list[dict]:
     if cfg.dim != 2:
         raise ConfigError("pbr-geometric instances are qubit instances and require dim 2")
-
-    def counts(m: np.ndarray, mp: np.ndarray, x: np.ndarray, xp: np.ndarray) -> tuple:
-        """Separators found, degenerate instances, and the least margin of the rest."""
-        a, skip, margin = _bisectors(m + mp, x + xp)
-        keep = ~skip
-        # columns [pair a, pair b] of the rule sums; a separator fires pair a alone
-        states = _bloch_states(np.stack([m, mp, x, xp, a])[:, keep])
-        overlaps = np.abs(np.sum(states[:4].conj() * states[4], axis=-1)) ** 2
-        sums = np.stack([overlaps[0] + overlaps[1], overlaps[2] + overlaps[3]], axis=1)
-        found = int(tally_rule(sums, cfg.tie_tol)[0])
-        return found, int(np.count_nonzero(skip)), float(np.min(margin[keep], initial=np.inf))
-
     if "instance" in cfg.params:
-        instances = 1
-        found, degenerate, min_margin = counts(*_from_config(cfg, _bloch_instance, "instance")[:, None, :])
+        if cfg.samples != 1:
+            raise ConfigError(f"pbr-geometric runs an explicit 'instance' once; samples must be 1, got {cfg.samples}")
+        found, degenerate, min_margin = pbr_separators(_from_config(cfg, _bloch_instance, "instance")[:, None],
+                                                       cfg.tie_tol)
     else:
-        instances = cfg.samples
-        draws = [(RngStream(cfg.seed, 20 + k), 4) for k in range(4)]  # m, m', x, x': 2 * 2 words per qubit state
-        found, degenerate, min_margin = _sampled(
-            lambda *uniforms: counts(*_bloch_vectors(np.stack([_haar_rows(u) for u in uniforms]))),
-            instances, draws, cfg.workers, reduce=lambda a, b: (a[0] + b[0], a[1] + b[1], min(a[2], b[2])))
-    return [_record(cfg, frequency=found / instances, extra={
+        found, degenerate, min_margin = pbr_geometric(cfg.samples, cfg.seed, cfg.tie_tol, workers=cfg.workers)
+    return [_record(cfg, frequency=found / cfg.samples, extra={
         "separators_found": found,
         "degenerate": degenerate,
         "min_margin": None if not np.isfinite(min_margin) else float(min_margin),
@@ -434,6 +405,7 @@ def _run_weak_value(cfg: ExperimentConfig) -> list[dict]:
     else:
         if cfg.dim != 2:
             raise ConfigError("the built-in weak-value example requires dim 2; pass an 'observable' instead")
+        _unread(cfg, ["forward", "final"], "with an 'observable'")
         observable = HermitianOperator(np.diag([1.0, -1.0]).astype(complex))
         forward = StateVector(np.array([1.0, 1.0]) / np.sqrt(2.0))
         final = StateVector.basis_state(2, 0)

@@ -19,11 +19,11 @@ results exactly. A chunk thus allocates no float array for its uniforms;
 only its Philox outputs (half the buffer's size) are drawn into a fresh
 array, since ``random_raw`` takes no ``out``.
 
-The state samplers (``haar_states``, ``uniform_overlap_states``,
-``haar_unitary``) build complex vectors from Box-Muller normals. The
-estimators never build a backward state: the rule sees one only through its
-overlaps ``|<b|a_k>|^2`` with the outcomes, and those are drawn from their
-closed-form laws (``_overlaps``).
+The Haar state sampler (``haar_states``) builds complex vectors from
+Box-Muller normals. The estimators and the exclusivity scan never build a
+backward state: the rule sees one only through its overlaps ``|<b|a_k>|^2``
+with the outcomes, and those are drawn from their closed-form laws
+(``_overlaps``).
 """
 
 from __future__ import annotations
@@ -49,10 +49,9 @@ __all__ = [
     "BasisMcResult",
     "haar_state",
     "haar_states",
-    "haar_unitary",
-    "uniform_overlap_states",
     "born_mc",
     "basis_mc",
+    "exclusivity_scan",
     "born_oracle",
 ]
 
@@ -119,7 +118,6 @@ class BornEstimate:
     frequency: float
     std_err: float
     samples: int
-    no_assign_rate: float | None = None
 
 
 @dataclass(frozen=True)
@@ -246,38 +244,6 @@ def haar_states(dim: int, rng: RngStream, start: int, count: int) -> np.ndarray:
     return _haar_rows(_uniforms(rng, start, count, 2 * dim))
 
 
-def uniform_overlap_states(a: StateVector, rng: RngStream, start: int, count: int) -> np.ndarray:
-    """Rows are states whose squared overlap with ``a`` is uniform on (0, 1)."""
-    target = a.entries
-    dim = target.shape[0]
-    u = _uniforms(rng, start, count, 2 * dim + 2)
-    gauss = _complex_normals(u[:, : 2 * dim])
-    overlap_sq = u[:, 2 * dim]
-    phase = np.exp(2j * np.pi * u[:, 2 * dim + 1])
-
-    # Haar direction in the orthogonal complement of the target.
-    coeff = gauss @ target.conj()
-    perp = gauss - coeff[:, None] * target[None, :]
-    norms = np.linalg.norm(perp, axis=1)
-    norms[norms == 0.0] = 1.0
-    perp /= norms[:, None]
-
-    amp_target = np.sqrt(overlap_sq)
-    amp_perp = np.sqrt(1.0 - overlap_sq) * phase
-    return amp_target[:, None] * target[None, :] + amp_perp[:, None] * perp
-
-
-def haar_unitary(dim: int, rng: RngStream, index: int = 0) -> np.ndarray:
-    """Haar-distributed unitary; sample ``index`` of the stream."""
-    if dim < 2:
-        raise ValueError(f"dimension must be >= 2, got {dim}")
-    gauss = _complex_normals(_uniforms(rng, index, 1, 2 * dim * dim))
-    q, r = np.linalg.qr(gauss.reshape(dim, dim))
-    diag = np.diagonal(r).copy()
-    diag[diag == 0.0] = 1.0
-    return q * (diag / np.abs(diag))[None, :]
-
-
 # --- Monte Carlo estimators ------------------------------------------------
 
 
@@ -294,6 +260,8 @@ def _sampled(block, n_samples: int, draws, workers: int, reduce=np.add):
     With an exact ``reduce`` (integer addition, or that and a minimum) neither the chunk size nor
     ``workers`` changes the result.
     """
+    if n_samples < 1:
+        raise ValueError(f"sample count must be >= 1, got {n_samples}")
     words = sum(w for _, w in draws)
     chunk_size = _chunk_samples(words)
 
@@ -321,10 +289,10 @@ def _sampled(block, n_samples: int, draws, workers: int, reduce=np.add):
         return functools.reduce(reduce, pool.map(run, los, his))
 
 
-def _binomial_estimate(count: int, n_samples: int, no_assign_rate: float | None = None) -> BornEstimate:
+def _binomial_estimate(count: int, n_samples: int) -> BornEstimate:
     freq = count / n_samples
     std_err = math.sqrt(freq * (1.0 - freq) / n_samples)
-    return BornEstimate(freq, std_err, n_samples, no_assign_rate)
+    return BornEstimate(freq, std_err, n_samples)
 
 
 def _rule_tallies(
@@ -406,10 +374,28 @@ def basis_mc(
             f"{int(tallies[-1])} samples fired more than one outcome; the basis is not orthonormal"
         )
     no_assign_rate = int(tallies[-2]) / n_samples
-    estimates = tuple(
-        _binomial_estimate(int(c), n_samples, no_assign_rate) for c in tallies[:-2]
-    )
+    estimates = tuple(_binomial_estimate(int(c), n_samples) for c in tallies[:-2])
     return BasisMcResult(estimates, no_assign_rate, n_samples)
+
+
+def exclusivity_scan(dim: int, n_samples: int, seed: int, tie_tol: float = 0.0, *, workers: int = 1) -> np.ndarray:
+    """The rule's ``tally_rule`` counts over a Haar basis, for Haar forward and backward states.
+
+    For Haar states f, b and a Haar basis U, U^dagger f and U^dagger b are independent Haar
+    states, so the basis overlaps p and q of a sample are two independent flat Dirichlet
+    vectors, drawn from streams 1 and 2 of ``seed``, ``dim`` words each. Returns the
+    ``dim + 2`` counts: each outcome fired alone, none fired, more than one fired (a violation).
+    """
+    if dim < 2:
+        raise ValueError(f"dimension must be >= 2, got {dim}")
+
+    def chunk_tallies(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+        p = _overlaps(HaarPure(), dim, dim, u)
+        p += _overlaps(HaarPure(), dim, dim, v)
+        return tally_rule(p, tie_tol)
+
+    draws = [(RngStream(seed, 1), dim), (RngStream(seed, 2), dim)]  # p, then q
+    return _sampled(chunk_tallies, n_samples, draws, workers)
 
 
 def born_oracle(dist: BackwardDistribution, p: float, d: int) -> float:

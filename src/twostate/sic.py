@@ -4,8 +4,10 @@ A fiducial state is orbited under the d^2 displacement operators X^j Z^k to
 produce d^2 rank-1 projectors; a valid set has pairwise trace overlap
 1/(d+1) and sums to d times the identity. The module also expands Hermitian
 matrices in such a set, applies the lambda_k > 1 - 1/d form of the outcome
-rule, and searches for fiducials numerically by minimizing the frame
-potential down to its Welch bound 2 d^3 / (d+1).
+rule, counts how often a set element separates random pairs of two-state
+assignments (``sic_distinguish``, the sic-distinguish experiment), and
+searches for fiducials numerically by minimizing the frame potential down to
+its Welch bound 2 d^3 / (d+1).
 """
 
 from __future__ import annotations
@@ -17,9 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .assignment import TwoStatePairMixed, _fires
+from .assignment import _fires
 from .qcore import IMAG_RESIDUE_TOL, StateVector, UnitaryOperator
-from .sampling import RngStream, haar_states
+from .sampling import RngStream, _haar_rows, _sampled, haar_states
 
 __all__ = [
     "SicPovm",
@@ -247,28 +249,27 @@ def sic_rule_check(c: SicCoefficients, k: int) -> bool:
     return bool(_fires((d * c.lambdas[k] + c.trace_of_rho) / (d + 1), 0.0))
 
 
-def _sic_fires(sums: np.ndarray, s: SicPovm) -> np.ndarray:
-    """The rule Tr[sum P_k] > 1 for each set element, over summed pair matrices.
+def sic_distinguish(s: SicPovm, n_samples: int, seed: int, tie_tol: float = 0.0, *, workers: int = 1) -> int:
+    """How many of ``n_samples`` random pairs of pure two-state assignments a set element separates.
 
-    On a trace-2 sum this is lambda_k > 1 - 1/d. ``sums`` has shape
-    (..., d, d); the result has shape (..., d^2). The set is validated once
-    per call.
+    Sample i draws the forward and backward Haar states of pair 0, then of pair 1, from streams
+    10-13 of ``seed``, 2d words each. An element separates the pairs when the rule fires for one
+    and not the other; distinct pairs with equal summed matrices are legitimately inseparable.
+    For pure states Tr[(|f><f| + |b><b|) P_k] = |<phi_k|f>|^2 + |<phi_k|b>|^2, with phi_k the
+    orbit states, so the rule reads overlaps only. The set is validated once, before sampling:
+    one that fails raises InvalidSicError.
     """
     _require_valid(s)
-    return _fires(np.einsum("...ij,kji->...k", sums, s.projectors).real, 0.0)
+    orbit_bras = _orbit(s.fiducial.entries, s.dim).conj().T
 
+    def chunk_separated(*uniforms: np.ndarray) -> int:
+        states = np.stack([_haar_rows(u) for u in uniforms])
+        overlaps = np.abs(states @ orbit_bras) ** 2
+        fired = _fires(overlaps[0::2] + overlaps[1::2], tie_tol)
+        return np.count_nonzero((fired[0] != fired[1]).any(axis=-1))
 
-def sic_distinguish(pair0: TwoStatePairMixed, pair1: TwoStatePairMixed, s: SicPovm):
-    """First element index whose rule value differs between the two pairs.
-
-    Returns None when no element separates them; distinct pairs with equal
-    summed matrices are legitimately inseparable.
-    """
-    if pair0.dim != pair1.dim or pair0.dim != s.dim:
-        raise ValueError(f"dimension mismatch: pairs {pair0.dim}/{pair1.dim} vs set {s.dim}")
-    fired = _sic_fires(np.array([pair.forward.entries + pair.backward.entries for pair in (pair0, pair1)]), s)
-    differs = np.flatnonzero(fired[0] != fired[1])
-    return int(differs[0]) if differs.size else None
+    draws = [(RngStream(seed, 10 + k), 2 * s.dim) for k in range(4)]
+    return int(_sampled(chunk_separated, n_samples, draws, workers))
 
 
 def frame_potential(states: np.ndarray) -> float:

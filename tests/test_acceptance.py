@@ -38,7 +38,6 @@ from twostate import (
     first_order_invariance_check,
     haar_state,
     haar_states,
-    haar_unitary,
     pbr_distinguishing_vector,
     satisfies_pure,
     sic_expand,
@@ -56,7 +55,7 @@ from twostate import (
 )
 from twostate.cli import main
 
-from helpers import random_density, random_hermitian, random_unitary
+from helpers import haar_unitary, random_density, random_hermitian, random_unitary
 
 P_GRID = [round(0.1 * k, 10) for k in range(1, 10)]
 THETA_GRID_DEG = [30, 60, 90, 120, 150]

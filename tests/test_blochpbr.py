@@ -5,12 +5,16 @@ from twostate import (
     BlochVector,
     DegenerateInstanceError,
     PbrGeometricInstance,
+    RngStream,
     StateVector,
     TwoStatePairPure,
     bell_condition,
     bloch_from_state,
+    haar_state,
     inner,
     pbr_distinguishing_vector,
+    pbr_geometric,
+    pbr_separators,
     satisfies_pure,
     state_from_bloch,
 )
@@ -163,3 +167,37 @@ class TestDistinguishingVector:
             inst_rot = PbrGeometricInstance((rotated[0], rotated[1]), (rotated[2], rotated[3]))
             expected = rot @ pbr_distinguishing_vector(inst).as_array()
             assert np.allclose(pbr_distinguishing_vector(inst_rot).as_array(), expected, atol=1e-10)
+
+
+class TestPbrGeometric:
+    def test_matches_per_instance_reference(self):
+        # the batched experiment against pbr_distinguishing_vector and
+        # satisfies_pure per instance, drawn from the same streams
+        samples, seed = 300, 13
+        streams = [RngStream(seed, 20 + k) for k in range(4)]
+        found, degenerate, margins = 0, 0, []
+        for i in range(samples):
+            m, mp, x, xp = (bloch_from_state(haar_state(2, st, i)) for st in streams)
+            try:
+                a = pbr_distinguishing_vector(PbrGeometricInstance((m, mp), (x, xp)))
+            except DegenerateInstanceError:
+                degenerate += 1
+                continue
+            u, v = m.as_array() + mp.as_array(), x.as_array() + xp.as_array()
+            margins.append(min(a.as_array() @ u / np.linalg.norm(u), -a.as_array() @ v / np.linalg.norm(v)))
+            state_a = state_from_bloch(a)
+            found += (satisfies_pure(TwoStatePairPure(state_from_bloch(m), state_from_bloch(mp)), state_a)
+                      and not satisfies_pure(TwoStatePairPure(state_from_bloch(x), state_from_bloch(xp)), state_a))
+        got_found, got_degenerate, min_margin = pbr_geometric(samples, seed)
+        assert (got_found, got_degenerate) == (found, degenerate)
+        assert min_margin == pytest.approx(min(margins), rel=1e-11)
+
+    @pytest.mark.parametrize("instance, counts", [
+        ((PLUS_Z, PLUS_Z, PLUS_X, PLUS_X), (1, 0, 1 / np.sqrt(2))),
+        ((PLUS_Z, PLUS_Z, PLUS_Z, PLUS_Z), (0, 1, np.inf)),  # parallel sums: no margin to take
+    ], ids=["canonical", "degenerate"])
+    def test_counts_an_explicit_instance(self, instance, counts):
+        vectors = np.array([v.as_array() for v in instance])[:, None]
+        found, degenerate, min_margin = pbr_separators(vectors)
+        assert (found, degenerate) == counts[:2]
+        assert min_margin == pytest.approx(counts[2])

@@ -1,4 +1,5 @@
 import argparse
+import ast
 import csv
 import io
 import json
@@ -16,23 +17,15 @@ import pytest
 
 import twostate.sampling as sampling
 from twostate import (
-    DegenerateInstanceError,
-    OrthonormalBasis,
-    PbrGeometricInstance,
-    RngStream,
     StateVector,
-    TwoStatePairMixed,
-    TwoStatePairPure,
-    assign_over_basis,
-    bloch_from_state,
     builtin_fiducial,
     builtin_sic,
     commutator,
-    haar_state,
-    pbr_distinguishing_vector,
-    satisfies_pure,
+    exclusivity_scan,
+    pbr_geometric,
+    pbr_separators,
     sic_distinguish,
-    state_from_bloch,
+    sic_from_fiducial,
 )
 from twostate.cli import (
     _EXPERIMENTS,
@@ -44,8 +37,7 @@ from twostate.cli import (
     main,
     result_schema,
 )
-from twostate.qcore import matrix_from_json, matrix_to_json, vector_to_json
-from twostate.sampling import _uniforms
+from twostate.qcore import matrix_from_json, matrix_to_json, vector_from_json, vector_to_json
 
 from helpers import random_unitary
 
@@ -244,6 +236,27 @@ class TestConfigHandling:
         code, _ = run_cli(["pbr-geometric", "--seed", "1", "--config", str(cfg)], tmp_path)
         assert code == 2
         assert capsys.readouterr().err.startswith("error: invalid instance: ")
+
+    @pytest.mark.parametrize("args, config, message", [
+        (["weak-value"], {"forward": vector_to_json(np.eye(2)[1])},
+         "weak-value reads 'forward' only with an 'observable'"),
+        (["basis-mc"], {"forward": vector_to_json(np.eye(2)[1])}, "basis-mc reads 'forward' only with a 'basis'"),
+        (["born-mc", "--dist", "uniform-overlap"], {"dist_state": vector_to_json(np.eye(2)[1])},
+         "born-mc reads 'dist_state' only under --dist fixed"),
+        (["pbr-geometric", "--samples", "1000"], {"instance": [[0, 0, 1], [1, 0, 0], [0, 0, -1], [0, 1, 0]]},
+         "pbr-geometric runs an explicit 'instance' once; samples must be 1, got 1000"),
+    ], ids=["weak-value-forward", "basis-mc-forward", "born-mc-dist-state", "pbr-geometric-instance-samples"])
+    def test_a_config_key_the_run_ignores_exits_two_before_any_sampling(self, args, config, message, tmp_path,
+                                                                         monkeypatch, capsys):
+        draws = []
+        monkeypatch.setattr(sampling, "_uniforms", lambda *args: draws.append(args))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        code, out = run_cli(args + ["--seed", "1", "--config", str(cfg)], tmp_path)
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert draws == []
+        assert not out.exists()
 
     def test_help_exits_zero(self, capsys):
         with pytest.raises(SystemExit) as info:
@@ -583,34 +596,6 @@ class TestExperiments:
         # at d=5 a Haar backward state rarely overlaps any outcome strongly
         assert float(row["no_assign_rate"]) > 0.8
 
-    @pytest.mark.parametrize("tie_tol", ["0.0", "0.05"])
-    def test_exclusivity_scan_matches_per_sample_reference(self, tie_tol, tmp_path):
-        # the batched scan against one assign_over_basis call per sample: real
-        # states whose computational-basis overlaps are the flat Dirichlet
-        # points of the same uniforms
-        dim, samples, seed = 4, 300, 11
-        basis = OrthonormalBasis.computational(dim)
-
-        def overlap_state(stream, i):
-            logs = np.log(_uniforms(stream, i, 1, dim)[0])
-            return StateVector(np.sqrt(logs / logs.sum()))
-
-        fwd, bwd = RngStream(seed, 1), RngStream(seed, 2)
-        assigned = 0
-        for i in range(samples):
-            pair = TwoStatePairPure(overlap_state(fwd, i), overlap_state(bwd, i))
-            assigned += assign_over_basis(pair, basis, float(tie_tol)).assigned
-        code, out = run_cli(
-            ["exclusivity-scan", "--dim", str(dim), "--samples", str(samples), "--seed", str(seed),
-             "--tie-tol", tie_tol, "--format", "json"],
-            tmp_path, name="scan.json",
-        )
-        assert code == 0
-        record = json.loads(out.read_text())[0]
-        assert record["frequency"] == assigned / samples
-        assert record["no_assign_rate"] == (samples - assigned) / samples
-        assert record["extra"]["violations"] == 0
-
     @pytest.mark.parametrize("dim", [2, 3, 5])
     @pytest.mark.parametrize("experiment", ["exclusivity-scan", "born-mc-haar"])
     def test_rates_match_the_closed_form_laws(self, experiment, dim, tmp_path):
@@ -683,54 +668,6 @@ class TestExperiments:
         row = next(csv.DictReader(out.read_text().splitlines()))
         extra = json.loads(row["extra"])
         assert extra["separated"] + extra["no_separator"] == 100
-
-    def test_sic_distinguish_matches_per_instance_reference(self, tmp_path):
-        # the batched experiment against one sic_distinguish call per pair,
-        # drawn from the same streams
-        dim, samples, seed = 3, 300, 12
-        povm = builtin_sic(dim)
-        streams = [RngStream(seed, 10 + k) for k in range(4)]
-        separated = 0
-        for i in range(samples):
-            s0f, s0b, s1f, s1b = (haar_state(dim, st, i) for st in streams)
-            pair0 = TwoStatePairMixed.from_pure(TwoStatePairPure(s0f, s0b))
-            pair1 = TwoStatePairMixed.from_pure(TwoStatePairPure(s1f, s1b))
-            separated += sic_distinguish(pair0, pair1, povm) is not None
-        code, out = run_cli(
-            ["sic-distinguish", "--dim", str(dim), "--samples", str(samples), "--seed", str(seed),
-             "--format", "json"],
-            tmp_path, name="sic.json",
-        )
-        assert code == 0
-        extra = json.loads(out.read_text())[0]["extra"]
-        assert extra == {"separated": separated, "no_separator": samples - separated}
-
-    def test_pbr_geometric_matches_per_instance_reference(self, tmp_path):
-        # the batched experiment against pbr_distinguishing_vector and
-        # satisfies_pure per instance, drawn from the same streams
-        samples, seed = 300, 13
-        streams = [RngStream(seed, 20 + k) for k in range(4)]
-        found, degenerate, margins = 0, 0, []
-        for i in range(samples):
-            m, mp, x, xp = (bloch_from_state(haar_state(2, st, i)) for st in streams)
-            try:
-                a = pbr_distinguishing_vector(PbrGeometricInstance((m, mp), (x, xp)))
-            except DegenerateInstanceError:
-                degenerate += 1
-                continue
-            u, v = m.as_array() + mp.as_array(), x.as_array() + xp.as_array()
-            margins.append(min(a.as_array() @ u / np.linalg.norm(u), -a.as_array() @ v / np.linalg.norm(v)))
-            state_a = state_from_bloch(a)
-            found += (satisfies_pure(TwoStatePairPure(state_from_bloch(m), state_from_bloch(mp)), state_a)
-                      and not satisfies_pure(TwoStatePairPure(state_from_bloch(x), state_from_bloch(xp)), state_a))
-        code, out = run_cli(
-            ["pbr-geometric", "--samples", str(samples), "--seed", str(seed), "--format", "json"],
-            tmp_path, name="pbr.json",
-        )
-        assert code == 0
-        extra = json.loads(out.read_text())[0]["extra"]
-        assert (extra["separators_found"], extra["degenerate"]) == (found, degenerate)
-        assert extra["min_margin"] == pytest.approx(min(margins), rel=1e-11)
 
     def test_stationary_solve_round_trip(self, tmp_path):
         h = np.diag([1.0, 3.0]).astype(complex)
@@ -927,6 +864,67 @@ class TestDeterminism:
         assert first.read_bytes() == second.read_bytes()
 
 
+def scan_fields(tallies, samples: int) -> dict:
+    return {"frequency": int(tallies[:-2].sum()) / samples, "no_assign_rate": int(tallies[-2]) / samples,
+            "extra": {"violations": int(tallies[-1])}}
+
+
+def sic_fields(separated: int, samples: int) -> dict:
+    return {"frequency": separated / samples, "extra": {"separated": separated, "no_separator": samples - separated}}
+
+
+def pbr_fields(counts, samples: int) -> dict:
+    found, degenerate, min_margin = counts
+    return {"frequency": found / samples,
+            "extra": {"separators_found": found, "degenerate": degenerate, "min_margin": min_margin}}
+
+
+PBR_INSTANCE = [[0, 0, 1], [0.6, 0, 0.8], [0, 0, -1], [0, 0.6, -0.8]]
+# each batched experiment's runner: its arguments, its config, and the record fields of a direct kernel call
+KERNEL_RUNS = {
+    "exclusivity-scan": (["exclusivity-scan", "--dim", "3", "--samples", "2000", "--seed", "3", "--tie-tol", "0.05"],
+                         None, lambda: scan_fields(exclusivity_scan(3, 2000, 3, 0.05), 2000)),
+    "sic-distinguish": (["sic-distinguish", "--dim", "3", "--samples", "1000", "--seed", "4"], None,
+                        lambda: sic_fields(sic_distinguish(builtin_sic(3), 1000, 4), 1000)),
+    "sic-distinguish-fiducial": (
+        ["sic-distinguish", "--dim", "5", "--samples", "500", "--seed", "5", "--tie-tol", "0.05"],
+        {"fiducial": FIDUCIAL_D5},
+        lambda: sic_fields(sic_distinguish(sic_from_fiducial(StateVector(vector_from_json(FIDUCIAL_D5))),
+                                           500, 5, 0.05), 500)),
+    "pbr-geometric": (["pbr-geometric", "--samples", "1500", "--seed", "6", "--tie-tol", "0.05"], None,
+                      lambda: pbr_fields(pbr_geometric(1500, 6, 0.05), 1500)),
+    "pbr-geometric-instance": (["pbr-geometric", "--seed", "7", "--tie-tol", "0.3"], {"instance": PBR_INSTANCE},
+                               lambda: pbr_fields(pbr_separators(np.array(PBR_INSTANCE, dtype=float)[:, None], 0.3), 1)),
+}
+
+
+class TestRunnersCallTheKernels:
+    @pytest.mark.parametrize("name", KERNEL_RUNS)
+    def test_record_equals_a_direct_kernel_call(self, name, tmp_path):
+        args, config, kernel_fields = KERNEL_RUNS[name]
+        if config is not None:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps(config))
+            args = args + ["--config", str(cfg)]
+        code, out = run_cli(args + ["--workers", "2", "--format", "json", "--no-timing"], tmp_path, "out.json")
+        assert code == 0
+        (record,) = json.loads(out.read_text())
+        expected = kernel_fields()
+        assert {key: record[key] for key in expected} == expected
+
+    def test_cli_imports_no_private_package_name(self):
+        # the runners convert, call a public kernel and write; private names stay behind the library
+        tree = ast.parse((SRC / "twostate" / "cli.py").read_text(encoding="utf-8"))
+        private = [
+            f"{'.' * node.level}{node.module or ''}:{alias.name}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and (node.level > 0 or node.module.split(".")[0] == "twostate")
+            for alias in node.names
+            if alias.name.startswith("_")
+        ]
+        assert private == []
+
+
 class TestViolationExitCode:
     def test_forced_violation_exits_four(self, tmp_path, monkeypatch):
         # a multiple-outcome event cannot occur with valid bases, so force one
@@ -936,7 +934,7 @@ class TestViolationExitCode:
         def every_outcome_fires(sums, tie_tol=0.0):
             return tally_rule(sums + 2.0, tie_tol)
 
-        monkeypatch.setattr("twostate.cli.tally_rule", every_outcome_fires)
+        monkeypatch.setattr("twostate.sampling.tally_rule", every_outcome_fires)
         code, out = run_cli(
             ["exclusivity-scan", "--dim", "2", "--samples", "10", "--seed", "1", "--no-timing"],
             tmp_path,

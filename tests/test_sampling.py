@@ -12,14 +12,15 @@ from twostate import (
     OrthonormalBasis,
     RngStream,
     StateVector,
+    TwoStatePairPure,
     UniformOverlap,
+    assign_over_basis,
     basis_mc,
     born_mc,
     born_oracle,
+    exclusivity_scan,
     haar_state,
     haar_states,
-    haar_unitary,
-    uniform_overlap_states,
 )
 from twostate import sampling
 from twostate.assignment import RULE_ROUNDING_BOUND
@@ -34,7 +35,7 @@ from twostate.sampling import (
     _uniforms,
 )
 
-from helpers import chunk_samples, random_unitary
+from helpers import chunk_samples, haar_unitary, random_unitary, uniform_overlap_states
 
 E0 = StateVector.basis_state(2, 0)
 
@@ -200,7 +201,8 @@ class TestBackwardUniformOverlap:
 
 
 class TestOverlapLaw:
-    """The estimators' overlap draws against overlaps of the public state samplers."""
+    """The estimators' overlap draws against overlaps of built states: ``haar_states``, and the
+    reference ``uniform_overlap_states`` of tests/helpers.py."""
 
     @pytest.mark.parametrize("law", ["haar", "uniform-overlap"])
     @pytest.mark.parametrize("dim", [2, 3, 5, 16])
@@ -563,6 +565,34 @@ class TestBasisMc:
         a = basis_mc(fwd, basis, HaarPure(), 30_000, seed=8, workers=1)
         b = basis_mc(fwd, basis, HaarPure(), 30_000, seed=8, workers=8)
         assert a == b
+
+
+class TestExclusivityScan:
+    @pytest.mark.parametrize("tie_tol", [0.0, 0.05])
+    def test_matches_per_sample_reference(self, tie_tol):
+        # the batched scan against one assign_over_basis call per sample: real
+        # states whose computational-basis overlaps are the flat Dirichlet
+        # points of the same uniforms
+        dim, samples, seed = 4, 300, 11
+        basis = OrthonormalBasis.computational(dim)
+
+        def overlap_state(stream, i):
+            logs = np.log(_uniforms(stream, i, 1, dim)[0])
+            return StateVector(np.sqrt(logs / logs.sum()))
+
+        fwd, bwd = RngStream(seed, 1), RngStream(seed, 2)
+        assigned = 0
+        for i in range(samples):
+            pair = TwoStatePairPure(overlap_state(fwd, i), overlap_state(bwd, i))
+            assigned += assign_over_basis(pair, basis, tie_tol).assigned
+        tallies = exclusivity_scan(dim, samples, seed, tie_tol)
+        assert tallies.shape == (dim + 2,)
+        assert (int(tallies[:-2].sum()), int(tallies[-2]), int(tallies[-1])) == (assigned, samples - assigned, 0)
+
+    @pytest.mark.parametrize("dim, samples", [(1, 10), (2, 0)])
+    def test_rejects_bad_dimension_or_sample_count(self, dim, samples):
+        with pytest.raises(ValueError, match="dimension|sample count"):
+            exclusivity_scan(dim, samples, seed=1)
 
 
 class TestBornOracle:

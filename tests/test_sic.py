@@ -26,10 +26,16 @@ from twostate import (
     wh_displacements,
 )
 from twostate.assignment import _fires
-from twostate.sampling import RngStream, haar_states
-from twostate.sic import _sic_fires
+from twostate.sampling import RngStream, haar_state, haar_states
 
-from helpers import random_density, random_hermitian, random_state, random_unitary
+from helpers import (
+    random_density,
+    random_hermitian,
+    random_state,
+    random_unitary,
+    sic_distinguish_pair,
+    sic_fires,
+)
 
 E0 = StateVector.basis_state(2, 0)
 PLUS = StateVector(np.array([1, 1]) / np.sqrt(2))
@@ -207,7 +213,7 @@ class TestRuleCheck:
                 elements.append(k)
         fired = [sic_rule_check(sic_expand(total, povm), k) for total, k in zip(totals, elements)]
         assert sum(fired) == 0
-        batched = _sic_fires(np.array(totals), povm)
+        batched = sic_fires(np.array(totals), povm)
         assert not batched[np.arange(len(elements)), elements].any()
         # the overlap form sic-distinguish evaluates: |<phi_k|f>|^2 + |<phi_k|b>|^2
         overlaps = np.abs(np.array(pairs) @ orbit.conj().T) ** 2
@@ -216,11 +222,30 @@ class TestRuleCheck:
 
 
 class TestDistinguish:
+    """The batch kernel, and the mixed-pair trace form in tests/helpers.py that it is checked against."""
+
+    def test_matches_per_instance_reference(self):
+        # the batched kernel against one trace-form call per pair, drawn from the same streams
+        dim, samples, seed = 3, 300, 12
+        povm = builtin_sic(dim)
+        streams = [RngStream(seed, 10 + k) for k in range(4)]
+        separated = 0
+        for i in range(samples):
+            s0f, s0b, s1f, s1b = (haar_state(dim, st, i) for st in streams)
+            pair0 = TwoStatePairMixed.from_pure(TwoStatePairPure(s0f, s0b))
+            pair1 = TwoStatePairMixed.from_pure(TwoStatePairPure(s1f, s1b))
+            separated += sic_distinguish_pair(pair0, pair1, povm) is not None
+        assert sic_distinguish(povm, samples, seed) == separated
+
+    def test_kernel_validates_the_set(self):
+        with pytest.raises(InvalidSicError, match="fails validation"):
+            sic_distinguish(sic_from_fiducial(StateVector.basis_state(4, 0)), 10, seed=1)
+
     def test_z_vs_x_pairs(self):
         povm = builtin_sic(2)
         pair0 = TwoStatePairMixed.from_pure(TwoStatePairPure(E0, E0))
         pair1 = TwoStatePairMixed.from_pure(TwoStatePairPure(PLUS, PLUS))
-        k = sic_distinguish(pair0, pair1, povm)
+        k = sic_distinguish_pair(pair0, pair1, povm)
         assert k is not None
         lam0 = sic_expand(2 * projector_of(E0).entries, povm)
         lam1 = sic_expand(2 * projector_of(PLUS).entries, povm)
@@ -229,7 +254,7 @@ class TestDistinguish:
     def test_identical_pairs_are_inseparable(self):
         povm = builtin_sic(2)
         pair = TwoStatePairMixed.from_pure(TwoStatePairPure(E0, PLUS))
-        assert sic_distinguish(pair, pair, povm) is None
+        assert sic_distinguish_pair(pair, pair, povm) is None
 
     def test_identity_sums_are_inseparable(self):
         povm = builtin_sic(2)
@@ -238,7 +263,7 @@ class TestDistinguish:
         pair1 = TwoStatePairMixed(
             DensityMatrix.pure(E0), DensityMatrix.pure(StateVector.basis_state(2, 1))
         )
-        assert sic_distinguish(pair0, pair1, povm) is None
+        assert sic_distinguish_pair(pair0, pair1, povm) is None
 
 
 class TestFramePotential:
