@@ -143,6 +143,9 @@ def tally_rule(sums: np.ndarray, tie_tol: float = 0.0) -> np.ndarray:
     the samples that fired more than one (an exclusivity violation).
     """
     fired = _fires(sums, tie_tol)
+    if fired.shape[1] == 1:  # one outcome never fires twice: no per-sample count is needed
+        count = np.count_nonzero(fired)
+        return np.array([count, len(fired) - count, 0], dtype=np.int64)
     # einsum reduces bool rows about 2x faster than sum(axis=...)
     per_sample = np.einsum("ij->i", fired, dtype=np.int32)
     multiple = np.count_nonzero(per_sample > 1)

@@ -91,7 +91,8 @@ class ExperimentConfig:
     """A run's converted configuration: one value per ``_FIELDS`` row, the rest in ``params``.
 
     ``params`` holds the experiment's own rows, converted, and the structured config keys it
-    reads (states, matrices), which its runner converts where it reads them.
+    reads (states, matrices), which its runner converts where it reads them. ``given`` holds the
+    keys that a flag or the config file set, so that a runner can tell a given row from a default.
     """
 
     experiment: str
@@ -102,6 +103,7 @@ class ExperimentConfig:
     dist: str
     workers: int
     params: dict
+    given: frozenset
 
 
 def _record(cfg: ExperimentConfig, p_or_theta=None, frequency=None, std_err=None,
@@ -223,9 +225,9 @@ def _boolean(data) -> bool:
 
 
 def _unread(cfg: ExperimentConfig, keys, condition: str) -> None:
-    """A ConfigError for the first of config ``keys`` present: the run reads them only under ``condition``."""
+    """A ConfigError for the first of config ``keys`` given: the run reads them only under ``condition``."""
     for key in keys:
-        if key in cfg.params:
+        if key in cfg.given:
             raise ConfigError(f"{cfg.experiment} reads {key!r} only {condition}")
 
 
@@ -276,6 +278,7 @@ def _run_basis_mc(cfg: ExperimentConfig) -> list[dict]:
     if "basis" in cfg.params:
         basis = _from_config(cfg, lambda rows: OrthonormalBasis(tuple(_state(v, cfg.dim) for v in rows)), "basis")
         forward = _from_config(cfg, lambda data: _state(data, basis.dim), "forward")
+        _unread(cfg, ["theta_deg"], "without a 'basis'")
         cases = [(None, forward, basis)]
     else:
         if cfg.dim != 2:
@@ -523,7 +526,7 @@ def run_experiment(name: str, values: dict) -> list[dict]:
         raise ConfigError("a seed is mandatory; pass --seed or set it in the config file")
     fields = [converted.pop(row.key) for row in _FIELDS]
     params = {key: values[key] for key in experiment.keys if key in values}
-    cfg = ExperimentConfig(name, *fields, params={**params, **converted})
+    cfg = ExperimentConfig(name, *fields, params={**params, **converted}, given=frozenset(values))
     start = time.perf_counter()
     records = experiment.run(cfg)
     elapsed = time.perf_counter() - start

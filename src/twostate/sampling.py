@@ -10,14 +10,18 @@ how the index range is chunked or how many workers run them. Each word
 ``h`` becomes one uniform ``(h + 0.5) * 2**-32``, strictly inside (0, 1)
 (``_uniforms``), so no variate transform needs a guard against 0 or 1.
 
+Each thread keeps one Philox generator (``_philox_outputs``), built on its
+first draw; a draw sets its key and counter, which are the generator's whole
+state, rather than building a new one.
+
 One driver, ``_sampled``, runs every sampled experiment: it takes the
 ``(stream, words)`` pair of each draw a sample makes, sizes chunks by
-words, not by samples (``_chunk_samples``: at most ``_CHUNK_WORDS`` words,
-256 KiB of uniforms), draws each chunk's uniforms into the calling thread's
-one buffer of that size, hands them to a kernel, and folds the kernels'
-results exactly. A chunk thus allocates no float array for its uniforms;
-only its Philox outputs (half the buffer's size) are drawn into a fresh
-array, since ``random_raw`` takes no ``out``.
+words, not by samples (``_chunk_samples``: ``_CHUNK_WORDS`` words, 256 KiB
+of uniforms, so 32768 one-word samples), draws each chunk's uniforms into
+the calling thread's one buffer of that size, hands them to a kernel, and
+folds the kernels' results exactly. A chunk thus allocates no float array
+for its uniforms; only its Philox outputs (half the buffer's size) are
+drawn into a fresh array, since ``random_raw`` takes no ``out``.
 
 The Haar state sampler (``haar_states``) builds complex vectors from
 Box-Muller normals. The estimators and the exclusivity scan never build a
@@ -56,16 +60,15 @@ __all__ = [
 ]
 
 _MASK64 = (1 << 64) - 1
-_MAX_CHUNK_SAMPLES = 16384
 _CHUNK_WORDS = 2**15  # 256 KiB of uniforms per chunk buffer
 
 
 def _chunk_samples(words_per_sample: int) -> int:
     """Samples per chunk when each sample uses ``words_per_sample`` words (uniforms)."""
-    return max(1, min(_MAX_CHUNK_SAMPLES, _CHUNK_WORDS // words_per_sample))
+    return max(1, _CHUNK_WORDS // words_per_sample)
 
 
-_THREAD = threading.local()  # each thread's chunk buffer, kept for the thread's life
+_THREAD = threading.local()  # each thread's chunk buffer and Philox, kept for the thread's life
 
 
 @dataclass(frozen=True)
@@ -80,9 +83,6 @@ class RngStream:
             raise ValueError(f"seed must be a 64-bit unsigned integer, got {self.seed!r}")
         if not 0 <= self.stream_index <= _MASK64:
             raise ValueError(f"stream index must be a 64-bit unsigned integer, got {self.stream_index!r}")
-
-    def key(self) -> int:
-        return self.seed | (self.stream_index << 64)
 
 
 @dataclass(frozen=True, eq=False)
@@ -142,6 +142,33 @@ class BasisMcResult:
 # --- counter-based uniforms -----------------------------------------------
 
 
+def _philox_outputs(stream: RngStream, tick: int, n: int) -> np.ndarray:
+    """``n`` 64-bit Philox outputs of ``stream`` from the start of counter tick ``tick``.
+
+    The same outputs as ``Philox(key=seed | stream_index << 64, counter=tick).random_raw(n)``,
+    drawn from the calling thread's one generator: its state, key and counter packed in 64-bit
+    limbs, low limb first, as the constructor packs them, is set per draw. Each thread builds its
+    generator on its first draw.
+    """
+    if not 0 <= tick < 2**256:
+        raise ValueError("counter must be positive and less than 2**256.")
+    bit_gen = getattr(_THREAD, "philox", None)
+    if bit_gen is None:
+        bit_gen = _THREAD.philox = Philox()
+    bit_gen.state = {
+        "bit_generator": "Philox",
+        "state": {
+            "counter": [tick & _MASK64, tick >> 64 & _MASK64, tick >> 128 & _MASK64, tick >> 192],
+            "key": [stream.seed, stream.stream_index],
+        },
+        "buffer": (0, 0, 0, 0),  # one tick's four outputs, spent: the first output drawn is the tick's first
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    return bit_gen.random_raw(n)
+
+
 def _uniforms(
     stream: RngStream, first_sample: int, count: int, words_per_sample: int, out: np.ndarray | None = None
 ) -> np.ndarray:
@@ -158,10 +185,9 @@ def _uniforms(
     given: ``_sampled`` passes views of its thread's chunk buffer.
     """
     first_word, n_words = first_sample * words_per_sample, count * words_per_sample
-    bit_gen = Philox(key=stream.key(), counter=first_word // 8)
-    bit_gen.random_raw(first_word % 8 // 2)
-    skip = first_word % 2
-    halves = bit_gen.random_raw((skip + n_words + 1) // 2).astype("<u8", copy=False).view("<u4")
+    skip = first_word % 8
+    outputs = _philox_outputs(stream, first_word // 8, (skip + n_words + 1) // 2)
+    halves = outputs.astype("<u8", copy=False).view("<u4")
     out = np.add(halves[skip:skip + n_words].reshape(count, words_per_sample), 0.5, out=out)
     out *= 2.0**-32
     return out

@@ -241,11 +241,18 @@ class TestConfigHandling:
         (["weak-value"], {"forward": vector_to_json(np.eye(2)[1])},
          "weak-value reads 'forward' only with an 'observable'"),
         (["basis-mc"], {"forward": vector_to_json(np.eye(2)[1])}, "basis-mc reads 'forward' only with a 'basis'"),
+        (["basis-mc", "--theta-deg", "45"], {"basis": [vector_to_json(np.eye(2)[0]), vector_to_json(np.eye(2)[1])],
+                                             "forward": vector_to_json(np.eye(2)[0])},
+         "basis-mc reads 'theta_deg' only without a 'basis'"),
+        (["basis-mc"], {"theta_deg": [45], "basis": [vector_to_json(np.eye(2)[0]), vector_to_json(np.eye(2)[1])],
+                        "forward": vector_to_json(np.eye(2)[0])},
+         "basis-mc reads 'theta_deg' only without a 'basis'"),
         (["born-mc", "--dist", "uniform-overlap"], {"dist_state": vector_to_json(np.eye(2)[1])},
          "born-mc reads 'dist_state' only under --dist fixed"),
         (["pbr-geometric", "--samples", "1000"], {"instance": [[0, 0, 1], [1, 0, 0], [0, 0, -1], [0, 1, 0]]},
          "pbr-geometric runs an explicit 'instance' once; samples must be 1, got 1000"),
-    ], ids=["weak-value-forward", "basis-mc-forward", "born-mc-dist-state", "pbr-geometric-instance-samples"])
+    ], ids=["weak-value-forward", "basis-mc-forward", "basis-mc-theta-flag", "basis-mc-theta-key", "born-mc-dist-state",
+            "pbr-geometric-instance-samples"])
     def test_a_config_key_the_run_ignores_exits_two_before_any_sampling(self, args, config, message, tmp_path,
                                                                          monkeypatch, capsys):
         draws = []

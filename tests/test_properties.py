@@ -7,6 +7,7 @@ the drawn integers. Every test is derandomized, so a run is reproducible.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
@@ -26,7 +27,7 @@ from twostate import (
     tally_rule,
     time_reverse,
 )
-from twostate.assignment import RULE_ROUNDING_BOUND
+from twostate.assignment import RULE_ROUNDING_BOUND, _fires
 
 from helpers import chunk_samples, random_basis, random_state
 
@@ -75,6 +76,38 @@ class TestExclusivity:
         tally = tally_rule(np.array(rows), tie_tol)
         assert tally[-1] == 0
         assert tally.sum() == n
+
+
+def _threshold_edges(tie_tol: float) -> list:
+    """The sum at the rule's threshold ``1 + tie_tol + RULE_ROUNDING_BOUND`` and its float neighbours, in order."""
+    edge = 1.0 + tie_tol + RULE_ROUNDING_BOUND
+    return [np.nextafter(edge, 0.0), edge, np.nextafter(edge, 2.0)]
+
+
+class TestOneOutcomeTally:
+    """``tally_rule`` on one column agrees with ``_fires`` applied sample by sample."""
+
+    @staticmethod
+    def per_sample(sums: np.ndarray, tie_tol: float) -> list:
+        fired = sum(bool(_fires(row[0], tie_tol)) for row in sums)
+        return [fired, len(sums) - fired, 0]
+
+    @PROPERTY
+    @given(tie_tols, st.lists(st.one_of(st.floats(0.0, 2.5), st.sampled_from([0, 1, 2])), max_size=64))
+    def test_matches_the_per_sample_rule(self, tie_tol, drawn):
+        # each sum is a drawn float or one of the three threshold edges (by index); every edge is in every batch
+        edges = _threshold_edges(tie_tol)
+        sums = np.array([edges[x] if isinstance(x, int) else x for x in drawn] + edges)[:, None]
+        tally = tally_rule(sums, tie_tol)
+        assert tally.dtype == np.int64
+        assert tally.tolist() == self.per_sample(sums, tie_tol)
+
+    @pytest.mark.parametrize("tie_tol", [0.0, 1e-12, 0.3])
+    @pytest.mark.parametrize("edge", [0, 1, 2])
+    def test_one_sample_matches_the_rule(self, tie_tol, edge):
+        # the --dist fixed path: one evaluation of shape (1, 1)
+        sums = np.array([[_threshold_edges(tie_tol)[edge]]])
+        assert tally_rule(sums, tie_tol).tolist() == self.per_sample(sums, tie_tol) == [edge == 2, edge < 2, 0]
 
 
 @st.composite
@@ -134,7 +167,8 @@ class TestSicRoundTrip:
         assert np.allclose(back, r, rtol=0.0, atol=1e-12 * max(1.0, float(np.max(np.abs(r)))))
 
 
-# above 16384 samples, a default-chunked run spans several chunks whatever the law and dimension
+# above 16384 samples, a default-chunked run spans several chunks whatever the law and dimension,
+# except a one-word born_mc sample, whose chunks hold 32768
 estimator_cases = st.tuples(
     st.sampled_from([2, 3, 5, 16]), seeds, st.one_of(st.integers(16_385, 40_000), st.integers(1, 2000)),
     st.integers(64, 700), st.integers(2, 3),

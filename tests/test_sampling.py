@@ -52,9 +52,14 @@ def drawn_overlaps(dist, dim: int, k: int, stream: RngStream, lo: int, n: int) -
     return _overlaps(dist, dim, k, _uniforms(stream, lo, n, _overlap_words(dist, dim, k)))
 
 
+def fresh_philox(stream: RngStream, tick: int = 0) -> Philox:
+    """A new Philox generator on a stream's key, its seed in the low 64 bits, at counter tick ``tick``."""
+    return Philox(key=stream.seed | stream.stream_index << 64, counter=tick)
+
+
 def philox_uniforms(stream: RngStream, n: int) -> list:
     """The first ``n`` uniforms of a stream, from its raw Philox outputs: 32-bit halves, low half first."""
-    outputs = Philox(key=stream.key()).random_raw((n + 1) // 2).tolist()
+    outputs = fresh_philox(stream).random_raw((n + 1) // 2).tolist()
     halves = [(word >> shift) & 0xFFFFFFFF for word in outputs for shift in (0, 32)]
     return [(h + 0.5) * 2.0**-32 for h in halves[:n]]
 
@@ -139,7 +144,7 @@ class TestWordExactAddressing:
         # outputs of ticks 5 and 6, and 20 and 24; each output gives two words, low half first
         stream = RngStream(7, 3)
         for sample, row in zip((5, 6), expected):
-            assert Philox(key=stream.key(), counter=sample * words // 8).random_raw(4).tolist() == row
+            assert fresh_philox(stream, sample * words // 8).random_raw(4).tolist() == row
         halves = [[(word >> shift) & 0xFFFFFFFF for word in row for shift in (0, 32)] for row in expected]
         uniforms = [[(h + 0.5) * 2.0**-32 for h in row] for row in halves]
         assert _uniforms(stream, 5, 2, words)[:, :8].tolist() == uniforms
@@ -284,48 +289,129 @@ class TestExtremeWords:
     """Words 0 and 2**32 - 1 give uniforms strictly inside (0, 1), so every transform stays finite."""
 
     @staticmethod
-    def constant_philox(monkeypatch, output: int):
-        """Make every Philox output of ``_uniforms`` equal ``output``."""
-        class Constant:
-            def __init__(self, key, counter):
-                pass
+    def constant_philox(monkeypatch, output: int) -> list:
+        """Make every Philox output of ``_uniforms`` equal ``output``; returns the output counts drawn."""
+        drawn = []
 
-            def random_raw(self, size):
-                return np.full(size, output, dtype=np.uint64)
+        def constant(stream, tick, n):
+            drawn.append(n)
+            return np.full(n, output, dtype=np.uint64)
 
-        monkeypatch.setattr(sampling, "Philox", Constant)
+        monkeypatch.setattr(sampling, "_philox_outputs", constant)
+        return drawn
 
     def test_words_map_to_the_extreme_uniforms(self, monkeypatch):
-        self.constant_philox(monkeypatch, 0xFFFFFFFF_00000000)  # words 0 and 2**32 - 1, low half first
+        drawn = self.constant_philox(monkeypatch, 0xFFFFFFFF_00000000)  # words 0 and 2**32 - 1, low half first
         bottom, top = 2.0**-33, 1.0 - 2.0**-33
         assert _uniforms(RngStream(3), 0, 1, 4).tolist() == [[bottom, top, bottom, top]]
         # sample 1 of 3 words starts at word 3, on a high half
         assert _uniforms(RngStream(3), 1, 2, 3).tolist() == [[top, bottom, top], [bottom, top, bottom]]
+        assert drawn == [2, 5]  # words 0-3; words 0-9, of which 3-8 are used
 
     @pytest.mark.parametrize("dim", [2, 5, 16])
     def test_a_row_of_top_words_gives_a_finite_dirichlet_point(self, monkeypatch, dim):
-        self.constant_philox(monkeypatch, 2**64 - 1)
+        drawn = self.constant_philox(monkeypatch, 2**64 - 1)
         point = _flat_dirichlet(_uniforms(RngStream(3), 0, 4, dim), dim)
+        assert drawn == [2 * dim]
         assert np.isfinite(point).all() and (point > 0.0).all()
         assert np.max(np.abs(point.sum(axis=1) - 1.0)) <= RULE_ROUNDING_BOUND
 
     @pytest.mark.parametrize("dim", [2, 3, 16, 512])
     def test_haar_overlap_and_box_muller_radius_stay_in_range(self, monkeypatch, dim):
-        self.constant_philox(monkeypatch, 0xFFFFFFFF_00000000)
+        drawn = self.constant_philox(monkeypatch, 0xFFFFFFFF_00000000)
         q = _overlaps(HaarPure(), dim, 1, _uniforms(RngStream(3), 0, 2, 1))  # words 0, then 2**32 - 1
         assert np.isfinite(q).all() and 0.0 <= q.min() and q[0, 0] < 1.0 and q.max() <= 1.0
         radius = np.abs(_complex_normals(_uniforms(RngStream(3), 0, 1, 4)))  # both radius words are 0
         assert np.all(radius < 6.77)  # sqrt(-2 log 2**-33) = 6.7637
-        self.constant_philox(monkeypatch, 2**64 - 1)
+        assert drawn == [1, 2]
+        drawn = self.constant_philox(monkeypatch, 2**64 - 1)
         radius = np.abs(_complex_normals(_uniforms(RngStream(3), 0, 1, 4)))  # both radius words are 2**32 - 1
         assert np.all(radius >= 2.0**-16)
         states = haar_states(dim, RngStream(3), 0, 2)
         assert np.max(np.abs(np.linalg.norm(states, axis=1) - 1.0)) < 1e-12
+        assert drawn == [2, 2 * dim]
+
+
+def fresh_uniforms(stream: RngStream, first_sample: int, count: int, words: int) -> np.ndarray:
+    """``_uniforms`` rows from a freshly built Philox set to the counter tick of the first word."""
+    first_word, n_words = first_sample * words, count * words
+    tick, skip = divmod(first_word, 8)
+    outputs = fresh_philox(stream, tick).random_raw((skip + n_words + 1) // 2).tolist()
+    halves = [(output >> shift) & 0xFFFFFFFF for output in outputs for shift in (0, 32)]
+    return np.array([(h + 0.5) * 2.0**-32 for h in halves[skip:skip + n_words]]).reshape(count, words)
+
+
+def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+class TestThreadGenerator:
+    """Each thread draws through one Philox whose state it sets per draw, with a fresh generator's outputs."""
+
+    # (first sample, words per sample): a whole tick; the high half of output 1; outputs 0-1 skipped, then
+    # a high half; outputs 0-2 skipped; the high half of the next tick's first output
+    STARTS = [(0, 8), (1, 3), (5, 1), (3, 2), (3, 3)]
+
+    @pytest.mark.parametrize("first_sample, words", STARTS)
+    def test_rows_match_a_fresh_generator_after_another_stream(self, first_sample, words):
+        stream, other = RngStream(61, 2), RngStream(2**64 - 1, 7)
+        _uniforms(other, 10**6 + 3, 5, 3)  # leaves the thread's generator on another key, counter and output
+        bit_gen = sampling._THREAD.philox
+        assert same_bits(_uniforms(stream, first_sample, 37, words), fresh_uniforms(stream, first_sample, 37, words))
+        assert sampling._THREAD.philox is bit_gen
+
+    @pytest.mark.parametrize("first_sample, words", [
+        (2**67 + 5, 1),  # tick 2**64, outputs 0-1 skipped, then a high half
+        (2**64 // 3 * 8 + 1, 3),  # from word 3 of tick 2**64 - 1 into tick 2**64: the counter carries
+        (2**200 + 3, 8),  # a counter in its top limb
+        (2**256 - 1, 8),  # the last tick
+    ])
+    def test_ticks_beyond_64_bits_match_a_fresh_generator(self, first_sample, words):
+        stream = RngStream(67, 3)
+        assert ((first_sample + 4) * words - 1) // 8 >= 2**64  # the last word lies beyond tick 2**64 - 1
+        assert same_bits(_uniforms(stream, first_sample, 4, words), fresh_uniforms(stream, first_sample, 4, words))
+
+    @pytest.mark.parametrize("first_sample", [2**256, -1])
+    def test_a_tick_outside_the_counter_is_rejected(self, first_sample):
+        with pytest.raises(ValueError, match="counter"):
+            Philox(counter=first_sample)  # the tick of an 8-word sample is its index
+        with pytest.raises(ValueError, match="counter"):
+            _uniforms(RngStream(67), first_sample, 1, 8)
+
+    def test_threads_build_their_generator_on_first_draw_and_interleave_freely(self):
+        # two threads take turns: each draw follows one of the other thread's, on another stream
+        turns, results, errors = threading.Barrier(2), {}, []
+
+        def draw(name: str, stream: RngStream, first: bool):
+            try:
+                assert not hasattr(sampling._THREAD, "philox")  # nothing is built before a thread's first draw
+                rows = []
+                for step, (first_sample, words) in enumerate(self.STARTS * 2):
+                    if (step % 2 == 0) == first:
+                        rows.append((first_sample, words, _uniforms(stream, first_sample, 29, words)))
+                    turns.wait()
+                results[name] = (sampling._THREAD.philox, rows)
+            except Exception as exc:  # a failed assertion in a thread is reported by the test's thread
+                errors.append(exc)
+                turns.abort()
+
+        streams = {"a": RngStream(71, 0), "b": RngStream(71, 1)}
+        threads = [threading.Thread(target=draw, args=(name, streams[name], name == "a")) for name in streams]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert not errors
+        assert results["a"][0] is not results["b"][0]
+        for name, (_, rows) in results.items():
+            assert len(rows) == len(self.STARTS)
+            for first_sample, words, row in rows:
+                assert same_bits(row, fresh_uniforms(streams[name], first_sample, 29, words))
 
 
 class TestDefaultChunks:
     def test_chunks_are_sized_by_words(self):
-        assert _chunk_samples(1) == 16384  # the sample cap, not the word budget
+        assert _chunk_samples(1) == 2**15  # the word budget
         assert _chunk_samples(4) == 8192
         assert _chunk_samples(16) == 2048
         assert _chunk_samples(2**16) == 1  # a sample above the budget still gets a chunk
