@@ -7,7 +7,10 @@ At most one element of an orthonormal basis can satisfy the rule, so the
 assignment is deterministic; it may also be empty.
 
 Every evaluation of the rule goes through one comparison (``_fires``) and
-every tally over outcomes through one batch kernel (``tally_rule``).
+every tally over outcomes through one batch kernel (``tally_rule``). Since
+at most one outcome of a sample fires, the kernel counts from the indices
+of the fired entries alone, a violation included: a sample that fired twice
+holds more than one consecutive index.
 """
 
 from __future__ import annotations
@@ -143,14 +146,19 @@ def tally_rule(sums: np.ndarray, tie_tol: float = 0.0) -> np.ndarray:
     the samples that fired more than one (an exclusivity violation).
     """
     fired = _fires(sums, tie_tol)
-    if fired.shape[1] == 1:  # one outcome never fires twice: no per-sample count is needed
+    n, k = fired.shape
+    if k == 1:  # one outcome never fires twice: no per-sample count is needed
         count = np.count_nonzero(fired)
-        return np.array([count, len(fired) - count, 0], dtype=np.int64)
-    # einsum reduces bool rows about 2x faster than sum(axis=...)
-    per_sample = np.einsum("ij->i", fired, dtype=np.int32)
-    multiple = np.count_nonzero(per_sample > 1)
-    alone = np.einsum("ij->j", fired[per_sample == 1] if multiple else fired, dtype=np.int64)
-    return np.concatenate([alone, (np.count_nonzero(per_sample == 0), multiple)])
+        return np.array([count, n - count, 0], dtype=np.int64)
+    # the fired entries in sample order, each split into its sample and its outcome; a sample's
+    # hits are one run, so a run of length one is a sample that fired that outcome alone
+    rows, cols = np.divmod(np.flatnonzero(fired), k)
+    first = np.ones(rows.size, dtype=bool)  # the first hit of each sample that fired
+    np.not_equal(rows[1:], rows[:-1], out=first[1:])
+    alone = first.copy()  # ... that is also its last: the sample fired that outcome alone
+    alone[:-1] &= first[1:]
+    firing, single = np.count_nonzero(first), np.count_nonzero(alone)
+    return np.concatenate([np.bincount(cols[alone], minlength=k), (n - firing, firing - single)])
 
 
 def _rule_sums(pair, basis: OrthonormalBasis) -> np.ndarray:

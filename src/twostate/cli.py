@@ -445,6 +445,12 @@ class _Experiment(NamedTuple):
     help: str  # the first sentence is the one-line summary
     params: tuple = ()  # the experiment's own rows
     keys: tuple = ()  # the structured config keys its runner reads
+    unread: tuple = ()  # the _FIELDS keys its runner never reads: giving one is an error
+
+
+# the fields that only a sampling experiment reads; every experiment accepts `workers`, which
+# cannot change a result, so that one command line shape runs them all
+_UNSAMPLED = ("samples", "tie_tol")
 
 
 _EXPERIMENTS = {
@@ -476,14 +482,14 @@ _EXPERIMENTS = {
         "pairwise trace overlap 1/(d+1) summing to d times the identity."
     ), (
         _Param("tol", _tolerance, 1e-10, "validation tolerance"),
-    ), keys=("fiducial",)),
+    ), keys=("fiducial",), unread=_UNSAMPLED),
     "sic-search": _Experiment(_run_sic_search, (
         "Search for a fiducial state whose displacement orbit is equiangular by minimizing "
         "the frame potential to its Welch bound 2d^3/(d+1), with seeded random restarts."
     ), (
         _Param("restarts", _count, 20, "number of random restarts"),
         _Param("max_iters", _count, 2000, "optimizer iterations per restart"),
-    )),
+    ), unread=_UNSAMPLED),
     "sic-distinguish": _Experiment(_run_sic_distinguish, (
         "For random pairs of two-state assignments, find a projector-set element whose "
         "rule value lambda_k > 1 - 1/d differs between them, and tally how often a single "
@@ -495,7 +501,7 @@ _EXPERIMENTS = {
         "inside degenerate blocks."
     ), (
         _Param("require_psd", _boolean, False, "reject a solution that is not positive semidefinite: true or false"),
-    ), keys=("hamiltonian", "target_k", "diagonal")),
+    ), keys=("hamiltonian", "target_k", "diagonal"), unread=_UNSAMPLED),
     "pbr-geometric": _Experiment(_run_pbr_geometric, (
         "For qubit pair-vs-pair instances, construct the Bloch vector with positive "
         "projection on one pair sum and negative on the other (maximum-margin bisector), "
@@ -504,7 +510,7 @@ _EXPERIMENTS = {
     "weak-value": _Experiment(_run_weak_value, (
         "Evaluate <final|A|forward>/<final|forward> together with the post-selection "
         "probability |<forward|final>|^2."
-    ), keys=("observable", "forward", "final")),
+    ), keys=("observable", "forward", "final"), unread=_UNSAMPLED),
 }
 EXPERIMENTS = tuple(_EXPERIMENTS)
 
@@ -513,13 +519,17 @@ def run_experiment(name: str, values: dict) -> list[dict]:
     """Convert every value once, by its row, then run experiment ``name`` and stamp wall time.
 
     ``values`` maps config keys to config values or flag text. A row whose key is absent takes
-    its default; a key that is neither a row nor a structured key the experiment reads is an error.
+    its default; a key that is neither a row nor a structured key the experiment reads is an error,
+    and so is a field that the experiment never reads.
     """
     experiment = _EXPERIMENTS[name]
     rows = _FIELDS + experiment.params
     for key in values:
         if key not in experiment.keys and all(row.key != key for row in rows):
             raise ConfigError(f"{name} has no config key {key!r}")
+    for key in experiment.unread:
+        if key in values:
+            raise ConfigError(f"{name} never reads {key!r}")
     converted = {row.key: _converted(row.key, row.convert, values[row.key]) if row.key in values else row.default
                  for row in rows}
     if converted["seed"] is None:

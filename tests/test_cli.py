@@ -117,7 +117,7 @@ class TestConfigHandling:
     def test_malformed_config_value_exits_two(self, args, config, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(config))
-        code, _ = run_cli(args + ["--samples", "10", "--seed", "1", "--config", str(cfg)], tmp_path)
+        code, _ = run_cli(args + ["--seed", "1", "--config", str(cfg)], tmp_path)
         assert code == 2
         assert capsys.readouterr().err.startswith("error: invalid ")
 
@@ -166,7 +166,7 @@ class TestConfigHandling:
         # not run under records that echo dim 2
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(config))
-        code, out = run_cli(args + ["--samples", "10", "--seed", "1", "--config", str(cfg)], tmp_path)
+        code, out = run_cli(args + ["--seed", "1", "--config", str(cfg)], tmp_path)
         assert code == 2
         assert message in capsys.readouterr().err
         assert not out.exists()
@@ -251,8 +251,21 @@ class TestConfigHandling:
          "born-mc reads 'dist_state' only under --dist fixed"),
         (["pbr-geometric", "--samples", "1000"], {"instance": [[0, 0, 1], [1, 0, 0], [0, 0, -1], [0, 1, 0]]},
          "pbr-geometric runs an explicit 'instance' once; samples must be 1, got 1000"),
+        # the experiments that draw no sample read neither samples nor tie_tol, by flag or by key
+        (["weak-value", "--samples", "1000", "--tie-tol", "0.3"], {}, "weak-value never reads 'samples'"),
+        (["weak-value"], {"tie_tol": 0.3}, "weak-value never reads 'tie_tol'"),
+        (["sic-validate", "--dim", "3", "--samples", "500"], {}, "sic-validate never reads 'samples'"),
+        (["sic-validate", "--dim", "3"], {"samples": 1}, "sic-validate never reads 'samples'"),
+        (["sic-search", "--tie-tol", "0"], {}, "sic-search never reads 'tie_tol'"),
+        (["sic-search"], {"samples": 10}, "sic-search never reads 'samples'"),
+        (["stationary-solve", "--samples", "1"], {}, "stationary-solve never reads 'samples'"),
+        (["stationary-solve"], {"tie_tol": 0.0, "hamiltonian": matrix_to_json(np.diag([1.0, 3.0])),
+                                "target_k": matrix_to_json(np.zeros((2, 2))), "diagonal": [0.5, 0.5]},
+         "stationary-solve never reads 'tie_tol'"),
     ], ids=["weak-value-forward", "basis-mc-forward", "basis-mc-theta-flag", "basis-mc-theta-key", "born-mc-dist-state",
-            "pbr-geometric-instance-samples"])
+            "pbr-geometric-instance-samples", "weak-value-samples-flag", "weak-value-tie-tol-key",
+            "sic-validate-samples-flag", "sic-validate-samples-key", "sic-search-tie-tol-flag",
+            "sic-search-samples-key", "stationary-solve-samples-flag", "stationary-solve-tie-tol-key"])
     def test_a_config_key_the_run_ignores_exits_two_before_any_sampling(self, args, config, message, tmp_path,
                                                                          monkeypatch, capsys):
         draws = []
@@ -264,6 +277,17 @@ class TestConfigHandling:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert draws == []
         assert not out.exists()
+
+    @pytest.mark.parametrize("args", [
+        ["weak-value"],
+        ["sic-validate", "--dim", "3"],
+        ["sic-search", "--restarts", "1", "--max-iters", "50"],
+    ], ids=lambda args: args[0])
+    def test_workers_is_accepted_where_no_sample_is_drawn(self, args, tmp_path):
+        _, plain = run_cli(args + ["--seed", "1", "--no-timing"], tmp_path, "plain.csv")
+        code, pooled = run_cli(args + ["--seed", "1", "--workers", "4", "--no-timing"], tmp_path, "pooled.csv")
+        assert code == 0
+        assert pooled.read_bytes() == plain.read_bytes()
 
     def test_help_exits_zero(self, capsys):
         with pytest.raises(SystemExit) as info:
@@ -757,10 +781,15 @@ FIDUCIAL_D5 = [
     [0.19546777904492033, -0.14213058650282356], [0.6603324980387913, -0.23804564846712076],
     [0.4159869023829873, -0.009761355753587254],
 ]
+# The 16-dim Sylvester-Hadamard basis: orthonormal real rows whose entries, +-1/4, are exact.
+_H2 = np.array([[1.0, 1.0], [1.0, -1.0]])
+HADAMARD_16 = np.kron(np.kron(_H2, _H2), np.kron(_H2, _H2)) / 4.0
 PAYLOAD_HEADER = "schema_version,experiment,dim,samples,seed,tie_tol,dist,p_or_theta,frequency,std_err," \
                  "no_assign_rate,oracle,extra\n"
-# The --no-timing CSV rows of two configs of each sampled experiment, as sample-stream
-# version 5 produces them; a change of these bytes is a change of sample streams.
+# The --no-timing CSV rows of two or more configs of each sampled experiment, as sample-stream
+# version 5 produces them; a change of these bytes is a change of sample streams. The basis-mc
+# rows at d = 16 (Haar) and d = 5 (uniform overlap) tally multi-outcome chunks in which
+# several outcomes fire.
 PINNED_PAYLOADS = {
     "born-mc-uniform-d4": (
         ["born-mc", "--dim", "4", "--samples", "5000", "--seed", "11", "--p-grid", "0.2,0.5,0.9"], None, [
@@ -795,6 +824,58 @@ PINNED_PAYLOADS = {
             '0.5000000000000001,"{""outcome"":0,""conditional_frequency"":0.483}"',
             '1,basis-mc,2,3000,17,0.0,uniform-overlap,90.0,0.517,0.009123431372022262,0.0,'
             '0.4999999999999999,"{""outcome"":1,""conditional_frequency"":0.517}"',
+        ]),
+    "basis-mc-haar-d16": (
+        ["basis-mc", "--dim", "16", "--dist", "haar", "--samples", "262144", "--seed", "43"],
+        {"basis": [vector_to_json(row) for row in HADAMARD_16],
+         "forward": vector_to_json((HADAMARD_16[2] + 1j * HADAMARD_16[9]) / np.sqrt(2.0))}, [
+            '1,basis-mc,16,262144,43,0.0,haar,,0.0,0.0,0.9999465942382812,0.0,'
+            '"{""outcome"":0,""conditional_frequency"":0.0}"',
+            '1,basis-mc,16,262144,43,0.0,haar,,0.0,0.0,0.9999465942382812,0.0,'
+            '"{""outcome"":1,""conditional_frequency"":0.0}"',
+            '1,basis-mc,16,262144,43,0.0,haar,,1.9073486328125e-05,8.529841051453038e-06,0.9999465942382812,'
+            '0.4999999999999999,"{""outcome"":2,""conditional_frequency"":0.35714285714285715}"',
+            '1,basis-mc,16,262144,43,0.0,haar,,0.0,0.0,0.9999465942382812,0.0,'
+            '"{""outcome"":3,""conditional_frequency"":0.0}"',
+            '1,basis-mc,16,262144,43,0.0,haar,,0.0,0.0,0.9999465942382812,0.0,'
+            '"{""outcome"":4,""conditional_frequency"":0.0}"',
+            '1,basis-mc,16,262144,43,0.0,haar,,0.0,0.0,0.9999465942382812,0.0,'
+            '"{""outcome"":5,""conditional_frequency"":0.0}"',
+            '1,basis-mc,16,262144,43,0.0,haar,,0.0,0.0,0.9999465942382812,0.0,'
+            '"{""outcome"":6,""conditional_frequency"":0.0}"',
+            '1,basis-mc,16,262144,43,0.0,haar,,0.0,0.0,0.9999465942382812,0.0,'
+            '"{""outcome"":7,""conditional_frequency"":0.0}"',
+            '1,basis-mc,16,262144,43,0.0,haar,,0.0,0.0,0.9999465942382812,0.0,'
+            '"{""outcome"":8,""conditional_frequency"":0.0}"',
+            '1,basis-mc,16,262144,43,0.0,haar,,3.4332275390625e-05,1.1443895344333237e-05,0.9999465942382812,'
+            '0.4999999999999999,"{""outcome"":9,""conditional_frequency"":0.6428571428571429}"',
+            '1,basis-mc,16,262144,43,0.0,haar,,0.0,0.0,0.9999465942382812,0.0,'
+            '"{""outcome"":10,""conditional_frequency"":0.0}"',
+            '1,basis-mc,16,262144,43,0.0,haar,,0.0,0.0,0.9999465942382812,0.0,'
+            '"{""outcome"":11,""conditional_frequency"":0.0}"',
+            '1,basis-mc,16,262144,43,0.0,haar,,0.0,0.0,0.9999465942382812,0.0,'
+            '"{""outcome"":12,""conditional_frequency"":0.0}"',
+            '1,basis-mc,16,262144,43,0.0,haar,,0.0,0.0,0.9999465942382812,0.0,'
+            '"{""outcome"":13,""conditional_frequency"":0.0}"',
+            '1,basis-mc,16,262144,43,0.0,haar,,0.0,0.0,0.9999465942382812,0.0,'
+            '"{""outcome"":14,""conditional_frequency"":0.0}"',
+            '1,basis-mc,16,262144,43,0.0,haar,,0.0,0.0,0.9999465942382812,0.0,'
+            '"{""outcome"":15,""conditional_frequency"":0.0}"',
+        ]),
+    "basis-mc-uniform-d5": (
+        ["basis-mc", "--dim", "5", "--samples", "20000", "--seed", "47"],
+        {"basis": [vector_to_json(row) for row in np.eye(5)],
+         "forward": vector_to_json(np.sqrt([0.35, 0.25, 0.2, 0.15, 0.05]) * np.exp(1j * np.arange(5)))}, [
+            '1,basis-mc,5,20000,47,0.0,uniform-overlap,,0.35065,0.003374126386933364,0.6473,0.35,'
+            '"{""outcome"":0,""conditional_frequency"":0.9941876949248654}"',
+            '1,basis-mc,5,20000,47,0.0,uniform-overlap,,0.0011,0.00023439176606698453,0.6473,0.25,'
+            '"{""outcome"":1,""conditional_frequency"":0.0031187978451942162}"',
+            '1,basis-mc,5,20000,47,0.0,uniform-overlap,,0.00075,0.000193576535251564,0.6473,0.19999999999999998,'
+            '"{""outcome"":2,""conditional_frequency"":0.0021264530762687838}"',
+            '1,basis-mc,5,20000,47,0.0,uniform-overlap,,0.0002,9.998999949994999e-05,0.6473,0.14999999999999997,'
+            '"{""outcome"":3,""conditional_frequency"":0.0005670541536716756}"',
+            '1,basis-mc,5,20000,47,0.0,uniform-overlap,,0.0,0.0,0.6473,0.049999999999999996,'
+            '"{""outcome"":4,""conditional_frequency"":0.0}"',
         ]),
     "exclusivity-scan-d3": (
         ["exclusivity-scan", "--dim", "3", "--samples", "3000", "--seed", "19"], None, [
@@ -840,21 +921,29 @@ class TestDeterminism:
         assert code == 0
         assert out.read_text() == PAYLOAD_HEADER + "".join(row + "\n" for row in rows)
 
-    @pytest.mark.parametrize("args", [
-        ["born-mc", "--dim", "2", "--samples", "20000", "--seed", "42", "--p-grid", "0.3,0.7"],
-        ["basis-mc", "--dim", "2", "--samples", "20000", "--seed", "42", "--dist", "haar",
-         "--theta-deg", "60"],
-        ["exclusivity-scan", "--dim", "5", "--samples", "25000", "--seed", "7"],
-        ["sic-distinguish", "--dim", "3", "--samples", "60000", "--seed", "7"],
-        ["pbr-geometric", "--samples", "5000", "--seed", "7"],
-    ], ids=["born-mc", "basis-mc", "exclusivity-scan", "sic-distinguish", "pbr-geometric"])
+    @pytest.mark.parametrize("args, config", [
+        (["born-mc", "--dim", "2", "--samples", "20000", "--seed", "42", "--p-grid", "0.3,0.7"], None),
+        (["basis-mc", "--dim", "2", "--samples", "20000", "--seed", "42", "--dist", "haar",
+          "--theta-deg", "60"], None),
+        # the mc-haar-d16 benchmark's shape: Born weights 0.9 and 0.1, so about 20% of samples fire
+        (["basis-mc", "--dim", "16", "--samples", "20000", "--seed", "42", "--dist", "haar"],
+         {"basis": [vector_to_json(row) for row in HADAMARD_16],
+          "forward": vector_to_json(np.sqrt(0.9) * HADAMARD_16[2] + np.sqrt(0.1) * HADAMARD_16[9])}),
+        (["exclusivity-scan", "--dim", "5", "--samples", "25000", "--seed", "7"], None),
+        (["sic-distinguish", "--dim", "3", "--samples", "60000", "--seed", "7"], None),
+        (["pbr-geometric", "--samples", "5000", "--seed", "7"], None),
+    ], ids=["born-mc", "basis-mc", "basis-mc-haar-d16", "exclusivity-scan", "sic-distinguish", "pbr-geometric"])
     @pytest.mark.parametrize("chunk_words, workers", [
         (None, "8"),
-        # 2048-word chunks: 10 born-mc, 20 basis-mc, 123 exclusivity-scan, 706 sic-distinguish
-        # and 40 pbr-geometric chunks
+        # 2048-word chunks: 10 born-mc, 20 basis-mc, 157 basis-mc-haar-d16, 123 exclusivity-scan,
+        # 706 sic-distinguish and 40 pbr-geometric chunks
         (2048, "3"),
     ], ids=["default-chunks", "small-chunks"])
-    def test_worker_count_leaves_bytes_unchanged(self, args, chunk_words, workers, tmp_path, monkeypatch):
+    def test_worker_count_leaves_bytes_unchanged(self, args, config, chunk_words, workers, tmp_path, monkeypatch):
+        if config is not None:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps(config))
+            args = args + ["--config", str(cfg)]
         _, single = run_cli(args + ["--workers", "1", "--no-timing"], tmp_path, "w1.csv")
         if chunk_words is not None:
             monkeypatch.setattr(sampling, "_CHUNK_WORDS", chunk_words)

@@ -84,13 +84,18 @@ def _threshold_edges(tie_tol: float) -> list:
     return [np.nextafter(edge, 0.0), edge, np.nextafter(edge, 2.0)]
 
 
+def _per_sample_tally(sums: np.ndarray, tie_tol: float) -> list:
+    """The ``tally_rule`` counts, built sample by sample from ``_fires``."""
+    k = sums.shape[1]
+    tally = [0] * (k + 2)
+    for row in sums:
+        fired = [j for j in range(k) if _fires(row[j], tie_tol)]
+        tally[fired[0] if len(fired) == 1 else k if not fired else k + 1] += 1
+    return tally
+
+
 class TestOneOutcomeTally:
     """``tally_rule`` on one column agrees with ``_fires`` applied sample by sample."""
-
-    @staticmethod
-    def per_sample(sums: np.ndarray, tie_tol: float) -> list:
-        fired = sum(bool(_fires(row[0], tie_tol)) for row in sums)
-        return [fired, len(sums) - fired, 0]
 
     @PROPERTY
     @given(tie_tols, st.lists(st.one_of(st.floats(0.0, 2.5), st.sampled_from([0, 1, 2])), max_size=64))
@@ -100,14 +105,61 @@ class TestOneOutcomeTally:
         sums = np.array([edges[x] if isinstance(x, int) else x for x in drawn] + edges)[:, None]
         tally = tally_rule(sums, tie_tol)
         assert tally.dtype == np.int64
-        assert tally.tolist() == self.per_sample(sums, tie_tol)
+        assert tally.tolist() == _per_sample_tally(sums, tie_tol)
 
     @pytest.mark.parametrize("tie_tol", [0.0, 1e-12, 0.3])
     @pytest.mark.parametrize("edge", [0, 1, 2])
     def test_one_sample_matches_the_rule(self, tie_tol, edge):
         # the --dist fixed path: one evaluation of shape (1, 1)
         sums = np.array([[_threshold_edges(tie_tol)[edge]]])
-        assert tally_rule(sums, tie_tol).tolist() == self.per_sample(sums, tie_tol) == [edge == 2, edge < 2, 0]
+        assert tally_rule(sums, tie_tol).tolist() == _per_sample_tally(sums, tie_tol) == [edge == 2, edge < 2, 0]
+
+
+@st.composite
+def tally_cases(draw):
+    """Rule sums of shape (n, k) and a tie tolerance, with a drawn share of samples that fire once and
+    of those that fire again, some of them every outcome; every other entry is below the threshold or
+    one of its three edges."""
+    k, n = draw(st.sampled_from([2, 3, 5, 16])), draw(st.one_of(st.just(1), st.integers(2, 300)))
+    tie_tol = draw(tie_tols)
+    fire_rate = draw(st.sampled_from([0.0, 0.02, 0.2, 0.9, 1.0]))
+    again_rate = draw(st.sampled_from([0.0, 0.05, 1.0]))  # of the samples that fire, those that fire twice
+    rng = np.random.default_rng(draw(seeds))
+    edges = _threshold_edges(tie_tol)
+    sums = rng.uniform(0.0, 1.0 + tie_tol, (n, k))
+    at_edge = rng.random((n, k)) < 0.1
+    sums[at_edge] = rng.choice(edges, np.count_nonzero(at_edge))
+    fire = np.flatnonzero(rng.random(n) < fire_rate)
+    cols = rng.integers(0, k, fire.size)
+    sums[fire, cols] = rng.uniform(edges[2], 2.5, fire.size)
+    again = rng.random(fire.size) < again_rate
+    sums[fire[again], (cols[again] + rng.integers(1, k, np.count_nonzero(again))) % k] = edges[2]
+    sums[fire[again & (rng.random(fire.size) < 0.5)]] = edges[2]
+    return sums, tie_tol
+
+
+class TestHitIndexTally:
+    """``tally_rule`` over k >= 2 outcomes, counted from the fired entries alone, agrees with ``_fires``
+    applied sample by sample, samples that fire two or more outcomes included."""
+
+    @PROPERTY
+    @given(tally_cases())
+    def test_matches_the_per_sample_rule(self, case):
+        sums, tie_tol = case
+        tally = tally_rule(sums, tie_tol)
+        assert tally.dtype == np.int64
+        assert tally.tolist() == _per_sample_tally(sums, tie_tol)
+
+    @pytest.mark.parametrize("k", [2, 3, 5, 16])
+    @pytest.mark.parametrize("tie_tol", [0.0, 0.3])
+    @pytest.mark.parametrize("edges", [(0,), (2,), (1, 2), (2, 2)], ids=["below", "above", "at-and-above", "twice"])
+    def test_one_sample_matches_the_rule(self, k, tie_tol, edges):
+        # assign_over_basis's path: one row of shape (1, k), its last entries at the given threshold edges
+        sums = np.full((1, k), 0.5)
+        sums[0, k - len(edges):] = [_threshold_edges(tie_tol)[e] for e in edges]
+        tally = tally_rule(sums, tie_tol)
+        assert tally.tolist() == _per_sample_tally(sums, tie_tol)
+        assert tally[-1] == (edges == (2, 2))
 
 
 @st.composite
