@@ -1,9 +1,12 @@
 """Reproducible command-line experiment harness.
 
-Every experiment takes a mandatory seed, echoes its configuration into each
-output record, and emits CSV or JSON whose bytes depend only on the
-configuration (timing excluded via --no-timing). Exit codes: 0 success,
-2 configuration error, 3 runtime error, 4 model-invariant violation.
+Every experiment takes a mandatory seed and only the fields it reads: a flag it
+lacks is a usage error, and a config key it lacks is a configuration error. Each
+output record echoes the run's configuration, with null in the samples, tie_tol
+and dist columns of an experiment that has no such field, and the emitted CSV or
+JSON bytes depend only on the configuration (timing excluded via --no-timing).
+Exit codes: 0 success, 2 configuration error, 3 runtime error, 4
+model-invariant violation.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -61,7 +64,7 @@ from .sic import (
 
 __all__ = ["ExperimentConfig", "ConfigError", "run_experiment", "emit_results", "result_schema", "main"]
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 CSV_COLUMNS = [
     "schema_version",
     "experiment",
@@ -88,22 +91,23 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """A run's converted configuration: one value per ``_FIELDS`` row, the rest in ``params``.
+    """A run's converted configuration: the ``_FIELDS``, ``_SAMPLED`` and ``_DIST`` rows, the rest in ``params``.
 
-    ``params`` holds the experiment's own rows, converted, and the structured config keys it
+    ``samples``, ``tie_tol`` and ``dist`` are None when the experiment has no such row.
+    ``params`` holds the experiment's other rows, converted, and the structured config keys it
     reads (states, matrices), which its runner converts where it reads them. ``given`` holds the
     keys that a flag or the config file set, so that a runner can tell a given row from a default.
     """
 
     experiment: str
     dim: int
-    samples: int
     seed: int
-    tie_tol: float
-    dist: str
     workers: int
     params: dict
     given: frozenset
+    samples: int | None = None
+    tie_tol: float | None = None
+    dist: str | None = None
 
 
 def _record(cfg: ExperimentConfig, p_or_theta=None, frequency=None, std_err=None,
@@ -231,11 +235,11 @@ def _unread(cfg: ExperimentConfig, keys, condition: str) -> None:
             raise ConfigError(f"{cfg.experiment} reads {key!r} only {condition}")
 
 
-def _dist_for(cfg: ExperimentConfig, target: StateVector):
+def _dist_for(cfg: ExperimentConfig):
     if cfg.dist == "fixed":
-        return Fixed(_from_config(cfg, lambda data: _state(data, target.dim), "dist_state"))
+        return Fixed(_from_config(cfg, lambda data: _state(data, cfg.dim), "dist_state"))
     _unread(cfg, ["dist_state"], "under --dist fixed")
-    return HaarPure() if cfg.dist == "haar" else UniformOverlap(target)
+    return HaarPure() if cfg.dist == "haar" else UniformOverlap()
 
 
 # --- experiment implementations --------------------------------------------
@@ -244,7 +248,7 @@ def _dist_for(cfg: ExperimentConfig, target: StateVector):
 def _run_born_mc(cfg: ExperimentConfig) -> list[dict]:
     records = []
     target = StateVector.basis_state(cfg.dim, 0)
-    dist = _dist_for(cfg, target)
+    dist = _dist_for(cfg)
     for point, p in enumerate(cfg.params["p_grid"]):
         amps = np.zeros(cfg.dim, dtype=complex)
         amps[0] = np.sqrt(p)
@@ -287,8 +291,8 @@ def _run_basis_mc(cfg: ExperimentConfig) -> list[dict]:
         forward = StateVector.basis_state(2, 0)
         cases = [(theta, forward, _tilted_qubit_basis(np.deg2rad(theta))) for theta in cfg.params["theta_deg"]]
 
+    dist = _dist_for(cfg)
     for point, (theta, fwd, basis) in enumerate(cases):
-        dist = _dist_for(cfg, basis[0])
         result = basis_mc(
             fwd, basis, dist, cfg.samples, cfg.seed, cfg.tie_tol,
             stream_index=point, workers=cfg.workers,
@@ -308,9 +312,11 @@ def _run_basis_mc(cfg: ExperimentConfig) -> list[dict]:
 
 def _run_exclusivity_scan(cfg: ExperimentConfig) -> list[dict]:
     tallies = exclusivity_scan(cfg.dim, cfg.samples, cfg.seed, cfg.tie_tol, workers=cfg.workers)
+    # P(some outcome fires) = d(d-1) B(d, d-1) for Haar states over a Haar basis, at tie_tol 0
+    oracle = cfg.dim / math.comb(2 * cfg.dim - 2, cfg.dim - 1) if cfg.tie_tol == 0 else None
     return [_record(
         cfg, frequency=int(tallies[:-2].sum()) / cfg.samples, no_assign_rate=int(tallies[-2]) / cfg.samples,
-        oracle=0.0, extra={"violations": int(tallies[-1])},
+        oracle=oracle, extra={"violations": int(tallies[-1])},
     )]
 
 
@@ -368,7 +374,7 @@ def _run_stationary_solve(cfg: ExperimentConfig) -> list[dict]:
     rho = _converted("target_k/diagonal", commutator_solve, solve_input, cfg.params["require_psd"],
                      rejects=(InfeasibleKError, NotPsdError))
     residual = float(np.linalg.norm(commutator(rho, h.entries) - k.entries))
-    return [_record(cfg, oracle=0.0, extra={
+    return [_record(cfg, extra={
         "residual": residual,
         "rho": matrix_to_json(rho),
     })]
@@ -429,15 +435,19 @@ class _Param(NamedTuple):
     help: str
 
 
-# the fields every experiment has; each value is echoed into every record
+# the rows of every experiment; `workers` cannot change a result, and every experiment takes it
+# so that one command line shape runs them all
 _FIELDS = (
     _Param("dim", functools.partial(_integer, least=2), 2, "Hilbert-space dimension"),
-    _Param("samples", _count, 1, "number of Monte Carlo samples"),
     _Param("seed", functools.partial(_integer, least=0, below=2**64), None, "RNG seed (mandatory; no entropy default)"),
-    _Param("tie_tol", _tolerance, 0.0, "strictness margin added to the rule threshold"),
-    _Param("dist", _distribution, "uniform-overlap", "backward-state distribution: uniform-overlap, haar or fixed"),
     _Param("workers", _count, 1, "parallel workers (must not change results)"),
 )
+# the rows of the five sampled experiments
+_SAMPLED = (
+    _Param("samples", _count, 1, "number of Monte Carlo samples"),
+    _Param("tie_tol", _tolerance, 0.0, "strictness margin added to the rule threshold"),
+)
+_DIST = _Param("dist", _distribution, "uniform-overlap", "backward-state distribution: uniform-overlap, haar or fixed")
 
 
 class _Experiment(NamedTuple):
@@ -445,12 +455,6 @@ class _Experiment(NamedTuple):
     help: str  # the first sentence is the one-line summary
     params: tuple = ()  # the experiment's own rows
     keys: tuple = ()  # the structured config keys its runner reads
-    unread: tuple = ()  # the _FIELDS keys its runner never reads: giving one is an error
-
-
-# the fields that only a sampling experiment reads; every experiment accepts `workers`, which
-# cannot change a result, so that one command line shape runs them all
-_UNSAMPLED = ("samples", "tie_tol")
 
 
 _EXPERIMENTS = {
@@ -460,6 +464,7 @@ _EXPERIMENTS = {
         "With the uniform-overlap backward distribution the frequency reproduces p itself "
         "(the Born value); with Haar sampling it reproduces p^(d-1)."
     ), (
+        *_SAMPLED, _DIST,
         _Param("p_grid", _probabilities, tuple(round(0.1 * k, 10) for k in range(1, 10)),
                "comma-separated forward overlaps"),
     ), keys=("dist_state",)),
@@ -469,6 +474,7 @@ _EXPERIMENTS = {
         "For a qubit basis tilted by theta the conditional assigned frequency of the near "
         "outcome is cos^2(theta/2)."
     ), (
+        *_SAMPLED, _DIST,
         _Param("theta_deg", _numbers, (30.0, 60.0, 90.0, 120.0, 150.0),
                "comma-separated basis tilt angles in degrees"),
     ), keys=("basis", "forward", "dist_state")),
@@ -476,41 +482,41 @@ _EXPERIMENTS = {
         "Draw two independent Haar overlap vectors over a basis and verify that the rule "
         "|<fwd|a>|^2 + |<bwd|a>|^2 > 1 never fires for two basis elements at once; summed "
         "overlaps over orthogonal states cannot exceed 2. Any violation exits with code 4."
-    )),
+    ), _SAMPLED),
     "sic-validate": _Experiment(_run_sic_validate, (
         "Check that the displacement orbit of a fiducial state yields d^2 projectors with "
         "pairwise trace overlap 1/(d+1) summing to d times the identity."
     ), (
         _Param("tol", _tolerance, 1e-10, "validation tolerance"),
-    ), keys=("fiducial",), unread=_UNSAMPLED),
+    ), keys=("fiducial",)),
     "sic-search": _Experiment(_run_sic_search, (
         "Search for a fiducial state whose displacement orbit is equiangular by minimizing "
         "the frame potential to its Welch bound 2d^3/(d+1), with seeded random restarts."
     ), (
         _Param("restarts", _count, 20, "number of random restarts"),
         _Param("max_iters", _count, 2000, "optimizer iterations per restart"),
-    ), unread=_UNSAMPLED),
+    )),
     "sic-distinguish": _Experiment(_run_sic_distinguish, (
         "For random pairs of two-state assignments, find a projector-set element whose "
         "rule value lambda_k > 1 - 1/d differs between them, and tally how often a single "
         "separating element exists."
-    ), keys=("fiducial",)),
+    ), _SAMPLED, keys=("fiducial",)),
     "stationary-solve": _Experiment(_run_stationary_solve, (
         "Solve [rho, H] = K for a Hermitian rho given the free diagonal in H's eigenbasis: "
         "rho_ij = K_ij/(E_j - E_i) off the diagonal; K must vanish on the diagonal and "
         "inside degenerate blocks."
     ), (
         _Param("require_psd", _boolean, False, "reject a solution that is not positive semidefinite: true or false"),
-    ), keys=("hamiltonian", "target_k", "diagonal"), unread=_UNSAMPLED),
+    ), keys=("hamiltonian", "target_k", "diagonal")),
     "pbr-geometric": _Experiment(_run_pbr_geometric, (
         "For qubit pair-vs-pair instances, construct the Bloch vector with positive "
         "projection on one pair sum and negative on the other (maximum-margin bisector), "
         "and verify it separates the pairs at the rule level."
-    ), keys=("instance",)),
+    ), _SAMPLED, keys=("instance",)),
     "weak-value": _Experiment(_run_weak_value, (
         "Evaluate <final|A|forward>/<final|forward> together with the post-selection "
         "probability |<forward|final>|^2."
-    ), keys=("observable", "forward", "final"), unread=_UNSAMPLED),
+    ), keys=("observable", "forward", "final")),
 }
 EXPERIMENTS = tuple(_EXPERIMENTS)
 
@@ -519,24 +525,20 @@ def run_experiment(name: str, values: dict) -> list[dict]:
     """Convert every value once, by its row, then run experiment ``name`` and stamp wall time.
 
     ``values`` maps config keys to config values or flag text. A row whose key is absent takes
-    its default; a key that is neither a row nor a structured key the experiment reads is an error,
-    and so is a field that the experiment never reads.
+    its default; a key that is neither a row nor a structured key the experiment reads is an error.
     """
     experiment = _EXPERIMENTS[name]
     rows = _FIELDS + experiment.params
     for key in values:
         if key not in experiment.keys and all(row.key != key for row in rows):
             raise ConfigError(f"{name} has no config key {key!r}")
-    for key in experiment.unread:
-        if key in values:
-            raise ConfigError(f"{name} never reads {key!r}")
     converted = {row.key: _converted(row.key, row.convert, values[row.key]) if row.key in values else row.default
                  for row in rows}
     if converted["seed"] is None:
         raise ConfigError("a seed is mandatory; pass --seed or set it in the config file")
-    fields = [converted.pop(row.key) for row in _FIELDS]
+    attrs = {f.name: converted.pop(f.name) for f in fields(ExperimentConfig) if f.name in converted}
     params = {key: values[key] for key in experiment.keys if key in values}
-    cfg = ExperimentConfig(name, *fields, params={**params, **converted}, given=frozenset(values))
+    cfg = ExperimentConfig(name, params={**params, **converted}, given=frozenset(values), **attrs)
     start = time.perf_counter()
     records = experiment.run(cfg)
     elapsed = time.perf_counter() - start
@@ -597,10 +599,10 @@ def result_schema() -> dict:
         "schema_version": {"const": SCHEMA_VERSION},
         "experiment": {"enum": list(EXPERIMENTS)},
         "dim": {"type": "integer", "minimum": 2},
-        "samples": {"type": "integer", "minimum": 1},
+        "samples": {"type": ["integer", "null"], "minimum": 1},
         "seed": {"type": "integer", "minimum": 0},
-        "tie_tol": {"type": "number", "minimum": 0},
-        "dist": {"enum": list(DISTRIBUTIONS)},
+        "tie_tol": {"type": ["number", "null"], "minimum": 0},
+        "dist": {"enum": [*DISTRIBUTIONS, None]},
         "p_or_theta": number_or_null,
         "frequency": probability,
         "std_err": {"type": ["number", "null"], "minimum": 0},

@@ -86,24 +86,17 @@ class StationarySolveInput:
         object.__setattr__(self, "diagonal", diag)
 
 
-def evolve_pair(pair: TwoStatePairMixed, u: UnitaryOperator, convention: str = "literal") -> TwoStatePairMixed:
-    """One evolution step of both components.
+def evolve_pair(pair: TwoStatePairMixed, u: UnitaryOperator) -> TwoStatePairMixed:
+    """One evolution step of both components: U^H rho_fwd U and U rho_bwd U^H.
 
-    "literal" applies U^H rho_fwd U and U rho_bwd U^H (the default);
-    "textbook" applies the opposite placement for comparison studies.
+    The textbook placement, U rho_fwd U^H and U^H rho_bwd U, is ``evolve_pair(pair, U^H)``.
     """
     if pair.dim != u.dim:
         raise ValueError(f"dimension mismatch: pair {pair.dim} vs unitary {u.dim}")
     um = u.entries
     uh = um.conj().T
-    if convention == "literal":
-        fwd = uh @ pair.forward.entries @ um
-        bwd = um @ pair.backward.entries @ uh
-    elif convention == "textbook":
-        fwd = um @ pair.forward.entries @ uh
-        bwd = uh @ pair.backward.entries @ um
-    else:
-        raise ValueError(f"unknown convention {convention!r}; use 'literal' or 'textbook'")
+    fwd = uh @ pair.forward.entries @ um
+    bwd = um @ pair.backward.entries @ uh
     return TwoStatePairMixed(DensityMatrix(fwd), DensityMatrix(bwd))
 
 

@@ -42,7 +42,7 @@ import numpy as np
 from numpy.random import Philox
 
 from .assignment import MultipleOutcomesError, tally_rule
-from .qcore import ORTHONORMAL_TOL, OrthonormalBasis, StateVector
+from .qcore import OrthonormalBasis, StateVector
 
 __all__ = [
     "RngStream",
@@ -85,15 +85,13 @@ class RngStream:
             raise ValueError(f"stream index must be a 64-bit unsigned integer, got {self.stream_index!r}")
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class UniformOverlap:
-    """Backward states whose squared overlap with the target is U(0,1).
+    """Backward states whose squared overlap with the first outcome is U(0,1).
 
-    The estimators accept it only with the target as the first outcome, up
-    to a phase: that is the frame in which they draw its overlaps.
+    The first outcome is the estimator's target: ``born_mc``'s ``a``,
+    or ``basis[0]`` in ``basis_mc``.
     """
-
-    target: StateVector
 
 
 @dataclass(frozen=True)
@@ -337,11 +335,6 @@ def _rule_tallies(
         raise ValueError(f"dimension mismatch: {dim} vs {targets.shape[1]}")
     if n_samples < 1:
         raise ValueError(f"sample count must be >= 1, got {n_samples}")
-    if isinstance(dist, UniformOverlap):  # the overlap law holds only for the target as first outcome
-        if dist.target.dim != dim:
-            raise ValueError(f"dimension mismatch: target {dist.target.dim} vs {dim}")
-        if not abs(abs(np.vdot(dist.target.entries, targets[0])) - 1.0) <= ORTHONORMAL_TOL:
-            raise ValueError("the uniform-overlap target must be the first outcome, up to a phase")
     conj_targets = targets.conj()
     p = np.abs(conj_targets @ forward.entries) ** 2
 

@@ -85,7 +85,7 @@ def test_criterion_01_born_rule_uniform_overlap():
             target = StateVector.basis_state(d, 0)
             for point, p in enumerate(P_GRID):
                 est = born_mc(
-                    forward_with_overlap(p, d), target, UniformOverlap(target),
+                    forward_with_overlap(p, d), target, UniformOverlap(),
                     100_000, seed=42, stream_index=100 * d + point,
                 )
                 assert abs(est.frequency - p) <= 4 * est.std_err, (d, p, est)

@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -212,7 +213,7 @@ class TestConfigHandling:
         (["born-mc"], {"samples": 10, "p-grid": [0.9]}, "p-grid"),
         (["born-mc"], {"tie-tol": 5.0}, "tie-tol"),
         (["born-mc"], {"fiducial": [[1, 0], [0, 0]]}, "fiducial"),  # a key of the SIC experiments
-        (["sic-search", "--dim", "2"], {"samples": 10, "p_grid": [0.5]}, "p_grid"),
+        (["sic-search", "--dim", "2"], {"restarts": 2, "p_grid": [0.5]}, "p_grid"),
         (["weak-value"], {"instance": [[0, 0, 1]] * 4}, "instance"),
     ], ids=["dashed-key", "dashed-field", "fiducial", "p-grid-of-another-experiment", "instance"])
     def test_unknown_config_key_exits_two(self, args, config, key, tmp_path, capsys):
@@ -251,21 +252,8 @@ class TestConfigHandling:
          "born-mc reads 'dist_state' only under --dist fixed"),
         (["pbr-geometric", "--samples", "1000"], {"instance": [[0, 0, 1], [1, 0, 0], [0, 0, -1], [0, 1, 0]]},
          "pbr-geometric runs an explicit 'instance' once; samples must be 1, got 1000"),
-        # the experiments that draw no sample read neither samples nor tie_tol, by flag or by key
-        (["weak-value", "--samples", "1000", "--tie-tol", "0.3"], {}, "weak-value never reads 'samples'"),
-        (["weak-value"], {"tie_tol": 0.3}, "weak-value never reads 'tie_tol'"),
-        (["sic-validate", "--dim", "3", "--samples", "500"], {}, "sic-validate never reads 'samples'"),
-        (["sic-validate", "--dim", "3"], {"samples": 1}, "sic-validate never reads 'samples'"),
-        (["sic-search", "--tie-tol", "0"], {}, "sic-search never reads 'tie_tol'"),
-        (["sic-search"], {"samples": 10}, "sic-search never reads 'samples'"),
-        (["stationary-solve", "--samples", "1"], {}, "stationary-solve never reads 'samples'"),
-        (["stationary-solve"], {"tie_tol": 0.0, "hamiltonian": matrix_to_json(np.diag([1.0, 3.0])),
-                                "target_k": matrix_to_json(np.zeros((2, 2))), "diagonal": [0.5, 0.5]},
-         "stationary-solve never reads 'tie_tol'"),
     ], ids=["weak-value-forward", "basis-mc-forward", "basis-mc-theta-flag", "basis-mc-theta-key", "born-mc-dist-state",
-            "pbr-geometric-instance-samples", "weak-value-samples-flag", "weak-value-tie-tol-key",
-            "sic-validate-samples-flag", "sic-validate-samples-key", "sic-search-tie-tol-flag",
-            "sic-search-samples-key", "stationary-solve-samples-flag", "stationary-solve-tie-tol-key"])
+            "pbr-geometric-instance-samples"])
     def test_a_config_key_the_run_ignores_exits_two_before_any_sampling(self, args, config, message, tmp_path,
                                                                          monkeypatch, capsys):
         draws = []
@@ -410,6 +398,81 @@ class TestExperimentTable:
             main([experiment, "--help"])
         assert info.value.code == 0
         assert " ".join(_EXPERIMENTS[experiment].help.split()) in " ".join(capsys.readouterr().out.split())
+
+
+SAMPLED = ("born-mc", "basis-mc", "exclusivity-scan", "sic-distinguish", "pbr-geometric")
+DIST_READERS = ("born-mc", "basis-mc")
+# each experiment's own flags, beside --dim, --seed and --workers and the rows above
+OWN_FLAGS = {"born-mc": {"--p-grid"}, "basis-mc": {"--theta-deg"}, "sic-validate": {"--tol"},
+             "sic-search": {"--restarts", "--max-iters"}, "stationary-solve": {"--require-psd"}}
+OUTPUT_FLAGS = {"--config", "--out", "--format", "--no-timing", "--help"}
+# the least a run needs beyond its seed: stationary-solve's matrices, and a short search
+DEFAULT_RUNS = {
+    "sic-search": (["--restarts", "1", "--max-iters", "50"], None),
+    "stationary-solve": ([], {"hamiltonian": matrix_to_json(np.diag([1.0, 3.0])),
+                              "target_k": matrix_to_json(np.array([[0.0, 2.0j], [2.0j, 0.0]])),
+                              "diagonal": [0.5, 0.5]}),
+}
+# every field an experiment does not read, with a valid value of it as flag text and as config value
+UNREAD_FIELDS = [
+    pytest.param(name, key, text, value, id=f"{name}-{key}")
+    for name in EXPERIMENTS
+    for key, text, value, readers in (("samples", "10", 10, SAMPLED), ("tie_tol", "0.1", 0.1, SAMPLED),
+                                      ("dist", "haar", "haar", DIST_READERS))
+    if name not in readers
+]
+
+
+class TestEachExperimentTakesOnlyItsFields:
+    @pytest.mark.parametrize("experiment", EXPERIMENTS)
+    def test_help_lists_exactly_its_flags(self, experiment, capsys):
+        with pytest.raises(SystemExit):
+            main([experiment, "--help"])
+        listed = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", capsys.readouterr().out))
+        expected = {"--dim", "--seed", "--workers"} | OWN_FLAGS.get(experiment, set()) | OUTPUT_FLAGS
+        if experiment in SAMPLED:
+            expected |= {"--samples", "--tie-tol"}
+        if experiment in DIST_READERS:
+            expected.add("--dist")
+        assert listed == expected
+
+    @pytest.mark.parametrize("experiment", EXPERIMENTS)
+    def test_a_default_run_echoes_only_what_it_reads(self, experiment, tmp_path):
+        args, config = DEFAULT_RUNS.get(experiment, ([], None))
+        if config is not None:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps(config))
+            args = args + ["--config", str(cfg)]
+        code, out = run_cli([experiment, "--seed", "1", "--format", "json"] + args, tmp_path, "out.json")
+        assert code == 0
+        records = json.loads(out.read_text())
+        jsonschema.validate(records, result_schema())
+        sampled = experiment in SAMPLED
+        for record in records:
+            assert record["schema_version"] == 2
+            assert (record["samples"], record["tie_tol"]) == ((1, 0.0) if sampled else (None, None))
+            assert record["dist"] == ("uniform-overlap" if experiment in DIST_READERS else None)
+
+    @pytest.mark.parametrize("route", ["flag", "config"])
+    @pytest.mark.parametrize("experiment, key, text, value", UNREAD_FIELDS)
+    def test_a_field_it_does_not_read_exits_two_before_any_draw(self, experiment, key, text, value, route, tmp_path,
+                                                                 monkeypatch, capsys):
+        draws = []
+        monkeypatch.setattr(sampling, "_uniforms", lambda *args: draws.append(args))
+        flag = "--" + key.replace("_", "-")
+        if route == "flag":
+            with pytest.raises(SystemExit) as info:
+                run_cli([experiment, "--seed", "1", flag, text], tmp_path)
+            code, message = info.value.code, f"error: unrecognized arguments: {flag} {text}\n"
+        else:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({key: value}))
+            code, _ = run_cli([experiment, "--seed", "1", "--config", str(cfg)], tmp_path)
+            message = f"error: {experiment} has no config key {key!r}\n"
+        assert code == 2
+        assert capsys.readouterr().err.endswith(message)
+        assert draws == []
+        assert not (tmp_path / "out.csv").exists()
 
 
 # argv that argparse answers itself: help, usage errors and bad values, for every experiment
@@ -564,31 +627,6 @@ class TestRecords:
                       for row in csv.DictReader(out.read_text().splitlines())]
         assert [extra["conditional_frequency"] for extra in extras] == [None, None]
 
-    def test_json_output_validates_against_schema(self, tmp_path):
-        schema = result_schema()
-        solve_cfg = tmp_path / "solve.json"
-        solve_cfg.write_text(json.dumps({
-            "hamiltonian": matrix_to_json(np.diag([1.0, 3.0])),
-            "target_k": matrix_to_json(np.array([[0.0, 2.0j], [2.0j, 0.0]])),
-            "diagonal": [0.5, 0.5],
-        }))
-        runs = [
-            ["born-mc", "--dim", "2", "--samples", "1000", "--seed", "4", "--p-grid", "0.5"],
-            ["basis-mc", "--dim", "2", "--samples", "1000", "--seed", "4", "--theta-deg", "60"],
-            ["exclusivity-scan", "--dim", "2", "--samples", "200", "--seed", "5"],
-            ["sic-validate", "--dim", "3", "--seed", "1"],
-            ["sic-search", "--dim", "2", "--seed", "11", "--restarts", "2", "--max-iters", "200"],
-            ["sic-distinguish", "--dim", "2", "--samples", "50", "--seed", "2"],
-            ["stationary-solve", "--seed", "1", "--config", str(solve_cfg)],
-            ["pbr-geometric", "--samples", "50", "--seed", "3"],
-            ["weak-value", "--seed", "1"],
-        ]
-        assert sorted(args[0] for args in runs) == sorted(schema["items"]["properties"]["experiment"]["enum"])
-        for args in runs:
-            code, out = run_cli(args + ["--format", "json"], tmp_path, f"{args[0]}.json")
-            assert code == 0
-            jsonschema.validate(json.loads(out.read_text()), schema)
-
     def test_config_echo(self, tmp_path):
         code, out = run_cli(
             ["born-mc", "--dim", "4", "--samples", "1000", "--seed", "77",
@@ -603,7 +641,7 @@ class TestRecords:
         assert row["seed"] == "77"
         assert row["tie_tol"] == "0.01"
         assert row["dist"] == "haar"
-        assert row["schema_version"] == "1"
+        assert row["schema_version"] == "2"
 
 
 class TestExperiments:
@@ -635,7 +673,7 @@ class TestExperiments:
         samples = 200_000
         if experiment == "exclusivity-scan":
             args = ["exclusivity-scan"]
-            expected = [(None, dim / math.comb(2 * dim - 2, dim - 1))]
+            expected = [(None, dim / math.comb(2 * dim - 2, dim - 1))]  # also the record's oracle
         else:
             args = ["born-mc", "--dist", "haar"]
             expected = [(p, p ** (dim - 1)) for p in (0.1, 0.3, 0.5, 0.7, 0.9)]
@@ -646,7 +684,7 @@ class TestExperiments:
         records = json.loads(out.read_text())
         assert len(records) == len(expected)
         for record, (p, rate) in zip(records, expected):
-            assert record["p_or_theta"] == p
+            assert (record["p_or_theta"], record["oracle"]) == (p, rate)
             sigma = math.sqrt(rate * (1.0 - rate) / samples)
             assert abs(record["frequency"] - rate) <= 5.0 * sigma, (p, record["frequency"], rate)
 
@@ -787,122 +825,123 @@ HADAMARD_16 = np.kron(np.kron(_H2, _H2), np.kron(_H2, _H2)) / 4.0
 PAYLOAD_HEADER = "schema_version,experiment,dim,samples,seed,tie_tol,dist,p_or_theta,frequency,std_err," \
                  "no_assign_rate,oracle,extra\n"
 # The --no-timing CSV rows of two or more configs of each sampled experiment, as sample-stream
-# version 5 produces them; a change of these bytes is a change of sample streams. The basis-mc
+# version 5 and result schema 2 produce them; a change of these bytes is a change of sample
+# streams or of the schema. The basis-mc
 # rows at d = 16 (Haar) and d = 5 (uniform overlap) tally multi-outcome chunks in which
 # several outcomes fire.
 PINNED_PAYLOADS = {
     "born-mc-uniform-d4": (
         ["born-mc", "--dim", "4", "--samples", "5000", "--seed", "11", "--p-grid", "0.2,0.5,0.9"], None, [
-            "1,born-mc,4,5000,11,0.0,uniform-overlap,0.2,0.2092,0.0057521362988023845,,0.2,{}",
-            "1,born-mc,4,5000,11,0.0,uniform-overlap,0.5,0.4906,0.007069818102327669,,0.5,{}",
-            "1,born-mc,4,5000,11,0.0,uniform-overlap,0.9,0.9002,0.004238866829708148,,0.9,{}",
+            "2,born-mc,4,5000,11,0.0,uniform-overlap,0.2,0.2092,0.0057521362988023845,,0.2,{}",
+            "2,born-mc,4,5000,11,0.0,uniform-overlap,0.5,0.4906,0.007069818102327669,,0.5,{}",
+            "2,born-mc,4,5000,11,0.0,uniform-overlap,0.9,0.9002,0.004238866829708148,,0.9,{}",
         ]),
     "born-mc-haar-d3": (
         ["born-mc", "--dim", "3", "--samples", "3000", "--seed", "5", "--dist", "haar", "--p-grid", "0.4,0.8",
          "--tie-tol", "0.001"], None, [
-            "1,born-mc,3,3000,5,0.001,haar,0.4,0.172,0.006889992743102129,,0.16000000000000003,{}",
-            "1,born-mc,3,3000,5,0.001,haar,0.8,0.6416666666666667,0.008754628405507484,,0.6400000000000001,{}",
+            "2,born-mc,3,3000,5,0.001,haar,0.4,0.172,0.006889992743102129,,0.16000000000000003,{}",
+            "2,born-mc,3,3000,5,0.001,haar,0.8,0.6416666666666667,0.008754628405507484,,0.6400000000000001,{}",
         ]),
     "basis-mc-haar": (
         ["basis-mc", "--samples", "4000", "--seed", "13", "--dist", "haar", "--theta-deg", "45,120"], None, [
-            '1,basis-mc,2,4000,13,0.0,haar,45.0,0.85675,0.0055391659457900335,0.0,0.8535533905932737,'
+            '2,basis-mc,2,4000,13,0.0,haar,45.0,0.85675,0.0055391659457900335,0.0,0.8535533905932737,'
             '"{""outcome"":0,""conditional_frequency"":0.85675}"',
-            '1,basis-mc,2,4000,13,0.0,haar,45.0,0.14325,0.0055391659457900335,0.0,0.14644660940672624,'
+            '2,basis-mc,2,4000,13,0.0,haar,45.0,0.14325,0.0055391659457900335,0.0,0.14644660940672624,'
             '"{""outcome"":1,""conditional_frequency"":0.14325}"',
-            '1,basis-mc,2,4000,13,0.0,haar,120.0,0.247,0.0068189258684927785,0.0,0.2500000000000001,'
+            '2,basis-mc,2,4000,13,0.0,haar,120.0,0.247,0.0068189258684927785,0.0,0.2500000000000001,'
             '"{""outcome"":0,""conditional_frequency"":0.247}"',
-            '1,basis-mc,2,4000,13,0.0,haar,120.0,0.753,0.0068189258684927785,0.0,0.7499999999999999,'
+            '2,basis-mc,2,4000,13,0.0,haar,120.0,0.753,0.0068189258684927785,0.0,0.7499999999999999,'
             '"{""outcome"":1,""conditional_frequency"":0.753}"',
         ]),
     "basis-mc-uniform": (
         ["basis-mc", "--samples", "3000", "--seed", "17", "--theta-deg", "30,90"], None, [
-            '1,basis-mc,2,3000,17,0.0,uniform-overlap,30.0,0.9323333333333333,0.0045857710688930265,0.0,'
+            '2,basis-mc,2,3000,17,0.0,uniform-overlap,30.0,0.9323333333333333,0.0045857710688930265,0.0,'
             '0.9330127018922194,"{""outcome"":0,""conditional_frequency"":0.9323333333333333}"',
-            '1,basis-mc,2,3000,17,0.0,uniform-overlap,30.0,0.06766666666666667,0.004585771068893027,0.0,'
+            '2,basis-mc,2,3000,17,0.0,uniform-overlap,30.0,0.06766666666666667,0.004585771068893027,0.0,'
             '0.06698729810778066,"{""outcome"":1,""conditional_frequency"":0.06766666666666667}"',
-            '1,basis-mc,2,3000,17,0.0,uniform-overlap,90.0,0.483,0.009123431372022262,0.0,'
+            '2,basis-mc,2,3000,17,0.0,uniform-overlap,90.0,0.483,0.009123431372022262,0.0,'
             '0.5000000000000001,"{""outcome"":0,""conditional_frequency"":0.483}"',
-            '1,basis-mc,2,3000,17,0.0,uniform-overlap,90.0,0.517,0.009123431372022262,0.0,'
+            '2,basis-mc,2,3000,17,0.0,uniform-overlap,90.0,0.517,0.009123431372022262,0.0,'
             '0.4999999999999999,"{""outcome"":1,""conditional_frequency"":0.517}"',
         ]),
     "basis-mc-haar-d16": (
         ["basis-mc", "--dim", "16", "--dist", "haar", "--samples", "262144", "--seed", "43"],
         {"basis": [vector_to_json(row) for row in HADAMARD_16],
          "forward": vector_to_json((HADAMARD_16[2] + 1j * HADAMARD_16[9]) / np.sqrt(2.0))}, [
-            '1,basis-mc,16,262144,43,0.0,haar,,0.0,0.0,0.9999465942382812,0.0,'
+            '2,basis-mc,16,262144,43,0.0,haar,,0.0,0.0,0.9999465942382812,0.0,'
             '"{""outcome"":0,""conditional_frequency"":0.0}"',
-            '1,basis-mc,16,262144,43,0.0,haar,,0.0,0.0,0.9999465942382812,0.0,'
+            '2,basis-mc,16,262144,43,0.0,haar,,0.0,0.0,0.9999465942382812,0.0,'
             '"{""outcome"":1,""conditional_frequency"":0.0}"',
-            '1,basis-mc,16,262144,43,0.0,haar,,1.9073486328125e-05,8.529841051453038e-06,0.9999465942382812,'
+            '2,basis-mc,16,262144,43,0.0,haar,,1.9073486328125e-05,8.529841051453038e-06,0.9999465942382812,'
             '0.4999999999999999,"{""outcome"":2,""conditional_frequency"":0.35714285714285715}"',
-            '1,basis-mc,16,262144,43,0.0,haar,,0.0,0.0,0.9999465942382812,0.0,'
+            '2,basis-mc,16,262144,43,0.0,haar,,0.0,0.0,0.9999465942382812,0.0,'
             '"{""outcome"":3,""conditional_frequency"":0.0}"',
-            '1,basis-mc,16,262144,43,0.0,haar,,0.0,0.0,0.9999465942382812,0.0,'
+            '2,basis-mc,16,262144,43,0.0,haar,,0.0,0.0,0.9999465942382812,0.0,'
             '"{""outcome"":4,""conditional_frequency"":0.0}"',
-            '1,basis-mc,16,262144,43,0.0,haar,,0.0,0.0,0.9999465942382812,0.0,'
+            '2,basis-mc,16,262144,43,0.0,haar,,0.0,0.0,0.9999465942382812,0.0,'
             '"{""outcome"":5,""conditional_frequency"":0.0}"',
-            '1,basis-mc,16,262144,43,0.0,haar,,0.0,0.0,0.9999465942382812,0.0,'
+            '2,basis-mc,16,262144,43,0.0,haar,,0.0,0.0,0.9999465942382812,0.0,'
             '"{""outcome"":6,""conditional_frequency"":0.0}"',
-            '1,basis-mc,16,262144,43,0.0,haar,,0.0,0.0,0.9999465942382812,0.0,'
+            '2,basis-mc,16,262144,43,0.0,haar,,0.0,0.0,0.9999465942382812,0.0,'
             '"{""outcome"":7,""conditional_frequency"":0.0}"',
-            '1,basis-mc,16,262144,43,0.0,haar,,0.0,0.0,0.9999465942382812,0.0,'
+            '2,basis-mc,16,262144,43,0.0,haar,,0.0,0.0,0.9999465942382812,0.0,'
             '"{""outcome"":8,""conditional_frequency"":0.0}"',
-            '1,basis-mc,16,262144,43,0.0,haar,,3.4332275390625e-05,1.1443895344333237e-05,0.9999465942382812,'
+            '2,basis-mc,16,262144,43,0.0,haar,,3.4332275390625e-05,1.1443895344333237e-05,0.9999465942382812,'
             '0.4999999999999999,"{""outcome"":9,""conditional_frequency"":0.6428571428571429}"',
-            '1,basis-mc,16,262144,43,0.0,haar,,0.0,0.0,0.9999465942382812,0.0,'
+            '2,basis-mc,16,262144,43,0.0,haar,,0.0,0.0,0.9999465942382812,0.0,'
             '"{""outcome"":10,""conditional_frequency"":0.0}"',
-            '1,basis-mc,16,262144,43,0.0,haar,,0.0,0.0,0.9999465942382812,0.0,'
+            '2,basis-mc,16,262144,43,0.0,haar,,0.0,0.0,0.9999465942382812,0.0,'
             '"{""outcome"":11,""conditional_frequency"":0.0}"',
-            '1,basis-mc,16,262144,43,0.0,haar,,0.0,0.0,0.9999465942382812,0.0,'
+            '2,basis-mc,16,262144,43,0.0,haar,,0.0,0.0,0.9999465942382812,0.0,'
             '"{""outcome"":12,""conditional_frequency"":0.0}"',
-            '1,basis-mc,16,262144,43,0.0,haar,,0.0,0.0,0.9999465942382812,0.0,'
+            '2,basis-mc,16,262144,43,0.0,haar,,0.0,0.0,0.9999465942382812,0.0,'
             '"{""outcome"":13,""conditional_frequency"":0.0}"',
-            '1,basis-mc,16,262144,43,0.0,haar,,0.0,0.0,0.9999465942382812,0.0,'
+            '2,basis-mc,16,262144,43,0.0,haar,,0.0,0.0,0.9999465942382812,0.0,'
             '"{""outcome"":14,""conditional_frequency"":0.0}"',
-            '1,basis-mc,16,262144,43,0.0,haar,,0.0,0.0,0.9999465942382812,0.0,'
+            '2,basis-mc,16,262144,43,0.0,haar,,0.0,0.0,0.9999465942382812,0.0,'
             '"{""outcome"":15,""conditional_frequency"":0.0}"',
         ]),
     "basis-mc-uniform-d5": (
         ["basis-mc", "--dim", "5", "--samples", "20000", "--seed", "47"],
         {"basis": [vector_to_json(row) for row in np.eye(5)],
          "forward": vector_to_json(np.sqrt([0.35, 0.25, 0.2, 0.15, 0.05]) * np.exp(1j * np.arange(5)))}, [
-            '1,basis-mc,5,20000,47,0.0,uniform-overlap,,0.35065,0.003374126386933364,0.6473,0.35,'
+            '2,basis-mc,5,20000,47,0.0,uniform-overlap,,0.35065,0.003374126386933364,0.6473,0.35,'
             '"{""outcome"":0,""conditional_frequency"":0.9941876949248654}"',
-            '1,basis-mc,5,20000,47,0.0,uniform-overlap,,0.0011,0.00023439176606698453,0.6473,0.25,'
+            '2,basis-mc,5,20000,47,0.0,uniform-overlap,,0.0011,0.00023439176606698453,0.6473,0.25,'
             '"{""outcome"":1,""conditional_frequency"":0.0031187978451942162}"',
-            '1,basis-mc,5,20000,47,0.0,uniform-overlap,,0.00075,0.000193576535251564,0.6473,0.19999999999999998,'
+            '2,basis-mc,5,20000,47,0.0,uniform-overlap,,0.00075,0.000193576535251564,0.6473,0.19999999999999998,'
             '"{""outcome"":2,""conditional_frequency"":0.0021264530762687838}"',
-            '1,basis-mc,5,20000,47,0.0,uniform-overlap,,0.0002,9.998999949994999e-05,0.6473,0.14999999999999997,'
+            '2,basis-mc,5,20000,47,0.0,uniform-overlap,,0.0002,9.998999949994999e-05,0.6473,0.14999999999999997,'
             '"{""outcome"":3,""conditional_frequency"":0.0005670541536716756}"',
-            '1,basis-mc,5,20000,47,0.0,uniform-overlap,,0.0,0.0,0.6473,0.049999999999999996,'
+            '2,basis-mc,5,20000,47,0.0,uniform-overlap,,0.0,0.0,0.6473,0.049999999999999996,'
             '"{""outcome"":4,""conditional_frequency"":0.0}"',
         ]),
     "exclusivity-scan-d3": (
         ["exclusivity-scan", "--dim", "3", "--samples", "3000", "--seed", "19"], None, [
-            '1,exclusivity-scan,3,3000,19,0.0,uniform-overlap,,0.5123333333333333,,0.4876666666666667,0.0,'
+            '2,exclusivity-scan,3,3000,19,0.0,,,0.5123333333333333,,0.4876666666666667,0.5,'
             '"{""violations"":0}"',
         ]),
     "exclusivity-scan-d5": (
         ["exclusivity-scan", "--dim", "5", "--samples", "2000", "--seed", "23", "--tie-tol", "0.01"], None, [
-            '1,exclusivity-scan,5,2000,23,0.01,uniform-overlap,,0.0705,,0.9295,0.0,"{""violations"":0}"',
+            '2,exclusivity-scan,5,2000,23,0.01,,,0.0705,,0.9295,,"{""violations"":0}"',
         ]),
     "sic-distinguish-d3": (
         ["sic-distinguish", "--dim", "3", "--samples", "4000", "--seed", "29"], None, [
-            '1,sic-distinguish,3,4000,29,0.0,uniform-overlap,,0.97,,,,"{""separated"":3880,""no_separator"":120}"',
+            '2,sic-distinguish,3,4000,29,0.0,,,0.97,,,,"{""separated"":3880,""no_separator"":120}"',
         ]),
     "sic-distinguish-d5": (
         ["sic-distinguish", "--dim", "5", "--samples", "1500", "--seed", "31"], {"fiducial": FIDUCIAL_D5}, [
-            '1,sic-distinguish,5,1500,31,0.0,uniform-overlap,,0.548,,,,'
+            '2,sic-distinguish,5,1500,31,0.0,,,0.548,,,,'
             '"{""separated"":822,""no_separator"":678}"',
         ]),
     "pbr-geometric": (
         ["pbr-geometric", "--samples", "3000", "--seed", "37"], None, [
-            '1,pbr-geometric,2,3000,37,0.0,uniform-overlap,,1.0,,,,'
+            '2,pbr-geometric,2,3000,37,0.0,,,1.0,,,,'
             '"{""separators_found"":3000,""degenerate"":0,""min_margin"":0.010471852079761867}"',
         ]),
     "pbr-geometric-tie-tol": (
         ["pbr-geometric", "--samples", "2000", "--seed", "41", "--tie-tol", "0.05"], None, [
-            '1,pbr-geometric,2,2000,41,0.05,uniform-overlap,,0.979,,,,'
+            '2,pbr-geometric,2,2000,41,0.05,,,0.979,,,,'
             '"{""separators_found"":1958,""degenerate"":0,""min_margin"":0.0029614829744687154}"',
         ]),
 }

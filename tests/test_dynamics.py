@@ -88,17 +88,17 @@ class TestEvolvePair:
         assert np.allclose(out.forward.entries, rho.entries, atol=1e-12)
         assert np.allclose(out.backward.entries, rho.entries, atol=1e-12)
 
-    def test_conventions_differ(self):
-        pair = TwoStatePairMixed(PLUS_PROJ, PLUS_PROJ)
-        u = evolution(SZ, 0.5)
-        literal = evolve_pair(pair, u, convention="literal")
-        textbook = evolve_pair(pair, u, convention="textbook")
-        assert not np.allclose(literal.forward.entries, textbook.forward.entries)
-
-    def test_rejects_unknown_convention(self):
-        pair = TwoStatePairMixed(PLUS_PROJ, PLUS_PROJ)
-        with pytest.raises(ValueError, match="convention"):
-            evolve_pair(pair, UnitaryOperator(np.eye(2, dtype=complex)), convention="other")
+    def test_inverse_unitary_gives_the_textbook_placement(self):
+        rng = np.random.default_rng(51)
+        pair = TwoStatePairMixed(random_density(rng, 3), random_density(rng, 3))
+        um = random_unitary(rng, 3)
+        u, uh = UnitaryOperator(um), UnitaryOperator(um.conj().T)
+        textbook = evolve_pair(pair, uh)
+        assert np.allclose(textbook.forward.entries, um @ pair.forward.entries @ um.conj().T, atol=1e-12)
+        assert np.allclose(textbook.backward.entries, um.conj().T @ pair.backward.entries @ um, atol=1e-12)
+        back = evolve_pair(evolve_pair(pair, u), uh)
+        assert np.allclose(back.forward.entries, pair.forward.entries, atol=1e-12)
+        assert np.allclose(back.backward.entries, pair.backward.entries, atol=1e-12)
 
 
 class TestStationarityCheck:

@@ -228,8 +228,8 @@ estimator_cases = st.tuples(
 )
 
 
-def _dist(name: str, target: StateVector):
-    return HaarPure() if name == "haar" else UniformOverlap(target)
+def _dist(name: str):
+    return HaarPure() if name == "haar" else UniformOverlap()
 
 
 class TestChunkingInvariance:
@@ -239,9 +239,9 @@ class TestChunkingInvariance:
         d, seed, n, chunk_size, workers, dist = case
         forward = random_state(np.random.default_rng(seed), d)
         target = StateVector.basis_state(d, 0)
-        whole = born_mc(forward, target, _dist(dist, target), n, seed)
+        whole = born_mc(forward, target, _dist(dist), n, seed)
         with chunk_samples(chunk_size):
-            split = born_mc(forward, target, _dist(dist, target), n, seed, workers=workers)
+            split = born_mc(forward, target, _dist(dist), n, seed, workers=workers)
         assert split == whole
 
     @settings(PROPERTY, max_examples=50)
@@ -250,7 +250,7 @@ class TestChunkingInvariance:
         d, seed, n, chunk_size, workers, dist = case
         rng = np.random.default_rng(seed)
         forward, basis = random_state(rng, d), random_basis(rng, d)
-        whole = basis_mc(forward, basis, _dist(dist, basis[0]), n, seed)
+        whole = basis_mc(forward, basis, _dist(dist), n, seed)
         with chunk_samples(chunk_size):
-            split = basis_mc(forward, basis, _dist(dist, basis[0]), n, seed, workers=workers)
+            split = basis_mc(forward, basis, _dist(dist), n, seed, workers=workers)
         assert split == whole

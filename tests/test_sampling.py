@@ -220,7 +220,7 @@ class TestOverlapLaw:
         if law == "haar":
             dist, states = HaarPure(), haar_states(dim, RngStream(90, 0), 0, n)
         else:
-            dist, states = UniformOverlap(target), uniform_overlap_states(target, RngStream(90, 0), 0, n)
+            dist, states = UniformOverlap(), uniform_overlap_states(target, RngStream(90, 0), 0, n)
         k = dim if full_basis else 1
         drawn = drawn_overlaps(dist, dim, k, RngStream(91, 0), 0, n)
         reference = np.abs(states.conj() @ outcomes[:k].T) ** 2
@@ -242,7 +242,7 @@ class TestOverlapLaw:
             assert ks_stat(p[:, j], lambda x: 1 - (1 - x) ** (dim - 1)) < KS_CRIT_1PC / np.sqrt(n), j
 
     def test_block_is_pure_function_of_index(self):
-        dist = UniformOverlap(StateVector.basis_state(5, 0))
+        dist = UniformOverlap()
         block = drawn_overlaps(dist, 5, 5, RngStream(5, 3), 0, 10)
         assert np.array_equal(block[6:], drawn_overlaps(dist, 5, 5, RngStream(5, 3), 6, 4))
 
@@ -268,7 +268,7 @@ class TestOverlapBlockArithmetic:
         elif law == "haar":
             dist, expected = HaarPure(), _dirichlet_reference(u, k)
         else:
-            dist = UniformOverlap(StateVector.basis_state(dim, 0))
+            dist = UniformOverlap()
             q0 = u[:, :1]
             expected = np.concatenate([q0, (1.0 - q0) * _dirichlet_reference(u[:, 1:], k - 1)], axis=1)
         drawn = drawn_overlaps(dist, dim, k, stream, lo, n)
@@ -278,7 +278,7 @@ class TestOverlapBlockArithmetic:
     @pytest.mark.parametrize("law, k", [("haar", 1), ("haar", 3), ("uniform-overlap", 1), ("uniform-overlap", 3)])
     def test_builds_the_overlaps_in_their_uniforms(self, law, k):
         dim, stream = 3, RngStream(19, 1)
-        dist = HaarPure() if law == "haar" else UniformOverlap(StateVector.basis_state(dim, 0))
+        dist = HaarPure() if law == "haar" else UniformOverlap()
         u = _uniforms(stream, 7, 200, _overlap_words(dist, dim, k))
         drawn = _overlaps(dist, dim, k, u)
         assert drawn.shape == (200, k)
@@ -507,7 +507,7 @@ class TestChunkBuffers:
         n = 7001
         basis = OrthonormalBasis.computational(dim)
         fwd = StateVector(np.sqrt(np.linspace(1.0, 2.0, dim) / np.linspace(1.0, 2.0, dim).sum()).astype(complex))
-        dist = HaarPure() if law == "haar" else UniformOverlap(basis[0])
+        dist = HaarPure() if law == "haar" else UniformOverlap()
         runs = set()
         for workers in (1, 3):
             for chunk in (None, 7, 997, 4096, 10**5):
@@ -519,29 +519,10 @@ class TestChunkBuffers:
         assert len(runs) == 1
 
 
-class TestUniformOverlapContract:
-    @pytest.mark.parametrize("target", [
-        StateVector.basis_state(2, 1),
-        StateVector(np.array([1.0, 1.0]) / np.sqrt(2.0)),
-    ], ids=["orthogonal", "overlapping"])
-    def test_target_other_than_the_first_outcome_is_rejected(self, target):
-        dist = UniformOverlap(target)
-        with pytest.raises(ValueError, match="first outcome"):
-            born_mc(E0, E0, dist, 10, seed=1)
-        with pytest.raises(ValueError, match="first outcome"):
-            basis_mc(E0, OrthonormalBasis.computational(2), dist, 10, seed=1)
-
-    def test_phase_rotated_target_is_accepted(self):
-        basis = OrthonormalBasis.computational(3)
-        rotated = UniformOverlap(StateVector(np.exp(2.1j) * basis[0].entries))
-        fwd = StateVector.basis_state(3, 1)
-        assert basis_mc(fwd, basis, rotated, 1000, seed=4) == basis_mc(fwd, basis, UniformOverlap(basis[0]), 1000, seed=4)
-
-
 class TestBornMc:
     def test_uniform_overlap_recovers_p(self):
         p = 0.7
-        est = born_mc(forward_with_overlap(p, 2), E0, UniformOverlap(E0), 100_000, seed=42)
+        est = born_mc(forward_with_overlap(p, 2), E0, UniformOverlap(), 100_000, seed=42)
         assert abs(est.frequency - p) <= 4 * est.std_err
 
     def test_fixed_backward_is_deterministic(self):
@@ -558,12 +539,12 @@ class TestBornMc:
         assert abs(est.frequency - p**2) <= 4 * est.std_err
 
     def test_std_err_formula(self):
-        est = born_mc(forward_with_overlap(0.3, 2), E0, UniformOverlap(E0), 5000, seed=1)
+        est = born_mc(forward_with_overlap(0.3, 2), E0, UniformOverlap(), 5000, seed=1)
         expected = np.sqrt(est.frequency * (1 - est.frequency) / est.samples)
         assert abs(est.std_err - expected) <= 1e-12
 
     def test_deterministic_rerun(self):
-        args = (forward_with_overlap(0.4, 2), E0, UniformOverlap(E0), 30_000)
+        args = (forward_with_overlap(0.4, 2), E0, UniformOverlap(), 30_000)
         assert born_mc(*args, seed=9) == born_mc(*args, seed=9)
 
     def test_worker_count_does_not_change_result(self):
@@ -582,10 +563,10 @@ class TestBornMc:
 
     def test_global_phase_invariance(self):
         fwd = forward_with_overlap(0.7, 2)
-        base = born_mc(fwd, E0, UniformOverlap(E0), 20_000, seed=123)
+        base = born_mc(fwd, E0, UniformOverlap(), 20_000, seed=123)
         fwd_rot = StateVector(np.exp(0.9j) * fwd.entries)
         target_rot = StateVector(np.exp(-1.3j) * E0.entries)
-        rot = born_mc(fwd_rot, target_rot, UniformOverlap(target_rot), 20_000, seed=123)
+        rot = born_mc(fwd_rot, target_rot, UniformOverlap(), 20_000, seed=123)
         assert base.frequency == rot.frequency
 
     def test_rejects_bad_sample_count(self):
@@ -601,7 +582,7 @@ class TestBornMc:
             fwd = forward_with_overlap(p, dim)
             within = 0
             for seed in range(100):
-                est = born_mc(fwd, target, UniformOverlap(target), 10_000, seed=seed)
+                est = born_mc(fwd, target, UniformOverlap(), 10_000, seed=seed)
                 if abs(est.frequency - p) <= 4 * est.std_err:
                     within += 1
             assert within >= 99, (dim, p, within)
@@ -683,7 +664,7 @@ class TestExclusivityScan:
 
 class TestBornOracle:
     def test_uniform_overlap_is_identity(self):
-        assert born_oracle(UniformOverlap(E0), 0.3, 5) == 0.3
+        assert born_oracle(UniformOverlap(), 0.3, 5) == 0.3
 
     def test_haar_qubit(self):
         assert born_oracle(HaarPure(), 0.5, 2) == 0.5
