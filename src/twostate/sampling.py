@@ -4,7 +4,7 @@ Randomness is counter-based: sample ``i`` of a stream ``(seed, stream_index)``
 is a pure function of ``(seed, stream_index, i)``. A stream is one sequence
 of 32-bit words, the halves of its 64-bit Philox outputs, low half first; a
 sample that uses ``w`` words owns words ``[i*w, (i+1)*w)`` of it
-(sample-stream version 5), and every variate is produced with a fixed word
+(sample-stream version 6), and every variate is produced with a fixed word
 consumption (no rejection), so estimates are bitwise reproducible no matter
 how the index range is chunked or how many workers run them. Each word
 ``h`` becomes one uniform ``(h + 0.5) * 2**-32``, strictly inside (0, 1)
@@ -27,7 +27,9 @@ The Haar state sampler (``haar_states``) builds complex vectors from
 Box-Muller normals. The estimators and the exclusivity scan never build a
 backward state: the rule sees one only through its overlaps ``|<b|a_k>|^2``
 with the outcomes, and those are drawn from their closed-form laws
-(``_overlaps``).
+(``_overlaps``). The estimators draw only the overlaps of the outcomes that
+can fire, by stick-breaking, while those are at most half of them
+(sample-stream version 6, ``_rule_tallies``).
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.random import Philox
 
-from .assignment import MultipleOutcomesError, tally_rule
+from .assignment import MultipleOutcomesError, _fires, tally_rule
 from .qcore import OrthonormalBasis, StateVector
 
 __all__ = [
@@ -61,6 +63,10 @@ __all__ = [
 
 _MASK64 = (1 << 64) - 1
 _CHUNK_WORDS = 2**15  # 256 KiB of uniforms per chunk buffer
+# The largest share of a stick's pieces that an estimator draws by stick-breaking; above it the
+# flat Dirichlet over all d overlaps is cheaper: the Haar crossover at d = 4 to 32, where uniform
+# overlap's lies at or above it (BENCH_stream_v6.json).
+_STICK_SHARE = 0.5
 
 
 def _chunk_samples(words_per_sample: int) -> int:
@@ -213,38 +219,86 @@ def _flat_dirichlet(u: np.ndarray, k: int, first: int = 0) -> np.ndarray:
     return np.divide(head, total[:, None], out=head)
 
 
-def _overlap_words(dist: BackwardDistribution, dim: int, k: int) -> int:
-    """Words (uniforms) per sample of ``_overlaps``."""
-    if isinstance(dist, (HaarPure, UniformOverlap)):
-        return 1 if k == 1 else dim
-    raise TypeError(f"unknown backward distribution: {type(dist).__name__}")
-
-
-def _overlaps(dist: BackwardDistribution, dim: int, k: int, u: np.ndarray) -> np.ndarray:
-    """Overlaps ``|<b|a_j>|^2``, shape (count, k), of sampled backward states b
-    with the first ``k`` vectors of an orthonormal set, from uniforms ``u`` of
-    shape ``(count, _overlap_words(dist, dim, k))``, one row per sample.
-
-    Haar, whatever the set: for k = 1 the overlap is Beta(1, d - 1), drawn
-    by inverse CDF as q_0 = 1 - u**(1/(d - 1)) (one word); for k > 1 the d
-    overlaps are flat Dirichlet (d words per sample).
-    Uniform overlap, with the target as a_0: q_0 ~ U(0, 1) (one word), and
-    for k > 1 the rest is (1 - q_0) times a flat Dirichlet over the target's
-    complement (d - 1 more words). The overlaps are built in ``u`` itself,
-    and the result is a view of it.
-    """
+def _breaks_stick(dist: BackwardDistribution, cand: list, dim: int) -> bool:
+    """Whether the estimators draw the overlaps of the candidates ``cand`` (ascending outcome
+    indices) alone, by stick-breaking, rather than all d: while the candidates on the stick (the d
+    overlaps for Haar, the d - 1 beside the target for uniform overlap) are at most
+    ``_STICK_SHARE`` of its pieces. So the stick's last piece, whose power would be 1/0, is never
+    drawn."""
     if isinstance(dist, HaarPure):
-        if k > 1:
-            return _flat_dirichlet(u, k)
-        u **= 1.0 / (dim - 1)
-        return np.subtract(1.0, u, out=u)
-    if k == 1:
+        return len(cand) <= _STICK_SHARE * dim
+    return len(cand) - (cand[0] == 0) <= _STICK_SHARE * (dim - 1)  # the candidates besides the target, 0
+
+
+def _overlap_words(dist: BackwardDistribution, dim: int, k: int, stick: list | None) -> int:
+    """Words (uniforms) per sample of ``_overlaps``: one per overlap drawn, and q_0 of the
+    uniform-overlap law."""
+    if not isinstance(dist, (HaarPure, UniformOverlap)):
+        raise TypeError(f"unknown backward distribution: {type(dist).__name__}")
+    if stick is None:
+        return 1 if k == 1 else dim
+    return len(stick) if isinstance(dist, HaarPure) else 1 + len(stick) - (stick[0] == 0)
+
+
+def _break_stick(u: np.ndarray, sticks: int, rest: np.ndarray | None = None) -> None:
+    """Overwrite the columns of ``u`` with the first pieces of a stick of length ``rest`` (one
+    per row; None for 1) broken into ``sticks`` flat Dirichlet pieces, one column at a time.
+
+    Piece j is ``rem[j - 1] - rem[j]``, where ``rem[-1] = rest`` and ``rem[j]`` is ``rem[j - 1]``
+    times ``u[:, j] ** (1 / (sticks - 1 - j))``, the Beta(sticks - 1 - j, 1) share of the rest
+    that piece j leaves (neutrality: Connor & Mosimann, JASA 64, 194, 1969). ``u`` has fewer
+    than ``sticks`` columns.
+    """
+    for j in range(u.shape[1]):  # rem[j], in place of its uniform
+        column = u[:, j]
+        column **= 1.0 / (sticks - 1 - j)
+        if j:
+            column *= u[:, j - 1]
+        elif rest is not None:
+            column *= rest
+    for j in range(u.shape[1] - 1, 0, -1):  # right to left, each piece from two remainders
+        np.subtract(u[:, j - 1], u[:, j], out=u[:, j])
+    np.subtract(1.0 if rest is None else rest, u[:, 0], out=u[:, 0])
+
+
+def _overlaps(dist: BackwardDistribution, dim: int, k: int, stick: list | None, u: np.ndarray) -> np.ndarray:
+    """Overlaps ``|<b|a_j>|^2`` of sampled backward states b with outcomes ``a_j`` of an
+    orthonormal set of d, from uniforms ``u`` of shape ``(count, _overlap_words(dist, dim, k,
+    stick))``, one row per sample (sample-stream version 6): with the first ``k`` outcomes when
+    ``stick`` is None, shape (count, k), and otherwise with the outcomes ``stick`` (ascending
+    indices), shape (count, len(stick)).
+
+    ``stick`` None draws as version 5 did. Haar, whatever the set: for k = 1 the overlap is
+    Beta(1, d - 1), drawn by inverse CDF as q_0 = 1 - u**(1/(d - 1)) (one word); for k > 1 the
+    d overlaps are flat Dirichlet (d words per sample). Uniform overlap, with the target as a_0:
+    q_0 ~ U(0, 1) (one word), and for k > 1 the rest is (1 - q_0) times a flat Dirichlet over
+    the target's complement (d - 1 more words).
+    Otherwise the overlaps of ``stick`` are broken off a stick one at a time, in index order
+    (``_break_stick``); the stick's last piece must not be among them (``_breaks_stick``). Haar
+    breaks the stick of length 1 into the d overlaps, so a single candidate's overlap is version
+    5's one-word draw. Uniform overlap draws q_0 ~ U(0, 1) from one word, whether or not 0 is in
+    ``stick``, and breaks the stick of length 1 - q_0 into the other d - 1 overlaps.
+    The overlaps are built in ``u`` itself, and the result is a view of it.
+    """
+    if stick is None:
+        if isinstance(dist, HaarPure):
+            if k > 1:
+                return _flat_dirichlet(u, k)
+            u **= 1.0 / (dim - 1)
+            return np.subtract(1.0, u, out=u)
+        if k == 1:
+            return u
+        scale = 1.0 - u[:, :1]  # exact, as is 1 - scale: q_0 is a multiple of 2**-33 in (0, 1)
+        block = _flat_dirichlet(u, k - 1, first=1)  # whole rows: strided in-place steps read slower
+        block *= scale
+        np.subtract(1.0, scale, out=block[:, :1])
+        return block
+    if isinstance(dist, HaarPure):
+        _break_stick(u, dim)
         return u
-    scale = 1.0 - u[:, :1]  # exact, as is 1 - scale: q_0 is a multiple of 2**-33 in (0, 1)
-    block = _flat_dirichlet(u, k - 1, first=1)  # whole rows: strided in-place steps read slower
-    block *= scale
-    np.subtract(1.0, scale, out=block[:, :1])
-    return block
+    if u.shape[1] > 1:
+        _break_stick(u[:, 1:], dim - 1, 1.0 - u[:, 0])
+    return u if stick[0] == 0 else u[:, 1:]
 
 
 # --- public single-draw and batch samplers --------------------------------
@@ -345,14 +399,27 @@ def _rule_tallies(
         return tally_rule((p + q)[None, :], tie_tol) * n_samples
 
     k = targets.shape[0]
+    # Every drawn overlap is at most 1, and float addition is monotonic: an outcome that does not
+    # fire at p + 1 never fires. Only the candidates' overlaps are drawn and tallied.
+    cand = [j for j, p_j in enumerate(p.tolist()) if _fires(p_j + 1.0, tie_tol)]
+    if not cand:  # no sample can assign an outcome
+        return np.array([0] * k + [n_samples, 0], dtype=np.int64)
+    # the candidates broken off a stick, or None: all k overlaps drawn as version 5 drew them
+    stick = cand if len(cand) < k and _breaks_stick(dist, cand, dim) else None
+    p_drawn = p if stick is None else p[stick]
 
     def chunk_tallies(u: np.ndarray) -> np.ndarray:
-        sums = _overlaps(dist, dim, k, u)
-        sums += p
+        sums = _overlaps(dist, dim, k, stick, u)
+        sums += p_drawn
         return tally_rule(sums, tie_tol)
 
-    draws = [(RngStream(seed, stream_index), _overlap_words(dist, dim, k))]
-    return _sampled(chunk_tallies, n_samples, draws, workers)
+    draws = [(RngStream(seed, stream_index), _overlap_words(dist, dim, k, stick))]
+    counts = _sampled(chunk_tallies, n_samples, draws, workers)
+    if stick is None:
+        return counts
+    tallies = np.zeros(k + 2, dtype=np.int64)
+    tallies[stick], tallies[-2:] = counts[:-2], counts[-2:]
+    return tallies
 
 
 def born_mc(
@@ -409,8 +476,8 @@ def exclusivity_scan(dim: int, n_samples: int, seed: int, tie_tol: float = 0.0, 
         raise ValueError(f"dimension must be >= 2, got {dim}")
 
     def chunk_tallies(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-        p = _overlaps(HaarPure(), dim, dim, u)
-        p += _overlaps(HaarPure(), dim, dim, v)
+        p = _flat_dirichlet(u, dim)
+        p += _flat_dirichlet(v, dim)
         return tally_rule(p, tie_tol)
 
     draws = [(RngStream(seed, 1), dim), (RngStream(seed, 2), dim)]  # p, then q

@@ -825,10 +825,11 @@ HADAMARD_16 = np.kron(np.kron(_H2, _H2), np.kron(_H2, _H2)) / 4.0
 PAYLOAD_HEADER = "schema_version,experiment,dim,samples,seed,tie_tol,dist,p_or_theta,frequency,std_err," \
                  "no_assign_rate,oracle,extra\n"
 # The --no-timing CSV rows of two or more configs of each sampled experiment, as sample-stream
-# version 5 and result schema 2 produce them; a change of these bytes is a change of sample
+# version 6 and result schema 2 produce them; a change of these bytes is a change of sample
 # streams or of the schema. The basis-mc
 # rows at d = 16 (Haar) and d = 5 (uniform overlap) tally multi-outcome chunks in which
-# several outcomes fire.
+# several outcomes fire; at d = 16 two of the 16 outcomes can fire, and their overlaps are
+# stick-broken, while the qubit rows and the d = 5 rows draw all d flat Dirichlet.
 PINNED_PAYLOADS = {
     "born-mc-uniform-d4": (
         ["born-mc", "--dim", "4", "--samples", "5000", "--seed", "11", "--p-grid", "0.2,0.5,0.9"], None, [
@@ -868,37 +869,37 @@ PINNED_PAYLOADS = {
         ["basis-mc", "--dim", "16", "--dist", "haar", "--samples", "262144", "--seed", "43"],
         {"basis": [vector_to_json(row) for row in HADAMARD_16],
          "forward": vector_to_json((HADAMARD_16[2] + 1j * HADAMARD_16[9]) / np.sqrt(2.0))}, [
-            '2,basis-mc,16,262144,43,0.0,haar,,0.0,0.0,0.9999465942382812,0.0,'
+            '2,basis-mc,16,262144,43,0.0,haar,,0.0,0.0,0.9998970031738281,0.0,'
             '"{""outcome"":0,""conditional_frequency"":0.0}"',
-            '2,basis-mc,16,262144,43,0.0,haar,,0.0,0.0,0.9999465942382812,0.0,'
+            '2,basis-mc,16,262144,43,0.0,haar,,0.0,0.0,0.9998970031738281,0.0,'
             '"{""outcome"":1,""conditional_frequency"":0.0}"',
-            '2,basis-mc,16,262144,43,0.0,haar,,1.9073486328125e-05,8.529841051453038e-06,0.9999465942382812,'
-            '0.4999999999999999,"{""outcome"":2,""conditional_frequency"":0.35714285714285715}"',
-            '2,basis-mc,16,262144,43,0.0,haar,,0.0,0.0,0.9999465942382812,0.0,'
+            '2,basis-mc,16,262144,43,0.0,haar,,4.9591064453125e-05,1.3753745547457645e-05,0.9998970031738281,'
+            '0.4999999999999999,"{""outcome"":2,""conditional_frequency"":0.48148148148148145}"',
+            '2,basis-mc,16,262144,43,0.0,haar,,0.0,0.0,0.9998970031738281,0.0,'
             '"{""outcome"":3,""conditional_frequency"":0.0}"',
-            '2,basis-mc,16,262144,43,0.0,haar,,0.0,0.0,0.9999465942382812,0.0,'
+            '2,basis-mc,16,262144,43,0.0,haar,,0.0,0.0,0.9998970031738281,0.0,'
             '"{""outcome"":4,""conditional_frequency"":0.0}"',
-            '2,basis-mc,16,262144,43,0.0,haar,,0.0,0.0,0.9999465942382812,0.0,'
+            '2,basis-mc,16,262144,43,0.0,haar,,0.0,0.0,0.9998970031738281,0.0,'
             '"{""outcome"":5,""conditional_frequency"":0.0}"',
-            '2,basis-mc,16,262144,43,0.0,haar,,0.0,0.0,0.9999465942382812,0.0,'
+            '2,basis-mc,16,262144,43,0.0,haar,,0.0,0.0,0.9998970031738281,0.0,'
             '"{""outcome"":6,""conditional_frequency"":0.0}"',
-            '2,basis-mc,16,262144,43,0.0,haar,,0.0,0.0,0.9999465942382812,0.0,'
+            '2,basis-mc,16,262144,43,0.0,haar,,0.0,0.0,0.9998970031738281,0.0,'
             '"{""outcome"":7,""conditional_frequency"":0.0}"',
-            '2,basis-mc,16,262144,43,0.0,haar,,0.0,0.0,0.9999465942382812,0.0,'
+            '2,basis-mc,16,262144,43,0.0,haar,,0.0,0.0,0.9998970031738281,0.0,'
             '"{""outcome"":8,""conditional_frequency"":0.0}"',
-            '2,basis-mc,16,262144,43,0.0,haar,,3.4332275390625e-05,1.1443895344333237e-05,0.9999465942382812,'
-            '0.4999999999999999,"{""outcome"":9,""conditional_frequency"":0.6428571428571429}"',
-            '2,basis-mc,16,262144,43,0.0,haar,,0.0,0.0,0.9999465942382812,0.0,'
+            '2,basis-mc,16,262144,43,0.0,haar,,5.340576171875e-05,1.4272909059175519e-05,0.9998970031738281,'
+            '0.4999999999999999,"{""outcome"":9,""conditional_frequency"":0.5185185185185185}"',
+            '2,basis-mc,16,262144,43,0.0,haar,,0.0,0.0,0.9998970031738281,0.0,'
             '"{""outcome"":10,""conditional_frequency"":0.0}"',
-            '2,basis-mc,16,262144,43,0.0,haar,,0.0,0.0,0.9999465942382812,0.0,'
+            '2,basis-mc,16,262144,43,0.0,haar,,0.0,0.0,0.9998970031738281,0.0,'
             '"{""outcome"":11,""conditional_frequency"":0.0}"',
-            '2,basis-mc,16,262144,43,0.0,haar,,0.0,0.0,0.9999465942382812,0.0,'
+            '2,basis-mc,16,262144,43,0.0,haar,,0.0,0.0,0.9998970031738281,0.0,'
             '"{""outcome"":12,""conditional_frequency"":0.0}"',
-            '2,basis-mc,16,262144,43,0.0,haar,,0.0,0.0,0.9999465942382812,0.0,'
+            '2,basis-mc,16,262144,43,0.0,haar,,0.0,0.0,0.9998970031738281,0.0,'
             '"{""outcome"":13,""conditional_frequency"":0.0}"',
-            '2,basis-mc,16,262144,43,0.0,haar,,0.0,0.0,0.9999465942382812,0.0,'
+            '2,basis-mc,16,262144,43,0.0,haar,,0.0,0.0,0.9998970031738281,0.0,'
             '"{""outcome"":14,""conditional_frequency"":0.0}"',
-            '2,basis-mc,16,262144,43,0.0,haar,,0.0,0.0,0.9999465942382812,0.0,'
+            '2,basis-mc,16,262144,43,0.0,haar,,0.0,0.0,0.9998970031738281,0.0,'
             '"{""outcome"":15,""conditional_frequency"":0.0}"',
         ]),
     "basis-mc-uniform-d5": (
@@ -974,10 +975,12 @@ class TestDeterminism:
     ], ids=["born-mc", "basis-mc", "basis-mc-haar-d16", "exclusivity-scan", "sic-distinguish", "pbr-geometric"])
     @pytest.mark.parametrize("chunk_words, workers", [
         (None, "8"),
-        # 2048-word chunks: 10 born-mc, 20 basis-mc, 157 basis-mc-haar-d16, 123 exclusivity-scan,
-        # 706 sic-distinguish and 40 pbr-geometric chunks
+        # 2048-word chunks: 10 born-mc, 20 basis-mc, 20 basis-mc-haar-d16 (two outcomes can fire:
+        # 2 words per sample), 123 exclusivity-scan, 706 sic-distinguish and 40 pbr-geometric chunks
         (2048, "3"),
-    ], ids=["default-chunks", "small-chunks"])
+        # 999-word chunks are ragged: basis-mc-haar-d16 runs 40 chunks of 499 samples and one of 40
+        (999, "2"),
+    ], ids=["default-chunks", "small-chunks", "ragged-chunks"])
     def test_worker_count_leaves_bytes_unchanged(self, args, config, chunk_words, workers, tmp_path, monkeypatch):
         if config is not None:
             cfg = tmp_path / "cfg.json"
@@ -991,6 +994,18 @@ class TestDeterminism:
             assert small.read_bytes() == single.read_bytes()
         _, pooled = run_cli(args + ["--workers", workers, "--no-timing"], tmp_path, "pooled.csv")
         assert pooled.read_bytes() == single.read_bytes()
+
+    def test_a_run_with_no_candidate_draws_nothing(self, tmp_path, monkeypatch, capsys):
+        # at p = 0 the rule cannot fire whatever the backward state: no word is drawn
+        draws = []
+        monkeypatch.setattr(sampling, "_uniforms", lambda *args: draws.append(args))
+        args = ["born-mc", "--dim", "3", "--dist", "haar", "--p-grid", "0.0", "--seed", "1", "--no-timing"]
+        code, out = run_cli(args + ["--samples", "100"], tmp_path)
+        assert code == 0 and draws == []
+        assert out.read_text().splitlines()[1].split(",")[8:10] == ["0.0", "0.0"]
+        code, out = run_cli(args + ["--samples", "0"], tmp_path, "zero.csv")
+        assert code == 2 and draws == [] and not out.exists()
+        assert capsys.readouterr().err == "error: invalid samples: expected an integer >= 1, got '0'\n"
 
     def test_rerun_is_byte_identical(self, tmp_path):
         args = ["exclusivity-scan", "--dim", "2", "--samples", "500", "--seed", "9", "--no-timing"]

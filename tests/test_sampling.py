@@ -26,6 +26,7 @@ from twostate import sampling
 from twostate.assignment import RULE_ROUNDING_BOUND
 from twostate.sampling import (
     _CHUNK_WORDS,
+    _breaks_stick,
     _chunk_samples,
     _complex_normals,
     _flat_dirichlet,
@@ -47,9 +48,10 @@ def ks_stat(samples, cdf):
     return stats.kstest(samples, cdf).statistic
 
 
-def drawn_overlaps(dist, dim: int, k: int, stream: RngStream, lo: int, n: int) -> np.ndarray:
-    """The estimators' overlaps of samples ``[lo, lo + n)``: ``_overlaps`` of the stream's uniforms."""
-    return _overlaps(dist, dim, k, _uniforms(stream, lo, n, _overlap_words(dist, dim, k)))
+def drawn_overlaps(dist, dim: int, k: int, stream: RngStream, lo: int, n: int, stick=None) -> np.ndarray:
+    """The estimators' overlaps of samples ``[lo, lo + n)`` with the first ``k`` outcomes, or with
+    the outcomes ``stick`` broken off a stick: ``_overlaps`` of the stream's uniforms."""
+    return _overlaps(dist, dim, k, stick, _uniforms(stream, lo, n, _overlap_words(dist, dim, k, stick)))
 
 
 def fresh_philox(stream: RngStream, tick: int = 0) -> Philox:
@@ -237,7 +239,7 @@ class TestOverlapLaw:
     def test_scan_overlaps_have_beta_marginals(self, dim):
         # exclusivity-scan's p (and q): every basis overlap of a Haar state is Beta(1, d - 1)
         n = 10_000
-        p = drawn_overlaps(HaarPure(), dim, dim, RngStream(92, 1), 0, n)
+        p = _flat_dirichlet(_uniforms(RngStream(92, 1), 0, n, dim), dim)
         for j in range(dim):
             assert ks_stat(p[:, j], lambda x: 1 - (1 - x) ** (dim - 1)) < KS_CRIT_1PC / np.sqrt(n), j
 
@@ -251,6 +253,15 @@ def _dirichlet_reference(u: np.ndarray, k: int) -> np.ndarray:
     """The flat Dirichlet coordinates as fresh arrays: log u over the row sum of the logs."""
     logs = np.log(u)
     return logs[:, :k] / np.einsum("ij->i", logs)[:, None]
+
+
+def _stick_reference(u: np.ndarray, sticks: int, rest=1.0) -> np.ndarray:
+    """The first ``u.shape[1]`` pieces of a stick of length ``rest`` broken into ``sticks`` flat
+    Dirichlet pieces, as fresh arrays: the differences of the remainders
+    ``rest * prod_i u_i ** (1 / (sticks - 1 - i))``."""
+    shares = [u[:, j] ** (1 / (sticks - 1 - j)) for j in range(u.shape[1])]
+    rem = np.cumprod(np.column_stack([np.broadcast_to(rest, len(u))] + shares), axis=1)
+    return rem[:, :-1] - rem[:, 1:]
 
 
 class TestOverlapBlockArithmetic:
@@ -275,14 +286,50 @@ class TestOverlapBlockArithmetic:
         assert drawn.shape == (n, k)
         assert np.array_equal(drawn.view(np.uint64), expected.view(np.uint64))
 
+    @pytest.mark.parametrize("law, dim, cand", [
+        ("haar", 5, [1, 3]), ("haar", 16, [2, 9]), ("haar", 16, range(0, 16, 2)), ("haar", 12, range(1, 7)),
+        ("uniform-overlap", 5, [2, 4]), ("uniform-overlap", 5, [0, 3]), ("uniform-overlap", 7, [1, 2, 3]),
+    ])
+    def test_stick_breaks_the_candidates_in_index_order(self, law, dim, cand):
+        stream, lo, n = RngStream(18, 4), 3, 2000
+        cand = list(cand)
+        dist = HaarPure() if law == "haar" else UniformOverlap()
+        u = _uniforms(stream, lo, n, _overlap_words(dist, dim, dim, cand))
+        if law == "haar":
+            expected = _stick_reference(u, dim)
+        else:  # q_0 from the first word, whether or not it is a candidate, then the rest's stick
+            q0 = u[:, :1]
+            rest = _stick_reference(u[:, 1:], dim - 1, 1.0 - q0[:, 0])
+            expected = np.concatenate([q0, rest], axis=1) if cand[0] == 0 else rest
+        drawn = drawn_overlaps(dist, dim, dim, stream, lo, n, cand)
+        assert drawn.shape == (n, len(cand))
+        assert np.array_equal(drawn.view(np.uint64), expected.view(np.uint64))
+
     @pytest.mark.parametrize("law, k", [("haar", 1), ("haar", 3), ("uniform-overlap", 1), ("uniform-overlap", 3)])
     def test_builds_the_overlaps_in_their_uniforms(self, law, k):
         dim, stream = 3, RngStream(19, 1)
         dist = HaarPure() if law == "haar" else UniformOverlap()
-        u = _uniforms(stream, 7, 200, _overlap_words(dist, dim, k))
-        drawn = _overlaps(dist, dim, k, u)
+        u = _uniforms(stream, 7, 200, _overlap_words(dist, dim, k, None))
+        drawn = _overlaps(dist, dim, k, None, u)
         assert drawn.shape == (200, k)
         assert np.shares_memory(drawn, u)
+
+    @pytest.mark.parametrize("law", ["haar", "uniform-overlap"])
+    def test_a_stick_is_never_broken_to_its_last_piece(self, law):
+        # the last of a stick's pieces would take the power 1/0: the estimators break a stick only
+        # while at most half its pieces are candidates, and draw all d overlaps flat otherwise
+        dist = HaarPure() if law == "haar" else UniformOverlap()
+        for dim in range(2, 41):
+            sticks = dim if law == "haar" else dim - 1
+            for s in range(1, dim + 1):
+                for cand in (list(range(s)), list(range(dim - s, dim))):
+                    on_stick = s if law == "haar" else np.count_nonzero(cand)
+                    if _breaks_stick(dist, cand, dim):
+                        assert 2 * on_stick <= sticks and on_stick < sticks, (dim, cand)
+                        assert _overlap_words(dist, dim, dim, cand) < dim, (dim, cand)
+                    else:
+                        assert 2 * on_stick > sticks, (dim, cand)
+            assert _overlap_words(dist, dim, dim, None) == dim
 
 
 class TestExtremeWords:
@@ -319,7 +366,7 @@ class TestExtremeWords:
     @pytest.mark.parametrize("dim", [2, 3, 16, 512])
     def test_haar_overlap_and_box_muller_radius_stay_in_range(self, monkeypatch, dim):
         drawn = self.constant_philox(monkeypatch, 0xFFFFFFFF_00000000)
-        q = _overlaps(HaarPure(), dim, 1, _uniforms(RngStream(3), 0, 2, 1))  # words 0, then 2**32 - 1
+        q = _overlaps(HaarPure(), dim, 1, None, _uniforms(RngStream(3), 0, 2, 1))  # words 0, then 2**32 - 1
         assert np.isfinite(q).all() and 0.0 <= q.min() and q[0, 0] < 1.0 and q.max() <= 1.0
         radius = np.abs(_complex_normals(_uniforms(RngStream(3), 0, 1, 4)))  # both radius words are 0
         assert np.all(radius < 6.77)  # sqrt(-2 log 2**-33) = 6.7637
@@ -517,6 +564,124 @@ class TestChunkBuffers:
                         basis_mc(fwd, basis, dist, n, seed=31, workers=workers),
                     ))
         assert len(runs) == 1
+
+
+def recorded_draws(monkeypatch) -> list:
+    """Make every ``_uniforms`` draw as before, recording its words per sample."""
+    draws, draw = [], sampling._uniforms
+
+    def recording(stream, first_sample, count, words_per_sample, out=None):
+        draws.append(words_per_sample)
+        return draw(stream, first_sample, count, words_per_sample, out)
+
+    monkeypatch.setattr(sampling, "_uniforms", recording)
+    return draws
+
+
+def forward_with_weights(weights) -> StateVector:
+    amps = np.sqrt(np.asarray(weights, dtype=float) / np.sum(weights))
+    return StateVector(amps * np.exp(1j * np.arange(len(amps))))
+
+
+def uniform_overlap_rate(p: float, outcome: int, dim: int) -> float:
+    """The uniform-overlap law's firing rate at d <= 3: p for the target; otherwise P[(1 - q_0) B > c],
+    c = 1 - p, with B = 1 at d = 2 and B ~ U(0, 1) at d = 3."""
+    c = 1.0 - p
+    if outcome == 0 or dim == 2:
+        return p
+    return (1.0 - c) + (c * np.log(c) if c > 0.0 else 0.0)
+
+
+class TestCandidates:
+    """The estimators draw and tally only the outcomes whose rule fires at an overlap of 1."""
+
+    @pytest.mark.parametrize("tie_tol", [0.0, 0.01, 0.25])
+    def test_an_outcome_is_drawn_exactly_when_it_fires_at_an_overlap_of_one(self, tie_tol, monkeypatch):
+        threshold = 1.0 + tie_tol + RULE_ROUNDING_BOUND
+        neighbours = [np.nextafter(threshold, 0.0), threshold, np.nextafter(threshold, 2.0)]
+        neighbours.append(np.nextafter(neighbours[-1], 2.0))
+        for top in neighbours:
+            amp = np.sqrt(top - 1.0)
+            fwd = StateVector(np.array([amp, np.sqrt(1.0 - amp * amp), 0.0], dtype=complex))
+            assert abs(amp) ** 2 + 1.0 == top  # the outcome's largest rule sum is this neighbour
+            draws = recorded_draws(monkeypatch)
+            est = born_mc(fwd, StateVector.basis_state(3, 0), HaarPure(), 64, seed=3, tie_tol=tie_tol)
+            assert draws == ([1] if top > threshold else []), top
+            assert est.frequency == 0.0  # no overlap of 64 samples comes within 2**-33 of 1
+
+    @pytest.mark.parametrize("law", ["haar", "uniform-overlap"])
+    def test_outcomes_that_cannot_fire_count_exactly_zero(self, law, monkeypatch):
+        dist = HaarPure() if law == "haar" else UniformOverlap()
+        weights = [0.0, 0.55, 0.0, 0.0, 0.4, 0.0, 0.05, 0.0]
+        draws = recorded_draws(monkeypatch)
+        result = basis_mc(forward_with_weights(weights), OrthonormalBasis.computational(8), dist, 30_000, seed=4,
+                          tie_tol=0.1)
+        freqs = result.frequencies()
+        assert set(draws) == ({2} if law == "haar" else {3})  # outcomes 1 and 4 (and q_0 of uniform overlap)
+        assert (freqs[[0, 2, 3, 5, 6, 7]] == 0.0).all() and (freqs[[1, 4]] > 0.0).all()
+        assert freqs.sum() + result.no_assign_rate == 1.0
+
+    def test_a_call_with_no_candidate_draws_nothing(self, monkeypatch):
+        draws = recorded_draws(monkeypatch)
+        est = born_mc(forward_with_overlap(0.0, 3), StateVector.basis_state(3, 0), HaarPure(), 5000, seed=1)
+        assert est == sampling.BornEstimate(0.0, 0.0, 5000)
+        spread = forward_with_weights([1.0, 1.0, 1.0, 1.0])  # every weight 1/4: nothing fires above 1.8
+        result = basis_mc(spread, OrthonormalBasis.computational(4), UniformOverlap(), 5000, seed=1, tie_tol=0.8)
+        assert result.frequencies().tolist() == [0.0] * 4 and result.no_assign_rate == 1.0
+        assert draws == []
+        with pytest.raises(ValueError, match="sample count"):
+            born_mc(forward_with_overlap(0.0, 3), StateVector.basis_state(3, 0), HaarPure(), 0, seed=1)
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            born_mc(forward_with_overlap(0.0, 3), E0, HaarPure(), 10, seed=1)
+        assert draws == []
+
+
+class TestStickBrokenLaw:
+    """Overlaps broken off a stick one at a time have the flat Dirichlet's law (neutrality)."""
+
+    @pytest.mark.parametrize("dim, pieces", [(3, 2), (5, 2), (5, 4), (16, 2), (16, 8)])
+    def test_haar_pieces_are_beta_and_a_pair_sums_to_beta_two(self, dim, pieces):
+        n = 20_000
+        q = _uniforms(RngStream(93, 1), 0, n, pieces)
+        sampling._break_stick(q, dim)
+        columns = [(q[:, j], stats.beta(1, dim - 1).cdf) for j in range(pieces)]
+        columns.append((q[:, 0] + q[:, -1], stats.beta(2, dim - 2).cdf))
+        for j, (x, cdf) in enumerate(columns):
+            assert stats.kstest(x, cdf).pvalue > 1e-3 / len(columns), j
+
+    @pytest.mark.parametrize("dim, cand", [(3, [0, 1]), (3, [2]), (5, [0, 2, 4]), (5, [1, 3]), (16, [0, 3, 7]),
+                                           (16, [5, 9, 12, 15])])
+    def test_uniform_overlap_candidates_match_the_flat_dirichlet_draw(self, dim, cand):
+        n = 20_000
+        dist = UniformOverlap()
+        assert _breaks_stick(dist, cand, dim)
+        drawn = drawn_overlaps(dist, dim, dim, RngStream(94, 0), 0, n, cand)
+        flat = drawn_overlaps(dist, dim, dim, RngStream(95, 0), 0, n)[:, cand]  # all d overlaps, as version 5
+        columns = [(drawn[:, j], flat[:, j]) for j in range(len(cand))]
+        columns.append((drawn[:, 0] + drawn[:, -1], flat[:, 0] + flat[:, -1]))
+        for j, (x, y) in enumerate(columns):
+            assert stats.ks_2samp(x, y).pvalue > 1e-3 / len(columns), j
+
+    @pytest.mark.parametrize("law", ["haar", "uniform-overlap"])
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_every_candidate_set_of_a_small_basis_draws_overlaps_in_range(self, law, dim):
+        # every nonempty set of outcomes with forward weight: stick-broken while at most half the
+        # stick's pieces are candidates, flat otherwise, and each rate at its law's closed form
+        n, dist = 40_000, HaarPure() if law == "haar" else UniformOverlap()
+        for support in range(1, 2**dim):
+            cand = np.array([j for j in range(dim) if support >> j & 1])
+            stick = cand.tolist() if _breaks_stick(dist, cand.tolist(), dim) else None
+            drawn = drawn_overlaps(dist, dim, dim, RngStream(96), 0, 500, stick)
+            assert np.isfinite(drawn).all() and (drawn >= 0.0).all() and (drawn <= 1.0).all()
+            weights = np.zeros(dim)
+            weights[cand] = np.arange(cand.size, 0, -1)
+            p = weights / weights.sum()
+            freqs = basis_mc(forward_with_weights(weights), OrthonormalBasis.computational(dim), dist, n,
+                             seed=support).frequencies()
+            for k in range(dim):
+                rate = p[k] ** (dim - 1) if law == "haar" else uniform_overlap_rate(p[k], k, dim)
+                sigma = np.sqrt(rate * (1.0 - rate) / n)
+                assert abs(freqs[k] - rate) <= 5 * sigma + 1e-12, (cand, k, freqs[k], rate)
 
 
 class TestBornMc:
