@@ -1,10 +1,13 @@
-"""Qubit Bloch-sphere geometry and the geometric pair-distinguishing vector.
+"""Qubit Bloch-sphere geometry and the geometric pair-distinguishing count.
 
-Conventions: |0> maps to +z, and the overlap identity
-|<m|a>|^2 = (1 + m.a)/2 ties the dot-product form of the outcome rule to the
-state-vector form. The pbr-geometric experiment is one counting kernel
-(``pbr_separators``) over rows of Bloch vectors, given explicitly or drawn
-as Haar qubit states (``pbr_geometric``).
+Conventions: |0> maps to +z, a Bloch vector's state has a real non-negative
+amplitude on |0>, and the overlap identity |<m|a>|^2 = (1 + m.a)/2 ties the
+dot-product form of the outcome rule to the state-vector form. The
+pbr-geometric experiment is one counting kernel (``pbr_separators``) over
+rows of Bloch vectors, given explicitly or drawn as Haar qubit states
+(``pbr_geometric``). It takes each instance's maximum-margin bisector of the
+two pair sums and judges it with the rule's state-vector form; a degenerate
+instance, whose sums vanish or are parallel, is counted, not judged.
 """
 
 from __future__ import annotations
@@ -13,27 +16,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .assignment import _fires, tally_rule
-from .qcore import StateVector
+from .assignment import tally_rule
 from .sampling import RngStream, _haar_rows, _sampled
 
 __all__ = [
     "BlochVector",
-    "PbrGeometricInstance",
-    "DegenerateInstanceError",
-    "bloch_from_state",
-    "state_from_bloch",
-    "bell_condition",
-    "pbr_distinguishing_vector",
     "pbr_separators",
     "pbr_geometric",
 ]
 
 PARALLEL_ANGLE_TOL = 1e-9  # radians; below this the two target sums are degenerate
-
-
-class DegenerateInstanceError(ValueError):
-    """No in-plane separating vector exists (parallel or vanishing sums)."""
 
 
 @dataclass(frozen=True)
@@ -49,28 +41,10 @@ class BlochVector:
         if not abs(nrm - 1.0) <= 1e-12:  # also rejects NaN
             raise ValueError(f"Bloch vector norm {nrm!r} deviates from 1")
 
-    def as_array(self) -> np.ndarray:
-        return np.array([self.x, self.y, self.z], dtype=float)
-
     @classmethod
     def from_array(cls, v) -> "BlochVector":
         arr = np.asarray(v, dtype=float)
         return cls(float(arr[0]), float(arr[1]), float(arr[2]))
-
-    def dot(self, other: "BlochVector") -> float:
-        return self.x * other.x + self.y * other.y + self.z * other.z
-
-
-@dataclass(frozen=True)
-class PbrGeometricInstance:
-    """Two pairs of Bloch vectors to be told apart by one measurement."""
-
-    pair_a: tuple
-    pair_b: tuple
-
-    def __post_init__(self):
-        if len(self.pair_a) != 2 or len(self.pair_b) != 2:
-            raise ValueError("each pair must contain exactly two Bloch vectors")
 
 
 def _bloch_vectors(states: np.ndarray) -> np.ndarray:
@@ -103,44 +77,6 @@ def _bisectors(u: np.ndarray, v: np.ndarray):
     degenerate = ~(angle > PARALLEL_ANGLE_TOL)  # NaN angles, from vanishing sums, count as degenerate
     margin = np.minimum(np.sum(a * uhat, axis=-1), -np.sum(a * vhat, axis=-1))
     return a, degenerate, margin
-
-
-def bloch_from_state(s: StateVector) -> BlochVector:
-    """Pauli expectation values of a qubit state."""
-    if s.dim != 2:
-        raise ValueError(f"Bloch conversion requires dimension 2, got {s.dim}")
-    return BlochVector.from_array(_bloch_vectors(s.entries))
-
-
-def state_from_bloch(v: BlochVector) -> StateVector:
-    """Qubit state with a real non-negative amplitude on |0>."""
-    return StateVector(_bloch_states(v.as_array()))
-
-
-def bell_condition(m: BlochVector, n: BlochVector, a: BlochVector) -> bool:
-    """Dot-product form of the outcome rule, m.a + n.a > 0, judged by the rule's one comparison.
-
-    By the overlap identity the overlap sum is 1 + (m.a + n.a)/2, so a tie
-    does not fire, as in ``satisfies_pure``.
-    """
-    return bool(_fires(1.0 + (m.dot(a) + n.dot(a)) / 2.0, 0.0))
-
-
-def pbr_distinguishing_vector(inst: PbrGeometricInstance) -> BlochVector:
-    """Unit vector with positive projection on the pair-a sum and negative on
-    the pair-b sum, chosen as the maximum-margin bisector in their plane.
-
-    With u, v the two (normalized) sums, the returned vector is
-    (u - v)/|u - v|, which equalizes and maximizes min(a.u, -a.v).
-    """
-    u = inst.pair_a[0].as_array() + inst.pair_a[1].as_array()
-    v = inst.pair_b[0].as_array() + inst.pair_b[1].as_array()
-    a, degenerate, _ = _bisectors(u, v)
-    if degenerate:
-        raise DegenerateInstanceError(
-            f"pair sums vanish or are parallel within {PARALLEL_ANGLE_TOL:.1e} rad; no separator exists"
-        )
-    return BlochVector.from_array(a)
 
 
 def pbr_separators(vectors: np.ndarray, tie_tol: float = 0.0) -> tuple:

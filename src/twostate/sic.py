@@ -3,17 +3,15 @@
 A fiducial state is orbited under the d^2 displacement operators X^j Z^k to
 produce d^2 rank-1 projectors; a valid set has pairwise trace overlap
 1/(d+1) and sums to d times the identity. The module also expands Hermitian
-matrices in such a set, applies the lambda_k > 1 - 1/d form of the outcome
-rule, counts how often a set element separates random pairs of two-state
-assignments (``sic_distinguish``, the sic-distinguish experiment), and
-searches for fiducials numerically by minimizing the frame potential down to
-its Welch bound 2 d^3 / (d+1).
+matrices in such a set, counts how often a set element separates random
+pairs of two-state assignments under the outcome rule (``sic_distinguish``,
+the sic-distinguish experiment), and searches for fiducials numerically by
+minimizing the frame potential down to its Welch bound 2 d^3 / (d+1).
 """
 
 from __future__ import annotations
 
 import functools
-import math
 import sys
 from dataclasses import dataclass
 
@@ -35,7 +33,6 @@ __all__ = [
     "validate_sic",
     "sic_expand",
     "sic_reconstruct",
-    "sic_rule_check",
     "sic_distinguish",
     "frame_potential",
     "welch_bound",
@@ -94,7 +91,7 @@ class SicCoefficients:
     def __post_init__(self):
         lam = np.asarray(self.lambdas, dtype=float)
         total = float(lam.sum())
-        if abs(total - self.trace_of_rho) > 1e-10:
+        if not abs(total - self.trace_of_rho) <= 1e-10:  # also rejects NaN
             raise ValueError(
                 f"coefficients sum to {total!r} but the expanded matrix has trace {self.trace_of_rho!r}"
             )
@@ -113,7 +110,7 @@ class FiducialSearchReport:
     converged: bool
 
     def __post_init__(self):
-        if self.frame_potential < self.lower_bound - 1e-9:
+        if not self.frame_potential >= self.lower_bound - 1e-9:  # also rejects NaN
             raise ValueError(
                 f"frame potential {self.frame_potential!r} undercuts the bound {self.lower_bound!r}"
             )
@@ -175,10 +172,6 @@ def builtin_fiducial(d: int) -> StateVector:
     raise ValueError(f"no built-in fiducial for dimension {d}; run search_fiducial")
 
 
-def builtin_sic(d: int) -> SicPovm:
-    return sic_from_fiducial(builtin_fiducial(d))
-
-
 def validate_sic(s: SicPovm, tol: float) -> SicValidationReport:
     """Check pairwise overlaps against 1/(d+1) and the sum against d*I."""
     d = s.dim
@@ -231,24 +224,6 @@ def sic_reconstruct(c: SicCoefficients, s: SicPovm) -> np.ndarray:
     return np.tensordot(c.lambdas, s.projectors, axes=1)
 
 
-def sic_rule_check(c: SicCoefficients, k: int) -> bool:
-    """Outcome rule for a projector-set element: lambda_k > 1 - 1/d.
-
-    Applies to the expansion of a summed forward+backward pair, so the
-    coefficients must total 2; d is the square root of their count. The
-    comparison is the rule's own, on Tr[rho P_k] = (d lambda_k + Tr rho) / (d + 1),
-    so exact ties do not fire.
-    """
-    d = math.isqrt(len(c.lambdas))
-    if d < 2 or d * d != len(c.lambdas):
-        raise ValueError(f"expected d^2 coefficients with d >= 2, got {len(c.lambdas)}")
-    if abs(c.trace_of_rho - 2.0) > 1e-8:
-        raise ValueError(f"rule applies to trace-2 sums; got trace {c.trace_of_rho!r}")
-    if not 0 <= k < len(c.lambdas):
-        raise ValueError(f"index {k} out of range for {len(c.lambdas)} coefficients")
-    return bool(_fires((d * c.lambdas[k] + c.trace_of_rho) / (d + 1), 0.0))
-
-
 def sic_distinguish(s: SicPovm, n_samples: int, seed: int, tie_tol: float = 0.0, *, workers: int = 1) -> int:
     """How many of ``n_samples`` random pairs of pure two-state assignments a set element separates.
 
@@ -276,7 +251,7 @@ def frame_potential(states: np.ndarray) -> float:
     """sum_{k,l} |<psi_k|psi_l>|^4 over all ordered pairs of rows, diagonal included."""
     mat = np.asarray(states, dtype=complex)
     norms = np.linalg.norm(mat, axis=1)
-    if float(np.max(np.abs(norms - 1.0))) > 1e-9:
+    if not float(np.max(np.abs(norms - 1.0))) <= 1e-9:  # also rejects NaN
         raise ValueError("states must be normalized")
     gram = mat.conj() @ mat.T
     return float(np.sum(np.abs(gram) ** 4))

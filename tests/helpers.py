@@ -4,18 +4,31 @@ The generators are deliberately independent of the package's own samplers:
 tests use numpy's default generator so that oracle inputs never flow through
 the code under test. The references below them are forms the package no
 longer runs, kept to check its kernels and overlap laws against: states and
-unitaries built from Box-Muller normals of a stream's uniforms, and the
-mixed-pair trace form of the projector-set rule.
+unitaries built from Box-Muller normals of a stream's uniforms, the rule one
+sample or one instance at a time, its dot-product and projector-set
+coefficient forms, and the mixed-pair trace form of the projector-set rule.
 """
 
 from __future__ import annotations
 
+import math
 from unittest import mock
 
 import numpy as np
 
-from twostate import DensityMatrix, OrthonormalBasis, RngStream, SicPovm, StateVector, TwoStatePairMixed, sampling
+from twostate import (
+    DensityMatrix,
+    MultipleOutcomesError,
+    OrthonormalBasis,
+    RngStream,
+    SicPovm,
+    StateVector,
+    TwoStatePairMixed,
+    sampling,
+    tally_rule,
+)
 from twostate.assignment import _fires
+from twostate.blochpbr import _bisectors, _bloch_states
 from twostate.sampling import _complex_normals, _uniforms
 from twostate.sic import _require_valid
 
@@ -82,15 +95,93 @@ def uniform_overlap_states(a: StateVector, rng: RngStream, start: int, count: in
     return amp_target[:, None] * target[None, :] + amp_perp[:, None] * perp
 
 
-def haar_unitary(dim: int, rng: RngStream, index: int = 0) -> np.ndarray:
-    """Haar-distributed unitary; sample ``index`` of the stream."""
+def haar_unitaries(dim: int, rng: RngStream, start: int, count: int) -> np.ndarray:
+    """Haar-distributed unitaries, shape (count, dim, dim): samples ``start`` onward of the stream."""
     if dim < 2:
         raise ValueError(f"dimension must be >= 2, got {dim}")
-    gauss = _complex_normals(_uniforms(rng, index, 1, 2 * dim * dim))
-    q, r = np.linalg.qr(gauss.reshape(dim, dim))
-    diag = np.diagonal(r).copy()
+    gauss = _complex_normals(_uniforms(rng, start, count, 2 * dim * dim))
+    q, r = np.linalg.qr(gauss.reshape(count, dim, dim))
+    diag = np.diagonal(r, axis1=1, axis2=2).copy()
     diag[diag == 0.0] = 1.0
-    return q * (diag / np.abs(diag))[None, :]
+    return q * (diag / np.abs(diag))[:, None, :]
+
+
+def haar_unitary(dim: int, rng: RngStream, index: int = 0) -> np.ndarray:
+    """Haar-distributed unitary; sample ``index`` of the stream."""
+    return haar_unitaries(dim, rng, index, 1)[0]
+
+
+def rule_sums(forward: np.ndarray, backward: np.ndarray, bmat: np.ndarray) -> np.ndarray:
+    """The rule's left-hand side |<a_k|f>|^2 + |<a_k|b>|^2 for each row <a_k| of ``bmat``.
+
+    States have shape (..., d) and ``bmat`` (..., k, d), batched alike; the sums have shape (..., k).
+    """
+    def overlaps(state):
+        return np.abs(np.einsum("...kd,...d->...k", bmat.conj(), state)) ** 2
+
+    return overlaps(forward) + overlaps(backward)
+
+
+def trace_rule_sums(rho_f: np.ndarray, rho_b: np.ndarray, bmat: np.ndarray) -> np.ndarray:
+    """The mixed form of ``rule_sums``: Tr[(rho_f + rho_b) |a_k><a_k|] = <a_k|(rho_f + rho_b)|a_k>."""
+    return np.einsum("ki,ij,kj->k", bmat.conj(), rho_f + rho_b, bmat).real
+
+
+def assign_over_basis(forward: np.ndarray, backward: np.ndarray, bmat: np.ndarray, tie_tol: float = 0.0):
+    """The one basis index whose rule sum fires, or None, for one sample.
+
+    Evaluates the rule for every basis row, so that a second satisfying index raises
+    MultipleOutcomesError.
+    """
+    sums = rule_sums(forward, backward, bmat)
+    tally = tally_rule(sums[None, :], tie_tol)
+    if tally[-1]:
+        raise MultipleOutcomesError(f"rule sums {sums.tolist()} fire more than one outcome")
+    hits = np.flatnonzero(tally[:-2])
+    return int(hits[0]) if hits.size else None
+
+
+def bell_condition(m: np.ndarray, n: np.ndarray, a: np.ndarray) -> bool:
+    """Dot-product form of the rule for Bloch vectors, m.a + n.a > 0, judged by the rule's one comparison.
+
+    By the overlap identity the overlap sum is 1 + (m.a + n.a)/2, so a tie does not fire.
+    """
+    return bool(_fires(1.0 + (m @ a + n @ a) / 2.0, 0.0))
+
+
+def pbr_separates(m: np.ndarray, mp: np.ndarray, x: np.ndarray, xp: np.ndarray):
+    """One instance of ``pbr_separators``: whether the maximum-margin bisector a of the pair sums fires
+    the rule on pair (m, m') and not on pair (x, x'), judged on each pair's states.
+
+    Returns None when the sums vanish or are parallel, where no separator exists.
+    """
+    a, degenerate, _ = _bisectors(m + mp, x + xp)
+    if degenerate:
+        return None
+    sm, smp, sx, sxp, sa = _bloch_states(np.array([m, mp, x, xp, a]))
+
+    def fires(f, b):
+        return bool(_fires(abs(np.vdot(f, sa)) ** 2 + abs(np.vdot(b, sa)) ** 2, 0.0))
+
+    return fires(sm, smp) and not fires(sx, sxp)
+
+
+def sic_rule_check(lambdas: np.ndarray, k: int) -> bool:
+    """Outcome rule for a projector-set element: lambda_k > 1 - 1/d.
+
+    Applies to the expansion of a summed forward+backward pair, so the coefficients must total 2;
+    d is the square root of their count. The comparison is the rule's own, on
+    Tr[rho P_k] = (d lambda_k + Tr rho) / (d + 1), so exact ties do not fire.
+    """
+    d = math.isqrt(len(lambdas))
+    if d < 2 or d * d != len(lambdas):
+        raise ValueError(f"expected d^2 coefficients with d >= 2, got {len(lambdas)}")
+    trace = float(np.sum(lambdas))
+    if abs(trace - 2.0) > 1e-8:
+        raise ValueError(f"rule applies to trace-2 sums; got trace {trace!r}")
+    if not 0 <= k < len(lambdas):
+        raise ValueError(f"index {k} out of range for {len(lambdas)} coefficients")
+    return bool(_fires((d * lambdas[k] + trace) / (d + 1), 0.0))
 
 
 def sic_fires(sums: np.ndarray, s: SicPovm) -> np.ndarray:

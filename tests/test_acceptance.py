@@ -12,50 +12,42 @@ import numpy as np
 import pytest
 
 from twostate import (
-    BlochVector,
-    DegenerateInstanceError,
     CommutatorTarget,
-    bloch_from_state,
     DensityMatrix,
     HaarPure,
     HermitianOperator,
     InfeasibleKError,
     OrthonormalBasis,
-    PbrGeometricInstance,
     RngStream,
     SicCoefficients,
     StateVector,
     StationarySolveInput,
     TwoStatePairMixed,
-    TwoStatePairPure,
     UniformOverlap,
-    assign_over_basis,
     basis_mc,
     born_mc,
-    builtin_sic,
+    builtin_fiducial,
     commutator,
     commutator_solve,
     first_order_invariance_check,
-    haar_state,
     haar_states,
-    pbr_distinguishing_vector,
-    satisfies_pure,
-    sic_expand,
-    sic_reconstruct,
-    sic_rule_check,
+    pbr_separators,
     search_fiducial,
+    sic_expand,
     sic_from_fiducial,
-    state_from_bloch,
+    sic_reconstruct,
     stationarity_check,
     stationary_partner,
-    time_reverse,
+    tally_rule,
     trace_product,
     validate_sic,
     welch_bound,
 )
+from twostate.assignment import _fires
+from twostate.blochpbr import _bloch_vectors
 from twostate.cli import main
 
-from helpers import haar_unitary, random_density, random_hermitian, random_unitary
+from helpers import haar_unitaries, random_density, random_hermitian, random_unitary, sic_rule_check
 
 P_GRID = [round(0.1 * k, 10) for k in range(1, 10)]
 THETA_GRID_DEG = [30, 60, 90, 120, 150]
@@ -121,26 +113,18 @@ def test_criterion_03_haar_distribution_sensitivity():
 
 @pytest.fixture(scope="module")
 def assignment_corpus():
-    """10^4 random (pair, basis) draws per d in {2,3,5}, assigned two ways."""
-    stats = {"draws": 0, "violations": 0, "swap_mismatches": 0, "assigned": 0}
+    """10^4 random (pair, basis) draws per d in {2,3,5}, tallied in one batch per d, both ways round."""
+    stats = {"draws": 0, "violations": 0, "swap_mismatches": 0}
     for d in (2, 3, 5):
-        # one batch per stream: row i is haar_state(d, stream, i), bit for bit
+        # row i is haar_state(d, stream, i) and unitary i is haar_unitary(d, stream, i), bit for bit
         fwd = haar_states(d, RngStream(45, 100 + d), 0, 10_000)
         bwd = haar_states(d, RngStream(45, 200 + d), 0, 10_000)
-        bas = RngStream(45, 300 + d)
-        for i in range(10_000):
-            pair = TwoStatePairPure(StateVector(fwd[i]), StateVector(bwd[i]))
-            basis = OrthonormalBasis.from_unitary_matrix(haar_unitary(d, bas, i))
-            try:
-                result = assign_over_basis(pair, basis)
-            except Exception:
-                stats["violations"] += 1
-                continue
-            if assign_over_basis(time_reverse(pair), basis) != result:
-                stats["swap_mismatches"] += 1
-            if result.assigned:
-                stats["assigned"] += 1
-            stats["draws"] += 1
+        u = haar_unitaries(d, RngStream(45, 300 + d), 0, 10_000)  # the basis is the columns of u
+        p, q = (np.abs(np.einsum("nji,nj->ni", u.conj(), s)) ** 2 for s in (fwd, bwd))  # |U^dagger f|^2, |U^dagger b|^2
+        tally = tally_rule(p + q)
+        stats["violations"] += int(tally[-1])
+        stats["draws"] += int(tally.sum())
+        stats["swap_mismatches"] += int(np.count_nonzero(_fires(p + q, 0.0) != _fires(q + p, 0.0)))
     return stats
 
 
@@ -159,7 +143,7 @@ def test_criterion_06_sic_suite():
     with criterion(6, "equiangularity, expansion round-trip, coefficient bounds, rule threshold"):
         rng = np.random.default_rng(46)
         for d in (2, 3):
-            povm = builtin_sic(d)
+            povm = sic_from_fiducial(builtin_fiducial(d))
             report = validate_sic(povm, 1e-10)
             assert report.passed, report
 
@@ -178,10 +162,10 @@ def test_criterion_06_sic_suite():
                 coeffs = sic_expand(total, povm)
                 for k in range(d * d):
                     direct = trace_product(total, povm.projectors[k]) > 1.0
-                    assert sic_rule_check(coeffs, k) == direct
+                    assert sic_rule_check(coeffs.lambdas, k) == direct
 
         example = SicCoefficients(np.array([0.75, 0.75, 0.25, 0.25]), 2.0)
-        passing = [k for k in range(4) if sic_rule_check(example, k)]
+        passing = [k for k in range(4) if sic_rule_check(example.lambdas, k)]
         assert passing == [0, 1]
 
 
@@ -247,23 +231,14 @@ def test_criterion_08_stationary_solver():
 
 def test_criterion_09_pbr_geometric():
     with criterion(9, "10^3 random instances separate with strict margins >= 1e-9"):
-        streams = [RngStream(49, k) for k in range(4)]
-        for i in range(1000):
-            m, mp, x, xp = (bloch_from_state(haar_state(2, st, i)) for st in streams)
-            inst = PbrGeometricInstance((m, mp), (x, xp))
-            a = pbr_distinguishing_vector(inst)
-            u = m.as_array() + mp.as_array()
-            v = x.as_array() + xp.as_array()
-            av = a.as_array()
-            assert av @ (u / np.linalg.norm(u)) >= 1e-9
-            assert -av @ (v / np.linalg.norm(v)) >= 1e-9
-            state_a = state_from_bloch(a)
-            assert satisfies_pure(TwoStatePairPure(state_from_bloch(m), state_from_bloch(mp)), state_a)
-            assert not satisfies_pure(TwoStatePairPure(state_from_bloch(x), state_from_bloch(xp)), state_a)
+        # row i of each stream is haar_state(2, stream, i), bit for bit
+        vectors = np.array([_bloch_vectors(haar_states(2, RngStream(49, k), 0, 1000)) for k in range(4)])
+        found, degenerate, min_margin = pbr_separators(vectors)
+        assert (found, degenerate) == (1000, 0)
+        assert min_margin >= 1e-9
 
-        plus_z = BlochVector(0.0, 0.0, 1.0)
-        with pytest.raises(DegenerateInstanceError):
-            pbr_distinguishing_vector(PbrGeometricInstance((plus_z, plus_z), (plus_z, plus_z)))
+        plus_z = [0.0, 0.0, 1.0]
+        assert pbr_separators(np.array([[plus_z]] * 4)) == (0, 1, np.inf)
 
 
 def test_criterion_10_byte_determinism(tmp_path):

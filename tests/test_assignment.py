@@ -2,32 +2,26 @@ import numpy as np
 import pytest
 
 from twostate import (
-    AssignmentResult,
+    DensityMatrix,
+    Fixed,
     HermitianOperator,
-    MultipleOutcomesError,
     OrthogonalPostSelectionError,
     OrthonormalBasis,
     StateVector,
-    TwoStatePairMixed,
-    TwoStatePairPure,
-    assign_over_basis,
-    projector_of,
-    satisfies_mixed,
-    satisfies_pure,
+    born_mc,
     tally_rule,
-    time_reverse,
     weak_value,
 )
 
-from twostate.assignment import RULE_ROUNDING_BOUND
+from twostate.assignment import RULE_ROUNDING_BOUND, _fires
 
-from helpers import random_basis, random_state
+from helpers import random_basis, random_density, random_state, rule_sums, trace_rule_sums
 
 E0 = StateVector.basis_state(2, 0)
 E1 = StateVector.basis_state(2, 1)
 PLUS = StateVector(np.array([1, 1]) / np.sqrt(2))
 MINUS = StateVector(np.array([1, -1]) / np.sqrt(2))
-QUBIT_BASIS = OrthonormalBasis.computational(2)
+QUBIT_BASIS = OrthonormalBasis.computational(2).as_matrix()
 EPS = np.finfo(float).eps
 
 
@@ -35,125 +29,120 @@ def tilted_state(theta_rad: float) -> StateVector:
     return StateVector(np.array([np.cos(theta_rad / 2), np.sin(theta_rad / 2)], dtype=complex))
 
 
+def tally(forward: StateVector, backward: StateVector, bmat: np.ndarray = QUBIT_BASIS, tie_tol: float = 0.0):
+    """``tally_rule`` over one pair's rule sums, as a list."""
+    return tally_rule(rule_sums(forward.entries, backward.entries, bmat)[None, :], tie_tol).tolist()
+
+
+def projector(state: StateVector) -> np.ndarray:
+    return np.outer(state.entries, state.entries.conj())
+
+
 class TestSatisfiesPure:
+    """The rule's state-vector form, one outcome at a time, through ``tally_rule``."""
+
     def test_aligned_pair(self):
-        assert satisfies_pure(TwoStatePairPure(E0, E0), E0)  # sum = 2
+        assert tally(E0, E0, E0.entries[None]) == [1, 0, 0]  # sum = 2
 
     def test_orthogonal_pair(self):
-        assert not satisfies_pure(TwoStatePairPure(E0, E0), E1)  # sum = 0
+        assert tally(E0, E0, E1.entries[None]) == [0, 1, 0]  # sum = 0
 
     def test_overlap_arithmetic(self):
         # |<z|z>|^2 + |<x|z>|^2 = 1 + 1/2
-        assert satisfies_pure(TwoStatePairPure(E0, PLUS), E0)
+        assert tally(E0, PLUS, E0.entries[None]) == [1, 0, 0]
 
     def test_swap_symmetric(self):
         rng = np.random.default_rng(20)
-        for _ in range(100):
-            pair = TwoStatePairPure(random_state(rng, 3), random_state(rng, 3))
-            a = random_state(rng, 3)
-            assert satisfies_pure(pair, a) == satisfies_pure(time_reverse(pair), a)
+        fwd, bwd, a = (np.array([random_state(rng, 3).entries for _ in range(100)]) for _ in range(3))
+        fired = _fires(rule_sums(fwd, bwd, a[:, None]), 0.0)
+        assert np.array_equal(fired, _fires(rule_sums(bwd, fwd, a[:, None]), 0.0))
 
     def test_rejects_negative_tie_tol(self):
         with pytest.raises(ValueError, match="tie tolerance"):
-            satisfies_pure(TwoStatePairPure(E0, E0), E0, tie_tol=-0.1)
+            tally(E0, E0, E0.entries[None], tie_tol=-0.1)
 
     def test_dim_mismatch(self):
+        # the estimators check the outcome's dimension against the forward state's before any draw
         with pytest.raises(ValueError, match="mismatch"):
-            satisfies_pure(TwoStatePairPure(E0, E0), StateVector.basis_state(3, 0))
+            born_mc(E0, StateVector.basis_state(3, 0), Fixed(E0), 1, seed=0)
 
 
 class TestSatisfiesMixed:
+    """The rule's trace form, Tr[(rho_fwd + rho_bwd) P], through ``tally_rule``."""
+
+    @staticmethod
+    def trace_tally(rho_f: np.ndarray, rho_b: np.ndarray, states: list) -> list:
+        bmat = np.array([s.entries for s in states])
+        return tally_rule(trace_rule_sums(rho_f, rho_b, bmat)[:, None]).tolist()
+
     def test_aligned(self):
-        pair = TwoStatePairMixed.from_pure(TwoStatePairPure(E0, E0))
-        assert satisfies_mixed(pair, projector_of(E0))  # trace = 2
+        assert self.trace_tally(projector(E0), projector(E0), [E0]) == [1, 0, 0]  # trace = 2
 
     def test_maximally_mixed_boundary(self):
-        # Tr[(I/2 + I/2) P] = 1 exactly; the strict inequality must not fire.
-        # Uses projectors whose float trace is exactly 1.
-        from twostate import DensityMatrix
-
-        mixed = DensityMatrix.maximally_mixed(2)
-        pair = TwoStatePairMixed(mixed, mixed)
-        half = np.full((2, 2), 0.5, dtype=complex)
-        from twostate import Projector
-
-        assert not satisfies_mixed(pair, projector_of(E0))
-        assert not satisfies_mixed(pair, Projector(half))
+        # Tr[(I/2 + I/2) P] = 1 exactly, for P = |0><0| and |+><+|; the strict inequality must not fire
+        mixed = DensityMatrix.maximally_mixed(2).entries
+        assert self.trace_tally(mixed, mixed, [E0, PLUS]) == [0, 2, 0]
 
     def test_cross_pair(self):
-        pair = TwoStatePairMixed.from_pure(TwoStatePairPure(E0, E1))
-        assert not satisfies_mixed(pair, projector_of(E0))  # trace = 1 boundary
+        assert self.trace_tally(projector(E0), projector(E1), [E0]) == [0, 1, 0]  # trace = 1 boundary
 
     def test_reduces_to_pure(self):
         rng = np.random.default_rng(21)
         for _ in range(200):
             d = int(rng.integers(2, 5))
-            pure = TwoStatePairPure(random_state(rng, d), random_state(rng, d))
-            a = random_state(rng, d)
-            mixed = TwoStatePairMixed.from_pure(pure)
-            assert satisfies_mixed(mixed, projector_of(a)) == satisfies_pure(pure, a)
+            fwd, bwd, a = (random_state(rng, d) for _ in range(3))
+            trace = self.trace_tally(projector(fwd), projector(bwd), [a])
+            assert trace == tally(fwd, bwd, a.entries[None])
 
 
 class TestAssignOverBasis:
+    """A whole basis at once, through ``tally_rule``: k + 2 counts per batch."""
+
     def test_aligned_assigns_zero(self):
-        assert assign_over_basis(TwoStatePairPure(E0, E0), QUBIT_BASIS) == AssignmentResult(0)
+        assert tally(E0, E0) == [1, 0, 0, 0]
 
     def test_opposed_pair_no_outcome(self):
         # both sums are exactly 1: strict inequality rejects both
-        result = assign_over_basis(TwoStatePairPure(E0, E1), QUBIT_BASIS)
-        assert result == AssignmentResult.no_outcome()
-        assert not result.assigned
+        assert tally(E0, E1) == [0, 0, 1, 0]
 
     def test_sixty_degree_backward(self):
         # backward at polar angle 60 deg: 1 + cos^2(30 deg) = 1.75 > 1
-        pair = TwoStatePairPure(E0, tilted_state(np.deg2rad(60)))
-        assert assign_over_basis(pair, QUBIT_BASIS) == AssignmentResult(0)
+        assert tally(E0, tilted_state(np.deg2rad(60))) == [1, 0, 0, 0]
 
     def test_mixed_pair_agrees_with_pure(self):
         rng = np.random.default_rng(22)
         for _ in range(100):
             d = int(rng.integers(2, 4))
-            pure = TwoStatePairPure(random_state(rng, d), random_state(rng, d))
-            basis = random_basis(rng, d)
-            assert assign_over_basis(pure, basis) == assign_over_basis(
-                TwoStatePairMixed.from_pure(pure), basis
-            )
+            fwd, bwd = random_state(rng, d), random_state(rng, d)
+            bmat = random_basis(rng, d).as_matrix()
+            trace = tally_rule(trace_rule_sums(projector(fwd), projector(bwd), bmat)[None, :])
+            assert trace.tolist() == tally(fwd, bwd, bmat)
 
-    def test_multiple_outcomes_is_loud(self, monkeypatch):
-        # unreachable through validated bases; forced through the rule sums
-        monkeypatch.setattr("twostate.assignment._rule_sums", lambda pair, basis: np.array([1.5, 1.7]))
-        with pytest.raises(MultipleOutcomesError):
-            assign_over_basis(TwoStatePairPure(E0, E0), QUBIT_BASIS)
+    def test_multiple_outcomes_is_loud(self):
+        # unreachable through validated bases; forced through the rule sums, and counted apart
+        assert tally_rule(np.array([[1.5, 1.7]])).tolist() == [0, 0, 0, 1]
 
     def test_exact_ties_fire_nothing(self):
         # fwd = bwd = (|a_i> + |a_j>)/sqrt(2): the sums for a_i and a_j are
         # exactly 1, which rounding used to push over the threshold together
         rng = np.random.default_rng(27)
-        errors = 0
         for d in (2, 3, 4, 5, 8):
+            bmats, ties = [], []
             for _ in range(2000):
-                basis = random_basis(rng, d)
+                bmat = random_basis(rng, d).as_matrix()
                 i, j = rng.choice(d, size=2, replace=False)
-                tie = StateVector((basis[i].entries + basis[j].entries) / np.sqrt(2))
-                pair = TwoStatePairPure(tie, tie)
-                try:
-                    result = assign_over_basis(pair, basis)
-                except MultipleOutcomesError:
-                    errors += 1
-                    continue
-                assert not result.assigned
-                assert not satisfies_pure(pair, basis[i]) and not satisfies_pure(pair, basis[j])
-        assert errors == 0
+                bmats.append(bmat)
+                ties.append((bmat[i] + bmat[j]) / np.sqrt(2))
+            ties = np.array(ties)
+            assert tally_rule(rule_sums(ties, ties, np.array(bmats))).tolist() == [0] * d + [2000, 0]
 
     def test_tie_tol_monotonicity(self):
         rng = np.random.default_rng(23)
-        for _ in range(200):
-            pair = TwoStatePairPure(random_state(rng, 3), random_state(rng, 3))
-            basis = random_basis(rng, 3)
-            loose = assign_over_basis(pair, basis, tie_tol=0.0)
-            tight = assign_over_basis(pair, basis, tie_tol=0.05)
-            if not loose.assigned:
-                assert not tight.assigned
+        fwd, bwd = (np.array([random_state(rng, 3).entries for _ in range(200)]) for _ in range(2))
+        sums = rule_sums(fwd, bwd, np.array([random_basis(rng, 3).as_matrix() for _ in range(200)]))
+        # no outcome fires at 0.05 that does not fire at 0
+        assert not (_fires(sums, 0.05) & ~_fires(sums, 0.0)).any()
+        assert tally_rule(sums, 0.05)[-2] >= tally_rule(sums, 0.0)[-2]
 
 
 class TestTallyRule:
@@ -198,29 +187,23 @@ class TestTallyRule:
 
 
 class TestTimeReverse:
-    def test_swaps(self):
-        pair = time_reverse(TwoStatePairPure(E0, PLUS))
-        assert np.array_equal(pair.forward.entries, PLUS.entries)
-        assert np.array_equal(pair.backward.entries, E0.entries)
-
-    def test_involution(self):
-        pair = TwoStatePairPure(E0, PLUS)
-        again = time_reverse(time_reverse(pair))
-        assert np.array_equal(again.forward.entries, pair.forward.entries)
-        assert np.array_equal(again.backward.entries, pair.backward.entries)
+    """Swapping forward and backward swaps the two terms of each rule sum."""
 
     def test_assignment_invariant(self):
         rng = np.random.default_rng(24)
         for _ in range(100):
             d = int(rng.integers(2, 5))
-            pair = TwoStatePairPure(random_state(rng, d), random_state(rng, d))
-            basis = random_basis(rng, d)
-            assert assign_over_basis(pair, basis) == assign_over_basis(time_reverse(pair), basis)
+            fwd, bwd = random_state(rng, d).entries, random_state(rng, d).entries
+            bmat = random_basis(rng, d).as_matrix()
+            assert np.array_equal(_fires(rule_sums(fwd, bwd, bmat), 0.0), _fires(rule_sums(bwd, fwd, bmat), 0.0))
 
     def test_mixed_swap(self):
-        pair = TwoStatePairMixed.from_pure(TwoStatePairPure(E0, PLUS))
-        swapped = time_reverse(pair)
-        assert np.array_equal(swapped.forward.entries, pair.backward.entries)
+        rng = np.random.default_rng(28)
+        for _ in range(100):
+            d = int(rng.integers(2, 5))
+            rho_f, rho_b = random_density(rng, d).entries, random_density(rng, d).entries
+            bmat = random_basis(rng, d).as_matrix()
+            assert np.array_equal(trace_rule_sums(rho_f, rho_b, bmat), trace_rule_sums(rho_b, rho_f, bmat))
 
 
 class TestWeakValue:

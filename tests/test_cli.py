@@ -20,7 +20,6 @@ import twostate.sampling as sampling
 from twostate import (
     StateVector,
     builtin_fiducial,
-    builtin_sic,
     commutator,
     exclusivity_scan,
     pbr_geometric,
@@ -1035,7 +1034,7 @@ KERNEL_RUNS = {
     "exclusivity-scan": (["exclusivity-scan", "--dim", "3", "--samples", "2000", "--seed", "3", "--tie-tol", "0.05"],
                          None, lambda: scan_fields(exclusivity_scan(3, 2000, 3, 0.05), 2000)),
     "sic-distinguish": (["sic-distinguish", "--dim", "3", "--samples", "1000", "--seed", "4"], None,
-                        lambda: sic_fields(sic_distinguish(builtin_sic(3), 1000, 4), 1000)),
+                        lambda: sic_fields(sic_distinguish(sic_from_fiducial(builtin_fiducial(3)), 1000, 4), 1000)),
     "sic-distinguish-fiducial": (
         ["sic-distinguish", "--dim", "5", "--samples", "500", "--seed", "5", "--tie-tol", "0.05"],
         {"fiducial": FIDUCIAL_D5},

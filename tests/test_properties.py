@@ -15,21 +15,18 @@ from hypothesis.extra import numpy as hnp
 from twostate import (
     HaarPure,
     StateVector,
-    TwoStatePairMixed,
-    TwoStatePairPure,
     UniformOverlap,
-    assign_over_basis,
     basis_mc,
     born_mc,
-    builtin_sic,
+    builtin_fiducial,
     sic_expand,
+    sic_from_fiducial,
     sic_reconstruct,
     tally_rule,
-    time_reverse,
 )
 from twostate.assignment import RULE_ROUNDING_BOUND, _fires
 
-from helpers import chunk_samples, random_basis, random_state
+from helpers import chunk_samples, random_basis, random_state, rule_sums, trace_rule_sums
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=150)
 
@@ -38,11 +35,11 @@ seeds = st.integers(0, 2**32 - 1)
 tie_tols = st.sampled_from([0.0, 1e-12, 0.05, 0.3])
 
 
-def _tie_pair(basis, i: int, j: int, mixed: bool):
-    """forward = backward = (a_i + a_j)/sqrt(2): the sums at a_i and a_j are exactly 1."""
-    tie = StateVector((basis[i].entries + basis[j].entries) / np.sqrt(2.0))
-    pair = TwoStatePairPure(tie, tie)
-    return TwoStatePairMixed.from_pure(pair) if mixed else pair
+def _pair_sums(forward: np.ndarray, backward: np.ndarray, bmat: np.ndarray, mixed: bool) -> np.ndarray:
+    """The rule sums of one pair over the rows of ``bmat``, in the state or the density-matrix form."""
+    if not mixed:
+        return rule_sums(forward, backward, bmat)
+    return trace_rule_sums(*(np.outer(s, s.conj()) for s in (forward, backward)), bmat)
 
 
 @st.composite
@@ -56,9 +53,11 @@ class TestExclusivity:
     @PROPERTY
     @given(tie_cases())
     def test_exact_ties_assign_nothing(self, case):
+        # forward = backward = (a_i + a_j)/sqrt(2): the sums at a_i and a_j are exactly 1
         d, i, j, seed, mixed = case
-        basis = random_basis(np.random.default_rng(seed), d)
-        assert not assign_over_basis(_tie_pair(basis, i, j, mixed), basis).assigned
+        bmat = random_basis(np.random.default_rng(seed), d).as_matrix()
+        tie = (bmat[i] + bmat[j]) / np.sqrt(2.0)
+        assert tally_rule(_pair_sums(tie, tie, bmat, mixed)[None, :]).tolist() == [0] * d + [1, 0]
 
     @PROPERTY
     @given(dims, seeds, st.integers(1, 64), tie_tols)
@@ -154,7 +153,7 @@ class TestHitIndexTally:
     @pytest.mark.parametrize("tie_tol", [0.0, 0.3])
     @pytest.mark.parametrize("edges", [(0,), (2,), (1, 2), (2, 2)], ids=["below", "above", "at-and-above", "twice"])
     def test_one_sample_matches_the_rule(self, k, tie_tol, edges):
-        # assign_over_basis's path: one row of shape (1, k), its last entries at the given threshold edges
+        # one sample over a basis: one row of shape (1, k), its last entries at the given threshold edges
         sums = np.full((1, k), 0.5)
         sums[0, k - len(edges):] = [_threshold_edges(tie_tol)[e] for e in edges]
         tally = tally_rule(sums, tie_tol)
@@ -182,8 +181,8 @@ class TestRoundingBoundAtHighDimension:
         fwd, bwd = (bmat[i] + bmat[j]) / np.sqrt(2.0), (bmat[i] - bmat[j]) / np.sqrt(2.0)
         sums = np.abs(bmat.conj() @ fwd) ** 2 + np.abs(bmat.conj() @ bwd) ** 2
         assert np.max(np.abs(sums[[i, j]] - 1.0)) <= RULE_ROUNDING_BOUND
-        # no outcome fires; two firing would raise MultipleOutcomesError
-        assert not assign_over_basis(TwoStatePairPure(StateVector(fwd), StateVector(bwd)), basis).assigned
+        # no outcome fires, and none fires twice
+        assert tally_rule(sums[None, :]).tolist() == [0] * d + [1, 0]
 
 
 class TestTimeReversal:
@@ -196,10 +195,11 @@ class TestTimeReversal:
         q = 1.0 - p + tie_tol + delta
         forward = StateVector(np.sqrt(p) * a0 + np.sqrt(1.0 - p) * a1)
         backward = StateVector(np.sqrt(q) * a0 + np.sqrt(1.0 - q) * a_last)
-        pair = TwoStatePairPure(forward, backward)
-        if mixed:
-            pair = TwoStatePairMixed.from_pure(pair)
-        assert assign_over_basis(pair, basis, tie_tol) == assign_over_basis(time_reverse(pair), basis, tie_tol)
+        bmat = basis.as_matrix()
+        sums = _pair_sums(forward.entries, backward.entries, bmat, mixed)
+        swapped = _pair_sums(backward.entries, forward.entries, bmat, mixed)
+        assert np.array_equal(_fires(sums, tie_tol), _fires(swapped, tie_tol))
+        assert np.array_equal(tally_rule(sums[None, :], tie_tol), tally_rule(swapped[None, :], tie_tol))
 
 
 @st.composite
@@ -214,7 +214,7 @@ class TestSicRoundTrip:
     @PROPERTY
     @given(hermitian_matrices())
     def test_reconstruct_inverts_expand(self, r):
-        povm = builtin_sic(r.shape[0])
+        povm = sic_from_fiducial(builtin_fiducial(r.shape[0]))
         back = sic_reconstruct(sic_expand(r, povm), povm)
         assert np.allclose(back, r, rtol=0.0, atol=1e-12 * max(1.0, float(np.max(np.abs(r)))))
 

@@ -12,9 +12,7 @@ from twostate import (
     OrthonormalBasis,
     RngStream,
     StateVector,
-    TwoStatePairPure,
     UniformOverlap,
-    assign_over_basis,
     basis_mc,
     born_mc,
     born_oracle,
@@ -36,7 +34,7 @@ from twostate.sampling import (
     _uniforms,
 )
 
-from helpers import chunk_samples, haar_unitary, random_unitary, uniform_overlap_states
+from helpers import assign_over_basis, chunk_samples, haar_unitary, random_unitary, uniform_overlap_states
 
 E0 = StateVector.basis_state(2, 0)
 
@@ -806,17 +804,16 @@ class TestExclusivityScan:
         # states whose computational-basis overlaps are the flat Dirichlet
         # points of the same uniforms
         dim, samples, seed = 4, 300, 11
-        basis = OrthonormalBasis.computational(dim)
+        bmat = np.eye(dim)
 
         def overlap_state(stream, i):
             logs = np.log(_uniforms(stream, i, 1, dim)[0])
-            return StateVector(np.sqrt(logs / logs.sum()))
+            return np.sqrt(logs / logs.sum())
 
         fwd, bwd = RngStream(seed, 1), RngStream(seed, 2)
         assigned = 0
         for i in range(samples):
-            pair = TwoStatePairPure(overlap_state(fwd, i), overlap_state(bwd, i))
-            assigned += assign_over_basis(pair, basis, tie_tol).assigned
+            assigned += assign_over_basis(overlap_state(fwd, i), overlap_state(bwd, i), bmat, tie_tol) is not None
         tallies = exclusivity_scan(dim, samples, seed, tie_tol)
         assert tallies.shape == (dim + 2,)
         assert (int(tallies[:-2].sum()), int(tallies[-2]), int(tallies[-1])) == (assigned, samples - assigned, 0)

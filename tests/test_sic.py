@@ -9,9 +9,7 @@ from twostate import (
     SicPovm,
     StateVector,
     TwoStatePairMixed,
-    TwoStatePairPure,
     builtin_fiducial,
-    builtin_sic,
     frame_potential,
     projector_of,
     search_fiducial,
@@ -19,7 +17,6 @@ from twostate import (
     sic_expand,
     sic_from_fiducial,
     sic_reconstruct,
-    sic_rule_check,
     trace_product,
     validate_sic,
     welch_bound,
@@ -35,10 +32,15 @@ from helpers import (
     random_unitary,
     sic_distinguish_pair,
     sic_fires,
+    sic_rule_check,
 )
 
 E0 = StateVector.basis_state(2, 0)
 PLUS = StateVector(np.array([1, 1]) / np.sqrt(2))
+
+
+def pure_pair(forward: StateVector, backward: StateVector) -> TwoStatePairMixed:
+    return TwoStatePairMixed(DensityMatrix.pure(forward), DensityMatrix.pure(backward))
 
 
 def orbit_states(d: int, fiducial: StateVector) -> np.ndarray:
@@ -80,13 +82,13 @@ class TestDisplacements:
 class TestConstruction:
     def test_qubit_tetrahedron_overlaps(self):
         # Bloch geometry oracle: (1 + m.n)/2 with m.n = -1/3 gives 1/3
-        povm = builtin_sic(2)
+        povm = sic_from_fiducial(builtin_fiducial(2))
         report = validate_sic(povm, 1e-10)
         assert report.passed
         assert report.max_pair_deviation < 1e-15
 
     def test_qutrit_orbit_overlaps(self):
-        povm = builtin_sic(3)
+        povm = sic_from_fiducial(builtin_fiducial(3))
         assert validate_sic(povm, 1e-10).passed
 
     def test_orbit_has_d_squared_members(self):
@@ -110,20 +112,20 @@ class TestConstruction:
 class TestExpansion:
     def test_maximally_mixed_coefficients(self):
         for d in (2, 3):
-            povm = builtin_sic(d)
+            povm = sic_from_fiducial(builtin_fiducial(d))
             coeffs = sic_expand(np.eye(d, dtype=complex) / d, povm)
             assert np.allclose(coeffs.lambdas, 1.0 / d**2, atol=1e-14)
             assert coeffs.trace_of_rho == pytest.approx(1.0)
 
     def test_projector_of_set_member(self):
-        povm = builtin_sic(2)
+        povm = sic_from_fiducial(builtin_fiducial(2))
         coeffs = sic_expand(povm.projectors[0], povm)
         assert coeffs.lambdas[0] == pytest.approx(1.0, abs=1e-12)
         assert np.allclose(coeffs.lambdas[1:], 0.0, atol=1e-12)
 
     def test_trace_two_sum(self):
         rng = np.random.default_rng(41)
-        povm = builtin_sic(3)
+        povm = sic_from_fiducial(builtin_fiducial(3))
         pair_sum = random_density(rng, 3).entries + random_density(rng, 3).entries
         coeffs = sic_expand(pair_sum, povm)
         assert coeffs.lambdas.sum() == pytest.approx(2.0, abs=1e-10)
@@ -131,7 +133,7 @@ class TestExpansion:
     @pytest.mark.parametrize("d", [2, 3])
     def test_reconstruction_round_trip(self, d):
         rng = np.random.default_rng(42)
-        povm = builtin_sic(d)
+        povm = sic_from_fiducial(builtin_fiducial(d))
         for _ in range(100):
             mat = random_hermitian(rng, d)
             coeffs = sic_expand(mat, povm)
@@ -140,7 +142,7 @@ class TestExpansion:
     @pytest.mark.parametrize("d", [2, 3])
     def test_density_matrix_coefficient_bounds(self, d):
         rng = np.random.default_rng(43)
-        povm = builtin_sic(d)
+        povm = sic_from_fiducial(builtin_fiducial(d))
         for _ in range(1000):
             coeffs = sic_expand(random_density(rng, d).entries, povm)
             assert np.all(coeffs.lambdas >= -1.0 / d - 1e-10)
@@ -156,51 +158,68 @@ class TestExpansion:
         with pytest.raises(ValueError, match="sum"):
             SicCoefficients(np.array([0.5, 0.5, 0.5, 0.5]), 1.0)
 
+    def test_coefficient_sum_rejects_nan(self):
+        with pytest.raises(ValueError, match="sum"):
+            SicCoefficients(np.array([np.nan, 0.5, 0.5, 0.5]), 2.0)
+
 
 class TestRuleCheck:
     def test_two_passing_indices(self):
         coeffs = SicCoefficients(np.array([0.75, 0.75, 0.25, 0.25]), 2.0)
-        results = [sic_rule_check(coeffs, k) for k in range(4)]
+        results = [sic_rule_check(coeffs.lambdas, k) for k in range(4)]
         assert results == [True, True, False, False]
 
     def test_identity_sum_is_all_boundary(self):
         coeffs = SicCoefficients(np.full(4, 0.5), 2.0)
-        assert not any(sic_rule_check(coeffs, k) for k in range(4))
+        assert not any(sic_rule_check(coeffs.lambdas, k) for k in range(4))
 
     def test_dimension_is_the_root_of_the_coefficient_count(self):
         # the threshold is 1 - 1/2 here; at d = 3 it would be 2/3, and outcome 3 would fire alone
         coeffs = SicCoefficients(np.array([0.456, 0.131, 0.543, 0.870]), 2.0)
-        assert [k for k in range(4) if sic_rule_check(coeffs, k)] == [2, 3]
+        assert [k for k in range(4) if sic_rule_check(coeffs.lambdas, k)] == [2, 3]
 
     @pytest.mark.parametrize("count", [1, 2, 3, 5, 8])
     def test_rejects_a_count_that_is_no_square_of_at_least_four(self, count):
         coeffs = SicCoefficients(np.full(count, 2.0 / count), 2.0)
         with pytest.raises(ValueError, match=r"d\^2 coefficients"):
-            sic_rule_check(coeffs, 0)
+            sic_rule_check(coeffs.lambdas, 0)
 
     def test_requires_trace_two(self):
         coeffs = SicCoefficients(np.full(4, 0.25), 1.0)
         with pytest.raises(ValueError, match="trace-2"):
-            sic_rule_check(coeffs, 0)
+            sic_rule_check(coeffs.lambdas, 0)
 
     @pytest.mark.parametrize("d", [2, 3])
     def test_equivalent_to_trace_form(self, d):
         # lambda_k > 1 - 1/d must agree with Tr[rho P_k] > 1 on trace-2 input
         rng = np.random.default_rng(44)
-        povm = builtin_sic(d)
+        povm = sic_from_fiducial(builtin_fiducial(d))
         for _ in range(1000):
             total = random_density(rng, d).entries + random_density(rng, d).entries
             coeffs = sic_expand(total, povm)
             for k in range(d * d):
                 direct = trace_product(total, povm.projectors[k]) > 1.0
-                assert sic_rule_check(coeffs, k) == direct
+                assert sic_rule_check(coeffs.lambdas, k) == direct
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_agrees_with_the_distinguish_kernel(self, d):
+        # the coefficient form against the overlap form sic_distinguish evaluates, on random pure pairs
+        rng = np.random.default_rng(50)
+        povm = sic_from_fiducial(builtin_fiducial(d))
+        orbit = orbit_states(d, builtin_fiducial(d))
+        pairs = np.array([[random_state(rng, d).entries for _ in range(2)] for _ in range(500)])
+        overlaps = np.abs(pairs @ orbit.conj().T) ** 2
+        kernel = _fires(overlaps[:, 0] + overlaps[:, 1], 0.0)
+        for (f, b), fired in zip(pairs, kernel):
+            coeffs = sic_expand(np.outer(f, f.conj()) + np.outer(b, b.conj()), povm)
+            assert [sic_rule_check(coeffs.lambdas, k) for k in range(d * d)] == fired.tolist()
 
     @pytest.mark.parametrize("d", [2, 3])
     def test_exact_ties_do_not_fire(self, d):
         # forward = orbit state k, backward orthogonal to it: Tr[(rho_f + rho_b) P_k]
         # is exactly 1, so lambda_k = 1 - 1/d; rounding once fired some of these
         rng = np.random.default_rng(49)
-        povm = builtin_sic(d)
+        povm = sic_from_fiducial(builtin_fiducial(d))
         orbit = orbit_states(d, builtin_fiducial(d))
         totals, pairs, elements = [], [], []
         for k, state in enumerate(orbit):
@@ -211,7 +230,7 @@ class TestRuleCheck:
                 totals.append(np.outer(state, state.conj()) + np.outer(b, b.conj()))
                 pairs.append((state, b))
                 elements.append(k)
-        fired = [sic_rule_check(sic_expand(total, povm), k) for total, k in zip(totals, elements)]
+        fired = [sic_rule_check(sic_expand(total, povm).lambdas, k) for total, k in zip(totals, elements)]
         assert sum(fired) == 0
         batched = sic_fires(np.array(totals), povm)
         assert not batched[np.arange(len(elements)), elements].any()
@@ -227,13 +246,13 @@ class TestDistinguish:
     def test_matches_per_instance_reference(self):
         # the batched kernel against one trace-form call per pair, drawn from the same streams
         dim, samples, seed = 3, 300, 12
-        povm = builtin_sic(dim)
+        povm = sic_from_fiducial(builtin_fiducial(dim))
         streams = [RngStream(seed, 10 + k) for k in range(4)]
         separated = 0
         for i in range(samples):
             s0f, s0b, s1f, s1b = (haar_state(dim, st, i) for st in streams)
-            pair0 = TwoStatePairMixed.from_pure(TwoStatePairPure(s0f, s0b))
-            pair1 = TwoStatePairMixed.from_pure(TwoStatePairPure(s1f, s1b))
+            pair0 = pure_pair(s0f, s0b)
+            pair1 = pure_pair(s1f, s1b)
             separated += sic_distinguish_pair(pair0, pair1, povm) is not None
         assert sic_distinguish(povm, samples, seed) == separated
 
@@ -242,22 +261,22 @@ class TestDistinguish:
             sic_distinguish(sic_from_fiducial(StateVector.basis_state(4, 0)), 10, seed=1)
 
     def test_z_vs_x_pairs(self):
-        povm = builtin_sic(2)
-        pair0 = TwoStatePairMixed.from_pure(TwoStatePairPure(E0, E0))
-        pair1 = TwoStatePairMixed.from_pure(TwoStatePairPure(PLUS, PLUS))
+        povm = sic_from_fiducial(builtin_fiducial(2))
+        pair0 = pure_pair(E0, E0)
+        pair1 = pure_pair(PLUS, PLUS)
         k = sic_distinguish_pair(pair0, pair1, povm)
         assert k is not None
         lam0 = sic_expand(2 * projector_of(E0).entries, povm)
         lam1 = sic_expand(2 * projector_of(PLUS).entries, povm)
-        assert sic_rule_check(lam0, k) != sic_rule_check(lam1, k)
+        assert sic_rule_check(lam0.lambdas, k) != sic_rule_check(lam1.lambdas, k)
 
     def test_identical_pairs_are_inseparable(self):
-        povm = builtin_sic(2)
-        pair = TwoStatePairMixed.from_pure(TwoStatePairPure(E0, PLUS))
+        povm = sic_from_fiducial(builtin_fiducial(2))
+        pair = pure_pair(E0, PLUS)
         assert sic_distinguish_pair(pair, pair, povm) is None
 
     def test_identity_sums_are_inseparable(self):
-        povm = builtin_sic(2)
+        povm = sic_from_fiducial(builtin_fiducial(2))
         mixed = DensityMatrix.maximally_mixed(2)
         pair0 = TwoStatePairMixed(mixed, mixed)
         pair1 = TwoStatePairMixed(
@@ -295,6 +314,10 @@ class TestFramePotential:
         with pytest.raises(ValueError, match="normalized"):
             frame_potential(np.array([[1.0, 1.0], [1.0, 0.0]], dtype=complex))
 
+    def test_rejects_nan(self):
+        with pytest.raises(ValueError, match="normalized"):
+            frame_potential(np.array([[np.nan, 0.0], [0.0, 1.0]], dtype=complex))
+
 
 class TestSearch:
     def test_qubit_search_converges(self):
@@ -318,3 +341,7 @@ class TestSearch:
     def test_report_rejects_sub_welch_potential(self):
         with pytest.raises(ValueError, match="undercuts"):
             FiducialSearchReport(E0, 5.0, welch_bound(2), 1, 1, True)
+
+    def test_report_rejects_nan_potential(self):
+        with pytest.raises(ValueError, match="undercuts"):
+            FiducialSearchReport(E0, np.nan, welch_bound(2), 1, 1, True)
