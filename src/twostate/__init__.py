@@ -19,7 +19,6 @@ from .assignment import (
     weak_value,
 )
 from .blochpbr import (
-    BlochVector,
     pbr_geometric,
     pbr_separators,
 )
@@ -38,15 +37,11 @@ from .qcore import (
     DensityMatrix,
     HermitianOperator,
     OrthonormalBasis,
-    Projector,
     SpectralDecomposition,
     StateVector,
     UnitaryOperator,
     commutator,
-    inner,
-    projector_of,
     spectral,
-    trace_product,
 )
 from .sampling import (
     BasisMcResult,

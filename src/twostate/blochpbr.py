@@ -8,11 +8,11 @@ rows of Bloch vectors, given explicitly or drawn as Haar qubit states
 (``pbr_geometric``). It takes each instance's maximum-margin bisector of the
 two pair sums and judges it with the rule's state-vector form; a degenerate
 instance, whose sums vanish or are parallel, is counted, not judged.
+Bloch vectors are plain float rows (..., 3) with no value type; the CLI
+checks the unit norms of an explicit instance where it reads the config.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,31 +20,11 @@ from .assignment import tally_rule
 from .sampling import RngStream, _haar_rows, _sampled
 
 __all__ = [
-    "BlochVector",
     "pbr_separators",
     "pbr_geometric",
 ]
 
 PARALLEL_ANGLE_TOL = 1e-9  # radians; below this the two target sums are degenerate
-
-
-@dataclass(frozen=True)
-class BlochVector:
-    """Unit 3-vector representing a pure qubit state."""
-
-    x: float
-    y: float
-    z: float
-
-    def __post_init__(self):
-        nrm = float(np.sqrt(self.x**2 + self.y**2 + self.z**2))
-        if not abs(nrm - 1.0) <= 1e-12:  # also rejects NaN
-            raise ValueError(f"Bloch vector norm {nrm!r} deviates from 1")
-
-    @classmethod
-    def from_array(cls, v) -> "BlochVector":
-        arr = np.asarray(v, dtype=float)
-        return cls(float(arr[0]), float(arr[1]), float(arr[2]))
 
 
 def _bloch_vectors(states: np.ndarray) -> np.ndarray:

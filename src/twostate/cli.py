@@ -25,7 +25,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .assignment import MultipleOutcomesError, OrthogonalPostSelectionError, weak_value
-from .blochpbr import BlochVector, pbr_geometric, pbr_separators
+from .blochpbr import pbr_geometric, pbr_separators
 from .dynamics import (
     CommutatorTarget,
     InfeasibleKError,
@@ -271,16 +271,14 @@ def _run_born_mc(cfg: ExperimentConfig) -> list[dict]:
 
 def _tilted_qubit_basis(theta_rad: float) -> OrthonormalBasis:
     c, s = np.cos(theta_rad / 2.0), np.sin(theta_rad / 2.0)
-    return OrthonormalBasis((
-        StateVector(np.array([c, s], dtype=complex)),
-        StateVector(np.array([-s, c], dtype=complex)),
-    ))
+    return OrthonormalBasis(np.array([[c, s], [-s, c]], dtype=complex))
 
 
 def _run_basis_mc(cfg: ExperimentConfig) -> list[dict]:
     records = []
     if "basis" in cfg.params:
-        basis = _from_config(cfg, lambda rows: OrthonormalBasis(tuple(_state(v, cfg.dim) for v in rows)), "basis")
+        basis = _from_config(cfg, lambda rows: _of_dim(OrthonormalBasis(matrix_from_json(rows)), cfg.dim, "a state"),
+                             "basis")
         forward = _from_config(cfg, lambda data: _state(data, basis.dim), "forward")
         _unread(cfg, ["theta_deg"], "without a 'basis'")
         cases = [(None, forward, basis)]
@@ -299,8 +297,7 @@ def _run_basis_mc(cfg: ExperimentConfig) -> list[dict]:
         )
         # 0/0, when no sample assigned an outcome, is written as null
         conditional = [None if math.isnan(c) else float(c) for c in result.conditional_frequencies()]
-        bmat = basis.as_matrix()
-        born = np.abs(bmat.conj() @ fwd.entries) ** 2
+        born = np.abs(basis.entries.conj() @ fwd.entries) ** 2
         for k, estimate in enumerate(result.estimates):
             records.append(_record(
                 cfg, p_or_theta=theta, frequency=estimate.frequency, std_err=estimate.std_err,
@@ -384,8 +381,11 @@ def _bloch_instance(rows) -> np.ndarray:
     vectors = np.array(rows, dtype=float)
     if vectors.shape != (4, 3):
         raise ValueError(f"an explicit instance needs 4 Bloch vectors [m, m', x, x'], got shape {vectors.shape}")
-    for v in vectors:
-        BlochVector.from_array(v)
+    with np.errstate(over="ignore"):  # a huge component gives an inf norm
+        norms = np.sqrt(np.sum(vectors**2, axis=1))
+    bad = ~(np.abs(norms - 1.0) <= 1e-12)  # also rejects NaN
+    if bad.any():
+        raise ValueError(f"Bloch vector norm {float(norms[bad][0])!r} deviates from 1")
     return vectors
 
 

@@ -125,8 +125,7 @@ def commutator_solve(inp: StationarySolveInput, require_psd: bool = False) -> np
     and the chosen diagonal fails.
     """
     dec = spectral(inp.hamiltonian)
-    d = dec.dim
-    v = dec.eigenvectors.as_matrix().T  # columns are eigenvectors
+    v = dec.eigenvectors.entries.T  # columns are eigenvectors
     energies = np.asarray(dec.eigenvalues)
     k_eig = v.conj().T @ inp.target.entries @ v
 
@@ -135,7 +134,7 @@ def commutator_solve(inp: StationarySolveInput, require_psd: bool = False) -> np
         raise InfeasibleKError(
             f"K has diagonal magnitude {diag_dev:.3e} in H's eigenbasis (must vanish)"
         )
-    ids = _block_ids(dec.degeneracy_blocks, d)
+    ids = _block_ids(dec.degeneracy_blocks, len(energies))
     same_block = ids[:, None] == ids[None, :]
     off_block_dev = np.where(same_block, np.abs(k_eig), 0.0)
     np.fill_diagonal(off_block_dev, 0.0)
@@ -175,7 +174,7 @@ def stationary_partner(rho_down: DensityMatrix, h: HermitianOperator, diagonal) 
 
 def _evolution_operator(h: HermitianOperator, t: float) -> np.ndarray:
     dec = spectral(h)
-    v = dec.eigenvectors.as_matrix().T
+    v = dec.eigenvectors.entries.T
     phases = np.exp(-1j * np.asarray(dec.eigenvalues) * t)
     return (v * phases) @ v.conj().T
 

@@ -1,13 +1,16 @@
 """Dense complex linear algebra for small (d <= ~32) Hilbert spaces.
 
-Value types are immutable after construction (backing arrays are frozen),
-and every operation is a pure function, so everything here is safe to share
+Value types (states, density matrices, Hermitian and unitary operators, and
+orthonormal bases as one matrix whose rows are the basis vectors) are checked
+once at construction and immutable after it (backing arrays are frozen), and
+every operation is a pure function, so everything here is safe to share
 across threads without coordination.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -16,15 +19,10 @@ __all__ = [
     "DensityMatrix",
     "HermitianOperator",
     "UnitaryOperator",
-    "Projector",
     "OrthonormalBasis",
     "SpectralDecomposition",
-    "inner",
-    "projector_of",
-    "trace_product",
     "commutator",
     "spectral",
-    "vector_to_json",
     "vector_from_json",
     "matrix_to_json",
     "matrix_from_json",
@@ -38,7 +36,6 @@ HERMITIAN_TOL = 1e-12  # max |M - M^H|
 TRACE_TOL = 1e-12  # |Tr rho - 1| of a density matrix
 PSD_FLOOR = 1e-10  # lowest eigenvalue a density matrix may have is -PSD_FLOOR
 UNITARY_TOL = 1e-10  # ||U^H U - I||_F
-IDEMPOTENT_TOL = 1e-10  # max |P^2 - P| and |Tr P - 1| of a projector
 ORTHONORMAL_TOL = 1e-10  # max Gram deviation of a basis
 RECONSTRUCTION_TOL = 1e-10  # ||V diag(E) V^H - H||_F of a spectral decomposition
 IMAG_RESIDUE_TOL = 1e-10  # imaginary part a trace of Hermitian products may carry
@@ -168,127 +165,35 @@ class UnitaryOperator(_Checked):
 
 
 @dataclass(frozen=True, eq=False)
-class Projector(_Checked):
-    """Rank-1 orthogonal projector: Hermitian, idempotent, trace 1."""
+class OrthonormalBasis(_Checked):
+    """A complete orthonormal basis: a (d, d) matrix whose rows are the basis vectors, d >= 2."""
 
     @staticmethod
     def _check(entries) -> np.ndarray:
-        mat = _as_matrix(entries)
-        _check_hermitian(mat, "projector")
-        dev = float(np.max(np.abs(mat @ mat - mat)))
-        if not dev <= IDEMPOTENT_TOL:
-            raise ValueError(f"projector is not idempotent: max |P^2 - P| = {dev:.3e}")
-        tr = complex(np.trace(mat))
-        if not abs(tr - 1.0) <= IDEMPOTENT_TOL:
-            raise ValueError(f"projector trace {tr!r} deviates from 1 (rank must be 1)")
+        mat = np.asarray(entries, dtype=complex)
+        if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or mat.shape[0] < 2:
+            raise ValueError(f"basis must be exactly d rows of dimension d >= 2, got shape {mat.shape}")
+        with np.errstate(over="ignore", invalid="ignore"):  # an inf or huge entry gives an inf norm
+            norms = np.linalg.norm(mat, axis=1)
+        bad = ~(np.abs(norms - 1.0) <= NORM_TOL)
+        if bad.any():
+            raise ValueError(f"state vector norm {float(norms[bad][0])!r} deviates from 1 beyond {NORM_TOL:.1e}")
+        dev = float(np.max(np.abs(mat.conj() @ mat.T - np.eye(mat.shape[0]))))
+        if not dev <= ORTHONORMAL_TOL:
+            raise ValueError(f"vectors are not orthonormal: max Gram deviation {dev:.3e} > {ORTHONORMAL_TOL:.1e}")
         return mat
 
 
-@dataclass(frozen=True, eq=False)
-class OrthonormalBasis:
-    """A complete orthonormal basis: d state vectors of dimension d."""
-
-    vectors: tuple
-
-    def __post_init__(self):
-        vecs = tuple(self.vectors)
-        if not vecs:
-            raise ValueError("basis must contain at least one vector")
-        d = vecs[0].dim
-        if any(v.dim != d for v in vecs):
-            raise ValueError("basis vectors have mixed dimensions")
-        if len(vecs) != d:
-            raise ValueError(f"basis must contain exactly {d} vectors, got {len(vecs)}")
-        mat = np.array([v.entries for v in vecs])
-        gram = mat.conj() @ mat.T
-        dev = float(np.max(np.abs(gram - np.eye(d))))
-        if not dev <= ORTHONORMAL_TOL:
-            raise ValueError(f"vectors are not orthonormal: max Gram deviation {dev:.3e} > {ORTHONORMAL_TOL:.1e}")
-        object.__setattr__(self, "vectors", vecs)
-
-    @property
-    def dim(self) -> int:
-        return self.vectors[0].dim
-
-    def as_matrix(self) -> np.ndarray:
-        """Row i is basis vector i."""
-        return np.array([v.entries for v in self.vectors])
-
-    @classmethod
-    def from_unitary_matrix(cls, mat) -> "OrthonormalBasis":
-        cols = _as_matrix(mat).T
-        return cls(tuple(StateVector(c) for c in cols))
-
-    @classmethod
-    def computational(cls, dim: int) -> "OrthonormalBasis":
-        return cls(tuple(StateVector.basis_state(dim, k) for k in range(dim)))
-
-    def __iter__(self):
-        return iter(self.vectors)
-
-    def __getitem__(self, k: int) -> StateVector:
-        return self.vectors[k]
-
-
-@dataclass(frozen=True, eq=False)
-class SpectralDecomposition:
+class SpectralDecomposition(NamedTuple):
     """Eigensystem of a Hermitian operator with explicit degeneracy grouping.
 
     ``eigenvalues`` are ascending; ``degeneracy_blocks`` partitions the index
-    range into runs whose eigenvalues differ by less than the gap tolerance
-    used at decomposition time.
+    range into runs of nearly equal eigenvalues (see ``spectral``).
     """
 
     eigenvalues: tuple
     eigenvectors: OrthonormalBasis
     degeneracy_blocks: tuple
-    gap_tolerance: float
-
-    def __post_init__(self):
-        vals = tuple(float(v) for v in self.eigenvalues)
-        if any(vals[i] > vals[i + 1] for i in range(len(vals) - 1)):
-            raise ValueError("eigenvalues must be ascending")
-        flat = [i for block in self.degeneracy_blocks for i in block]
-        if sorted(flat) != list(range(len(vals))):
-            raise ValueError("degeneracy blocks must partition the index range")
-        object.__setattr__(self, "eigenvalues", vals)
-        object.__setattr__(self, "degeneracy_blocks", tuple(tuple(b) for b in self.degeneracy_blocks))
-
-    @property
-    def dim(self) -> int:
-        return len(self.eigenvalues)
-
-    def reconstruct(self) -> np.ndarray:
-        v = self.eigenvectors.as_matrix().T  # columns are eigenvectors
-        return (v * np.asarray(self.eigenvalues)) @ v.conj().T
-
-
-def inner(x: StateVector, y: StateVector) -> complex:
-    """Inner product <x|y>, conjugate-linear in x."""
-    if x.dim != y.dim:
-        raise ValueError(f"dimension mismatch: {x.dim} vs {y.dim}")
-    return complex(np.vdot(x.entries, y.entries))
-
-
-def projector_of(x: StateVector) -> Projector:
-    """|x><x|; invariant under a global phase of x."""
-    return Projector(np.outer(x.entries, x.entries.conj()))
-
-
-def trace_product(r, p: Projector) -> float:
-    """Tr(r P) for Hermitian r, returned as a real number.
-
-    An imaginary residue above the tolerance signals a corrupted input and
-    raises; below it, the residue is discarded.
-    """
-    mat = _as_matrix(r)
-    pm = _as_matrix(p)
-    if mat.shape != pm.shape:
-        raise ValueError(f"dimension mismatch: {mat.shape} vs {pm.shape}")
-    val = complex(np.sum(mat * pm.T))
-    if not abs(val.imag) <= IMAG_RESIDUE_TOL:
-        raise ValueError(f"trace product has imaginary residue {val.imag:.3e}; inputs are not Hermitian")
-    return val.real
 
 
 def commutator(a, b) -> np.ndarray:
@@ -318,20 +223,14 @@ def spectral(h: HermitianOperator) -> SpectralDecomposition:
         else:
             blocks.append([i])
 
-    basis = OrthonormalBasis.from_unitary_matrix(evecs)
-    dec = SpectralDecomposition(tuple(evals), basis, tuple(tuple(b) for b in blocks), gap_tol)
-    residual = float(np.linalg.norm(dec.reconstruct() - hm))
+    basis = OrthonormalBasis(evecs.T)
+    residual = float(np.linalg.norm((evecs * evals) @ evecs.conj().T - hm))
     if not residual <= RECONSTRUCTION_TOL:
         raise ValueError(f"spectral reconstruction residual {residual:.3e} exceeds {RECONSTRUCTION_TOL:.1e}")
-    return dec
+    return SpectralDecomposition(tuple(float(v) for v in evals), basis, tuple(tuple(b) for b in blocks))
 
 
 # --- JSON fixture format: [re, im] pairs, row-major for matrices ---------
-
-
-def vector_to_json(vec) -> list:
-    arr = np.asarray(getattr(vec, "entries", vec), dtype=complex)
-    return [[float(z.real), float(z.imag)] for z in arr]
 
 
 def vector_from_json(data) -> np.ndarray:

@@ -454,7 +454,7 @@ def basis_mc(
     Raises MultipleOutcomesError if any sample satisfies the rule for two
     outcomes; for an orthonormal basis this must never happen.
     """
-    tallies = _rule_tallies(forward, basis.as_matrix(), dist, n_samples, seed, tie_tol, stream_index, workers)
+    tallies = _rule_tallies(forward, basis.entries, dist, n_samples, seed, tie_tol, stream_index, workers)
     if tallies[-1]:
         raise MultipleOutcomesError(
             f"{int(tallies[-1])} samples fired more than one outcome; the basis is not orthonormal"

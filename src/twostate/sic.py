@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .assignment import _fires
-from .qcore import IMAG_RESIDUE_TOL, StateVector, UnitaryOperator
+from .qcore import IMAG_RESIDUE_TOL, StateVector
 from .sampling import RngStream, _haar_rows, _sampled, haar_states
 
 __all__ = [
@@ -116,11 +116,12 @@ class FiducialSearchReport:
             )
 
 
-def wh_displacements(d: int) -> list[UnitaryOperator]:
-    """The d^2 operators X^j Z^k, indexed m = j*d + k; m = 0 is the identity.
+@functools.cache
+def wh_displacements(d: int) -> np.ndarray:
+    """The d^2 operators X^j Z^k as one read-only (d^2, d, d) array, built once per dimension.
 
-    X is the cyclic shift |m> -> |m+1 mod d| and Z = diag(1, w, ..., w^(d-1))
-    with w = exp(2 pi i / d).
+    Operator m = j*d + k is X^j Z^k, so m = 0 is the identity. X is the cyclic
+    shift |m> -> |m+1 mod d| and Z = diag(1, w, ..., w^(d-1)) with w = exp(2 pi i / d).
     """
     if d < 2:
         raise ValueError(f"dimension must be >= 2, got {d}")
@@ -132,23 +133,17 @@ def wh_displacements(d: int) -> list[UnitaryOperator]:
     for _ in range(d):
         zk = np.eye(d, dtype=complex)
         for _ in range(d):
-            out.append(UnitaryOperator(xj @ zk))
+            out.append(xj @ zk)
             zk = zk @ clock
         xj = shift @ xj
-    return out
-
-
-@functools.cache
-def _displacement_stack(d: int) -> np.ndarray:
-    """The d^2 displacement matrices as one read-only (d^2, d, d) array, built once per dimension."""
-    stack = np.array([u.entries for u in wh_displacements(d)])
+    stack = np.array(out)
     stack.setflags(write=False)
     return stack
 
 
 def _orbit(fiducial: np.ndarray, d: int) -> np.ndarray:
     """Rows are the d^2 orbit states of the fiducial."""
-    return _displacement_stack(d) @ fiducial
+    return wh_displacements(d) @ fiducial
 
 
 def sic_from_fiducial(f: StateVector) -> SicPovm:
@@ -295,7 +290,7 @@ def search_fiducial(d: int, restarts: int, max_iters: int, seed: int) -> Fiducia
     # imported here: scipy.optimize costs about 0.5 s, and only the search uses it
     from scipy.optimize import minimize
 
-    disp = _displacement_stack(d)
+    disp = wh_displacements(d)
     disp_h = disp.conj().transpose(0, 2, 1)
     bound = welch_bound(d)
     starts = haar_states(d, RngStream(seed, stream_index=0), 0, restarts)

@@ -6,7 +6,8 @@ the code under test. The references below them are forms the package no
 longer runs, kept to check its kernels and overlap laws against: states and
 unitaries built from Box-Muller normals of a stream's uniforms, the rule one
 sample or one instance at a time, its dot-product and projector-set
-coefficient forms, and the mixed-pair trace form of the projector-set rule.
+coefficient forms, the trace Tr(r P) and the mixed-pair trace form of the
+projector-set rule. ``vector_to_json`` writes a state in the config format.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from twostate import (
 )
 from twostate.assignment import _fires
 from twostate.blochpbr import _bisectors, _bloch_states
+from twostate.qcore import IMAG_RESIDUE_TOL
 from twostate.sampling import _complex_normals, _uniforms
 from twostate.sic import _require_valid
 
@@ -57,7 +59,7 @@ def random_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:
 
 
 def random_basis(rng: np.random.Generator, dim: int) -> OrthonormalBasis:
-    return OrthonormalBasis.from_unitary_matrix(random_unitary(rng, dim))
+    return OrthonormalBasis(random_unitary(rng, dim).T)
 
 
 def random_rotation(rng: np.random.Generator) -> np.ndarray:
@@ -67,6 +69,12 @@ def random_rotation(rng: np.random.Generator) -> np.ndarray:
     if np.linalg.det(q) < 0:
         q[:, 0] = -q[:, 0]
     return q
+
+
+def vector_to_json(vec) -> list:
+    """A state in the config format: one [re, im] pair per amplitude."""
+    arr = np.asarray(getattr(vec, "entries", vec), dtype=complex)
+    return [[float(z.real), float(z.imag)] for z in arr]
 
 
 def chunk_samples(count: int):
@@ -182,6 +190,20 @@ def sic_rule_check(lambdas: np.ndarray, k: int) -> bool:
     if not 0 <= k < len(lambdas):
         raise ValueError(f"index {k} out of range for {len(lambdas)} coefficients")
     return bool(_fires((d * lambdas[k] + trace) / (d + 1), 0.0))
+
+
+def trace_product(r: np.ndarray, p: np.ndarray) -> float:
+    """Tr(r P) for Hermitian matrices r and P, returned as a real number.
+
+    An imaginary residue above the tolerance signals a corrupted input and
+    raises; below it, the residue is discarded.
+    """
+    if r.shape != p.shape:
+        raise ValueError(f"dimension mismatch: {r.shape} vs {p.shape}")
+    val = complex(np.sum(r * p.T))
+    if not abs(val.imag) <= IMAG_RESIDUE_TOL:
+        raise ValueError(f"trace product has imaginary residue {val.imag:.3e}; inputs are not Hermitian")
+    return val.real
 
 
 def sic_fires(sums: np.ndarray, s: SicPovm) -> np.ndarray:

@@ -39,7 +39,6 @@ from twostate import (
     stationarity_check,
     stationary_partner,
     tally_rule,
-    trace_product,
     validate_sic,
     welch_bound,
 )
@@ -47,7 +46,7 @@ from twostate.assignment import _fires
 from twostate.blochpbr import _bloch_vectors
 from twostate.cli import main
 
-from helpers import haar_unitaries, random_density, random_hermitian, random_unitary, sic_rule_check
+from helpers import haar_unitaries, random_density, random_hermitian, random_unitary, sic_rule_check, trace_product
 
 P_GRID = [round(0.1 * k, 10) for k in range(1, 10)]
 THETA_GRID_DEG = [30, 60, 90, 120, 150]
@@ -90,10 +89,7 @@ def test_criterion_02_bell_model_reproduction():
         for point, theta_deg in enumerate(THETA_GRID_DEG):
             theta = np.deg2rad(theta_deg)
             c, s = np.cos(theta / 2), np.sin(theta / 2)
-            basis = OrthonormalBasis((
-                StateVector(np.array([c, s], dtype=complex)),
-                StateVector(np.array([-s, c], dtype=complex)),
-            ))
+            basis = OrthonormalBasis(np.array([[c, s], [-s, c]], dtype=complex))
             result = basis_mc(forward, basis, HaarPure(), 100_000, seed=43, stream_index=point)
             conditional = result.conditional_frequencies()[0]
             oracle = np.cos(theta / 2) ** 2

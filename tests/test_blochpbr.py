@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from twostate import BlochVector, RngStream, StateVector, haar_state, pbr_geometric, pbr_separators
+from twostate import RngStream, StateVector, haar_state, pbr_geometric, pbr_separators
 from twostate.assignment import _fires
 from twostate.blochpbr import _bisectors, _bloch_states, _bloch_vectors
+from twostate.cli import _bloch_instance
 
 from helpers import bell_condition, pbr_separates, random_rotation, random_state
 
@@ -52,9 +53,13 @@ class TestConversions:
         assert np.all(amplitudes.real >= 0.0)
         assert np.all(amplitudes.imag == 0.0)
 
-    def test_rejects_non_unit_bloch(self):
-        with pytest.raises(ValueError, match="norm"):
-            BlochVector(0.0, 0.0, 0.5)
+    @pytest.mark.parametrize("bad", [[0.0, 0.0, 0.5], [np.nan, 0.0, 1.0], [0.0, 0.0, 1.0 + 2e-12]],
+                             ids=["half", "nan", "just-over-tolerance"])
+    def test_rejects_non_unit_bloch(self, bad):
+        # a Bloch vector enters the program as a row of an explicit pbr-geometric instance
+        with pytest.raises(ValueError, match=r"^Bloch vector norm .* deviates from 1$"):
+            _bloch_instance([PLUS_Z, bad, PLUS_X, MINUS_Z])
+        assert np.array_equal(_bloch_instance([PLUS_Z, PLUS_X, MINUS_Z, PLUS_X]), [PLUS_Z, PLUS_X, MINUS_Z, PLUS_X])
 
 
 class TestBellCondition:

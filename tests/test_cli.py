@@ -37,9 +37,9 @@ from twostate.cli import (
     main,
     result_schema,
 )
-from twostate.qcore import matrix_from_json, matrix_to_json, vector_from_json, vector_to_json
+from twostate.qcore import matrix_from_json, matrix_to_json, vector_from_json
 
-from helpers import random_unitary
+from helpers import random_unitary, vector_to_json
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -111,9 +111,20 @@ class TestConfigHandling:
                                 "target_k": [[[float("nan"), 0], [0, 2]], [[0, 2], [0, 0]]], "diagonal": [0.5, 0.5]}),
         (["stationary-solve"], {"hamiltonian": matrix_to_json(np.diag([1.0, 3.0])),
                                 "target_k": [[[0, 0], [0, 2]], [[0, 2], [0, 0]]], "diagonal": [float("nan"), 0.5]}),
+        (["basis-mc", "--dim", "2"], {"basis": [], "forward": [[1, 0], [0, 0]]}),
+        (["basis-mc", "--dim", "2"], {"basis": [[[1, 0], [0, 0]]], "forward": [[1, 0], [0, 0]]}),
+        (["basis-mc", "--dim", "2"],
+         {"basis": [[[1, 0], [0, 0]], [[0, 0], [1, 0], [0, 0]]], "forward": [[1, 0], [0, 0]]}),
+        (["basis-mc", "--dim", "2"], {"basis": "identity", "forward": [[1, 0], [0, 0]]}),
+        (["basis-mc", "--dim", "2"],
+         {"basis": [[[1, 0], [0, 0]], [[0, 0], [float("nan"), 0]]], "forward": [[1, 0], [0, 0]]}),
+        # Gram deviation 1e-11 is within the orthonormality bound; only the row-norm bound rejects it
+        (["basis-mc", "--dim", "2"],
+         {"basis": [[[1 + 5e-12, 0], [0, 0]], [[0, 0], [1, 0]]], "forward": [[1, 0], [0, 0]]}),
     ], ids=["unnormalized-forward", "non-orthonormal-basis", "basis-forward-dims",
             "bad-dist-state", "non-hermitian-observable", "string-in-p-grid",
-            "nan-forward", "nan-observable", "nan-target-k", "nan-diagonal"])
+            "nan-forward", "nan-observable", "nan-target-k", "nan-diagonal",
+            "empty-basis", "one-row-basis", "ragged-basis", "non-list-basis", "nan-basis", "basis-row-norm"])
     def test_malformed_config_value_exits_two(self, args, config, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(config))

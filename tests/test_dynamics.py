@@ -28,7 +28,7 @@ MIXED = DensityMatrix.maximally_mixed(2)
 
 def evolution(h: HermitianOperator, t: float) -> UnitaryOperator:
     dec = spectral(h)
-    v = dec.eigenvectors.as_matrix().T
+    v = dec.eigenvectors.entries.T
     return UnitaryOperator((v * np.exp(-1j * np.asarray(dec.eigenvalues) * t)) @ v.conj().T)
 
 
@@ -167,8 +167,8 @@ class TestCommutatorSolve:
             assert residual <= 1e-12 * max(1.0, np.linalg.norm(inp.target.entries))
             assert np.max(np.abs(rho - rho.conj().T)) <= 1e-14
             assert np.allclose(np.diagonal(
-                spectral(inp.hamiltonian).eigenvectors.as_matrix().conj() @ rho
-                @ spectral(inp.hamiltonian).eigenvectors.as_matrix().T
+                spectral(inp.hamiltonian).eigenvectors.entries.conj() @ rho
+                @ spectral(inp.hamiltonian).eigenvectors.entries.T
             ).real, inp.diagonal, atol=1e-10)
 
     def test_matches_the_per_entry_formula(self):
@@ -182,8 +182,8 @@ def per_entry_solve(inp: StationarySolveInput) -> np.ndarray:
     """``commutator_solve`` one entry at a time: rho_ij = K_ij / (E_j - E_i) in H's eigenbasis,
     zero inside degenerate blocks, the given diagonal, and the conjugate below it."""
     dec = spectral(inp.hamiltonian)
-    d = dec.dim
-    v = dec.eigenvectors.as_matrix().T
+    d = len(dec.eigenvalues)
+    v = dec.eigenvectors.entries.T
     energies = np.asarray(dec.eigenvalues)
     k_eig = v.conj().T @ inp.target.entries @ v
     block_of = {i: b for b, block in enumerate(dec.degeneracy_blocks) for i in block}

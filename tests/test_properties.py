@@ -55,7 +55,7 @@ class TestExclusivity:
     def test_exact_ties_assign_nothing(self, case):
         # forward = backward = (a_i + a_j)/sqrt(2): the sums at a_i and a_j are exactly 1
         d, i, j, seed, mixed = case
-        bmat = random_basis(np.random.default_rng(seed), d).as_matrix()
+        bmat = random_basis(np.random.default_rng(seed), d).entries
         tie = (bmat[i] + bmat[j]) / np.sqrt(2.0)
         assert tally_rule(_pair_sums(tie, tie, bmat, mixed)[None, :]).tolist() == [0] * d + [1, 0]
 
@@ -66,7 +66,7 @@ class TestExclusivity:
         rng = np.random.default_rng(seed)
         rows = []
         for k in range(n):
-            bmat = random_basis(rng, d).as_matrix()
+            bmat = random_basis(rng, d).entries
             if k % 2:
                 fwd = bwd = (bmat[0] + bmat[-1]) / np.sqrt(2.0)
             else:
@@ -177,7 +177,7 @@ class TestRoundingBoundAtHighDimension:
         # forward (a_i + a_j)/sqrt(2) and backward (a_i - a_j)/sqrt(2): the sums at a_i and a_j are exactly 1
         d, i, j, seed = case
         basis = random_basis(np.random.default_rng(seed), d)
-        bmat = basis.as_matrix()
+        bmat = basis.entries
         fwd, bwd = (bmat[i] + bmat[j]) / np.sqrt(2.0), (bmat[i] - bmat[j]) / np.sqrt(2.0)
         sums = np.abs(bmat.conj() @ fwd) ** 2 + np.abs(bmat.conj() @ bwd) ** 2
         assert np.max(np.abs(sums[[i, j]] - 1.0)) <= RULE_ROUNDING_BOUND
@@ -191,11 +191,11 @@ class TestTimeReversal:
     def test_assignment_is_invariant(self, d, seed, p, delta, tie_tol, mixed):
         # the sum at a_0 is 1 + tie_tol + delta, within rounding reach of the threshold
         basis = random_basis(np.random.default_rng(seed), d)
-        a0, a1, a_last = basis[0].entries, basis[1].entries, basis[d - 1].entries
+        a0, a1, a_last = basis.entries[0], basis.entries[1], basis.entries[d - 1]
         q = 1.0 - p + tie_tol + delta
         forward = StateVector(np.sqrt(p) * a0 + np.sqrt(1.0 - p) * a1)
         backward = StateVector(np.sqrt(q) * a0 + np.sqrt(1.0 - q) * a_last)
-        bmat = basis.as_matrix()
+        bmat = basis.entries
         sums = _pair_sums(forward.entries, backward.entries, bmat, mixed)
         swapped = _pair_sums(backward.entries, forward.entries, bmat, mixed)
         assert np.array_equal(_fires(sums, tie_tol), _fires(swapped, tie_tol))

@@ -7,23 +7,18 @@ from twostate import (
     DensityMatrix,
     HermitianOperator,
     OrthonormalBasis,
-    Projector,
     StateVector,
     UnitaryOperator,
     commutator,
-    inner,
-    projector_of,
     spectral,
-    trace_product,
 )
 from twostate.qcore import (
     matrix_from_json,
     matrix_to_json,
     vector_from_json,
-    vector_to_json,
 )
 
-from helpers import random_density, random_hermitian, random_state
+from helpers import random_density, random_hermitian, vector_to_json
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -59,31 +54,37 @@ class TestTypeInvariants:
         with pytest.raises(ValueError, match="unitary"):
             UnitaryOperator(np.array([[1.0, 0.1], [0.0, 1.0]]))
 
-    def test_projector_rejects_non_idempotent(self):
-        with pytest.raises(ValueError, match="idempotent"):
-            Projector(np.diag([0.5, 0.5]).astype(complex))
-
-    def test_projector_rejects_rank_two(self):
-        with pytest.raises(ValueError, match="trace"):
-            Projector(np.eye(2, dtype=complex))
-
     def test_basis_rejects_non_orthonormal(self):
-        tilted = StateVector(np.array([np.sqrt(0.9), np.sqrt(0.1)]))
+        tilted = [np.sqrt(0.9), np.sqrt(0.1)]
         with pytest.raises(ValueError, match="orthonormal"):
-            OrthonormalBasis((E0, tilted))
+            OrthonormalBasis(np.array([E0.entries, tilted]))
 
-    def test_basis_rejects_wrong_count(self):
+    @pytest.mark.parametrize("rows", [[[1.0, 0.0]], [[1.0]], [1.0, 0.0], np.eye(3)[:, :2], np.eye(2)[None]],
+                             ids=["one-row", "dim-one", "one-dim-array", "non-square", "three-dim-array"])
+    def test_basis_rejects_wrong_count(self, rows):
         with pytest.raises(ValueError, match="exactly"):
-            OrthonormalBasis((E0,))
+            OrthonormalBasis(np.asarray(rows))
+
+    def test_basis_checks_row_norms_before_the_gram_matrix(self):
+        # the Gram deviation of this basis, 1e-11, is within ORTHONORMAL_TOL; its first row's norm is not
+        # within NORM_TOL
+        rows = np.eye(3, dtype=complex)
+        rows[0, 0] = 1.0 + 5e-12
+        with pytest.raises(ValueError, match=r"^state vector norm 1\.0000000000\d* deviates from 1 beyond 1\.0e-12$"):
+            OrthonormalBasis(rows)
+        rows[0, 0] = 1.0
+        rows[2] = [0.6, 0.0, 0.8]
+        with pytest.raises(ValueError, match="orthonormal"):
+            OrthonormalBasis(rows)
 
     @pytest.mark.parametrize("build, message", [
         (lambda: StateVector(np.array([np.nan, 0.0])), "norm"),
         (lambda: DensityMatrix(np.diag([np.nan, 0.0])), "Hermitian"),
         (lambda: HermitianOperator(np.diag([np.nan, 1.0])), "Hermitian"),
         (lambda: UnitaryOperator(np.diag([np.nan, 1.0])), "unitary"),
-        (lambda: Projector(np.diag([np.nan, 0.0])), "Hermitian"),
-        (lambda: OrthonormalBasis.from_unitary_matrix(np.diag([np.nan, 1.0])), "norm"),
-    ], ids=["state", "density", "hermitian", "unitary", "projector", "basis"])
+        (lambda: OrthonormalBasis(np.diag([np.nan, 1.0])), "norm"),
+        (lambda: OrthonormalBasis(np.diag([1.0, np.nan])), "norm"),
+    ], ids=["state", "density", "hermitian", "unitary", "basis", "basis-second-row"])
     def test_rejects_nan_entries(self, build, message):
         # every check fails on a NaN deviation instead of comparing false
         with pytest.raises(ValueError, match=message):
@@ -92,77 +93,6 @@ class TestTypeInvariants:
     def test_values_are_frozen(self):
         with pytest.raises(ValueError):
             E0.entries[0] = 0.0
-
-
-class TestInner:
-    def test_identity(self):
-        assert inner(E0, E0) == 1.0
-
-    def test_orthogonal(self):
-        assert inner(E0, E1) == 0.0
-
-    def test_superposition(self):
-        assert inner(E0, PLUS) == pytest.approx(1 / np.sqrt(2), abs=1e-15)
-
-    def test_conjugate_linear_in_first_argument(self):
-        rng = np.random.default_rng(1)
-        for _ in range(50):
-            x = random_state(rng, 3)
-            y = random_state(rng, 3)
-            assert inner(x, y) == pytest.approx(np.conj(inner(y, x)), abs=1e-14)
-
-    def test_bounded_by_one(self):
-        rng = np.random.default_rng(2)
-        for _ in range(200):
-            assert abs(inner(random_state(rng, 4), random_state(rng, 4))) <= 1 + 1e-12
-
-    def test_dim_mismatch(self):
-        with pytest.raises(ValueError, match="mismatch"):
-            inner(E0, StateVector.basis_state(3, 0))
-
-
-class TestProjectorOf:
-    def test_basis_state(self):
-        assert np.array_equal(projector_of(E0).entries, np.diag([1.0, 0.0]).astype(complex))
-
-    def test_phase_invariance(self):
-        rng = np.random.default_rng(3)
-        for _ in range(20):
-            s = random_state(rng, 3)
-            rotated = StateVector(np.exp(0.7j) * s.entries)
-            assert np.allclose(projector_of(rotated).entries, projector_of(s).entries, atol=1e-15)
-
-    def test_plus_state_all_half(self):
-        assert np.allclose(projector_of(PLUS).entries, np.full((2, 2), 0.5), atol=1e-15)
-
-
-class TestTraceProduct:
-    def test_maximally_mixed(self):
-        rng = np.random.default_rng(4)
-        proj = projector_of(random_state(rng, 2))
-        assert trace_product(np.eye(2, dtype=complex) / 2, proj) == pytest.approx(0.5, abs=1e-12)
-
-    def test_aligned_projector(self):
-        assert trace_product(projector_of(E0).entries, projector_of(E0)) == pytest.approx(1.0)
-
-    def test_half_overlap(self):
-        assert trace_product(projector_of(E0).entries, projector_of(PLUS)) == pytest.approx(0.5)
-
-    def test_range_for_density_projector_pairs(self):
-        rng = np.random.default_rng(5)
-        for _ in range(200):
-            d = int(rng.integers(2, 5))
-            val = trace_product(random_density(rng, d).entries, projector_of(random_state(rng, d)))
-            assert -1e-10 <= val <= 1 + 1e-10
-
-    def test_imaginary_residue_rejected(self):
-        corrupted = np.array([[0.0, 1.0j], [0.0, 0.0]])
-        with pytest.raises(ValueError, match="imaginary residue"):
-            trace_product(corrupted, projector_of(PLUS))
-
-    def test_dim_mismatch(self):
-        with pytest.raises(ValueError, match="mismatch"):
-            trace_product(np.eye(3, dtype=complex) / 3, projector_of(E0))
 
 
 class TestCommutator:
@@ -189,15 +119,15 @@ class TestSpectral:
     def test_diagonal(self):
         dec = spectral(HermitianOperator(np.diag([1.0, 3.0]).astype(complex)))
         assert dec.eigenvalues == (1.0, 3.0)
-        assert abs(inner(dec.eigenvectors[0], E0)) == pytest.approx(1.0)
-        assert abs(inner(dec.eigenvectors[1], E1)) == pytest.approx(1.0)
+        assert abs(np.vdot(dec.eigenvectors.entries[0], E0.entries)) == pytest.approx(1.0)
+        assert abs(np.vdot(dec.eigenvectors.entries[1], E1.entries)) == pytest.approx(1.0)
 
     def test_pauli_x_closed_form(self):
         dec = spectral(HermitianOperator(SX))
         assert np.allclose(dec.eigenvalues, [-1.0, 1.0], atol=1e-14)
         minus = StateVector(np.array([1, -1]) / np.sqrt(2))
-        assert abs(inner(dec.eigenvectors[0], minus)) == pytest.approx(1.0, abs=1e-14)
-        assert abs(inner(dec.eigenvectors[1], PLUS)) == pytest.approx(1.0, abs=1e-14)
+        assert abs(np.vdot(dec.eigenvectors.entries[0], minus.entries)) == pytest.approx(1.0, abs=1e-14)
+        assert abs(np.vdot(dec.eigenvectors.entries[1], PLUS.entries)) == pytest.approx(1.0, abs=1e-14)
 
     def test_identity_single_block(self):
         dec = spectral(HermitianOperator(np.eye(4, dtype=complex)))
@@ -214,7 +144,8 @@ class TestSpectral:
             d = int(rng.integers(2, 9))
             h = random_hermitian(rng, d)
             dec = spectral(HermitianOperator(h))
-            assert np.linalg.norm(dec.reconstruct() - h) <= 1e-10
+            v = dec.eigenvectors.entries.T  # columns are eigenvectors
+            assert np.linalg.norm((v * np.asarray(dec.eigenvalues)) @ v.conj().T - h) <= 1e-10
 
     def test_rejects_non_hermitian(self):
         with pytest.raises(ValueError, match="Hermitian"):

@@ -550,7 +550,7 @@ class TestChunkBuffers:
     @pytest.mark.parametrize("dim", [2, 5])
     def test_tallies_do_not_depend_on_workers_or_chunks(self, law, dim):
         n = 7001
-        basis = OrthonormalBasis.computational(dim)
+        basis = OrthonormalBasis(np.eye(dim))
         fwd = StateVector(np.sqrt(np.linspace(1.0, 2.0, dim) / np.linspace(1.0, 2.0, dim).sum()).astype(complex))
         dist = HaarPure() if law == "haar" else UniformOverlap()
         runs = set()
@@ -558,7 +558,7 @@ class TestChunkBuffers:
             for chunk in (None, 7, 997, 4096, 10**5):
                 with chunk_samples(chunk) if chunk else nullcontext():
                     runs.add((
-                        born_mc(fwd, basis[0], dist, n, seed=31, workers=workers),
+                        born_mc(fwd, StateVector.basis_state(dim, 0), dist, n, seed=31, workers=workers),
                         basis_mc(fwd, basis, dist, n, seed=31, workers=workers),
                     ))
         assert len(runs) == 1
@@ -612,7 +612,7 @@ class TestCandidates:
         dist = HaarPure() if law == "haar" else UniformOverlap()
         weights = [0.0, 0.55, 0.0, 0.0, 0.4, 0.0, 0.05, 0.0]
         draws = recorded_draws(monkeypatch)
-        result = basis_mc(forward_with_weights(weights), OrthonormalBasis.computational(8), dist, 30_000, seed=4,
+        result = basis_mc(forward_with_weights(weights), OrthonormalBasis(np.eye(8)), dist, 30_000, seed=4,
                           tie_tol=0.1)
         freqs = result.frequencies()
         assert set(draws) == ({2} if law == "haar" else {3})  # outcomes 1 and 4 (and q_0 of uniform overlap)
@@ -624,7 +624,7 @@ class TestCandidates:
         est = born_mc(forward_with_overlap(0.0, 3), StateVector.basis_state(3, 0), HaarPure(), 5000, seed=1)
         assert est == sampling.BornEstimate(0.0, 0.0, 5000)
         spread = forward_with_weights([1.0, 1.0, 1.0, 1.0])  # every weight 1/4: nothing fires above 1.8
-        result = basis_mc(spread, OrthonormalBasis.computational(4), UniformOverlap(), 5000, seed=1, tie_tol=0.8)
+        result = basis_mc(spread, OrthonormalBasis(np.eye(4)), UniformOverlap(), 5000, seed=1, tie_tol=0.8)
         assert result.frequencies().tolist() == [0.0] * 4 and result.no_assign_rate == 1.0
         assert draws == []
         with pytest.raises(ValueError, match="sample count"):
@@ -674,7 +674,7 @@ class TestStickBrokenLaw:
             weights = np.zeros(dim)
             weights[cand] = np.arange(cand.size, 0, -1)
             p = weights / weights.sum()
-            freqs = basis_mc(forward_with_weights(weights), OrthonormalBasis.computational(dim), dist, n,
+            freqs = basis_mc(forward_with_weights(weights), OrthonormalBasis(np.eye(dim)), dist, n,
                              seed=support).frequencies()
             for k in range(dim):
                 rate = p[k] ** (dim - 1) if law == "haar" else uniform_overlap_rate(p[k], k, dim)
@@ -753,7 +753,7 @@ class TestBornMc:
 
 class TestBasisMc:
     def test_fixed_matching_backward(self):
-        basis = OrthonormalBasis.computational(3)
+        basis = OrthonormalBasis(np.eye(3))
         fwd = StateVector.basis_state(3, 0)
         result = basis_mc(fwd, basis, Fixed(fwd), 1000, seed=0)
         assert result.frequencies().tolist() == [1.0, 0.0, 0.0]
@@ -765,7 +765,7 @@ class TestBasisMc:
         # (1 - q) > 1 (never), so the frequencies are (1, 0) and nothing
         # is left unassigned. A 1e7-draw reference run of the marginal
         # reproduces the same numbers.
-        result = basis_mc(E0, OrthonormalBasis.computational(2), HaarPure(), 100_000, seed=55)
+        result = basis_mc(E0, OrthonormalBasis(np.eye(2)), HaarPure(), 100_000, seed=55)
         assert result.frequencies().tolist() == [1.0, 0.0]
         assert result.no_assign_rate == 0.0
         assert result.conditional_frequencies()[0] == 1.0
@@ -773,10 +773,7 @@ class TestBasisMc:
     def test_tilted_basis_reproduces_born_weight(self):
         theta = np.deg2rad(60)
         c, s = np.cos(theta / 2), np.sin(theta / 2)
-        basis = OrthonormalBasis((
-            StateVector(np.array([c, s], dtype=complex)),
-            StateVector(np.array([-s, c], dtype=complex)),
-        ))
+        basis = OrthonormalBasis(np.array([[c, s], [-s, c]], dtype=complex))
         result = basis_mc(E0, basis, HaarPure(), 100_000, seed=60)
         conditional = result.conditional_frequencies()
         oracle = np.cos(np.deg2rad(30)) ** 2  # 0.75
@@ -784,14 +781,14 @@ class TestBasisMc:
 
     def test_frequencies_and_no_assign_sum_to_one(self):
         fwd = StateVector(np.sqrt(np.array([0.5, 0.3, 0.2])).astype(complex))
-        result = basis_mc(fwd, OrthonormalBasis.computational(3), HaarPure(), 50_000, seed=61)
+        result = basis_mc(fwd, OrthonormalBasis(np.eye(3)), HaarPure(), 50_000, seed=61)
         total = result.frequencies().sum() + result.no_assign_rate
         assert abs(total - 1.0) <= 1e-12
         assert result.no_assign_rate > 0.5  # most qutrit samples assign nothing
 
     def test_worker_count_does_not_change_result(self):
         fwd = StateVector(np.sqrt(np.array([0.5, 0.3, 0.2])).astype(complex))
-        basis = OrthonormalBasis.computational(3)
+        basis = OrthonormalBasis(np.eye(3))
         a = basis_mc(fwd, basis, HaarPure(), 30_000, seed=8, workers=1)
         b = basis_mc(fwd, basis, HaarPure(), 30_000, seed=8, workers=8)
         assert a == b

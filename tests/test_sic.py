@@ -11,13 +11,11 @@ from twostate import (
     TwoStatePairMixed,
     builtin_fiducial,
     frame_potential,
-    projector_of,
     search_fiducial,
     sic_distinguish,
     sic_expand,
     sic_from_fiducial,
     sic_reconstruct,
-    trace_product,
     validate_sic,
     welch_bound,
     wh_displacements,
@@ -33,6 +31,7 @@ from helpers import (
     sic_distinguish_pair,
     sic_fires,
     sic_rule_check,
+    trace_product,
 )
 
 E0 = StateVector.basis_state(2, 0)
@@ -44,12 +43,12 @@ def pure_pair(forward: StateVector, backward: StateVector) -> TwoStatePairMixed:
 
 
 def orbit_states(d: int, fiducial: StateVector) -> np.ndarray:
-    return np.array([u.entries @ fiducial.entries for u in wh_displacements(d)])
+    return wh_displacements(d) @ fiducial.entries
 
 
 class TestDisplacements:
     def test_qubit_set_is_pauli_like(self):
-        ops = [u.entries for u in wh_displacements(2)]
+        ops = wh_displacements(2)
         eye = np.eye(2)
         x = np.array([[0, 1], [1, 0]], dtype=complex)
         z = np.diag([1.0, -1.0]).astype(complex)
@@ -61,15 +60,15 @@ class TestDisplacements:
     @pytest.mark.parametrize("d", [2, 3, 5])
     def test_unitarity(self, d):
         for u in wh_displacements(d):
-            assert np.max(np.abs(u.entries.conj().T @ u.entries - np.eye(d))) < 1e-12
+            assert np.max(np.abs(u.conj().T @ u - np.eye(d))) < 1e-12
 
     @pytest.mark.parametrize("d", [2, 3, 4, 5])
     def test_traceless_except_identity(self, d):
         # oracle: tr(X^j Z^k) is a root-of-unity sum, zero unless j = k = 0
         ops = wh_displacements(d)
-        assert abs(np.trace(ops[0].entries) - d) < 1e-12
+        assert abs(np.trace(ops[0]) - d) < 1e-12
         for u in ops[1:]:
-            assert abs(np.trace(u.entries)) < 1e-12
+            assert abs(np.trace(u)) < 1e-12
 
     def test_count(self):
         assert len(wh_displacements(4)) == 16
@@ -77,6 +76,46 @@ class TestDisplacements:
     def test_rejects_dim_one(self):
         with pytest.raises(ValueError, match="dimension"):
             wh_displacements(1)
+
+    def test_one_read_only_array_per_dimension(self):
+        ops = wh_displacements(3)
+        assert ops.shape == (9, 3, 3) and not ops.flags.writeable
+        assert wh_displacements(3) is ops
+        # a rejected dimension is not cached: it raises again
+        for _ in range(2):
+            with pytest.raises(ValueError, match="dimension"):
+                wh_displacements(0)
+
+
+class TestTraceProduct:
+    """The trace Tr(r P) that the coefficient form of the rule is checked against."""
+
+    def test_maximally_mixed(self):
+        rng = np.random.default_rng(4)
+        proj = DensityMatrix.pure(random_state(rng, 2)).entries
+        assert trace_product(np.eye(2, dtype=complex) / 2, proj) == pytest.approx(0.5, abs=1e-12)
+
+    def test_aligned_projector(self):
+        assert trace_product(DensityMatrix.pure(E0).entries, DensityMatrix.pure(E0).entries) == pytest.approx(1.0)
+
+    def test_half_overlap(self):
+        assert trace_product(DensityMatrix.pure(E0).entries, DensityMatrix.pure(PLUS).entries) == pytest.approx(0.5)
+
+    def test_range_for_density_projector_pairs(self):
+        rng = np.random.default_rng(5)
+        for _ in range(200):
+            d = int(rng.integers(2, 5))
+            val = trace_product(random_density(rng, d).entries, DensityMatrix.pure(random_state(rng, d)).entries)
+            assert -1e-10 <= val <= 1 + 1e-10
+
+    def test_imaginary_residue_rejected(self):
+        corrupted = np.array([[0.0, 1.0j], [0.0, 0.0]])
+        with pytest.raises(ValueError, match="imaginary residue"):
+            trace_product(corrupted, DensityMatrix.pure(PLUS).entries)
+
+    def test_dim_mismatch(self):
+        with pytest.raises(ValueError, match="mismatch"):
+            trace_product(np.eye(3, dtype=complex) / 3, DensityMatrix.pure(E0).entries)
 
 
 class TestConstruction:
@@ -98,7 +137,7 @@ class TestConstruction:
             assert povm.projectors.shape == (d * d, d, d)
 
     def test_degenerate_set_fails_validation(self):
-        proj = projector_of(E0).entries
+        proj = DensityMatrix.pure(E0).entries
         fake = SicPovm(2, np.broadcast_to(proj, (4, 2, 2)).copy(), E0)
         report = validate_sic(fake, 1e-10)
         assert not report.passed
@@ -149,7 +188,7 @@ class TestExpansion:
             assert np.all(coeffs.lambdas <= 1.0 + 1e-10)
 
     def test_rejects_invalid_set(self):
-        proj = projector_of(E0).entries
+        proj = DensityMatrix.pure(E0).entries
         fake = SicPovm(2, np.broadcast_to(proj, (4, 2, 2)).copy(), E0)
         with pytest.raises(InvalidSicError):
             sic_expand(np.eye(2, dtype=complex) / 2, fake)
@@ -266,8 +305,8 @@ class TestDistinguish:
         pair1 = pure_pair(PLUS, PLUS)
         k = sic_distinguish_pair(pair0, pair1, povm)
         assert k is not None
-        lam0 = sic_expand(2 * projector_of(E0).entries, povm)
-        lam1 = sic_expand(2 * projector_of(PLUS).entries, povm)
+        lam0 = sic_expand(2 * DensityMatrix.pure(E0).entries, povm)
+        lam1 = sic_expand(2 * DensityMatrix.pure(PLUS).entries, povm)
         assert sic_rule_check(lam0.lambdas, k) != sic_rule_check(lam1.lambdas, k)
 
     def test_identical_pairs_are_inseparable(self):

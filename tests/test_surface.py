@@ -1,4 +1,5 @@
-"""The package's public surface: what it exports, that each exported name is used, and the README example."""
+"""The package's public surface: what it exports, that each exported name and each public method of an exported
+class is used, and the README example."""
 
 import ast
 import importlib
@@ -26,10 +27,8 @@ UNREFERENCED = {
     "sic_reconstruct": "the SIC expansion; no experiment runs it yet",
     "haar_state": "bench/test_bench.py reads it as cli.haar_state",
     "result_schema": "the payload schema that bench/child.py validates records against",
-    "inner": "a qcore helper with no src caller",
-    "projector_of": "a qcore helper with no src caller",
-    "trace_product": "a qcore helper with no src caller",
-    "vector_to_json": "a qcore helper with no src caller",
+    "DensityMatrix.pure": "the paper's dynamics; no experiment runs it yet",
+    "DensityMatrix.maximally_mixed": "the paper's dynamics; no experiment runs it yet",
 }
 
 
@@ -45,16 +44,28 @@ def _references(tree: ast.AST, name: str, skip: set) -> bool:
                for node in ast.walk(tree))
 
 
+def _public_names(tree: ast.Module, exported: list):
+    """Each exported name, and each public method of an exported class as ``Class.method``, with its definitions."""
+    for name in exported:
+        defs = [d for d in tree.body if getattr(d, "name", None) == name]
+        yield name, defs
+        for d in defs:
+            if isinstance(d, ast.ClassDef):
+                yield from ((f"{name}.{m.name}", [m]) for m in d.body
+                            if isinstance(m, ast.FunctionDef) and not m.name.startswith("_"))
+
+
 def test_every_public_name_is_used_in_src():
     trees = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in SRC.glob("*.py")}
     unreferenced = set()
     for module, tree in trees.items():
         if module == "__init__":
             continue
-        for name in importlib.import_module(f"twostate.{module}").__all__:
+        for name, defs in _public_names(tree, importlib.import_module(f"twostate.{module}").__all__):
             # the nodes of the name's own definition do not count as uses of it
-            own = {id(node) for d in tree.body if getattr(d, "name", None) == name for node in ast.walk(d)}
-            if not any(_references(other, name, own if other is tree else set()) for other in trees.values()):
+            own = {id(node) for d in defs for node in ast.walk(d)}
+            attr = name.rpartition(".")[2]
+            if not any(_references(other, attr, own if other is tree else set()) for other in trees.values()):
                 unreferenced.add(name)
     assert unreferenced == set(UNREFERENCED)
 
