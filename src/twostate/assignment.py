@@ -8,9 +8,12 @@ deterministic; it may also be empty.
 
 Every evaluation of the rule goes through one comparison (``_fires``) and
 every tally over outcomes through one batch kernel (``tally_rule``). Since
-at most one outcome of a sample fires, the kernel counts from the indices
-of the fired entries alone, a violation included: a sample that fired twice
-holds more than one consecutive index.
+at most one outcome of a sample fires, the kernel counts each outcome's
+column when the sums are stored a column at a time: if the column counts
+add up to the samples that fired at all, no sample fired twice. Otherwise,
+and for sums stored a row at a time, it counts from the indices of the
+fired entries alone, a violation included: a sample that fired twice holds
+more than one consecutive index.
 """
 
 from __future__ import annotations
@@ -86,12 +89,26 @@ def tally_rule(sums: np.ndarray, tie_tol: float = 0.0) -> np.ndarray:
     ``k``. Returns k + 2 int64 counts: the samples that fired only outcome
     0, ..., only outcome k-1, then the samples that fired no outcome, then
     the samples that fired more than one (an exclusivity violation).
+
+    A single column is counted whole. When ``sums`` is F-contiguous with
+    more than one row (one contiguous column per outcome, as the
+    stick-broken draw stores them) each outcome's column is counted, and
+    the columns ORed together count the samples that fired. If the two
+    agree no sample fired twice and the column counts are the tally;
+    otherwise, and for rows (C-contiguous sums, a single row among them),
+    the tally is counted from the fired entries' indices in sample order.
     """
     fired = _fires(sums, tie_tol)
     n, k = fired.shape
     if k == 1:  # one outcome never fires twice: no per-sample count is needed
         count = np.count_nonzero(fired)
         return np.array([count, n - count, 0], dtype=np.int64)
+    if not fired.flags.c_contiguous:  # F order: one contiguous column per outcome
+        counts = [np.count_nonzero(fired[:, j]) for j in range(k)]
+        firing = np.count_nonzero(np.logical_or.reduce(fired, axis=1))
+        if firing == sum(counts):
+            return np.array(counts + [n - firing, 0], dtype=np.int64)
+        fired = np.ascontiguousarray(fired)  # a sample fired twice: count it from the hit index
     # the fired entries in sample order, each split into its sample and its outcome; a sample's
     # hits are one run, so a run of length one is a sample that fired that outcome alone
     rows, cols = np.divmod(np.flatnonzero(fired), k)

@@ -243,4 +243,8 @@ def matrix_to_json(mat) -> list:
 
 
 def matrix_from_json(data) -> np.ndarray:
-    return np.array([[complex(re, im) for re, im in row] for row in data], dtype=complex)
+    rows = [[complex(re, im) for re, im in row] for row in data]
+    for i, row in enumerate(rows):
+        if len(row) != len(rows):
+            raise ValueError(f"expected a square matrix of {len(rows)} rows, but row {i} has {len(row)} entries")
+    return np.array(rows, dtype=complex)

@@ -21,7 +21,10 @@ of uniforms, so 32768 one-word samples), draws each chunk's uniforms into
 the calling thread's one buffer of that size, hands them to a kernel, and
 folds the kernels' results exactly. A chunk thus allocates no float array
 for its uniforms; only its Philox outputs (half the buffer's size) are
-drawn into a fresh array, since ``random_raw`` takes no ``out``.
+drawn into a fresh array, since ``random_raw`` takes no ``out``. A chunk's
+uniforms are one contiguous row per sample, or, for the stick-broken draw,
+one contiguous column per word, so that each of its passes over one
+candidate's overlaps reads contiguous memory; the layout changes no value.
 
 The Haar state sampler (``haar_states``) builds complex vectors from
 Box-Muller normals. The estimators and the exclusivity scan never build a
@@ -29,7 +32,7 @@ backward state: the rule sees one only through its overlaps ``|<b|a_k>|^2``
 with the outcomes, and those are drawn from their closed-form laws
 (``_overlaps``). The estimators draw only the overlaps of the outcomes that
 can fire, by stick-breaking, while those are at most half of them
-(sample-stream version 6, ``_rule_tallies``).
+(sample-stream version 6, ``_rule_tallies``), in column-major chunks.
 """
 
 from __future__ import annotations
@@ -176,7 +179,7 @@ def _philox_outputs(stream: RngStream, tick: int, n: int) -> np.ndarray:
 def _uniforms(
     stream: RngStream, first_sample: int, count: int, words_per_sample: int, out: np.ndarray | None = None
 ) -> np.ndarray:
-    """Uniforms on (0, 1), one per 32-bit word, one contiguous row per sample.
+    """Uniforms on (0, 1), one per 32-bit word: a ``(count, w)`` array, one row per sample.
 
     With ``w = words_per_sample``, sample ``j`` owns words ``[j*w, (j+1)*w)``
     of the stream's one word sequence, so row i depends only on
@@ -185,14 +188,21 @@ def _uniforms(
     the tick holding the first word and drops the words before it, so a
     draw may start on an output's high half. Each word ``h`` becomes
     ``(h + 0.5) * 2**-32``, exactly, from 2**-33 to 1 - 2**-33. The rows are
-    written into ``out`` (C-contiguous, shape ``(count, w)``) when it is
-    given: ``_sampled`` passes views of its thread's chunk buffer.
+    written into ``out`` (shape ``(count, w)``) when it is given: ``_sampled``
+    passes views of its thread's chunk buffer. A C-contiguous ``out`` holds
+    one contiguous row per sample; any other is filled one column at a time
+    (``_sampled`` passes F-contiguous ones, one contiguous column per word
+    of a sample), to the same values.
     """
     first_word, n_words = first_sample * words_per_sample, count * words_per_sample
     skip = first_word % 8
     outputs = _philox_outputs(stream, first_word // 8, (skip + n_words + 1) // 2)
-    halves = outputs.astype("<u8", copy=False).view("<u4")
-    out = np.add(halves[skip:skip + n_words].reshape(count, words_per_sample), 0.5, out=out)
+    halves = outputs.astype("<u8", copy=False).view("<u4")[skip:skip + n_words]
+    if out is None or out.flags.c_contiguous:
+        out = np.add(halves.reshape(count, words_per_sample), 0.5, out=out)
+    else:
+        for j in range(words_per_sample):  # word j of every sample: stride w in the stream
+            np.add(halves[j::words_per_sample], 0.5, out=out[:, j])
     out *= 2.0**-32
     return out
 
@@ -247,7 +257,8 @@ def _break_stick(u: np.ndarray, sticks: int, rest: np.ndarray | None = None) -> 
     Piece j is ``rem[j - 1] - rem[j]``, where ``rem[-1] = rest`` and ``rem[j]`` is ``rem[j - 1]``
     times ``u[:, j] ** (1 / (sticks - 1 - j))``, the Beta(sticks - 1 - j, 1) share of the rest
     that piece j leaves (neutrality: Connor & Mosimann, JASA 64, 194, 1969). ``u`` has fewer
-    than ``sticks`` columns.
+    than ``sticks`` columns. Every pass reads and writes whole columns, each contiguous when ``u``
+    is F-contiguous, as the estimators' chunks are.
     """
     for j in range(u.shape[1]):  # rem[j], in place of its uniform
         column = u[:, j]
@@ -325,18 +336,19 @@ def haar_states(dim: int, rng: RngStream, start: int, count: int) -> np.ndarray:
 # --- Monte Carlo estimators ------------------------------------------------
 
 
-def _sampled(block, n_samples: int, draws, workers: int, reduce=np.add):
+def _sampled(block, n_samples: int, draws, workers: int, reduce=np.add, *, columns: bool = False):
     """``block(*uniforms)`` over the chunks of samples ``[0, n_samples)``, folded with ``reduce`` in chunk order.
 
     ``draws`` holds one ``(stream, words)`` pair per draw a sample makes; for the chunk of samples
     ``[lo, hi)`` the block gets, per draw, the ``(hi - lo, words)`` array
-    ``_uniforms(stream, lo, hi - lo, words)``. ``_chunk_samples`` sizes the chunks by the words of
-    all draws. The arrays are consecutive views of the calling thread's one buffer of
-    ``_CHUNK_WORDS`` uniforms, so chunk after chunk and call after call write the same pages, and
-    no two threads share one; only a sample wider than the buffer (a one-sample chunk) gets arrays
-    of its own. The next chunk overwrites the uniforms, so a block must not return a view of them.
-    With an exact ``reduce`` (integer addition, or that and a minimum) neither the chunk size nor
-    ``workers`` changes the result.
+    ``_uniforms(stream, lo, hi - lo, words)``: one contiguous row per sample, or with ``columns``
+    one contiguous column per word (F-contiguous), for a block whose every pass reads one column.
+    ``_chunk_samples`` sizes the chunks by the words of all draws. The arrays are consecutive
+    views of the calling thread's one buffer of ``_CHUNK_WORDS`` uniforms, so chunk after chunk
+    and call after call write the same pages, and no two threads share one; only a sample wider
+    than the buffer (a one-sample chunk) gets arrays of its own. The next chunk overwrites the
+    uniforms, so a block must not return a view of them. With an exact ``reduce`` (integer
+    addition, or that and a minimum) neither the chunk size nor ``workers`` changes the result.
     """
     if n_samples < 1:
         raise ValueError(f"sample count must be >= 1, got {n_samples}")
@@ -353,7 +365,8 @@ def _sampled(block, n_samples: int, draws, workers: int, reduce=np.add):
             buffer = _THREAD.buffer
         uniforms, start = [], 0
         for stream, w in draws:
-            view = buffer[start:start + count * w].reshape(count, w)
+            view = buffer[start:start + count * w]
+            view = view.reshape(w, count).T if columns else view.reshape(count, w)
             uniforms.append(_uniforms(stream, lo, count, w, view))
             start += count * w
         return block(*uniforms)
@@ -413,8 +426,11 @@ def _rule_tallies(
         sums += p_drawn
         return tally_rule(sums, tie_tol)
 
+    # a stick-broken chunk comes one contiguous column per candidate, so every pass over it, the
+    # tally included, reads contiguous memory; the flat Dirichlet keeps its rows, since its row
+    # sums round differently over columns
     draws = [(RngStream(seed, stream_index), _overlap_words(dist, dim, k, stick))]
-    counts = _sampled(chunk_tallies, n_samples, draws, workers)
+    counts = _sampled(chunk_tallies, n_samples, draws, workers, columns=stick is not None)
     if stick is None:
         return counts
     tallies = np.zeros(k + 2, dtype=np.int64)

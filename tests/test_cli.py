@@ -132,6 +132,27 @@ class TestConfigHandling:
         assert code == 2
         assert capsys.readouterr().err.startswith("error: invalid ")
 
+    @pytest.mark.parametrize("args, config, label", [
+        (["basis-mc"], {"basis": [[[1, 0], [0, 0]], [[0, 0], [1, 0], [0, 0]]], "forward": [[1, 0], [0, 0]]},
+         "basis"),
+        (["weak-value"], {"observable": [[[1, 0], [0, 0]], [[0, 0], [1, 0], [0, 0]]],
+                          "forward": [[1, 0], [0, 0]], "final": [[1, 0], [0, 0]]}, "observable"),
+        (["stationary-solve"], {"hamiltonian": [[[1, 0], [0, 0]], [[0, 0], [1, 0], [0, 0]]],
+                                "target_k": matrix_to_json(np.zeros((2, 2))), "diagonal": [0.5, 0.5]},
+         "hamiltonian/target_k/diagonal"),
+        (["stationary-solve"], {"hamiltonian": matrix_to_json(np.diag([1.0, 3.0])),
+                                "target_k": [[[0, 0], [0, 0]], [[0, 0], [0, 0], [0, 0]]], "diagonal": [0.5, 0.5]},
+         "hamiltonian/target_k/diagonal"),
+    ], ids=["basis", "observable", "hamiltonian", "target_k"])
+    def test_a_ragged_config_matrix_names_its_row(self, args, config, label, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        code, out = run_cli(args + ["--seed", "1", "--config", str(cfg)], tmp_path)
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: invalid {label}: expected a square matrix of 2 rows, but row 1 has 3 entries\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("args, config, message", [
         (["sic-search", "--dim", "9"], {}, "invalid dim: supported dimensions are 2..8"),
         (["weak-value"], {"observable": matrix_to_json(np.diag([1.0, -1.0])),
@@ -832,6 +853,19 @@ FIDUCIAL_D5 = [
 # The 16-dim Sylvester-Hadamard basis: orthonormal real rows whose entries, +-1/4, are exact.
 _H2 = np.array([[1.0, 1.0], [1.0, -1.0]])
 HADAMARD_16 = np.kron(np.kron(_H2, _H2), np.kron(_H2, _H2)) / 4.0
+# Forward states whose candidates (the outcomes that can fire) are stick-broken over a standard
+# basis: outcomes 0 and 3 at d = 8 under uniform overlap (q_0 and one piece of the rest), and 8
+# of 32 outcomes under Haar, the outcome that fires (weight 0.93) the last but one piece drawn.
+FORWARD_U8 = np.zeros(8, dtype=complex)
+FORWARD_U8[[0, 3]] = np.sqrt(0.6), np.sqrt(0.4) * np.exp(0.7j)
+_WEIGHTS_H32 = np.zeros(32)
+_WEIGHTS_H32[[1, 4, 7, 10, 13, 20, 25, 31]] = 0.01
+_WEIGHTS_H32[25] = 0.93
+FORWARD_H32 = np.sqrt(_WEIGHTS_H32) * np.exp(1j * np.arange(32))
+STICK_U8 = (["basis-mc", "--dim", "8", "--dist", "uniform-overlap", "--samples", "20000", "--seed", "53"],
+            {"basis": [vector_to_json(row) for row in np.eye(8)], "forward": vector_to_json(FORWARD_U8)})
+STICK_H32 = (["basis-mc", "--dim", "32", "--dist", "haar", "--samples", "40000", "--seed", "59"],
+             {"basis": [vector_to_json(row) for row in np.eye(32)], "forward": vector_to_json(FORWARD_H32)})
 PAYLOAD_HEADER = "schema_version,experiment,dim,samples,seed,tie_tol,dist,p_or_theta,frequency,std_err," \
                  "no_assign_rate,oracle,extra\n"
 # The --no-timing CSV rows of two or more configs of each sampled experiment, as sample-stream
@@ -839,7 +873,9 @@ PAYLOAD_HEADER = "schema_version,experiment,dim,samples,seed,tie_tol,dist,p_or_t
 # streams or of the schema. The basis-mc
 # rows at d = 16 (Haar) and d = 5 (uniform overlap) tally multi-outcome chunks in which
 # several outcomes fire; at d = 16 two of the 16 outcomes can fire, and their overlaps are
-# stick-broken, while the qubit rows and the d = 5 rows draw all d flat Dirichlet.
+# stick-broken, while the qubit rows and the d = 5 rows draw all d flat Dirichlet. The d = 8
+# (uniform overlap) and d = 32 (Haar, 8 candidates) rows pin the stick-broken draw over more
+# than one column in both laws.
 PINNED_PAYLOADS = {
     "born-mc-uniform-d4": (
         ["born-mc", "--dim", "4", "--samples", "5000", "--seed", "11", "--p-grid", "0.2,0.5,0.9"], None, [
@@ -927,6 +963,66 @@ PINNED_PAYLOADS = {
             '2,basis-mc,5,20000,47,0.0,uniform-overlap,,0.0,0.0,0.6473,0.049999999999999996,'
             '"{""outcome"":4,""conditional_frequency"":0.0}"',
         ]),
+    "basis-mc-uniform-d8-stick": (*STICK_U8, [
+            '2,basis-mc,8,20000,53,0.0,uniform-overlap,,0.6003,0.003463667925768866,0.3993,0.6000000000000001,'
+            '"{""outcome"":0,""conditional_frequency"":0.999334110204761}"',
+            '2,basis-mc,8,20000,53,0.0,uniform-overlap,,0.0,0.0,0.3993,0.0,'
+            '"{""outcome"":1,""conditional_frequency"":0.0}"',
+            '2,basis-mc,8,20000,53,0.0,uniform-overlap,,0.0,0.0,0.3993,0.0,'
+            '"{""outcome"":2,""conditional_frequency"":0.0}"',
+            '2,basis-mc,8,20000,53,0.0,uniform-overlap,,0.0004,0.00014139306913706908,0.3993,0.4,'
+            '"{""outcome"":3,""conditional_frequency"":0.000665889795238888}"',
+            '2,basis-mc,8,20000,53,0.0,uniform-overlap,,0.0,0.0,0.3993,0.0,'
+            '"{""outcome"":4,""conditional_frequency"":0.0}"',
+            '2,basis-mc,8,20000,53,0.0,uniform-overlap,,0.0,0.0,0.3993,0.0,'
+            '"{""outcome"":5,""conditional_frequency"":0.0}"',
+            '2,basis-mc,8,20000,53,0.0,uniform-overlap,,0.0,0.0,0.3993,0.0,'
+            '"{""outcome"":6,""conditional_frequency"":0.0}"',
+            '2,basis-mc,8,20000,53,0.0,uniform-overlap,,0.0,0.0,0.3993,0.0,'
+            '"{""outcome"":7,""conditional_frequency"":0.0}"',
+        ]),
+    "basis-mc-haar-d32-stick": (*STICK_H32, [
+            '2,basis-mc,32,40000,59,0.0,haar,,0.0,0.0,0.89365,0.0,"{""outcome"":0,""conditional_frequency"":0.0}"',
+            '2,basis-mc,32,40000,59,0.0,haar,,0.0,0.0,0.89365,0.010000000000000004,'
+            '"{""outcome"":1,""conditional_frequency"":0.0}"',
+            '2,basis-mc,32,40000,59,0.0,haar,,0.0,0.0,0.89365,0.0,"{""outcome"":2,""conditional_frequency"":0.0}"',
+            '2,basis-mc,32,40000,59,0.0,haar,,0.0,0.0,0.89365,0.0,"{""outcome"":3,""conditional_frequency"":0.0}"',
+            '2,basis-mc,32,40000,59,0.0,haar,,0.0,0.0,0.89365,0.010000000000000002,'
+            '"{""outcome"":4,""conditional_frequency"":0.0}"',
+            '2,basis-mc,32,40000,59,0.0,haar,,0.0,0.0,0.89365,0.0,"{""outcome"":5,""conditional_frequency"":0.0}"',
+            '2,basis-mc,32,40000,59,0.0,haar,,0.0,0.0,0.89365,0.0,"{""outcome"":6,""conditional_frequency"":0.0}"',
+            '2,basis-mc,32,40000,59,0.0,haar,,0.0,0.0,0.89365,0.010000000000000002,'
+            '"{""outcome"":7,""conditional_frequency"":0.0}"',
+            '2,basis-mc,32,40000,59,0.0,haar,,0.0,0.0,0.89365,0.0,"{""outcome"":8,""conditional_frequency"":0.0}"',
+            '2,basis-mc,32,40000,59,0.0,haar,,0.0,0.0,0.89365,0.0,"{""outcome"":9,""conditional_frequency"":0.0}"',
+            '2,basis-mc,32,40000,59,0.0,haar,,0.0,0.0,0.89365,0.010000000000000002,'
+            '"{""outcome"":10,""conditional_frequency"":0.0}"',
+            '2,basis-mc,32,40000,59,0.0,haar,,0.0,0.0,0.89365,0.0,"{""outcome"":11,""conditional_frequency"":0.0}"',
+            '2,basis-mc,32,40000,59,0.0,haar,,0.0,0.0,0.89365,0.0,"{""outcome"":12,""conditional_frequency"":0.0}"',
+            '2,basis-mc,32,40000,59,0.0,haar,,0.0,0.0,0.89365,0.010000000000000002,'
+            '"{""outcome"":13,""conditional_frequency"":0.0}"',
+            '2,basis-mc,32,40000,59,0.0,haar,,0.0,0.0,0.89365,0.0,"{""outcome"":14,""conditional_frequency"":0.0}"',
+            '2,basis-mc,32,40000,59,0.0,haar,,0.0,0.0,0.89365,0.0,"{""outcome"":15,""conditional_frequency"":0.0}"',
+            '2,basis-mc,32,40000,59,0.0,haar,,0.0,0.0,0.89365,0.0,"{""outcome"":16,""conditional_frequency"":0.0}"',
+            '2,basis-mc,32,40000,59,0.0,haar,,0.0,0.0,0.89365,0.0,"{""outcome"":17,""conditional_frequency"":0.0}"',
+            '2,basis-mc,32,40000,59,0.0,haar,,0.0,0.0,0.89365,0.0,"{""outcome"":18,""conditional_frequency"":0.0}"',
+            '2,basis-mc,32,40000,59,0.0,haar,,0.0,0.0,0.89365,0.0,"{""outcome"":19,""conditional_frequency"":0.0}"',
+            '2,basis-mc,32,40000,59,0.0,haar,,0.0,0.0,0.89365,0.010000000000000002,'
+            '"{""outcome"":20,""conditional_frequency"":0.0}"',
+            '2,basis-mc,32,40000,59,0.0,haar,,0.0,0.0,0.89365,0.0,"{""outcome"":21,""conditional_frequency"":0.0}"',
+            '2,basis-mc,32,40000,59,0.0,haar,,0.0,0.0,0.89365,0.0,"{""outcome"":22,""conditional_frequency"":0.0}"',
+            '2,basis-mc,32,40000,59,0.0,haar,,0.0,0.0,0.89365,0.0,"{""outcome"":23,""conditional_frequency"":0.0}"',
+            '2,basis-mc,32,40000,59,0.0,haar,,0.0,0.0,0.89365,0.0,"{""outcome"":24,""conditional_frequency"":0.0}"',
+            '2,basis-mc,32,40000,59,0.0,haar,,0.10635,0.0015414252941677064,0.89365,0.9300000000000002,'
+            '"{""outcome"":25,""conditional_frequency"":1.0000000000000004}"',
+            '2,basis-mc,32,40000,59,0.0,haar,,0.0,0.0,0.89365,0.0,"{""outcome"":26,""conditional_frequency"":0.0}"',
+            '2,basis-mc,32,40000,59,0.0,haar,,0.0,0.0,0.89365,0.0,"{""outcome"":27,""conditional_frequency"":0.0}"',
+            '2,basis-mc,32,40000,59,0.0,haar,,0.0,0.0,0.89365,0.0,"{""outcome"":28,""conditional_frequency"":0.0}"',
+            '2,basis-mc,32,40000,59,0.0,haar,,0.0,0.0,0.89365,0.0,"{""outcome"":29,""conditional_frequency"":0.0}"',
+            '2,basis-mc,32,40000,59,0.0,haar,,0.0,0.0,0.89365,0.0,"{""outcome"":30,""conditional_frequency"":0.0}"',
+            '2,basis-mc,32,40000,59,0.0,haar,,0.0,0.0,0.89365,0.010000000000000004,'
+            '"{""outcome"":31,""conditional_frequency"":0.0}"',
+        ]),
     "exclusivity-scan-d3": (
         ["exclusivity-scan", "--dim", "3", "--samples", "3000", "--seed", "19"], None, [
             '2,exclusivity-scan,3,3000,19,0.0,,,0.5123333333333333,,0.4876666666666667,0.5,'
@@ -979,16 +1075,21 @@ class TestDeterminism:
         (["basis-mc", "--dim", "16", "--samples", "20000", "--seed", "42", "--dist", "haar"],
          {"basis": [vector_to_json(row) for row in HADAMARD_16],
           "forward": vector_to_json(np.sqrt(0.9) * HADAMARD_16[2] + np.sqrt(0.1) * HADAMARD_16[9])}),
+        STICK_U8,
+        STICK_H32,
         (["exclusivity-scan", "--dim", "5", "--samples", "25000", "--seed", "7"], None),
         (["sic-distinguish", "--dim", "3", "--samples", "60000", "--seed", "7"], None),
         (["pbr-geometric", "--samples", "5000", "--seed", "7"], None),
-    ], ids=["born-mc", "basis-mc", "basis-mc-haar-d16", "exclusivity-scan", "sic-distinguish", "pbr-geometric"])
+    ], ids=["born-mc", "basis-mc", "basis-mc-haar-d16", "basis-mc-uniform-d8-stick", "basis-mc-haar-d32-stick",
+            "exclusivity-scan", "sic-distinguish", "pbr-geometric"])
     @pytest.mark.parametrize("chunk_words, workers", [
         (None, "8"),
         # 2048-word chunks: 10 born-mc, 20 basis-mc, 20 basis-mc-haar-d16 (two outcomes can fire:
-        # 2 words per sample), 123 exclusivity-scan, 706 sic-distinguish and 40 pbr-geometric chunks
+        # 2 words per sample), 20 basis-mc-uniform-d8-stick, 157 basis-mc-haar-d32-stick (8 words),
+        # 123 exclusivity-scan, 706 sic-distinguish and 40 pbr-geometric chunks
         (2048, "3"),
-        # 999-word chunks are ragged: basis-mc-haar-d16 runs 40 chunks of 499 samples and one of 40
+        # 999-word chunks are ragged: basis-mc-haar-d16 runs 40 chunks of 499 samples and one of 40,
+        # basis-mc-haar-d32-stick 322 of 124 and one of 72
         (999, "2"),
     ], ids=["default-chunks", "small-chunks", "ragged-chunks"])
     def test_worker_count_leaves_bytes_unchanged(self, args, config, chunk_words, workers, tmp_path, monkeypatch):

@@ -115,14 +115,15 @@ class TestOneOutcomeTally:
 
 
 @st.composite
-def tally_cases(draw):
+def tally_cases(draw, ks=(2, 3, 5, 16)):
     """Rule sums of shape (n, k) and a tie tolerance, with a drawn share of samples that fire once and
-    of those that fire again, some of them every outcome; every other entry is below the threshold or
-    one of its three edges."""
-    k, n = draw(st.sampled_from([2, 3, 5, 16])), draw(st.one_of(st.just(1), st.integers(2, 300)))
+    of those that fire again (when k > 1), some of them every outcome; every other entry is below the
+    threshold or one of its three edges."""
+    k, n = draw(st.sampled_from(ks)), draw(st.one_of(st.just(1), st.integers(2, 300)))
     tie_tol = draw(tie_tols)
     fire_rate = draw(st.sampled_from([0.0, 0.02, 0.2, 0.9, 1.0]))
-    again_rate = draw(st.sampled_from([0.0, 0.05, 1.0]))  # of the samples that fire, those that fire twice
+    # of the samples that fire, those that fire twice
+    again_rate = draw(st.sampled_from([0.0, 0.05, 1.0])) if k > 1 else 0.0
     rng = np.random.default_rng(draw(seeds))
     edges = _threshold_edges(tie_tol)
     sums = rng.uniform(0.0, 1.0 + tie_tol, (n, k))
@@ -159,6 +160,22 @@ class TestHitIndexTally:
         tally = tally_rule(sums, tie_tol)
         assert tally.tolist() == _per_sample_tally(sums, tie_tol)
         assert tally[-1] == (edges == (2, 2))
+
+
+class TestColumnTally:
+    """``tally_rule`` on F-contiguous sums, one contiguous column per outcome as the stick-broken draw
+    stores them, gives the counts of a C-contiguous copy: one column, one sample, no firing and
+    samples that fire two or more outcomes included."""
+
+    @PROPERTY
+    @given(st.one_of(tally_cases(ks=(1,)), tally_cases()))
+    def test_column_and_row_layouts_agree(self, case):
+        sums, tie_tol = case
+        columns, rows = np.asfortranarray(sums), np.ascontiguousarray(sums)
+        assert columns.flags.f_contiguous and rows.flags.c_contiguous
+        tally = tally_rule(columns, tie_tol)
+        assert tally.dtype == np.int64
+        assert tally.tolist() == tally_rule(rows, tie_tol).tolist() == _per_sample_tally(sums, tie_tol)
 
 
 @st.composite

@@ -115,6 +115,18 @@ class TestWordExactAddressing:
         assert np.array_equal(block.ravel(), flat[lo * words:])
         assert block.ravel().tolist() == philox_uniforms(stream, (lo + n) * words)[lo * words:]
 
+    # one contiguous column per word, as the stick-broken draw asks: first words lo * w at odd
+    # offsets (lo 1, 3 or 333 with odd w), even ones and multiples of 8
+    @pytest.mark.parametrize("words", [1, 2, 3, 5, 16])
+    @pytest.mark.parametrize("lo", [0, 1, 3, 333])
+    def test_a_column_major_out_holds_the_row_major_uniforms(self, words, lo):
+        stream, n = RngStream(11, 2), 9
+        rows = _uniforms(stream, lo, n, words)
+        out = np.empty(n * words).reshape(words, n).T
+        assert out.flags.f_contiguous
+        assert _uniforms(stream, lo, n, words, out) is out
+        assert np.array_equal(out.view(np.uint64), rows.view(np.uint64))
+
     @pytest.mark.parametrize("dim", [2, 3, 5])
     @pytest.mark.parametrize("sampler", ["haar_states", "haar_unitary", "uniform_overlap_states"])
     def test_split_is_bit_identical_to_one_call(self, sampler, dim):
@@ -545,6 +557,34 @@ class TestChunkBuffers:
         for lo, (_, (u,), (copy,)) in enumerate(calls):
             assert u.shape == (1, _CHUNK_WORDS + 1) and not np.shares_memory(u, buffer)
             assert np.array_equal(copy.view(np.uint64), _uniforms(stream, lo, 1, _CHUNK_WORDS + 1).view(np.uint64))
+
+    @pytest.mark.parametrize("law, weights, columns", [
+        ("haar", [5, 0, 3, 0, 0, 2, 0, 0], True),
+        ("uniform-overlap", [5, 0, 3, 0, 0, 2, 0, 0], True),
+        ("haar", [1] * 8, False),  # full support: all d overlaps, flat Dirichlet rows
+    ], ids=["haar-stick", "uniform-overlap-stick", "haar-flat"])
+    def test_the_stick_broken_draw_gets_columns_of_the_buffer(self, law, weights, columns, monkeypatch):
+        # three of eight candidates are stick-broken, three words per sample under either law
+        calls, sampled = [], sampling._sampled
+
+        def recording(block, *args, **kwargs):
+            def recorded(*uniforms):
+                result = block(*uniforms)
+                calls.append((uniforms, result))
+                return result
+            return sampled(recorded, *args, **kwargs)
+
+        monkeypatch.setattr(sampling, "_sampled", recording)
+        dist = HaarPure() if law == "haar" else UniformOverlap()
+        words = 3 if columns else 8
+        basis_mc(forward_with_weights(weights), OrthonormalBasis(np.eye(8)), dist, 3 * _chunk_samples(words) + 5, 7)
+        buffer = sampling._THREAD.buffer
+        for (u,), result in calls:
+            assert u.shape[1] == words
+            assert (u.flags.f_contiguous, u.flags.c_contiguous) == (columns, not columns)
+            assert u.base is buffer and u.ctypes.data == buffer.ctypes.data
+            assert not np.shares_memory(result, buffer)
+        assert len(calls) == 4
 
     @pytest.mark.parametrize("law", ["haar", "uniform-overlap"])
     @pytest.mark.parametrize("dim", [2, 5])
