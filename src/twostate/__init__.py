@@ -13,6 +13,7 @@ reproducible command-line experiment harness.
 from .assignment import (
     MultipleOutcomesError,
     OrthogonalPostSelectionError,
+    PreconditionError,
     TwoStatePairMixed,
     WeakValueResult,
     tally_rule,

@@ -29,6 +29,7 @@ __all__ = [
     "WeakValueResult",
     "MultipleOutcomesError",
     "OrthogonalPostSelectionError",
+    "PreconditionError",
     "tally_rule",
     "weak_value",
 ]
@@ -44,6 +45,10 @@ class MultipleOutcomesError(RuntimeError):
 
 class OrthogonalPostSelectionError(ValueError):
     """Weak value requested for a (numerically) orthogonal post-selection."""
+
+
+class PreconditionError(ValueError):
+    """Inputs beyond the bound under which the rule fires at most one outcome per sample."""
 
 
 @dataclass(frozen=True, eq=False)

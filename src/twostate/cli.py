@@ -24,7 +24,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .assignment import MultipleOutcomesError, OrthogonalPostSelectionError, weak_value
+from .assignment import MultipleOutcomesError, OrthogonalPostSelectionError, PreconditionError, weak_value
 from .blochpbr import pbr_geometric, pbr_separators
 from .dynamics import (
     CommutatorTarget,
@@ -291,10 +291,13 @@ def _run_basis_mc(cfg: ExperimentConfig) -> list[dict]:
 
     dist = _dist_for(cfg)
     for point, (theta, fwd, basis) in enumerate(cases):
-        result = basis_mc(
-            fwd, basis, dist, cfg.samples, cfg.seed, cfg.tie_tol,
-            stream_index=point, workers=cfg.workers,
-        )
+        try:
+            result = basis_mc(
+                fwd, basis, dist, cfg.samples, cfg.seed, cfg.tie_tol,
+                stream_index=point, workers=cfg.workers,
+            )
+        except PreconditionError as err:  # the states' weights over the basis break the rule's precondition
+            raise ConfigError(str(err)) from None
         # 0/0, when no sample assigned an outcome, is written as null
         conditional = [None if math.isnan(c) else float(c) for c in result.conditional_frequencies()]
         born = np.abs(basis.entries.conj() @ fwd.entries) ** 2

@@ -33,6 +33,15 @@ with the outcomes, and those are drawn from their closed-form laws
 (``_overlaps``). The estimators draw only the overlaps of the outcomes that
 can fire, by stick-breaking, while those are at most half of them
 (sample-stream version 6, ``_rule_tallies``), in column-major chunks.
+
+A uniform-overlap estimator call whose only candidate is the target (every
+``born_mc`` point, and a ``basis_mc`` whose other outcomes cannot fire) draws
+one word per sample, and is tallied on the words themselves: sample i fires
+exactly when its word is at least one integer threshold fixed for the call
+(``_word_threshold``), since its rule sum ``p_0 + (h + 0.5) * 2**-32`` is one
+rounded addition, monotone in its word h. So its counts equal the float
+path's, word for word, and, as no transcendental function decides them, are
+the same under any SIMD dispatch; no other draw is tallied on words.
 """
 
 from __future__ import annotations
@@ -46,7 +55,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.random import Philox
 
-from .assignment import MultipleOutcomesError, _fires, tally_rule
+from .assignment import RULE_ROUNDING_BOUND, MultipleOutcomesError, PreconditionError, _fires, tally_rule
 from .qcore import OrthonormalBasis, StateVector
 
 __all__ = [
@@ -67,8 +76,9 @@ __all__ = [
 _MASK64 = (1 << 64) - 1
 _CHUNK_WORDS = 2**15  # 256 KiB of uniforms per chunk buffer
 # The largest share of a stick's pieces that an estimator draws by stick-breaking; above it the
-# flat Dirichlet over all d overlaps is cheaper: the Haar crossover at d = 4 to 32, where uniform
-# overlap's lies at or above it (BENCH_stream_v6.json).
+# flat Dirichlet over all d overlaps is drawn. Since the stick's chunks are column-major it sits
+# below the measured crossover at every d from 4 to 64 under both laws (BENCH_column_stick.json), so
+# a share that followed the crossover would draw faster; a new share is a change of sample streams.
 _STICK_SHARE = 0.5
 
 
@@ -176,28 +186,38 @@ def _philox_outputs(stream: RngStream, tick: int, n: int) -> np.ndarray:
     return bit_gen.random_raw(n)
 
 
+def _words(stream: RngStream, first_sample: int, count: int, words_per_sample: int) -> np.ndarray:
+    """The 32-bit words of samples ``[first_sample, first_sample + count)``, in stream order.
+
+    With ``w = words_per_sample``, sample ``j`` owns words ``[j*w, (j+1)*w)``
+    of the stream's one word sequence, so the words of sample i depend only
+    on (stream, i). A Philox counter tick yields four 64-bit outputs, eight
+    words, each output's low half first: the draw starts at the tick holding
+    the first word and drops the words before it, so a draw may start on an
+    output's high half. Returns a ``count * w`` uint32 view of the draw's
+    Philox outputs.
+    """
+    first_word, n_words = first_sample * words_per_sample, count * words_per_sample
+    skip = first_word % 8
+    outputs = _philox_outputs(stream, first_word // 8, (skip + n_words + 1) // 2)
+    return outputs.astype("<u8", copy=False).view("<u4")[skip:skip + n_words]
+
+
 def _uniforms(
     stream: RngStream, first_sample: int, count: int, words_per_sample: int, out: np.ndarray | None = None
 ) -> np.ndarray:
     """Uniforms on (0, 1), one per 32-bit word: a ``(count, w)`` array, one row per sample.
 
-    With ``w = words_per_sample``, sample ``j`` owns words ``[j*w, (j+1)*w)``
-    of the stream's one word sequence, so row i depends only on
-    (stream, first_sample + i). A Philox counter tick yields four 64-bit
-    outputs, eight words, each output's low half first: the draw starts at
-    the tick holding the first word and drops the words before it, so a
-    draw may start on an output's high half. Each word ``h`` becomes
-    ``(h + 0.5) * 2**-32``, exactly, from 2**-33 to 1 - 2**-33. The rows are
-    written into ``out`` (shape ``(count, w)``) when it is given: ``_sampled``
-    passes views of its thread's chunk buffer. A C-contiguous ``out`` holds
-    one contiguous row per sample; any other is filled one column at a time
-    (``_sampled`` passes F-contiguous ones, one contiguous column per word
-    of a sample), to the same values.
+    Row i holds the ``w = words_per_sample`` words of sample ``first_sample + i``
+    (``_words``), each word ``h`` as ``(h + 0.5) * 2**-32``, exactly, from
+    2**-33 to 1 - 2**-33. The rows are written into ``out`` (shape
+    ``(count, w)``) when it is given: ``_sampled`` passes views of its
+    thread's chunk buffer. A C-contiguous ``out`` holds one contiguous row
+    per sample; any other is filled one column at a time (``_sampled``
+    passes F-contiguous ones, one contiguous column per word of a sample),
+    to the same values.
     """
-    first_word, n_words = first_sample * words_per_sample, count * words_per_sample
-    skip = first_word % 8
-    outputs = _philox_outputs(stream, first_word // 8, (skip + n_words + 1) // 2)
-    halves = outputs.astype("<u8", copy=False).view("<u4")[skip:skip + n_words]
+    halves = _words(stream, first_sample, count, words_per_sample)
     if out is None or out.flags.c_contiguous:
         out = np.add(halves.reshape(count, words_per_sample), 0.5, out=out)
     else:
@@ -336,19 +356,24 @@ def haar_states(dim: int, rng: RngStream, start: int, count: int) -> np.ndarray:
 # --- Monte Carlo estimators ------------------------------------------------
 
 
-def _sampled(block, n_samples: int, draws, workers: int, reduce=np.add, *, columns: bool = False):
+def _sampled(block, n_samples: int, draws, workers: int, reduce=np.add, *, columns: bool = False,
+             raw: bool = False):
     """``block(*uniforms)`` over the chunks of samples ``[0, n_samples)``, folded with ``reduce`` in chunk order.
 
     ``draws`` holds one ``(stream, words)`` pair per draw a sample makes; for the chunk of samples
     ``[lo, hi)`` the block gets, per draw, the ``(hi - lo, words)`` array
     ``_uniforms(stream, lo, hi - lo, words)``: one contiguous row per sample, or with ``columns``
     one contiguous column per word (F-contiguous), for a block whose every pass reads one column.
-    ``_chunk_samples`` sizes the chunks by the words of all draws. The arrays are consecutive
-    views of the calling thread's one buffer of ``_CHUNK_WORDS`` uniforms, so chunk after chunk
-    and call after call write the same pages, and no two threads share one; only a sample wider
-    than the buffer (a one-sample chunk) gets arrays of its own. The next chunk overwrites the
-    uniforms, so a block must not return a view of them. With an exact ``reduce`` (integer
-    addition, or that and a minimum) neither the chunk size nor ``workers`` changes the result.
+    With ``raw`` it gets the same draw's 32-bit words instead, ``_words(stream, lo, hi - lo,
+    words)`` as a ``(hi - lo, words)`` uint32 array, for a block that needs no float: the one-word
+    uniform-overlap tally (``_rule_tallies``).
+    ``_chunk_samples`` sizes the chunks by the words of all draws. The arrays of uniforms are
+    consecutive views of the calling thread's one buffer of ``_CHUNK_WORDS`` uniforms, so chunk
+    after chunk and call after call write the same pages, and no two threads share one; only a
+    sample wider than the buffer (a one-sample chunk) gets arrays of its own. The next chunk
+    overwrites the uniforms, so a block must not return a view of them. With an exact ``reduce``
+    (integer addition, or that and a minimum) neither the chunk size nor ``workers`` changes the
+    result.
     """
     if n_samples < 1:
         raise ValueError(f"sample count must be >= 1, got {n_samples}")
@@ -357,6 +382,8 @@ def _sampled(block, n_samples: int, draws, workers: int, reduce=np.add, *, colum
 
     def run(lo: int, hi: int):
         count = hi - lo
+        if raw:
+            return block(*(_words(stream, lo, count, w).reshape(count, w) for stream, w in draws))
         if count * words > _CHUNK_WORDS:
             buffer = np.empty(count * words)
         else:
@@ -386,6 +413,48 @@ def _binomial_estimate(count: int, n_samples: int) -> BornEstimate:
     return BornEstimate(freq, std_err, n_samples)
 
 
+def _check_exclusive(weights: np.ndarray, tie_tol: float, what: str) -> None:
+    """PreconditionError unless the two largest ``weights`` sum to at most 1 + tie_tol + ``RULE_ROUNDING_BOUND``.
+
+    That is the rule's precondition for firing at most one outcome: two outcomes fire together only
+    when each one's forward and backward weight sum exceeds that bound (``_fires``), so their four
+    weights sum to more than twice it, which a forward and a backward pair that each meet it cannot
+    reach (the float sums round alike, since they round the same values in one binade). States and
+    bases within the boundary's tolerances may miss it.
+    """
+    if weights.shape[0] < 2:
+        return
+    second, first = sorted(weights.tolist())[-2:]
+    total = first + second
+    if _fires(total, tie_tol):
+        raise PreconditionError(
+            f"the {what}'s two largest weights over the outcomes sum to {total!r}, more than "
+            f"1 + tie_tol + {RULE_ROUNDING_BOUND:.1e} (tie_tol = {tie_tol!r}), the bound under which "
+            "the rule fires at most one outcome per sample"
+        )
+
+
+def _word_threshold(p0: float, tie_tol: float) -> int:
+    """The least word h in [0, 2**32) whose overlap ``(h + 0.5) * 2**-32`` fires the rule at the
+    forward weight ``p0``, or 2**32 if none does.
+
+    The rule's sum ``p0 + (h + 0.5) * 2**-32`` is one rounded addition, monotone in h, and Python
+    floats are the IEEE doubles the chunks add, so the words that fire are exactly those from the
+    result on. The closed form below is within a word or two of it; ``_fires`` at its neighbours
+    steps it to the exact boundary.
+    """
+    def fires(h: int) -> bool:
+        return bool(_fires(p0 + (h + 0.5) * 2.0**-32, tie_tol))
+
+    guess = (1.0 + tie_tol + RULE_ROUNDING_BOUND - p0) * 2.0**32 - 0.5
+    h = math.ceil(min(max(guess, 0.0), 2.0**32))
+    while h > 0 and fires(h - 1):
+        h -= 1
+    while h < 2**32 and not fires(h):
+        h += 1
+    return h
+
+
 def _rule_tallies(
     forward: StateVector,
     targets: np.ndarray,
@@ -396,7 +465,17 @@ def _rule_tallies(
     stream_index: int,
     workers: int,
 ) -> np.ndarray:
-    """``tally_rule`` summed over sampled backward states; ``targets`` rows are the outcomes."""
+    """``tally_rule`` summed over sampled backward states; ``targets`` rows are the outcomes.
+
+    Raises PreconditionError when two outcomes' forward weights (or, for a ``Fixed`` state, its
+    weights) sum to more than 1 + tie_tol + ``RULE_ROUNDING_BOUND``: such inputs may fire both
+    outcomes of one sample.
+
+    Under uniform overlap a sample of one word, ``h``, has the overlap ``(h + 0.5) * 2**-32`` with
+    the target, and ``p_0`` plus it is one rounded float addition, monotone in ``h``: the samples
+    that fire are exactly those whose word is at least ``_word_threshold(p_0, tie_tol)``, so such a
+    call tallies each chunk's words against that one integer and builds no float.
+    """
     dim = forward.dim
     if targets.shape[1] != dim:
         raise ValueError(f"dimension mismatch: {dim} vs {targets.shape[1]}")
@@ -404,14 +483,16 @@ def _rule_tallies(
         raise ValueError(f"sample count must be >= 1, got {n_samples}")
     conj_targets = targets.conj()
     p = np.abs(conj_targets @ forward.entries) ** 2
+    k = targets.shape[0]
+    _check_exclusive(p, tie_tol, "forward state")
 
     if isinstance(dist, Fixed):  # deterministic: one evaluation stands for every sample
         if dist.state.dim != dim:
             raise ValueError(f"dimension mismatch: fixed state {dist.state.dim} vs {dim}")
         q = np.abs(conj_targets @ dist.state.entries) ** 2
+        _check_exclusive(q, tie_tol, "fixed backward state")
         return tally_rule((p + q)[None, :], tie_tol) * n_samples
 
-    k = targets.shape[0]
     # Every drawn overlap is at most 1, and float addition is monotonic: an outcome that does not
     # fire at p + 1 never fires. Only the candidates' overlaps are drawn and tallied.
     cand = [j for j, p_j in enumerate(p.tolist()) if _fires(p_j + 1.0, tie_tol)]
@@ -419,18 +500,27 @@ def _rule_tallies(
         return np.array([0] * k + [n_samples, 0], dtype=np.int64)
     # the candidates broken off a stick, or None: all k overlaps drawn as version 5 drew them
     stick = cand if len(cand) < k and _breaks_stick(dist, cand, dim) else None
-    p_drawn = p if stick is None else p[stick]
-
-    def chunk_tallies(u: np.ndarray) -> np.ndarray:
-        sums = _overlaps(dist, dim, k, stick, u)
-        sums += p_drawn
-        return tally_rule(sums, tie_tol)
-
-    # a stick-broken chunk comes one contiguous column per candidate, so every pass over it, the
-    # tally included, reads contiguous memory; the flat Dirichlet keeps its rows, since its row
-    # sums round differently over columns
     draws = [(RngStream(seed, stream_index), _overlap_words(dist, dim, k, stick))]
-    counts = _sampled(chunk_tallies, n_samples, draws, workers, columns=stick is not None)
+    if isinstance(dist, UniformOverlap) and draws[0][1] == 1:  # the target alone, one word per sample
+        threshold = _word_threshold(float(p[0]), tie_tol)
+
+        def word_tallies(h: np.ndarray) -> np.ndarray:
+            fired = np.count_nonzero(h >= threshold)
+            return np.array([fired, h.shape[0] - fired, 0], dtype=np.int64)
+
+        counts = _sampled(word_tallies, n_samples, draws, workers, raw=True)
+    else:
+        p_drawn = p if stick is None else p[stick]
+
+        def chunk_tallies(u: np.ndarray) -> np.ndarray:
+            sums = _overlaps(dist, dim, k, stick, u)
+            sums += p_drawn
+            return tally_rule(sums, tie_tol)
+
+        # a stick-broken chunk comes one contiguous column per candidate, so every pass over it,
+        # the tally included, reads contiguous memory; the flat Dirichlet keeps its rows, since its
+        # row sums round differently over columns
+        counts = _sampled(chunk_tallies, n_samples, draws, workers, columns=stick is not None)
     if stick is None:
         return counts
     tallies = np.zeros(k + 2, dtype=np.int64)
@@ -467,14 +557,14 @@ def basis_mc(
 ) -> BasisMcResult:
     """Per-outcome rule frequencies over a full basis, plus the no-assignment rate.
 
-    Raises MultipleOutcomesError if any sample satisfies the rule for two
-    outcomes; for an orthonormal basis this must never happen.
+    Raises PreconditionError if two of ``forward``'s weights over the basis (or of a ``Fixed``
+    state's) sum to more than 1 + tie_tol + ``RULE_ROUNDING_BOUND``, the rule's precondition for
+    exclusivity, and
+    MultipleOutcomesError if any sample satisfies the rule for two outcomes all the same.
     """
     tallies = _rule_tallies(forward, basis.entries, dist, n_samples, seed, tie_tol, stream_index, workers)
     if tallies[-1]:
-        raise MultipleOutcomesError(
-            f"{int(tallies[-1])} samples fired more than one outcome; the basis is not orthonormal"
-        )
+        raise MultipleOutcomesError(f"{int(tallies[-1])} samples fired more than one outcome")
     no_assign_rate = int(tallies[-2]) / n_samples
     estimates = tuple(_binomial_estimate(int(c), n_samples) for c in tallies[:-2])
     return BasisMcResult(estimates, no_assign_rate, n_samples)

@@ -288,7 +288,7 @@ class TestConfigHandling:
     def test_a_config_key_the_run_ignores_exits_two_before_any_sampling(self, args, config, message, tmp_path,
                                                                          monkeypatch, capsys):
         draws = []
-        monkeypatch.setattr(sampling, "_uniforms", lambda *args: draws.append(args))
+        monkeypatch.setattr(sampling, "_words", lambda *args: draws.append(args))
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(config))
         code, out = run_cli(args + ["--seed", "1", "--config", str(cfg)], tmp_path)
@@ -866,6 +866,17 @@ STICK_U8 = (["basis-mc", "--dim", "8", "--dist", "uniform-overlap", "--samples",
             {"basis": [vector_to_json(row) for row in np.eye(8)], "forward": vector_to_json(FORWARD_U8)})
 STICK_H32 = (["basis-mc", "--dim", "32", "--dist", "haar", "--samples", "40000", "--seed", "59"],
              {"basis": [vector_to_json(row) for row in np.eye(32)], "forward": vector_to_json(FORWARD_H32)})
+# Uniform-overlap draws of one word per sample: born-mc at p = 0 (nothing can fire), 0.5 and 1 above a tie
+# tolerance, a born-mc of three full chunks and a short last one, and a basis-mc whose forward state is
+# the first row of the 4-dim Fourier basis (entries +-1/2 and +-i/2, exact), so that the target is the
+# only outcome that can fire.
+FOURIER_4 = np.array([[1j ** (j * k) for k in range(4)] for j in range(4)]) / 2.0
+WORD_EDGES = (["born-mc", "--dim", "3", "--samples", "4000", "--seed", "61", "--p-grid", "0,0.5,1", "--tie-tol",
+               "0.01"], None)
+WORD_CHUNKS = (["born-mc", "--dim", "4", "--samples", "100003", "--seed", "67", "--p-grid", "0.3,0.8"], None)
+WORD_TARGET = (["basis-mc", "--dim", "4", "--dist", "uniform-overlap", "--samples", "40000", "--seed", "71",
+                "--tie-tol", "0.25"],
+               {"basis": [vector_to_json(row) for row in FOURIER_4], "forward": vector_to_json(FOURIER_4[0])})
 PAYLOAD_HEADER = "schema_version,experiment,dim,samples,seed,tie_tol,dist,p_or_theta,frequency,std_err," \
                  "no_assign_rate,oracle,extra\n"
 # The --no-timing CSV rows of two or more configs of each sampled experiment, as sample-stream
@@ -875,7 +886,8 @@ PAYLOAD_HEADER = "schema_version,experiment,dim,samples,seed,tie_tol,dist,p_or_t
 # several outcomes fire; at d = 16 two of the 16 outcomes can fire, and their overlaps are
 # stick-broken, while the qubit rows and the d = 5 rows draw all d flat Dirichlet. The d = 8
 # (uniform overlap) and d = 32 (Haar, 8 candidates) rows pin the stick-broken draw over more
-# than one column in both laws.
+# than one column in both laws. The word rows pin the uniform-overlap draws of one word per sample,
+# which are tallied on their 32-bit words.
 PINNED_PAYLOADS = {
     "born-mc-uniform-d4": (
         ["born-mc", "--dim", "4", "--samples", "5000", "--seed", "11", "--p-grid", "0.2,0.5,0.9"], None, [
@@ -1023,6 +1035,25 @@ PINNED_PAYLOADS = {
             '2,basis-mc,32,40000,59,0.0,haar,,0.0,0.0,0.89365,0.010000000000000004,'
             '"{""outcome"":31,""conditional_frequency"":0.0}"',
         ]),
+    "born-mc-uniform-word-edges": (*WORD_EDGES, [
+            "2,born-mc,3,4000,61,0.01,uniform-overlap,0.0,0.0,0.0,,0.0,{}",
+            "2,born-mc,3,4000,61,0.01,uniform-overlap,0.5,0.4905,0.0079042670438188,,0.5,{}",
+            "2,born-mc,3,4000,61,0.01,uniform-overlap,1.0,0.98875,0.0016675908895769356,,1.0,{}",
+        ]),
+    "born-mc-uniform-word-chunks": (*WORD_CHUNKS, [
+            "2,born-mc,4,100003,67,0.0,uniform-overlap,0.3,0.3002309930702079,0.0014494345148679398,,0.3,{}",
+            "2,born-mc,4,100003,67,0.0,uniform-overlap,0.8,0.8001859944201674,0.0012644507592105272,,0.8,{}",
+        ]),
+    "basis-mc-uniform-d4-word-target": (*WORD_TARGET, [
+            '2,basis-mc,4,40000,71,0.25,uniform-overlap,,0.752075,0.0021590402634909336,0.247925,1.0,'
+            '"{""outcome"":0,""conditional_frequency"":1.0}"',
+            '2,basis-mc,4,40000,71,0.25,uniform-overlap,,0.0,0.0,0.247925,0.0,'
+            '"{""outcome"":1,""conditional_frequency"":0.0}"',
+            '2,basis-mc,4,40000,71,0.25,uniform-overlap,,0.0,0.0,0.247925,0.0,'
+            '"{""outcome"":2,""conditional_frequency"":0.0}"',
+            '2,basis-mc,4,40000,71,0.25,uniform-overlap,,0.0,0.0,0.247925,0.0,'
+            '"{""outcome"":3,""conditional_frequency"":0.0}"',
+        ]),
     "exclusivity-scan-d3": (
         ["exclusivity-scan", "--dim", "3", "--samples", "3000", "--seed", "19"], None, [
             '2,exclusivity-scan,3,3000,19,0.0,,,0.5123333333333333,,0.4876666666666667,0.5,'
@@ -1077,16 +1108,22 @@ class TestDeterminism:
           "forward": vector_to_json(np.sqrt(0.9) * HADAMARD_16[2] + np.sqrt(0.1) * HADAMARD_16[9])}),
         STICK_U8,
         STICK_H32,
+        WORD_EDGES,
+        WORD_CHUNKS,
+        WORD_TARGET,
         (["exclusivity-scan", "--dim", "5", "--samples", "25000", "--seed", "7"], None),
         (["sic-distinguish", "--dim", "3", "--samples", "60000", "--seed", "7"], None),
         (["pbr-geometric", "--samples", "5000", "--seed", "7"], None),
     ], ids=["born-mc", "basis-mc", "basis-mc-haar-d16", "basis-mc-uniform-d8-stick", "basis-mc-haar-d32-stick",
+            "born-mc-uniform-word-edges", "born-mc-uniform-word-chunks", "basis-mc-uniform-d4-word-target",
             "exclusivity-scan", "sic-distinguish", "pbr-geometric"])
     @pytest.mark.parametrize("chunk_words, workers", [
         (None, "8"),
         # 2048-word chunks: 10 born-mc, 20 basis-mc, 20 basis-mc-haar-d16 (two outcomes can fire:
         # 2 words per sample), 20 basis-mc-uniform-d8-stick, 157 basis-mc-haar-d32-stick (8 words),
-        # 123 exclusivity-scan, 706 sic-distinguish and 40 pbr-geometric chunks
+        # 2 born-mc-uniform-word-edges, 49 born-mc-uniform-word-chunks and 20
+        # basis-mc-uniform-d4-word-target (one word) per point, 123 exclusivity-scan, 706
+        # sic-distinguish and 40 pbr-geometric chunks
         (2048, "3"),
         # 999-word chunks are ragged: basis-mc-haar-d16 runs 40 chunks of 499 samples and one of 40,
         # basis-mc-haar-d32-stick 322 of 124 and one of 72
@@ -1106,10 +1143,27 @@ class TestDeterminism:
         _, pooled = run_cli(args + ["--workers", workers, "--no-timing"], tmp_path, "pooled.csv")
         assert pooled.read_bytes() == single.read_bytes()
 
+    @pytest.mark.parametrize("name", ["born-mc-uniform-d4", "born-mc-uniform-word-edges", "born-mc-uniform-word-chunks"])
+    def test_word_tallied_payloads_keep_their_bytes_on_the_baseline_dispatch(self, name):
+        # these rows tally their draws on 32-bit words against an integer threshold: no transcendental
+        # function decides a count, so numpy limited to its baseline SIMD code writes the same bytes
+        from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+
+        dispatched = [feature for feature in __cpu_dispatch__ if __cpu_features__.get(feature)]
+        if not dispatched:
+            pytest.skip("numpy dispatches no code beyond its baseline on this host")
+        args, config, rows = PINNED_PAYLOADS[name]
+        assert config is None
+        env = {**os.environ, "PYTHONPATH": str(SRC), "NPY_DISABLE_CPU_FEATURES": " ".join(dispatched)}
+        proc = subprocess.run([sys.executable, "-m", "twostate.cli", *args, "--no-timing"], env=env,
+                              capture_output=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.decode() == PAYLOAD_HEADER + "".join(row + "\n" for row in rows)
+
     def test_a_run_with_no_candidate_draws_nothing(self, tmp_path, monkeypatch, capsys):
         # at p = 0 the rule cannot fire whatever the backward state: no word is drawn
         draws = []
-        monkeypatch.setattr(sampling, "_uniforms", lambda *args: draws.append(args))
+        monkeypatch.setattr(sampling, "_words", lambda *args: draws.append(args))
         args = ["born-mc", "--dim", "3", "--dist", "haar", "--p-grid", "0.0", "--seed", "1", "--no-timing"]
         code, out = run_cli(args + ["--samples", "100"], tmp_path)
         assert code == 0 and draws == []
@@ -1186,7 +1240,71 @@ class TestRunnersCallTheKernels:
         assert private == []
 
 
+# Inputs within the boundary's tolerances whose weights can fire two outcomes of one sample. One: the
+# standard qubit basis, with forward = dist_state = (x, x), x = sqrt(0.5 + 4e-13), so the state's norm
+# deviates from 1 by 4e-13, within NORM_TOL. Two: the basis (1, 0), (delta, sqrt(1 - delta^2)),
+# delta = 5e-11, whose Gram deviation is within ORTHONORMAL_TOL, with forward = dist_state
+# (sqrt(0.5 + delta/4), sqrt(0.5 - delta/4)). Under --dist fixed both fired two outcomes every sample.
+_X = math.sqrt(0.5 + 4e-13)
+_DELTA = 5e-11
+_TILTED = [[1.0, 0.0], [_DELTA, math.sqrt(1.0 - _DELTA**2)]]
+_TILTED_FORWARD = [math.sqrt(0.5 + _DELTA / 4), math.sqrt(0.5 - _DELTA / 4)]
+PRECONDITION_REPROS = {
+    "stretched-state": ({"basis": [vector_to_json(row) for row in np.eye(2)], "forward": vector_to_json([_X, _X]),
+                         "dist_state": vector_to_json([_X, _X])}, "forward state", 1.0000000000008),
+    "tilted-basis": ({"basis": [vector_to_json(row) for row in _TILTED], "forward": vector_to_json(_TILTED_FORWARD),
+                      "dist_state": vector_to_json(_TILTED_FORWARD)}, "forward state", 1.00000000005),
+    "stretched-backward-state": ({"basis": [vector_to_json(row) for row in np.eye(2)],
+                                  "forward": vector_to_json([1.0, 0.0]), "dist_state": vector_to_json([_X, _X])},
+                                 "fixed backward state", 1.0000000000008),
+}
+
+
+class TestRulePrecondition:
+    """basis-mc checks the rule's precondition once per call: a state whose two largest weights over
+    the basis sum to more than 1 + tie_tol + RULE_ROUNDING_BOUND is a configuration error, not a violation."""
+
+    @staticmethod
+    def _run(name, dist, tie_tol, tmp_path):
+        config, _, _ = PRECONDITION_REPROS[name]
+        if dist != "fixed":  # the sampled laws read no dist_state
+            config = {key: value for key, value in config.items() if key != "dist_state"}
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        return run_cli(["basis-mc", "--dim", "2", "--dist", dist, "--tie-tol", tie_tol, "--samples", "10",
+                        "--seed", "1", "--config", str(cfg), "--no-timing"], tmp_path)
+
+    # the sampled laws read no dist_state, so only a forward state is at fault under them
+    CASES = [(name, dist) for name, (_, what, _) in PRECONDITION_REPROS.items()
+             for dist in (["fixed", "haar", "uniform-overlap"] if what == "forward state" else ["fixed"])]
+
+    @pytest.mark.parametrize("name, dist", CASES)
+    def test_weights_that_can_fire_two_outcomes_exit_two(self, name, dist, tmp_path, capsys):
+        _, what, total = PRECONDITION_REPROS[name]
+        code, out = self._run(name, dist, "0", tmp_path)
+        assert code == 2 and not out.exists()
+        assert capsys.readouterr().err == (
+            f"error: the {what}'s two largest weights over the outcomes sum to {total!r}, more than "
+            "1 + tie_tol + 2.8e-14 (tie_tol = 0.0), the bound under which the rule fires at most one outcome "
+            "per sample\n"
+        )
+
+    @pytest.mark.parametrize("name, dist", CASES)
+    def test_the_same_weights_within_the_tie_tolerance_run(self, name, dist, tmp_path, capsys):
+        # each pair of weights sums to less than 1 + tie_tol, so no two outcomes can fire together
+        code, out = self._run(name, dist, "0.01", tmp_path)
+        assert code == 0 and out.exists() and capsys.readouterr().err == ""
+
+
 class TestViolationExitCode:
+    def test_a_basis_mc_violation_blames_no_input(self, tmp_path, monkeypatch, capsys):
+        from twostate import tally_rule
+
+        monkeypatch.setattr("twostate.sampling.tally_rule", lambda sums, tie_tol=0.0: tally_rule(sums + 2.0, tie_tol))
+        code, _ = run_cli(["basis-mc", "--samples", "10", "--seed", "1", "--dist", "haar", "--no-timing"], tmp_path)
+        assert code == 4
+        assert capsys.readouterr().err == "error: model-invariant violation: 10 samples fired more than one outcome\n"
+
     def test_forced_violation_exits_four(self, tmp_path, monkeypatch):
         # a multiple-outcome event cannot occur with valid bases, so force one
         # through the rule kernel to check the reporting path and exit code
@@ -1210,6 +1328,16 @@ class TestRuntimeErrorExitCode:
         code, _ = run_cli(["weak-value", "--seed", "1"], tmp_path, name="missing-dir/out.csv")
         assert code == 3
         assert "could not write results" in capsys.readouterr().err
+
+    def test_a_value_error_inside_basis_mc_is_no_configuration_error(self, tmp_path, monkeypatch, capsys):
+        # only the rule's precondition is a configuration error; a fault in the estimator stays a runtime error
+        def broken(*args):
+            raise ValueError("operands could not be broadcast together")
+
+        monkeypatch.setattr(sampling, "_overlaps", broken)
+        code, out = run_cli(["basis-mc", "--samples", "10", "--seed", "1", "--dist", "haar", "--no-timing"], tmp_path)
+        assert code == 3 and not out.exists()
+        assert capsys.readouterr().err == "error: ValueError: operands could not be broadcast together\n"
 
     def test_runtime_error_names_its_type(self, tmp_path, monkeypatch, capsys):
         def broken(cfg):

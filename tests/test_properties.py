@@ -6,6 +6,12 @@ themselves; random states and bases come from numpy generators seeded by
 the drawn integers. Every test is derandomized, so a run is reproducible.
 """
 
+import contextlib
+import io
+import json
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,6 +20,7 @@ from hypothesis.extra import numpy as hnp
 
 from twostate import (
     HaarPure,
+    RngStream,
     StateVector,
     UniformOverlap,
     basis_mc,
@@ -25,8 +32,11 @@ from twostate import (
     tally_rule,
 )
 from twostate.assignment import RULE_ROUNDING_BOUND, _fires
+from twostate.cli import main
+from twostate.sampling import _uniforms, _word_threshold, _words
 
-from helpers import chunk_samples, random_basis, random_state, rule_sums, trace_rule_sums
+from helpers import chunk_samples, random_basis, random_state, random_unitary, rule_sums, trace_rule_sums, \
+    vector_to_json
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=150)
 
@@ -271,3 +281,94 @@ class TestChunkingInvariance:
         with chunk_samples(chunk_size):
             split = basis_mc(forward, basis, _dist(dist), n, seed, workers=workers)
         assert split == whole
+
+
+@st.composite
+def word_tally_cases(draw):
+    """A forward weight p_0, a tie tolerance and a stretch of one-word samples of a stream. p_0 is
+    drawn, one of 0, 1, 1e-300 and 1 - 1e-16, or the weight that puts the threshold exactly on one
+    of the stretch's own words, moved by up to two floats either way."""
+    tie_tol = draw(st.sampled_from([0.0, 1e-15, 0.01, 0.25]))
+    stream = RngStream(draw(seeds), draw(st.integers(0, 3)))
+    # odd first samples start on a Philox output's high half
+    first = draw(st.one_of(st.integers(0, 17), st.integers(0, 2**40)))
+    n = draw(st.integers(1, 2000))
+    kind = draw(st.sampled_from(["drawn", "extreme", "on-a-word"]))
+    if kind == "drawn":
+        p0 = draw(st.floats(0.0, 1.0))
+    elif kind == "extreme":
+        p0 = draw(st.sampled_from([0.0, 1.0, 1e-300, 1.0 - 1e-16]))
+    else:
+        h = int(_words(stream, first, n, 1)[draw(st.integers(0, n - 1))])
+        p0 = 1.0 + tie_tol + RULE_ROUNDING_BOUND - (h + 0.5) * 2.0**-32
+        steps = draw(st.integers(-2, 2))
+        for _ in range(abs(steps)):
+            p0 = float(np.nextafter(p0, 2.0 if steps > 0 else 0.0))
+    return p0, tie_tol, stream, first, n
+
+
+class TestWordThreshold:
+    """A one-word uniform-overlap sample fires exactly when its 32-bit word is at least
+    ``_word_threshold``: the integer tally is the float tally, word for word."""
+
+    @PROPERTY
+    @given(word_tally_cases())
+    def test_the_word_tally_is_the_float_tally(self, case):
+        p0, tie_tol, stream, first, n = case
+        threshold = _word_threshold(p0, tie_tol)
+        sums = _uniforms(stream, first, n, 1) + p0  # the float path: uniforms, then the forward weight
+        assert np.array_equal(_words(stream, first, n, 1) >= threshold, _fires(sums[:, 0], tie_tol))
+        fired = np.count_nonzero(_words(stream, first, n, 1) >= threshold)
+        assert tally_rule(sums, tie_tol).tolist() == [fired, n - fired, 0]
+
+    @PROPERTY
+    @given(word_tally_cases())
+    def test_the_threshold_is_the_least_word_that_fires(self, case):
+        p0, tie_tol = case[:2]
+        threshold = _word_threshold(p0, tie_tol)
+        assert 0 <= threshold <= 2**32
+        # the two words either side of it, as the float path turns them into sums
+        around = np.array([max(threshold - 1, 0), min(threshold, 2**32 - 1)], dtype=np.uint32)
+        below, at = _fires((around + 0.5) * 2.0**-32 + p0, tie_tol).tolist()
+        assert threshold == 2**32 or at
+        assert threshold == 0 or not below
+
+
+@st.composite
+def accepted_tie_cases(draw):
+    """A basis and a forward state that the boundary accepts, near an exact tie between two outcomes.
+
+    The basis is a random unitary's rows plus a perturbation of up to about 5e-11 per entry, each row
+    renormalized, so its Gram deviation may come close to ``ORTHONORMAL_TOL``; the state is
+    (a_i + a_j)/sqrt(2) over it, scaled within ``NORM_TOL`` of norm 1. Used as forward and fixed
+    backward state, its rule sums at a_i and a_j lie within about 1e-10 of 1.
+    """
+    d = draw(st.integers(2, 5))
+    i, j = draw(st.lists(st.integers(0, d - 1), min_size=2, max_size=2, unique=True))
+    rng = np.random.default_rng(draw(seeds))
+    tilt = draw(st.sampled_from([0.0, 1e-14, 1e-12, 1e-11, 2e-11, 5e-11]))
+    basis = random_unitary(rng, d).T + tilt * (rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+    basis /= np.linalg.norm(basis, axis=1, keepdims=True)
+    tie = (basis[i] + basis[j]) / np.sqrt(2.0)
+    stretch = draw(st.sampled_from([-9e-13, -1e-13, 0.0, 1e-14, 1e-13, 4e-13, 9e-13]))
+    tie *= (1.0 + stretch) / np.linalg.norm(tie)
+    return d, basis, tie, draw(st.sampled_from([0.0, 1e-13]))
+
+
+class TestBoundaryImpliesExclusivity:
+    """Inputs that pass every boundary check never exit 4: the check of the rule's precondition turns
+    a state and basis whose weights can fire two outcomes into a configuration error (exit 2)."""
+
+    @PROPERTY
+    @given(accepted_tie_cases())
+    def test_fixed_never_exits_four(self, case):
+        d, basis, tie, tie_tol = case
+        with tempfile.TemporaryDirectory() as tmp:
+            cfg = Path(tmp) / "cfg.json"
+            cfg.write_text(json.dumps({"basis": [vector_to_json(row) for row in basis],
+                                       "forward": vector_to_json(tie), "dist_state": vector_to_json(tie)}))
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = main(["basis-mc", "--dim", str(d), "--dist", "fixed", "--samples", "10", "--seed", "1",
+                             "--tie-tol", repr(tie_tol), "--config", str(cfg), "--no-timing"])
+        assert code in (0, 2), err.getvalue()

@@ -32,6 +32,7 @@ from twostate.sampling import (
     _overlaps,
     _sampled,
     _uniforms,
+    _words,
 )
 
 from helpers import assign_over_basis, chunk_samples, haar_unitary, random_unitary, uniform_overlap_states
@@ -126,6 +127,17 @@ class TestWordExactAddressing:
         assert out.flags.f_contiguous
         assert _uniforms(stream, lo, n, words, out) is out
         assert np.array_equal(out.view(np.uint64), rows.view(np.uint64))
+
+    # the words the uniforms are made of: first words at odd offsets (high halves), even ones and
+    # multiples of 8
+    @pytest.mark.parametrize("words", [1, 2, 3, 5, 16])
+    @pytest.mark.parametrize("lo", [0, 1, 3, 333])
+    def test_each_uniform_is_its_word_offset_and_scaled(self, words, lo):
+        stream, n = RngStream(11, 2), 9
+        drawn = _words(stream, lo, n, words)
+        assert drawn.dtype == np.uint32 and drawn.shape == (n * words,)
+        expected = (drawn.astype(float) + 0.5) * 2.0**-32
+        assert np.array_equal(expected.view(np.uint64), _uniforms(stream, lo, n, words).ravel().view(np.uint64))
 
     @pytest.mark.parametrize("dim", [2, 3, 5])
     @pytest.mark.parametrize("sampler", ["haar_states", "haar_unitary", "uniform_overlap_states"])
@@ -586,6 +598,32 @@ class TestChunkBuffers:
             assert not np.shares_memory(result, buffer)
         assert len(calls) == 4
 
+    @pytest.mark.parametrize("estimator", ["born-mc", "basis-mc-target-alone"])
+    def test_a_one_word_uniform_overlap_draw_gets_its_words(self, estimator, monkeypatch):
+        # q_0 alone, one word per sample: the block gets the 32-bit words, and no uniform is made
+        calls, sampled = [], sampling._sampled
+
+        def recording(block, *args, **kwargs):
+            def recorded(*words):
+                result = block(*words)
+                calls.append((words, result))
+                return result
+            return sampled(recorded, *args, **kwargs)
+
+        monkeypatch.setattr(sampling, "_sampled", recording)
+        floats = []
+        monkeypatch.setattr(sampling, "_uniforms", lambda *args: floats.append(args))
+        n = 3 * _chunk_samples(1) + 5
+        if estimator == "born-mc":
+            born_mc(forward_with_overlap(0.6, 4), StateVector.basis_state(4, 0), UniformOverlap(), n, 7)
+        else:  # outcome 1 cannot fire: 0.2 + 1 is below 1 + tie_tol
+            basis_mc(forward_with_weights([8, 2, 0]), OrthonormalBasis(np.eye(3)), UniformOverlap(), n, 7,
+                     tie_tol=0.25)
+        assert floats == [] and len(calls) == 4
+        for (h,), result in calls:
+            assert h.dtype == np.uint32 and h.shape[1] == 1
+            assert not np.shares_memory(result, h)
+
     @pytest.mark.parametrize("law", ["haar", "uniform-overlap"])
     @pytest.mark.parametrize("dim", [2, 5])
     def test_tallies_do_not_depend_on_workers_or_chunks(self, law, dim):
@@ -605,14 +643,15 @@ class TestChunkBuffers:
 
 
 def recorded_draws(monkeypatch) -> list:
-    """Make every ``_uniforms`` draw as before, recording its words per sample."""
-    draws, draw = [], sampling._uniforms
+    """Make every draw of words (``_words``, which every draw of uniforms makes too) as before,
+    recording its words per sample."""
+    draws, draw = [], sampling._words
 
-    def recording(stream, first_sample, count, words_per_sample, out=None):
+    def recording(stream, first_sample, count, words_per_sample):
         draws.append(words_per_sample)
-        return draw(stream, first_sample, count, words_per_sample, out)
+        return draw(stream, first_sample, count, words_per_sample)
 
-    monkeypatch.setattr(sampling, "_uniforms", recording)
+    monkeypatch.setattr(sampling, "_words", recording)
     return draws
 
 
