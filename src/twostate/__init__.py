@@ -5,16 +5,15 @@ fixes measurement outcomes through an overlap-sum rule; averaging over
 backward states recovers Born statistics. The package provides the rule as
 one batch kernel over rule sums (``tally_rule``), seeded Monte Carlo
 estimators built on it, a pair-distinguishing count over Bloch vectors,
-equiangular projector sets with a numerical fiducial search, the mixed
-two-state pair with its dynamics and stationary-pair solvers, and a
-reproducible command-line experiment harness.
+equiangular projector sets with a numerical fiducial search, the
+stationary-pair commutator solver, and a reproducible command-line
+experiment harness.
 """
 
 from .assignment import (
     MultipleOutcomesError,
     OrthogonalPostSelectionError,
     PreconditionError,
-    TwoStatePairMixed,
     WeakValueResult,
     tally_rule,
     weak_value,
@@ -29,18 +28,12 @@ from .dynamics import (
     NotPsdError,
     StationarySolveInput,
     commutator_solve,
-    evolve_pair,
-    first_order_invariance_check,
-    stationarity_check,
-    stationary_partner,
 )
 from .qcore import (
-    DensityMatrix,
     HermitianOperator,
     OrthonormalBasis,
     SpectralDecomposition,
     StateVector,
-    UnitaryOperator,
     commutator,
     spectral,
 )
@@ -61,16 +54,13 @@ from .sampling import (
 from .sic import (
     FiducialSearchReport,
     InvalidSicError,
-    SicCoefficients,
     SicPovm,
     SicValidationReport,
     builtin_fiducial,
     frame_potential,
     search_fiducial,
     sic_distinguish,
-    sic_expand,
     sic_from_fiducial,
-    sic_reconstruct,
     validate_sic,
     welch_bound,
     wh_displacements,

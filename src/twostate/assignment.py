@@ -22,10 +22,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qcore import DensityMatrix, HermitianOperator, StateVector
+from .qcore import HermitianOperator, StateVector
 
 __all__ = [
-    "TwoStatePairMixed",
     "WeakValueResult",
     "MultipleOutcomesError",
     "OrthogonalPostSelectionError",
@@ -49,22 +48,6 @@ class OrthogonalPostSelectionError(ValueError):
 
 class PreconditionError(ValueError):
     """Inputs beyond the bound under which the rule fires at most one outcome per sample."""
-
-
-@dataclass(frozen=True, eq=False)
-class TwoStatePairMixed:
-    """A forward and a backward density matrix of one dimension."""
-
-    forward: DensityMatrix
-    backward: DensityMatrix
-
-    def __post_init__(self):
-        if self.forward.dim != self.backward.dim:
-            raise ValueError(f"dimension mismatch: {self.forward.dim} vs {self.backward.dim}")
-
-    @property
-    def dim(self) -> int:
-        return self.forward.dim
 
 
 @dataclass(frozen=True)

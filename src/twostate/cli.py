@@ -175,6 +175,13 @@ def _numbers(data) -> list:
     return [float(x) for x in data]  # a config integer echoes as the flag's float; float() of a huge one overflows
 
 
+def _number_list(data) -> list:
+    """``_numbers`` of a config list; the comma-separated text a flag takes is no list here."""
+    if not isinstance(data, list):
+        raise ValueError(f"expected a list of numbers, got {data!r}")
+    return _numbers(data)
+
+
 def _probabilities(data) -> list:
     """``_numbers``, each in [0, 1]."""
     values = _numbers(data)
@@ -367,7 +374,7 @@ def _run_stationary_solve(cfg: ExperimentConfig) -> list[dict]:
     solve_input = _from_config(
         cfg,
         lambda h, k, diagonal: StationarySolveInput(
-            _hermitian(h, cfg.dim), CommutatorTarget(matrix_from_json(k)), diagonal),
+            _hermitian(h, cfg.dim), CommutatorTarget(matrix_from_json(k)), _number_list(diagonal)),
         "hamiltonian", "target_k", "diagonal",
     )
     h, k = solve_input.hamiltonian, solve_input.target
@@ -398,8 +405,8 @@ def _run_pbr_geometric(cfg: ExperimentConfig) -> list[dict]:
     if "instance" in cfg.params:
         if cfg.samples != 1:
             raise ConfigError(f"pbr-geometric runs an explicit 'instance' once; samples must be 1, got {cfg.samples}")
-        found, degenerate, min_margin = pbr_separators(_from_config(cfg, _bloch_instance, "instance")[:, None],
-                                                       cfg.tie_tol)
+        vectors = _from_config(cfg, lambda rows: _bloch_instance([_number_list(row) for row in rows]), "instance")
+        found, degenerate, min_margin = pbr_separators(vectors[:, None], cfg.tie_tol)
     else:
         found, degenerate, min_margin = pbr_geometric(cfg.samples, cfg.seed, cfg.tie_tol, workers=cfg.workers)
     return [_record(cfg, frequency=found / cfg.samples, extra={

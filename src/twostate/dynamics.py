@@ -1,4 +1,4 @@
-"""Two-state evolution and the stationary-pair commutator problem.
+"""The stationary-pair commutator problem.
 
 A pair is stationary when its two components have equal commutators with
 the Hamiltonian; the inverse problem "find rho with [rho, H] = K" is solved
@@ -13,31 +13,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .assignment import TwoStatePairMixed
-from .qcore import (
-    PSD_FLOOR,
-    DensityMatrix,
-    HermitianOperator,
-    UnitaryOperator,
-    _Checked,
-    _as_matrix,
-    commutator,
-    spectral,
-)
+from .qcore import HermitianOperator, _Checked, _as_matrix, spectral
 
 __all__ = [
     "CommutatorTarget",
     "StationarySolveInput",
     "InfeasibleKError",
     "NotPsdError",
-    "evolve_pair",
-    "stationarity_check",
     "commutator_solve",
-    "stationary_partner",
-    "first_order_invariance_check",
 ]
 
 FEASIBILITY_TOL = 1e-10  # max |K| allowed on the diagonal / inside degenerate blocks
+PSD_FLOOR = 1e-10  # lowest eigenvalue a positive-semidefinite solution may have is -PSD_FLOOR
 
 
 class InfeasibleKError(ValueError):
@@ -84,28 +71,6 @@ class StationarySolveInput:
         diag = diag.copy()
         diag.setflags(write=False)
         object.__setattr__(self, "diagonal", diag)
-
-
-def evolve_pair(pair: TwoStatePairMixed, u: UnitaryOperator) -> TwoStatePairMixed:
-    """One evolution step of both components: U^H rho_fwd U and U rho_bwd U^H.
-
-    The textbook placement, U rho_fwd U^H and U^H rho_bwd U, is ``evolve_pair(pair, U^H)``.
-    """
-    if pair.dim != u.dim:
-        raise ValueError(f"dimension mismatch: pair {pair.dim} vs unitary {u.dim}")
-    um = u.entries
-    uh = um.conj().T
-    fwd = uh @ pair.forward.entries @ um
-    bwd = um @ pair.backward.entries @ uh
-    return TwoStatePairMixed(DensityMatrix(fwd), DensityMatrix(bwd))
-
-
-def stationarity_check(pair: TwoStatePairMixed, h: HermitianOperator, tol: float) -> bool:
-    """True iff the two components have equal commutators with H, within tol."""
-    if pair.dim != h.dim:
-        raise ValueError(f"dimension mismatch: pair {pair.dim} vs H {h.dim}")
-    diff = commutator(pair.forward.entries, h.entries) - commutator(pair.backward.entries, h.entries)
-    return float(np.linalg.norm(diff)) <= tol
 
 
 def _block_ids(blocks, dim: int) -> np.ndarray:
@@ -156,42 +121,3 @@ def commutator_solve(inp: StationarySolveInput, require_psd: bool = False) -> np
         if lowest < -PSD_FLOOR:
             raise NotPsdError(lowest)
     return rho
-
-
-def stationary_partner(rho_down: DensityMatrix, h: HermitianOperator, diagonal) -> DensityMatrix:
-    """Density matrix with the same H-commutator as ``rho_down``.
-
-    The diagonal (in H's eigenbasis) is the caller's choice and must sum
-    to 1; a choice without a PSD completion raises NotPsdError.
-    """
-    diag = np.asarray(diagonal, dtype=float)
-    if abs(float(diag.sum()) - 1.0) > 1e-10:
-        raise ValueError(f"diagonal must sum to 1 for a density-matrix solution, got {float(diag.sum())!r}")
-    k = CommutatorTarget(commutator(rho_down.entries, h.entries))
-    rho = commutator_solve(StationarySolveInput(h, k, diag), require_psd=True)
-    return DensityMatrix(rho)
-
-
-def _evolution_operator(h: HermitianOperator, t: float) -> np.ndarray:
-    dec = spectral(h)
-    v = dec.eigenvectors.entries.T
-    phases = np.exp(-1j * np.asarray(dec.eigenvalues) * t)
-    return (v * phases) @ v.conj().T
-
-
-def first_order_invariance_check(pair: TwoStatePairMixed, h: HermitianOperator, dt: float) -> float:
-    """Frobenius change of the evolving component sum after time dt.
-
-    The sum S(t) = U^H rho_fwd U + U rho_bwd U^H changes at second order in
-    dt exactly for stationary pairs, so halving dt divides the result by
-    about 4 for them and by about 2 otherwise.
-    """
-    if dt <= 0.0:
-        raise ValueError(f"dt must be positive, got {dt!r}")
-    if pair.dim != h.dim:
-        raise ValueError(f"dimension mismatch: pair {pair.dim} vs H {h.dim}")
-    u = _evolution_operator(h, dt)
-    uh = u.conj().T
-    moved = uh @ pair.forward.entries @ u + u @ pair.backward.entries @ uh
-    rest = pair.forward.entries + pair.backward.entries
-    return float(np.linalg.norm(moved - rest))

@@ -1,10 +1,10 @@
 """Dense complex linear algebra for small (d <= ~32) Hilbert spaces.
 
-Value types (states, density matrices, Hermitian and unitary operators, and
-orthonormal bases as one matrix whose rows are the basis vectors) are checked
-once at construction and immutable after it (backing arrays are frozen), and
-every operation is a pure function, so everything here is safe to share
-across threads without coordination.
+Value types (states, Hermitian operators, and orthonormal bases as one matrix
+whose rows are the basis vectors) are checked once at construction and
+immutable after it (backing arrays are frozen), and every operation is a pure
+function, so everything here is safe to share across threads without
+coordination.
 """
 
 from __future__ import annotations
@@ -16,9 +16,7 @@ import numpy as np
 
 __all__ = [
     "StateVector",
-    "DensityMatrix",
     "HermitianOperator",
-    "UnitaryOperator",
     "OrthonormalBasis",
     "SpectralDecomposition",
     "commutator",
@@ -33,12 +31,8 @@ __all__ = [
 # NaN deviation fails it.
 NORM_TOL = 1e-12  # |norm - 1| of a state vector
 HERMITIAN_TOL = 1e-12  # max |M - M^H|
-TRACE_TOL = 1e-12  # |Tr rho - 1| of a density matrix
-PSD_FLOOR = 1e-10  # lowest eigenvalue a density matrix may have is -PSD_FLOOR
-UNITARY_TOL = 1e-10  # ||U^H U - I||_F
 ORTHONORMAL_TOL = 1e-10  # max Gram deviation of a basis
 RECONSTRUCTION_TOL = 1e-10  # ||V diag(E) V^H - H||_F of a spectral decomposition
-IMAG_RESIDUE_TOL = 1e-10  # imaginary part a trace of Hermitian products may carry
 DEGENERACY_REL = 1e-9  # eigenvalue gap, relative to the spectral range, that splits blocks
 
 
@@ -120,47 +114,11 @@ class StateVector(_Checked):
 
 
 @dataclass(frozen=True, eq=False)
-class DensityMatrix(_Checked):
-    """Hermitian, unit-trace, positive-semidefinite d x d matrix."""
-
-    @staticmethod
-    def _check(entries) -> np.ndarray:
-        mat = _as_matrix(entries)
-        _check_hermitian(mat, "density matrix")
-        tr = complex(np.trace(mat))
-        if not abs(tr - 1.0) <= TRACE_TOL:
-            raise ValueError(f"density matrix trace {tr!r} deviates from 1 beyond {TRACE_TOL:.1e}")
-        evals = np.linalg.eigvalsh((mat + mat.conj().T) / 2)
-        if not float(evals.min()) >= -PSD_FLOOR:
-            raise ValueError(f"density matrix has eigenvalue {float(evals.min()):.3e} below -{PSD_FLOOR:.1e}")
-        return mat
-
-    @classmethod
-    def pure(cls, state: StateVector) -> "DensityMatrix":
-        return cls(np.outer(state.entries, state.entries.conj()))
-
-    @classmethod
-    def maximally_mixed(cls, dim: int) -> "DensityMatrix":
-        return cls(np.eye(dim, dtype=complex) / dim)
-
-
-@dataclass(frozen=True, eq=False)
 class HermitianOperator(_Checked):
     @staticmethod
     def _check(entries) -> np.ndarray:
         mat = _as_matrix(entries)
         _check_hermitian(mat, "operator")
-        return mat
-
-
-@dataclass(frozen=True, eq=False)
-class UnitaryOperator(_Checked):
-    @staticmethod
-    def _check(entries) -> np.ndarray:
-        mat = _as_matrix(entries)
-        dev = float(np.linalg.norm(mat.conj().T @ mat - np.eye(mat.shape[0])))
-        if not dev <= UNITARY_TOL:
-            raise ValueError(f"matrix is not unitary: ||U^H U - I||_F = {dev:.3e}")
         return mat
 
 

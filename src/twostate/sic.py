@@ -2,11 +2,11 @@
 
 A fiducial state is orbited under the d^2 displacement operators X^j Z^k to
 produce d^2 rank-1 projectors; a valid set has pairwise trace overlap
-1/(d+1) and sums to d times the identity. The module also expands Hermitian
-matrices in such a set, counts how often a set element separates random
-pairs of two-state assignments under the outcome rule (``sic_distinguish``,
-the sic-distinguish experiment), and searches for fiducials numerically by
-minimizing the frame potential down to its Welch bound 2 d^3 / (d+1).
+1/(d+1) and sums to d times the identity. The module also counts how often
+a set element separates random pairs of two-state assignments under the
+outcome rule (``sic_distinguish``, the sic-distinguish experiment), and
+searches for fiducials numerically by minimizing the frame potential down to
+its Welch bound 2 d^3 / (d+1).
 """
 
 from __future__ import annotations
@@ -18,12 +18,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .assignment import _fires
-from .qcore import IMAG_RESIDUE_TOL, StateVector
+from .qcore import StateVector
 from .sampling import RngStream, _haar_rows, _sampled, haar_states
 
 __all__ = [
     "SicPovm",
-    "SicCoefficients",
     "SicValidationReport",
     "FiducialSearchReport",
     "InvalidSicError",
@@ -31,8 +30,6 @@ __all__ = [
     "sic_from_fiducial",
     "builtin_fiducial",
     "validate_sic",
-    "sic_expand",
-    "sic_reconstruct",
     "sic_distinguish",
     "frame_potential",
     "welch_bound",
@@ -41,7 +38,7 @@ __all__ = [
 
 
 SEARCH_MAX_DIM = 8  # the largest dimension search_fiducial runs at
-VALID_TOL = 1e-8  # pair and identity deviation a set must pass before it is expanded or distinguished
+VALID_TOL = 1e-8  # pair and identity deviation a set must pass before it is distinguished
 
 
 class InvalidSicError(ValueError):
@@ -79,25 +76,6 @@ class SicValidationReport:
     max_pair_deviation: float
     identity_deviation: float
     passed: bool
-
-
-@dataclass(frozen=True, eq=False)
-class SicCoefficients:
-    """Expansion coefficients of a Hermitian matrix over a projector set."""
-
-    lambdas: np.ndarray
-    trace_of_rho: float
-
-    def __post_init__(self):
-        lam = np.asarray(self.lambdas, dtype=float)
-        total = float(lam.sum())
-        if not abs(total - self.trace_of_rho) <= 1e-10:  # also rejects NaN
-            raise ValueError(
-                f"coefficients sum to {total!r} but the expanded matrix has trace {self.trace_of_rho!r}"
-            )
-        lam = lam.copy()
-        lam.setflags(write=False)
-        object.__setattr__(self, "lambdas", lam)
 
 
 @dataclass(frozen=True, eq=False)
@@ -187,36 +165,6 @@ def _require_valid(s: SicPovm) -> SicPovm:
             f"identity deviation {report.identity_deviation:.3e}"
         )
     return s
-
-
-def sic_expand(r, s: SicPovm) -> SicCoefficients:
-    """Coefficients lambda_k = [(d+1) Tr(r P_k) - Tr r] / d.
-
-    The linear combination sum_k lambda_k P_k reconstructs ``r``; for a
-    density-matrix input every coefficient lies in [-1/d, 1].
-    """
-    _require_valid(s)
-    mat = np.asarray(getattr(r, "entries", r), dtype=complex)
-    d = s.dim
-    if mat.shape != (d, d):
-        raise ValueError(f"dimension mismatch: matrix {mat.shape} vs projectors ({d},{d})")
-    traces = np.einsum("ij,kji->k", mat, s.projectors)
-    if not float(np.max(np.abs(traces.imag))) <= IMAG_RESIDUE_TOL:
-        raise ValueError("projector traces have imaginary residue; input is not Hermitian")
-    total = complex(np.trace(mat))
-    if not abs(total.imag) <= IMAG_RESIDUE_TOL:
-        raise ValueError(f"input trace {total!r} is not real")
-    lambdas = ((d + 1) * traces.real - total.real) / d
-    return SicCoefficients(lambdas, float(lambdas.sum()))
-
-
-def sic_reconstruct(c: SicCoefficients, s: SicPovm) -> np.ndarray:
-    """sum_k lambda_k P_k."""
-    if len(c.lambdas) != s.projectors.shape[0]:
-        raise ValueError(
-            f"coefficient count {len(c.lambdas)} does not match projector count {s.projectors.shape[0]}"
-        )
-    return np.tensordot(c.lambdas, s.projectors, axes=1)
 
 
 def sic_distinguish(s: SicPovm, n_samples: int, seed: int, tie_tol: float = 0.0, *, workers: int = 1) -> int:

@@ -2,12 +2,14 @@
 
 The generators are deliberately independent of the package's own samplers:
 tests use numpy's default generator so that oracle inputs never flow through
-the code under test. The references below them are forms the package no
-longer runs, kept to check its kernels and overlap laws against: states and
-unitaries built from Box-Muller normals of a stream's uniforms, the rule one
-sample or one instance at a time, its dot-product and projector-set
-coefficient forms, the trace Tr(r P) and the mixed-pair trace form of the
-projector-set rule. ``vector_to_json`` writes a state in the config format.
+the code under test. The references below them are forms the package does
+not run, kept to check its kernels, overlap laws and solver against: states
+and unitaries built from Box-Muller normals of a stream's uniforms, the rule
+one sample or one instance at a time, its dot-product and projector-set
+coefficient forms, the projector-set expansion, the trace Tr(r P), the
+summed-pair trace form of the projector-set rule, and the change of an
+evolving pair's component sum. ``vector_to_json`` writes a state in the
+config format.
 """
 
 from __future__ import annotations
@@ -18,21 +20,22 @@ from unittest import mock
 import numpy as np
 
 from twostate import (
-    DensityMatrix,
+    HermitianOperator,
     MultipleOutcomesError,
     OrthonormalBasis,
     RngStream,
     SicPovm,
     StateVector,
-    TwoStatePairMixed,
     sampling,
+    spectral,
     tally_rule,
 )
 from twostate.assignment import _fires
 from twostate.blochpbr import _bisectors, _bloch_states
-from twostate.qcore import IMAG_RESIDUE_TOL
 from twostate.sampling import _complex_normals, _uniforms
 from twostate.sic import _require_valid
+
+IMAG_RESIDUE_TOL = 1e-10  # imaginary part a trace of Hermitian products may carry
 
 
 def random_state(rng: np.random.Generator, dim: int) -> StateVector:
@@ -45,10 +48,11 @@ def random_hermitian(rng: np.random.Generator, dim: int, scale: float = 1.0) -> 
     return scale * (a + a.conj().T) / 2.0
 
 
-def random_density(rng: np.random.Generator, dim: int) -> DensityMatrix:
+def random_density(rng: np.random.Generator, dim: int) -> np.ndarray:
+    """A density matrix: Hermitian, positive semidefinite, trace 1."""
     a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     mat = a @ a.conj().T
-    return DensityMatrix(mat / np.trace(mat).real)
+    return mat / np.trace(mat).real
 
 
 def random_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:
@@ -192,6 +196,17 @@ def sic_rule_check(lambdas: np.ndarray, k: int) -> bool:
     return bool(_fires((d * lambdas[k] + trace) / (d + 1), 0.0))
 
 
+def sic_coefficients(mat: np.ndarray, projectors: np.ndarray) -> np.ndarray:
+    """Coefficients lambda_k = [(d+1) Tr(r P_k) - Tr r] / d of a Hermitian d x d matrix r over d^2 projectors.
+
+    Over an equiangular set, sum_k lambda_k P_k reconstructs r, and a density matrix's coefficients lie in
+    [-1/d, 1].
+    """
+    d = mat.shape[0]
+    traces = np.einsum("ij,kji->k", mat, projectors).real
+    return ((d + 1) * traces - np.trace(mat).real) / d
+
+
 def trace_product(r: np.ndarray, p: np.ndarray) -> float:
     """Tr(r P) for Hermitian matrices r and P, returned as a real number.
 
@@ -217,14 +232,27 @@ def sic_fires(sums: np.ndarray, s: SicPovm) -> np.ndarray:
     return _fires(np.einsum("...ij,kji->...k", sums, s.projectors).real, 0.0)
 
 
-def sic_distinguish_pair(pair0: TwoStatePairMixed, pair1: TwoStatePairMixed, s: SicPovm):
-    """First element index whose rule value differs between the two pairs.
+def sic_distinguish_pair(sum0: np.ndarray, sum1: np.ndarray, s: SicPovm):
+    """First element index whose rule value differs between two pairs, given each pair's summed matrix.
 
     Returns None when no element separates them; distinct pairs with equal
     summed matrices are legitimately inseparable.
     """
-    if pair0.dim != pair1.dim or pair0.dim != s.dim:
-        raise ValueError(f"dimension mismatch: pairs {pair0.dim}/{pair1.dim} vs set {s.dim}")
-    fired = sic_fires(np.array([pair.forward.entries + pair.backward.entries for pair in (pair0, pair1)]), s)
+    if sum0.shape != (s.dim, s.dim) or sum1.shape != (s.dim, s.dim):
+        raise ValueError(f"dimension mismatch: sums {sum0.shape}/{sum1.shape} vs set {s.dim}")
+    fired = sic_fires(np.array([sum0, sum1]), s)
     differs = np.flatnonzero(fired[0] != fired[1])
     return int(differs[0]) if differs.size else None
+
+
+def sum_change(rho_f: np.ndarray, rho_b: np.ndarray, h: HermitianOperator, dt: float) -> float:
+    """Frobenius change of the evolving component sum U^H rho_f U + U rho_b U^H after time dt, U = e^{-iH dt}.
+
+    It changes at second order in dt exactly when [rho_f, H] = [rho_b, H], so halving dt divides it by about
+    4 for such a pair and by about 2 otherwise.
+    """
+    dec = spectral(h)
+    v = dec.eigenvectors.entries.T  # columns are eigenvectors
+    u = (v * np.exp(-1j * np.asarray(dec.eigenvalues) * dt)) @ v.conj().T
+    uh = u.conj().T
+    return float(np.linalg.norm(uh @ rho_f @ u + u @ rho_b @ uh - rho_f - rho_b))

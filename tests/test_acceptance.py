@@ -13,31 +13,23 @@ import pytest
 
 from twostate import (
     CommutatorTarget,
-    DensityMatrix,
     HaarPure,
     HermitianOperator,
     InfeasibleKError,
     OrthonormalBasis,
     RngStream,
-    SicCoefficients,
     StateVector,
     StationarySolveInput,
-    TwoStatePairMixed,
     UniformOverlap,
     basis_mc,
     born_mc,
     builtin_fiducial,
     commutator,
     commutator_solve,
-    first_order_invariance_check,
     haar_states,
     pbr_separators,
     search_fiducial,
-    sic_expand,
     sic_from_fiducial,
-    sic_reconstruct,
-    stationarity_check,
-    stationary_partner,
     tally_rule,
     validate_sic,
     welch_bound,
@@ -46,7 +38,16 @@ from twostate.assignment import _fires
 from twostate.blochpbr import _bloch_vectors
 from twostate.cli import main
 
-from helpers import haar_unitaries, random_density, random_hermitian, random_unitary, sic_rule_check, trace_product
+from helpers import (
+    haar_unitaries,
+    random_density,
+    random_hermitian,
+    random_unitary,
+    sic_coefficients,
+    sic_rule_check,
+    sum_change,
+    trace_product,
+)
 
 P_GRID = [round(0.1 * k, 10) for k in range(1, 10)]
 THETA_GRID_DEG = [30, 60, 90, 120, 150]
@@ -145,23 +146,23 @@ def test_criterion_06_sic_suite():
 
             for _ in range(100):
                 mat = random_hermitian(rng, d)
-                coeffs = sic_expand(mat, povm)
-                assert np.linalg.norm(sic_reconstruct(coeffs, povm) - mat) <= 1e-9
+                lambdas = sic_coefficients(mat, povm.projectors)
+                assert np.linalg.norm(np.tensordot(lambdas, povm.projectors, axes=1) - mat) <= 1e-9
 
             for _ in range(1000):
-                coeffs = sic_expand(random_density(rng, d).entries, povm)
-                assert np.all(coeffs.lambdas >= -1.0 / d - 1e-10)
-                assert np.all(coeffs.lambdas <= 1.0 + 1e-10)
+                lambdas = sic_coefficients(random_density(rng, d), povm.projectors)
+                assert np.all(lambdas >= -1.0 / d - 1e-10)
+                assert np.all(lambdas <= 1.0 + 1e-10)
 
             for _ in range(1000):
-                total = random_density(rng, d).entries + random_density(rng, d).entries
-                coeffs = sic_expand(total, povm)
+                total = random_density(rng, d) + random_density(rng, d)
+                lambdas = sic_coefficients(total, povm.projectors)
                 for k in range(d * d):
                     direct = trace_product(total, povm.projectors[k]) > 1.0
-                    assert sic_rule_check(coeffs.lambdas, k) == direct
+                    assert sic_rule_check(lambdas, k) == direct
 
-        example = SicCoefficients(np.array([0.75, 0.75, 0.25, 0.25]), 2.0)
-        passing = [k for k in range(4) if sic_rule_check(example.lambdas, k)]
+        example = np.array([0.75, 0.75, 0.25, 0.25])
+        passing = [k for k in range(4) if sic_rule_check(example, k)]
         assert passing == [0, 1]
 
 
@@ -185,7 +186,7 @@ def _feasible_instance(rng, d, duplicate):
     u = random_unitary(rng, d)
     mat = (u * evals) @ u.conj().T
     h = HermitianOperator((mat + mat.conj().T) / 2)
-    k = CommutatorTarget(commutator(random_density(rng, d).entries, h.entries))
+    k = CommutatorTarget(commutator(random_density(rng, d), h.entries))
     return StationarySolveInput(h, k, rng.uniform(0.0, 1.0, size=d))
 
 
@@ -211,17 +212,16 @@ def test_criterion_08_stationary_solver():
             commutator_solve(StationarySolveInput(hdeg, CommutatorTarget(kdeg), np.full(3, 1 / 3)))
 
         sz = HermitianOperator(np.diag([1.0, -1.0]).astype(complex))
-        plus = DensityMatrix(np.full((2, 2), 0.5, dtype=complex))
-        stationary = TwoStatePairMixed(stationary_partner(plus, sz, [0.5, 0.5]), plus)
-        assert stationarity_check(stationary, sz, 1e-9)
-        drifting = TwoStatePairMixed(plus, DensityMatrix.maximally_mixed(2))
-        assert not stationarity_check(drifting, sz, 1e-9)
+        plus = np.full((2, 2), 0.5, dtype=complex)
+        mixed = np.eye(2, dtype=complex) / 2
+        partner = commutator_solve(StationarySolveInput(
+            sz, CommutatorTarget(commutator(plus, sz.entries)), np.array([0.5, 0.5])), require_psd=True)
+        assert np.linalg.norm(commutator(partner, sz.entries) - commutator(plus, sz.entries)) <= 1e-9
+        assert not np.linalg.norm(commutator(plus, sz.entries) - commutator(mixed, sz.entries)) <= 1e-9
         for dt in (1e-2, 1e-3, 1e-4):
-            ratio = (first_order_invariance_check(stationary, sz, dt)
-                     / first_order_invariance_check(stationary, sz, dt / 2))
+            ratio = sum_change(partner, plus, sz, dt) / sum_change(partner, plus, sz, dt / 2)
             assert 3.2 <= ratio <= 4.8, (dt, ratio)
-            ratio = (first_order_invariance_check(drifting, sz, dt)
-                     / first_order_invariance_check(drifting, sz, dt / 2))
+            ratio = sum_change(plus, mixed, sz, dt) / sum_change(plus, mixed, sz, dt / 2)
             assert 1.6 <= ratio <= 2.4, (dt, ratio)
 
 

@@ -121,10 +121,15 @@ class TestConfigHandling:
         # Gram deviation 1e-11 is within the orthonormality bound; only the row-norm bound rejects it
         (["basis-mc", "--dim", "2"],
          {"basis": [[[1 + 5e-12, 0], [0, 0]], [[0, 0], [1, 0]]], "forward": [[1, 0], [0, 0]]}),
+        (["stationary-solve"], {"hamiltonian": matrix_to_json(np.diag([1.0, 3.0])),
+                                "target_k": [[[0, 0], [0, 2]], [[0, 2], [0, 0]]], "diagonal": [True, False]}),
+        (["stationary-solve"], {"hamiltonian": matrix_to_json(np.diag([1.0, 3.0])),
+                                "target_k": [[[0, 0], [0, 2]], [[0, 2], [0, 0]]], "diagonal": ["0.5", "0.5"]}),
     ], ids=["unnormalized-forward", "non-orthonormal-basis", "basis-forward-dims",
             "bad-dist-state", "non-hermitian-observable", "string-in-p-grid",
             "nan-forward", "nan-observable", "nan-target-k", "nan-diagonal",
-            "empty-basis", "one-row-basis", "ragged-basis", "non-list-basis", "nan-basis", "basis-row-norm"])
+            "empty-basis", "one-row-basis", "ragged-basis", "non-list-basis", "nan-basis", "basis-row-norm",
+            "boolean-diagonal", "string-diagonal"])
     def test_malformed_config_value_exits_two(self, args, config, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(config))
@@ -261,7 +266,10 @@ class TestConfigHandling:
         [[1, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]],
         [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
         [[None, 0, 1], [1, 0, 0], [0, 1, 0], [0, 0, 1]],
-    ], ids=["non-unit", "non-numeric", "two-components", "three-vectors", "null-entry"])
+        [[True, False, False], [0, 1, 0], [False, False, True], [0, 0, -1]],
+        [[1, 0, 0], ["0", "1", "0"], [0, 0, 1], [0, 0, -1]],
+    ], ids=["non-unit", "non-numeric", "two-components", "three-vectors", "null-entry", "boolean-entry",
+            "numeric-string"])
     def test_malformed_pbr_instance_exits_two(self, instance, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"instance": instance}))

@@ -3,33 +3,31 @@ import pytest
 
 from twostate import (
     CommutatorTarget,
-    DensityMatrix,
     HermitianOperator,
     InfeasibleKError,
     NotPsdError,
     StationarySolveInput,
-    TwoStatePairMixed,
-    UnitaryOperator,
     commutator,
     commutator_solve,
-    evolve_pair,
-    first_order_invariance_check,
     spectral,
-    stationarity_check,
-    stationary_partner,
 )
 
-from helpers import random_density, random_unitary
+from helpers import random_density, random_unitary, sum_change
 
 SZ = HermitianOperator(np.diag([1.0, -1.0]).astype(complex))
-PLUS_PROJ = DensityMatrix(np.full((2, 2), 0.5, dtype=complex))
-MIXED = DensityMatrix.maximally_mixed(2)
+PLUS_PROJ = np.full((2, 2), 0.5, dtype=complex)
+MIXED = np.eye(2, dtype=complex) / 2
 
 
-def evolution(h: HermitianOperator, t: float) -> UnitaryOperator:
-    dec = spectral(h)
-    v = dec.eigenvectors.entries.T
-    return UnitaryOperator((v * np.exp(-1j * np.asarray(dec.eigenvalues) * t)) @ v.conj().T)
+def partner(rho: np.ndarray, h: HermitianOperator, diagonal) -> np.ndarray:
+    """The positive-semidefinite rho' with [rho', H] = [rho, H] and the given eigenbasis diagonal."""
+    target = CommutatorTarget(commutator(rho, h.entries))
+    return commutator_solve(StationarySolveInput(h, target, np.asarray(diagonal, dtype=float)), require_psd=True)
+
+
+def stationary(rho_f: np.ndarray, rho_b: np.ndarray, h: HermitianOperator, tol: float) -> bool:
+    """Whether the pair's two components have equal commutators with H, within tol."""
+    return float(np.linalg.norm(commutator(rho_f, h.entries) - commutator(rho_b, h.entries))) <= tol
 
 
 def gapped_hamiltonian(rng, d: int, duplicate: bool = False) -> HermitianOperator:
@@ -45,7 +43,7 @@ def gapped_hamiltonian(rng, d: int, duplicate: bool = False) -> HermitianOperato
 def feasible_instance(rng, d: int, duplicate: bool = False):
     h = gapped_hamiltonian(rng, d, duplicate)
     rho0 = random_density(rng, d)
-    k = CommutatorTarget(commutator(rho0.entries, h.entries))
+    k = CommutatorTarget(commutator(rho0, h.entries))
     diagonal = rng.uniform(0.0, 1.0, size=d)
     return StationarySolveInput(h, k, diagonal)
 
@@ -56,64 +54,8 @@ class TestCommutatorTarget:
             CommutatorTarget(np.diag([1.0, 2.0]).astype(complex))
 
     def test_accepts_commutators(self):
-        k = commutator(PLUS_PROJ.entries, SZ.entries)
+        k = commutator(PLUS_PROJ, SZ.entries)
         assert CommutatorTarget(k).dim == 2
-
-
-class TestEvolvePair:
-    def test_identity_is_noop(self):
-        pair = TwoStatePairMixed(PLUS_PROJ, MIXED)
-        out = evolve_pair(pair, UnitaryOperator(np.eye(2, dtype=complex)))
-        assert np.array_equal(out.forward.entries, pair.forward.entries)
-        assert np.array_equal(out.backward.entries, pair.backward.entries)
-
-    def test_preserves_density_structure(self):
-        rng = np.random.default_rng(50)
-        for _ in range(100):
-            d = int(rng.integers(2, 5))
-            pair = TwoStatePairMixed(random_density(rng, d), random_density(rng, d))
-            u = UnitaryOperator(random_unitary(rng, d))
-            out = evolve_pair(pair, u)  # construction re-validates trace/PSD
-            for before, after in ((pair.forward, out.forward), (pair.backward, out.backward)):
-                assert abs(np.trace(after.entries) - np.trace(before.entries)) < 1e-10
-                assert np.allclose(
-                    np.linalg.eigvalsh(after.entries), np.linalg.eigvalsh(before.entries), atol=1e-10
-                )
-
-    def test_energy_diagonal_pair_is_invariant(self):
-        h = HermitianOperator(np.diag([0.3, 1.1, 2.4]).astype(complex))
-        rho = DensityMatrix(np.diag([0.5, 0.3, 0.2]).astype(complex))
-        pair = TwoStatePairMixed(rho, rho)
-        out = evolve_pair(pair, evolution(h, 0.7))
-        assert np.allclose(out.forward.entries, rho.entries, atol=1e-12)
-        assert np.allclose(out.backward.entries, rho.entries, atol=1e-12)
-
-    def test_inverse_unitary_gives_the_textbook_placement(self):
-        rng = np.random.default_rng(51)
-        pair = TwoStatePairMixed(random_density(rng, 3), random_density(rng, 3))
-        um = random_unitary(rng, 3)
-        u, uh = UnitaryOperator(um), UnitaryOperator(um.conj().T)
-        textbook = evolve_pair(pair, uh)
-        assert np.allclose(textbook.forward.entries, um @ pair.forward.entries @ um.conj().T, atol=1e-12)
-        assert np.allclose(textbook.backward.entries, um.conj().T @ pair.backward.entries @ um, atol=1e-12)
-        back = evolve_pair(evolve_pair(pair, u), uh)
-        assert np.allclose(back.forward.entries, pair.forward.entries, atol=1e-12)
-        assert np.allclose(back.backward.entries, pair.backward.entries, atol=1e-12)
-
-
-class TestStationarityCheck:
-    def test_equal_components(self):
-        pair = TwoStatePairMixed(PLUS_PROJ, PLUS_PROJ)
-        assert stationarity_check(pair, SZ, 1e-12)
-
-    def test_both_diagonal(self):
-        rho_a = DensityMatrix(np.diag([0.7, 0.3]).astype(complex))
-        rho_b = DensityMatrix(np.diag([0.2, 0.8]).astype(complex))
-        assert stationarity_check(TwoStatePairMixed(rho_a, rho_b), SZ, 1e-12)
-
-    def test_unbalanced_pair_fails(self):
-        pair = TwoStatePairMixed(PLUS_PROJ, MIXED)
-        assert not stationarity_check(pair, SZ, 1e-9)
 
 
 class TestCommutatorSolve:
@@ -199,17 +141,17 @@ def per_entry_solve(inp: StationarySolveInput) -> np.ndarray:
 
 
 class TestStationaryPartner:
+    """``commutator_solve`` with ``require_psd`` on the commutator of a given density matrix."""
+
     def test_diagonal_input_reproduces_itself(self):
         h = HermitianOperator(np.diag([1.0, 2.0]).astype(complex))
-        rho = DensityMatrix(np.diag([0.7, 0.3]).astype(complex))
-        partner = stationary_partner(rho, h, [0.7, 0.3])
-        assert np.allclose(partner.entries, rho.entries, atol=1e-12)
+        rho = np.diag([0.7, 0.3]).astype(complex)
+        assert np.allclose(partner(rho, h, [0.7, 0.3]), rho, atol=1e-12)
 
     def test_plus_state_self_partner(self):
-        partner = stationary_partner(PLUS_PROJ, SZ, [0.5, 0.5])
-        assert np.allclose(partner.entries, PLUS_PROJ.entries, atol=1e-12)
-        pair = TwoStatePairMixed(partner, PLUS_PROJ)
-        assert stationarity_check(pair, SZ, 1e-9)
+        rho = partner(PLUS_PROJ, SZ, [0.5, 0.5])
+        assert np.allclose(rho, PLUS_PROJ, atol=1e-12)
+        assert stationary(rho, PLUS_PROJ, SZ, 1e-9)
 
     def test_skewed_diagonal_fails_psd(self):
         # oracle: [[3/4, 1/2], [1/2, 1/4]] has a negative eigenvalue
@@ -217,12 +159,8 @@ class TestStationaryPartner:
         oracle_min = float(np.linalg.eigvalsh(candidate).min())
         assert oracle_min < -1e-10
         with pytest.raises(NotPsdError) as info:
-            stationary_partner(PLUS_PROJ, SZ, [0.75, 0.25])
+            partner(PLUS_PROJ, SZ, [0.75, 0.25])
         assert info.value.min_eigenvalue == pytest.approx(oracle_min, abs=1e-12)
-
-    def test_diagonal_must_sum_to_one(self):
-        with pytest.raises(ValueError, match="sum to 1"):
-            stationary_partner(PLUS_PROJ, SZ, [0.75, 0.75])
 
     def test_random_partners_are_stationary(self):
         rng = np.random.default_rng(52)
@@ -233,42 +171,36 @@ class TestStationaryPartner:
             rho_down = random_density(rng, d)
             raw = rng.uniform(0.2, 1.0, size=d)
             try:
-                partner = stationary_partner(rho_down, h, raw / raw.sum())
+                rho = partner(rho_down, h, raw / raw.sum())
             except NotPsdError:
                 continue
-            assert stationarity_check(TwoStatePairMixed(partner, rho_down), h, 1e-9)
+            assert stationary(rho, rho_down, h, 1e-9)
             built += 1
 
 
 class TestFirstOrderInvariance:
+    """``sum_change`` over dt and dt/2: second order in dt for stationary pairs, first order otherwise."""
+
     def test_diagonal_pair_never_moves(self):
         h = HermitianOperator(np.diag([1.0, 2.0]).astype(complex))
-        rho = DensityMatrix(np.diag([0.6, 0.4]).astype(complex))
-        pair = TwoStatePairMixed(rho, rho)
+        rho = np.diag([0.6, 0.4]).astype(complex)
         for dt in (1e-1, 1e-2, 1e-3):
-            assert first_order_invariance_check(pair, h, dt) < 1e-14
+            assert sum_change(rho, rho, h, dt) < 1e-14
 
     def test_stationary_pair_second_order(self):
-        pair = TwoStatePairMixed(PLUS_PROJ, PLUS_PROJ)  # equal commutators, nonzero curvature
+        # equal commutators, nonzero curvature
         for dt in (1e-2, 1e-3, 1e-4):
-            ratio = first_order_invariance_check(pair, SZ, dt) / first_order_invariance_check(pair, SZ, dt / 2)
+            ratio = sum_change(PLUS_PROJ, PLUS_PROJ, SZ, dt) / sum_change(PLUS_PROJ, PLUS_PROJ, SZ, dt / 2)
             assert 3.2 <= ratio <= 4.8
 
     def test_partner_pair_second_order(self):
-        partner = stationary_partner(PLUS_PROJ, SZ, [0.5, 0.5])
-        pair = TwoStatePairMixed(partner, PLUS_PROJ)
+        rho = partner(PLUS_PROJ, SZ, [0.5, 0.5])
         for dt in (1e-3, 5e-4):
-            ratio = first_order_invariance_check(pair, SZ, dt) / first_order_invariance_check(pair, SZ, dt / 2)
+            ratio = sum_change(rho, PLUS_PROJ, SZ, dt) / sum_change(rho, PLUS_PROJ, SZ, dt / 2)
             assert 3.2 <= ratio <= 4.8
 
     def test_non_stationary_pair_first_order(self):
-        pair = TwoStatePairMixed(PLUS_PROJ, MIXED)
-        assert not stationarity_check(pair, SZ, 1e-9)
+        assert not stationary(PLUS_PROJ, MIXED, SZ, 1e-9)
         for dt in (1e-2, 1e-3, 1e-4):
-            ratio = first_order_invariance_check(pair, SZ, dt) / first_order_invariance_check(pair, SZ, dt / 2)
+            ratio = sum_change(PLUS_PROJ, MIXED, SZ, dt) / sum_change(PLUS_PROJ, MIXED, SZ, dt / 2)
             assert 1.6 <= ratio <= 2.4
-
-    def test_rejects_nonpositive_dt(self):
-        pair = TwoStatePairMixed(PLUS_PROJ, PLUS_PROJ)
-        with pytest.raises(ValueError, match="dt"):
-            first_order_invariance_check(pair, SZ, 0.0)

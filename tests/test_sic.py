@@ -2,20 +2,15 @@ import numpy as np
 import pytest
 
 from twostate import (
-    DensityMatrix,
     FiducialSearchReport,
     InvalidSicError,
-    SicCoefficients,
     SicPovm,
     StateVector,
-    TwoStatePairMixed,
     builtin_fiducial,
     frame_potential,
     search_fiducial,
     sic_distinguish,
-    sic_expand,
     sic_from_fiducial,
-    sic_reconstruct,
     validate_sic,
     welch_bound,
     wh_displacements,
@@ -28,6 +23,7 @@ from helpers import (
     random_hermitian,
     random_state,
     random_unitary,
+    sic_coefficients,
     sic_distinguish_pair,
     sic_fires,
     sic_rule_check,
@@ -38,8 +34,13 @@ E0 = StateVector.basis_state(2, 0)
 PLUS = StateVector(np.array([1, 1]) / np.sqrt(2))
 
 
-def pure_pair(forward: StateVector, backward: StateVector) -> TwoStatePairMixed:
-    return TwoStatePairMixed(DensityMatrix.pure(forward), DensityMatrix.pure(backward))
+def projector(state: StateVector) -> np.ndarray:
+    return np.outer(state.entries, state.entries.conj())
+
+
+def pure_sum(forward: StateVector, backward: StateVector) -> np.ndarray:
+    """The summed matrix |f><f| + |b><b| of a pure pair."""
+    return projector(forward) + projector(backward)
 
 
 def orbit_states(d: int, fiducial: StateVector) -> np.ndarray:
@@ -92,30 +93,30 @@ class TestTraceProduct:
 
     def test_maximally_mixed(self):
         rng = np.random.default_rng(4)
-        proj = DensityMatrix.pure(random_state(rng, 2)).entries
+        proj = projector(random_state(rng, 2))
         assert trace_product(np.eye(2, dtype=complex) / 2, proj) == pytest.approx(0.5, abs=1e-12)
 
     def test_aligned_projector(self):
-        assert trace_product(DensityMatrix.pure(E0).entries, DensityMatrix.pure(E0).entries) == pytest.approx(1.0)
+        assert trace_product(projector(E0), projector(E0)) == pytest.approx(1.0)
 
     def test_half_overlap(self):
-        assert trace_product(DensityMatrix.pure(E0).entries, DensityMatrix.pure(PLUS).entries) == pytest.approx(0.5)
+        assert trace_product(projector(E0), projector(PLUS)) == pytest.approx(0.5)
 
     def test_range_for_density_projector_pairs(self):
         rng = np.random.default_rng(5)
         for _ in range(200):
             d = int(rng.integers(2, 5))
-            val = trace_product(random_density(rng, d).entries, DensityMatrix.pure(random_state(rng, d)).entries)
+            val = trace_product(random_density(rng, d), projector(random_state(rng, d)))
             assert -1e-10 <= val <= 1 + 1e-10
 
     def test_imaginary_residue_rejected(self):
         corrupted = np.array([[0.0, 1.0j], [0.0, 0.0]])
         with pytest.raises(ValueError, match="imaginary residue"):
-            trace_product(corrupted, DensityMatrix.pure(PLUS).entries)
+            trace_product(corrupted, projector(PLUS))
 
     def test_dim_mismatch(self):
         with pytest.raises(ValueError, match="mismatch"):
-            trace_product(np.eye(3, dtype=complex) / 3, DensityMatrix.pure(E0).entries)
+            trace_product(np.eye(3, dtype=complex) / 3, projector(E0))
 
 
 class TestConstruction:
@@ -137,7 +138,7 @@ class TestConstruction:
             assert povm.projectors.shape == (d * d, d, d)
 
     def test_degenerate_set_fails_validation(self):
-        proj = DensityMatrix.pure(E0).entries
+        proj = projector(E0)
         fake = SicPovm(2, np.broadcast_to(proj, (4, 2, 2)).copy(), E0)
         report = validate_sic(fake, 1e-10)
         assert not report.passed
@@ -149,25 +150,26 @@ class TestConstruction:
 
 
 class TestExpansion:
+    """The expansion in tests/helpers.py that the coefficient form of the rule is checked on."""
+
     def test_maximally_mixed_coefficients(self):
         for d in (2, 3):
             povm = sic_from_fiducial(builtin_fiducial(d))
-            coeffs = sic_expand(np.eye(d, dtype=complex) / d, povm)
-            assert np.allclose(coeffs.lambdas, 1.0 / d**2, atol=1e-14)
-            assert coeffs.trace_of_rho == pytest.approx(1.0)
+            lambdas = sic_coefficients(np.eye(d, dtype=complex) / d, povm.projectors)
+            assert np.allclose(lambdas, 1.0 / d**2, atol=1e-14)
+            assert lambdas.sum() == pytest.approx(1.0)
 
     def test_projector_of_set_member(self):
         povm = sic_from_fiducial(builtin_fiducial(2))
-        coeffs = sic_expand(povm.projectors[0], povm)
-        assert coeffs.lambdas[0] == pytest.approx(1.0, abs=1e-12)
-        assert np.allclose(coeffs.lambdas[1:], 0.0, atol=1e-12)
+        lambdas = sic_coefficients(povm.projectors[0], povm.projectors)
+        assert lambdas[0] == pytest.approx(1.0, abs=1e-12)
+        assert np.allclose(lambdas[1:], 0.0, atol=1e-12)
 
     def test_trace_two_sum(self):
         rng = np.random.default_rng(41)
         povm = sic_from_fiducial(builtin_fiducial(3))
-        pair_sum = random_density(rng, 3).entries + random_density(rng, 3).entries
-        coeffs = sic_expand(pair_sum, povm)
-        assert coeffs.lambdas.sum() == pytest.approx(2.0, abs=1e-10)
+        pair_sum = random_density(rng, 3) + random_density(rng, 3)
+        assert sic_coefficients(pair_sum, povm.projectors).sum() == pytest.approx(2.0, abs=1e-10)
 
     @pytest.mark.parametrize("d", [2, 3])
     def test_reconstruction_round_trip(self, d):
@@ -175,58 +177,42 @@ class TestExpansion:
         povm = sic_from_fiducial(builtin_fiducial(d))
         for _ in range(100):
             mat = random_hermitian(rng, d)
-            coeffs = sic_expand(mat, povm)
-            assert np.linalg.norm(sic_reconstruct(coeffs, povm) - mat) <= 1e-9
+            lambdas = sic_coefficients(mat, povm.projectors)
+            assert abs(lambdas.sum() - np.trace(mat).real) <= 1e-10
+            assert np.linalg.norm(np.tensordot(lambdas, povm.projectors, axes=1) - mat) <= 1e-9
 
     @pytest.mark.parametrize("d", [2, 3])
     def test_density_matrix_coefficient_bounds(self, d):
         rng = np.random.default_rng(43)
         povm = sic_from_fiducial(builtin_fiducial(d))
         for _ in range(1000):
-            coeffs = sic_expand(random_density(rng, d).entries, povm)
-            assert np.all(coeffs.lambdas >= -1.0 / d - 1e-10)
-            assert np.all(coeffs.lambdas <= 1.0 + 1e-10)
-
-    def test_rejects_invalid_set(self):
-        proj = DensityMatrix.pure(E0).entries
-        fake = SicPovm(2, np.broadcast_to(proj, (4, 2, 2)).copy(), E0)
-        with pytest.raises(InvalidSicError):
-            sic_expand(np.eye(2, dtype=complex) / 2, fake)
-
-    def test_coefficient_sum_invariant(self):
-        with pytest.raises(ValueError, match="sum"):
-            SicCoefficients(np.array([0.5, 0.5, 0.5, 0.5]), 1.0)
-
-    def test_coefficient_sum_rejects_nan(self):
-        with pytest.raises(ValueError, match="sum"):
-            SicCoefficients(np.array([np.nan, 0.5, 0.5, 0.5]), 2.0)
+            lambdas = sic_coefficients(random_density(rng, d), povm.projectors)
+            assert np.all(lambdas >= -1.0 / d - 1e-10)
+            assert np.all(lambdas <= 1.0 + 1e-10)
 
 
 class TestRuleCheck:
     def test_two_passing_indices(self):
-        coeffs = SicCoefficients(np.array([0.75, 0.75, 0.25, 0.25]), 2.0)
-        results = [sic_rule_check(coeffs.lambdas, k) for k in range(4)]
+        lambdas = np.array([0.75, 0.75, 0.25, 0.25])
+        results = [sic_rule_check(lambdas, k) for k in range(4)]
         assert results == [True, True, False, False]
 
     def test_identity_sum_is_all_boundary(self):
-        coeffs = SicCoefficients(np.full(4, 0.5), 2.0)
-        assert not any(sic_rule_check(coeffs.lambdas, k) for k in range(4))
+        assert not any(sic_rule_check(np.full(4, 0.5), k) for k in range(4))
 
     def test_dimension_is_the_root_of_the_coefficient_count(self):
         # the threshold is 1 - 1/2 here; at d = 3 it would be 2/3, and outcome 3 would fire alone
-        coeffs = SicCoefficients(np.array([0.456, 0.131, 0.543, 0.870]), 2.0)
-        assert [k for k in range(4) if sic_rule_check(coeffs.lambdas, k)] == [2, 3]
+        lambdas = np.array([0.456, 0.131, 0.543, 0.870])
+        assert [k for k in range(4) if sic_rule_check(lambdas, k)] == [2, 3]
 
     @pytest.mark.parametrize("count", [1, 2, 3, 5, 8])
     def test_rejects_a_count_that_is_no_square_of_at_least_four(self, count):
-        coeffs = SicCoefficients(np.full(count, 2.0 / count), 2.0)
         with pytest.raises(ValueError, match=r"d\^2 coefficients"):
-            sic_rule_check(coeffs.lambdas, 0)
+            sic_rule_check(np.full(count, 2.0 / count), 0)
 
     def test_requires_trace_two(self):
-        coeffs = SicCoefficients(np.full(4, 0.25), 1.0)
         with pytest.raises(ValueError, match="trace-2"):
-            sic_rule_check(coeffs.lambdas, 0)
+            sic_rule_check(np.full(4, 0.25), 0)
 
     @pytest.mark.parametrize("d", [2, 3])
     def test_equivalent_to_trace_form(self, d):
@@ -234,11 +220,11 @@ class TestRuleCheck:
         rng = np.random.default_rng(44)
         povm = sic_from_fiducial(builtin_fiducial(d))
         for _ in range(1000):
-            total = random_density(rng, d).entries + random_density(rng, d).entries
-            coeffs = sic_expand(total, povm)
+            total = random_density(rng, d) + random_density(rng, d)
+            lambdas = sic_coefficients(total, povm.projectors)
             for k in range(d * d):
                 direct = trace_product(total, povm.projectors[k]) > 1.0
-                assert sic_rule_check(coeffs.lambdas, k) == direct
+                assert sic_rule_check(lambdas, k) == direct
 
     @pytest.mark.parametrize("d", [2, 3])
     def test_agrees_with_the_distinguish_kernel(self, d):
@@ -250,8 +236,8 @@ class TestRuleCheck:
         overlaps = np.abs(pairs @ orbit.conj().T) ** 2
         kernel = _fires(overlaps[:, 0] + overlaps[:, 1], 0.0)
         for (f, b), fired in zip(pairs, kernel):
-            coeffs = sic_expand(np.outer(f, f.conj()) + np.outer(b, b.conj()), povm)
-            assert [sic_rule_check(coeffs.lambdas, k) for k in range(d * d)] == fired.tolist()
+            lambdas = sic_coefficients(np.outer(f, f.conj()) + np.outer(b, b.conj()), povm.projectors)
+            assert [sic_rule_check(lambdas, k) for k in range(d * d)] == fired.tolist()
 
     @pytest.mark.parametrize("d", [2, 3])
     def test_exact_ties_do_not_fire(self, d):
@@ -269,7 +255,7 @@ class TestRuleCheck:
                 totals.append(np.outer(state, state.conj()) + np.outer(b, b.conj()))
                 pairs.append((state, b))
                 elements.append(k)
-        fired = [sic_rule_check(sic_expand(total, povm).lambdas, k) for total, k in zip(totals, elements)]
+        fired = [sic_rule_check(sic_coefficients(total, povm.projectors), k) for total, k in zip(totals, elements)]
         assert sum(fired) == 0
         batched = sic_fires(np.array(totals), povm)
         assert not batched[np.arange(len(elements)), elements].any()
@@ -280,7 +266,7 @@ class TestRuleCheck:
 
 
 class TestDistinguish:
-    """The batch kernel, and the mixed-pair trace form in tests/helpers.py that it is checked against."""
+    """The batch kernel, and the summed-pair trace form in tests/helpers.py that it is checked against."""
 
     def test_matches_per_instance_reference(self):
         # the batched kernel against one trace-form call per pair, drawn from the same streams
@@ -290,9 +276,7 @@ class TestDistinguish:
         separated = 0
         for i in range(samples):
             s0f, s0b, s1f, s1b = (haar_state(dim, st, i) for st in streams)
-            pair0 = pure_pair(s0f, s0b)
-            pair1 = pure_pair(s1f, s1b)
-            separated += sic_distinguish_pair(pair0, pair1, povm) is not None
+            separated += sic_distinguish_pair(pure_sum(s0f, s0b), pure_sum(s1f, s1b), povm) is not None
         assert sic_distinguish(povm, samples, seed) == separated
 
     def test_kernel_validates_the_set(self):
@@ -301,27 +285,21 @@ class TestDistinguish:
 
     def test_z_vs_x_pairs(self):
         povm = sic_from_fiducial(builtin_fiducial(2))
-        pair0 = pure_pair(E0, E0)
-        pair1 = pure_pair(PLUS, PLUS)
-        k = sic_distinguish_pair(pair0, pair1, povm)
+        k = sic_distinguish_pair(pure_sum(E0, E0), pure_sum(PLUS, PLUS), povm)
         assert k is not None
-        lam0 = sic_expand(2 * DensityMatrix.pure(E0).entries, povm)
-        lam1 = sic_expand(2 * DensityMatrix.pure(PLUS).entries, povm)
-        assert sic_rule_check(lam0.lambdas, k) != sic_rule_check(lam1.lambdas, k)
+        lam0 = sic_coefficients(2 * projector(E0), povm.projectors)
+        lam1 = sic_coefficients(2 * projector(PLUS), povm.projectors)
+        assert sic_rule_check(lam0, k) != sic_rule_check(lam1, k)
 
     def test_identical_pairs_are_inseparable(self):
         povm = sic_from_fiducial(builtin_fiducial(2))
-        pair = pure_pair(E0, PLUS)
+        pair = pure_sum(E0, PLUS)
         assert sic_distinguish_pair(pair, pair, povm) is None
 
     def test_identity_sums_are_inseparable(self):
         povm = sic_from_fiducial(builtin_fiducial(2))
-        mixed = DensityMatrix.maximally_mixed(2)
-        pair0 = TwoStatePairMixed(mixed, mixed)
-        pair1 = TwoStatePairMixed(
-            DensityMatrix.pure(E0), DensityMatrix.pure(StateVector.basis_state(2, 1))
-        )
-        assert sic_distinguish_pair(pair0, pair1, povm) is None
+        mixed = np.eye(2, dtype=complex) / 2
+        assert sic_distinguish_pair(mixed + mixed, pure_sum(E0, StateVector.basis_state(2, 1)), povm) is None
 
 
 class TestFramePotential:

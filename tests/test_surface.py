@@ -17,18 +17,14 @@ import twostate
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "twostate"
 
-# __all__ names that no src module references outside their own definition, each with the reason it stays
+# __all__ names that no src module references outside the definitions of such names, each with the reason it stays
 UNREFERENCED = {
-    "evolve_pair": "the paper's dynamics; no experiment runs it yet",
-    "stationarity_check": "the paper's dynamics; no experiment runs it yet",
-    "stationary_partner": "the paper's dynamics; no experiment runs it yet",
-    "first_order_invariance_check": "the paper's dynamics; no experiment runs it yet",
-    "sic_expand": "the SIC expansion; no experiment runs it yet",
-    "sic_reconstruct": "the SIC expansion; no experiment runs it yet",
     "haar_state": "bench/test_bench.py reads it as cli.haar_state",
     "result_schema": "the payload schema that bench/child.py validates records against",
-    "DensityMatrix.pure": "the paper's dynamics; no experiment runs it yet",
-    "DensityMatrix.maximally_mixed": "the paper's dynamics; no experiment runs it yet",
+}
+# names a src module imports and never reads, as ``module.name``, each with the reason it stays
+UNREAD_IMPORTS = {
+    "cli.haar_state": "bench/test_bench.py reads it as cli.haar_state",
 }
 
 
@@ -55,19 +51,38 @@ def _public_names(tree: ast.Module, exported: list):
                             if isinstance(m, ast.FunctionDef) and not m.name.startswith("_"))
 
 
+def _nodes(defs) -> set:
+    return {id(node) for d in defs for node in ast.walk(d)}
+
+
 def test_every_public_name_is_used_in_src():
+    """A use counts only from outside the definitions of unused names, so a name that only dead code uses is
+    dead too: the set of unused names grows to a fixpoint."""
     trees = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in SRC.glob("*.py")}
-    unreferenced = set()
-    for module, tree in trees.items():
-        if module == "__init__":
-            continue
-        for name, defs in _public_names(tree, importlib.import_module(f"twostate.{module}").__all__):
-            # the nodes of the name's own definition do not count as uses of it
-            own = {id(node) for d in defs for node in ast.walk(d)}
-            attr = name.rpartition(".")[2]
-            if not any(_references(other, attr, own if other is tree else set()) for other in trees.values()):
-                unreferenced.add(name)
+    names = [named for module, tree in trees.items() if module != "__init__"
+             for named in _public_names(tree, importlib.import_module(f"twostate.{module}").__all__)]
+    unreferenced, found = None, set()
+    while found != unreferenced:
+        unreferenced = found
+        dead = _nodes(d for name, defs in names if name in unreferenced for d in defs)
+        # the nodes of a name's own definition do not count as uses of it
+        found = {name for name, defs in names
+                 if not any(_references(tree, name.rpartition(".")[2], dead | _nodes(defs)) for tree in trees.values())}
     assert unreferenced == set(UNREFERENCED)
+
+
+def test_no_module_imports_a_name_it_never_reads():
+    unread = set()
+    for path in SRC.glob("*.py"):
+        if path.stem == "__init__":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__":
+                bound = ((alias.asname or alias.name).partition(".")[0] for alias in node.names)
+                unread |= {f"{path.stem}.{name}" for name in bound if name not in read}
+    assert unread == set(UNREAD_IMPORTS)
 
 
 def test_readme_library_example_runs():
