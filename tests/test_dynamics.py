@@ -57,6 +57,46 @@ class TestCommutatorTarget:
         k = commutator(PLUS_PROJ, SZ.entries)
         assert CommutatorTarget(k).dim == 2
 
+    def test_rejects_nan_entries(self):
+        # the anti-Hermitian check fails on a NaN deviation instead of comparing false
+        with pytest.raises(ValueError, match="anti-Hermitian"):
+            CommutatorTarget(np.array([[0.0, np.nan], [0.0, 0.0]]))
+
+    def test_rejects_non_square(self):
+        with pytest.raises(ValueError, match="square matrix"):
+            CommutatorTarget(np.zeros((2, 3), dtype=complex))
+
+    def test_entries_are_frozen(self):
+        k = CommutatorTarget(commutator(PLUS_PROJ, SZ.entries))
+        with pytest.raises(ValueError):
+            k.entries[0, 1] = 0.0
+
+
+class TestStationarySolveInput:
+    K2 = CommutatorTarget(commutator(PLUS_PROJ, SZ.entries))
+
+    def test_rejects_wrong_diagonal_length(self):
+        with pytest.raises(ValueError, match="diagonal must have 2 real entries"):
+            StationarySolveInput(SZ, self.K2, np.array([0.2, 0.3, 0.5]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_rejects_nonfinite_diagonal(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            StationarySolveInput(SZ, self.K2, np.array([0.5, bad]))
+
+    def test_rejects_dimension_mismatch(self):
+        k3 = CommutatorTarget(np.zeros((3, 3), dtype=complex))
+        with pytest.raises(ValueError, match="dimension mismatch: H 2 vs K 3"):
+            StationarySolveInput(SZ, k3, np.array([0.5, 0.5]))
+
+    def test_diagonal_is_a_frozen_copy(self):
+        given = np.array([0.25, 0.75])
+        inp = StationarySolveInput(SZ, self.K2, given)
+        given[0] = 0.5
+        assert inp.diagonal.tolist() == [0.25, 0.75]
+        with pytest.raises(ValueError):
+            inp.diagonal[0] = 0.5
+
 
 class TestCommutatorSolve:
     def test_worked_qubit_example(self):
@@ -161,6 +201,13 @@ class TestStationaryPartner:
         with pytest.raises(NotPsdError) as info:
             partner(PLUS_PROJ, SZ, [0.75, 0.25])
         assert info.value.min_eigenvalue == pytest.approx(oracle_min, abs=1e-12)
+
+    def test_trace_is_the_diagonal_sum(self):
+        # the diagonal is taken as given, not normalized: [[3/4, 1/2], [1/2, 3/4]] is PSD with trace 3/2
+        rho = partner(PLUS_PROJ, SZ, [0.75, 0.75])
+        assert np.allclose(rho, [[0.75, 0.5], [0.5, 0.75]], atol=1e-12)
+        assert np.trace(rho).real == pytest.approx(1.5)
+        assert stationary(rho, PLUS_PROJ, SZ, 1e-9)
 
     def test_random_partners_are_stationary(self):
         rng = np.random.default_rng(52)

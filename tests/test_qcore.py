@@ -36,6 +36,26 @@ class TestTypeInvariants:
         with pytest.raises(ValueError, match="dimension"):
             StateVector(np.array([1.0]))
 
+    def test_state_vector_normalized_rescales(self):
+        assert np.allclose(StateVector.normalized(np.array([3.0, 4.0j])).entries, [0.6, 0.8j], atol=1e-15)
+
+    def test_state_vector_normalized_rejects_zero(self):
+        with pytest.raises(ValueError, match="zero vector"):
+            StateVector.normalized(np.zeros(2))
+
+    @pytest.mark.parametrize("index", [-1, 2], ids=["negative", "past-end"])
+    def test_basis_state_rejects_out_of_range_index(self, index):
+        with pytest.raises(ValueError, match="out of range"):
+            StateVector.basis_state(2, index)
+
+    def test_hermitian_rejects_non_hermitian(self):
+        with pytest.raises(ValueError, match="not Hermitian"):
+            HermitianOperator(np.array([[1.0, 0.1], [0.3, 1.0]]))
+
+    def test_hermitian_rejects_non_square(self):
+        with pytest.raises(ValueError, match="square matrix"):
+            HermitianOperator(np.eye(3)[:, :2])
+
     def test_basis_rejects_non_orthonormal(self):
         tilted = [np.sqrt(0.9), np.sqrt(0.1)]
         with pytest.raises(ValueError, match="orthonormal"):
@@ -86,6 +106,10 @@ class TestCommutator:
     def test_identity_commutes(self):
         rho = random_density(np.random.default_rng(7), 4)
         assert np.allclose(commutator(rho, np.eye(4, dtype=complex)), 0.0)
+
+    def test_dim_mismatch(self):
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            commutator(np.eye(2), np.eye(3))
 
     def test_anti_hermitian_for_hermitian_inputs(self):
         rng = np.random.default_rng(8)
@@ -144,6 +168,10 @@ class TestJsonFixtures:
         mat = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
         recovered = matrix_from_json(json.loads(json.dumps(matrix_to_json(mat))))
         assert np.array_equal(recovered, mat)
+
+    def test_matrix_rejects_ragged_rows(self):
+        with pytest.raises(ValueError, match="row 1 has 1 entries"):
+            matrix_from_json([[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0]]])
 
     def test_row_major_layout(self):
         data = matrix_to_json(np.array([[1.0, 2.0], [3.0, 4.0]], dtype=complex))
