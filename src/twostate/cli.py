@@ -306,14 +306,14 @@ def _run_basis_mc(cfg: ExperimentConfig) -> list[dict]:
         except PreconditionError as err:  # the states' weights over the basis break the rule's precondition
             raise ConfigError(str(err)) from None
         # 0/0, when no sample assigned an outcome, is written as null
-        conditional = [None if math.isnan(c) else float(c) for c in result.conditional_frequencies()]
-        born = np.abs(basis.entries.conj() @ fwd.entries) ** 2
-        for k, estimate in enumerate(result.estimates):
-            records.append(_record(
-                cfg, p_or_theta=theta, frequency=estimate.frequency, std_err=estimate.std_err,
-                no_assign_rate=result.no_assign_rate, oracle=float(born[k]),
-                extra={"outcome": k, "conditional_frequency": conditional[k]},
-            ))
+        conditional = [None if math.isnan(c) else c for c in result.conditional_frequencies().tolist()]
+        born = (np.abs(basis.entries.conj() @ fwd.entries) ** 2).tolist()
+        head = _record(cfg, p_or_theta=theta, no_assign_rate=result.no_assign_rate)  # the outcomes' common fields
+        records.extend(
+            {**head, "frequency": estimate.frequency, "std_err": estimate.std_err, "oracle": oracle,
+             "extra": {"outcome": k, "conditional_frequency": c}}
+            for k, (estimate, c, oracle) in enumerate(zip(result.estimates, conditional, born))
+        )
     return records
 
 
@@ -539,8 +539,9 @@ def run_experiment(name: str, values: dict) -> list[dict]:
     """
     experiment = _EXPERIMENTS[name]
     rows = _FIELDS + experiment.params
+    known = {row.key for row in rows}.union(experiment.keys)
     for key in values:
-        if key not in experiment.keys and all(row.key != key for row in rows):
+        if key not in known:
             raise ConfigError(f"{name} has no config key {key!r}")
     converted = {row.key: _converted(row.key, row.convert, values[row.key]) if row.key in values else row.default
                  for row in rows}
@@ -573,7 +574,7 @@ def _format_cell(value) -> str:
 
 
 def emit_results(records: list[dict], fmt: str, path: str | None, include_timing: bool = True) -> None:
-    """Write records as CSV or JSON to a path ('-' or None for stdout)."""
+    """Write records as CSV or as compact JSON (one line) to a path ('-' or None for stdout)."""
     columns = list(CSV_COLUMNS)
     if not include_timing:
         columns.remove("wall_time_s")
@@ -587,7 +588,7 @@ def emit_results(records: list[dict], fmt: str, path: str | None, include_timing
         payload = buf.getvalue()
     elif fmt == "json":
         trimmed = [{col: rec.get(col) for col in columns} for rec in records]
-        payload = json.dumps(trimmed, indent=2, allow_nan=False) + "\n"
+        payload = json.dumps(trimmed, separators=(",", ":"), allow_nan=False) + "\n"
     else:
         raise ConfigError(f"unknown output format {fmt!r}")
 
@@ -673,6 +674,31 @@ def _parser(only: str | None) -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _subparser(name: str) -> argparse.ArgumentParser:
+    """``name``'s subparser in ``_parser(name)``, to which that parser hands the arguments after ``name``."""
+    (sub,) = [action for action in _parser(name)._actions if isinstance(action, argparse._SubParsersAction)]
+    return sub.choices[name]
+
+
+def _parse_args(argv) -> argparse.Namespace:
+    """``_build_parser(argv).parse_args(argv)``, without the top parser's pass when ``argv`` starts with a name.
+
+    That pass hands every argument after the name to the name's subparser, sets ``experiment``
+    and rejects what the subparser leaves as unrecognized arguments; here the same subparser
+    parses them directly and the same parser reports the leftovers, so every message and exit
+    code is the same.
+    """
+    parser = _build_parser(argv)
+    if not argv or argv[0] not in _EXPERIMENTS:
+        return parser.parse_args(argv)
+    args, extras = _subparser(argv[0]).parse_known_args(argv[1:])
+    if extras:
+        parser.error("unrecognized arguments: " + " ".join(extras))
+    args.experiment = argv[0]
+    return args
+
+
 def _load_config(path: str | None, experiment: str) -> dict:
     if path is None:
         return {}
@@ -693,7 +719,7 @@ def _load_config(path: str | None, experiment: str) -> dict:
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    args = _build_parser(argv).parse_args(argv)
+    args = _parse_args(argv)
     flags = {row.key: getattr(args, row.key) for row in _FIELDS + _EXPERIMENTS[args.experiment].params}
     try:
         values = _load_config(args.config, args.experiment)

@@ -191,8 +191,18 @@ def spectral(h: HermitianOperator) -> SpectralDecomposition:
 # --- JSON fixture format: [re, im] pairs, row-major for matrices ---------
 
 
+def _complex_entries(pairs) -> list:
+    """``complex(re, im)`` of each ``[re, im]`` pair; a boolean, which ``complex`` takes as 0 or 1, is no number."""
+    return [complex(re, im) if type(re) is not bool and type(im) is not bool else _not_numbers(re, im)
+            for re, im in pairs]
+
+
+def _not_numbers(re, im):
+    raise TypeError(f"expected [re, im] pairs of numbers, got {[re, im]!r}")
+
+
 def vector_from_json(data) -> np.ndarray:
-    return np.array([complex(re, im) for re, im in data], dtype=complex)
+    return np.array(_complex_entries(data), dtype=complex)
 
 
 def matrix_to_json(mat) -> list:
@@ -201,7 +211,7 @@ def matrix_to_json(mat) -> list:
 
 
 def matrix_from_json(data) -> np.ndarray:
-    rows = [[complex(re, im) for re, im in row] for row in data]
+    rows = [_complex_entries(row) for row in data]
     for i, row in enumerate(rows):
         if len(row) != len(rows):
             raise ValueError(f"expected a square matrix of {len(rows)} rows, but row {i} has {len(row)} entries")

@@ -51,6 +51,8 @@ import math
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from itertools import repeat
+from typing import NamedTuple
 
 import numpy as np
 from numpy.random import Philox
@@ -128,8 +130,7 @@ class Fixed:
 BackwardDistribution = UniformOverlap | HaarPure | Fixed
 
 
-@dataclass(frozen=True)
-class BornEstimate:
+class BornEstimate(NamedTuple):
     """Monte Carlo frequency with its binomial standard error."""
 
     frequency: float
@@ -137,8 +138,7 @@ class BornEstimate:
     samples: int
 
 
-@dataclass(frozen=True)
-class BasisMcResult:
+class BasisMcResult(NamedTuple):
     """Per-outcome estimates plus the fraction of samples assigning nothing."""
 
     estimates: tuple
@@ -565,9 +565,9 @@ def basis_mc(
     tallies = _rule_tallies(forward, basis.entries, dist, n_samples, seed, tie_tol, stream_index, workers)
     if tallies[-1]:
         raise MultipleOutcomesError(f"{int(tallies[-1])} samples fired more than one outcome")
-    no_assign_rate = int(tallies[-2]) / n_samples
-    estimates = tuple(_binomial_estimate(int(c), n_samples) for c in tallies[:-2])
-    return BasisMcResult(estimates, no_assign_rate, n_samples)
+    counts = tallies.tolist()
+    estimates = tuple(map(_binomial_estimate, counts[:-2], repeat(n_samples)))
+    return BasisMcResult(estimates, counts[-2] / n_samples, n_samples)
 
 
 def exclusivity_scan(dim: int, n_samples: int, seed: int, tie_tol: float = 0.0, *, workers: int = 1) -> np.ndarray:

@@ -32,6 +32,7 @@ from twostate.cli import (
     CSV_COLUMNS,
     EXPERIMENTS,
     _build_parser,
+    _parse_args,
     _parser,
     emit_results,
     main,
@@ -156,6 +157,34 @@ class TestConfigHandling:
         assert code == 2
         assert capsys.readouterr().err == (
             f"error: invalid {label}: expected a square matrix of 2 rows, but row 1 has 3 entries\n")
+        assert not out.exists()
+
+    # each config runs, at exit 0, if its boolean is taken for 1 or 0, as complex(True, 0) takes it
+    @pytest.mark.parametrize("args, config, label, pair", [
+        (["basis-mc"], {"basis": [[[True, 0], [0, 0]], [[0, 0], [1, 0]]], "forward": [[1, 0], [0, 0]]}, "basis",
+         "[True, 0]"),
+        (["basis-mc"], {"basis": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]], "forward": [[True, 0], [0, 0]]}, "forward",
+         "[True, 0]"),
+        (["weak-value"], {"observable": matrix_to_json(np.diag([1.0, -1.0])), "forward": [[0.6, 0], [0.8, 0]],
+                          "final": [[1, 0], [0, False]]}, "final", "[0, False]"),
+        (["born-mc", "--dist", "fixed", "--p-grid", "0.5"], {"dist_state": [[0, 0], [True, 0]]}, "dist_state",
+         "[True, 0]"),
+        (["sic-validate"], {"fiducial": [[True, 0], [0, 0]]}, "fiducial", "[True, 0]"),
+        (["weak-value"], {"observable": [[[1, 0], [0, 0]], [[0, 0], [False, 0]]], "forward": [[0.6, 0], [0.8, 0]],
+                          "final": [[1, 0], [0, 0]]}, "observable", "[False, 0]"),
+        (["stationary-solve"], {"hamiltonian": [[[True, 0], [0, 0]], [[0, 0], [3, 0]]],
+                                "target_k": matrix_to_json(np.zeros((2, 2))), "diagonal": [0.5, 0.5]},
+         "hamiltonian/target_k/diagonal", "[True, 0]"),
+        (["stationary-solve"], {"hamiltonian": matrix_to_json(np.diag([1.0, 3.0])),
+                                "target_k": [[[False, 0], [0, 2]], [[0, 2], [0, 0]]], "diagonal": [0.5, 0.5]},
+         "hamiltonian/target_k/diagonal", "[False, 0]"),
+    ], ids=["basis", "forward", "final", "dist_state", "fiducial", "observable", "hamiltonian", "target_k"])
+    def test_a_boolean_config_amplitude_exits_two(self, args, config, label, pair, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        code, out = run_cli(args + ["--seed", "1", "--config", str(cfg)], tmp_path)
+        assert code == 2
+        assert capsys.readouterr().err == f"error: invalid {label}: expected [re, im] pairs of numbers, got {pair}\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("args, config, message", [
@@ -520,6 +549,23 @@ PARSER_ARGVS = [
     for name in EXPERIMENTS
     for rest in (["--help"], ["-h"], ["--bogus"], ["--format", "xml"], ["--dim"])
 ] + [["--help"], [], ["bogus"], ["--seed", "1", "born-mc"]]
+# argv after an experiment name that the subparser alone parses: the ones argparse answers itself,
+# then the ones it accepts
+SHORTCUT_EXITS = {
+    "unknown-flag": ["born-mc", "--seed", "1", "--bogus"],
+    "extra-positional": ["born-mc", "--seed", "1", "extra"],
+    "missing-value": ["basis-mc", "--seed"],
+    "ambiguous-abbreviation": ["born-mc", "--s", "1"],
+    "double-dash": ["born-mc", "--seed", "1", "--", "--samples", "5"],
+    "help": ["born-mc", "-h"],
+    "bad-flag-after-config": ["born-mc", "--seed", "1", "--config", "cfg.json", "--bogus", "2"],
+    "flag-as-config-path": ["sic-validate", "--config", "--bogus"],
+}
+SHORTCUT_PARSES = {
+    "abbreviated-flag": ["born-mc", "--samp", "5", "--seed", "1"],
+    "repeated-flag": ["basis-mc", "--seed", "1", "--seed", "2", "--no-timing"],
+    "equals-sign": ["weak-value", "--seed=3", "--form=json"],
+}
 
 
 def parse_outcome(parse, argv):
@@ -541,6 +587,16 @@ class TestParser:
         reference = parse_outcome(lambda a: _parser.__wrapped__(None).parse_args(a), argv)  # built afresh
         assert len(reference[0]) + len(reference[1]) > 0
         assert parse_outcome(main, argv) == reference
+
+    @pytest.mark.parametrize("argv", SHORTCUT_EXITS.values(), ids=SHORTCUT_EXITS)
+    def test_the_subparser_answers_as_its_parser(self, argv):
+        reference = parse_outcome(lambda a: _parser.__wrapped__(argv[0]).parse_args(a), argv)  # built afresh
+        assert len(reference[0]) + len(reference[1]) > 0
+        assert parse_outcome(main, argv) == reference
+
+    @pytest.mark.parametrize("argv", SHORTCUT_PARSES.values(), ids=SHORTCUT_PARSES)
+    def test_the_subparser_parses_as_its_parser(self, argv):
+        assert vars(_parse_args(argv)) == vars(_parser.__wrapped__(argv[0]).parse_args(argv))
 
     @pytest.mark.parametrize("experiment", EXPERIMENTS)
     def test_an_experiment_name_builds_only_its_subparser(self, experiment):
@@ -1092,6 +1148,36 @@ PINNED_PAYLOADS = {
         ]),
 }
 
+PAYLOAD_COLUMNS = PAYLOAD_HEADER.rstrip("\n").split(",")
+
+
+def csv_values(row: str) -> dict:
+    """The values of a ``--no-timing`` CSV row, typed as a JSON record holds them; an empty cell is null."""
+    (cells,) = csv.reader([row])
+
+    def value(column, cell):
+        if cell == "":
+            return None
+        if column == "extra":
+            return json.loads(cell)
+        if column in ("schema_version", "dim", "samples", "seed"):
+            return int(cell)
+        return cell if column in ("experiment", "dist") else float(cell)
+
+    return {column: value(column, cell) for column, cell in zip(PAYLOAD_COLUMNS, cells, strict=True)}
+
+
+def float_bits(value):
+    """``value`` with each float replaced by its hex digits, so that == compares floats bit for bit."""
+    if isinstance(value, float):
+        return value.hex()
+    if isinstance(value, dict):
+        return {key: float_bits(item) for key, item in value.items()}
+    if isinstance(value, list):
+        return [float_bits(item) for item in value]
+    return value
+
+
 
 class TestDeterminism:
     @pytest.mark.parametrize("workers", ["1", "8"])
@@ -1105,6 +1191,23 @@ class TestDeterminism:
         code, out = run_cli(args + ["--workers", workers, "--no-timing"], tmp_path)
         assert code == 0
         assert out.read_text() == PAYLOAD_HEADER + "".join(row + "\n" for row in rows)
+
+    @pytest.mark.parametrize("name", PINNED_PAYLOADS)
+    def test_json_payload_is_one_line_of_the_pinned_values(self, name, tmp_path):
+        # JSON output is compact: one line of the records the pinned CSV rows hold, in column order
+        args, config, rows = PINNED_PAYLOADS[name]
+        if config is not None:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps(config))
+            args = args + ["--config", str(cfg)]
+        code, out = run_cli(args + ["--format", "json", "--no-timing"], tmp_path, "out.json")
+        assert code == 0
+        payload = out.read_text()
+        assert payload.endswith("\n") and payload.count("\n") == 1
+        records = json.loads(payload)
+        jsonschema.validate(records, result_schema())
+        assert [list(record) for record in records] == [PAYLOAD_COLUMNS] * len(rows)
+        assert float_bits(records) == float_bits([csv_values(row) for row in rows])
 
     @pytest.mark.parametrize("args, config", [
         (["born-mc", "--dim", "2", "--samples", "20000", "--seed", "42", "--p-grid", "0.3,0.7"], None),

@@ -173,6 +173,14 @@ class TestJsonFixtures:
         with pytest.raises(ValueError, match="row 1 has 1 entries"):
             matrix_from_json([[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0]]])
 
+    def test_a_boolean_is_no_number(self):
+        # integers stay numbers; only the booleans, which complex() takes as 1 and 0, are rejected
+        assert vector_from_json([[1, 0], [0, 1]]).tolist() == [1, 1j]
+        with pytest.raises(TypeError, match=r"pairs of numbers, got \[0.5, True\]"):
+            vector_from_json([[1, 0], [0.5, True]])
+        with pytest.raises(TypeError, match=r"pairs of numbers, got \[False, 0\]"):
+            matrix_from_json([[[1, 0], [0, 0]], [[0, 0], [False, 0]]])
+
     def test_row_major_layout(self):
         data = matrix_to_json(np.array([[1.0, 2.0], [3.0, 4.0]], dtype=complex))
         assert data[0] == [[1.0, 0.0], [2.0, 0.0]]
