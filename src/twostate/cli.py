@@ -265,10 +265,7 @@ def _run_born_mc(cfg: ExperimentConfig) -> list[dict]:
             forward, target, dist, cfg.samples, cfg.seed, cfg.tie_tol,
             stream_index=point, workers=cfg.workers,
         )
-        try:
-            oracle = born_oracle(dist, p, cfg.dim)
-        except ValueError:
-            oracle = None
+        oracle = None if cfg.dist == "fixed" else born_oracle(dist, p, cfg.dim)
         records.append(_record(
             cfg, p_or_theta=p, frequency=estimate.frequency, std_err=estimate.std_err,
             oracle=oracle,
@@ -284,7 +281,7 @@ def _tilted_qubit_basis(theta_rad: float) -> OrthonormalBasis:
 def _run_basis_mc(cfg: ExperimentConfig) -> list[dict]:
     records = []
     if "basis" in cfg.params:
-        basis = _from_config(cfg, lambda rows: _of_dim(OrthonormalBasis(matrix_from_json(rows)), cfg.dim, "a state"),
+        basis = _from_config(cfg, lambda rows: _of_dim(OrthonormalBasis(matrix_from_json(rows)), cfg.dim, "a basis"),
                              "basis")
         forward = _from_config(cfg, lambda data: _state(data, basis.dim), "forward")
         _unread(cfg, ["theta_deg"], "without a 'basis'")
@@ -638,31 +635,19 @@ def result_schema() -> dict:
 # --- argument parsing --------------------------------------------------------
 
 
-def _build_parser(argv=()) -> argparse.ArgumentParser:
-    """The parser of ``argv``: when it starts with an experiment name, the one with only that subparser.
-
-    Any other ``argv`` (help, no arguments, an unknown name, an option first) gets the one with
-    all of them, so that every message argparse prints is the same either way.
-    """
-    return _parser(argv[0] if argv and argv[0] in _EXPERIMENTS else None)
-
-
 @functools.cache
-def _parser(only: str | None) -> argparse.ArgumentParser:
-    """The parser with ``only``'s subparser, or with every experiment's for None; built once per process.
+def _parser() -> argparse.ArgumentParser:
+    """The parser with every experiment's subparser; built once per process, on its first call.
 
     Parsing leaves a parser unchanged, and argparse reads the terminal width when it formats
     help, not here, so one parser serves every call.
     """
-    names = [only] if only is not None else EXPERIMENTS
     parser = argparse.ArgumentParser(
         prog="twostate",
         description="Deterministic experiment harness for the two-state outcome-assignment model.",
     )
-    # one subparser would shrink the top-level usage line to {name}; keep the full choice list
-    metavar = "{" + ",".join(EXPERIMENTS) + "}" if len(names) == 1 else None
-    sub = parser.add_subparsers(dest="experiment", required=True, metavar=metavar)
-    for name in names:
+    sub = parser.add_subparsers(dest="experiment", required=True)
+    for name in EXPERIMENTS:
         experiment = _EXPERIMENTS[name]
         p = sub.add_parser(name, help=experiment.help.split(".")[0], description=experiment.help)
         for row in _FIELDS + experiment.params:
@@ -676,25 +661,24 @@ def _parser(only: str | None) -> argparse.ArgumentParser:
 
 @functools.cache
 def _subparser(name: str) -> argparse.ArgumentParser:
-    """``name``'s subparser in ``_parser(name)``, to which that parser hands the arguments after ``name``."""
-    (sub,) = [action for action in _parser(name)._actions if isinstance(action, argparse._SubParsersAction)]
+    """``name``'s subparser in ``_parser()``, to which that parser hands the arguments after ``name``."""
+    (sub,) = [action for action in _parser()._actions if isinstance(action, argparse._SubParsersAction)]
     return sub.choices[name]
 
 
 def _parse_args(argv) -> argparse.Namespace:
-    """``_build_parser(argv).parse_args(argv)``, without the top parser's pass when ``argv`` starts with a name.
+    """``_parser().parse_args(argv)``, without the top parser's pass when ``argv`` starts with a name.
 
     That pass hands every argument after the name to the name's subparser, sets ``experiment``
     and rejects what the subparser leaves as unrecognized arguments; here the same subparser
     parses them directly and the same parser reports the leftovers, so every message and exit
     code is the same.
     """
-    parser = _build_parser(argv)
     if not argv or argv[0] not in _EXPERIMENTS:
-        return parser.parse_args(argv)
+        return _parser().parse_args(argv)
     args, extras = _subparser(argv[0]).parse_known_args(argv[1:])
     if extras:
-        parser.error("unrecognized arguments: " + " ".join(extras))
+        _parser().error("unrecognized arguments: " + " ".join(extras))
     args.experiment = argv[0]
     return args
 

@@ -32,16 +32,19 @@ backward state: the rule sees one only through its overlaps ``|<b|a_k>|^2``
 with the outcomes, and those are drawn from their closed-form laws
 (``_overlaps``). The estimators draw only the overlaps of the outcomes that
 can fire, by stick-breaking, while those are at most half of them
-(sample-stream version 6, ``_rule_tallies``), in column-major chunks.
+(sample-stream version 6, ``_draw_plan``), in column-major chunks. In a flat
+Dirichlet vector an outcome's overlap is the first piece of a stick broken by
+neutrality, so every ``born_mc`` point is the one-candidate stick: one word
+per sample, under either law.
 
 A uniform-overlap estimator call whose only candidate is the target (every
-``born_mc`` point, and a ``basis_mc`` whose other outcomes cannot fire) draws
-one word per sample, and is tallied on the words themselves: sample i fires
-exactly when its word is at least one integer threshold fixed for the call
-(``_word_threshold``), since its rule sum ``p_0 + (h + 0.5) * 2**-32`` is one
-rounded addition, monotone in its word h. So its counts equal the float
-path's, word for word, and, as no transcendental function decides them, are
-the same under any SIMD dispatch; no other draw is tallied on words.
+``born_mc`` point, and a ``basis_mc`` whose other outcomes cannot fire) is
+tallied on its words themselves: sample i fires exactly when its word is at
+least one integer threshold fixed for the call (``_word_threshold``), since
+its rule sum ``p_0 + (h + 0.5) * 2**-32`` is one rounded addition, monotone
+in its word h. So its counts equal the float path's, word for word, and, as
+no transcendental function decides them, are the same under any SIMD
+dispatch; no other draw is tallied on words.
 """
 
 from __future__ import annotations
@@ -249,25 +252,20 @@ def _flat_dirichlet(u: np.ndarray, k: int, first: int = 0) -> np.ndarray:
     return np.divide(head, total[:, None], out=head)
 
 
-def _breaks_stick(dist: BackwardDistribution, cand: list, dim: int) -> bool:
-    """Whether the estimators draw the overlaps of the candidates ``cand`` (ascending outcome
-    indices) alone, by stick-breaking, rather than all d: while the candidates on the stick (the d
-    overlaps for Haar, the d - 1 beside the target for uniform overlap) are at most
-    ``_STICK_SHARE`` of its pieces. So the stick's last piece, whose power would be 1/0, is never
-    drawn."""
+def _draw_plan(dist: BackwardDistribution, cand: list, dim: int) -> tuple[list | None, int]:
+    """``(stick, words)``: the candidates ``cand`` (ascending outcome indices) broken off a stick,
+    or None for all d overlaps drawn flat, and the words (uniforms) each sample takes.
+
+    The stick is broken while the candidates on it (of the d overlaps for Haar, of the d - 1
+    beside the target for uniform overlap, which draws q_0 from one more word) are at most
+    ``_STICK_SHARE`` of its pieces, so its last piece, whose power would be 1/0, is never drawn.
+    A lone target, ``[0]``, is a one-word stick under both laws."""
     if isinstance(dist, HaarPure):
-        return len(cand) <= _STICK_SHARE * dim
-    return len(cand) - (cand[0] == 0) <= _STICK_SHARE * (dim - 1)  # the candidates besides the target, 0
-
-
-def _overlap_words(dist: BackwardDistribution, dim: int, k: int, stick: list | None) -> int:
-    """Words (uniforms) per sample of ``_overlaps``: one per overlap drawn, and q_0 of the
-    uniform-overlap law."""
-    if not isinstance(dist, (HaarPure, UniformOverlap)):
-        raise TypeError(f"unknown backward distribution: {type(dist).__name__}")
-    if stick is None:
-        return 1 if k == 1 else dim
-    return len(stick) if isinstance(dist, HaarPure) else 1 + len(stick) - (stick[0] == 0)
+        return (cand, len(cand)) if len(cand) <= _STICK_SHARE * dim else (None, dim)
+    if isinstance(dist, UniformOverlap):
+        rest = len(cand) - (cand[0] == 0)  # the candidates besides the target, 0
+        return (cand, 1 + rest) if rest <= _STICK_SHARE * (dim - 1) else (None, dim)
+    raise TypeError(f"unknown backward distribution: {type(dist).__name__}")
 
 
 def _break_stick(u: np.ndarray, sticks: int, rest: np.ndarray | None = None) -> None:
@@ -292,35 +290,27 @@ def _break_stick(u: np.ndarray, sticks: int, rest: np.ndarray | None = None) -> 
     np.subtract(1.0 if rest is None else rest, u[:, 0], out=u[:, 0])
 
 
-def _overlaps(dist: BackwardDistribution, dim: int, k: int, stick: list | None, u: np.ndarray) -> np.ndarray:
-    """Overlaps ``|<b|a_j>|^2`` of sampled backward states b with outcomes ``a_j`` of an
-    orthonormal set of d, from uniforms ``u`` of shape ``(count, _overlap_words(dist, dim, k,
-    stick))``, one row per sample (sample-stream version 6): with the first ``k`` outcomes when
-    ``stick`` is None, shape (count, k), and otherwise with the outcomes ``stick`` (ascending
-    indices), shape (count, len(stick)).
+def _overlaps(dist: BackwardDistribution, dim: int, stick: list | None, u: np.ndarray) -> np.ndarray:
+    """Overlaps ``|<b|a_j>|^2`` of sampled backward states b with the outcomes ``a_j`` of an
+    orthonormal basis, from uniforms ``u`` of shape ``(count, words)`` as ``_draw_plan`` sizes them,
+    one row per sample (sample-stream version 6): with the outcomes ``stick`` (ascending indices),
+    shape (count, len(stick)), or with all d outcomes when ``stick`` is None, shape (count, d).
 
-    ``stick`` None draws as version 5 did. Haar, whatever the set: for k = 1 the overlap is
-    Beta(1, d - 1), drawn by inverse CDF as q_0 = 1 - u**(1/(d - 1)) (one word); for k > 1 the
-    d overlaps are flat Dirichlet (d words per sample). Uniform overlap, with the target as a_0:
-    q_0 ~ U(0, 1) (one word), and for k > 1 the rest is (1 - q_0) times a flat Dirichlet over
-    the target's complement (d - 1 more words).
+    ``stick`` None draws all d overlaps flat: under Haar they are flat Dirichlet; under uniform
+    overlap, with the target as a_0, q_0 ~ U(0, 1) and the rest is (1 - q_0) times a flat Dirichlet
+    over the target's complement (d - 1 more words).
     Otherwise the overlaps of ``stick`` are broken off a stick one at a time, in index order
-    (``_break_stick``); the stick's last piece must not be among them (``_breaks_stick``). Haar
-    breaks the stick of length 1 into the d overlaps, so a single candidate's overlap is version
-    5's one-word draw. Uniform overlap draws q_0 ~ U(0, 1) from one word, whether or not 0 is in
-    ``stick``, and breaks the stick of length 1 - q_0 into the other d - 1 overlaps.
+    (``_break_stick``). Haar breaks the stick of length 1 into the d overlaps, so a lone
+    candidate's overlap is Beta(1, d - 1), q_0 = 1 - u**(1/(d - 1)) from one word. Uniform overlap
+    draws q_0 ~ U(0, 1) from one word, whether or not 0 is in ``stick``, and breaks the stick of
+    length 1 - q_0 into the other d - 1 overlaps.
     The overlaps are built in ``u`` itself, and the result is a view of it.
     """
     if stick is None:
         if isinstance(dist, HaarPure):
-            if k > 1:
-                return _flat_dirichlet(u, k)
-            u **= 1.0 / (dim - 1)
-            return np.subtract(1.0, u, out=u)
-        if k == 1:
-            return u
+            return _flat_dirichlet(u, dim)
         scale = 1.0 - u[:, :1]  # exact, as is 1 - scale: q_0 is a multiple of 2**-33 in (0, 1)
-        block = _flat_dirichlet(u, k - 1, first=1)  # whole rows: strided in-place steps read slower
+        block = _flat_dirichlet(u, dim - 1, first=1)  # whole rows: strided in-place steps read slower
         block *= scale
         np.subtract(1.0, scale, out=block[:, :1])
         return block
@@ -465,7 +455,9 @@ def _rule_tallies(
     stream_index: int,
     workers: int,
 ) -> np.ndarray:
-    """``tally_rule`` summed over sampled backward states; ``targets`` rows are the outcomes.
+    """``tally_rule`` summed over sampled backward states; ``targets`` rows are the outcomes: the
+    target alone, so that ``_draw_plan`` makes it the one-candidate stick ``[0]`` (``born_mc``), or
+    a whole basis, the target first (``basis_mc``).
 
     Raises PreconditionError when two outcomes' forward weights (or, for a ``Fixed`` state, its
     weights) sum to more than 1 + tie_tol + ``RULE_ROUNDING_BOUND``: such inputs may fire both
@@ -498,10 +490,9 @@ def _rule_tallies(
     cand = [j for j, p_j in enumerate(p.tolist()) if _fires(p_j + 1.0, tie_tol)]
     if not cand:  # no sample can assign an outcome
         return np.array([0] * k + [n_samples, 0], dtype=np.int64)
-    # the candidates broken off a stick, or None: all k overlaps drawn as version 5 drew them
-    stick = cand if len(cand) < k and _breaks_stick(dist, cand, dim) else None
-    draws = [(RngStream(seed, stream_index), _overlap_words(dist, dim, k, stick))]
-    if isinstance(dist, UniformOverlap) and draws[0][1] == 1:  # the target alone, one word per sample
+    stick, words = _draw_plan(dist, cand, dim)  # the candidates broken off a stick, or None: all d
+    draws = [(RngStream(seed, stream_index), words)]
+    if isinstance(dist, UniformOverlap) and words == 1:  # the target alone, one word per sample
         threshold = _word_threshold(float(p[0]), tie_tol)
 
         def word_tallies(h: np.ndarray) -> np.ndarray:
@@ -513,7 +504,7 @@ def _rule_tallies(
         p_drawn = p if stick is None else p[stick]
 
         def chunk_tallies(u: np.ndarray) -> np.ndarray:
-            sums = _overlaps(dist, dim, k, stick, u)
+            sums = _overlaps(dist, dim, stick, u)
             sums += p_drawn
             return tally_rule(sums, tie_tol)
 
@@ -521,7 +512,7 @@ def _rule_tallies(
         # the tally included, reads contiguous memory; the flat Dirichlet keeps its rows, since its
         # row sums round differently over columns
         counts = _sampled(chunk_tallies, n_samples, draws, workers, columns=stick is not None)
-    if stick is None:
+    if len(counts) == k + 2:  # every outcome drawn, in index order: all d, or a lone target's stick [0]
         return counts
     tallies = np.zeros(k + 2, dtype=np.int64)
     tallies[stick], tallies[-2:] = counts[:-2], counts[-2:]

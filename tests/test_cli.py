@@ -9,7 +9,7 @@ import re
 import subprocess
 import sys
 import threading
-from contextlib import redirect_stderr, redirect_stdout
+from contextlib import redirect_stderr, redirect_stdout, suppress
 from pathlib import Path
 
 import jsonschema
@@ -31,7 +31,6 @@ from twostate.cli import (
     _EXPERIMENTS,
     CSV_COLUMNS,
     EXPERIMENTS,
-    _build_parser,
     _parse_args,
     _parser,
     emit_results,
@@ -210,7 +209,7 @@ class TestConfigHandling:
 
     @pytest.mark.parametrize("args, config, message", [
         (["basis-mc"], {"basis": [vector_to_json(row) for row in np.eye(3)], "forward": [[1, 0], [0, 0], [0, 0]]},
-         "expected a state of dimension 2, got 3"),
+         "invalid basis: expected a basis of dimension 2, got 3"),
         (["sic-validate", "--dim", "2"], {"fiducial": vector_to_json(builtin_fiducial(3).entries)},
          "expected a state of dimension 2, got 3"),
         (["sic-distinguish", "--dim", "2"], {"fiducial": vector_to_json(builtin_fiducial(3).entries)},
@@ -582,33 +581,40 @@ def python(*args):
 
 
 class TestParser:
-    @pytest.mark.parametrize("argv", PARSER_ARGVS, ids=" ".join)
+    @pytest.mark.parametrize("argv", [pytest.param(argv, id=" ".join(argv)) for argv in PARSER_ARGVS]
+                             + [pytest.param(argv, id=name) for name, argv in SHORTCUT_EXITS.items()])
     def test_output_matches_the_full_parser(self, argv):
-        reference = parse_outcome(lambda a: _parser.__wrapped__(None).parse_args(a), argv)  # built afresh
-        assert len(reference[0]) + len(reference[1]) > 0
-        assert parse_outcome(main, argv) == reference
-
-    @pytest.mark.parametrize("argv", SHORTCUT_EXITS.values(), ids=SHORTCUT_EXITS)
-    def test_the_subparser_answers_as_its_parser(self, argv):
-        reference = parse_outcome(lambda a: _parser.__wrapped__(argv[0]).parse_args(a), argv)  # built afresh
+        reference = parse_outcome(lambda a: _parser.__wrapped__().parse_args(a), argv)  # built afresh
         assert len(reference[0]) + len(reference[1]) > 0
         assert parse_outcome(main, argv) == reference
 
     @pytest.mark.parametrize("argv", SHORTCUT_PARSES.values(), ids=SHORTCUT_PARSES)
-    def test_the_subparser_parses_as_its_parser(self, argv):
-        assert vars(_parse_args(argv)) == vars(_parser.__wrapped__(argv[0]).parse_args(argv))
-
-    @pytest.mark.parametrize("experiment", EXPERIMENTS)
-    def test_an_experiment_name_builds_only_its_subparser(self, experiment):
-        parser = _build_parser([experiment, "--seed", "1"])
-        (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
-        assert list(sub.choices) == [experiment]
+    def test_the_subparser_parses_as_the_full_parser(self, argv):
+        assert vars(_parse_args(argv)) == vars(_parser.__wrapped__().parse_args(argv))
 
     @pytest.mark.parametrize("argv", [["born-mc", "--seed", "1"], ["basis-mc"], ["--help"], [], ["bogus"]],
                              ids=" ".join)
-    def test_each_parser_is_built_once(self, argv):
-        assert _build_parser(argv) is _build_parser(list(argv))
-        assert (_build_parser(argv) is _build_parser()) == (not argv or argv[0] not in EXPERIMENTS)
+    def test_every_argv_reuses_the_one_parser(self, argv, monkeypatch):
+        _parser()
+        built, init = [], argparse.ArgumentParser.__init__
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__",
+                            lambda self, *args, **kwargs: built.append(self) or init(self, *args, **kwargs))
+        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()), suppress(SystemExit):
+            _parse_args(argv)
+        assert built == []
+
+    def test_the_parser_is_built_by_the_first_call_alone(self):
+        # not at import: a process that imports the module and runs nothing builds no parser
+        proc = python("-c", (
+            "import os, twostate.cli as cli\n"
+            "built = [cli._parser.cache_info().currsize]\n"
+            "for name in ('born-mc', 'basis-mc'):\n"
+            "    assert cli.main([name, '--seed', '1', '--samples', '10', '--out', os.devnull]) == 0\n"
+            "    built.append(cli._parser.cache_info().misses)\n"
+            "print(built)"
+        ))
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == b"[0, 1, 1]\n"
 
     def test_a_call_leaves_nothing_for_the_next(self, tmp_path, capsys):
         assert main(["born-mc", "--dim", "4", "--tie-tol", "0.05", "--p-grid", "0.3", "--seed", "1",
@@ -621,13 +627,12 @@ class TestParser:
 
     @pytest.mark.parametrize("argv", [["born-mc", "--help"], ["sic-search", "--help"], ["--help"]], ids=" ".join)
     def test_help_follows_the_width_at_the_time_it_is_printed(self, argv, monkeypatch):
-        only = argv[0] if argv[0] in EXPERIMENTS else None
-        _build_parser(argv)  # built at the default width
+        _parser()  # built at the default width
         printed = {}
         for columns in ("60", "200"):
             monkeypatch.setenv("COLUMNS", columns)
             printed[columns] = parse_outcome(main, argv)
-            assert printed[columns] == parse_outcome(lambda a: _parser.__wrapped__(only).parse_args(a), argv)
+            assert printed[columns] == parse_outcome(lambda a: _parser.__wrapped__().parse_args(a), argv)
         assert printed["60"] != printed["200"]
 
     def test_argv_none_reads_the_process_arguments(self, capsys):
@@ -941,6 +946,12 @@ WORD_CHUNKS = (["born-mc", "--dim", "4", "--samples", "100003", "--seed", "67", 
 WORD_TARGET = (["basis-mc", "--dim", "4", "--dist", "uniform-overlap", "--samples", "40000", "--seed", "71",
                 "--tie-tol", "0.25"],
                {"basis": [vector_to_json(row) for row in FOURIER_4], "forward": vector_to_json(FOURIER_4[0])})
+# Haar born-mc at d = 2, where the one candidate's overlap is 1 - u (the power 1/(d - 1) is 1), and at
+# d = 16.
+HAAR_D2 = (["born-mc", "--dim", "2", "--dist", "haar", "--samples", "4000", "--seed", "73", "--p-grid", "0.3,0.75"],
+           None)
+HAAR_D16 = (["born-mc", "--dim", "16", "--dist", "haar", "--samples", "20000", "--seed", "79", "--p-grid",
+             "0.9,0.97"], None)
 PAYLOAD_HEADER = "schema_version,experiment,dim,samples,seed,tie_tol,dist,p_or_theta,frequency,std_err," \
                  "no_assign_rate,oracle,extra\n"
 # The --no-timing CSV rows of two or more configs of each sampled experiment, as sample-stream
@@ -951,7 +962,8 @@ PAYLOAD_HEADER = "schema_version,experiment,dim,samples,seed,tie_tol,dist,p_or_t
 # stick-broken, while the qubit rows and the d = 5 rows draw all d flat Dirichlet. The d = 8
 # (uniform overlap) and d = 32 (Haar, 8 candidates) rows pin the stick-broken draw over more
 # than one column in both laws. The word rows pin the uniform-overlap draws of one word per sample,
-# which are tallied on their 32-bit words.
+# which are tallied on their 32-bit words; the Haar born-mc rows pin its one-word draw at d = 2, 3
+# and 16.
 PINNED_PAYLOADS = {
     "born-mc-uniform-d4": (
         ["born-mc", "--dim", "4", "--samples", "5000", "--seed", "11", "--p-grid", "0.2,0.5,0.9"], None, [
@@ -964,6 +976,14 @@ PINNED_PAYLOADS = {
          "--tie-tol", "0.001"], None, [
             "2,born-mc,3,3000,5,0.001,haar,0.4,0.172,0.006889992743102129,,0.16000000000000003,{}",
             "2,born-mc,3,3000,5,0.001,haar,0.8,0.6416666666666667,0.008754628405507484,,0.6400000000000001,{}",
+        ]),
+    "born-mc-haar-d2": (*HAAR_D2, [
+            "2,born-mc,2,4000,73,0.0,haar,0.3,0.3025,0.007262811955434342,,0.3,{}",
+            "2,born-mc,2,4000,73,0.0,haar,0.75,0.73875,0.006946193876865229,,0.75,{}",
+        ]),
+    "born-mc-haar-d16": (*HAAR_D16, [
+            "2,born-mc,16,20000,79,0.0,haar,0.9,0.2057,0.002858211941056856,,0.20589113209464907,{}",
+            "2,born-mc,16,20000,79,0.0,haar,0.97,0.6355,0.0034032319198079933,,0.6332511891367891,{}",
         ]),
     "basis-mc-haar": (
         ["basis-mc", "--samples", "4000", "--seed", "13", "--dist", "haar", "--theta-deg", "45,120"], None, [
@@ -1217,6 +1237,8 @@ class TestDeterminism:
         (["basis-mc", "--dim", "16", "--samples", "20000", "--seed", "42", "--dist", "haar"],
          {"basis": [vector_to_json(row) for row in HADAMARD_16],
           "forward": vector_to_json(np.sqrt(0.9) * HADAMARD_16[2] + np.sqrt(0.1) * HADAMARD_16[9])}),
+        HAAR_D2,
+        HAAR_D16,
         STICK_U8,
         STICK_H32,
         WORD_EDGES,
@@ -1225,13 +1247,15 @@ class TestDeterminism:
         (["exclusivity-scan", "--dim", "5", "--samples", "25000", "--seed", "7"], None),
         (["sic-distinguish", "--dim", "3", "--samples", "60000", "--seed", "7"], None),
         (["pbr-geometric", "--samples", "5000", "--seed", "7"], None),
-    ], ids=["born-mc", "basis-mc", "basis-mc-haar-d16", "basis-mc-uniform-d8-stick", "basis-mc-haar-d32-stick",
+    ], ids=["born-mc", "basis-mc", "basis-mc-haar-d16", "born-mc-haar-d2", "born-mc-haar-d16",
+            "basis-mc-uniform-d8-stick", "basis-mc-haar-d32-stick",
             "born-mc-uniform-word-edges", "born-mc-uniform-word-chunks", "basis-mc-uniform-d4-word-target",
             "exclusivity-scan", "sic-distinguish", "pbr-geometric"])
     @pytest.mark.parametrize("chunk_words, workers", [
         (None, "8"),
         # 2048-word chunks: 10 born-mc, 20 basis-mc, 20 basis-mc-haar-d16 (two outcomes can fire:
-        # 2 words per sample), 20 basis-mc-uniform-d8-stick, 157 basis-mc-haar-d32-stick (8 words),
+        # 2 words per sample), 2 born-mc-haar-d2 and 10 born-mc-haar-d16 (one word) per point,
+        # 20 basis-mc-uniform-d8-stick, 157 basis-mc-haar-d32-stick (8 words),
         # 2 born-mc-uniform-word-edges, 49 born-mc-uniform-word-chunks and 20
         # basis-mc-uniform-d4-word-target (one word) per point, 123 exclusivity-scan, 706
         # sic-distinguish and 40 pbr-geometric chunks

@@ -24,11 +24,10 @@ from twostate import sampling
 from twostate.assignment import RULE_ROUNDING_BOUND
 from twostate.sampling import (
     _CHUNK_WORDS,
-    _breaks_stick,
     _chunk_samples,
     _complex_normals,
+    _draw_plan,
     _flat_dirichlet,
-    _overlap_words,
     _overlaps,
     _sampled,
     _uniforms,
@@ -47,10 +46,11 @@ def ks_stat(samples, cdf):
     return stats.kstest(samples, cdf).statistic
 
 
-def drawn_overlaps(dist, dim: int, k: int, stream: RngStream, lo: int, n: int, stick=None) -> np.ndarray:
-    """The estimators' overlaps of samples ``[lo, lo + n)`` with the first ``k`` outcomes, or with
-    the outcomes ``stick`` broken off a stick: ``_overlaps`` of the stream's uniforms."""
-    return _overlaps(dist, dim, k, stick, _uniforms(stream, lo, n, _overlap_words(dist, dim, k, stick)))
+def drawn_overlaps(dist, dim: int, stream: RngStream, lo: int, n: int, stick=None) -> np.ndarray:
+    """The estimators' overlaps of samples ``[lo, lo + n)`` with all d outcomes, or with the outcomes
+    ``stick`` broken off a stick: ``_overlaps`` of the stream's uniforms."""
+    words = dim if stick is None else _draw_plan(dist, stick, dim)[1]
+    return _overlaps(dist, dim, stick, _uniforms(stream, lo, n, words))
 
 
 def fresh_philox(stream: RngStream, tick: int = 0) -> Philox:
@@ -246,7 +246,7 @@ class TestOverlapLaw:
         else:
             dist, states = UniformOverlap(), uniform_overlap_states(target, RngStream(90, 0), 0, n)
         k = dim if full_basis else 1
-        drawn = drawn_overlaps(dist, dim, k, RngStream(91, 0), 0, n)
+        drawn = drawn_overlaps(dist, dim, RngStream(91, 0), 0, n, None if full_basis else [0])
         reference = np.abs(states.conj() @ outcomes[:k].T) ** 2
         assert drawn.shape == (n, k)
         # each marginal, and for k = d the largest overlap as one joint statistic
@@ -267,8 +267,8 @@ class TestOverlapLaw:
 
     def test_block_is_pure_function_of_index(self):
         dist = UniformOverlap()
-        block = drawn_overlaps(dist, 5, 5, RngStream(5, 3), 0, 10)
-        assert np.array_equal(block[6:], drawn_overlaps(dist, 5, 5, RngStream(5, 3), 6, 4))
+        block = drawn_overlaps(dist, 5, RngStream(5, 3), 0, 10)
+        assert np.array_equal(block[6:], drawn_overlaps(dist, 5, RngStream(5, 3), 6, 4))
 
 
 def _dirichlet_reference(u: np.ndarray, k: int) -> np.ndarray:
@@ -296,7 +296,7 @@ class TestOverlapBlockArithmetic:
         stream, lo, n = RngStream(17, 2), 5, 3000
         k = dim if full_basis else 1
         u = _uniforms(stream, lo, n, dim)
-        if law == "haar" and k == 1:  # inverse CDF of Beta(1, d - 1) on one word
+        if law == "haar" and k == 1:  # the one-candidate stick: inverse CDF of Beta(1, d - 1) on one word
             dist, expected = HaarPure(), 1 - _uniforms(stream, lo, n, 1) ** (1 / (dim - 1))
         elif law == "haar":
             dist, expected = HaarPure(), _dirichlet_reference(u, k)
@@ -304,7 +304,7 @@ class TestOverlapBlockArithmetic:
             dist = UniformOverlap()
             q0 = u[:, :1]
             expected = np.concatenate([q0, (1.0 - q0) * _dirichlet_reference(u[:, 1:], k - 1)], axis=1)
-        drawn = drawn_overlaps(dist, dim, k, stream, lo, n)
+        drawn = drawn_overlaps(dist, dim, stream, lo, n, None if full_basis else [0])
         assert drawn.shape == (n, k)
         assert np.array_equal(drawn.view(np.uint64), expected.view(np.uint64))
 
@@ -316,42 +316,46 @@ class TestOverlapBlockArithmetic:
         stream, lo, n = RngStream(18, 4), 3, 2000
         cand = list(cand)
         dist = HaarPure() if law == "haar" else UniformOverlap()
-        u = _uniforms(stream, lo, n, _overlap_words(dist, dim, dim, cand))
+        u = _uniforms(stream, lo, n, _draw_plan(dist, cand, dim)[1])
         if law == "haar":
             expected = _stick_reference(u, dim)
         else:  # q_0 from the first word, whether or not it is a candidate, then the rest's stick
             q0 = u[:, :1]
             rest = _stick_reference(u[:, 1:], dim - 1, 1.0 - q0[:, 0])
             expected = np.concatenate([q0, rest], axis=1) if cand[0] == 0 else rest
-        drawn = drawn_overlaps(dist, dim, dim, stream, lo, n, cand)
+        drawn = drawn_overlaps(dist, dim, stream, lo, n, cand)
         assert drawn.shape == (n, len(cand))
         assert np.array_equal(drawn.view(np.uint64), expected.view(np.uint64))
 
-    @pytest.mark.parametrize("law, k", [("haar", 1), ("haar", 3), ("uniform-overlap", 1), ("uniform-overlap", 3)])
-    def test_builds_the_overlaps_in_their_uniforms(self, law, k):
+    @pytest.mark.parametrize("law", ["haar", "uniform-overlap"])
+    @pytest.mark.parametrize("stick", [[0], None], ids=["one-candidate", "all-d"])
+    def test_builds_the_overlaps_in_their_uniforms(self, law, stick):
         dim, stream = 3, RngStream(19, 1)
         dist = HaarPure() if law == "haar" else UniformOverlap()
-        u = _uniforms(stream, 7, 200, _overlap_words(dist, dim, k, None))
-        drawn = _overlaps(dist, dim, k, None, u)
+        k = dim if stick is None else len(stick)
+        u = _uniforms(stream, 7, 200, k)  # one word per overlap under both laws
+        drawn = _overlaps(dist, dim, stick, u)
         assert drawn.shape == (200, k)
         assert np.shares_memory(drawn, u)
 
     @pytest.mark.parametrize("law", ["haar", "uniform-overlap"])
     def test_a_stick_is_never_broken_to_its_last_piece(self, law):
         # the last of a stick's pieces would take the power 1/0: the estimators break a stick only
-        # while at most half its pieces are candidates, and draw all d overlaps flat otherwise
+        # while at most half its pieces are candidates, and draw all d overlaps flat otherwise; a
+        # lone target, every born-mc point, is the one-candidate stick of one word
         dist = HaarPure() if law == "haar" else UniformOverlap()
         for dim in range(2, 41):
+            assert _draw_plan(dist, [0], dim) == ([0], 1)
             sticks = dim if law == "haar" else dim - 1
             for s in range(1, dim + 1):
                 for cand in (list(range(s)), list(range(dim - s, dim))):
                     on_stick = s if law == "haar" else np.count_nonzero(cand)
-                    if _breaks_stick(dist, cand, dim):
-                        assert 2 * on_stick <= sticks and on_stick < sticks, (dim, cand)
-                        assert _overlap_words(dist, dim, dim, cand) < dim, (dim, cand)
+                    stick, words = _draw_plan(dist, cand, dim)
+                    if stick is not None:
+                        assert stick == cand and 2 * on_stick <= sticks and on_stick < sticks, (dim, cand)
+                        assert words < dim, (dim, cand)
                     else:
-                        assert 2 * on_stick > sticks, (dim, cand)
-            assert _overlap_words(dist, dim, dim, None) == dim
+                        assert 2 * on_stick > sticks and words == dim, (dim, cand)
 
 
 class TestExtremeWords:
@@ -388,7 +392,7 @@ class TestExtremeWords:
     @pytest.mark.parametrize("dim", [2, 3, 16, 512])
     def test_haar_overlap_and_box_muller_radius_stay_in_range(self, monkeypatch, dim):
         drawn = self.constant_philox(monkeypatch, 0xFFFFFFFF_00000000)
-        q = _overlaps(HaarPure(), dim, 1, None, _uniforms(RngStream(3), 0, 2, 1))  # words 0, then 2**32 - 1
+        q = _overlaps(HaarPure(), dim, [0], _uniforms(RngStream(3), 0, 2, 1))  # words 0, then 2**32 - 1
         assert np.isfinite(q).all() and 0.0 <= q.min() and q[0, 0] < 1.0 and q.max() <= 1.0
         radius = np.abs(_complex_normals(_uniforms(RngStream(3), 0, 1, 4)))  # both radius words are 0
         assert np.all(radius < 6.77)  # sqrt(-2 log 2**-33) = 6.7637
@@ -731,9 +735,9 @@ class TestStickBrokenLaw:
     def test_uniform_overlap_candidates_match_the_flat_dirichlet_draw(self, dim, cand):
         n = 20_000
         dist = UniformOverlap()
-        assert _breaks_stick(dist, cand, dim)
-        drawn = drawn_overlaps(dist, dim, dim, RngStream(94, 0), 0, n, cand)
-        flat = drawn_overlaps(dist, dim, dim, RngStream(95, 0), 0, n)[:, cand]  # all d overlaps, as version 5
+        assert _draw_plan(dist, cand, dim)[0] == cand
+        drawn = drawn_overlaps(dist, dim, RngStream(94, 0), 0, n, cand)
+        flat = drawn_overlaps(dist, dim, RngStream(95, 0), 0, n)[:, cand]  # all d overlaps, drawn flat
         columns = [(drawn[:, j], flat[:, j]) for j in range(len(cand))]
         columns.append((drawn[:, 0] + drawn[:, -1], flat[:, 0] + flat[:, -1]))
         for j, (x, y) in enumerate(columns):
@@ -747,8 +751,8 @@ class TestStickBrokenLaw:
         n, dist = 40_000, HaarPure() if law == "haar" else UniformOverlap()
         for support in range(1, 2**dim):
             cand = np.array([j for j in range(dim) if support >> j & 1])
-            stick = cand.tolist() if _breaks_stick(dist, cand.tolist(), dim) else None
-            drawn = drawn_overlaps(dist, dim, dim, RngStream(96), 0, 500, stick)
+            stick = _draw_plan(dist, cand.tolist(), dim)[0]
+            drawn = drawn_overlaps(dist, dim, RngStream(96), 0, 500, stick)
             assert np.isfinite(drawn).all() and (drawn >= 0.0).all() and (drawn <= 1.0).all()
             weights = np.zeros(dim)
             weights[cand] = np.arange(cand.size, 0, -1)
