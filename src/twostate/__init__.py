@@ -32,7 +32,6 @@ from .dynamics import (
 from .qcore import (
     HermitianOperator,
     OrthonormalBasis,
-    SpectralDecomposition,
     StateVector,
     commutator,
     spectral,
@@ -54,7 +53,6 @@ from .sampling import (
 from .sic import (
     FiducialSearchReport,
     InvalidSicError,
-    SicPovm,
     SicValidationReport,
     builtin_fiducial,
     frame_potential,

@@ -58,7 +58,6 @@ from .sic import (
     builtin_fiducial,
     search_fiducial,
     sic_distinguish,
-    sic_from_fiducial,
     validate_sic,
 )
 
@@ -324,17 +323,16 @@ def _run_exclusivity_scan(cfg: ExperimentConfig) -> list[dict]:
     )]
 
 
-def _sic_for(cfg: ExperimentConfig):
-    """The built-in set at d = 2 and 3 unless the config has a fiducial."""
+def _sic_for(cfg: ExperimentConfig) -> StateVector:
+    """The fiducial that stands for the set: the built-in one at d = 2 and 3 unless the config has one."""
     if "fiducial" not in cfg.params and cfg.dim in (2, 3):
-        return sic_from_fiducial(builtin_fiducial(cfg.dim))
-    return _from_config(cfg, lambda data: sic_from_fiducial(_state(data, cfg.dim)), "fiducial")
+        return builtin_fiducial(cfg.dim)
+    return _from_config(cfg, lambda data: _state(data, cfg.dim), "fiducial")
 
 
 def _run_sic_validate(cfg: ExperimentConfig) -> list[dict]:
     tol = cfg.params["tol"]
-    povm = _sic_for(cfg)
-    report = validate_sic(povm, tol)
+    report = validate_sic(_sic_for(cfg), tol)
     return [_record(cfg, oracle=1.0 / (cfg.dim + 1), extra={
         "tol": tol,
         "max_pair_deviation": report.max_pair_deviation,
@@ -347,7 +345,7 @@ def _run_sic_search(cfg: ExperimentConfig) -> list[dict]:
     if cfg.dim > SEARCH_MAX_DIM:
         raise ConfigError(f"invalid dim: supported dimensions are 2..{SEARCH_MAX_DIM}, got {cfg.dim}")
     report = search_fiducial(cfg.dim, cfg.params["restarts"], cfg.params["max_iters"], cfg.seed)
-    orbit_check = validate_sic(sic_from_fiducial(report.fiducial), 1e-5)
+    orbit_check = validate_sic(report.fiducial, 1e-5)
     return [_record(cfg, oracle=report.lower_bound, extra={
         "frame_potential": report.frame_potential,
         "iterations": report.iterations,
@@ -359,7 +357,7 @@ def _run_sic_search(cfg: ExperimentConfig) -> list[dict]:
 
 def _run_sic_distinguish(cfg: ExperimentConfig) -> list[dict]:
     separated = _converted(
-        "fiducial", lambda povm: sic_distinguish(povm, cfg.samples, cfg.seed, cfg.tie_tol, workers=cfg.workers),
+        "fiducial", lambda f: sic_distinguish(f, cfg.samples, cfg.seed, cfg.tie_tol, workers=cfg.workers),
         _sic_for(cfg), rejects=InvalidSicError)
     return [_record(cfg, frequency=separated / cfg.samples, extra={
         "separated": separated,
@@ -561,8 +559,6 @@ def run_experiment(name: str, values: dict) -> list[dict]:
 def _format_cell(value) -> str:
     if value is None:
         return ""
-    if isinstance(value, bool):
-        return "true" if value else "false"
     if isinstance(value, float):
         return repr(value)
     if isinstance(value, dict):
@@ -691,7 +687,7 @@ def _load_config(path: str | None, experiment: str) -> dict:
             data = json.load(handle)
     except OSError as err:
         raise ConfigError(f"could not read config {path!r}: {err}") from None
-    except json.JSONDecodeError as err:
+    except (json.JSONDecodeError, UnicodeDecodeError) as err:
         raise ConfigError(f"config {path!r} is not valid JSON: {err}") from None
     if not isinstance(data, dict):
         raise ConfigError(f"config {path!r} must contain a JSON object")

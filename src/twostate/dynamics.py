@@ -2,9 +2,10 @@
 
 A pair is stationary when its two components have equal commutators with
 the Hamiltonian; the inverse problem "find rho with [rho, H] = K" is solved
-in H's eigenbasis, where the off-diagonal entries are K_ij / (E_j - E_i),
-the diagonal is free, and K must vanish on the diagonal and inside every
-degenerate block.
+in H's eigenbasis, as ``qcore.spectral`` returns it (eigenvalues, eigenvector
+columns and a block id per eigenvalue): the off-diagonal entries are
+K_ij / (E_j - E_i), the diagonal is free, and K must vanish on the diagonal
+and inside every degenerate block.
 """
 
 from __future__ import annotations
@@ -73,14 +74,6 @@ class StationarySolveInput:
         object.__setattr__(self, "diagonal", diag)
 
 
-def _block_ids(blocks, dim: int) -> np.ndarray:
-    ids = np.empty(dim, dtype=int)
-    for b, block in enumerate(blocks):
-        for i in block:
-            ids[i] = b
-    return ids
-
-
 def commutator_solve(inp: StationarySolveInput, require_psd: bool = False) -> np.ndarray:
     """Hermitian rho with [rho, H] = K and the requested eigenbasis diagonal.
 
@@ -89,9 +82,7 @@ def commutator_solve(inp: StationarySolveInput, require_psd: bool = False) -> np
     or degenerate-block content, and NotPsdError when ``require_psd`` is set
     and the chosen diagonal fails.
     """
-    dec = spectral(inp.hamiltonian)
-    v = dec.eigenvectors.entries.T  # columns are eigenvectors
-    energies = np.asarray(dec.eigenvalues)
+    energies, v, blocks = spectral(inp.hamiltonian)
     k_eig = v.conj().T @ inp.target.entries @ v
 
     diag_dev = float(np.max(np.abs(np.diagonal(k_eig))))
@@ -99,8 +90,7 @@ def commutator_solve(inp: StationarySolveInput, require_psd: bool = False) -> np
         raise InfeasibleKError(
             f"K has diagonal magnitude {diag_dev:.3e} in H's eigenbasis (must vanish)"
         )
-    ids = _block_ids(dec.degeneracy_blocks, len(energies))
-    same_block = ids[:, None] == ids[None, :]
+    same_block = blocks[:, None] == blocks[None, :]
     off_block_dev = np.where(same_block, np.abs(k_eig), 0.0)
     np.fill_diagonal(off_block_dev, 0.0)
     worst = float(np.max(off_block_dev))

@@ -10,7 +10,6 @@ coordination.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -18,7 +17,6 @@ __all__ = [
     "StateVector",
     "HermitianOperator",
     "OrthonormalBasis",
-    "SpectralDecomposition",
     "commutator",
     "spectral",
     "vector_from_json",
@@ -142,18 +140,6 @@ class OrthonormalBasis(_Checked):
         return mat
 
 
-class SpectralDecomposition(NamedTuple):
-    """Eigensystem of a Hermitian operator with explicit degeneracy grouping.
-
-    ``eigenvalues`` are ascending; ``degeneracy_blocks`` partitions the index
-    range into runs of nearly equal eigenvalues (see ``spectral``).
-    """
-
-    eigenvalues: tuple
-    eigenvectors: OrthonormalBasis
-    degeneracy_blocks: tuple
-
-
 def commutator(a, b) -> np.ndarray:
     """[A, B] = AB - BA."""
     am = _as_matrix(a)
@@ -163,29 +149,22 @@ def commutator(a, b) -> np.ndarray:
     return am @ bm - bm @ am
 
 
-def spectral(h: HermitianOperator) -> SpectralDecomposition:
-    """Eigendecomposition of a Hermitian operator with degeneracy detection.
+def spectral(h: HermitianOperator) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``eigh``'s ascending eigenvalues and eigenvectors (as columns), and each eigenvalue's degeneracy block.
 
     Consecutive eigenvalues closer than ``DEGENERACY_REL`` times the spectral
-    range are grouped into one block.
+    range share a block: block ids count the wider gaps below each eigenvalue.
     """
     hm = _as_matrix(h)
     _check_hermitian(hm, "spectral input")
     evals, evecs = np.linalg.eigh(hm)
-    gap_tol = DEGENERACY_REL * float(evals[-1] - evals[0])
-
-    blocks: list[list[int]] = [[0]]
-    for i in range(1, len(evals)):
-        if float(evals[i] - evals[i - 1]) <= gap_tol:
-            blocks[-1].append(i)
-        else:
-            blocks.append([i])
-
-    basis = OrthonormalBasis(evecs.T)
+    OrthonormalBasis._check(evecs.T)
     residual = float(np.linalg.norm((evecs * evals) @ evecs.conj().T - hm))
     if not residual <= RECONSTRUCTION_TOL:
         raise ValueError(f"spectral reconstruction residual {residual:.3e} exceeds {RECONSTRUCTION_TOL:.1e}")
-    return SpectralDecomposition(tuple(float(v) for v in evals), basis, tuple(tuple(b) for b in blocks))
+    gap_tol = DEGENERACY_REL * float(evals[-1] - evals[0])
+    blocks = np.concatenate([[0], np.cumsum(np.diff(evals) > gap_tol)])
+    return evals, evecs, blocks
 
 
 # --- JSON fixture format: [re, im] pairs, row-major for matrices ---------

@@ -1,12 +1,13 @@
 """Equiangular projector sets from clock-and-shift orbits.
 
-A fiducial state is orbited under the d^2 displacement operators X^j Z^k to
-produce d^2 rank-1 projectors; a valid set has pairwise trace overlap
-1/(d+1) and sums to d times the identity. The module also counts how often
-a set element separates random pairs of two-state assignments under the
-outcome rule (``sic_distinguish``, the sic-distinguish experiment), and
-searches for fiducials numerically by minimizing the frame potential down to
-its Welch bound 2 d^3 / (d+1).
+A fiducial state stands for its set: it is orbited under the d^2
+displacement operators X^j Z^k to produce d^2 rank-1 projectors, as one
+(d^2, d, d) array; a valid set has pairwise trace overlap 1/(d+1) and sums to
+d times the identity. The module also counts how often a set element
+separates random pairs of two-state assignments under the outcome rule
+(``sic_distinguish``, the sic-distinguish experiment), and searches for
+fiducials numerically by minimizing the frame potential down to its Welch
+bound 2 d^3 / (d+1).
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ from .qcore import StateVector
 from .sampling import RngStream, _haar_rows, _sampled, haar_states
 
 __all__ = [
-    "SicPovm",
     "SicValidationReport",
     "FiducialSearchReport",
     "InvalidSicError",
@@ -48,27 +48,6 @@ class InvalidSicError(ValueError):
 def welch_bound(d: int) -> float:
     """Minimum frame potential of d^2 unit vectors in dimension d."""
     return 2.0 * d**3 / (d + 1)
-
-
-@dataclass(frozen=True, eq=False)
-class SicPovm:
-    """d^2 rank-1 projectors generated from a fiducial state.
-
-    Construction does not certify equiangularity; run ``validate_sic``.
-    """
-
-    dim: int
-    projectors: np.ndarray
-    fiducial: StateVector
-
-    def __post_init__(self):
-        proj = np.asarray(self.projectors, dtype=complex)
-        d = self.dim
-        if proj.shape != (d * d, d, d):
-            raise ValueError(f"expected {d * d} projectors of shape ({d},{d}), got {proj.shape}")
-        proj = proj.copy()
-        proj.setflags(write=False)
-        object.__setattr__(self, "projectors", proj)
 
 
 @dataclass(frozen=True)
@@ -124,12 +103,13 @@ def _orbit(fiducial: np.ndarray, d: int) -> np.ndarray:
     return wh_displacements(d) @ fiducial
 
 
-def sic_from_fiducial(f: StateVector) -> SicPovm:
-    """Orbit |f> under all displacements and project each member."""
-    d = f.dim
-    states = _orbit(f.entries, d)
-    projectors = states[:, :, None] * states[:, None, :].conj()
-    return SicPovm(d, projectors, f)
+def sic_from_fiducial(f: StateVector) -> np.ndarray:
+    """The (d^2, d, d) projectors onto the orbit of |f> under all displacements.
+
+    Construction does not certify equiangularity; run ``validate_sic``.
+    """
+    states = _orbit(f.entries, f.dim)
+    return states[:, :, None] * states[:, None, :].conj()
 
 
 def builtin_fiducial(d: int) -> StateVector:
@@ -145,10 +125,10 @@ def builtin_fiducial(d: int) -> StateVector:
     raise ValueError(f"no built-in fiducial for dimension {d}; run search_fiducial")
 
 
-def validate_sic(s: SicPovm, tol: float) -> SicValidationReport:
-    """Check pairwise overlaps against 1/(d+1) and the sum against d*I."""
-    d = s.dim
-    proj = s.projectors
+def validate_sic(f: StateVector, tol: float) -> SicValidationReport:
+    """Check the pairwise overlaps of the fiducial's set against 1/(d+1) and their sum against d*I."""
+    d = f.dim
+    proj = sic_from_fiducial(f)
     overlaps = np.einsum("kij,lji->kl", proj, proj).real
     off = overlaps - 1.0 / (d + 1)
     np.fill_diagonal(off, 0.0)
@@ -157,28 +137,27 @@ def validate_sic(s: SicPovm, tol: float) -> SicValidationReport:
     return SicValidationReport(max_pair, identity_dev, max_pair <= tol and identity_dev <= tol)
 
 
-def _require_valid(s: SicPovm) -> SicPovm:
-    report = validate_sic(s, VALID_TOL)
+def _require_valid(f: StateVector) -> None:
+    report = validate_sic(f, VALID_TOL)
     if not report.passed:
         raise InvalidSicError(
             f"projector set fails validation at {VALID_TOL:.1e}: pair deviation {report.max_pair_deviation:.3e}, "
             f"identity deviation {report.identity_deviation:.3e}"
         )
-    return s
 
 
-def sic_distinguish(s: SicPovm, n_samples: int, seed: int, tie_tol: float = 0.0, *, workers: int = 1) -> int:
+def sic_distinguish(fiducial: StateVector, n_samples: int, seed: int, tie_tol: float = 0.0, *, workers: int = 1) -> int:
     """How many of ``n_samples`` random pairs of pure two-state assignments a set element separates.
 
     Sample i draws the forward and backward Haar states of pair 0, then of pair 1, from streams
     10-13 of ``seed``, 2d words each. An element separates the pairs when the rule fires for one
     and not the other; distinct pairs with equal summed matrices are legitimately inseparable.
     For pure states Tr[(|f><f| + |b><b|) P_k] = |<phi_k|f>|^2 + |<phi_k|b>|^2, with phi_k the
-    orbit states, so the rule reads overlaps only. The set is validated once, before sampling:
-    one that fails raises InvalidSicError.
+    orbit states of the fiducial, so the rule reads overlaps only. The set is validated once,
+    before sampling: one that fails raises InvalidSicError.
     """
-    _require_valid(s)
-    orbit_bras = _orbit(s.fiducial.entries, s.dim).conj().T
+    _require_valid(fiducial)
+    orbit_bras = _orbit(fiducial.entries, fiducial.dim).conj().T
 
     def chunk_separated(*uniforms: np.ndarray) -> int:
         states = np.stack([_haar_rows(u) for u in uniforms])
@@ -186,7 +165,7 @@ def sic_distinguish(s: SicPovm, n_samples: int, seed: int, tie_tol: float = 0.0,
         fired = _fires(overlaps[0::2] + overlaps[1::2], tie_tol)
         return np.count_nonzero((fired[0] != fired[1]).any(axis=-1))
 
-    draws = [(RngStream(seed, 10 + k), 2 * s.dim) for k in range(4)]
+    draws = [(RngStream(seed, 10 + k), 2 * fiducial.dim) for k in range(4)]
     return int(_sampled(chunk_separated, n_samples, draws, workers))
 
 

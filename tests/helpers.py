@@ -24,9 +24,9 @@ from twostate import (
     MultipleOutcomesError,
     OrthonormalBasis,
     RngStream,
-    SicPovm,
     StateVector,
     sampling,
+    sic_from_fiducial,
     spectral,
     tally_rule,
 )
@@ -221,26 +221,26 @@ def trace_product(r: np.ndarray, p: np.ndarray) -> float:
     return val.real
 
 
-def sic_fires(sums: np.ndarray, s: SicPovm) -> np.ndarray:
-    """The rule Tr[sum P_k] > 1 for each set element, over summed pair matrices.
+def sic_fires(sums: np.ndarray, f: StateVector) -> np.ndarray:
+    """The rule Tr[sum P_k] > 1 for each element of the fiducial's set, over summed pair matrices.
 
     On a trace-2 sum this is lambda_k > 1 - 1/d. ``sums`` has shape
     (..., d, d); the result has shape (..., d^2). The set is validated once
     per call.
     """
-    _require_valid(s)
-    return _fires(np.einsum("...ij,kji->...k", sums, s.projectors).real, 0.0)
+    _require_valid(f)
+    return _fires(np.einsum("...ij,kji->...k", sums, sic_from_fiducial(f)).real, 0.0)
 
 
-def sic_distinguish_pair(sum0: np.ndarray, sum1: np.ndarray, s: SicPovm):
+def sic_distinguish_pair(sum0: np.ndarray, sum1: np.ndarray, f: StateVector):
     """First element index whose rule value differs between two pairs, given each pair's summed matrix.
 
     Returns None when no element separates them; distinct pairs with equal
     summed matrices are legitimately inseparable.
     """
-    if sum0.shape != (s.dim, s.dim) or sum1.shape != (s.dim, s.dim):
-        raise ValueError(f"dimension mismatch: sums {sum0.shape}/{sum1.shape} vs set {s.dim}")
-    fired = sic_fires(np.array([sum0, sum1]), s)
+    if sum0.shape != (f.dim, f.dim) or sum1.shape != (f.dim, f.dim):
+        raise ValueError(f"dimension mismatch: sums {sum0.shape}/{sum1.shape} vs set {f.dim}")
+    fired = sic_fires(np.array([sum0, sum1]), f)
     differs = np.flatnonzero(fired[0] != fired[1])
     return int(differs[0]) if differs.size else None
 
@@ -251,8 +251,7 @@ def sum_change(rho_f: np.ndarray, rho_b: np.ndarray, h: HermitianOperator, dt: f
     It changes at second order in dt exactly when [rho_f, H] = [rho_b, H], so halving dt divides it by about
     4 for such a pair and by about 2 otherwise.
     """
-    dec = spectral(h)
-    v = dec.eigenvectors.entries.T  # columns are eigenvectors
-    u = (v * np.exp(-1j * np.asarray(dec.eigenvalues) * dt)) @ v.conj().T
+    energies, v, _ = spectral(h)
+    u = (v * np.exp(-1j * energies * dt)) @ v.conj().T
     uh = u.conj().T
     return float(np.linalg.norm(uh @ rho_f @ u + u @ rho_b @ uh - rho_f - rho_b))

@@ -140,25 +140,25 @@ def test_criterion_06_sic_suite():
     with criterion(6, "equiangularity, expansion round-trip, coefficient bounds, rule threshold"):
         rng = np.random.default_rng(46)
         for d in (2, 3):
-            povm = sic_from_fiducial(builtin_fiducial(d))
-            report = validate_sic(povm, 1e-10)
+            report = validate_sic(builtin_fiducial(d), 1e-10)
+            proj = sic_from_fiducial(builtin_fiducial(d))
             assert report.passed, report
 
             for _ in range(100):
                 mat = random_hermitian(rng, d)
-                lambdas = sic_coefficients(mat, povm.projectors)
-                assert np.linalg.norm(np.tensordot(lambdas, povm.projectors, axes=1) - mat) <= 1e-9
+                lambdas = sic_coefficients(mat, proj)
+                assert np.linalg.norm(np.tensordot(lambdas, proj, axes=1) - mat) <= 1e-9
 
             for _ in range(1000):
-                lambdas = sic_coefficients(random_density(rng, d), povm.projectors)
+                lambdas = sic_coefficients(random_density(rng, d), proj)
                 assert np.all(lambdas >= -1.0 / d - 1e-10)
                 assert np.all(lambdas <= 1.0 + 1e-10)
 
             for _ in range(1000):
                 total = random_density(rng, d) + random_density(rng, d)
-                lambdas = sic_coefficients(total, povm.projectors)
+                lambdas = sic_coefficients(total, proj)
                 for k in range(d * d):
-                    direct = trace_product(total, povm.projectors[k]) > 1.0
+                    direct = trace_product(total, proj[k]) > 1.0
                     assert sic_rule_check(lambdas, k) == direct
 
         example = np.array([0.75, 0.75, 0.25, 0.25])
@@ -175,7 +175,7 @@ def test_criterion_07_fiducial_search():
             assert elapsed < 60.0, (d, elapsed)
             assert report.converged
             assert abs(report.frame_potential - welch_bound(d)) <= 1e-6
-            assert validate_sic(sic_from_fiducial(report.fiducial), 1e-5).passed
+            assert validate_sic(report.fiducial, 1e-5).passed
 
 
 def _feasible_instance(rng, d, duplicate):

@@ -226,6 +226,10 @@ class TestWeakValue:
         with pytest.raises(OrthogonalPostSelectionError):
             weak_value(self.SZ, PLUS, MINUS)
 
+    def test_dim_mismatch(self):
+        with pytest.raises(ValueError, match="dimension mismatch between observable and states"):
+            weak_value(self.SZ, PLUS, StateVector.basis_state(3, 0))
+
     def test_strong_limit_recovers_eigenvalue_exactly(self):
         # power-of-two eigenvalues keep the quotient (a_i psi_i) / psi_i exact
         obs = HermitianOperator(np.diag([2.0, -1.0, 0.5]).astype(complex))

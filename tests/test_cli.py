@@ -25,7 +25,6 @@ from twostate import (
     pbr_geometric,
     pbr_separators,
     sic_distinguish,
-    sic_from_fiducial,
 )
 from twostate.cli import (
     _EXPERIMENTS,
@@ -85,6 +84,19 @@ class TestConfigHandling:
     def test_missing_config_file(self, tmp_path):
         code, _ = run_cli(["born-mc", "--seed", "1", "--config", str(tmp_path / "nope.json")], tmp_path)
         assert code == 2
+
+    @pytest.mark.parametrize("content, message", [
+        (b'\xff\xfe{"seed": 1}', "is not valid JSON"),
+        (b"{", "is not valid JSON"),
+        (b"[1]", "must contain a JSON object"),
+    ], ids=["not-utf-8", "truncated", "array"])
+    def test_unreadable_config_exits_two(self, content, message, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_bytes(content)
+        code, out = run_cli(["born-mc", "--seed", "1", "--config", str(cfg)], tmp_path)
+        assert code == 2
+        assert capsys.readouterr().err.startswith(f"error: config {str(cfg)!r} {message}")
+        assert not out.exists()
 
     def test_bad_field_value(self, tmp_path, capsys):
         code, _ = run_cli(["born-mc", "--seed", "1", "--dim", "1"], tmp_path)
@@ -223,9 +235,10 @@ class TestConfigHandling:
         # the other way round: the built-in example is a qubit, the run's dim is 3
         (["weak-value", "--dim", "3"], {}, "the built-in weak-value example requires dim 2"),
         (["pbr-geometric", "--dim", "3"], {}, "pbr-geometric instances are qubit instances and require dim 2"),
+        (["basis-mc", "--dim", "3"], {}, "the tilted-basis parameterization requires dim 2"),
     ], ids=["basis-mc-basis", "sic-validate-fiducial", "sic-distinguish-fiducial",
             "weak-value-observable", "stationary-solve-hamiltonian", "weak-value-builtin",
-            "pbr-geometric-qubits"])
+            "pbr-geometric-qubits", "basis-mc-tilted"])
     def test_config_state_of_another_dimension_exits_two(self, args, config, message, tmp_path, capsys):
         # the run's dim is 2 (the default or --dim); a 3-dim config state must
         # not run under records that echo dim 2
@@ -1335,12 +1348,11 @@ KERNEL_RUNS = {
     "exclusivity-scan": (["exclusivity-scan", "--dim", "3", "--samples", "2000", "--seed", "3", "--tie-tol", "0.05"],
                          None, lambda: scan_fields(exclusivity_scan(3, 2000, 3, 0.05), 2000)),
     "sic-distinguish": (["sic-distinguish", "--dim", "3", "--samples", "1000", "--seed", "4"], None,
-                        lambda: sic_fields(sic_distinguish(sic_from_fiducial(builtin_fiducial(3)), 1000, 4), 1000)),
+                        lambda: sic_fields(sic_distinguish(builtin_fiducial(3), 1000, 4), 1000)),
     "sic-distinguish-fiducial": (
         ["sic-distinguish", "--dim", "5", "--samples", "500", "--seed", "5", "--tie-tol", "0.05"],
         {"fiducial": FIDUCIAL_D5},
-        lambda: sic_fields(sic_distinguish(sic_from_fiducial(StateVector(vector_from_json(FIDUCIAL_D5))),
-                                           500, 5, 0.05), 500)),
+        lambda: sic_fields(sic_distinguish(StateVector(vector_from_json(FIDUCIAL_D5)), 500, 5, 0.05), 500)),
     "pbr-geometric": (["pbr-geometric", "--samples", "1500", "--seed", "6", "--tie-tol", "0.05"], None,
                       lambda: pbr_fields(pbr_geometric(1500, 6, 0.05), 1500)),
     "pbr-geometric-instance": (["pbr-geometric", "--seed", "7", "--tie-tol", "0.3"], {"instance": PBR_INSTANCE},

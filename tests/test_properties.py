@@ -239,8 +239,8 @@ class TestSicRoundTrip:
     @PROPERTY
     @given(hermitian_matrices())
     def test_reconstruct_inverts_expand(self, r):
-        povm = sic_from_fiducial(builtin_fiducial(r.shape[0]))
-        back = np.tensordot(sic_coefficients(r, povm.projectors), povm.projectors, axes=1)
+        proj = sic_from_fiducial(builtin_fiducial(r.shape[0]))
+        back = np.tensordot(sic_coefficients(r, proj), proj, axes=1)
         assert np.allclose(back, r, rtol=0.0, atol=1e-12 * max(1.0, float(np.max(np.abs(r)))))
 
 

@@ -36,6 +36,10 @@ class TestTypeInvariants:
         with pytest.raises(ValueError, match="dimension"):
             StateVector(np.array([1.0]))
 
+    def test_state_vector_rejects_a_matrix(self):
+        with pytest.raises(ValueError, match="state vector must be 1-D"):
+            StateVector(np.eye(2))
+
     def test_state_vector_normalized_rescales(self):
         assert np.allclose(StateVector.normalized(np.array([3.0, 4.0j])).entries, [0.6, 0.8j], atol=1e-15)
 
@@ -121,35 +125,34 @@ class TestCommutator:
 
 class TestSpectral:
     def test_diagonal(self):
-        dec = spectral(HermitianOperator(np.diag([1.0, 3.0]).astype(complex)))
-        assert dec.eigenvalues == (1.0, 3.0)
-        assert abs(np.vdot(dec.eigenvectors.entries[0], E0.entries)) == pytest.approx(1.0)
-        assert abs(np.vdot(dec.eigenvectors.entries[1], E1.entries)) == pytest.approx(1.0)
+        evals, evecs, _ = spectral(HermitianOperator(np.diag([1.0, 3.0]).astype(complex)))
+        assert evals.tolist() == [1.0, 3.0]
+        assert abs(np.vdot(evecs[:, 0], E0.entries)) == pytest.approx(1.0)
+        assert abs(np.vdot(evecs[:, 1], E1.entries)) == pytest.approx(1.0)
 
     def test_pauli_x_closed_form(self):
-        dec = spectral(HermitianOperator(SX))
-        assert np.allclose(dec.eigenvalues, [-1.0, 1.0], atol=1e-14)
+        evals, evecs, _ = spectral(HermitianOperator(SX))
+        assert np.allclose(evals, [-1.0, 1.0], atol=1e-14)
         minus = StateVector(np.array([1, -1]) / np.sqrt(2))
-        assert abs(np.vdot(dec.eigenvectors.entries[0], minus.entries)) == pytest.approx(1.0, abs=1e-14)
-        assert abs(np.vdot(dec.eigenvectors.entries[1], PLUS.entries)) == pytest.approx(1.0, abs=1e-14)
+        assert abs(np.vdot(evecs[:, 0], minus.entries)) == pytest.approx(1.0, abs=1e-14)
+        assert abs(np.vdot(evecs[:, 1], PLUS.entries)) == pytest.approx(1.0, abs=1e-14)
 
     def test_identity_single_block(self):
-        dec = spectral(HermitianOperator(np.eye(4, dtype=complex)))
-        assert dec.degeneracy_blocks == ((0, 1, 2, 3),)
+        _, _, blocks = spectral(HermitianOperator(np.eye(4, dtype=complex)))
+        assert blocks.tolist() == [0, 0, 0, 0]
 
     def test_near_degenerate_grouping(self):
         h = HermitianOperator(np.diag([1.0, 1.0 + 1e-12, 5.0]).astype(complex))
-        dec = spectral(h)
-        assert dec.degeneracy_blocks == ((0, 1), (2,))
+        _, _, blocks = spectral(h)
+        assert blocks.tolist() == [0, 0, 1]
 
     def test_reconstruction_residual(self):
         rng = np.random.default_rng(9)
         for _ in range(100):
             d = int(rng.integers(2, 9))
             h = random_hermitian(rng, d)
-            dec = spectral(HermitianOperator(h))
-            v = dec.eigenvectors.entries.T  # columns are eigenvectors
-            assert np.linalg.norm((v * np.asarray(dec.eigenvalues)) @ v.conj().T - h) <= 1e-10
+            evals, v, _ = spectral(HermitianOperator(h))
+            assert np.linalg.norm((v * evals) @ v.conj().T - h) <= 1e-10
 
     def test_rejects_non_hermitian(self):
         with pytest.raises(ValueError, match="Hermitian"):

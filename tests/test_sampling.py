@@ -79,6 +79,10 @@ class TestRngStream:
         with pytest.raises(ValueError, match="64-bit"):
             RngStream(2**64)
 
+    def test_rejects_out_of_range_stream_index(self):
+        with pytest.raises(ValueError, match="stream index must be a 64-bit"):
+            RngStream(1, 2**64)
+
     def test_sample_is_pure_function_of_index(self):
         # overlapping index ranges must yield bitwise-identical draws
         stream = RngStream(5, 3)
@@ -819,6 +823,10 @@ class TestBornMc:
         with pytest.raises(ValueError, match="sample count"):
             born_mc(E0, E0, HaarPure(), 0, seed=1)
 
+    def test_rejects_a_fixed_state_of_another_dimension(self):
+        with pytest.raises(ValueError, match="dimension mismatch: fixed state 3 vs 2"):
+            born_mc(E0, E0, Fixed(StateVector.basis_state(3, 0)), 10, seed=1)
+
     @pytest.mark.parametrize("dim", [2, 3, 4])
     def test_four_sigma_coverage_across_seeds(self, dim):
         # over 100 independent seeds per p, at most one run may land outside
@@ -921,6 +929,10 @@ class TestBornOracle:
     def test_rejects_out_of_range_p(self):
         with pytest.raises(ValueError, match="p must lie"):
             born_oracle(HaarPure(), 1.5, 2)
+
+    def test_rejects_dim_one(self):
+        with pytest.raises(ValueError, match="dimension must be >= 2"):
+            born_oracle(HaarPure(), 0.5, 1)
 
 
 class TestHaarUnitary:

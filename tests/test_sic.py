@@ -4,7 +4,6 @@ import pytest
 from twostate import (
     FiducialSearchReport,
     InvalidSicError,
-    SicPovm,
     StateVector,
     builtin_fiducial,
     frame_potential,
@@ -122,25 +121,21 @@ class TestTraceProduct:
 class TestConstruction:
     def test_qubit_tetrahedron_overlaps(self):
         # Bloch geometry oracle: (1 + m.n)/2 with m.n = -1/3 gives 1/3
-        povm = sic_from_fiducial(builtin_fiducial(2))
-        report = validate_sic(povm, 1e-10)
+        report = validate_sic(builtin_fiducial(2), 1e-10)
         assert report.passed
         assert report.max_pair_deviation < 1e-15
 
     def test_qutrit_orbit_overlaps(self):
-        povm = sic_from_fiducial(builtin_fiducial(3))
-        assert validate_sic(povm, 1e-10).passed
+        assert validate_sic(builtin_fiducial(3), 1e-10).passed
 
     def test_orbit_has_d_squared_members(self):
         rng = np.random.default_rng(40)
         for d in (2, 3, 4):
-            povm = sic_from_fiducial(random_state(rng, d))
-            assert povm.projectors.shape == (d * d, d, d)
+            assert sic_from_fiducial(random_state(rng, d)).shape == (d * d, d, d)
 
     def test_degenerate_set_fails_validation(self):
-        proj = projector(E0)
-        fake = SicPovm(2, np.broadcast_to(proj, (4, 2, 2)).copy(), E0)
-        report = validate_sic(fake, 1e-10)
+        # the orbit of |0> is |0>, |0>, |1>, |1>: overlap 1 between equal members
+        report = validate_sic(E0, 1e-10)
         assert not report.passed
         assert report.max_pair_deviation == pytest.approx(1 - 1 / 3)
 
@@ -154,39 +149,39 @@ class TestExpansion:
 
     def test_maximally_mixed_coefficients(self):
         for d in (2, 3):
-            povm = sic_from_fiducial(builtin_fiducial(d))
-            lambdas = sic_coefficients(np.eye(d, dtype=complex) / d, povm.projectors)
+            proj = sic_from_fiducial(builtin_fiducial(d))
+            lambdas = sic_coefficients(np.eye(d, dtype=complex) / d, proj)
             assert np.allclose(lambdas, 1.0 / d**2, atol=1e-14)
             assert lambdas.sum() == pytest.approx(1.0)
 
     def test_projector_of_set_member(self):
-        povm = sic_from_fiducial(builtin_fiducial(2))
-        lambdas = sic_coefficients(povm.projectors[0], povm.projectors)
+        proj = sic_from_fiducial(builtin_fiducial(2))
+        lambdas = sic_coefficients(proj[0], proj)
         assert lambdas[0] == pytest.approx(1.0, abs=1e-12)
         assert np.allclose(lambdas[1:], 0.0, atol=1e-12)
 
     def test_trace_two_sum(self):
         rng = np.random.default_rng(41)
-        povm = sic_from_fiducial(builtin_fiducial(3))
+        proj = sic_from_fiducial(builtin_fiducial(3))
         pair_sum = random_density(rng, 3) + random_density(rng, 3)
-        assert sic_coefficients(pair_sum, povm.projectors).sum() == pytest.approx(2.0, abs=1e-10)
+        assert sic_coefficients(pair_sum, proj).sum() == pytest.approx(2.0, abs=1e-10)
 
     @pytest.mark.parametrize("d", [2, 3])
     def test_reconstruction_round_trip(self, d):
         rng = np.random.default_rng(42)
-        povm = sic_from_fiducial(builtin_fiducial(d))
+        proj = sic_from_fiducial(builtin_fiducial(d))
         for _ in range(100):
             mat = random_hermitian(rng, d)
-            lambdas = sic_coefficients(mat, povm.projectors)
+            lambdas = sic_coefficients(mat, proj)
             assert abs(lambdas.sum() - np.trace(mat).real) <= 1e-10
-            assert np.linalg.norm(np.tensordot(lambdas, povm.projectors, axes=1) - mat) <= 1e-9
+            assert np.linalg.norm(np.tensordot(lambdas, proj, axes=1) - mat) <= 1e-9
 
     @pytest.mark.parametrize("d", [2, 3])
     def test_density_matrix_coefficient_bounds(self, d):
         rng = np.random.default_rng(43)
-        povm = sic_from_fiducial(builtin_fiducial(d))
+        proj = sic_from_fiducial(builtin_fiducial(d))
         for _ in range(1000):
-            lambdas = sic_coefficients(random_density(rng, d), povm.projectors)
+            lambdas = sic_coefficients(random_density(rng, d), proj)
             assert np.all(lambdas >= -1.0 / d - 1e-10)
             assert np.all(lambdas <= 1.0 + 1e-10)
 
@@ -218,25 +213,25 @@ class TestRuleCheck:
     def test_equivalent_to_trace_form(self, d):
         # lambda_k > 1 - 1/d must agree with Tr[rho P_k] > 1 on trace-2 input
         rng = np.random.default_rng(44)
-        povm = sic_from_fiducial(builtin_fiducial(d))
+        proj = sic_from_fiducial(builtin_fiducial(d))
         for _ in range(1000):
             total = random_density(rng, d) + random_density(rng, d)
-            lambdas = sic_coefficients(total, povm.projectors)
+            lambdas = sic_coefficients(total, proj)
             for k in range(d * d):
-                direct = trace_product(total, povm.projectors[k]) > 1.0
+                direct = trace_product(total, proj[k]) > 1.0
                 assert sic_rule_check(lambdas, k) == direct
 
     @pytest.mark.parametrize("d", [2, 3])
     def test_agrees_with_the_distinguish_kernel(self, d):
         # the coefficient form against the overlap form sic_distinguish evaluates, on random pure pairs
         rng = np.random.default_rng(50)
-        povm = sic_from_fiducial(builtin_fiducial(d))
+        proj = sic_from_fiducial(builtin_fiducial(d))
         orbit = orbit_states(d, builtin_fiducial(d))
         pairs = np.array([[random_state(rng, d).entries for _ in range(2)] for _ in range(500)])
         overlaps = np.abs(pairs @ orbit.conj().T) ** 2
         kernel = _fires(overlaps[:, 0] + overlaps[:, 1], 0.0)
         for (f, b), fired in zip(pairs, kernel):
-            lambdas = sic_coefficients(np.outer(f, f.conj()) + np.outer(b, b.conj()), povm.projectors)
+            lambdas = sic_coefficients(np.outer(f, f.conj()) + np.outer(b, b.conj()), proj)
             assert [sic_rule_check(lambdas, k) for k in range(d * d)] == fired.tolist()
 
     @pytest.mark.parametrize("d", [2, 3])
@@ -244,8 +239,9 @@ class TestRuleCheck:
         # forward = orbit state k, backward orthogonal to it: Tr[(rho_f + rho_b) P_k]
         # is exactly 1, so lambda_k = 1 - 1/d; rounding once fired some of these
         rng = np.random.default_rng(49)
-        povm = sic_from_fiducial(builtin_fiducial(d))
-        orbit = orbit_states(d, builtin_fiducial(d))
+        fiducial = builtin_fiducial(d)
+        proj = sic_from_fiducial(fiducial)
+        orbit = orbit_states(d, fiducial)
         totals, pairs, elements = [], [], []
         for k, state in enumerate(orbit):
             for _ in range(500):
@@ -255,9 +251,9 @@ class TestRuleCheck:
                 totals.append(np.outer(state, state.conj()) + np.outer(b, b.conj()))
                 pairs.append((state, b))
                 elements.append(k)
-        fired = [sic_rule_check(sic_coefficients(total, povm.projectors), k) for total, k in zip(totals, elements)]
+        fired = [sic_rule_check(sic_coefficients(total, proj), k) for total, k in zip(totals, elements)]
         assert sum(fired) == 0
-        batched = sic_fires(np.array(totals), povm)
+        batched = sic_fires(np.array(totals), fiducial)
         assert not batched[np.arange(len(elements)), elements].any()
         # the overlap form sic-distinguish evaluates: |<phi_k|f>|^2 + |<phi_k|b>|^2
         overlaps = np.abs(np.array(pairs) @ orbit.conj().T) ** 2
@@ -271,35 +267,35 @@ class TestDistinguish:
     def test_matches_per_instance_reference(self):
         # the batched kernel against one trace-form call per pair, drawn from the same streams
         dim, samples, seed = 3, 300, 12
-        povm = sic_from_fiducial(builtin_fiducial(dim))
+        fiducial = builtin_fiducial(dim)
         streams = [RngStream(seed, 10 + k) for k in range(4)]
         separated = 0
         for i in range(samples):
             s0f, s0b, s1f, s1b = (haar_state(dim, st, i) for st in streams)
-            separated += sic_distinguish_pair(pure_sum(s0f, s0b), pure_sum(s1f, s1b), povm) is not None
-        assert sic_distinguish(povm, samples, seed) == separated
+            separated += sic_distinguish_pair(pure_sum(s0f, s0b), pure_sum(s1f, s1b), fiducial) is not None
+        assert sic_distinguish(fiducial, samples, seed) == separated
 
     def test_kernel_validates_the_set(self):
         with pytest.raises(InvalidSicError, match="fails validation"):
-            sic_distinguish(sic_from_fiducial(StateVector.basis_state(4, 0)), 10, seed=1)
+            sic_distinguish(StateVector.basis_state(4, 0), 10, seed=1)
 
     def test_z_vs_x_pairs(self):
-        povm = sic_from_fiducial(builtin_fiducial(2))
-        k = sic_distinguish_pair(pure_sum(E0, E0), pure_sum(PLUS, PLUS), povm)
+        fiducial = builtin_fiducial(2)
+        proj = sic_from_fiducial(fiducial)
+        k = sic_distinguish_pair(pure_sum(E0, E0), pure_sum(PLUS, PLUS), fiducial)
         assert k is not None
-        lam0 = sic_coefficients(2 * projector(E0), povm.projectors)
-        lam1 = sic_coefficients(2 * projector(PLUS), povm.projectors)
+        lam0 = sic_coefficients(2 * projector(E0), proj)
+        lam1 = sic_coefficients(2 * projector(PLUS), proj)
         assert sic_rule_check(lam0, k) != sic_rule_check(lam1, k)
 
     def test_identical_pairs_are_inseparable(self):
-        povm = sic_from_fiducial(builtin_fiducial(2))
         pair = pure_sum(E0, PLUS)
-        assert sic_distinguish_pair(pair, pair, povm) is None
+        assert sic_distinguish_pair(pair, pair, builtin_fiducial(2)) is None
 
     def test_identity_sums_are_inseparable(self):
-        povm = sic_from_fiducial(builtin_fiducial(2))
         mixed = np.eye(2, dtype=complex) / 2
-        assert sic_distinguish_pair(mixed + mixed, pure_sum(E0, StateVector.basis_state(2, 1)), povm) is None
+        pair = pure_sum(E0, StateVector.basis_state(2, 1))
+        assert sic_distinguish_pair(mixed + mixed, pair, builtin_fiducial(2)) is None
 
 
 class TestFramePotential:
@@ -341,7 +337,7 @@ class TestSearch:
         report = search_fiducial(2, restarts=5, max_iters=500, seed=11)
         assert report.converged
         assert report.frame_potential == pytest.approx(welch_bound(2), abs=1e-6)
-        assert validate_sic(sic_from_fiducial(report.fiducial), 1e-5).passed
+        assert validate_sic(report.fiducial, 1e-5).passed
         assert report.restarts == 5
         assert report.iterations > 0
 
@@ -354,6 +350,10 @@ class TestSearch:
     def test_rejects_unsupported_dim(self):
         with pytest.raises(ValueError, match="supported"):
             search_fiducial(9, restarts=1, max_iters=10, seed=0)
+
+    def test_rejects_zero_restarts(self):
+        with pytest.raises(ValueError, match="restarts must be >= 1"):
+            search_fiducial(2, restarts=0, max_iters=10, seed=0)
 
     def test_report_rejects_sub_welch_potential(self):
         with pytest.raises(ValueError, match="undercuts"):
