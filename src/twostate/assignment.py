@@ -59,7 +59,7 @@ class WeakValueResult:
 # An exact tie, a sum of exactly 1, comes out of floating point up to about
 # 10 eps above 1 for d <= 32 and at d = 64 and 512, the dimensions the tests
 # check; sums must clear the threshold by more than this.
-RULE_ROUNDING_BOUND = 128 * np.finfo(float).eps
+RULE_ROUNDING_BOUND = 128 * float(np.finfo(float).eps)
 SINGULAR_TOL = 1e-12  # |<final|forward>| below which a weak value is singular
 
 

@@ -22,9 +22,8 @@ the calling thread's one buffer of that size, hands them to a kernel, and
 folds the kernels' results exactly. A chunk thus allocates no float array
 for its uniforms; only its Philox outputs (half the buffer's size) are
 drawn into a fresh array, since ``random_raw`` takes no ``out``. A chunk's
-uniforms are one contiguous row per sample, or, for the stick-broken draw,
-one contiguous column per word, so that each of its passes over one
-candidate's overlaps reads contiguous memory; the layout changes no value.
+uniforms are one contiguous row per sample. A stick-broken draw takes its
+chunk's 32-bit words instead (below).
 
 The Haar state sampler (``haar_states``) builds complex vectors from
 Box-Muller normals. The estimators and the exclusivity scan never build a
@@ -32,19 +31,26 @@ backward state: the rule sees one only through its overlaps ``|<b|a_k>|^2``
 with the outcomes, and those are drawn from their closed-form laws
 (``_overlaps``). The estimators draw only the overlaps of the outcomes that
 can fire, by stick-breaking, while those are at most half of them
-(sample-stream version 6, ``_draw_plan``), in column-major chunks. In a flat
-Dirichlet vector an outcome's overlap is the first piece of a stick broken by
-neutrality, so every ``born_mc`` point is the one-candidate stick: one word
-per sample, under either law.
+(sample-stream version 6, ``_draw_plan``). In a flat Dirichlet vector an
+outcome's overlap is the first piece of a stick broken by neutrality, so
+every ``born_mc`` point is the one-candidate stick: one word per sample,
+under either law.
 
-A uniform-overlap estimator call whose only candidate is the target (every
-``born_mc`` point, and a ``basis_mc`` whose other outcomes cannot fire) is
-tallied on its words themselves: sample i fires exactly when its word is at
-least one integer threshold fixed for the call (``_word_threshold``), since
-its rule sum ``p_0 + (h + 0.5) * 2**-32`` is one rounded addition, monotone
-in its word h. So its counts equal the float path's, word for word, and, as
-no transcendental function decides them, are the same under any SIMD
-dispatch; no other draw is tallied on words.
+Every stick-broken draw is tallied on its 32-bit words (``_stick_tallies``).
+Each piece a word breaks off is at most a monotone function of that word
+alone, so integer bounds fixed for the call (``_stick_bounds``) decide
+almost every sample: its first word surely fires, or surely does not, and
+no later word can fire. Only the rest, the survivors (a first word whose
+rule sum lies within about 2**-30 of the rule's threshold, or a later word
+that may fire), run the float path, and every step of it acts on each
+sample alone, so the counts are the float path's, sample for sample. A
+uniform-overlap call whose only candidate is the target (every such
+``born_mc`` point, and a ``basis_mc`` whose other outcomes cannot fire) has
+no survivor and is one count: sample i fires exactly when
+its word is at least one integer threshold (``_word_threshold``), since its
+rule sum ``p_0 + (h + 0.5) * 2**-32`` is one rounded addition, monotone in
+its word h; no transcendental function decides those counts, so they are
+the same under any SIMD dispatch.
 """
 
 from __future__ import annotations
@@ -81,9 +87,10 @@ __all__ = [
 _MASK64 = (1 << 64) - 1
 _CHUNK_WORDS = 2**15  # 256 KiB of uniforms per chunk buffer
 # The largest share of a stick's pieces that an estimator draws by stick-breaking; above it the
-# flat Dirichlet over all d overlaps is drawn. Since the stick's chunks are column-major it sits
-# below the measured crossover at every d from 4 to 64 under both laws (BENCH_column_stick.json), so
-# a share that followed the crossover would draw faster; a new share is a change of sample streams.
+# flat Dirichlet over all d overlaps is drawn. With the stick tallied on its words, the stick is faster
+# than the flat draw at every candidate count up to d - 2, at every d from 4 to 64 under both laws
+# (BENCH_stick_words.json), so a larger share would draw faster; a new share is a change of sample
+# streams.
 _STICK_SHARE = 0.5
 
 
@@ -171,7 +178,7 @@ def _philox_outputs(stream: RngStream, tick: int, n: int) -> np.ndarray:
     generator on its first draw.
     """
     if not 0 <= tick < 2**256:
-        raise ValueError("counter must be positive and less than 2**256.")
+        raise ValueError(f"counter must be non-negative and less than 2**256, got {tick}")
     bit_gen = getattr(_THREAD, "philox", None)
     if bit_gen is None:
         bit_gen = _THREAD.philox = Philox()
@@ -212,20 +219,18 @@ def _uniforms(
     """Uniforms on (0, 1), one per 32-bit word: a ``(count, w)`` array, one row per sample.
 
     Row i holds the ``w = words_per_sample`` words of sample ``first_sample + i``
-    (``_words``), each word ``h`` as ``(h + 0.5) * 2**-32``, exactly, from
-    2**-33 to 1 - 2**-33. The rows are written into ``out`` (shape
+    (``_words``) as ``_word_uniforms`` makes them, written into ``out`` (shape
     ``(count, w)``) when it is given: ``_sampled`` passes views of its
-    thread's chunk buffer. A C-contiguous ``out`` holds one contiguous row
-    per sample; any other is filled one column at a time (``_sampled``
-    passes F-contiguous ones, one contiguous column per word of a sample),
-    to the same values.
+    thread's chunk buffer.
     """
     halves = _words(stream, first_sample, count, words_per_sample)
-    if out is None or out.flags.c_contiguous:
-        out = np.add(halves.reshape(count, words_per_sample), 0.5, out=out)
-    else:
-        for j in range(words_per_sample):  # word j of every sample: stride w in the stream
-            np.add(halves[j::words_per_sample], 0.5, out=out[:, j])
+    return _word_uniforms(halves.reshape(count, words_per_sample), out)
+
+
+def _word_uniforms(h: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Each 32-bit word ``h`` as the uniform ``(h + 0.5) * 2**-32``, exactly, from 2**-33 to
+    1 - 2**-33, written into ``out`` (of ``h``'s shape, in any layout) when it is given."""
+    out = np.add(h, 0.5, out=out)
     out *= 2.0**-32
     return out
 
@@ -276,7 +281,7 @@ def _break_stick(u: np.ndarray, sticks: int, rest: np.ndarray | None = None) -> 
     times ``u[:, j] ** (1 / (sticks - 1 - j))``, the Beta(sticks - 1 - j, 1) share of the rest
     that piece j leaves (neutrality: Connor & Mosimann, JASA 64, 194, 1969). ``u`` has fewer
     than ``sticks`` columns. Every pass reads and writes whole columns, each contiguous when ``u``
-    is F-contiguous, as the estimators' chunks are.
+    is F-contiguous, as ``_stick_tallies`` gathers its survivors.
     """
     for j in range(u.shape[1]):  # rem[j], in place of its uniform
         column = u[:, j]
@@ -346,17 +351,15 @@ def haar_states(dim: int, rng: RngStream, start: int, count: int) -> np.ndarray:
 # --- Monte Carlo estimators ------------------------------------------------
 
 
-def _sampled(block, n_samples: int, draws, workers: int, reduce=np.add, *, columns: bool = False,
-             raw: bool = False):
+def _sampled(block, n_samples: int, draws, workers: int, reduce=np.add, *, raw: bool = False):
     """``block(*uniforms)`` over the chunks of samples ``[0, n_samples)``, folded with ``reduce`` in chunk order.
 
     ``draws`` holds one ``(stream, words)`` pair per draw a sample makes; for the chunk of samples
     ``[lo, hi)`` the block gets, per draw, the ``(hi - lo, words)`` array
-    ``_uniforms(stream, lo, hi - lo, words)``: one contiguous row per sample, or with ``columns``
-    one contiguous column per word (F-contiguous), for a block whose every pass reads one column.
+    ``_uniforms(stream, lo, hi - lo, words)``, one contiguous row per sample.
     With ``raw`` it gets the same draw's 32-bit words instead, ``_words(stream, lo, hi - lo,
-    words)`` as a ``(hi - lo, words)`` uint32 array, for a block that needs no float: the one-word
-    uniform-overlap tally (``_rule_tallies``).
+    words)`` as a ``(hi - lo, words)`` uint32 array, for a block that builds floats only where it
+    needs them: the stick-broken tally (``_stick_tallies``).
     ``_chunk_samples`` sizes the chunks by the words of all draws. The arrays of uniforms are
     consecutive views of the calling thread's one buffer of ``_CHUNK_WORDS`` uniforms, so chunk
     after chunk and call after call write the same pages, and no two threads share one; only a
@@ -382,9 +385,7 @@ def _sampled(block, n_samples: int, draws, workers: int, reduce=np.add, *, colum
             buffer = _THREAD.buffer
         uniforms, start = [], 0
         for stream, w in draws:
-            view = buffer[start:start + count * w]
-            view = view.reshape(w, count).T if columns else view.reshape(count, w)
-            uniforms.append(_uniforms(stream, lo, count, w, view))
+            uniforms.append(_uniforms(stream, lo, count, w, buffer[start:start + count * w].reshape(count, w)))
             start += count * w
         return block(*uniforms)
 
@@ -445,6 +446,92 @@ def _word_threshold(p0: float, tie_tol: float) -> int:
     return h
 
 
+# The slack in a rule sum by which the stick's word bounds clear the float path. Its sums lie within a
+# few roundings per column of the exact ones (a power, a product per column broken before, a difference
+# and the forward weight's addition), about 1e-15 over tens of columns, so a word that a bound decides
+# is decided the same by the float path.
+_WORD_SLACK = 2.0**-30
+
+
+def _word_bound(x: float, power: int, pad: int) -> int:
+    """The number of words h whose uniform ``(h + 0.5) * 2**-32`` lies below ``x**power`` (none for x
+    at most 0, all for x at least 1), plus ``pad``, held to [0, 2**32]."""
+    if x <= 0.0:
+        return 0
+    return min(max(math.ceil(min(x, 1.0) ** power * 2.0**32 - 0.5) + pad, 0), 2**32)
+
+
+def _stick_bounds(dist: BackwardDistribution, dim: int, stick: list, p_drawn: list, tie_tol: float) -> tuple:
+    """``(fire, band, tops)``: the integer word bounds that decide most samples of a stick-broken draw
+    of the outcomes ``stick``, whose forward weights are ``p_drawn`` (``_stick_tallies``).
+
+    Word column j of a sample breaks piece j off the stick under Haar, and under uniform overlap,
+    for j >= 1, piece j - 1 of the target's complement; either way the piece is at most
+    ``1 - u_j**(1/(d - 1 - j))``, a monotone function of its own word, with equality for Haar's
+    column 0 (neutrality: Connor & Mosimann, JASA 64, 1969; the inverse of the Beta(1, d - 1 - j)
+    CDF: Devroye, Non-Uniform Random Variate Generation, 1986, ch. II). With
+    ``c = 1 + tie_tol + RULE_ROUNDING_BOUND`` and its outcome's room ``a = 1 + p_j - c``, the
+    column cannot fire once ``u_j >= (a + s)**(d - 1 - j)``, s being ``_WORD_SLACK``: ``tops[j - 1]``
+    is the number of words below that, plus 2, for each later column j. Under Haar, column 0 surely
+    fires while ``u_0 < (a - s)**(d - 1)``: ``fire`` is the number of words below that, less 2, and
+    the words in ``[fire, band)``, up to column 0's own may-fire bound, are undecided. Under uniform
+    overlap column 0 is q_0 itself, and ``band`` is 0: the target fires exactly at and above ``fire
+    = _word_threshold``, or, when it is not on the stick, column 0 has no rule and ``fire`` is None.
+    """
+    c = 1.0 + tie_tol + RULE_ROUNDING_BOUND
+    if isinstance(dist, HaarPure):
+        room = 1.0 + p_drawn[0] - c
+        fire, band = _word_bound(room - _WORD_SLACK, dim - 1, -2), _word_bound(room + _WORD_SLACK, dim - 1, 2)
+    else:
+        fire, band = (_word_threshold(p_drawn[0], tie_tol) if stick[0] == 0 else None), 0
+    later = p_drawn[1:] if fire is not None else p_drawn  # the weights of word columns 1, 2, ...
+    return fire, band, [_word_bound(1.0 + p_j - c + _WORD_SLACK, dim - 1 - j, 2) for j, p_j in enumerate(later, 1)]
+
+
+def _stick_tallies(dist: BackwardDistribution, dim: int, stick: list, p_drawn: list, tie_tol: float):
+    """The chunk kernel of a stick-broken draw: from a chunk's ``(count, words)`` block of 32-bit
+    words (``_sampled(..., raw=True)``), the ``tally_rule`` counts of its rule sums ``_overlaps +
+    p_drawn``, the same, sample for sample, as the float path over the whole chunk.
+
+    The word bounds (``_stick_bounds``) decide every sample whose column-0 word lies outside Haar's
+    undecided band and whose later words all lie at or above their may-fire bounds: it fires column
+    0 alone if that word is sure to fire, and nothing otherwise. The rest, the survivors, are
+    gathered one contiguous column per word and run the float path (``_word_uniforms``,
+    ``_overlaps``, the forward weights' addition, ``tally_rule``); its every step acts on each
+    sample alone, so their pieces are bit for bit those of the whole chunk. A draw with neither band
+    nor later column, the one-word uniform-overlap draw, is one count of its words.
+    """
+    haar = isinstance(dist, HaarPure)
+    fire, band, tops = _stick_bounds(dist, dim, stick, p_drawn, tie_tol)
+    sure = np.less if haar else None if fire is None else np.greater_equal  # column 0's sure fires
+    # a candidate's room is positive, so each top is at least 2 and each last may-fire word fits 32 bits
+    lasts = np.array([top - 1 for top in tops], dtype=np.uint32)[:, None] if tops else None
+    zeros = [0] * (len(p_drawn) - 1)
+
+    def tallies(h: np.ndarray) -> np.ndarray:
+        n, columns = h.shape[0], np.ascontiguousarray(h.T)  # one contiguous row per word column
+        fired = 0 if sure is None else np.count_nonzero(sure(columns[0], fire))
+        survivors = None
+        if haar and np.count_nonzero(columns[0] < band) > fired:  # some column-0 word in [fire, band)
+            survivors = np.subtract(columns[0], fire, dtype=np.uint32) < band - fire
+        if lasts is not None and (columns[1:].min(axis=1) <= lasts[:, 0]).any():  # a later word below its top
+            below = np.logical_or.reduce(columns[1:] <= lasts, axis=0)
+            survivors = below if survivors is None else np.logical_or(survivors, below, out=survivors)
+        if survivors is None:
+            return np.array([fired, *zeros, n - fired, 0], dtype=np.int64)
+        gathered = columns.take(np.flatnonzero(survivors), axis=1)  # faster than a boolean index here
+        if sure is not None:
+            fired -= np.count_nonzero(sure(gathered[0], fire))
+        sums = _overlaps(dist, dim, stick, _word_uniforms(gathered).T)  # F-contiguous: a column per word
+        sums += p_drawn
+        counts = tally_rule(sums, tie_tol)
+        counts[0] += fired
+        counts[-2] += n - gathered.shape[1] - fired
+        return counts
+
+    return tallies
+
+
 def _rule_tallies(
     forward: StateVector,
     targets: np.ndarray,
@@ -463,10 +550,13 @@ def _rule_tallies(
     weights) sum to more than 1 + tie_tol + ``RULE_ROUNDING_BOUND``: such inputs may fire both
     outcomes of one sample.
 
-    Under uniform overlap a sample of one word, ``h``, has the overlap ``(h + 0.5) * 2**-32`` with
-    the target, and ``p_0`` plus it is one rounded float addition, monotone in ``h``: the samples
-    that fire are exactly those whose word is at least ``_word_threshold(p_0, tie_tol)``, so such a
-    call tallies each chunk's words against that one integer and builds no float.
+    A stick-broken draw is tallied on its 32-bit words (``_stick_tallies``): integer bounds fixed
+    for the call decide each sample but those near a bound, and only those run the float path, so
+    the counts are the float path's, sample for sample. Under uniform overlap a sample of one word,
+    ``h``, has the overlap ``(h + 0.5) * 2**-32`` with the target, and ``p_0`` plus it is one
+    rounded float addition, monotone in ``h``: the samples that fire are exactly those whose word
+    is at least ``_word_threshold(p_0, tie_tol)``, so such a call counts each chunk's words against
+    that one integer and builds no float. The flat draw of all d overlaps keeps its float path.
     """
     dim = forward.dim
     if targets.shape[1] != dim:
@@ -487,32 +577,22 @@ def _rule_tallies(
 
     # Every drawn overlap is at most 1, and float addition is monotonic: an outcome that does not
     # fire at p + 1 never fires. Only the candidates' overlaps are drawn and tallied.
-    cand = [j for j, p_j in enumerate(p.tolist()) if _fires(p_j + 1.0, tie_tol)]
+    weights = p.tolist()
+    cand = [j for j, p_j in enumerate(weights) if _fires(p_j + 1.0, tie_tol)]
     if not cand:  # no sample can assign an outcome
         return np.array([0] * k + [n_samples, 0], dtype=np.int64)
     stick, words = _draw_plan(dist, cand, dim)  # the candidates broken off a stick, or None: all d
     draws = [(RngStream(seed, stream_index), words)]
-    if isinstance(dist, UniformOverlap) and words == 1:  # the target alone, one word per sample
-        threshold = _word_threshold(float(p[0]), tie_tol)
-
-        def word_tallies(h: np.ndarray) -> np.ndarray:
-            fired = np.count_nonzero(h >= threshold)
-            return np.array([fired, h.shape[0] - fired, 0], dtype=np.int64)
-
-        counts = _sampled(word_tallies, n_samples, draws, workers, raw=True)
-    else:
-        p_drawn = p if stick is None else p[stick]
-
+    if stick is None:
         def chunk_tallies(u: np.ndarray) -> np.ndarray:
-            sums = _overlaps(dist, dim, stick, u)
-            sums += p_drawn
+            sums = _overlaps(dist, dim, None, u)
+            sums += p
             return tally_rule(sums, tie_tol)
 
-        # a stick-broken chunk comes one contiguous column per candidate, so every pass over it,
-        # the tally included, reads contiguous memory; the flat Dirichlet keeps its rows, since its
-        # row sums round differently over columns
-        counts = _sampled(chunk_tallies, n_samples, draws, workers, columns=stick is not None)
-    if len(counts) == k + 2:  # every outcome drawn, in index order: all d, or a lone target's stick [0]
+        return _sampled(chunk_tallies, n_samples, draws, workers)
+    kernel = _stick_tallies(dist, dim, stick, [weights[j] for j in stick], tie_tol)
+    counts = _sampled(kernel, n_samples, draws, workers, raw=True)
+    if len(counts) == k + 2:  # every outcome on the stick, in index order, as a lone target's stick [0]
         return counts
     tallies = np.zeros(k + 2, dtype=np.int64)
     tallies[stick], tallies[-2:] = counts[:-2], counts[-2:]

@@ -1291,17 +1291,26 @@ class TestDeterminism:
         _, pooled = run_cli(args + ["--workers", workers, "--no-timing"], tmp_path, "pooled.csv")
         assert pooled.read_bytes() == single.read_bytes()
 
-    @pytest.mark.parametrize("name", ["born-mc-uniform-d4", "born-mc-uniform-word-edges", "born-mc-uniform-word-chunks"])
-    def test_word_tallied_payloads_keep_their_bytes_on_the_baseline_dispatch(self, name):
-        # these rows tally their draws on 32-bit words against an integer threshold: no transcendental
-        # function decides a count, so numpy limited to its baseline SIMD code writes the same bytes
+    @pytest.mark.parametrize("name", [
+        "born-mc-uniform-d4", "born-mc-uniform-word-edges", "born-mc-uniform-word-chunks",
+        "basis-mc-uniform-d4-word-target", "born-mc-haar-d2", "born-mc-haar-d3", "born-mc-haar-d16",
+        "basis-mc-haar-d16", "basis-mc-uniform-d8-stick", "basis-mc-haar-d32-stick",
+    ])
+    def test_word_tallied_payloads_keep_their_bytes_on_the_baseline_dispatch(self, name, tmp_path):
+        # these rows draw a stick and tally it on its 32-bit words: integer bounds decide each sample
+        # but the few survivors, which run the float path, and no survivor's float sum lies within a
+        # rounding of the rule's threshold, so numpy limited to its baseline SIMD code writes the
+        # same bytes
         from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
 
         dispatched = [feature for feature in __cpu_dispatch__ if __cpu_features__.get(feature)]
         if not dispatched:
             pytest.skip("numpy dispatches no code beyond its baseline on this host")
         args, config, rows = PINNED_PAYLOADS[name]
-        assert config is None
+        if config is not None:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps(config))
+            args = args + ["--config", str(cfg)]
         env = {**os.environ, "PYTHONPATH": str(SRC), "NPY_DISABLE_CPU_FEATURES": " ".join(dispatched)}
         proc = subprocess.run([sys.executable, "-m", "twostate.cli", *args, "--no-timing"], env=env,
                               capture_output=True, timeout=120)

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -31,7 +31,17 @@ from twostate import (
 )
 from twostate.assignment import RULE_ROUNDING_BOUND, _fires
 from twostate.cli import main
-from twostate.sampling import _uniforms, _word_threshold, _words
+from twostate.sampling import (
+    _check_exclusive,
+    _draw_plan,
+    _overlaps,
+    _stick_bounds,
+    _stick_tallies,
+    _uniforms,
+    _word_threshold,
+    _word_uniforms,
+    _words,
+)
 
 from helpers import chunk_samples, random_basis, random_state, random_unitary, rule_sums, sic_coefficients, \
     trace_rule_sums, vector_to_json
@@ -330,6 +340,95 @@ class TestWordThreshold:
         below, at = _fires((around + 0.5) * 2.0**-32 + p0, tie_tol).tolist()
         assert threshold == 2**32 or at
         assert threshold == 0 or not below
+
+
+def _candidate_cut(tie_tol: float) -> float:
+    """The weight just above the candidate cut: the float after the midpoint between 1 + tie_tol +
+    ``RULE_ROUNDING_BOUND`` and the next float, less 1, so that its rule sum at an overlap of 1 fires."""
+    c = 1.0 + tie_tol + RULE_ROUNDING_BOUND
+    cut = float(np.nextafter(c - 1.0 + np.spacing(c) / 2.0, 2.0))
+    assert _fires(cut + 1.0, tie_tol) and not _fires(c - 1.0 + 1.0, tie_tol)
+    return cut
+
+
+@st.composite
+def stick_word_cases(draw):
+    """A stick-broken draw and a chunk of its 32-bit words, many of them at or near its word bounds.
+
+    d from 2 to 64, the law and tie_tol are drawn, and 1 to 4 candidates with weights: outcome 0's
+    weight is 1e-300 (not a candidate), just above the candidate cut, 1, or drawn; the others' are
+    drawn above the cut, then each held to c minus the largest weight, c = 1 + tie_tol +
+    ``RULE_ROUNDING_BOUND``, so that ``_check_exclusive`` accepts them. Each word of the chunk is a
+    random word, or, in about half the rows of each column, one of its column's bounds (``_stick_bounds``:
+    Haar's fire and band, uniform overlap's threshold, the later columns' tops) moved by 0, 1, 2 or
+    k words either way.
+    """
+    d = draw(st.integers(2, 64))
+    law = draw(st.sampled_from(["haar", "uniform-overlap"]))
+    tie_tol = draw(st.sampled_from([0.0, 1e-15, 0.01, 0.25]))
+    c, cut = 1.0 + tie_tol + RULE_ROUNDING_BOUND, _candidate_cut(tie_tol)
+    p0 = draw(st.one_of(st.sampled_from([1e-300, cut, 1.0]), st.floats(cut, 1.0)))
+    target = p0 >= cut
+    # at most half the stick's pieces are candidates (_draw_plan), and at most 4 outcomes in all
+    cap = min(d // 2 - target if law == "haar" else (d - 1) // 2, 4 - target)
+    assume(cap >= 1 - target)
+    others = draw(st.lists(st.integers(1, d - 1), min_size=1 - target, max_size=cap, unique=True))
+    weights = np.zeros(d)
+    weights[0] = p0
+    weights[others] = [draw(st.one_of(st.just(cut), st.floats(cut, 1.0))) for _ in others]
+    top = int(np.argmax(weights))
+    held = np.minimum(weights, c - weights[top])
+    held[top] = weights[top]
+    _check_exclusive(held, tie_tol, "forward state")
+    cand = [j for j, p_j in enumerate(held.tolist()) if _fires(p_j + 1.0, tie_tol)]
+    dist = _dist(law)
+    stick, words = _draw_plan(dist, cand, d)
+    assert stick == cand
+    p_drawn = held[stick].tolist()
+    fire, band, tops = _stick_bounds(dist, d, stick, p_drawn, tie_tol)
+    # column 0: Haar's fire and band, uniform overlap's threshold, or nothing when q_0 has no rule
+    first = [fire, band] if law == "haar" else [] if fire is None else [fire]
+    bounds = [first] + [[top] for top in tops]
+    rng = np.random.default_rng(draw(seeds))
+    n = draw(st.integers(1, 300))
+    h = rng.integers(0, 2**32, size=(n, words), dtype=np.uint32)
+    k = draw(st.integers(3, 400))
+    steps = np.array([0, 1, -1, 2, -2, k, -k])
+    for j, column in enumerate(bounds):
+        for bound in column:
+            rows = rng.random(n) < 0.5
+            near = bound + rng.choice(steps, size=np.count_nonzero(rows))
+            h[rows, j] = np.clip(near, 0, 2**32 - 1)
+    return dist, d, stick, p_drawn, tie_tol, h
+
+
+class TestStickWordKernel:
+    """The word kernel of a stick-broken draw (``_stick_tallies``) counts what the float path counts
+    on the same words, and each sample its bounds decide fires as they say."""
+
+    @PROPERTY
+    @given(stick_word_cases())
+    def test_the_word_tallies_are_the_float_tallies(self, case):
+        dist, d, stick, p_drawn, tie_tol, h = case
+        u = _word_uniforms(h, np.empty(h.shape[::-1]).T)  # the float path's chunk: a contiguous column per word
+        sums = _overlaps(dist, d, stick, u)
+        sums += p_drawn
+        expected = tally_rule(sums, tie_tol)
+        assert _stick_tallies(dist, d, stick, p_drawn, tie_tol)(h).tolist() == expected.tolist()
+        # sample for sample: a decided sample fires its column-0 outcome exactly when that word is sure to
+        fire, band, tops = _stick_bounds(dist, d, stick, p_drawn, tie_tol)
+        haar = isinstance(dist, HaarPure)
+        undecided = (h[:, 1:] < np.array(tops, dtype=np.int64)).any(axis=1)
+        sure = np.zeros(h.shape[0], dtype=bool)
+        if haar:
+            undecided |= (h[:, 0] >= fire) & (h[:, 0] < band)
+            sure = h[:, 0] < fire
+        elif fire is not None:
+            sure = h[:, 0] >= fire
+        fired = _fires(sums, tie_tol)[~undecided]
+        first = 0 if haar or stick[0] == 0 else 1  # the tallied column of word column 0, if it has one
+        assert np.array_equal(fired[:, 0], sure[~undecided]) if first == 0 else not fired[:, 0].any()
+        assert not fired[:, 1:].any()
 
 
 @st.composite

@@ -30,6 +30,7 @@ from twostate.sampling import (
     _flat_dirichlet,
     _overlaps,
     _sampled,
+    _stick_bounds,
     _uniforms,
     _words,
 )
@@ -119,18 +120,6 @@ class TestWordExactAddressing:
         flat = _uniforms(stream, 0, (lo + n) * words, 1).ravel()
         assert np.array_equal(block.ravel(), flat[lo * words:])
         assert block.ravel().tolist() == philox_uniforms(stream, (lo + n) * words)[lo * words:]
-
-    # one contiguous column per word, as the stick-broken draw asks: first words lo * w at odd
-    # offsets (lo 1, 3 or 333 with odd w), even ones and multiples of 8
-    @pytest.mark.parametrize("words", [1, 2, 3, 5, 16])
-    @pytest.mark.parametrize("lo", [0, 1, 3, 333])
-    def test_a_column_major_out_holds_the_row_major_uniforms(self, words, lo):
-        stream, n = RngStream(11, 2), 9
-        rows = _uniforms(stream, lo, n, words)
-        out = np.empty(n * words).reshape(words, n).T
-        assert out.flags.f_contiguous
-        assert _uniforms(stream, lo, n, words, out) is out
-        assert np.array_equal(out.view(np.uint64), rows.view(np.uint64))
 
     # the words the uniforms are made of: first words at odd offsets (high halves), even ones and
     # multiples of 8
@@ -578,33 +567,55 @@ class TestChunkBuffers:
             assert u.shape == (1, _CHUNK_WORDS + 1) and not np.shares_memory(u, buffer)
             assert np.array_equal(copy.view(np.uint64), _uniforms(stream, lo, 1, _CHUNK_WORDS + 1).view(np.uint64))
 
-    @pytest.mark.parametrize("law, weights, columns", [
+    @pytest.mark.parametrize("law, weights, stick", [
         ("haar", [5, 0, 3, 0, 0, 2, 0, 0], True),
         ("uniform-overlap", [5, 0, 3, 0, 0, 2, 0, 0], True),
         ("haar", [1] * 8, False),  # full support: all d overlaps, flat Dirichlet rows
     ], ids=["haar-stick", "uniform-overlap-stick", "haar-flat"])
-    def test_the_stick_broken_draw_gets_columns_of_the_buffer(self, law, weights, columns, monkeypatch):
-        # three of eight candidates are stick-broken, three words per sample under either law
-        calls, sampled = [], sampling._sampled
+    def test_a_stick_draw_gets_its_words_and_a_flat_draw_the_buffer(self, law, weights, stick, monkeypatch):
+        # three of eight candidates are stick-broken, three words per sample under either law: the
+        # block gets each chunk's 32-bit words and makes uniforms of its survivors' words alone
+        calls, made, sampled, word_uniforms = [], [], sampling._sampled, sampling._word_uniforms
 
         def recording(block, *args, **kwargs):
-            def recorded(*uniforms):
-                result = block(*uniforms)
-                calls.append((uniforms, result))
+            def recorded(*drawn):
+                result = block(*drawn)
+                calls.append((drawn, result))
                 return result
             return sampled(recorded, *args, **kwargs)
 
+        def making(h, out=None):
+            made.append(h.copy())
+            return word_uniforms(h, out)
+
         monkeypatch.setattr(sampling, "_sampled", recording)
+        monkeypatch.setattr(sampling, "_word_uniforms", making)
         dist = HaarPure() if law == "haar" else UniformOverlap()
-        words = 3 if columns else 8
-        basis_mc(forward_with_weights(weights), OrthonormalBasis(np.eye(8)), dist, 3 * _chunk_samples(words) + 5, 7)
-        buffer = sampling._THREAD.buffer
-        for (u,), result in calls:
-            assert u.shape[1] == words
-            assert (u.flags.f_contiguous, u.flags.c_contiguous) == (columns, not columns)
-            assert u.base is buffer and u.ctypes.data == buffer.ctypes.data
-            assert not np.shares_memory(result, buffer)
+        words = 3 if stick else 8
+        fwd = forward_with_weights(weights)
+        basis_mc(fwd, OrthonormalBasis(np.eye(8)), dist, 3 * _chunk_samples(words) + 5, 7)
         assert len(calls) == 4
+        if not stick:
+            buffer = sampling._THREAD.buffer
+            for (u,), result in calls:
+                assert u.shape[1] == words and u.flags.c_contiguous
+                assert u.base is buffer and u.ctypes.data == buffer.ctypes.data
+                assert not np.shares_memory(result, buffer)
+            return
+        p = np.abs(fwd.entries) ** 2
+        cand = [0, 2, 5]
+        fire, band, tops = _stick_bounds(dist, 8, cand, p[cand].tolist(), 0.0)
+        survivors = []
+        for (h,), result in calls:
+            assert h.dtype == np.uint32 and h.shape[1] == words
+            undecided = (h[:, 1:] < np.array(tops)).any(axis=1)
+            if law == "haar":
+                undecided |= (h[:, 0] >= fire) & (h[:, 0] < band)
+            if undecided.any():  # a chunk whose every sample the bounds decide makes no uniform
+                survivors.append(h[undecided].T)
+            assert not np.shares_memory(result, h)
+        assert survivors  # some later word lies below its top
+        assert len(made) == len(survivors) and all(map(np.array_equal, made, survivors))
 
     @pytest.mark.parametrize("estimator", ["born-mc", "basis-mc-target-alone"])
     def test_a_one_word_uniform_overlap_draw_gets_its_words(self, estimator, monkeypatch):
@@ -621,6 +632,7 @@ class TestChunkBuffers:
         monkeypatch.setattr(sampling, "_sampled", recording)
         floats = []
         monkeypatch.setattr(sampling, "_uniforms", lambda *args: floats.append(args))
+        monkeypatch.setattr(sampling, "_word_uniforms", lambda *args: floats.append(args))
         n = 3 * _chunk_samples(1) + 5
         if estimator == "born-mc":
             born_mc(forward_with_overlap(0.6, 4), StateVector.basis_state(4, 0), UniformOverlap(), n, 7)
