@@ -121,6 +121,19 @@ class TestWordExactAddressing:
         assert np.array_equal(block.ravel(), flat[lo * words:])
         assert block.ravel().tolist() == philox_uniforms(stream, (lo + n) * words)[lo * words:]
 
+    # `_word_uniforms` writes into an out of any layout: one contiguous column per word holds the
+    # row-major uniforms, with first words lo * w at odd offsets (lo 1, 3 or 333 with odd w), even
+    # ones and multiples of 8
+    @pytest.mark.parametrize("words", [1, 2, 3, 5, 16])
+    @pytest.mark.parametrize("lo", [0, 1, 3, 333])
+    def test_a_column_major_out_holds_the_row_major_uniforms(self, words, lo):
+        stream, n = RngStream(11, 2), 9
+        rows = _uniforms(stream, lo, n, words)
+        out = np.empty(n * words).reshape(words, n).T
+        assert out.flags.f_contiguous
+        assert _uniforms(stream, lo, n, words, out) is out
+        assert np.array_equal(out.view(np.uint64), rows.view(np.uint64))
+
     # the words the uniforms are made of: first words at odd offsets (high halves), even ones and
     # multiples of 8
     @pytest.mark.parametrize("words", [1, 2, 3, 5, 16])
