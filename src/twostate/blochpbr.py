@@ -1,13 +1,14 @@
 """Qubit Bloch-sphere geometry and the geometric pair-distinguishing count.
 
-Conventions: |0> maps to +z, a Bloch vector's state has a real non-negative
-amplitude on |0>, and the overlap identity |<m|a>|^2 = (1 + m.a)/2 ties the
-dot-product form of the outcome rule to the state-vector form. The
+Conventions: |0> maps to +z, and the overlap identity |<m|a>|^2 =
+(1 + m.a)/2 ties the dot-product form of the outcome rule to the
+state-vector form. The
 pbr-geometric experiment is one counting kernel (``pbr_separators``) over
 rows of Bloch vectors, given explicitly or drawn as Haar qubit states
 (``pbr_geometric``). It takes each instance's maximum-margin bisector of the
-two pair sums and judges it with the rule's state-vector form; a degenerate
-instance, whose sums vanish or are parallel, is counted, not judged.
+two pair sums and judges it on the overlaps that the identity gives; a
+degenerate instance, whose sums vanish or are parallel, is counted, not
+judged.
 Bloch vectors are plain float rows (..., 3) with no value type; the CLI
 checks the unit norms of an explicit instance where it reads the config.
 """
@@ -17,7 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from .assignment import tally_rule
-from .sampling import RngStream, _haar_rows, _sampled
+from .sampling import RngStream, _haar_rows, _sampled, _word_uniforms
 
 __all__ = [
     "pbr_separators",
@@ -32,13 +33,6 @@ def _bloch_vectors(states: np.ndarray) -> np.ndarray:
     c0, c1 = states[..., 0], states[..., 1]
     cross = c0.conj() * c1
     return np.stack([2.0 * cross.real, 2.0 * cross.imag, np.abs(c0) ** 2 - np.abs(c1) ** 2], axis=-1)
-
-
-def _bloch_states(vectors: np.ndarray) -> np.ndarray:
-    """Qubit states with a real non-negative amplitude on |0>: rows (..., 3) to rows (..., 2)."""
-    theta = np.arccos(np.clip(vectors[..., 2], -1.0, 1.0))
-    phi = np.arctan2(vectors[..., 1], vectors[..., 0])
-    return np.stack([np.cos(theta / 2.0), np.exp(1j * phi) * np.sin(theta / 2.0)], axis=-1)
 
 
 def _bisectors(u: np.ndarray, v: np.ndarray):
@@ -70,9 +64,8 @@ def pbr_separators(vectors: np.ndarray, tie_tol: float = 0.0) -> tuple:
     m, mp, x, xp = vectors
     a, skip, margin = _bisectors(m + mp, x + xp)
     keep = ~skip
+    overlaps = (1.0 + np.sum(vectors[:, keep] * a[keep], axis=-1)) / 2.0  # |<.|a>|^2, by the identity
     # columns [pair a, pair b] of the rule sums; a separator fires pair a alone
-    states = _bloch_states(np.stack([m, mp, x, xp, a])[:, keep])
-    overlaps = np.abs(np.sum(states[:4].conj() * states[4], axis=-1)) ** 2
     sums = np.stack([overlaps[0] + overlaps[1], overlaps[2] + overlaps[3]], axis=1)
     found = int(tally_rule(sums, tie_tol)[0])
     return found, int(np.count_nonzero(skip)), float(np.min(margin[keep], initial=np.inf))
@@ -86,5 +79,6 @@ def pbr_geometric(n_samples: int, seed: int, tie_tol: float = 0.0, *, workers: i
     """
     draws = [(RngStream(seed, 20 + k), 4) for k in range(4)]
     return _sampled(
-        lambda *uniforms: pbr_separators(_bloch_vectors(np.stack([_haar_rows(u) for u in uniforms])), tie_tol),
+        lambda *words: pbr_separators(_bloch_vectors(np.stack([_haar_rows(_word_uniforms(h)) for h in words])),
+                                      tie_tol),
         n_samples, draws, workers, reduce=lambda a, b: (a[0] + b[0], a[1] + b[1], min(a[2], b[2])))

@@ -16,14 +16,11 @@ state, rather than building a new one.
 
 One driver, ``_sampled``, runs every sampled experiment: it takes the
 ``(stream, words)`` pair of each draw a sample makes, sizes chunks by
-words, not by samples (``_chunk_samples``: ``_CHUNK_WORDS`` words, 256 KiB
-of uniforms, so 32768 one-word samples), draws each chunk's uniforms into
-the calling thread's one buffer of that size, hands them to a kernel, and
-folds the kernels' results exactly. A chunk thus allocates no float array
-for its uniforms; only its Philox outputs (half the buffer's size) are
-drawn into a fresh array, since ``random_raw`` takes no ``out``. A chunk's
-uniforms are one contiguous row per sample. A stick-broken draw takes its
-chunk's 32-bit words instead (below).
+words, not by samples (``_chunk_samples``: ``_CHUNK_WORDS`` words, so
+32768 one-word samples), hands each chunk's 32-bit words to a kernel, one
+row per sample, and folds the kernels' results exactly. A kernel makes
+floats only of the words it needs (``_word_uniforms``): a float kernel of
+all of them, a stick-broken draw of its survivors alone (below).
 
 The Haar state sampler (``haar_states``) builds complex vectors from
 Box-Muller normals. The estimators and the exclusivity scan never build a
@@ -85,7 +82,7 @@ __all__ = [
 ]
 
 _MASK64 = (1 << 64) - 1
-_CHUNK_WORDS = 2**15  # 256 KiB of uniforms per chunk buffer
+_CHUNK_WORDS = 2**15  # 32-bit words per chunk, over all of a sample's draws
 # The largest share of a stick's pieces that an estimator draws by stick-breaking; above it the
 # flat Dirichlet over all d overlaps is drawn. With the stick tallied on its words, the stick is faster
 # than the flat draw at every candidate count up to d - 2, at every d from 4 to 64 under both laws
@@ -95,11 +92,11 @@ _STICK_SHARE = 0.5
 
 
 def _chunk_samples(words_per_sample: int) -> int:
-    """Samples per chunk when each sample uses ``words_per_sample`` words (uniforms)."""
+    """Samples per chunk when each sample uses ``words_per_sample`` words."""
     return max(1, _CHUNK_WORDS // words_per_sample)
 
 
-_THREAD = threading.local()  # each thread's chunk buffer and Philox, kept for the thread's life
+_THREAD = threading.local()  # each thread's Philox, kept for the thread's life
 
 
 @dataclass(frozen=True)
@@ -213,26 +210,21 @@ def _words(stream: RngStream, first_sample: int, count: int, words_per_sample: i
     return outputs.astype("<u8", copy=False).view("<u4")[skip:skip + n_words]
 
 
-def _uniforms(
-    stream: RngStream, first_sample: int, count: int, words_per_sample: int, out: np.ndarray | None = None
-) -> np.ndarray:
+def _uniforms(stream: RngStream, first_sample: int, count: int, words_per_sample: int) -> np.ndarray:
     """Uniforms on (0, 1), one per 32-bit word: a ``(count, w)`` array, one row per sample.
 
     Row i holds the ``w = words_per_sample`` words of sample ``first_sample + i``
-    (``_words``) as ``_word_uniforms`` makes them, written into ``out`` (shape
-    ``(count, w)``) when it is given: ``_sampled`` passes views of its
-    thread's chunk buffer.
+    (``_words``) as ``_word_uniforms`` makes them.
     """
-    halves = _words(stream, first_sample, count, words_per_sample)
-    return _word_uniforms(halves.reshape(count, words_per_sample), out)
+    return _word_uniforms(_words(stream, first_sample, count, words_per_sample).reshape(count, words_per_sample))
 
 
-def _word_uniforms(h: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def _word_uniforms(h: np.ndarray) -> np.ndarray:
     """Each 32-bit word ``h`` as the uniform ``(h + 0.5) * 2**-32``, exactly, from 2**-33 to
-    1 - 2**-33, written into ``out`` (of ``h``'s shape, in any layout) when it is given."""
-    out = np.add(h, 0.5, out=out)
-    out *= 2.0**-32
-    return out
+    1 - 2**-33, in a new array of ``h``'s shape and layout."""
+    u = np.add(h, 0.5)
+    u *= 2.0**-32
+    return u
 
 
 def _complex_normals(u: np.ndarray) -> np.ndarray:
@@ -351,43 +343,23 @@ def haar_states(dim: int, rng: RngStream, start: int, count: int) -> np.ndarray:
 # --- Monte Carlo estimators ------------------------------------------------
 
 
-def _sampled(block, n_samples: int, draws, workers: int, reduce=np.add, *, raw: bool = False):
-    """``block(*uniforms)`` over the chunks of samples ``[0, n_samples)``, folded with ``reduce`` in chunk order.
+def _sampled(block, n_samples: int, draws, workers: int, reduce=np.add):
+    """``block(*words)`` over the chunks of samples ``[0, n_samples)``, folded with ``reduce`` in chunk order.
 
     ``draws`` holds one ``(stream, words)`` pair per draw a sample makes; for the chunk of samples
-    ``[lo, hi)`` the block gets, per draw, the ``(hi - lo, words)`` array
-    ``_uniforms(stream, lo, hi - lo, words)``, one contiguous row per sample.
-    With ``raw`` it gets the same draw's 32-bit words instead, ``_words(stream, lo, hi - lo,
-    words)`` as a ``(hi - lo, words)`` uint32 array, for a block that builds floats only where it
-    needs them: the stick-broken tally (``_stick_tallies``).
-    ``_chunk_samples`` sizes the chunks by the words of all draws. The arrays of uniforms are
-    consecutive views of the calling thread's one buffer of ``_CHUNK_WORDS`` uniforms, so chunk
-    after chunk and call after call write the same pages, and no two threads share one; only a
-    sample wider than the buffer (a one-sample chunk) gets arrays of its own. The next chunk
-    overwrites the uniforms, so a block must not return a view of them. With an exact ``reduce``
-    (integer addition, or that and a minimum) neither the chunk size nor ``workers`` changes the
-    result.
+    ``[lo, hi)`` the block gets, per draw, its 32-bit words ``_words(stream, lo, hi - lo, words)``
+    as a ``(hi - lo, words)`` uint32 array, one row per sample, and makes floats of them where it
+    needs them (``_word_uniforms``). ``_chunk_samples`` sizes the chunks by the words of all draws.
+    With an exact ``reduce`` (integer addition, or that and a minimum) neither the chunk size nor
+    ``workers`` changes the result.
     """
     if n_samples < 1:
         raise ValueError(f"sample count must be >= 1, got {n_samples}")
-    words = sum(w for _, w in draws)
-    chunk_size = _chunk_samples(words)
+    chunk_size = _chunk_samples(sum(w for _, w in draws))
 
     def run(lo: int, hi: int):
         count = hi - lo
-        if raw:
-            return block(*(_words(stream, lo, count, w).reshape(count, w) for stream, w in draws))
-        if count * words > _CHUNK_WORDS:
-            buffer = np.empty(count * words)
-        else:
-            if not hasattr(_THREAD, "buffer"):
-                _THREAD.buffer = np.empty(_CHUNK_WORDS)
-            buffer = _THREAD.buffer
-        uniforms, start = [], 0
-        for stream, w in draws:
-            uniforms.append(_uniforms(stream, lo, count, w, buffer[start:start + count * w].reshape(count, w)))
-            start += count * w
-        return block(*uniforms)
+        return block(*(_words(stream, lo, count, w).reshape(count, w) for stream, w in draws))
 
     los = range(0, n_samples, chunk_size)
     his = [min(lo + chunk_size, n_samples) for lo in los]
@@ -490,8 +462,8 @@ def _stick_bounds(dist: BackwardDistribution, dim: int, stick: list, p_drawn: li
 
 def _stick_tallies(dist: BackwardDistribution, dim: int, stick: list, p_drawn: list, tie_tol: float):
     """The chunk kernel of a stick-broken draw: from a chunk's ``(count, words)`` block of 32-bit
-    words (``_sampled(..., raw=True)``), the ``tally_rule`` counts of its rule sums ``_overlaps +
-    p_drawn``, the same, sample for sample, as the float path over the whole chunk.
+    words, the ``tally_rule`` counts of its rule sums ``_overlaps + p_drawn``, the same, sample for
+    sample, as the float path over the whole chunk.
 
     The word bounds (``_stick_bounds``) decide every sample whose column-0 word lies outside Haar's
     undecided band and whose later words all lie at or above their may-fire bounds: it fires column
@@ -550,13 +522,14 @@ def _rule_tallies(
     weights) sum to more than 1 + tie_tol + ``RULE_ROUNDING_BOUND``: such inputs may fire both
     outcomes of one sample.
 
-    A stick-broken draw is tallied on its 32-bit words (``_stick_tallies``): integer bounds fixed
-    for the call decide each sample but those near a bound, and only those run the float path, so
-    the counts are the float path's, sample for sample. Under uniform overlap a sample of one word,
-    ``h``, has the overlap ``(h + 0.5) * 2**-32`` with the target, and ``p_0`` plus it is one
-    rounded float addition, monotone in ``h``: the samples that fire are exactly those whose word
-    is at least ``_word_threshold(p_0, tie_tol)``, so such a call counts each chunk's words against
-    that one integer and builds no float. The flat draw of all d overlaps keeps its float path.
+    Each chunk's 32-bit words go to one kernel. A stick-broken draw is tallied on them
+    (``_stick_tallies``): integer bounds fixed for the call decide each sample but those near a
+    bound, and only those run the float path, so the counts are the float path's, sample for
+    sample. Under uniform overlap a sample of one word, ``h``, has the overlap
+    ``(h + 0.5) * 2**-32`` with the target, and ``p_0`` plus it is one rounded float addition,
+    monotone in ``h``: the samples that fire are exactly those whose word is at least
+    ``_word_threshold(p_0, tie_tol)``, so such a call counts each chunk's words against that one
+    integer and builds no float. The flat draw of all d overlaps makes uniforms of all its words.
     """
     dim = forward.dim
     if targets.shape[1] != dim:
@@ -582,17 +555,15 @@ def _rule_tallies(
     if not cand:  # no sample can assign an outcome
         return np.array([0] * k + [n_samples, 0], dtype=np.int64)
     stick, words = _draw_plan(dist, cand, dim)  # the candidates broken off a stick, or None: all d
-    draws = [(RngStream(seed, stream_index), words)]
     if stick is None:
-        def chunk_tallies(u: np.ndarray) -> np.ndarray:
-            sums = _overlaps(dist, dim, None, u)
+        def kernel(h: np.ndarray) -> np.ndarray:
+            sums = _overlaps(dist, dim, None, _word_uniforms(h))
             sums += p
             return tally_rule(sums, tie_tol)
-
-        return _sampled(chunk_tallies, n_samples, draws, workers)
-    kernel = _stick_tallies(dist, dim, stick, [weights[j] for j in stick], tie_tol)
-    counts = _sampled(kernel, n_samples, draws, workers, raw=True)
-    if len(counts) == k + 2:  # every outcome on the stick, in index order, as a lone target's stick [0]
+    else:
+        kernel = _stick_tallies(dist, dim, stick, [weights[j] for j in stick], tie_tol)
+    counts = _sampled(kernel, n_samples, [(RngStream(seed, stream_index), words)], workers)
+    if len(counts) == k + 2:  # every outcome drawn, in index order: flat, on the stick, or a lone target's [0]
         return counts
     tallies = np.zeros(k + 2, dtype=np.int64)
     tallies[stick], tallies[-2:] = counts[:-2], counts[-2:]
@@ -652,9 +623,9 @@ def exclusivity_scan(dim: int, n_samples: int, seed: int, tie_tol: float = 0.0, 
     if dim < 2:
         raise ValueError(f"dimension must be >= 2, got {dim}")
 
-    def chunk_tallies(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-        p = _flat_dirichlet(u, dim)
-        p += _flat_dirichlet(v, dim)
+    def chunk_tallies(h: np.ndarray, g: np.ndarray) -> np.ndarray:
+        p = _flat_dirichlet(_word_uniforms(h), dim)
+        p += _flat_dirichlet(_word_uniforms(g), dim)
         return tally_rule(p, tie_tol)
 
     draws = [(RngStream(seed, 1), dim), (RngStream(seed, 2), dim)]  # p, then q

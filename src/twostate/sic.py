@@ -20,7 +20,7 @@ import numpy as np
 
 from .assignment import _fires
 from .qcore import StateVector
-from .sampling import RngStream, _haar_rows, _sampled, haar_states
+from .sampling import RngStream, _haar_rows, _sampled, _word_uniforms, haar_states
 
 __all__ = [
     "SicValidationReport",
@@ -159,8 +159,8 @@ def sic_distinguish(fiducial: StateVector, n_samples: int, seed: int, tie_tol: f
     _require_valid(fiducial)
     orbit_bras = _orbit(fiducial.entries, fiducial.dim).conj().T
 
-    def chunk_separated(*uniforms: np.ndarray) -> int:
-        states = np.stack([_haar_rows(u) for u in uniforms])
+    def chunk_separated(*words: np.ndarray) -> int:
+        states = np.stack([_haar_rows(_word_uniforms(h)) for h in words])
         overlaps = np.abs(states @ orbit_bras) ** 2
         fired = _fires(overlaps[0::2] + overlaps[1::2], tie_tol)
         return np.count_nonzero((fired[0] != fired[1]).any(axis=-1))

@@ -5,11 +5,11 @@ tests use numpy's default generator so that oracle inputs never flow through
 the code under test. The references below them are forms the package does
 not run, kept to check its kernels, overlap laws and solver against: states
 and unitaries built from Box-Muller normals of a stream's uniforms, the rule
-one sample or one instance at a time, its dot-product and projector-set
-coefficient forms, the projector-set expansion, the trace Tr(r P), the
-summed-pair trace form of the projector-set rule, and the change of an
-evolving pair's component sum. ``vector_to_json`` writes a state in the
-config format.
+one sample or one instance at a time, the qubit states of Bloch vectors, the
+rule's dot-product and projector-set coefficient forms, the projector-set
+expansion, the trace Tr(r P), the summed-pair trace form of the
+projector-set rule, and the change of an evolving pair's component sum.
+``vector_to_json`` writes a state in the config format.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from twostate import (
     tally_rule,
 )
 from twostate.assignment import _fires
-from twostate.blochpbr import _bisectors, _bloch_states
+from twostate.blochpbr import _bisectors
 from twostate.sampling import _complex_normals, _uniforms
 from twostate.sic import _require_valid
 
@@ -161,6 +161,13 @@ def bell_condition(m: np.ndarray, n: np.ndarray, a: np.ndarray) -> bool:
     return bool(_fires(1.0 + (m @ a + n @ a) / 2.0, 0.0))
 
 
+def bloch_states(vectors: np.ndarray) -> np.ndarray:
+    """Qubit states with a real non-negative amplitude on |0>: rows (..., 3) to rows (..., 2)."""
+    theta = np.arccos(np.clip(vectors[..., 2], -1.0, 1.0))
+    phi = np.arctan2(vectors[..., 1], vectors[..., 0])
+    return np.stack([np.cos(theta / 2.0), np.exp(1j * phi) * np.sin(theta / 2.0)], axis=-1)
+
+
 def pbr_separates(m: np.ndarray, mp: np.ndarray, x: np.ndarray, xp: np.ndarray):
     """One instance of ``pbr_separators``: whether the maximum-margin bisector a of the pair sums fires
     the rule on pair (m, m') and not on pair (x, x'), judged on each pair's states.
@@ -170,7 +177,7 @@ def pbr_separates(m: np.ndarray, mp: np.ndarray, x: np.ndarray, xp: np.ndarray):
     a, degenerate, _ = _bisectors(m + mp, x + xp)
     if degenerate:
         return None
-    sm, smp, sx, sxp, sa = _bloch_states(np.array([m, mp, x, xp, a]))
+    sm, smp, sx, sxp, sa = bloch_states(np.array([m, mp, x, xp, a]))
 
     def fires(f, b):
         return bool(_fires(abs(np.vdot(f, sa)) ** 2 + abs(np.vdot(b, sa)) ** 2, 0.0))

@@ -3,10 +3,10 @@ import pytest
 
 from twostate import RngStream, StateVector, haar_state, pbr_geometric, pbr_separators
 from twostate.assignment import _fires
-from twostate.blochpbr import _bisectors, _bloch_states, _bloch_vectors
+from twostate.blochpbr import _bisectors, _bloch_vectors
 from twostate.cli import _bloch_instance
 
-from helpers import bell_condition, pbr_separates, random_rotation, random_state
+from helpers import bell_condition, bloch_states, pbr_separates, random_rotation, random_state
 
 PLUS_Z = np.array([0.0, 0.0, 1.0])
 MINUS_Z = np.array([0.0, 0.0, -1.0])
@@ -19,8 +19,9 @@ def random_blochs(rng, n: int) -> np.ndarray:
 
 
 def overlap_rule(m: np.ndarray, n: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """The rule as ``pbr_separators`` judges it: overlap sums of the states of Bloch rows m, n and a."""
-    sm, sn, sa = _bloch_states(np.array([m, n, a]))
+    """The rule on the overlap sums of the states of Bloch rows m, n and a, whose overlaps
+    ``pbr_separators`` reads through the identity |<m|a>|^2 = (1 + m.a)/2."""
+    sm, sn, sa = bloch_states(np.array([m, n, a]))
     overlaps = np.abs(np.sum(np.array([sm, sn]).conj() * sa, axis=-1)) ** 2
     return _fires(overlaps[0] + overlaps[1], 0.0)
 
@@ -36,20 +37,20 @@ class TestConversions:
         assert v[2] == pytest.approx(0.0, abs=1e-15)
 
     def test_poles_map_to_basis_states(self):
-        assert np.array_equal(_bloch_states(PLUS_Z), [1.0, 0.0])
-        assert np.allclose(_bloch_states(MINUS_Z), [0.0, 1.0], atol=1e-15)
+        assert np.array_equal(bloch_states(PLUS_Z), [1.0, 0.0])
+        assert np.allclose(bloch_states(MINUS_Z), [0.0, 1.0], atol=1e-15)
 
     def test_half_angle_construction(self):
-        assert np.allclose(_bloch_states(PLUS_X), np.array([1, 1]) / np.sqrt(2), atol=1e-15)
+        assert np.allclose(bloch_states(PLUS_X), np.array([1, 1]) / np.sqrt(2), atol=1e-15)
 
     def test_round_trip_up_to_phase(self):
         rng = np.random.default_rng(30)
         states = np.array([random_state(rng, 2).entries for _ in range(100)])
-        back = _bloch_states(_bloch_vectors(states))
+        back = bloch_states(_bloch_vectors(states))
         assert np.allclose(np.abs(np.sum(back.conj() * states, axis=1)), 1.0, rtol=0.0, atol=1e-12)
 
     def test_nonneg_amplitude_convention(self):
-        amplitudes = _bloch_states(random_blochs(np.random.default_rng(31), 50))[:, 0]
+        amplitudes = bloch_states(random_blochs(np.random.default_rng(31), 50))[:, 0]
         assert np.all(amplitudes.real >= 0.0)
         assert np.all(amplitudes.imag == 0.0)
 
@@ -63,7 +64,7 @@ class TestConversions:
 
 
 class TestBellCondition:
-    """The dot-product form of the rule against the overlap form that ``pbr_separators`` evaluates."""
+    """The dot-product form of the rule against the state-vector overlap form."""
 
     def test_aligned(self):
         assert bell_condition(PLUS_Z, PLUS_Z, PLUS_Z) and overlap_rule(PLUS_Z, PLUS_Z, PLUS_Z)

@@ -8,7 +8,6 @@ import os
 import re
 import subprocess
 import sys
-import threading
 from contextlib import redirect_stderr, redirect_stdout, suppress
 from pathlib import Path
 
@@ -538,7 +537,7 @@ class TestEachExperimentTakesOnlyItsFields:
     def test_a_field_it_does_not_read_exits_two_before_any_draw(self, experiment, key, text, value, route, tmp_path,
                                                                  monkeypatch, capsys):
         draws = []
-        monkeypatch.setattr(sampling, "_uniforms", lambda *args: draws.append(args))
+        monkeypatch.setattr(sampling, "_words", lambda *args: draws.append(args))
         flag = "--" + key.replace("_", "-")
         if route == "flag":
             with pytest.raises(SystemExit) as info:
@@ -1285,7 +1284,6 @@ class TestDeterminism:
         _, single = run_cli(args + ["--workers", "1", "--no-timing"], tmp_path, "w1.csv")
         if chunk_words is not None:
             monkeypatch.setattr(sampling, "_CHUNK_WORDS", chunk_words)
-            monkeypatch.setattr(sampling, "_THREAD", threading.local())  # chunk buffers of the new size
             _, small = run_cli(args + ["--workers", "1", "--no-timing"], tmp_path, "small-w1.csv")
             assert small.read_bytes() == single.read_bytes()
         _, pooled = run_cli(args + ["--workers", workers, "--no-timing"], tmp_path, "pooled.csv")

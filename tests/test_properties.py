@@ -4,11 +4,15 @@ Hypothesis draws the structure of each case (dimension, indices, seeds,
 tolerances, chunking) and, for the SIC round trip, the matrix entries
 themselves; random states and bases come from numpy generators seeded by
 the drawn integers. Every test is derandomized, so a run is reproducible.
+The last test runs a failing property under the suite's own settings, so
+that a falsified property fails alone rather than stopping the run.
 """
 
 import contextlib
 import io
 import json
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -410,7 +414,7 @@ class TestStickWordKernel:
     @given(stick_word_cases())
     def test_the_word_tallies_are_the_float_tallies(self, case):
         dist, d, stick, p_drawn, tie_tol, h = case
-        u = _word_uniforms(h, np.empty(h.shape[::-1]).T)  # the float path's chunk: a contiguous column per word
+        u = np.asfortranarray(_word_uniforms(h))  # the float path's chunk: a contiguous column per word
         sums = _overlaps(dist, d, stick, u)
         sums += p_drawn
         expected = tally_rule(sums, tie_tol)
@@ -469,3 +473,31 @@ class TestBoundaryImpliesExclusivity:
                 code = main(["basis-mc", "--dim", str(d), "--dist", "fixed", "--samples", "10", "--seed", "1",
                              "--tie-tol", repr(tie_tol), "--config", str(cfg), "--no-timing"])
         assert code in (0, 2), err.getvalue()
+
+
+FALSIFIED = """
+from hypothesis import given, settings, strategies as st
+
+
+@settings(derandomize=True, database=None, deadline=None)
+@given(st.integers(0, 10))
+def test_falsified(n):
+    assert n < 5
+
+
+def test_passing():
+    pass
+"""
+
+
+class TestAFalsifiedPropertyFailsAlone:
+    def test_the_run_goes_on_after_it(self, tmp_path):
+        # reporting a falsified property imports modules that warn as they load; under the suite's
+        # warnings-as-errors setting that must fail the one test, not abort the run
+        (tmp_path / "test_falsified.py").write_text(FALSIFIED)
+        settings_file = Path(__file__).resolve().parents[1] / "pyproject.toml"
+        proc = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "-c",
+                               str(settings_file), "test_falsified.py"], cwd=tmp_path, capture_output=True,
+                              text=True, timeout=120)
+        assert "INTERNALERROR" not in proc.stdout + proc.stderr
+        assert "1 failed, 1 passed" in proc.stdout

@@ -32,6 +32,7 @@ from twostate.sampling import (
     _sampled,
     _stick_bounds,
     _uniforms,
+    _word_uniforms,
     _words,
 )
 
@@ -121,18 +122,18 @@ class TestWordExactAddressing:
         assert np.array_equal(block.ravel(), flat[lo * words:])
         assert block.ravel().tolist() == philox_uniforms(stream, (lo + n) * words)[lo * words:]
 
-    # `_word_uniforms` writes into an out of any layout: one contiguous column per word holds the
-    # row-major uniforms, with first words lo * w at odd offsets (lo 1, 3 or 333 with odd w), even
-    # ones and multiples of 8
+    # a kernel's uniforms: `_word_uniforms` of the words `_sampled` hands it, in rows or in one contiguous
+    # column per word as the stick's survivors are gathered, with first words lo * w at odd offsets (lo 1,
+    # 3 or 333 with odd w), even ones and multiples of 8
     @pytest.mark.parametrize("words", [1, 2, 3, 5, 16])
     @pytest.mark.parametrize("lo", [0, 1, 3, 333])
-    def test_a_column_major_out_holds_the_row_major_uniforms(self, words, lo):
+    def test_the_uniforms_of_the_words_are_the_rows(self, words, lo):
         stream, n = RngStream(11, 2), 9
         rows = _uniforms(stream, lo, n, words)
-        out = np.empty(n * words).reshape(words, n).T
-        assert out.flags.f_contiguous
-        assert _uniforms(stream, lo, n, words, out) is out
-        assert np.array_equal(out.view(np.uint64), rows.view(np.uint64))
+        h = _words(stream, lo, n, words).reshape(n, words)
+        assert same_bits(_word_uniforms(h), rows)
+        columns = _word_uniforms(np.ascontiguousarray(h.T)).T
+        assert columns.flags.f_contiguous and same_bits(columns, rows)
 
     # the words the uniforms are made of: first words at odd offsets (high halves), even ones and
     # multiples of 8
@@ -497,19 +498,25 @@ class TestDefaultChunks:
 
 
 def run_recorded(draws, n_samples: int, workers: int = 1) -> list:
-    """``_sampled`` with a block that keeps, per chunk, its thread, its uniform arrays and copies of them."""
-    calls = []
-
-    def block(*uniforms):
-        calls.append((threading.get_ident(), uniforms, [u.copy() for u in uniforms]))
-        return 1
-
-    assert _sampled(block, n_samples, draws, workers) == len(calls)
-    return calls
+    """``_sampled`` with a block that returns, per chunk, its thread and the word arrays it got, folded
+    into one list in chunk order. The arrays are kept as they came: a kernel may keep its words."""
+    return _sampled(lambda *words: [(threading.get_ident(), words)], n_samples, draws, workers,
+                    reduce=lambda a, b: a + b)
 
 
-class TestChunkBuffers:
-    """The driver draws each chunk into its thread's one buffer; the public samplers return fresh arrays."""
+def assert_chunk_words(words: list, draws, lo: int) -> int:
+    """Assert that a chunk's block got, per draw, the draw's 32-bit words of the chunk's samples from
+    ``lo`` on, one row per sample: ``_words(stream, lo, count, w)`` as a ``(count, w)`` uint32 array.
+    Returns the chunk's sample count."""
+    count = len(words[0])
+    for (stream, w), h in zip(draws, words):
+        assert h.dtype == np.uint32 and h.shape == (count, w) and h.flags.c_contiguous
+        assert np.array_equal(h, _words(stream, lo, count, w).reshape(count, w))
+    return count
+
+
+class TestChunkWords:
+    """``_sampled`` hands each kernel, per draw, its chunk's 32-bit words; the public samplers return fresh arrays."""
 
     def test_public_sampler_results_never_alias(self):
         stream, target = RngStream(23, 0), StateVector.basis_state(3, 0)
@@ -522,72 +529,50 @@ class TestChunkBuffers:
             for b in draws[i + 1:]:
                 assert not np.shares_memory(a, b)
 
-    @pytest.mark.parametrize("n_draws", [1, 2, 4])
-    def test_each_draw_is_a_view_of_the_calling_threads_buffer(self, n_draws):
+    @pytest.mark.parametrize("n_draws", [1, 2, 3, 4])
+    def test_each_draw_gets_its_words_chunk_after_chunk(self, n_draws):
         draws = [(RngStream(43, k), 2 * k + 1) for k in range(n_draws)]  # 1, 3, 5 and 7 words
         n = 3 * _chunk_samples(sum(words for _, words in draws)) + 5
         calls = run_recorded(draws, n) + run_recorded(draws, n)  # chunk after chunk, call after call
-        buffer = sampling._THREAD.buffer
         lo = 0
-        for ident, uniforms, copies in calls:
+        for ident, words in calls:
             assert ident == threading.get_ident()
-            count, start = len(uniforms[0]), 0
-            for (stream, words), u, copy in zip(draws, uniforms, copies):
-                assert u.shape == (count, words) and u.flags.c_contiguous
-                assert u.base is buffer
-                # consecutive: each draw starts where the one before it ends
-                assert u.ctypes.data - buffer.ctypes.data == start
-                start += u.nbytes
-                assert np.array_equal(copy.view(np.uint64), _uniforms(stream, lo, count, words).view(np.uint64))
-            for i, u in enumerate(uniforms):
-                assert not any(np.shares_memory(u, v) for v in uniforms[i + 1:])
-            lo = (lo + count) % n
+            lo = (lo + assert_chunk_words(words, draws, lo)) % n
         assert len(calls) == 8 and lo == 0
 
-    def test_pool_threads_draw_into_buffers_of_their_own(self):
+    def test_pool_threads_get_the_same_words(self):
         draws = [(RngStream(47, 0), 4), (RngStream(47, 1), 4)]
-        run_recorded(draws, 10)
-        buffer = sampling._THREAD.buffer
-        calls = run_recorded(draws, 6 * _chunk_samples(8), workers=2)
-        bases = {}
-        for ident, uniforms, _ in calls:
+        n = 6 * _chunk_samples(8) + 3
+        calls = run_recorded(draws, n, workers=2)
+        lo = 0
+        for ident, words in calls:
             assert ident != threading.get_ident()
-            for u in uniforms:
-                assert bases.setdefault(ident, u.base) is u.base  # one buffer per pool thread
-        assert not any(np.shares_memory(base, buffer) for base in bases.values())
-        assert len({id(base) for base in bases.values()}) == len(bases)
+            lo += assert_chunk_words(words, draws, lo)
+        assert len(calls) == 7 and lo == n
 
-    def test_a_chunk_beyond_the_buffer_gets_arrays_of_its_own(self):
+    def test_an_explicit_chunk_beyond_the_word_budget_gets_its_words(self):
         draws = [(RngStream(53, 0), 4), (RngStream(53, 1), 4)]
-        run_recorded(draws, 10)
-        buffer = sampling._THREAD.buffer
         n = _CHUNK_WORDS // 8 + 1
         with chunk_samples(n):
-            ((_, uniforms, copies),) = run_recorded(draws, n)
-        assert not np.shares_memory(uniforms[0], uniforms[1])
-        for (stream, words), u, copy in zip(draws, uniforms, copies):
-            assert not np.shares_memory(u, buffer)
-            assert np.array_equal(copy.view(np.uint64), _uniforms(stream, 0, n, words).view(np.uint64))
+            ((_, words),) = run_recorded(draws, n)
+        assert assert_chunk_words(words, draws, 0) == n
 
-    def test_a_sample_wider_than_the_buffer_gets_arrays_of_its_own(self):
+    def test_a_sample_wider_than_the_word_budget_gets_a_chunk_of_its_own(self):
         # the default chunks reach this: exclusivity-scan at dim 16385 draws 2 * 16385 words per sample
-        stream = RngStream(59, 0)
-        run_recorded([(stream, 4)], 10)
-        buffer = sampling._THREAD.buffer
-        calls = run_recorded([(stream, _CHUNK_WORDS + 1)], 3)
+        draws = [(RngStream(59, 0), _CHUNK_WORDS + 1)]
+        calls = run_recorded(draws, 3)
         assert len(calls) == 3  # one sample per chunk
-        for lo, (_, (u,), (copy,)) in enumerate(calls):
-            assert u.shape == (1, _CHUNK_WORDS + 1) and not np.shares_memory(u, buffer)
-            assert np.array_equal(copy.view(np.uint64), _uniforms(stream, lo, 1, _CHUNK_WORDS + 1).view(np.uint64))
+        for lo, (_, words) in enumerate(calls):
+            assert assert_chunk_words(words, draws, lo) == 1
 
     @pytest.mark.parametrize("law, weights, stick", [
         ("haar", [5, 0, 3, 0, 0, 2, 0, 0], True),
         ("uniform-overlap", [5, 0, 3, 0, 0, 2, 0, 0], True),
         ("haar", [1] * 8, False),  # full support: all d overlaps, flat Dirichlet rows
     ], ids=["haar-stick", "uniform-overlap-stick", "haar-flat"])
-    def test_a_stick_draw_gets_its_words_and_a_flat_draw_the_buffer(self, law, weights, stick, monkeypatch):
+    def test_a_draw_gets_its_words_and_makes_uniforms_where_it_needs_them(self, law, weights, stick, monkeypatch):
         # three of eight candidates are stick-broken, three words per sample under either law: the
-        # block gets each chunk's 32-bit words and makes uniforms of its survivors' words alone
+        # block makes uniforms of its survivors' words alone; the flat draw makes them of all its words
         calls, made, sampled, word_uniforms = [], [], sampling._sampled, sampling._word_uniforms
 
         def recording(block, *args, **kwargs):
@@ -597,9 +582,9 @@ class TestChunkBuffers:
                 return result
             return sampled(recorded, *args, **kwargs)
 
-        def making(h, out=None):
+        def making(h):
             made.append(h.copy())
-            return word_uniforms(h, out)
+            return word_uniforms(h)
 
         monkeypatch.setattr(sampling, "_sampled", recording)
         monkeypatch.setattr(sampling, "_word_uniforms", making)
@@ -608,25 +593,22 @@ class TestChunkBuffers:
         fwd = forward_with_weights(weights)
         basis_mc(fwd, OrthonormalBasis(np.eye(8)), dist, 3 * _chunk_samples(words) + 5, 7)
         assert len(calls) == 4
+        for (h,), result in calls:
+            assert h.dtype == np.uint32 and h.shape[1] == words
+            assert not np.shares_memory(result, h)
         if not stick:
-            buffer = sampling._THREAD.buffer
-            for (u,), result in calls:
-                assert u.shape[1] == words and u.flags.c_contiguous
-                assert u.base is buffer and u.ctypes.data == buffer.ctypes.data
-                assert not np.shares_memory(result, buffer)
+            assert len(made) == len(calls) and all(np.array_equal(u, h) for u, ((h,), _) in zip(made, calls))
             return
         p = np.abs(fwd.entries) ** 2
         cand = [0, 2, 5]
         fire, band, tops = _stick_bounds(dist, 8, cand, p[cand].tolist(), 0.0)
         survivors = []
-        for (h,), result in calls:
-            assert h.dtype == np.uint32 and h.shape[1] == words
+        for (h,), _ in calls:
             undecided = (h[:, 1:] < np.array(tops)).any(axis=1)
             if law == "haar":
                 undecided |= (h[:, 0] >= fire) & (h[:, 0] < band)
             if undecided.any():  # a chunk whose every sample the bounds decide makes no uniform
                 survivors.append(h[undecided].T)
-            assert not np.shares_memory(result, h)
         assert survivors  # some later word lies below its top
         assert len(made) == len(survivors) and all(map(np.array_equal, made, survivors))
 
