@@ -6,8 +6,9 @@ displacement operators X^j Z^k to produce d^2 rank-1 projectors, as one
 d times the identity. The module also counts how often a set element
 separates random pairs of two-state assignments under the outcome rule
 (``sic_distinguish``, the sic-distinguish experiment), and searches for
-fiducials numerically by minimizing the frame potential down to its Welch
-bound 2 d^3 / (d+1).
+fiducials numerically by minimizing the frame potential of a fiducial's
+orbit down to its Welch bound 2 d^3 / (d+1), with a dense BFGS written in
+numpy.
 """
 
 from __future__ import annotations
@@ -182,25 +183,72 @@ def frame_potential(states: np.ndarray) -> float:
 # --- fiducial search -------------------------------------------------------
 
 
-def _orbit_potential_and_grad(x: np.ndarray, disp: np.ndarray, disp_h: np.ndarray):
-    """Frame potential of the displacement orbit of x/|x| and its gradient.
+@functools.cache
+def _orbit_ops(d: int) -> np.ndarray:
+    """The d^2 displacements D_m, then their adjoints D_m^dagger, as one read-only (2d^2, d, d) array."""
+    disp = wh_displacements(d)
+    stack = np.concatenate([disp, disp.conj().transpose(0, 2, 1)])
+    stack.setflags(write=False)
+    return stack
 
-    Uses the group collapse FP(f) = d^2 * sum_m |<f|D_m|f>|^4 and the scale
-    invariance of the normalized objective, so x can roam all of C^d.
+
+def _orbit_potential_and_grad(t: np.ndarray, ops: np.ndarray):
+    """Frame potential of the displacement orbit of x/|x| and its gradient in t.
+
+    t is the real view of x, real and imaginary parts interleaved, and ``ops``
+    is ``_orbit_ops(d)``. Uses the group collapse FP(f) = d^2 * sum_m
+    |<f|D_m|f>|^4 and the scale invariance of the normalized objective, so x
+    can roam all of C^d.
     """
-    d = disp.shape[-1]
-    nsq = float(np.vdot(x, x).real)
-    dx = disp @ x
-    c = dx @ x.conj()
-    abs2 = np.abs(c) ** 2
-    g = float(np.sum(abs2**2))
+    d = ops.shape[-1]
+    x = t.view(complex)
+    nsq = t @ t
+    y = ops @ x  # rows D_m x, then D_m^dagger x
+    c = y[: d * d] @ x.conj()
+    abs2 = c.real**2 + c.imag**2
+    g = abs2 @ abs2
+    w = abs2 * c
+    h = 2.0 * (np.concatenate([w.conj(), w]) @ y) - (4.0 * g / nsq) * x
+    scale = d * d / nsq**4
+    return scale * g, (2.0 * scale) * h.view(float)
 
-    dhx = disp_h @ x
-    gbar = 2.0 * ((abs2 * c.conj()) @ dx + (abs2 * c) @ dhx)
-    hbar = (gbar - 4.0 * g * x / nsq) / nsq**4
-    value = d * d * g / nsq**4
-    grad = d * d * np.concatenate([2.0 * hbar.real, 2.0 * hbar.imag])
-    return value, grad
+
+def _bfgs(fun, t: np.ndarray, max_iters: int):
+    """Minimize ``fun`` (value and gradient) from t; returns the last point, its value and the iterations run.
+
+    Dense BFGS on the inverse Hessian with Armijo backtracking (Nocedal & Wright,
+    Numerical Optimization, Alg. 6.1 and 3.1), H0 scaled by s.y / y.y after the
+    first step (their eq. 6.20). Stops on a relative decrease of at most 1e-16, a
+    max |grad| of at most 1e-12, a backtracked step too short to pass that
+    decrease test, or after ``max_iters`` iterations.
+    """
+    f, g = fun(t)
+    h = np.eye(t.size)
+    for it in range(1, max_iters + 1):
+        p = -(h @ g)
+        slope = g @ p
+        step = 1.0
+        while True:
+            t_new = t + step * p
+            f_new, g_new = fun(t_new)
+            if f_new <= f + 1e-4 * step * slope:
+                break
+            step *= 0.5
+            if -step * slope <= 1e-16 * max(abs(f), 1.0):  # too short to pass the decrease test
+                return t, f, it
+        s, y = t_new - t, g_new - g
+        sy = s @ y
+        if sy > 0.0:
+            if it == 1:
+                h *= sy / (y @ y)
+            hy = h @ y
+            u = (1.0 + (y @ hy) / sy) * s - hy
+            h += (np.multiply.outer(s, u) - np.multiply.outer(hy, s)) / sy
+        stalled = f - f_new <= 1e-16 * max(abs(f), abs(f_new), 1.0)
+        t, f, g = t_new, f_new, g_new
+        if stalled or np.abs(g).max() <= 1e-12:
+            break
+    return t, f, it
 
 
 def search_fiducial(d: int, restarts: int, max_iters: int, seed: int) -> FiducialSearchReport:
@@ -214,38 +262,24 @@ def search_fiducial(d: int, restarts: int, max_iters: int, seed: int) -> Fiducia
         raise ValueError(f"supported dimensions are 2..{SEARCH_MAX_DIM}, got {d}")
     if restarts < 1:
         raise ValueError(f"restarts must be >= 1, got {restarts}")
-    # imported here: scipy.optimize costs about 0.5 s, and only the search uses it
-    from scipy.optimize import minimize
-
-    disp = wh_displacements(d)
-    disp_h = disp.conj().transpose(0, 2, 1)
+    if max_iters < 1:
+        raise ValueError(f"max_iters must be >= 1, got {max_iters}")
+    objective = functools.partial(_orbit_potential_and_grad, ops=_orbit_ops(d))
     bound = welch_bound(d)
     starts = haar_states(d, RngStream(seed, stream_index=0), 0, restarts)
 
-    def objective(t: np.ndarray):
-        x = t[:d] + 1j * t[d:]
-        return _orbit_potential_and_grad(x, disp, disp_h)
-
     best_potential = np.inf
-    best_x = None
+    best_t = None
     iterations = 0
     for r in range(restarts):
-        t0 = np.concatenate([starts[r].real, starts[r].imag])
-        res = minimize(
-            objective,
-            t0,
-            jac=True,
-            method="L-BFGS-B",
-            options={"maxiter": max_iters, "ftol": 1e-16, "gtol": 1e-12},
-        )
-        iterations += int(res.nit)
-        pot = float(res.fun)
+        t, pot, nit = _bfgs(objective, starts[r].view(float), max_iters)
+        iterations += nit
         print(f"[fiducial-search d={d}] restart {r}: potential {pot:.12f}", file=sys.stderr)
         if pot < best_potential:
             best_potential = pot
-            best_x = res.x
+            best_t = t
 
-    fiducial = StateVector.normalized(best_x[:d] + 1j * best_x[d:])
+    fiducial = StateVector.normalized(best_t.view(complex))
     orbit = _orbit(fiducial.entries, d)
     potential = frame_potential(orbit)
     return FiducialSearchReport(

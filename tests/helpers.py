@@ -8,7 +8,9 @@ and unitaries built from Box-Muller normals of a stream's uniforms, the rule
 one sample or one instance at a time, the qubit states of Bloch vectors, the
 rule's dot-product and projector-set coefficient forms, the projector-set
 expansion, the trace Tr(r P), the summed-pair trace form of the
-projector-set rule, and the change of an evolving pair's component sum.
+projector-set rule, the orbit frame potential and its gradient from separate
+displacement and adjoint arrays, and the change of an evolving pair's
+component sum.
 ``vector_to_json`` writes a state in the config format.
 """
 
@@ -250,6 +252,28 @@ def sic_distinguish_pair(sum0: np.ndarray, sum1: np.ndarray, f: StateVector):
     fired = sic_fires(np.array([sum0, sum1]), f)
     differs = np.flatnonzero(fired[0] != fired[1])
     return int(differs[0]) if differs.size else None
+
+
+def orbit_potential_and_grad(x: np.ndarray, disp: np.ndarray, disp_h: np.ndarray):
+    """Frame potential of the displacement orbit of x/|x| and its gradient, from two operator arrays.
+
+    ``disp`` holds the displacements D_m and ``disp_h`` their adjoints. The
+    gradient's first d entries are the derivatives in Re x, its last d those
+    in Im x.
+    """
+    d = disp.shape[-1]
+    nsq = float(np.vdot(x, x).real)
+    dx = disp @ x
+    c = dx @ x.conj()
+    abs2 = np.abs(c) ** 2
+    g = float(np.sum(abs2**2))
+
+    dhx = disp_h @ x
+    gbar = 2.0 * ((abs2 * c.conj()) @ dx + (abs2 * c) @ dhx)
+    hbar = (gbar - 4.0 * g * x / nsq) / nsq**4
+    value = d * d * g / nsq**4
+    grad = d * d * np.concatenate([2.0 * hbar.real, 2.0 * hbar.imag])
+    return value, grad
 
 
 def sum_change(rho_f: np.ndarray, rho_b: np.ndarray, h: HermitianOperator, dt: float) -> float:

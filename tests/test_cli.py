@@ -659,13 +659,34 @@ class TestParser:
         assert (proc.returncode, proc.stdout) == (2, b"")
         assert proc.stderr.startswith(b"error: invalid dim: ") and proc.stderr.count(b"\n") == 1
 
-    def test_import_leaves_scipy_unloaded(self):
+    def test_no_package_module_imports_scipy(self):
+        roots = {}  # module file -> top-level packages it imports, at any depth of its code
+        for path in sorted((SRC / "twostate").glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                    names = [node.module]
+                else:
+                    continue
+                roots.setdefault(path.name, set()).update(name.split(".")[0] for name in names)
+        assert "numpy" in roots["sampling.py"]  # the scan sees absolute imports
+        assert [name for name, found in roots.items() if "scipy" in found] == []
+
+    def test_sic_search_runs_without_scipy(self):
+        argv = ["twostate.cli", "sic-search", "--dim", "3", "--restarts", "1", "--seed", "1",
+                "--format", "json", "--no-timing"]
         proc = python("-c", (
-            "import sys, twostate, twostate.cli\n"
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+            "import runpy, sys\n"
+            "sys.modules['scipy'] = None  # any import of scipy now raises ImportError\n"
+            f"sys.argv = {argv!r}\n"
+            "runpy.run_module('twostate.cli', run_name='__main__', alter_sys=True)"
         ))
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout == b"[]\n"
+        (record,) = json.loads(proc.stdout)
+        assert record["experiment"] == "sic-search"
+        assert record["extra"]["converged"] is True
+        assert record["extra"]["frame_potential"] >= record["oracle"] - 1e-9
 
 
 class TestRecords:

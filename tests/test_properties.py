@@ -46,6 +46,7 @@ from twostate.sampling import (
     _word_uniforms,
     _words,
 )
+from twostate.sic import _orbit_ops, _orbit_potential_and_grad
 
 from helpers import chunk_samples, random_basis, random_state, random_unitary, rule_sums, sic_coefficients, \
     trace_rule_sums, vector_to_json
@@ -256,6 +257,20 @@ class TestSicRoundTrip:
         proj = sic_from_fiducial(builtin_fiducial(r.shape[0]))
         back = np.tensordot(sic_coefficients(r, proj), proj, axes=1)
         assert np.allclose(back, r, rtol=0.0, atol=1e-12 * max(1.0, float(np.max(np.abs(r)))))
+
+
+class TestOrbitPotentialInvariances:
+    @PROPERTY
+    @given(dims, seeds, st.floats(-3.0, 3.0))
+    def test_gradient_is_orthogonal_to_scale_and_phase(self, d, seed, log_scale):
+        # the potential of x/|x| stays put along t (a scale of x) and along the real
+        # form of i x (a global phase), so its gradient is orthogonal to both
+        rng = np.random.default_rng(seed)
+        x = 10.0**log_scale * (rng.normal(size=d) + 1j * rng.normal(size=d))
+        t = x.view(float)
+        _, grad = _orbit_potential_and_grad(t, _orbit_ops(d))
+        for direction in (t, (1j * x).view(float)):
+            assert abs(grad @ direction) <= 1e-12 * np.linalg.norm(grad) * np.linalg.norm(direction)
 
 
 # above 16384 samples, a default-chunked run spans several chunks whatever the law and dimension,
