@@ -661,7 +661,7 @@ class TestParser:
 
     def test_no_package_module_imports_scipy(self):
         roots = {}  # module file -> top-level packages it imports, at any depth of its code
-        for path in sorted((SRC / "twostate").glob("*.py")):
+        for path in sorted((SRC / "twostate").rglob("*.py")):
             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
                 if isinstance(node, ast.Import):
                     names = [alias.name for alias in node.names]
@@ -669,8 +669,8 @@ class TestParser:
                     names = [node.module]
                 else:
                     continue
-                roots.setdefault(path.name, set()).update(name.split(".")[0] for name in names)
-        assert "numpy" in roots["sampling.py"]  # the scan sees absolute imports
+                roots.setdefault(path.relative_to(SRC).as_posix(), set()).update(name.split(".")[0] for name in names)
+        assert "numpy" in roots["twostate/sampling.py"]  # the scan sees absolute imports
         assert [name for name, found in roots.items() if "scipy" in found] == []
 
     def test_sic_search_runs_without_scipy(self):
