@@ -12,6 +12,7 @@ model-invariant violation.
 from __future__ import annotations
 
 import argparse
+import copy
 import csv
 import functools
 import io
@@ -64,22 +65,6 @@ from .sic import (
 __all__ = ["ExperimentConfig", "ConfigError", "run_experiment", "emit_results", "result_schema", "main"]
 
 SCHEMA_VERSION = 2
-CSV_COLUMNS = [
-    "schema_version",
-    "experiment",
-    "dim",
-    "samples",
-    "seed",
-    "tie_tol",
-    "dist",
-    "p_or_theta",
-    "frequency",
-    "std_err",
-    "no_assign_rate",
-    "oracle",
-    "extra",
-    "wall_time_s",
-]
 
 DISTRIBUTIONS = ("uniform-overlap", "haar", "fixed")
 
@@ -107,25 +92,6 @@ class ExperimentConfig:
     samples: int | None = None
     tie_tol: float | None = None
     dist: str | None = None
-
-
-def _record(cfg: ExperimentConfig, p_or_theta=None, frequency=None, std_err=None,
-            no_assign_rate=None, oracle=None, extra=None) -> dict:
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "experiment": cfg.experiment,
-        "dim": cfg.dim,
-        "samples": cfg.samples,
-        "seed": cfg.seed,
-        "tie_tol": cfg.tie_tol,
-        "dist": cfg.dist,
-        "p_or_theta": p_or_theta,
-        "frequency": frequency,
-        "std_err": std_err,
-        "no_assign_rate": no_assign_rate,
-        "oracle": oracle,
-        "extra": extra or {},
-    }
 
 
 def _converted(key: str, build, *values, rejects=(TypeError, ValueError, OverflowError)):
@@ -304,10 +270,10 @@ def _run_basis_mc(cfg: ExperimentConfig) -> list[dict]:
         # 0/0, when no sample assigned an outcome, is written as null
         conditional = [None if math.isnan(c) else c for c in result.conditional_frequencies().tolist()]
         born = (np.abs(basis.entries.conj() @ fwd.entries) ** 2).tolist()
-        head = _record(cfg, p_or_theta=theta, no_assign_rate=result.no_assign_rate)  # the outcomes' common fields
         records.extend(
-            {**head, "frequency": estimate.frequency, "std_err": estimate.std_err, "oracle": oracle,
-             "extra": {"outcome": k, "conditional_frequency": c}}
+            _record(cfg, p_or_theta=theta, frequency=estimate.frequency, std_err=estimate.std_err,
+                    no_assign_rate=result.no_assign_rate, oracle=oracle,
+                    extra={"outcome": k, "conditional_frequency": c})
             for k, (estimate, c, oracle) in enumerate(zip(result.estimates, conditional, born))
         )
     return records
@@ -525,6 +491,39 @@ _EXPERIMENTS = {
 }
 EXPERIMENTS = tuple(_EXPERIMENTS)
 
+# the result record's columns, in CSV order, each with the JSON Schema of its value
+_COLUMNS = {
+    "schema_version": {"const": SCHEMA_VERSION},
+    "experiment": {"enum": list(EXPERIMENTS)},
+    "dim": {"type": "integer", "minimum": 2},
+    "samples": {"type": ["integer", "null"], "minimum": 1},
+    "seed": {"type": "integer", "minimum": 0},
+    "tie_tol": {"type": ["number", "null"], "minimum": 0},
+    "dist": {"enum": [*DISTRIBUTIONS, None]},
+    "p_or_theta": {"type": ["number", "null"]},
+    "frequency": {"type": ["number", "null"], "minimum": 0, "maximum": 1},
+    "std_err": {"type": ["number", "null"], "minimum": 0},
+    "no_assign_rate": {"type": ["number", "null"], "minimum": 0, "maximum": 1},
+    "oracle": {"type": ["number", "null"]},
+    "extra": {"type": "object"},
+    "wall_time_s": {"type": "number", "minimum": 0},  # stamped by run_experiment, dropped by --no-timing
+}
+CSV_COLUMNS = list(_COLUMNS)
+_ECHOED = [col for col in _COLUMNS if col in ExperimentConfig.__dataclass_fields__]  # experiment .. dist
+_NULLS = {col: None for col in _COLUMNS if col not in ("schema_version", *_ECHOED, "wall_time_s")}  # a runner sets them
+
+
+def _record(cfg: ExperimentConfig, **cells) -> dict:
+    """A record of ``cfg``'s run: its config echoed, ``cells`` set, and every other result null, ``extra`` empty.
+
+    A name in ``cells`` that is no result column is a TypeError, rather than a cell the output drops.
+    """
+    unknown = cells.keys() - _NULLS.keys()
+    if unknown:
+        raise TypeError(f"no result columns {sorted(unknown)}")
+    echo = {col: getattr(cfg, col) for col in _ECHOED}
+    return {"schema_version": SCHEMA_VERSION, **echo, **_NULLS, "extra": {}, **cells}
+
 
 def run_experiment(name: str, values: dict) -> list[dict]:
     """Convert every value once, by its row, then run experiment ``name`` and stamp wall time.
@@ -596,33 +595,15 @@ def emit_results(records: list[dict], fmt: str, path: str | None, include_timing
 
 
 def result_schema() -> dict:
-    """The JSON Schema that record arrays emitted by this harness satisfy."""
-    number_or_null = {"type": ["number", "null"]}
-    probability = {"type": ["number", "null"], "minimum": 0, "maximum": 1}
-    properties = {
-        "schema_version": {"const": SCHEMA_VERSION},
-        "experiment": {"enum": list(EXPERIMENTS)},
-        "dim": {"type": "integer", "minimum": 2},
-        "samples": {"type": ["integer", "null"], "minimum": 1},
-        "seed": {"type": "integer", "minimum": 0},
-        "tie_tol": {"type": ["number", "null"], "minimum": 0},
-        "dist": {"enum": [*DISTRIBUTIONS, None]},
-        "p_or_theta": number_or_null,
-        "frequency": probability,
-        "std_err": {"type": ["number", "null"], "minimum": 0},
-        "no_assign_rate": probability,
-        "oracle": number_or_null,
-        "extra": {"type": "object"},
-        "wall_time_s": {"type": "number", "minimum": 0},
-    }
+    """The JSON Schema that record arrays emitted by this harness satisfy; every column but wall_time_s is required."""
     return {
         "$schema": "https://json-schema.org/draft/2020-12/schema",
         "title": "twostate experiment result records",
         "type": "array",
         "items": {
             "type": "object",
-            "required": [col for col in CSV_COLUMNS if col != "wall_time_s"],
-            "properties": {col: properties[col] for col in CSV_COLUMNS},
+            "required": [col for col in _COLUMNS if col != "wall_time_s"],
+            "properties": copy.deepcopy(_COLUMNS),
             "additionalProperties": False,
         },
     }
@@ -636,16 +617,19 @@ def _parser() -> argparse.ArgumentParser:
     """The parser with every experiment's subparser; built once per process, on its first call.
 
     Parsing leaves a parser unchanged, and argparse reads the terminal width when it formats
-    help, not here, so one parser serves every call.
+    help, not here, so one parser serves every call. Its ``experiment_parsers`` maps each
+    experiment name to the subparser to which the parser hands the arguments after the name.
     """
     parser = argparse.ArgumentParser(
         prog="twostate",
         description="Deterministic experiment harness for the two-state outcome-assignment model.",
     )
     sub = parser.add_subparsers(dest="experiment", required=True)
+    parser.experiment_parsers = {}
     for name in EXPERIMENTS:
         experiment = _EXPERIMENTS[name]
-        p = sub.add_parser(name, help=experiment.help.split(".")[0], description=experiment.help)
+        p = parser.experiment_parsers[name] = sub.add_parser(
+            name, help=experiment.help.split(".")[0], description=experiment.help)
         for row in _FIELDS + experiment.params:
             p.add_argument("--" + row.key.replace("_", "-"), help=row.help)
         p.add_argument("--config", default=None, help="JSON config file; flags override its fields")
@@ -653,13 +637,6 @@ def _parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=["csv", "json"], default="csv")
         p.add_argument("--no-timing", action="store_true", help="omit the wall-time column (byte-comparison mode)")
     return parser
-
-
-@functools.cache
-def _subparser(name: str) -> argparse.ArgumentParser:
-    """``name``'s subparser in ``_parser()``, to which that parser hands the arguments after ``name``."""
-    (sub,) = [action for action in _parser()._actions if isinstance(action, argparse._SubParsersAction)]
-    return sub.choices[name]
 
 
 def _parse_args(argv) -> argparse.Namespace:
@@ -670,11 +647,12 @@ def _parse_args(argv) -> argparse.Namespace:
     parses them directly and the same parser reports the leftovers, so every message and exit
     code is the same.
     """
+    parser = _parser()
     if not argv or argv[0] not in _EXPERIMENTS:
-        return _parser().parse_args(argv)
-    args, extras = _subparser(argv[0]).parse_known_args(argv[1:])
+        return parser.parse_args(argv)
+    args, extras = parser.experiment_parsers[argv[0]].parse_known_args(argv[1:])
     if extras:
-        _parser().error("unrecognized arguments: " + " ".join(extras))
+        parser.error("unrecognized arguments: " + " ".join(extras))
     args.experiment = argv[0]
     return args
 
@@ -691,8 +669,8 @@ def _load_config(path: str | None, experiment: str) -> dict:
         raise ConfigError(f"config {path!r} is not valid JSON: {err}") from None
     if not isinstance(data, dict):
         raise ConfigError(f"config {path!r} must contain a JSON object")
-    declared = data.pop("experiment", None)
-    if declared is not None and declared != experiment:
+    declared = data.pop("experiment", experiment)  # a null names no experiment
+    if declared != experiment:
         raise ConfigError(f"config declares experiment {declared!r} but {experiment!r} was requested")
     return data
 

@@ -351,23 +351,27 @@ def _sampled(block, n_samples: int, draws, workers: int, reduce=np.add):
     as a ``(hi - lo, words)`` uint32 array, one row per sample, and makes floats of them where it
     needs them (``_word_uniforms``). ``_chunk_samples`` sizes the chunks by the words of all draws.
     With an exact ``reduce`` (integer addition, or that and a minimum) neither the chunk size nor
-    ``workers`` changes the result.
+    ``workers`` changes the result. Each worker folds one run of consecutive chunks and the calling
+    thread folds the workers' results in order, so memory does not grow with the chunk count.
     """
     if n_samples < 1:
         raise ValueError(f"sample count must be >= 1, got {n_samples}")
     chunk_size = _chunk_samples(sum(w for _, w in draws))
 
-    def run(lo: int, hi: int):
-        count = hi - lo
+    def run(lo: int):
+        count = min(chunk_size, n_samples - lo)
         return block(*(_words(stream, lo, count, w).reshape(count, w) for stream, w in draws))
 
+    def fold(los: range):
+        return functools.reduce(reduce, map(run, los))
+
     los = range(0, n_samples, chunk_size)
-    his = [min(lo + chunk_size, n_samples) for lo in los]
     workers = min(workers, len(los))  # one chunk runs in the calling thread
     if workers <= 1:
-        return functools.reduce(reduce, map(run, los, his))
+        return fold(los)
+    share = -(-len(los) // workers)  # chunks per worker, rounded up
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        return functools.reduce(reduce, pool.map(run, los, his))
+        return functools.reduce(reduce, pool.map(fold, (los[i:i + share] for i in range(0, len(los), share))))
 
 
 def _binomial_estimate(count: int, n_samples: int) -> BornEstimate:

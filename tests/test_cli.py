@@ -29,8 +29,10 @@ from twostate.cli import (
     _EXPERIMENTS,
     CSV_COLUMNS,
     EXPERIMENTS,
+    ExperimentConfig,
     _parse_args,
     _parser,
+    _record,
     emit_results,
     main,
     result_schema,
@@ -79,6 +81,14 @@ class TestConfigHandling:
         code, _ = run_cli(["born-mc", "--config", str(cfg)], tmp_path)
         assert code == 2
         assert "declares experiment" in capsys.readouterr().err
+
+    def test_config_experiment_null_names_no_experiment(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"experiment": None, "seed": 1}))
+        code, out = run_cli(["born-mc", "--config", str(cfg)], tmp_path)
+        assert code == 2
+        assert capsys.readouterr().err == "error: config declares experiment None but 'born-mc' was requested\n"
+        assert not out.exists()
 
     def test_missing_config_file(self, tmp_path):
         code, _ = run_cli(["born-mc", "--seed", "1", "--config", str(tmp_path / "nope.json")], tmp_path)
@@ -689,7 +699,51 @@ class TestParser:
         assert record["extra"]["frame_potential"] >= record["oracle"] - 1e-9
 
 
+RESULT_SCHEMA = {
+    "$schema": "https://json-schema.org/draft/2020-12/schema",
+    "title": "twostate experiment result records",
+    "type": "array",
+    "items": {
+        "type": "object",
+        "required": ["schema_version", "experiment", "dim", "samples", "seed", "tie_tol", "dist",
+                     "p_or_theta", "frequency", "std_err", "no_assign_rate", "oracle", "extra"],
+        "properties": {
+            "schema_version": {"const": 2},
+            "experiment": {"enum": ["born-mc", "basis-mc", "exclusivity-scan", "sic-validate", "sic-search",
+                                    "sic-distinguish", "stationary-solve", "pbr-geometric", "weak-value"]},
+            "dim": {"type": "integer", "minimum": 2},
+            "samples": {"type": ["integer", "null"], "minimum": 1},
+            "seed": {"type": "integer", "minimum": 0},
+            "tie_tol": {"type": ["number", "null"], "minimum": 0},
+            "dist": {"enum": ["uniform-overlap", "haar", "fixed", None]},
+            "p_or_theta": {"type": ["number", "null"]},
+            "frequency": {"type": ["number", "null"], "minimum": 0, "maximum": 1},
+            "std_err": {"type": ["number", "null"], "minimum": 0},
+            "no_assign_rate": {"type": ["number", "null"], "minimum": 0, "maximum": 1},
+            "oracle": {"type": ["number", "null"]},
+            "extra": {"type": "object"},
+            "wall_time_s": {"type": "number", "minimum": 0},
+        },
+        "additionalProperties": False,
+    },
+}
+
+
 class TestRecords:
+    def test_result_schema_is_pinned(self):
+        schema = result_schema()
+        assert schema == RESULT_SCHEMA
+        assert list(schema["items"]["properties"]) == CSV_COLUMNS  # in column order
+        schema["items"]["properties"]["dim"]["minimum"] = 3  # a caller's copy: the next call is unchanged
+        assert result_schema() == RESULT_SCHEMA
+
+    def test_a_cell_that_is_no_result_column_fails(self):
+        cfg = ExperimentConfig("weak-value", dim=2, seed=1, workers=1, params={}, given=frozenset())
+        assert _record(cfg, frequency=0.5)["frequency"] == 0.5
+        for cell in ("frequncy", "dim", "wall_time_s"):
+            with pytest.raises(TypeError, match=cell):
+                _record(cfg, **{cell: 0.5})
+
     def test_born_mc_matches_oracle_column(self, tmp_path):
         code, out = run_cli(
             ["born-mc", "--dim", "2", "--samples", "20000", "--seed", "42",

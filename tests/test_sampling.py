@@ -1,4 +1,5 @@
 import threading
+import tracemalloc
 from contextlib import nullcontext
 
 import numpy as np
@@ -549,6 +550,17 @@ class TestChunkWords:
             assert ident != threading.get_ident()
             lo += assert_chunk_words(words, draws, lo)
         assert len(calls) == 7 and lo == n
+
+    def test_pool_memory_stays_flat_in_the_chunk_count(self):
+        # 20000 one-sample chunks: the driver holds no per-chunk bound or result while the pool runs
+        with chunk_samples(1):
+            tracemalloc.start()
+            try:
+                assert _sampled(lambda h: int(h.sum()), 20_000, [(RngStream(61, 0), 1)], workers=2) > 0
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peak < 2**20
 
     def test_an_explicit_chunk_beyond_the_word_budget_gets_its_words(self):
         draws = [(RngStream(53, 0), 4), (RngStream(53, 1), 4)]
