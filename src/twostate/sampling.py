@@ -1,18 +1,21 @@
 """Backward-state distributions and the seeded Monte Carlo estimator.
 
-Randomness is counter-based: sample ``i`` of a stream ``(seed, stream_index)``
+Randomness is addressable: sample ``i`` of a stream ``(seed, stream_index)``
 is a pure function of ``(seed, stream_index, i)``. A stream is one sequence
-of 32-bit words, the halves of its 64-bit Philox outputs, low half first; a
-sample that uses ``w`` words owns words ``[i*w, (i+1)*w)`` of it
-(sample-stream version 6), and every variate is produced with a fixed word
+of 32-bit words, the halves of its 64-bit PCG64DXSM outputs, low half
+first; a sample that uses ``w`` words owns words ``[i*w, (i+1)*w)`` of it
+(sample-stream version 7), and every variate is produced with a fixed word
 consumption (no rejection), so estimates are bitwise reproducible no matter
 how the index range is chunked or how many workers run them. Each word
 ``h`` becomes one uniform ``(h + 0.5) * 2**-32``, strictly inside (0, 1)
 (``_uniforms``), so no variate transform needs a guard against 0 or 1.
 
-Each thread keeps one Philox generator (``_philox_outputs``), built on its
-first draw; a draw sets its key and counter, which are the generator's whole
-state, rather than building a new one.
+A stream's generator starts at the state ``_stream_key(seed, stream_index)``,
+a bijection of the pair, with one increment for every stream
+(``_STREAM_INC``), so each stream is a window of one sequence of period
+2**128. Each thread keeps one PCG64DXSM (``_pcg_outputs``), built on its
+first draw; a draw sets its state to the stream's key and jumps it ahead to
+the draw's first output (``advance``), rather than building a new one.
 
 One driver, ``_sampled``, runs every sampled experiment: it takes the
 ``(stream, words)`` pair of each draw a sample makes, sizes chunks by
@@ -27,8 +30,8 @@ Box-Muller normals. The estimators and the exclusivity scan never build a
 backward state: the rule sees one only through its overlaps ``|<b|a_k>|^2``
 with the outcomes, and those are drawn from their closed-form laws
 (``_overlaps``). The estimators draw only the overlaps of the outcomes that
-can fire, by stick-breaking, while those are at most half of them
-(sample-stream version 6, ``_draw_plan``). In a flat Dirichlet vector an
+can fire, by stick-breaking, while at least two of the stick's pieces stay
+unbroken (``_draw_plan``). In a flat Dirichlet vector an
 outcome's overlap is the first piece of a stick broken by neutrality, so
 every ``born_mc`` point is the one-candidate stick: one word per sample,
 under either law.
@@ -61,7 +64,7 @@ from itertools import repeat
 from typing import NamedTuple
 
 import numpy as np
-from numpy.random import Philox
+from numpy.random import PCG64DXSM
 
 from .assignment import RULE_ROUNDING_BOUND, MultipleOutcomesError, PreconditionError, _fires, tally_rule
 from .qcore import OrthonormalBasis, StateVector
@@ -83,12 +86,10 @@ __all__ = [
 
 _MASK64 = (1 << 64) - 1
 _CHUNK_WORDS = 2**15  # 32-bit words per chunk, over all of a sample's draws
-# The largest share of a stick's pieces that an estimator draws by stick-breaking; above it the
-# flat Dirichlet over all d overlaps is drawn. With the stick tallied on its words, the stick is faster
-# than the flat draw at every candidate count up to d - 2, at every d from 4 to 64 under both laws
-# (BENCH_stick_words.json), so a larger share would draw faster; a new share is a change of sample
-# streams.
-_STICK_SHARE = 0.5
+# The increment of every stream's PCG64DXSM: PCG's default 128-bit increment (O'Neill, pcg_variants.h),
+# odd, as the generator's full period needs.
+_STREAM_INC = 6364136223846793005 << 64 | 1442695040888963407
+_GOLDEN_GAMMA = 0x9E3779B97F4A7C15  # SplitMix64's increment: the round keys of _stream_key are its multiples
 
 
 def _chunk_samples(words_per_sample: int) -> int:
@@ -96,7 +97,7 @@ def _chunk_samples(words_per_sample: int) -> int:
     return max(1, _CHUNK_WORDS // words_per_sample)
 
 
-_THREAD = threading.local()  # each thread's Philox, kept for the thread's life
+_THREAD = threading.local()  # each thread's PCG64DXSM, kept for the thread's life
 
 
 @dataclass(frozen=True)
@@ -163,34 +164,48 @@ class BasisMcResult(NamedTuple):
         return self.frequencies() / assigned
 
 
-# --- counter-based uniforms -----------------------------------------------
+# --- addressable words and uniforms ----------------------------------------
 
 
-def _philox_outputs(stream: RngStream, tick: int, n: int) -> np.ndarray:
-    """``n`` 64-bit Philox outputs of ``stream`` from the start of counter tick ``tick``.
+def _mix64(z: int) -> int:
+    """SplitMix64's finalizer of a 64-bit integer (Steele, Lea & Flood, OOPSLA 2014)."""
+    z = (z ^ z >> 30) * 0xBF58476D1CE4E5B9 & _MASK64
+    z = (z ^ z >> 27) * 0x94D049BB133111EB & _MASK64
+    return z ^ z >> 31
 
-    The same outputs as ``Philox(key=seed | stream_index << 64, counter=tick).random_raw(n)``,
-    drawn from the calling thread's one generator: its state, key and counter packed in 64-bit
-    limbs, low limb first, as the constructor packs them, is set per draw. Each thread builds its
-    generator on its first draw.
+
+def _stream_key(seed: int, stream_index: int) -> int:
+    """The 128-bit start state of stream ``(seed, stream_index)``: a three-round Feistel network over
+    the two 64-bit halves, whose round function is ``_mix64`` of the right half plus the round's
+    multiple of ``_GOLDEN_GAMMA``. Each round is invertible whatever its function (Luby & Rackoff,
+    SIAM J. Comput. 17, 1988), so distinct pairs get distinct start states."""
+    left, right = seed, stream_index
+    for k in (1, 2, 3):
+        left, right = right, left ^ _mix64(right + k * _GOLDEN_GAMMA & _MASK64)
+    return left << 64 | right
+
+
+def _pcg_outputs(stream: RngStream, first: int, n: int) -> np.ndarray:
+    """Outputs ``[first, first + n)`` of ``stream``: 64-bit PCG64DXSM outputs, output 0 that of the
+    state ``_stream_key(seed, stream_index)``, under the increment ``_STREAM_INC``.
+
+    The same outputs as a new ``PCG64DXSM`` set to that state and increment and advanced by
+    ``first``, drawn from the calling thread's one generator: a draw sets its state and jumps it
+    ahead (``advance``, O(log first) steps). Each thread builds its generator on its first draw.
+    A draw whose outputs leave the period, [0, 2**128), raises ValueError before it draws.
     """
-    if not 0 <= tick < 2**256:
-        raise ValueError(f"counter must be non-negative and less than 2**256, got {tick}")
-    bit_gen = getattr(_THREAD, "philox", None)
+    if not 0 <= first <= 2**128 - n:
+        raise ValueError(f"outputs [{first}, {first + n}) lie outside a stream's period, [0, 2**128)")
+    bit_gen = getattr(_THREAD, "pcg", None)
     if bit_gen is None:
-        bit_gen = _THREAD.philox = Philox()
+        bit_gen = _THREAD.pcg = PCG64DXSM(0)
     bit_gen.state = {
-        "bit_generator": "Philox",
-        "state": {
-            "counter": [tick & _MASK64, tick >> 64 & _MASK64, tick >> 128 & _MASK64, tick >> 192],
-            "key": [stream.seed, stream.stream_index],
-        },
-        "buffer": (0, 0, 0, 0),  # one tick's four outputs, spent: the first output drawn is the tick's first
-        "buffer_pos": 4,
+        "bit_generator": "PCG64DXSM",
+        "state": {"state": _stream_key(stream.seed, stream.stream_index), "inc": _STREAM_INC},
         "has_uint32": 0,
         "uinteger": 0,
     }
-    return bit_gen.random_raw(n)
+    return bit_gen.advance(first).random_raw(n)
 
 
 def _words(stream: RngStream, first_sample: int, count: int, words_per_sample: int) -> np.ndarray:
@@ -198,15 +213,14 @@ def _words(stream: RngStream, first_sample: int, count: int, words_per_sample: i
 
     With ``w = words_per_sample``, sample ``j`` owns words ``[j*w, (j+1)*w)``
     of the stream's one word sequence, so the words of sample i depend only
-    on (stream, i). A Philox counter tick yields four 64-bit outputs, eight
-    words, each output's low half first: the draw starts at the tick holding
-    the first word and drops the words before it, so a draw may start on an
-    output's high half. Returns a ``count * w`` uint32 view of the draw's
-    Philox outputs.
+    on (stream, i). Output k of the stream (``_pcg_outputs``) holds words 2k
+    and 2k + 1, its low half first: the draw starts at the output holding the
+    first word and drops its low half when the first word is odd. Returns a
+    ``count * w`` uint32 view of the draw's outputs.
     """
     first_word, n_words = first_sample * words_per_sample, count * words_per_sample
-    skip = first_word % 8
-    outputs = _philox_outputs(stream, first_word // 8, (skip + n_words + 1) // 2)
+    skip = first_word % 2
+    outputs = _pcg_outputs(stream, first_word // 2, (skip + n_words + 1) // 2)
     return outputs.astype("<u8", copy=False).view("<u4")[skip:skip + n_words]
 
 
@@ -253,16 +267,21 @@ def _draw_plan(dist: BackwardDistribution, cand: list, dim: int) -> tuple[list |
     """``(stick, words)``: the candidates ``cand`` (ascending outcome indices) broken off a stick,
     or None for all d overlaps drawn flat, and the words (uniforms) each sample takes.
 
-    The stick is broken while the candidates on it (of the d overlaps for Haar, of the d - 1
-    beside the target for uniform overlap, which draws q_0 from one more word) are at most
-    ``_STICK_SHARE`` of its pieces, so its last piece, whose power would be 1/0, is never drawn.
-    A lone target, ``[0]``, is a one-word stick under both laws."""
+    Haar breaks the s candidates off a stick of d pieces, one word each; uniform overlap draws q_0
+    from one word and breaks the candidates besides the target off a stick of the d - 1 others. In
+    both laws a stick of ``words`` words leaves ``d - words`` pieces unbroken, and it is drawn while
+    at least two are left, ``words <= d - 2``, so that its last candidate's exponent is at most 1/2
+    and its survivors few (``_stick_tallies``); above that all d are drawn flat. Up to d - 2 the
+    stick is faster than the flat draw at every d from 4 to 64 under both laws; at d - 1 about 1/s
+    of its samples survive, and at d = 64 it is slower (BENCH_stream_v7.json). A one-word draw, a
+    lone target ``[0]`` under either law, is always a stick."""
     if isinstance(dist, HaarPure):
-        return (cand, len(cand)) if len(cand) <= _STICK_SHARE * dim else (None, dim)
-    if isinstance(dist, UniformOverlap):
-        rest = len(cand) - (cand[0] == 0)  # the candidates besides the target, 0
-        return (cand, 1 + rest) if rest <= _STICK_SHARE * (dim - 1) else (None, dim)
-    raise TypeError(f"unknown backward distribution: {type(dist).__name__}")
+        words = len(cand)
+    elif isinstance(dist, UniformOverlap):
+        words = 1 + len(cand) - (cand[0] == 0)  # q_0, then the candidates besides the target, 0
+    else:
+        raise TypeError(f"unknown backward distribution: {type(dist).__name__}")
+    return (cand, words) if words <= max(1, dim - 2) else (None, dim)
 
 
 def _break_stick(u: np.ndarray, sticks: int, rest: np.ndarray | None = None) -> None:
@@ -290,7 +309,7 @@ def _break_stick(u: np.ndarray, sticks: int, rest: np.ndarray | None = None) -> 
 def _overlaps(dist: BackwardDistribution, dim: int, stick: list | None, u: np.ndarray) -> np.ndarray:
     """Overlaps ``|<b|a_j>|^2`` of sampled backward states b with the outcomes ``a_j`` of an
     orthonormal basis, from uniforms ``u`` of shape ``(count, words)`` as ``_draw_plan`` sizes them,
-    one row per sample (sample-stream version 6): with the outcomes ``stick`` (ascending indices),
+    one row per sample (sample-stream version 7): with the outcomes ``stick`` (ascending indices),
     shape (count, len(stick)), or with all d outcomes when ``stick`` is None, shape (count, d).
 
     ``stick`` None draws all d overlaps flat: under Haar they are flat Dirichlet; under uniform

@@ -683,6 +683,34 @@ class TestParser:
         assert "numpy" in roots["twostate/sampling.py"]  # the scan sees absolute imports
         assert [name for name, found in roots.items() if "scipy" in found] == []
 
+    def test_only_sampling_names_a_bit_generator(self):
+        # one word source: no other module names a numpy.random bit generator or SeedSequence, or reaches
+        # numpy.random at all, so that no kernel can draw outside the sample-stream contract
+        import numpy.random
+
+        generators = {name for name, value in vars(numpy.random).items()
+                      if isinstance(value, type) and issubclass(value, (numpy.random.BitGenerator,
+                                                                        numpy.random.SeedSequence))}
+        assert {"PCG64DXSM", "Philox", "SeedSequence"} <= generators
+        found = {}  # module file -> the generator names and numpy.random references in its code
+        for path in sorted((SRC / "twostate").rglob("*.py")):
+            names = set()
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Name):
+                    names.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    names.add(node.attr)
+                    if node.attr == "random" and isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy"):
+                        names.add("numpy.random")
+                elif isinstance(node, ast.alias):
+                    names.add(node.name)
+                elif isinstance(node, ast.ImportFrom) and node.module:
+                    names.add(node.module)
+            hits = {name for name in names if name in generators or name.split(".")[:2] == ["numpy", "random"]}
+            if hits:
+                found[path.relative_to(SRC).as_posix()] = hits
+        assert found == {"twostate/sampling.py": {"PCG64DXSM", "numpy.random"}}
+
     def test_sic_search_runs_without_scipy(self):
         argv = ["twostate.cli", "sic-search", "--dim", "3", "--restarts", "1", "--seed", "1",
                 "--format", "json", "--no-timing"]
@@ -1042,7 +1070,7 @@ HAAR_D16 = (["born-mc", "--dim", "16", "--dist", "haar", "--samples", "20000", "
 PAYLOAD_HEADER = "schema_version,experiment,dim,samples,seed,tie_tol,dist,p_or_theta,frequency,std_err," \
                  "no_assign_rate,oracle,extra\n"
 # The --no-timing CSV rows of two or more configs of each sampled experiment, as sample-stream
-# version 6 and result schema 2 produce them; a change of these bytes is a change of sample
+# version 7 and result schema 2 produce them; a change of these bytes is a change of sample
 # streams or of the schema. The basis-mc
 # rows at d = 16 (Haar) and d = 5 (uniform overlap) tally multi-outcome chunks in which
 # several outcomes fire; at d = 16 two of the 16 outcomes can fire, and their overlaps are
@@ -1054,204 +1082,202 @@ PAYLOAD_HEADER = "schema_version,experiment,dim,samples,seed,tie_tol,dist,p_or_t
 PINNED_PAYLOADS = {
     "born-mc-uniform-d4": (
         ["born-mc", "--dim", "4", "--samples", "5000", "--seed", "11", "--p-grid", "0.2,0.5,0.9"], None, [
-            "2,born-mc,4,5000,11,0.0,uniform-overlap,0.2,0.2092,0.0057521362988023845,,0.2,{}",
-            "2,born-mc,4,5000,11,0.0,uniform-overlap,0.5,0.4906,0.007069818102327669,,0.5,{}",
-            "2,born-mc,4,5000,11,0.0,uniform-overlap,0.9,0.9002,0.004238866829708148,,0.9,{}",
+            "2,born-mc,4,5000,11,0.0,uniform-overlap,0.2,0.199,0.00564621997446079,,0.2,{}",
+            "2,born-mc,4,5000,11,0.0,uniform-overlap,0.5,0.5032,0.007070922994913747,,0.5,{}",
+            "2,born-mc,4,5000,11,0.0,uniform-overlap,0.9,0.9022,0.0042008370594442245,,0.9,{}",
         ]),
     "born-mc-haar-d3": (
         ["born-mc", "--dim", "3", "--samples", "3000", "--seed", "5", "--dist", "haar", "--p-grid", "0.4,0.8",
          "--tie-tol", "0.001"], None, [
-            "2,born-mc,3,3000,5,0.001,haar,0.4,0.172,0.006889992743102129,,0.16000000000000003,{}",
-            "2,born-mc,3,3000,5,0.001,haar,0.8,0.6416666666666667,0.008754628405507484,,0.6400000000000001,{}",
+            "2,born-mc,3,3000,5,0.001,haar,0.4,0.152,0.006554794682774841,,0.16000000000000003,{}",
+            "2,born-mc,3,3000,5,0.001,haar,0.8,0.6406666666666667,0.008760001691188742,,0.6400000000000001,{}",
         ]),
     "born-mc-haar-d2": (*HAAR_D2, [
-            "2,born-mc,2,4000,73,0.0,haar,0.3,0.3025,0.007262811955434342,,0.3,{}",
-            "2,born-mc,2,4000,73,0.0,haar,0.75,0.73875,0.006946193876865229,,0.75,{}",
+            "2,born-mc,2,4000,73,0.0,haar,0.3,0.30725,0.007294645938974695,,0.3,{}",
+            "2,born-mc,2,4000,73,0.0,haar,0.75,0.75,0.006846531968814577,,0.75,{}",
         ]),
     "born-mc-haar-d16": (*HAAR_D16, [
-            "2,born-mc,16,20000,79,0.0,haar,0.9,0.2057,0.002858211941056856,,0.20589113209464907,{}",
-            "2,born-mc,16,20000,79,0.0,haar,0.97,0.6355,0.0034032319198079933,,0.6332511891367891,{}",
+            "2,born-mc,16,20000,79,0.0,haar,0.9,0.2006,0.0028316041389996587,,0.20589113209464907,{}",
+            "2,born-mc,16,20000,79,0.0,haar,0.97,0.63405,0.003406101859163933,,0.6332511891367891,{}",
         ]),
     "basis-mc-haar": (
         ["basis-mc", "--samples", "4000", "--seed", "13", "--dist", "haar", "--theta-deg", "45,120"], None, [
-            '2,basis-mc,2,4000,13,0.0,haar,45.0,0.85675,0.0055391659457900335,0.0,0.8535533905932737,'
-            '"{""outcome"":0,""conditional_frequency"":0.85675}"',
-            '2,basis-mc,2,4000,13,0.0,haar,45.0,0.14325,0.0055391659457900335,0.0,0.14644660940672624,'
-            '"{""outcome"":1,""conditional_frequency"":0.14325}"',
-            '2,basis-mc,2,4000,13,0.0,haar,120.0,0.247,0.0068189258684927785,0.0,0.2500000000000001,'
-            '"{""outcome"":0,""conditional_frequency"":0.247}"',
-            '2,basis-mc,2,4000,13,0.0,haar,120.0,0.753,0.0068189258684927785,0.0,0.7499999999999999,'
-            '"{""outcome"":1,""conditional_frequency"":0.753}"',
+            '2,basis-mc,2,4000,13,0.0,haar,45.0,0.8605,0.005478132665425327,0.0,0.8535533905932737,'
+            '"{""outcome"":0,""conditional_frequency"":0.8605}"',
+            '2,basis-mc,2,4000,13,0.0,haar,45.0,0.1395,0.005478132665425328,0.0,0.14644660940672624,'
+            '"{""outcome"":1,""conditional_frequency"":0.1395}"',
+            '2,basis-mc,2,4000,13,0.0,haar,120.0,0.24875,0.006835082982305335,0.0,0.2500000000000001,'
+            '"{""outcome"":0,""conditional_frequency"":0.24875}"',
+            '2,basis-mc,2,4000,13,0.0,haar,120.0,0.75125,0.006835082982305336,0.0,0.7499999999999999,'
+            '"{""outcome"":1,""conditional_frequency"":0.75125}"',
         ]),
     "basis-mc-uniform": (
         ["basis-mc", "--samples", "3000", "--seed", "17", "--theta-deg", "30,90"], None, [
-            '2,basis-mc,2,3000,17,0.0,uniform-overlap,30.0,0.9323333333333333,0.0045857710688930265,0.0,'
-            '0.9330127018922194,"{""outcome"":0,""conditional_frequency"":0.9323333333333333}"',
-            '2,basis-mc,2,3000,17,0.0,uniform-overlap,30.0,0.06766666666666667,0.004585771068893027,0.0,'
-            '0.06698729810778066,"{""outcome"":1,""conditional_frequency"":0.06766666666666667}"',
-            '2,basis-mc,2,3000,17,0.0,uniform-overlap,90.0,0.483,0.009123431372022262,0.0,'
-            '0.5000000000000001,"{""outcome"":0,""conditional_frequency"":0.483}"',
-            '2,basis-mc,2,3000,17,0.0,uniform-overlap,90.0,0.517,0.009123431372022262,0.0,'
-            '0.4999999999999999,"{""outcome"":1,""conditional_frequency"":0.517}"',
+            '2,basis-mc,2,3000,17,0.0,uniform-overlap,30.0,0.9346666666666666,0.004511647477691821,0.0,'
+            '0.9330127018922194,"{""outcome"":0,""conditional_frequency"":0.9346666666666666}"',
+            '2,basis-mc,2,3000,17,0.0,uniform-overlap,30.0,0.06533333333333333,0.00451164747769182,0.0,'
+            '0.06698729810778066,"{""outcome"":1,""conditional_frequency"":0.06533333333333333}"',
+            '2,basis-mc,2,3000,17,0.0,uniform-overlap,90.0,0.5116666666666667,0.00912622391589002,0.0,'
+            '0.5000000000000001,"{""outcome"":0,""conditional_frequency"":0.5116666666666667}"',
+            '2,basis-mc,2,3000,17,0.0,uniform-overlap,90.0,0.48833333333333334,0.00912622391589002,0.0,'
+            '0.4999999999999999,"{""outcome"":1,""conditional_frequency"":0.48833333333333334}"',
         ]),
     "basis-mc-haar-d16": (
         ["basis-mc", "--dim", "16", "--dist", "haar", "--samples", "262144", "--seed", "43"],
         {"basis": [vector_to_json(row) for row in HADAMARD_16],
          "forward": vector_to_json((HADAMARD_16[2] + 1j * HADAMARD_16[9]) / np.sqrt(2.0))}, [
-            '2,basis-mc,16,262144,43,0.0,haar,,0.0,0.0,0.9998970031738281,0.0,'
+            '2,basis-mc,16,262144,43,0.0,haar,,0.0,0.0,0.9999580383300781,0.0,'
             '"{""outcome"":0,""conditional_frequency"":0.0}"',
-            '2,basis-mc,16,262144,43,0.0,haar,,0.0,0.0,0.9998970031738281,0.0,'
+            '2,basis-mc,16,262144,43,0.0,haar,,0.0,0.0,0.9999580383300781,0.0,'
             '"{""outcome"":1,""conditional_frequency"":0.0}"',
-            '2,basis-mc,16,262144,43,0.0,haar,,4.9591064453125e-05,1.3753745547457645e-05,0.9998970031738281,'
-            '0.4999999999999999,"{""outcome"":2,""conditional_frequency"":0.48148148148148145}"',
-            '2,basis-mc,16,262144,43,0.0,haar,,0.0,0.0,0.9998970031738281,0.0,'
+            '2,basis-mc,16,262144,43,0.0,haar,,2.6702880859375e-05,1.009260553832149e-05,0.9999580383300781,'
+            '0.4999999999999999,"{""outcome"":2,""conditional_frequency"":0.6363636363636364}"',
+            '2,basis-mc,16,262144,43,0.0,haar,,0.0,0.0,0.9999580383300781,0.0,'
             '"{""outcome"":3,""conditional_frequency"":0.0}"',
-            '2,basis-mc,16,262144,43,0.0,haar,,0.0,0.0,0.9998970031738281,0.0,'
+            '2,basis-mc,16,262144,43,0.0,haar,,0.0,0.0,0.9999580383300781,0.0,'
             '"{""outcome"":4,""conditional_frequency"":0.0}"',
-            '2,basis-mc,16,262144,43,0.0,haar,,0.0,0.0,0.9998970031738281,0.0,'
+            '2,basis-mc,16,262144,43,0.0,haar,,0.0,0.0,0.9999580383300781,0.0,'
             '"{""outcome"":5,""conditional_frequency"":0.0}"',
-            '2,basis-mc,16,262144,43,0.0,haar,,0.0,0.0,0.9998970031738281,0.0,'
+            '2,basis-mc,16,262144,43,0.0,haar,,0.0,0.0,0.9999580383300781,0.0,'
             '"{""outcome"":6,""conditional_frequency"":0.0}"',
-            '2,basis-mc,16,262144,43,0.0,haar,,0.0,0.0,0.9998970031738281,0.0,'
+            '2,basis-mc,16,262144,43,0.0,haar,,0.0,0.0,0.9999580383300781,0.0,'
             '"{""outcome"":7,""conditional_frequency"":0.0}"',
-            '2,basis-mc,16,262144,43,0.0,haar,,0.0,0.0,0.9998970031738281,0.0,'
+            '2,basis-mc,16,262144,43,0.0,haar,,0.0,0.0,0.9999580383300781,0.0,'
             '"{""outcome"":8,""conditional_frequency"":0.0}"',
-            '2,basis-mc,16,262144,43,0.0,haar,,5.340576171875e-05,1.4272909059175519e-05,0.9998970031738281,'
-            '0.4999999999999999,"{""outcome"":9,""conditional_frequency"":0.5185185185185185}"',
-            '2,basis-mc,16,262144,43,0.0,haar,,0.0,0.0,0.9998970031738281,0.0,'
+            '2,basis-mc,16,262144,43,0.0,haar,,1.52587890625e-05,7.62933632336704e-06,0.9999580383300781,'
+            '0.4999999999999999,"{""outcome"":9,""conditional_frequency"":0.36363636363636365}"',
+            '2,basis-mc,16,262144,43,0.0,haar,,0.0,0.0,0.9999580383300781,0.0,'
             '"{""outcome"":10,""conditional_frequency"":0.0}"',
-            '2,basis-mc,16,262144,43,0.0,haar,,0.0,0.0,0.9998970031738281,0.0,'
+            '2,basis-mc,16,262144,43,0.0,haar,,0.0,0.0,0.9999580383300781,0.0,'
             '"{""outcome"":11,""conditional_frequency"":0.0}"',
-            '2,basis-mc,16,262144,43,0.0,haar,,0.0,0.0,0.9998970031738281,0.0,'
+            '2,basis-mc,16,262144,43,0.0,haar,,0.0,0.0,0.9999580383300781,0.0,'
             '"{""outcome"":12,""conditional_frequency"":0.0}"',
-            '2,basis-mc,16,262144,43,0.0,haar,,0.0,0.0,0.9998970031738281,0.0,'
+            '2,basis-mc,16,262144,43,0.0,haar,,0.0,0.0,0.9999580383300781,0.0,'
             '"{""outcome"":13,""conditional_frequency"":0.0}"',
-            '2,basis-mc,16,262144,43,0.0,haar,,0.0,0.0,0.9998970031738281,0.0,'
+            '2,basis-mc,16,262144,43,0.0,haar,,0.0,0.0,0.9999580383300781,0.0,'
             '"{""outcome"":14,""conditional_frequency"":0.0}"',
-            '2,basis-mc,16,262144,43,0.0,haar,,0.0,0.0,0.9998970031738281,0.0,'
+            '2,basis-mc,16,262144,43,0.0,haar,,0.0,0.0,0.9999580383300781,0.0,'
             '"{""outcome"":15,""conditional_frequency"":0.0}"',
         ]),
     "basis-mc-uniform-d5": (
         ["basis-mc", "--dim", "5", "--samples", "20000", "--seed", "47"],
         {"basis": [vector_to_json(row) for row in np.eye(5)],
          "forward": vector_to_json(np.sqrt([0.35, 0.25, 0.2, 0.15, 0.05]) * np.exp(1j * np.arange(5)))}, [
-            '2,basis-mc,5,20000,47,0.0,uniform-overlap,,0.35065,0.003374126386933364,0.6473,0.35,'
-            '"{""outcome"":0,""conditional_frequency"":0.9941876949248654}"',
-            '2,basis-mc,5,20000,47,0.0,uniform-overlap,,0.0011,0.00023439176606698453,0.6473,0.25,'
-            '"{""outcome"":1,""conditional_frequency"":0.0031187978451942162}"',
-            '2,basis-mc,5,20000,47,0.0,uniform-overlap,,0.00075,0.000193576535251564,0.6473,0.19999999999999998,'
-            '"{""outcome"":2,""conditional_frequency"":0.0021264530762687838}"',
-            '2,basis-mc,5,20000,47,0.0,uniform-overlap,,0.0002,9.998999949994999e-05,0.6473,0.14999999999999997,'
-            '"{""outcome"":3,""conditional_frequency"":0.0005670541536716756}"',
-            '2,basis-mc,5,20000,47,0.0,uniform-overlap,,0.0,0.0,0.6473,0.049999999999999996,'
+            '2,basis-mc,5,20000,47,0.0,uniform-overlap,,0.35055,0.0033739049890297744,0.64715,0.35,'
+            '"{""outcome"":0,""conditional_frequency"":0.9934816494261016}"',
+            '2,basis-mc,5,20000,47,0.0,uniform-overlap,,0.0015,0.00027365580571221215,0.64715,0.25,'
+            '"{""outcome"":1,""conditional_frequency"":0.0042510982003684285}"',
+            '2,basis-mc,5,20000,47,0.0,uniform-overlap,,0.00075,0.000193576535251564,0.64715,0.19999999999999998,'
+            '"{""outcome"":2,""conditional_frequency"":0.0021255491001842142}"',
+            '2,basis-mc,5,20000,47,0.0,uniform-overlap,,5e-05,4.999874998437461e-05,0.64715,0.14999999999999997,'
+            '"{""outcome"":3,""conditional_frequency"":0.00014170327334561429}"',
+            '2,basis-mc,5,20000,47,0.0,uniform-overlap,,0.0,0.0,0.64715,0.049999999999999996,'
             '"{""outcome"":4,""conditional_frequency"":0.0}"',
         ]),
     "basis-mc-uniform-d8-stick": (*STICK_U8, [
-            '2,basis-mc,8,20000,53,0.0,uniform-overlap,,0.6003,0.003463667925768866,0.3993,0.6000000000000001,'
-            '"{""outcome"":0,""conditional_frequency"":0.999334110204761}"',
-            '2,basis-mc,8,20000,53,0.0,uniform-overlap,,0.0,0.0,0.3993,0.0,'
+            '2,basis-mc,8,20000,53,0.0,uniform-overlap,,0.59785,0.0034671701537420975,0.40195,0.6000000000000001,'
+            '"{""outcome"":0,""conditional_frequency"":0.99966557980102}"',
+            '2,basis-mc,8,20000,53,0.0,uniform-overlap,,0.0,0.0,0.40195,0.0,'
             '"{""outcome"":1,""conditional_frequency"":0.0}"',
-            '2,basis-mc,8,20000,53,0.0,uniform-overlap,,0.0,0.0,0.3993,0.0,'
+            '2,basis-mc,8,20000,53,0.0,uniform-overlap,,0.0,0.0,0.40195,0.0,'
             '"{""outcome"":2,""conditional_frequency"":0.0}"',
-            '2,basis-mc,8,20000,53,0.0,uniform-overlap,,0.0004,0.00014139306913706908,0.3993,0.4,'
-            '"{""outcome"":3,""conditional_frequency"":0.000665889795238888}"',
-            '2,basis-mc,8,20000,53,0.0,uniform-overlap,,0.0,0.0,0.3993,0.0,'
+            '2,basis-mc,8,20000,53,0.0,uniform-overlap,,0.0002,9.998999949994999e-05,0.40195,0.4,'
+            '"{""outcome"":3,""conditional_frequency"":0.00033442019898001843}"',
+            '2,basis-mc,8,20000,53,0.0,uniform-overlap,,0.0,0.0,0.40195,0.0,'
             '"{""outcome"":4,""conditional_frequency"":0.0}"',
-            '2,basis-mc,8,20000,53,0.0,uniform-overlap,,0.0,0.0,0.3993,0.0,'
+            '2,basis-mc,8,20000,53,0.0,uniform-overlap,,0.0,0.0,0.40195,0.0,'
             '"{""outcome"":5,""conditional_frequency"":0.0}"',
-            '2,basis-mc,8,20000,53,0.0,uniform-overlap,,0.0,0.0,0.3993,0.0,'
+            '2,basis-mc,8,20000,53,0.0,uniform-overlap,,0.0,0.0,0.40195,0.0,'
             '"{""outcome"":6,""conditional_frequency"":0.0}"',
-            '2,basis-mc,8,20000,53,0.0,uniform-overlap,,0.0,0.0,0.3993,0.0,'
+            '2,basis-mc,8,20000,53,0.0,uniform-overlap,,0.0,0.0,0.40195,0.0,'
             '"{""outcome"":7,""conditional_frequency"":0.0}"',
         ]),
     "basis-mc-haar-d32-stick": (*STICK_H32, [
-            '2,basis-mc,32,40000,59,0.0,haar,,0.0,0.0,0.89365,0.0,"{""outcome"":0,""conditional_frequency"":0.0}"',
-            '2,basis-mc,32,40000,59,0.0,haar,,0.0,0.0,0.89365,0.010000000000000004,'
+            '2,basis-mc,32,40000,59,0.0,haar,,0.0,0.0,0.894425,0.0,"{""outcome"":0,""conditional_frequency"":0.0}"',
+            '2,basis-mc,32,40000,59,0.0,haar,,0.0,0.0,0.894425,0.010000000000000004,'
             '"{""outcome"":1,""conditional_frequency"":0.0}"',
-            '2,basis-mc,32,40000,59,0.0,haar,,0.0,0.0,0.89365,0.0,"{""outcome"":2,""conditional_frequency"":0.0}"',
-            '2,basis-mc,32,40000,59,0.0,haar,,0.0,0.0,0.89365,0.0,"{""outcome"":3,""conditional_frequency"":0.0}"',
-            '2,basis-mc,32,40000,59,0.0,haar,,0.0,0.0,0.89365,0.010000000000000002,'
+            '2,basis-mc,32,40000,59,0.0,haar,,0.0,0.0,0.894425,0.0,"{""outcome"":2,""conditional_frequency"":0.0}"',
+            '2,basis-mc,32,40000,59,0.0,haar,,0.0,0.0,0.894425,0.0,"{""outcome"":3,""conditional_frequency"":0.0}"',
+            '2,basis-mc,32,40000,59,0.0,haar,,0.0,0.0,0.894425,0.010000000000000002,'
             '"{""outcome"":4,""conditional_frequency"":0.0}"',
-            '2,basis-mc,32,40000,59,0.0,haar,,0.0,0.0,0.89365,0.0,"{""outcome"":5,""conditional_frequency"":0.0}"',
-            '2,basis-mc,32,40000,59,0.0,haar,,0.0,0.0,0.89365,0.0,"{""outcome"":6,""conditional_frequency"":0.0}"',
-            '2,basis-mc,32,40000,59,0.0,haar,,0.0,0.0,0.89365,0.010000000000000002,'
+            '2,basis-mc,32,40000,59,0.0,haar,,0.0,0.0,0.894425,0.0,"{""outcome"":5,""conditional_frequency"":0.0}"',
+            '2,basis-mc,32,40000,59,0.0,haar,,0.0,0.0,0.894425,0.0,"{""outcome"":6,""conditional_frequency"":0.0}"',
+            '2,basis-mc,32,40000,59,0.0,haar,,0.0,0.0,0.894425,0.010000000000000002,'
             '"{""outcome"":7,""conditional_frequency"":0.0}"',
-            '2,basis-mc,32,40000,59,0.0,haar,,0.0,0.0,0.89365,0.0,"{""outcome"":8,""conditional_frequency"":0.0}"',
-            '2,basis-mc,32,40000,59,0.0,haar,,0.0,0.0,0.89365,0.0,"{""outcome"":9,""conditional_frequency"":0.0}"',
-            '2,basis-mc,32,40000,59,0.0,haar,,0.0,0.0,0.89365,0.010000000000000002,'
+            '2,basis-mc,32,40000,59,0.0,haar,,0.0,0.0,0.894425,0.0,"{""outcome"":8,""conditional_frequency"":0.0}"',
+            '2,basis-mc,32,40000,59,0.0,haar,,0.0,0.0,0.894425,0.0,"{""outcome"":9,""conditional_frequency"":0.0}"',
+            '2,basis-mc,32,40000,59,0.0,haar,,0.0,0.0,0.894425,0.010000000000000002,'
             '"{""outcome"":10,""conditional_frequency"":0.0}"',
-            '2,basis-mc,32,40000,59,0.0,haar,,0.0,0.0,0.89365,0.0,"{""outcome"":11,""conditional_frequency"":0.0}"',
-            '2,basis-mc,32,40000,59,0.0,haar,,0.0,0.0,0.89365,0.0,"{""outcome"":12,""conditional_frequency"":0.0}"',
-            '2,basis-mc,32,40000,59,0.0,haar,,0.0,0.0,0.89365,0.010000000000000002,'
+            '2,basis-mc,32,40000,59,0.0,haar,,0.0,0.0,0.894425,0.0,"{""outcome"":11,""conditional_frequency"":0.0}"',
+            '2,basis-mc,32,40000,59,0.0,haar,,0.0,0.0,0.894425,0.0,"{""outcome"":12,""conditional_frequency"":0.0}"',
+            '2,basis-mc,32,40000,59,0.0,haar,,0.0,0.0,0.894425,0.010000000000000002,'
             '"{""outcome"":13,""conditional_frequency"":0.0}"',
-            '2,basis-mc,32,40000,59,0.0,haar,,0.0,0.0,0.89365,0.0,"{""outcome"":14,""conditional_frequency"":0.0}"',
-            '2,basis-mc,32,40000,59,0.0,haar,,0.0,0.0,0.89365,0.0,"{""outcome"":15,""conditional_frequency"":0.0}"',
-            '2,basis-mc,32,40000,59,0.0,haar,,0.0,0.0,0.89365,0.0,"{""outcome"":16,""conditional_frequency"":0.0}"',
-            '2,basis-mc,32,40000,59,0.0,haar,,0.0,0.0,0.89365,0.0,"{""outcome"":17,""conditional_frequency"":0.0}"',
-            '2,basis-mc,32,40000,59,0.0,haar,,0.0,0.0,0.89365,0.0,"{""outcome"":18,""conditional_frequency"":0.0}"',
-            '2,basis-mc,32,40000,59,0.0,haar,,0.0,0.0,0.89365,0.0,"{""outcome"":19,""conditional_frequency"":0.0}"',
-            '2,basis-mc,32,40000,59,0.0,haar,,0.0,0.0,0.89365,0.010000000000000002,'
+            '2,basis-mc,32,40000,59,0.0,haar,,0.0,0.0,0.894425,0.0,"{""outcome"":14,""conditional_frequency"":0.0}"',
+            '2,basis-mc,32,40000,59,0.0,haar,,0.0,0.0,0.894425,0.0,"{""outcome"":15,""conditional_frequency"":0.0}"',
+            '2,basis-mc,32,40000,59,0.0,haar,,0.0,0.0,0.894425,0.0,"{""outcome"":16,""conditional_frequency"":0.0}"',
+            '2,basis-mc,32,40000,59,0.0,haar,,0.0,0.0,0.894425,0.0,"{""outcome"":17,""conditional_frequency"":0.0}"',
+            '2,basis-mc,32,40000,59,0.0,haar,,0.0,0.0,0.894425,0.0,"{""outcome"":18,""conditional_frequency"":0.0}"',
+            '2,basis-mc,32,40000,59,0.0,haar,,0.0,0.0,0.894425,0.0,"{""outcome"":19,""conditional_frequency"":0.0}"',
+            '2,basis-mc,32,40000,59,0.0,haar,,0.0,0.0,0.894425,0.010000000000000002,'
             '"{""outcome"":20,""conditional_frequency"":0.0}"',
-            '2,basis-mc,32,40000,59,0.0,haar,,0.0,0.0,0.89365,0.0,"{""outcome"":21,""conditional_frequency"":0.0}"',
-            '2,basis-mc,32,40000,59,0.0,haar,,0.0,0.0,0.89365,0.0,"{""outcome"":22,""conditional_frequency"":0.0}"',
-            '2,basis-mc,32,40000,59,0.0,haar,,0.0,0.0,0.89365,0.0,"{""outcome"":23,""conditional_frequency"":0.0}"',
-            '2,basis-mc,32,40000,59,0.0,haar,,0.0,0.0,0.89365,0.0,"{""outcome"":24,""conditional_frequency"":0.0}"',
-            '2,basis-mc,32,40000,59,0.0,haar,,0.10635,0.0015414252941677064,0.89365,0.9300000000000002,'
-            '"{""outcome"":25,""conditional_frequency"":1.0000000000000004}"',
-            '2,basis-mc,32,40000,59,0.0,haar,,0.0,0.0,0.89365,0.0,"{""outcome"":26,""conditional_frequency"":0.0}"',
-            '2,basis-mc,32,40000,59,0.0,haar,,0.0,0.0,0.89365,0.0,"{""outcome"":27,""conditional_frequency"":0.0}"',
-            '2,basis-mc,32,40000,59,0.0,haar,,0.0,0.0,0.89365,0.0,"{""outcome"":28,""conditional_frequency"":0.0}"',
-            '2,basis-mc,32,40000,59,0.0,haar,,0.0,0.0,0.89365,0.0,"{""outcome"":29,""conditional_frequency"":0.0}"',
-            '2,basis-mc,32,40000,59,0.0,haar,,0.0,0.0,0.89365,0.0,"{""outcome"":30,""conditional_frequency"":0.0}"',
-            '2,basis-mc,32,40000,59,0.0,haar,,0.0,0.0,0.89365,0.010000000000000004,'
+            '2,basis-mc,32,40000,59,0.0,haar,,0.0,0.0,0.894425,0.0,"{""outcome"":21,""conditional_frequency"":0.0}"',
+            '2,basis-mc,32,40000,59,0.0,haar,,0.0,0.0,0.894425,0.0,"{""outcome"":22,""conditional_frequency"":0.0}"',
+            '2,basis-mc,32,40000,59,0.0,haar,,0.0,0.0,0.894425,0.0,"{""outcome"":23,""conditional_frequency"":0.0}"',
+            '2,basis-mc,32,40000,59,0.0,haar,,0.0,0.0,0.894425,0.0,"{""outcome"":24,""conditional_frequency"":0.0}"',
+            '2,basis-mc,32,40000,59,0.0,haar,,0.105575,0.001536464442925706,0.894425,0.9300000000000002,'
+            '"{""outcome"":25,""conditional_frequency"":1.0000000000000002}"',
+            '2,basis-mc,32,40000,59,0.0,haar,,0.0,0.0,0.894425,0.0,"{""outcome"":26,""conditional_frequency"":0.0}"',
+            '2,basis-mc,32,40000,59,0.0,haar,,0.0,0.0,0.894425,0.0,"{""outcome"":27,""conditional_frequency"":0.0}"',
+            '2,basis-mc,32,40000,59,0.0,haar,,0.0,0.0,0.894425,0.0,"{""outcome"":28,""conditional_frequency"":0.0}"',
+            '2,basis-mc,32,40000,59,0.0,haar,,0.0,0.0,0.894425,0.0,"{""outcome"":29,""conditional_frequency"":0.0}"',
+            '2,basis-mc,32,40000,59,0.0,haar,,0.0,0.0,0.894425,0.0,"{""outcome"":30,""conditional_frequency"":0.0}"',
+            '2,basis-mc,32,40000,59,0.0,haar,,0.0,0.0,0.894425,0.010000000000000004,'
             '"{""outcome"":31,""conditional_frequency"":0.0}"',
         ]),
     "born-mc-uniform-word-edges": (*WORD_EDGES, [
             "2,born-mc,3,4000,61,0.01,uniform-overlap,0.0,0.0,0.0,,0.0,{}",
-            "2,born-mc,3,4000,61,0.01,uniform-overlap,0.5,0.4905,0.0079042670438188,,0.5,{}",
-            "2,born-mc,3,4000,61,0.01,uniform-overlap,1.0,0.98875,0.0016675908895769356,,1.0,{}",
+            "2,born-mc,3,4000,61,0.01,uniform-overlap,0.5,0.4965,0.00790550045854151,,0.5,{}",
+            "2,born-mc,3,4000,61,0.01,uniform-overlap,1.0,0.9895,0.0016116567562604602,,1.0,{}",
         ]),
     "born-mc-uniform-word-chunks": (*WORD_CHUNKS, [
-            "2,born-mc,4,100003,67,0.0,uniform-overlap,0.3,0.3002309930702079,0.0014494345148679398,,0.3,{}",
-            "2,born-mc,4,100003,67,0.0,uniform-overlap,0.8,0.8001859944201674,0.0012644507592105272,,0.8,{}",
+            "2,born-mc,4,100003,67,0.0,uniform-overlap,0.3,0.3006609801705949,0.001450026370256861,,0.3,{}",
+            "2,born-mc,4,100003,67,0.0,uniform-overlap,0.8,0.7994160175194744,0.0012662750021051308,,0.8,{}",
         ]),
     "basis-mc-uniform-d4-word-target": (*WORD_TARGET, [
-            '2,basis-mc,4,40000,71,0.25,uniform-overlap,,0.752075,0.0021590402634909336,0.247925,1.0,'
-            '"{""outcome"":0,""conditional_frequency"":1.0}"',
-            '2,basis-mc,4,40000,71,0.25,uniform-overlap,,0.0,0.0,0.247925,0.0,'
+            '2,basis-mc,4,40000,71,0.25,uniform-overlap,,0.747775,0.002171448533669403,0.252225,1.0,'
+            '"{""outcome"":0,""conditional_frequency"":0.9999999999999999}"',
+            '2,basis-mc,4,40000,71,0.25,uniform-overlap,,0.0,0.0,0.252225,0.0,'
             '"{""outcome"":1,""conditional_frequency"":0.0}"',
-            '2,basis-mc,4,40000,71,0.25,uniform-overlap,,0.0,0.0,0.247925,0.0,'
+            '2,basis-mc,4,40000,71,0.25,uniform-overlap,,0.0,0.0,0.252225,0.0,'
             '"{""outcome"":2,""conditional_frequency"":0.0}"',
-            '2,basis-mc,4,40000,71,0.25,uniform-overlap,,0.0,0.0,0.247925,0.0,'
+            '2,basis-mc,4,40000,71,0.25,uniform-overlap,,0.0,0.0,0.252225,0.0,'
             '"{""outcome"":3,""conditional_frequency"":0.0}"',
         ]),
     "exclusivity-scan-d3": (
         ["exclusivity-scan", "--dim", "3", "--samples", "3000", "--seed", "19"], None, [
-            '2,exclusivity-scan,3,3000,19,0.0,,,0.5123333333333333,,0.4876666666666667,0.5,'
-            '"{""violations"":0}"',
+            '2,exclusivity-scan,3,3000,19,0.0,,,0.49366666666666664,,0.5063333333333333,0.5,"{""violations"":0}"',
         ]),
     "exclusivity-scan-d5": (
         ["exclusivity-scan", "--dim", "5", "--samples", "2000", "--seed", "23", "--tie-tol", "0.01"], None, [
-            '2,exclusivity-scan,5,2000,23,0.01,,,0.0705,,0.9295,,"{""violations"":0}"',
+            '2,exclusivity-scan,5,2000,23,0.01,,,0.068,,0.932,,"{""violations"":0}"',
         ]),
     "sic-distinguish-d3": (
         ["sic-distinguish", "--dim", "3", "--samples", "4000", "--seed", "29"], None, [
-            '2,sic-distinguish,3,4000,29,0.0,,,0.97,,,,"{""separated"":3880,""no_separator"":120}"',
+            '2,sic-distinguish,3,4000,29,0.0,,,0.9675,,,,"{""separated"":3870,""no_separator"":130}"',
         ]),
     "sic-distinguish-d5": (
         ["sic-distinguish", "--dim", "5", "--samples", "1500", "--seed", "31"], {"fiducial": FIDUCIAL_D5}, [
-            '2,sic-distinguish,5,1500,31,0.0,,,0.548,,,,'
-            '"{""separated"":822,""no_separator"":678}"',
+            '2,sic-distinguish,5,1500,31,0.0,,,0.5406666666666666,,,,"{""separated"":811,""no_separator"":689}"',
         ]),
     "pbr-geometric": (
         ["pbr-geometric", "--samples", "3000", "--seed", "37"], None, [
             '2,pbr-geometric,2,3000,37,0.0,,,1.0,,,,'
-            '"{""separators_found"":3000,""degenerate"":0,""min_margin"":0.010471852079761867}"',
+            '"{""separators_found"":3000,""degenerate"":0,""min_margin"":0.01554505665558753}"',
         ]),
     "pbr-geometric-tie-tol": (
         ["pbr-geometric", "--samples", "2000", "--seed", "41", "--tie-tol", "0.05"], None, [
             '2,pbr-geometric,2,2000,41,0.05,,,0.979,,,,'
-            '"{""separators_found"":1958,""degenerate"":0,""min_margin"":0.0029614829744687154}"',
+            '"{""separators_found"":1958,""degenerate"":0,""min_margin"":0.005101673047101619}"',
         ]),
 }
 

@@ -36,11 +36,15 @@ from twostate import (
 from twostate.assignment import RULE_ROUNDING_BOUND, _fires
 from twostate.cli import main
 from twostate.sampling import (
+    _GOLDEN_GAMMA,
+    _MASK64,
     _check_exclusive,
     _draw_plan,
+    _mix64,
     _overlaps,
     _stick_bounds,
     _stick_tallies,
+    _stream_key,
     _uniforms,
     _word_threshold,
     _word_uniforms,
@@ -310,6 +314,39 @@ class TestChunkingInvariance:
         assert split == whole
 
 
+# 64-bit halves of a stream's (seed, stream_index), the edges among them
+halves = st.one_of(st.sampled_from([0, 1, 2**63, 2**64 - 1]), st.integers(0, 2**64 - 1))
+
+
+def _unkey(key: int) -> tuple:
+    """The pair a stream key was made of: the Feistel rounds of ``_stream_key`` run backwards."""
+    left, right = key >> 64, key & _MASK64
+    for k in (3, 2, 1):
+        left, right = right ^ _mix64(left + k * _GOLDEN_GAMMA & _MASK64), left
+    return left, right
+
+
+class TestStreamKey:
+    """Distinct streams start at distinct generator states: ``_stream_key`` is injective."""
+
+    @PROPERTY
+    @given(halves, halves)
+    def test_the_key_inverts_to_its_pair(self, seed, stream_index):
+        key = _stream_key(seed, stream_index)
+        assert 0 <= key < 2**128
+        assert _unkey(key) == (seed, stream_index)
+
+    @PROPERTY
+    @given(halves, halves, halves, halves)
+    def test_distinct_pairs_get_distinct_keys(self, s, k, t, j):
+        pairs = {(s, k), (k, s), (t, j), (j, t), (s, j), (t, k)}  # each pair and its swap, and mixed pairs
+        assert len({_stream_key(*pair) for pair in pairs}) == len(pairs)
+
+    def test_the_edge_pairs_get_distinct_keys(self):
+        edges = [0, 1, 2**63, 2**64 - 1]
+        assert len({_stream_key(s, k) for s in edges for k in edges}) == len(edges) ** 2
+
+
 @st.composite
 def word_tally_cases(draw):
     """A forward weight p_0, a tie tolerance and a stretch of one-word samples of a stream. p_0 is
@@ -317,7 +354,7 @@ def word_tally_cases(draw):
     of the stretch's own words, moved by up to two floats either way."""
     tie_tol = draw(st.sampled_from([0.0, 1e-15, 0.01, 0.25]))
     stream = RngStream(draw(seeds), draw(st.integers(0, 3)))
-    # odd first samples start on a Philox output's high half
+    # odd first samples start on a PCG64DXSM output's high half
     first = draw(st.one_of(st.integers(0, 17), st.integers(0, 2**40)))
     n = draw(st.integers(1, 2000))
     kind = draw(st.sampled_from(["drawn", "extreme", "on-a-word"]))
@@ -388,8 +425,9 @@ def stick_word_cases(draw):
     c, cut = 1.0 + tie_tol + RULE_ROUNDING_BOUND, _candidate_cut(tie_tol)
     p0 = draw(st.one_of(st.sampled_from([1e-300, cut, 1.0]), st.floats(cut, 1.0)))
     target = p0 >= cut
-    # at most half the stick's pieces are candidates (_draw_plan), and at most 4 outcomes in all
-    cap = min(d // 2 - target if law == "haar" else (d - 1) // 2, 4 - target)
+    # the stick leaves at least two of its pieces unbroken, words <= max(1, d - 2) (_draw_plan), and at most
+    # 4 outcomes in all: Haar takes a word per candidate, uniform overlap one for q_0 and one per other
+    cap = min(max(1, d - 2) - (target if law == "haar" else 1), 4 - target)
     assume(cap >= 1 - target)
     others = draw(st.lists(st.integers(1, d - 1), min_size=1 - target, max_size=cap, unique=True))
     weights = np.zeros(d)
