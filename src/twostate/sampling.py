@@ -30,11 +30,11 @@ Box-Muller normals. The estimators and the exclusivity scan never build a
 backward state: the rule sees one only through its overlaps ``|<b|a_k>|^2``
 with the outcomes, and those are drawn from their closed-form laws
 (``_overlaps``). The estimators draw only the overlaps of the outcomes that
-can fire, by stick-breaking, while at least two of the stick's pieces stay
-unbroken (``_draw_plan``). In a flat Dirichlet vector an
-outcome's overlap is the first piece of a stick broken by neutrality, so
-every ``born_mc`` point is the one-candidate stick: one word per sample,
-under either law.
+can fire, by stick-breaking, while at least one of the stick's pieces stays
+unbroken (two when d is above ``_TOP_PIECE_DIM``; ``_draw_plan``). In a flat
+Dirichlet vector an outcome's overlap is the first piece of a stick broken by
+neutrality, so every ``born_mc`` point is the one-candidate stick: one word
+per sample, under either law.
 
 Every stick-broken draw is tallied on its 32-bit words (``_stick_tallies``).
 Each piece a word breaks off is at most a monotone function of that word
@@ -90,6 +90,7 @@ _CHUNK_WORDS = 2**15  # 32-bit words per chunk, over all of a sample's draws
 # odd, as the generator's full period needs.
 _STREAM_INC = 6364136223846793005 << 64 | 1442695040888963407
 _GOLDEN_GAMMA = 0x9E3779B97F4A7C15  # SplitMix64's increment: the round keys of _stream_key are its multiples
+_TOP_PIECE_DIM = 32  # the largest d at which a stick is broken up to its last piece but one (_draw_plan)
 
 
 def _chunk_samples(words_per_sample: int) -> int:
@@ -269,19 +270,22 @@ def _draw_plan(dist: BackwardDistribution, cand: list, dim: int) -> tuple[list |
 
     Haar breaks the s candidates off a stick of d pieces, one word each; uniform overlap draws q_0
     from one word and breaks the candidates besides the target off a stick of the d - 1 others. In
-    both laws a stick of ``words`` words leaves ``d - words`` pieces unbroken, and it is drawn while
-    at least two are left, ``words <= d - 2``, so that its last candidate's exponent is at most 1/2
-    and its survivors few (``_stick_tallies``); above that all d are drawn flat. Up to d - 2 the
-    stick is faster than the flat draw at every d from 4 to 64 under both laws; at d - 1 about 1/s
-    of its samples survive, and at d = 64 it is slower (BENCH_stream_v7.json). A one-word draw, a
-    lone target ``[0]`` under either law, is always a stick."""
+    both laws a stick of ``words`` words leaves ``d - words`` pieces unbroken; at least one must be
+    left, since the last piece's power would be 1/0, so a draw of d words is always flat. Up to
+    d - 2 words the stick is faster than the flat draw at every d from 3 to 64 under both laws. At
+    d - 1 its last candidate's exponent is 1, about 1/s of its samples survive and each chunk runs
+    the column loop for them (``_stick_tallies``): that is faster than the flat draw up to d = 28
+    under both laws, level under Haar at d = 32 and 36, and slower from d = 40 under Haar and 48
+    under uniform overlap (BENCH_stream_v7.json, ``top_piece``). So the stick takes up to d - 1
+    words while d is at most ``_TOP_PIECE_DIM``, and up to d - 2 above it. A one-word draw, a lone
+    target ``[0]`` under either law, is always a stick."""
     if isinstance(dist, HaarPure):
         words = len(cand)
     elif isinstance(dist, UniformOverlap):
         words = 1 + len(cand) - (cand[0] == 0)  # q_0, then the candidates besides the target, 0
     else:
         raise TypeError(f"unknown backward distribution: {type(dist).__name__}")
-    return (cand, words) if words <= max(1, dim - 2) else (None, dim)
+    return (cand, words) if words <= dim - 1 - (dim > _TOP_PIECE_DIM) else (None, dim)
 
 
 def _break_stick(u: np.ndarray, sticks: int, rest: np.ndarray | None = None) -> None:

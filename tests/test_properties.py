@@ -425,9 +425,10 @@ def stick_word_cases(draw):
     c, cut = 1.0 + tie_tol + RULE_ROUNDING_BOUND, _candidate_cut(tie_tol)
     p0 = draw(st.one_of(st.sampled_from([1e-300, cut, 1.0]), st.floats(cut, 1.0)))
     target = p0 >= cut
-    # the stick leaves at least two of its pieces unbroken, words <= max(1, d - 2) (_draw_plan), and at most
-    # 4 outcomes in all: Haar takes a word per candidate, uniform overlap one for q_0 and one per other
-    cap = min(max(1, d - 2) - (target if law == "haar" else 1), 4 - target)
+    # the stick leaves at least one of its pieces unbroken, two above d = 32: words <= d - 1 - (d > 32)
+    # (_draw_plan); and at most 4 outcomes in all: Haar takes a word per candidate, uniform overlap one
+    # for q_0 and one per other
+    cap = min(d - 1 - (d > 32) - (target if law == "haar" else 1), 4 - target)
     assume(cap >= 1 - target)
     others = draw(st.lists(st.integers(1, d - 1), min_size=1 - target, max_size=cap, unique=True))
     weights = np.zeros(d)
