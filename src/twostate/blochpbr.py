@@ -25,7 +25,10 @@ __all__ = [
     "pbr_geometric",
 ]
 
-PARALLEL_ANGLE_TOL = 1e-9  # radians; below this the two target sums are degenerate
+# Radians; at or below this the two target sums are degenerate. The smallest nonzero angle arccos returns in
+# double precision, arccos(nextafter(1.0, 0.0)), is 1.49e-8, above this tolerance: the test `angle > 1e-9`
+# decides only whether the unit vectors' dot product, clipped to [-1, 1], is exactly 1 (or NaN).
+PARALLEL_ANGLE_TOL = 1e-9
 
 
 def _bloch_vectors(states: np.ndarray) -> np.ndarray:

@@ -218,24 +218,21 @@ def _dist_for(cfg: ExperimentConfig):
 
 
 def _run_born_mc(cfg: ExperimentConfig) -> list[dict]:
-    records = []
-    target = StateVector.basis_state(cfg.dim, 0)
-    dist = _dist_for(cfg)
-    for point, p in enumerate(cfg.params["p_grid"]):
+    grid = cfg.params["p_grid"]
+    forwards = []
+    for p in grid:
         amps = np.zeros(cfg.dim, dtype=complex)
         amps[0] = np.sqrt(p)
         amps[1] = np.sqrt(1.0 - p)
-        forward = StateVector(amps)
-        estimate = born_mc(
-            forward, target, dist, cfg.samples, cfg.seed, cfg.tie_tol,
-            stream_index=point, workers=cfg.workers,
-        )
-        oracle = None if cfg.dist == "fixed" else born_oracle(dist, p, cfg.dim)
-        records.append(_record(
-            cfg, p_or_theta=p, frequency=estimate.frequency, std_err=estimate.std_err,
-            oracle=oracle,
-        ))
-    return records
+        forwards.append(StateVector(amps))
+    dist = _dist_for(cfg)
+    estimates = born_mc(forwards, StateVector.basis_state(cfg.dim, 0), dist, cfg.samples, cfg.seed, cfg.tie_tol,
+                        workers=cfg.workers)
+    return [
+        _record(cfg, p_or_theta=p, frequency=estimate.frequency, std_err=estimate.std_err,
+                oracle=None if cfg.dist == "fixed" else born_oracle(dist, p, cfg.dim))
+        for p, estimate in zip(grid, estimates)
+    ]
 
 
 def _tilted_qubit_basis(theta_rad: float) -> OrthonormalBasis:

@@ -36,6 +36,14 @@ Dirichlet vector an outcome's overlap is the first piece of a stick broken by
 neutrality, so every ``born_mc`` point is the one-candidate stick: one word
 per sample, under either law.
 
+``born_mc`` scores a whole grid of forward states against one set of backward
+samples, sample i of stream ``(seed, stream_index)``: each chunk's words are
+drawn once and every point tallies them with its own bounds
+(``_rule_tallies``). Each point's estimate is binomial and equals its
+one-point call bit for bit; the points are correlated, and a sample that
+fires at a forward overlap p fires at every larger p, so a grid's
+frequencies never decrease in p.
+
 Every stick-broken draw is tallied on its 32-bit words (``_stick_tallies``).
 Each piece a word breaks off is at most a monotone function of that word
 alone, so integer bounds fixed for the call (``_stick_bounds``) decide
@@ -61,7 +69,7 @@ import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import repeat
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 import numpy as np
 from numpy.random import PCG64DXSM
@@ -532,7 +540,7 @@ def _stick_tallies(dist: BackwardDistribution, dim: int, stick: list, p_drawn: l
 
 
 def _rule_tallies(
-    forward: StateVector,
+    forwards: Sequence[StateVector],
     targets: np.ndarray,
     dist: BackwardDistribution,
     n_samples: int,
@@ -541,64 +549,88 @@ def _rule_tallies(
     stream_index: int,
     workers: int,
 ) -> np.ndarray:
-    """``tally_rule`` summed over sampled backward states; ``targets`` rows are the outcomes: the
-    target alone, so that ``_draw_plan`` makes it the one-candidate stick ``[0]`` (``born_mc``), or
-    a whole basis, the target first (``basis_mc``).
+    """``tally_rule`` summed over one set of sampled backward states: a ``(G, k + 2)`` array, row g for
+    ``forwards[g]``. ``targets`` rows are the k outcomes: the target alone, so that ``_draw_plan`` makes it the
+    one-candidate stick ``[0]`` (``born_mc``), or a whole basis, the target first (``basis_mc``, G = 1).
 
-    Raises PreconditionError when two outcomes' forward weights (or, for a ``Fixed`` state, its
-    weights) sum to more than 1 + tie_tol + ``RULE_ROUNDING_BOUND``: such inputs may fire both
-    outcomes of one sample.
+    Raises ValueError for no forward state, and PreconditionError when two outcomes' forward weights (or,
+    for a ``Fixed`` state, its weights) sum to more than 1 + tie_tol + ``RULE_ROUNDING_BOUND``: such inputs
+    may fire both outcomes of one sample.
 
-    Each chunk's 32-bit words go to one kernel. A stick-broken draw is tallied on them
-    (``_stick_tallies``): integer bounds fixed for the call decide each sample but those near a
-    bound, and only those run the float path, so the counts are the float path's, sample for
-    sample. Under uniform overlap a sample of one word, ``h``, has the overlap
-    ``(h + 0.5) * 2**-32`` with the target, and ``p_0`` plus it is one rounded float addition,
-    monotone in ``h``: the samples that fire are exactly those whose word is at least
-    ``_word_threshold(p_0, tie_tol)``, so such a call counts each chunk's words against that one
-    integer and builds no float. The flat draw of all d overlaps makes uniforms of all its words.
+    Every row reads samples [0, n_samples) of stream ``(seed, stream_index)``: each chunk's words are drawn
+    once and each row's kernel tallies them with its own forward weights, so a row's counts are its one-row
+    call's. A row with no candidate (no outcome fires at an overlap of 1) takes no kernel and assigns nothing;
+    the others share one draw plan, so they must share their candidates, as every ``born_mc`` row does.
+
+    A stick-broken draw is tallied on its words (``_stick_tallies``): integer bounds fixed for the call
+    decide each sample but those near a bound, and only those run the float path, so the counts are the
+    float path's, sample for sample. Under uniform overlap a sample of one word, ``h``, has the overlap
+    ``(h + 0.5) * 2**-32`` with the target, and ``p_0`` plus it is one rounded float addition, monotone in
+    ``h``: the samples that fire are exactly those whose word is at least ``_word_threshold(p_0, tie_tol)``,
+    so such a row counts each chunk's words against that one integer and builds no float. The flat draw of
+    all d overlaps makes uniforms of all its words.
     """
-    dim = forward.dim
-    if targets.shape[1] != dim:
-        raise ValueError(f"dimension mismatch: {dim} vs {targets.shape[1]}")
+    if not forwards:
+        raise ValueError("no forward state to score")
+    k, dim = targets.shape
+    for forward in forwards:
+        if forward.dim != dim:
+            raise ValueError(f"dimension mismatch: {forward.dim} vs {dim}")
     if n_samples < 1:
         raise ValueError(f"sample count must be >= 1, got {n_samples}")
     conj_targets = targets.conj()
-    p = np.abs(conj_targets @ forward.entries) ** 2
-    k = targets.shape[0]
-    _check_exclusive(p, tie_tol, "forward state")
+    p = [np.abs(conj_targets @ forward.entries) ** 2 for forward in forwards]
+    for row in p:
+        _check_exclusive(row, tie_tol, "forward state")
 
-    if isinstance(dist, Fixed):  # deterministic: one evaluation stands for every sample
+    if isinstance(dist, Fixed):  # deterministic: one evaluation per row stands for every sample
         if dist.state.dim != dim:
             raise ValueError(f"dimension mismatch: fixed state {dist.state.dim} vs {dim}")
         q = np.abs(conj_targets @ dist.state.entries) ** 2
         _check_exclusive(q, tie_tol, "fixed backward state")
-        return tally_rule((p + q)[None, :], tie_tol) * n_samples
+        return np.array([tally_rule((row + q)[None, :], tie_tol) for row in p]) * n_samples
 
     # Every drawn overlap is at most 1, and float addition is monotonic: an outcome that does not
     # fire at p + 1 never fires. Only the candidates' overlaps are drawn and tallied.
-    weights = p.tolist()
-    cand = [j for j, p_j in enumerate(weights) if _fires(p_j + 1.0, tie_tol)]
-    if not cand:  # no sample can assign an outcome
-        return np.array([0] * k + [n_samples, 0], dtype=np.int64)
+    weights = [row.tolist() for row in p]
+    cands = [[j for j, p_j in enumerate(row) if _fires(p_j + 1.0, tie_tol)] for row in weights]
+    rows = [g for g, cand in enumerate(cands) if cand]
+    unassigned = [0] * k + [n_samples, 0]  # a row with no candidate: no sample can assign an outcome
+    if not rows:
+        return np.array([unassigned] * len(p), dtype=np.int64)
+    cand = cands[rows[0]]
+    if cands.count(cand) < len(rows):
+        raise ValueError("the forward states that can fire must share their candidate outcomes")
     stick, words = _draw_plan(dist, cand, dim)  # the candidates broken off a stick, or None: all d
     if stick is None:
-        def kernel(h: np.ndarray) -> np.ndarray:
-            sums = _overlaps(dist, dim, None, _word_uniforms(h))
-            sums += p
-            return tally_rule(sums, tie_tol)
+        kernels = [_flat_tallies(dist, dim, p[g], tie_tol) for g in rows]
     else:
-        kernel = _stick_tallies(dist, dim, stick, [weights[j] for j in stick], tie_tol)
-    counts = _sampled(kernel, n_samples, [(RngStream(seed, stream_index), words)], workers)
-    if len(counts) == k + 2:  # every outcome drawn, in index order: flat, on the stick, or a lone target's [0]
+        kernels = [_stick_tallies(dist, dim, stick, [weights[g][j] for j in stick], tie_tol) for g in rows]
+
+    def block(h: np.ndarray) -> np.ndarray:
+        return np.array([kernel(h) for kernel in kernels])
+
+    counts = _sampled(block, n_samples, [(RngStream(seed, stream_index), words)], workers)
+    if counts.shape == (len(p), k + 2):  # every row drawn, each over every outcome: flat, or all on the stick
         return counts
-    tallies = np.zeros(k + 2, dtype=np.int64)
-    tallies[stick], tallies[-2:] = counts[:-2], counts[-2:]
+    tallies = np.array([unassigned] * len(p), dtype=np.int64)
+    tallies[np.array(rows)[:, None], [*(range(k) if stick is None else stick), -2, -1]] = counts
+    return tallies
+
+
+def _flat_tallies(dist: BackwardDistribution, dim: int, p: np.ndarray, tie_tol: float):
+    """The chunk kernel of a draw of all d overlaps: the ``tally_rule`` counts of the rule sums
+    ``_overlaps + p`` from a chunk's ``(count, d)`` block of 32-bit words."""
+    def tallies(h: np.ndarray) -> np.ndarray:
+        sums = _overlaps(dist, dim, None, _word_uniforms(h))
+        sums += p
+        return tally_rule(sums, tie_tol)
+
     return tallies
 
 
 def born_mc(
-    forward: StateVector,
+    forwards: Sequence[StateVector],
     a: StateVector,
     dist: BackwardDistribution,
     n_samples: int,
@@ -607,10 +639,19 @@ def born_mc(
     *,
     stream_index: int = 0,
     workers: int = 1,
-) -> BornEstimate:
-    """Frequency with which sampled backward states make the rule fire for ``a``."""
-    tallies = _rule_tallies(forward, a.entries[None, :], dist, n_samples, seed, tie_tol, stream_index, workers)
-    return _binomial_estimate(int(tallies[0]), n_samples)
+) -> list[BornEstimate]:
+    """Frequencies with which one set of sampled backward states makes the rule fire for ``a``, one
+    ``BornEstimate`` per forward state in ``forwards``.
+
+    Every forward state is scored against the same backward states, samples ``[0, n_samples)`` of stream
+    ``(seed, stream_index)``, so ``born_mc([f], ...)[0]`` is f's estimate whatever else is scored with it.
+    Each estimate is binomial, with its own ``std_err``; together they are common-random-number estimates
+    from one ensemble, so they are correlated, and under every law a sample that fires at a forward overlap
+    p with ``a`` fires at every larger one: the frequencies never decrease in the overlap. Raises
+    ValueError for an empty ``forwards``.
+    """
+    tallies = _rule_tallies(forwards, a.entries[None, :], dist, n_samples, seed, tie_tol, stream_index, workers)
+    return [_binomial_estimate(count, n_samples) for count in tallies[:, 0].tolist()]
 
 
 def basis_mc(
@@ -631,7 +672,7 @@ def basis_mc(
     exclusivity, and
     MultipleOutcomesError if any sample satisfies the rule for two outcomes all the same.
     """
-    tallies = _rule_tallies(forward, basis.entries, dist, n_samples, seed, tie_tol, stream_index, workers)
+    tallies = _rule_tallies([forward], basis.entries, dist, n_samples, seed, tie_tol, stream_index, workers)[0]
     if tallies[-1]:
         raise MultipleOutcomesError(f"{int(tallies[-1])} samples fired more than one outcome")
     counts = tallies.tolist()

@@ -20,6 +20,7 @@ import math
 from unittest import mock
 
 import numpy as np
+from scipy import stats
 
 from twostate import (
     HermitianOperator,
@@ -38,6 +39,20 @@ from twostate.sampling import _complex_normals, _uniforms
 from twostate.sic import _require_valid
 
 IMAG_RESIDUE_TOL = 1e-10  # imaginary part a trace of Hermitian products may carry
+FOUR_SIGMA_ALPHA = math.erfc(4.0 / math.sqrt(2.0))  # 6.3e-5: a normal variate's two-sided odds beyond 4 sigma
+
+
+def assert_binomial(count: int, n: int, p: float, alpha: float) -> None:
+    """Fail unless ``count`` successes in ``n`` trials agree with the success probability ``p`` at level
+    ``alpha``: the exact two-sided binomial test, whose tails P[X <= count] and P[X >= count] must each be at
+    least ``alpha / 2`` (Clopper & Pearson, Biometrika 26, 404, 1934). A correct sampler fails it with
+    probability at most ``alpha``, whatever n and p, where a bound by the sample's own standard error is 0
+    at a count of 0 or n."""
+    law = stats.binom(n, p)
+    below, above = float(law.cdf(count)), float(law.sf(count - 1))
+    if min(below, above) < alpha / 2:
+        raise AssertionError(f"{count} of {n} at p = {p!r}: tails P[X <= count] = {below:.3g} and "
+                             f"P[X >= count] = {above:.3g}, one below alpha / 2 = {alpha / 2:.3g}")
 
 
 def random_state(rng: np.random.Generator, dim: int) -> StateVector:

@@ -77,9 +77,9 @@ def test_criterion_01_born_rule_uniform_overlap():
             target = StateVector.basis_state(d, 0)
             for point, p in enumerate(P_GRID):
                 est = born_mc(
-                    forward_with_overlap(p, d), target, UniformOverlap(),
+                    [forward_with_overlap(p, d)], target, UniformOverlap(),
                     100_000, seed=42, stream_index=100 * d + point,
-                )
+                )[0]
                 assert abs(est.frequency - p) <= 4 * est.std_err, (d, p, est)
         assert time.perf_counter() - start < 60.0
 
@@ -102,9 +102,9 @@ def test_criterion_03_haar_distribution_sensitivity():
         target = StateVector.basis_state(3, 0)
         for point, p in enumerate(P_GRID):
             est = born_mc(
-                forward_with_overlap(p, 3), target, HaarPure(),
+                [forward_with_overlap(p, 3)], target, HaarPure(),
                 100_000, seed=44, stream_index=point,
-            )
+            )[0]
             assert abs(est.frequency - p**2) <= 4 * est.std_err, (p, est.frequency)
 
 

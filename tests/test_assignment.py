@@ -62,7 +62,7 @@ class TestSatisfiesPure:
     def test_dim_mismatch(self):
         # the estimators check the outcome's dimension against the forward state's before any draw
         with pytest.raises(ValueError, match="mismatch"):
-            born_mc(E0, StateVector.basis_state(3, 0), Fixed(E0), 1, seed=0)
+            born_mc([E0], StateVector.basis_state(3, 0), Fixed(E0), 1, seed=0)
 
 
 class TestSatisfiesMixed:

@@ -23,6 +23,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from twostate import (
+    Fixed,
     HaarPure,
     RngStream,
     StateVector,
@@ -292,14 +293,15 @@ def _dist(name: str):
 
 class TestChunkingInvariance:
     @settings(PROPERTY, max_examples=50)
-    @given(estimator_cases)
-    def test_born_mc_counts(self, case):
+    @given(estimator_cases, st.integers(1, 4))
+    def test_born_mc_counts(self, case, points):
         d, seed, n, chunk_size, workers, dist = case
-        forward = random_state(np.random.default_rng(seed), d)
+        rng = np.random.default_rng(seed)
+        forwards = [random_state(rng, d) for _ in range(points)]
         target = StateVector.basis_state(d, 0)
-        whole = born_mc(forward, target, _dist(dist), n, seed)
+        whole = born_mc(forwards, target, _dist(dist), n, seed)
         with chunk_samples(chunk_size):
-            split = born_mc(forward, target, _dist(dist), n, seed, workers=workers)
+            split = born_mc(forwards, target, _dist(dist), n, seed, workers=workers)
         assert split == whole
 
     @settings(PROPERTY, max_examples=50)
@@ -312,6 +314,43 @@ class TestChunkingInvariance:
         with chunk_samples(chunk_size):
             split = basis_mc(forward, basis, _dist(dist), n, seed, workers=workers)
         assert split == whole
+
+
+# a born-mc grid of 1-4 forward overlaps with the target, the edges 0, 1/2 and 1 among them, and a run of
+# one chunk or of several (a one-word born_mc chunk holds 32768 samples)
+grid_cases = st.tuples(
+    st.sampled_from([2, 3, 5, 16]), seeds,
+    st.lists(st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.floats(0.0, 1.0)), min_size=1, max_size=4),
+    tie_tols, st.sampled_from(["haar", "uniform-overlap", "fixed"]),
+    st.one_of(st.integers(1, 3000), st.integers(32_769, 70_000)),
+)
+
+
+def _grid(case):
+    """``born_mc``'s arguments for a grid case: the forward states, target, law, sample count, seed and
+    tie_tol; a fixed law's state is random."""
+    d, seed, overlaps, tie_tol, law, n = case
+    forwards = [StateVector(np.sqrt([p, 1.0 - p] + [0.0] * (d - 2)).astype(complex)) for p in overlaps]
+    dist = Fixed(random_state(np.random.default_rng(seed), d)) if law == "fixed" else _dist(law)
+    return forwards, StateVector.basis_state(d, 0), dist, n, seed, tie_tol
+
+
+class TestBornGrid:
+    """Every point of a born_mc grid reads the same sampled backward states."""
+
+    @settings(PROPERTY, max_examples=60)
+    @given(grid_cases)
+    def test_each_point_is_its_own_one_point_call(self, case):
+        forwards, *rest = _grid(case)
+        assert born_mc(forwards, *rest) == [born_mc([forward], *rest)[0] for forward in forwards]
+
+    @settings(PROPERTY, max_examples=60)
+    @given(grid_cases)
+    def test_counts_never_decrease_along_the_grid(self, case):
+        # a sample that fires at overlap p fires at every larger p, under every law
+        grid = born_mc(*_grid(case))
+        frequencies = [grid[i].frequency for i in np.argsort(case[2], kind="stable")]
+        assert frequencies == sorted(frequencies)
 
 
 # 64-bit halves of a stream's (seed, stream_index), the edges among them

@@ -1,3 +1,4 @@
+import math
 import threading
 import tracemalloc
 from contextlib import nullcontext
@@ -23,6 +24,7 @@ from twostate import (
 )
 from twostate import sampling
 from twostate.assignment import RULE_ROUNDING_BOUND
+from twostate.cli import main
 from twostate.sampling import (
     _CHUNK_WORDS,
     _chunk_samples,
@@ -38,7 +40,8 @@ from twostate.sampling import (
     _words,
 )
 
-from helpers import assign_over_basis, chunk_samples, haar_unitary, random_unitary, uniform_overlap_states
+from helpers import FOUR_SIGMA_ALPHA, assert_binomial, assign_over_basis, chunk_samples, haar_unitary, random_unitary, \
+    uniform_overlap_states
 
 E0 = StateVector.basis_state(2, 0)
 
@@ -659,7 +662,7 @@ class TestChunkWords:
         monkeypatch.setattr(sampling, "_word_uniforms", lambda *args: floats.append(args))
         n = 3 * _chunk_samples(1) + 5
         if estimator == "born-mc":
-            born_mc(forward_with_overlap(0.6, 4), StateVector.basis_state(4, 0), UniformOverlap(), n, 7)
+            born_mc([forward_with_overlap(0.6, 4)], StateVector.basis_state(4, 0), UniformOverlap(), n, 7)[0]
         else:  # outcome 1 cannot fire: 0.2 + 1 is below 1 + tie_tol
             basis_mc(forward_with_weights([8, 2, 0]), OrthonormalBasis(np.eye(3)), UniformOverlap(), n, 7,
                      tie_tol=0.25)
@@ -680,7 +683,7 @@ class TestChunkWords:
             for chunk in (None, 7, 997, 4096, 10**5):
                 with chunk_samples(chunk) if chunk else nullcontext():
                     runs.add((
-                        born_mc(fwd, StateVector.basis_state(dim, 0), dist, n, seed=31, workers=workers),
+                        born_mc([fwd], StateVector.basis_state(dim, 0), dist, n, seed=31, workers=workers)[0],
                         basis_mc(fwd, basis, dist, n, seed=31, workers=workers),
                     ))
         assert len(runs) == 1
@@ -704,13 +707,17 @@ def forward_with_weights(weights) -> StateVector:
     return StateVector(amps * np.exp(1j * np.arange(len(amps))))
 
 
-def uniform_overlap_rate(p: float, outcome: int, dim: int) -> float:
-    """The uniform-overlap law's firing rate at d <= 3: p for the target; otherwise P[(1 - q_0) B > c],
-    c = 1 - p, with B = 1 at d = 2 and B ~ U(0, 1) at d = 3."""
-    c = 1.0 - p
-    if outcome == 0 or dim == 2:
-        return p
-    return (1.0 - c) + (c * np.log(c) if c > 0.0 else 0.0)
+def uniform_overlap_rate(p: float, outcome: int, dim: int, tie_tol: float = 0.0) -> float:
+    """The uniform-overlap law's firing rate at the forward weight p, with c = 1 + tie_tol - p: P[q_0 > c] = 1 - c
+    for the target; for another outcome P[(1 - q_0) B > c], B ~ Beta(1, d - 2) (B = 1 at d = 2), which is the
+    integral of (1 - c/v)**(d - 2) over v in (c, 1), summed term by term. The terms alternate and cancel as d
+    grows: at d = 8 the sum agrees with quadrature to 1e-9 of the rate, at d = 16 only to 1e-4."""
+    c = 1.0 + tie_tol - p
+    if c >= 1.0:
+        return 0.0
+    m = 0 if outcome == 0 else dim - 2
+    rate = 1.0 - c + (m * c * np.log(c) if c > 0.0 else 0.0)
+    return rate + sum(math.comb(m, k) * (-1) ** k * (c - c**k) / (k - 1) for k in range(2, m + 1))
 
 
 class TestCandidates:
@@ -726,20 +733,22 @@ class TestCandidates:
             fwd = StateVector(np.array([amp, np.sqrt(1.0 - amp * amp), 0.0], dtype=complex))
             assert abs(amp) ** 2 + 1.0 == top  # the outcome's largest rule sum is this neighbour
             draws = recorded_draws(monkeypatch)
-            est = born_mc(fwd, StateVector.basis_state(3, 0), HaarPure(), 64, seed=3, tie_tol=tie_tol)
+            est = born_mc([fwd], StateVector.basis_state(3, 0), HaarPure(), 64, seed=3, tie_tol=tie_tol)[0]
             assert draws == ([1] if top > threshold else []), top
             assert est.frequency == 0.0  # no overlap of 64 samples comes within 2**-33 of 1
 
     @pytest.mark.parametrize("law", ["haar", "uniform-overlap"])
     def test_outcomes_that_cannot_fire_count_exactly_zero(self, law, monkeypatch):
         dist = HaarPure() if law == "haar" else UniformOverlap()
-        weights = [0.0, 0.55, 0.0, 0.0, 0.4, 0.0, 0.05, 0.0]
+        n, tie_tol = 30_000, 0.02
+        weights = [0.0, 0.495, 0.0, 0.0, 0.495, 0.0, 0.01, 0.0]  # outcome 6 cannot fire: 0.01 + 1 < 1 + tie_tol
+        # outcomes 1 and 4 fire at the closed-form rates 5.5e-3 (Haar, (p - tie_tol)**7) and 1.2e-3 (uniform
+        # overlap): at least 36 expected samples each, so the > 0 checks fail with probability below 2 e**-36
+        rate = (weights[4] - tie_tol) ** 7 if law == "haar" else uniform_overlap_rate(weights[4], 4, 8, tie_tol)
+        assert rate * n >= 36
         draws = recorded_draws(monkeypatch)
-        # outcome 4 fires at a rate of 2.2e-4 (Haar) and 4.0e-5 (uniform overlap): about 12 samples of
-        # these 300000 under uniform overlap, where 30000 gave it about 1.2 and none at all with
-        # probability 0.3
-        result = basis_mc(forward_with_weights(weights), OrthonormalBasis(np.eye(8)), dist, 300_000, seed=4,
-                          tie_tol=0.1)
+        result = basis_mc(forward_with_weights(weights), OrthonormalBasis(np.eye(8)), dist, n, seed=4,
+                          tie_tol=tie_tol)
         freqs = result.frequencies()
         assert set(draws) == ({2} if law == "haar" else {3})  # outcomes 1 and 4 (and q_0 of uniform overlap)
         assert (freqs[[0, 2, 3, 5, 6, 7]] == 0.0).all() and (freqs[[1, 4]] > 0.0).all()
@@ -747,17 +756,54 @@ class TestCandidates:
 
     def test_a_call_with_no_candidate_draws_nothing(self, monkeypatch):
         draws = recorded_draws(monkeypatch)
-        est = born_mc(forward_with_overlap(0.0, 3), StateVector.basis_state(3, 0), HaarPure(), 5000, seed=1)
+        est = born_mc([forward_with_overlap(0.0, 3)], StateVector.basis_state(3, 0), HaarPure(), 5000, seed=1)[0]
         assert est == sampling.BornEstimate(0.0, 0.0, 5000)
         spread = forward_with_weights([1.0, 1.0, 1.0, 1.0])  # every weight 1/4: nothing fires above 1.8
         result = basis_mc(spread, OrthonormalBasis(np.eye(4)), UniformOverlap(), 5000, seed=1, tie_tol=0.8)
         assert result.frequencies().tolist() == [0.0] * 4 and result.no_assign_rate == 1.0
         assert draws == []
         with pytest.raises(ValueError, match="sample count"):
-            born_mc(forward_with_overlap(0.0, 3), StateVector.basis_state(3, 0), HaarPure(), 0, seed=1)
+            born_mc([forward_with_overlap(0.0, 3)], StateVector.basis_state(3, 0), HaarPure(), 0, seed=1)
         with pytest.raises(ValueError, match="dimension mismatch"):
-            born_mc(forward_with_overlap(0.0, 3), E0, HaarPure(), 10, seed=1)
+            born_mc([forward_with_overlap(0.0, 3)], E0, HaarPure(), 10, seed=1)
         assert draws == []
+
+
+class TestBornGrid:
+    """``born_mc`` scores every forward state of a grid against one set of sampled backward states."""
+
+    def test_a_three_point_run_draws_once_per_chunk(self, tmp_path, monkeypatch):
+        draws = recorded_draws(monkeypatch)
+        n = 3 * _chunk_samples(1) + 5
+        argv = ["born-mc", "--dim", "4", "--samples", str(n), "--seed", "7", "--p-grid", "0.2,0.5,0.9", "--no-timing",
+                "--out", str(tmp_path / "out.csv")]
+        assert main(argv) == 0
+        assert draws == [1] * 4  # four chunks of one word per sample, shared by the three points
+
+    @pytest.mark.parametrize("law", ["haar", "uniform-overlap"])
+    def test_a_point_that_cannot_fire_draws_nothing_and_moves_no_other_point(self, law, monkeypatch):
+        dist, target, n = HaarPure() if law == "haar" else UniformOverlap(), StateVector.basis_state(3, 0), 5000
+        points = [forward_with_overlap(p, 3) for p in (0.4, 0.8)]
+        nothing = sampling.BornEstimate(0.0, 0.0, n)
+        draws = recorded_draws(monkeypatch)
+        assert born_mc([forward_with_overlap(0.0, 3)] * 3, target, dist, n, seed=2) == [nothing] * 3
+        assert draws == []
+        alone = born_mc(points, target, dist, n, seed=2)
+        assert born_mc([forward_with_overlap(0.0, 3), *points], target, dist, n, seed=2) == [nothing, *alone]
+        assert draws == [1, 1]
+
+    def test_an_empty_grid_raises(self, monkeypatch):
+        draws = recorded_draws(monkeypatch)
+        for dist in (UniformOverlap(), HaarPure(), Fixed(E0)):
+            with pytest.raises(ValueError, match="no forward state"):
+                born_mc([], E0, dist, 10, seed=1)
+        assert draws == []
+
+    def test_rows_that_can_fire_share_their_candidates(self):
+        # one draw plan serves every row: rows of a basis whose candidates differ cannot share it
+        rows = [forward_with_weights([1, 1, 0]), forward_with_weights([1, 0, 1])]  # candidates [0, 1], then [0, 2]
+        with pytest.raises(ValueError, match="share their candidate outcomes"):
+            sampling._rule_tallies(rows, np.eye(3, dtype=complex), HaarPure(), 10, 1, 0.0, 0, 1)
 
 
 class TestStickBrokenLaw:
@@ -811,39 +857,39 @@ class TestStickBrokenLaw:
 class TestBornMc:
     def test_uniform_overlap_recovers_p(self):
         p = 0.7
-        est = born_mc(forward_with_overlap(p, 2), E0, UniformOverlap(), 100_000, seed=42)
+        est = born_mc([forward_with_overlap(p, 2)], E0, UniformOverlap(), 100_000, seed=42)[0]
         assert abs(est.frequency - p) <= 4 * est.std_err
 
     def test_fixed_backward_is_deterministic(self):
         plus = StateVector(np.array([1, 1]) / np.sqrt(2))
-        est = born_mc(E0, E0, Fixed(plus), 1000, seed=0)
+        est = born_mc([E0], E0, Fixed(plus), 1000, seed=0)[0]
         assert est.frequency == 1.0  # 1 + 1/2 > 1 for every sample
-        est2 = born_mc(E0, StateVector.basis_state(2, 1), Fixed(plus), 1000, seed=0)
+        est2 = born_mc([E0], StateVector.basis_state(2, 1), Fixed(plus), 1000, seed=0)[0]
         assert est2.frequency == 0.0  # 0 + 1/2 < 1
 
     def test_haar_qutrit_matches_beta_tail(self):
         p = 0.5
-        est = born_mc(forward_with_overlap(p, 3), StateVector.basis_state(3, 0),
-                      HaarPure(), 100_000, seed=7)
+        est = born_mc([forward_with_overlap(p, 3)], StateVector.basis_state(3, 0),
+                      HaarPure(), 100_000, seed=7)[0]
         assert abs(est.frequency - p**2) <= 4 * est.std_err
 
     def test_std_err_formula(self):
-        est = born_mc(forward_with_overlap(0.3, 2), E0, UniformOverlap(), 5000, seed=1)
+        est = born_mc([forward_with_overlap(0.3, 2)], E0, UniformOverlap(), 5000, seed=1)[0]
         expected = np.sqrt(est.frequency * (1 - est.frequency) / est.samples)
         assert abs(est.std_err - expected) <= 1e-12
 
     def test_deterministic_rerun(self):
-        args = (forward_with_overlap(0.4, 2), E0, UniformOverlap(), 30_000)
+        args = ([forward_with_overlap(0.4, 2)], E0, UniformOverlap(), 30_000)
         assert born_mc(*args, seed=9) == born_mc(*args, seed=9)
 
     def test_worker_count_does_not_change_result(self):
-        args = (forward_with_overlap(0.4, 2), E0, HaarPure(), 50_000)
+        args = ([forward_with_overlap(0.4, 2)], E0, HaarPure(), 50_000)
         single = born_mc(*args, seed=9, workers=1)
         pooled = born_mc(*args, seed=9, workers=8)
         assert single == pooled
 
     def test_chunk_size_does_not_change_result(self):
-        args = (forward_with_overlap(0.4, 2), E0, HaarPure(), 30_000)
+        args = ([forward_with_overlap(0.4, 2)], E0, HaarPure(), 30_000)
         with chunk_samples(997):
             a = born_mc(*args, seed=9)
         with chunk_samples(16384):
@@ -852,19 +898,31 @@ class TestBornMc:
 
     def test_global_phase_invariance(self):
         fwd = forward_with_overlap(0.7, 2)
-        base = born_mc(fwd, E0, UniformOverlap(), 20_000, seed=123)
+        base = born_mc([fwd], E0, UniformOverlap(), 20_000, seed=123)[0]
         fwd_rot = StateVector(np.exp(0.9j) * fwd.entries)
         target_rot = StateVector(np.exp(-1.3j) * E0.entries)
-        rot = born_mc(fwd_rot, target_rot, UniformOverlap(), 20_000, seed=123)
+        rot = born_mc([fwd_rot], target_rot, UniformOverlap(), 20_000, seed=123)[0]
         assert base.frequency == rot.frequency
 
     def test_rejects_bad_sample_count(self):
         with pytest.raises(ValueError, match="sample count"):
-            born_mc(E0, E0, HaarPure(), 0, seed=1)
+            born_mc([E0], E0, HaarPure(), 0, seed=1)
 
     def test_rejects_a_fixed_state_of_another_dimension(self):
         with pytest.raises(ValueError, match="dimension mismatch: fixed state 3 vs 2"):
-            born_mc(E0, E0, Fixed(StateVector.basis_state(3, 0)), 10, seed=1)
+            born_mc([E0], E0, Fixed(StateVector.basis_state(3, 0)), 10, seed=1)
+
+    def test_the_exact_binomial_check_rejects_its_tails_alone(self):
+        # at n = 20, p = 1/2: P[X <= 3] = P[X >= 17] = 1351 / 2**20 = 1.3e-3, P[X <= 4] = P[X >= 16] = 5.9e-3
+        for count in (4, 10, 16):
+            assert_binomial(count, 20, 0.5, 0.01)
+        for count in (3, 17):
+            with pytest.raises(AssertionError):
+                assert_binomial(count, 20, 0.5, 0.01)
+        assert_binomial(0, 100, 0.0, FOUR_SIGMA_ALPHA)
+        assert_binomial(100, 100, 1.0, FOUR_SIGMA_ALPHA)
+        with pytest.raises(AssertionError):
+            assert_binomial(1, 100, 0.0, FOUR_SIGMA_ALPHA)
 
     @pytest.mark.parametrize("dim", [2, 3, 4])
     def test_four_sigma_coverage_across_seeds(self, dim):
@@ -875,7 +933,7 @@ class TestBornMc:
             fwd = forward_with_overlap(p, dim)
             within = 0
             for seed in range(100):
-                est = born_mc(fwd, target, UniformOverlap(), 10_000, seed=seed)
+                est = born_mc([fwd], target, UniformOverlap(), 10_000, seed=seed)[0]
                 if abs(est.frequency - p) <= 4 * est.std_err:
                     within += 1
             assert within >= 99, (dim, p, within)
