@@ -462,7 +462,7 @@ _EXPERIMENTS = {
         "the frame potential to its Welch bound 2d^3/(d+1), with seeded random restarts."
     ), (
         _Param("restarts", _count, 20, "number of random restarts"),
-        _Param("max_iters", _count, 2000, "optimizer iterations per restart"),
+        _Param("max_iters", _count, 2000, "Levenberg-Marquardt steps per restart"),
     )),
     "sic-distinguish": _Experiment(_run_sic_distinguish, (
         "For random pairs of two-state assignments, find a projector-set element whose "

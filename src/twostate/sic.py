@@ -6,9 +6,10 @@ displacement operators X^j Z^k to produce d^2 rank-1 projectors, as one
 d times the identity. The module also counts how often a set element
 separates random pairs of two-state assignments under the outcome rule
 (``sic_distinguish``, the sic-distinguish experiment), and searches for
-fiducials numerically by minimizing the frame potential of a fiducial's
-orbit down to its Welch bound 2 d^3 / (d+1), with a dense BFGS written in
-numpy.
+fiducials numerically by driving the frame potential of a fiducial's
+orbit down to its Welch bound W = 2 d^3 / (d+1). That potential is W plus d^2
+times the sum of squares of d^2 - 1 overlap residuals, so the search is a
+zero-residual least-squares problem, solved by Levenberg-Marquardt in numpy.
 """
 
 from __future__ import annotations
@@ -184,79 +185,85 @@ def frame_potential(states: np.ndarray) -> float:
 
 
 @functools.cache
-def _orbit_ops(d: int) -> np.ndarray:
-    """The d^2 displacements D_m, then their adjoints D_m^dagger, as one read-only (2d^2, d, d) array."""
-    disp = wh_displacements(d)
-    stack = np.concatenate([disp, disp.conj().transpose(0, 2, 1)])
-    stack.setflags(write=False)
-    return stack
+def _overlap_forms(d: int) -> np.ndarray:
+    """Real symmetric forms of the Hermitian (D_m + D_m^dagger)/2, then (D_m - D_m^dagger)/2i, m = 1..d^2-1, in one read-only array.
 
-
-def _orbit_potential_and_grad(t: np.ndarray, ops: np.ndarray):
-    """Frame potential of the displacement orbit of x/|x| and its gradient in t.
-
-    t is the real view of x, real and imaginary parts interleaved, and ``ops``
-    is ``_orbit_ops(d)``. Uses the group collapse FP(f) = d^2 * sum_m
-    |<f|D_m|f>|^4 and the scale invariance of the normalized objective, so x
-    can roam all of C^d.
+    Form k, rows 2d k to 2d (k+1), maps t = x.view(float) to (A_k x).view(float) for the k-th of
+    those operators A_k, so t.form_k.t is Re, then Im, of <x|D_m|x>.
     """
-    d = ops.shape[-1]
-    x = t.view(complex)
-    nsq = t @ t
-    y = ops @ x  # rows D_m x, then D_m^dagger x
-    c = y[: d * d] @ x.conj()
-    abs2 = c.real**2 + c.imag**2
-    g = abs2 @ abs2
-    w = abs2 * c
-    h = 2.0 * (np.concatenate([w.conj(), w]) @ y) - (4.0 * g / nsq) * x
-    scale = d * d / nsq**4
-    return scale * g, (2.0 * scale) * h.view(float)
+    disp = wh_displacements(d)[1:]
+    adj = disp.conj().transpose(0, 2, 1)
+    cols = np.concatenate([disp + adj, 1j * (adj - disp)]) @ np.kron(np.eye(d), [0.5, 0.5j])
+    forms = np.stack([cols.real, cols.imag], axis=2).reshape(-1, 2 * d)
+    forms.setflags(write=False)
+    return forms
 
 
-def _bfgs(fun, t: np.ndarray, max_iters: int):
-    """Minimize ``fun`` (value and gradient) from t; returns the last point, its value and the iterations run.
+def _orbit_residuals(t: np.ndarray, forms: np.ndarray):
+    """Residuals r_m = |<x|D_m|x>|^2 / |x|^4 - 1/(d+1), m = 1..d^2-1, of x = t.view(complex), and their Jacobian in t.
 
-    Dense BFGS on the inverse Hessian with Armijo backtracking (Nocedal & Wright,
-    Numerical Optimization, Alg. 6.1 and 3.1), H0 scaled by s.y / y.y after the
-    first step (their eq. 6.20). Stops on a relative decrease of at most 1e-16, a
-    max |grad| of at most 1e-12, a backtracked step too short to pass that
-    decrease test, or after ``max_iters`` iterations.
+    ``forms`` is ``_overlap_forms(d)``. The d^2 displacements are an orthogonal
+    operator basis, so the frame potential of the orbit of x/|x| is W + d^2 sum_m r_m^2
+    (Renes, Blume-Kohout, Scott & Caves, J. Math. Phys. 45, 2171, 2004). The residuals
+    are invariant under x -> a x, a != 0 complex, so the Jacobian vanishes along t and (i x).view(float).
     """
-    f, g = fun(t)
-    h = np.eye(t.size)
-    for it in range(1, max_iters + 1):
-        p = -(h @ g)
-        slope = g @ p
-        step = 1.0
-        while True:
-            t_new = t + step * p
-            f_new, g_new = fun(t_new)
-            if f_new <= f + 1e-4 * step * slope:
-                break
-            step *= 0.5
-            if -step * slope <= 1e-16 * max(abs(f), 1.0):  # too short to pass the decrease test
-                return t, f, it
-        s, y = t_new - t, g_new - g
-        sy = s @ y
-        if sy > 0.0:
-            if it == 1:
-                h *= sy / (y @ y)
-            hy = h @ y
-            u = (1.0 + (y @ hy) / sy) * s - hy
-            h += (np.multiply.outer(s, u) - np.multiply.outer(hy, s)) / sy
-        stalled = f - f_new <= 1e-16 * max(abs(f), abs(f_new), 1.0)
-        t, f, g = t_new, f_new, g_new
-        if stalled or np.abs(g).max() <= 1e-12:
+    n = t.dot(t)
+    y = forms.dot(t).reshape(-1, t.size)
+    q = y.dot(t / n)  # Re, then Im, of <x|D_m|x> / |x|^2
+    w = q[:, None] * y
+    half = q.size // 2
+    q *= q
+    abs2 = q[:half] + q[half:]
+    jac = (w[:half] + w[half:] - np.multiply.outer(abs2, t)) * (4.0 / n)
+    return abs2 - 1.0 / (t.size // 2 + 1), jac
+
+
+def _levenberg_marquardt(fun, t: np.ndarray, max_iters: int):
+    """Drive the residuals ``fun(t)`` (values and Jacobian) to zero; returns the last t, its sum of squares and the steps tried.
+
+    The residuals must be invariant under x -> a x (x = t.view(complex), a != 0 complex), so J^T J
+    is singular along t and (i x).view(float); t is kept at unit length. Each step solves
+    (A + mu diag(A)) h = -J^T r, A = J^T J plus the projector onto those two directions (Marquardt,
+    SIAM J. Appl. Math. 11, 431, 1963), and mu follows the gain ratio (Madsen, Nielsen & Tingleff,
+    Methods for Non-Linear Least Squares Problems, 2004, Alg. 3.16). Stops once max |J^T r| <= 1e-15
+    or |h| <= 1e-12, or after ``max_iters`` steps.
+    """
+    t = t / np.sqrt(t.dot(t))
+    r, jac = fun(t)
+    cost, mu, nu, it = r.dot(r), 1e-3, 2.0, 0
+    while it < max_iters:
+        gauge = np.array((t, (1j * t.view(complex)).view(float)))
+        a, g = jac.T.dot(jac) + gauge.T.dot(gauge), jac.T.dot(r)
+        if np.abs(g).max() <= 1e-15:
             break
-    return t, f, it
+        damp = mu * a.diagonal()
+        h = np.linalg.solve(a + np.diag(damp), -g)
+        if h.dot(h) <= 1e-24:
+            break
+        t_new = t + h
+        t_new /= np.sqrt(t_new.dot(t_new))
+        r_new, jac_new = fun(t_new)
+        cost_new = r_new.dot(r_new)
+        gain = (cost - cost_new) / h.dot(damp * h - g)
+        if gain > 0.0:
+            t, r, jac, cost = t_new, r_new, jac_new, cost_new
+            mu *= max(1.0 / 3.0, 1.0 - (2.0 * gain - 1.0) ** 3)
+            nu = 2.0
+        else:
+            mu *= nu
+            nu *= 2.0
+        it += 1
+    return t, cost, it
 
 
 def search_fiducial(d: int, restarts: int, max_iters: int, seed: int) -> FiducialSearchReport:
-    """Minimize the orbit frame potential from seeded random starts.
+    """Drive the orbit frame potential down to the Welch bound from seeded random starts.
 
-    Runs every restart, keeps the one with the smallest potential (ties to
-    the lowest restart index), and reports convergence against the Welch
-    bound plus 1e-6. One progress line per restart goes to stderr.
+    Each restart runs ``_levenberg_marquardt`` for at most ``max_iters`` steps on
+    the d^2 - 1 residuals of ``_orbit_residuals``, whose sum of squares is
+    (FP - W) / d^2. Runs every restart, keeps the one with the smallest potential
+    (ties to the lowest restart index), and reports convergence against the
+    Welch bound plus 1e-6. One progress line per restart goes to stderr.
     """
     if not 2 <= d <= SEARCH_MAX_DIM:
         raise ValueError(f"supported dimensions are 2..{SEARCH_MAX_DIM}, got {d}")
@@ -264,29 +271,22 @@ def search_fiducial(d: int, restarts: int, max_iters: int, seed: int) -> Fiducia
         raise ValueError(f"restarts must be >= 1, got {restarts}")
     if max_iters < 1:
         raise ValueError(f"max_iters must be >= 1, got {max_iters}")
-    objective = functools.partial(_orbit_potential_and_grad, ops=_orbit_ops(d))
+    residuals = functools.partial(_orbit_residuals, forms=_overlap_forms(d))
     bound = welch_bound(d)
     starts = haar_states(d, RngStream(seed, stream_index=0), 0, restarts)
-
-    best_potential = np.inf
-    best_t = None
-    iterations = 0
+    runs = []  # (potential, t, iterations) per restart
     for r in range(restarts):
-        t, pot, nit = _bfgs(objective, starts[r].view(float), max_iters)
-        iterations += nit
-        print(f"[fiducial-search d={d}] restart {r}: potential {pot:.12f}", file=sys.stderr)
-        if pot < best_potential:
-            best_potential = pot
-            best_t = t
+        t, cost, nit = _levenberg_marquardt(residuals, starts[r].view(float), max_iters)
+        runs.append((bound + d * d * cost, t, nit))
+        print(f"[fiducial-search d={d}] restart {r}: potential {runs[-1][0]:.12f}", file=sys.stderr)
 
-    fiducial = StateVector.normalized(best_t.view(complex))
-    orbit = _orbit(fiducial.entries, d)
-    potential = frame_potential(orbit)
+    fiducial = StateVector.normalized(min(runs, key=lambda run: run[0])[1].view(complex))
+    potential = frame_potential(_orbit(fiducial.entries, d))
     return FiducialSearchReport(
         fiducial=fiducial,
         frame_potential=potential,
         lower_bound=bound,
-        iterations=iterations,
+        iterations=sum(run[2] for run in runs),
         restarts=restarts,
         converged=potential <= bound + 1e-6,
     )

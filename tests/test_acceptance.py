@@ -39,6 +39,8 @@ from twostate.blochpbr import _bloch_vectors
 from twostate.cli import main
 
 from helpers import (
+    FOUR_SIGMA_ALPHA,
+    assert_binomial,
     haar_unitaries,
     random_density,
     random_hermitian,
@@ -80,7 +82,7 @@ def test_criterion_01_born_rule_uniform_overlap():
                     [forward_with_overlap(p, d)], target, UniformOverlap(),
                     100_000, seed=42, stream_index=100 * d + point,
                 )[0]
-                assert abs(est.frequency - p) <= 4 * est.std_err, (d, p, est)
+                assert_binomial(round(est.frequency * est.samples), est.samples, p, FOUR_SIGMA_ALPHA)
         assert time.perf_counter() - start < 60.0
 
 
@@ -105,7 +107,7 @@ def test_criterion_03_haar_distribution_sensitivity():
                 [forward_with_overlap(p, 3)], target, HaarPure(),
                 100_000, seed=44, stream_index=point,
             )[0]
-            assert abs(est.frequency - p**2) <= 4 * est.std_err, (p, est.frequency)
+            assert_binomial(round(est.frequency * est.samples), est.samples, p**2, FOUR_SIGMA_ALPHA)
 
 
 @pytest.fixture(scope="module")

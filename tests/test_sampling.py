@@ -858,7 +858,7 @@ class TestBornMc:
     def test_uniform_overlap_recovers_p(self):
         p = 0.7
         est = born_mc([forward_with_overlap(p, 2)], E0, UniformOverlap(), 100_000, seed=42)[0]
-        assert abs(est.frequency - p) <= 4 * est.std_err
+        assert_binomial(round(est.frequency * est.samples), est.samples, p, FOUR_SIGMA_ALPHA)
 
     def test_fixed_backward_is_deterministic(self):
         plus = StateVector(np.array([1, 1]) / np.sqrt(2))
@@ -871,7 +871,7 @@ class TestBornMc:
         p = 0.5
         est = born_mc([forward_with_overlap(p, 3)], StateVector.basis_state(3, 0),
                       HaarPure(), 100_000, seed=7)[0]
-        assert abs(est.frequency - p**2) <= 4 * est.std_err
+        assert_binomial(round(est.frequency * est.samples), est.samples, p**2, FOUR_SIGMA_ALPHA)
 
     def test_std_err_formula(self):
         est = born_mc([forward_with_overlap(0.3, 2)], E0, UniformOverlap(), 5000, seed=1)[0]
